@@ -1190,7 +1190,7 @@ def _drive_cluster(args: list[str]) -> int:
             and cc["hits"] == 0
         ):
             print("  config-cache gate: batched rounds produced zero cached-"
-                  "config hits — the shared wire plan is not being reused")
+                  "config hits — the round-0 plan is not being reused")
             ok = False
     if "coverage" in outcome:
         print("  " + outcome["coverage"].replace("\n", "\n  "))

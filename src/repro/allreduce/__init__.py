@@ -19,9 +19,10 @@ from .base import (
     dense_reduce,
 )
 from .butterfly import BinaryButterflyAllreduce, binary_degrees, uniform_degrees
+from .core import LayerPlan, NodePlan
 from .dense import DenseAllreduce
 from .direct import DirectAllreduce
-from .kylix import KylixAllreduce, LayerPlan, NodePlan, PhaseTiming
+from .kylix import KylixAllreduce, PhaseTiming
 from .replicated import ReplicatedKylix, expected_failures_survived
 from .topology import ButterflyTopology, validate_degrees
 from .tree import TreeAllreduce

@@ -1,23 +1,13 @@
-"""Kylix: the nested heterogeneous-degree butterfly sparse allreduce (§III).
+"""Kylix on the simulator: the virtual-clock driver of the protocol core (§III).
 
-The protocol in brief (node ``k``, degree stack ``d_1 × … × d_l``):
-
-**Configuration** (downward only).  At layer ``i`` every node splits its
-current in/out key sets into ``d_i`` equal hashed sub-ranges of the range
-it shares with its layer-``i`` group, sends part ``q`` to the group member
-at position ``q``, unions what it receives (tree merge), and memoises the
-position maps of each received part inside the union.  After ``l`` layers
-node ``k`` owns the union of all contributions to its nested range.
-
-**Reduction** (down then up, through the *same* groups — nesting).  Values
-ride the memoised structure: downward, each received value part is
-scatter-added into the node's partial via the stored maps; at the bottom
-the partial is fully reduced over the whole cluster, and the node projects
-it onto the in-keys it hosts.  Upward, each node extracts — again via the
-stored maps — exactly the sub-vector each group member asked for during
-configuration and sends it back; members reassemble by writing parts into
-the contiguous slices the split produced.  Total reduction work is
-constant time per element, as in the paper.
+The protocol itself — split, scatter, tree-merge and memoise maps on the
+way down, replay the maps back up — lives in :mod:`repro.allreduce.core`
+as sans-IO generators that yield one ``Exchange`` per layer.
+:class:`KylixAllreduce` is what turns those into simulator processes:
+message tags, the send and receive hooks :class:`ReplicatedKylix`
+overrides, the deadline/NACK receive loop, merge cost charged to the
+node's CPU on the virtual clock, the hole policy's in-memory audit
+stores, and the public configure/reduce API.
 
 Degenerate stacks reproduce the baselines: ``[m]`` is the direct
 all-to-all allreduce, ``[2]*log2(m)`` the binary butterfly.
@@ -25,7 +15,7 @@ all-to-all allreduce, ``[2]*log2(m)`` the binary butterfly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -34,58 +24,27 @@ from ..cluster import Cluster, SimNode
 from ..faults import CoverageReport, FaultPlan, LossRecord, PeerFailedError, RetryPolicy
 from ..obs import NULL_OBSERVER
 from ..simul import WaitTimeout, wait_with_timeout
-from ..sparse import (
-    IndexHasher,
-    KeyRange,
-    MultiplicativeHasher,
-    split_sorted,
-    union_with_maps,
-)
+from ..sparse import IndexHasher, MultiplicativeHasher
+from . import core
 from .base import (
     PHASE_COMBINED_DOWN,
     PHASE_CONFIG,
     PHASE_GATHER_UP,
     PHASE_REDUCE_DOWN,
-    CoverageError,
     ReduceSpec,
-    reduction_identity,
-    reduction_ufunc,
 )
+from .core import NodePlan
 from .topology import ButterflyTopology
 
-__all__ = ["KylixAllreduce", "NodePlan", "LayerPlan", "PhaseTiming"]
+__all__ = ["KylixAllreduce", "PhaseTiming"]
 
-
-@dataclass
-class LayerPlan:
-    """Everything node ``k`` memoised about one communication layer."""
-
-    group: List[int]  # member ids, position order
-    pos: int  # our position (digit) in the group
-    pos_of: Dict[int, int]  # member id -> position
-    out_slices: List[slice]  # split of the previous out key array
-    in_slices: List[slice]  # split of the previous in key array
-    out_recv_maps: List[np.ndarray]  # per position: part -> out union positions
-    in_recv_maps: List[np.ndarray]  # per position: part -> in union positions (f maps)
-    out_union_size: int
-    in_union_size: int
-    in_prev_size: int  # length of the previous in key array (up-pass target)
-
-
-@dataclass
-class NodePlan:
-    """Full per-node configuration state produced by the config pass."""
-
-    rank: int
-    out_inverse: np.ndarray  # original out positions -> unique sorted positions
-    in_inverse: np.ndarray  # original in positions -> unique sorted positions
-    n_out: int  # unique out keys at layer 0
-    n_in: int  # unique in keys at layer 0
-    layers: List[LayerPlan] = field(default_factory=list)
-    bottom_pos: Optional[np.ndarray] = None  # in^l positions within out^l union
-    bottom_hit: Optional[np.ndarray] = None  # coverage mask for bottom_pos
-    bottom_out_keys: Optional[np.ndarray] = None  # hashed keys of out^l (sorted)
-
+#: Message-tag kind of each pass; a tag is ``(name, kind, instance, layer)``.
+_TAG_KIND = {
+    PHASE_CONFIG: "cfg",
+    PHASE_COMBINED_DOWN: "cmb",
+    PHASE_REDUCE_DOWN: "rd",
+    PHASE_GATHER_UP: "up",
+}
 
 @dataclass(frozen=True)
 class PhaseTiming:
@@ -174,7 +133,7 @@ class KylixAllreduce:
         # completion): per instance, each node's raw unique out keys and
         # the out-key slice of every down part it sent.  The in-memory
         # equivalent of the wire transports' retained sent-keys stores —
-        # see _dead_partial_keys.
+        # see core.dead_partial_keys.
         self._audit_raw: Dict[tuple, np.ndarray] = {}
         self._audit_sent: Dict[tuple, np.ndarray] = {}
 
@@ -346,25 +305,107 @@ class KylixAllreduce:
             timeouts = 0
         return received
 
+    def _drive(self, node: SimNode, gen, inst: int):
+        """Pump one :mod:`~repro.allreduce.core` pass as a simulator process.
+
+        Per ``Exchange``: send every part (the node's own crosses the
+        fabric like any other), receive one per group position under the
+        deadline/NACK loop, resume the pass with them, and charge the
+        merge it just did to the node's CPU on the virtual clock.
+        Returns the pass's return value.
+        """
+        obs = self._obs
+        rank = self._logical(node.rank)
+        name = self.name
+        ex = next(gen)
+        while ex is not None:
+            phase, layer, group, _, out_parts, nbytes_hint, plan = ex
+            building = phase in (PHASE_CONFIG, PHASE_COMBINED_DOWN)
+            span = obs.begin(f"{phase} L{layer}", node=rank, phase=phase, layer=layer)
+            tag = (name, _TAG_KIND[phase], inst, layer)
+            # The hole policy (docs/faults.md): what a combined-down hole
+            # took with it is reconstructed from these in-memory stores —
+            # the equivalent of the wire transports' retained sent keys.
+            audit = phase == PHASE_COMBINED_DOWN and self._degrade_active()
+            if audit and layer == 1:
+                # State 0: this node's partial starts as exactly its own
+                # unique out keys.  Recorded before any sends, so if this
+                # node later dies mid-protocol its survivors can
+                # reconstruct what the dead partial contained.
+                self._audit_raw[(inst, rank)] = np.concatenate(
+                    [part[0] for part in out_parts]
+                )
+            for member, part in zip(group, out_parts):
+                if audit:
+                    self._audit_sent[(inst, layer, rank, member)] = part[0]
+                self._send_to(node, member, part, tag=tag, phase=phase, layer=layer)
+            pos_of = (
+                {member: q for q, member in enumerate(group)}
+                if building  # the layer's LayerPlan exists only after the resume
+                else plan.layers[layer - 1].pos_of
+            )
+            msgs = yield from self._recv_group(
+                node, tag, pos_of, len(group),
+                phase=phase, layer=layer, nbytes_hint=nbytes_hint,
+            )
+            # A None message is an unrecoverable member: it stays a hole.
+            parts = [None if msg is None else msg.payload for msg in msgs]
+            cost = sum([msg.nbytes for msg in msgs if msg is not None])
+            if audit:
+                for q, part in enumerate(parts):
+                    if part is None:
+                        parts[q] = core.tombstone_part(
+                            self.topology, self.spec, rank, layer, group[q],
+                            lambda h: self._audit_raw.get((inst, h)),
+                            lambda p, h, s: self._audit_sent.get((inst, s, p, h)),
+                        )
+            merge_span = obs.begin(
+                f"merge L{layer}", node=rank, phase=phase, layer=layer, kind="merge"
+            )
+            try:
+                ex = gen.send(parts)
+            except StopIteration as stop:
+                ex, result = None, stop.value
+            if building:
+                obs.histogram("config.merge_length").observe(
+                    plan.layers[layer - 1].out_union_size, phase=phase, layer=layer
+                )
+                # Tree merge: every element participates in ~log2(d)+1 merges.
+                cost *= max(1, int(np.ceil(np.log2(max(len(group), 2)))) + 1)
+            yield node.compute_bytes(cost)
+            obs.end(merge_span)
+            obs.end(span)
+        return result
+
+    def _run(self, name: str, proto, *args, phase: str = ""):
+        """One cluster run of ``proto(node, *args, inst)`` on every node as
+        a fresh protocol instance, under a ``name`` span; returns
+        ``(results, timing)``."""
+        inst = self.next_instance()
+        start = self.cluster.now
+        self._loss_events = []
+        with self._obs.span(name, phase=phase):
+            raw = self.cluster.run(proto, *args, inst)
+        return raw, PhaseTiming(start, self.cluster.now)
+
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    def configure(self, spec: ReduceSpec) -> Dict[int, NodePlan]:
-        """Run the configuration pass; memoises routing for reductions."""
-        expected = set(range(self.size))
-        if set(spec.ranks) != expected:
+    def _check_spec(self, spec: ReduceSpec) -> None:
+        if set(spec.ranks) != set(range(self.size)):
             raise ValueError(
                 f"spec must cover every logical rank (got {len(spec.ranks)} of "
                 f"{self.size})"
             )
+
+    def configure(self, spec: ReduceSpec) -> Dict[int, NodePlan]:
+        """Run the configuration pass; memoises routing for reductions."""
+        self._check_spec(spec)
         self.spec = spec
-        self._instance += 1
-        inst = self._instance
-        start = self.cluster.now
-        self._loss_events = []
-        with self._obs.span("configure", phase=PHASE_CONFIG):
-            self.plans = self.cluster.run(self._config_proto, spec, inst)
-        self.config_timing = PhaseTiming(start, self.cluster.now)
+        raw, self.config_timing = self._run(
+            "configure", self._down, phase=PHASE_CONFIG
+        )
+        self.plans = {rank: plan for rank, (plan, _, _) in raw.items()}
         return self.plans
 
     def adopt_plans(self, spec: ReduceSpec, plans: Dict[int, NodePlan]) -> None:
@@ -377,12 +418,7 @@ class KylixAllreduce:
         guarantees this by keying on all of them).  Costs zero simulated
         time: amortization is the point.
         """
-        expected = set(range(self.size))
-        if set(spec.ranks) != expected:
-            raise ValueError(
-                f"spec must cover every logical rank (got {len(spec.ranks)} of "
-                f"{self.size})"
-            )
+        self._check_spec(spec)
         if set(plans) != set(range(self.cluster.num_nodes)):
             raise ValueError(
                 f"plans must cover every physical rank (got {sorted(plans)})"
@@ -392,314 +428,110 @@ class KylixAllreduce:
         now = self.cluster.now
         self.config_timing = PhaseTiming(now, now)
 
-    def _config_proto(self, node: SimNode, spec: ReduceSpec, inst: int):
-        plan, _, _ = yield from self._down_pass(node, spec, inst, values=None)
-        return plan
+    # ------------------------------------------------------------------
+    # The per-node seam: one node's passes as simulator processes.  The
+    # public methods below and repro.service (concurrent waves, pipelined
+    # minibatches) compose these inside a single cluster run.
+    # ------------------------------------------------------------------
+    def next_instance(self) -> int:
+        """Allocate a protocol-instance id.  It namespaces the message
+        tags of one reduction, so instances sharing a fabric — several
+        streams in one run, overlapping pipelined rounds — cannot
+        cross-talk."""
+        self._instance += 1
+        return self._instance
 
-    def _down_pass(
-        self,
-        node: SimNode,
-        spec: ReduceSpec,
-        inst: int,
-        values: Optional[Mapping[int, np.ndarray]] = None,
-    ):
-        """The downward pass: build the routing plan, optionally carrying
-        values in the same messages (§III's combined configuration and
-        reduction for minibatch workloads).
+    def node_down(self, node: SimNode, out_values: Mapping[int, np.ndarray], inst: int):
+        """Generator: ``node``'s downward half of reduction ``inst`` over
+        the configured plans.  Returns ``(r, r_mask)`` — the fully reduced
+        values of the keys the node hosts at the bottom, ready for
+        :meth:`node_up` (``r_mask`` is None outside degraded completion)."""
+        v, v_mask = yield from self._value_down(node, out_values, inst)
+        return core.bottom_projection(
+            self.plans[node.rank], self.spec, v, v_mask, strict=self.strict_coverage
+        )
 
-        Returns ``(plan, partial, partial_mask)`` where ``partial`` is the
-        node's fully reduced bottom-layer values (``None`` in config-only
-        mode) and ``partial_mask`` is the per-position validity mask
-        (``None`` unless degraded completion is active: a position is
-        valid iff every group member whose part covers it delivered a
-        valid contribution).
-        """
+    def node_up(self, node: SimNode, r, inst: int, r_mask=None):
+        """Generator: ``node``'s upward half of reduction ``inst``.
+        Returns the values aligned with the node's ``spec.in_indices`` —
+        paired with their validity mask under degraded completion."""
+        plan = self.plans[node.rank]
+        r, r_mask = yield from self._drive(
+            node, core.up_pass(plan, self.spec, r, r_mask), inst
+        )
+        return core.in_order(plan, r, r_mask)
+
+    def node_reduce(self, node: SimNode, out_values: Mapping[int, np.ndarray], inst: int):
+        """Generator: one node's whole reduction ``inst`` — what
+        :meth:`node_down` then :meth:`node_up` return, driven as one pass
+        so every simulator resume crosses one generator fewer."""
+        return self._drive(
+            node,
+            core.reduce_pass(
+                self.plans[node.rank], self.spec,
+                out_values[self._logical(node.rank)],
+                degrade=self._degrade_active(), strict=self.strict_coverage,
+            ),
+            inst,
+        )
+
+    def _value_down(self, node: SimNode, out_values, inst: int):
+        """The values-only down pass over the configured plan; returns the
+        bottom partial ``(v, v_mask)``."""
+        return self._drive(
+            node,
+            core.value_down_pass(
+                self.plans[node.rank], self.spec,
+                out_values[self._logical(node.rank)],
+                degrade=self._degrade_active(),
+            ),
+            inst,
+        )
+
+    def _down(self, node: SimNode, inst: int, values=None):
+        """The plan-building down pass (combined when ``values`` is given);
+        returns ``(plan, v, v_mask)``."""
         rank = self._logical(node.rank)
-        out_keys_raw = self.hasher.hash(spec.out_indices[rank])
-        in_keys_raw = self.hasher.hash(spec.in_indices[rank])
-        out_keys, out_inverse = np.unique(out_keys_raw, return_inverse=True)
-        in_keys, in_inverse = np.unique(in_keys_raw, return_inverse=True)
-        plan = NodePlan(
-            rank=node.rank,
-            out_inverse=out_inverse.astype(np.intp),
-            in_inverse=in_inverse.astype(np.intp),
-            n_out=out_keys.size,
-            n_in=in_keys.size,
+        plan, v, v_mask = yield from self._drive(
+            node,
+            core.down_pass(
+                self.topology, self.hasher, self.spec, rank,
+                None if values is None else values[rank],
+                degrade=self._degrade_active(),
+            ),
+            inst,
         )
-
-        combined = values is not None
-        degrade = self._degrade_active()
-        ufunc = reduction_ufunc(spec.op)
-        identity = reduction_identity(spec.op, spec.dtype)
-        v = None
-        v_mask = None
-        if combined:
-            v = self._aligned_out_values(rank, plan, spec, values)
-            if degrade:
-                v_mask = np.ones(v.shape[0], dtype=bool)
-                # Audit state 0: this node's partial starts as exactly its
-                # own unique out keys.  Recorded before any sends, so if
-                # this node later dies mid-protocol its survivors can
-                # reconstruct what the dead partial contained.
-                self._audit_raw[(inst, rank)] = out_keys
-
-        rng = KeyRange.full(self.hasher.key_space)
-        topo = self.topology
-        obs = self._obs
-        phase = PHASE_COMBINED_DOWN if combined else PHASE_CONFIG
-        for layer in range(1, topo.num_layers + 1):
-            span = obs.begin(f"{phase} L{layer}", node=rank, phase=phase, layer=layer)
-            d = topo.degrees[layer - 1]
-            group = topo.group(rank, layer)
-            pos = topo.position(rank, layer)
-            pos_of = {member: q for q, member in enumerate(group)}
-
-            out_slices = split_sorted(out_keys, rng, d)
-            in_slices = split_sorted(in_keys, rng, d)
-            tag = (self.name, "cmb" if combined else "cfg", inst, layer)
-            for q, member in enumerate(group):
-                if combined:
-                    payload = (
-                        out_keys[out_slices[q]],
-                        in_keys[in_slices[q]],
-                        v[out_slices[q]],
-                    )
-                    if degrade:
-                        payload = payload + (v_mask[out_slices[q]],)
-                        self._audit_sent[(inst, layer, rank, member)] = out_keys[
-                            out_slices[q]
-                        ]
-                else:
-                    payload = (out_keys[out_slices[q]], in_keys[in_slices[q]])
-                self._send_to(node, member, payload, tag=tag, phase=phase, layer=layer)
-
-            msgs = yield from self._recv_group(
-                node, tag, pos_of, d,
-                phase=phase, layer=layer,
-                nbytes_hint=out_keys.nbytes + in_keys.nbytes,
-            )
-            # A None hole (unrecoverable member under degraded completion)
-            # took a partial with it — at layer 1 the member's own raw
-            # contribution, at deeper layers an *accumulated* partial
-            # carrying live members' earlier contributions — and some of
-            # those keys may not be carried by anyone else in this
-            # subrange: if they simply vanish, their homes aggregate the
-            # surviving contributions under a still-valid mask and the
-            # loss is never reported.  So the observer adopts the slice of
-            # the reconstructed dead partial it was owed, as tombstones:
-            # the keys join the union with identity values and a False
-            # mask, and the invalidity rides the normal routing to each
-            # key's bottom home (and from there to every requester).
-            sub = rng.subrange(pos, d)
-            out_parts = []
-            for q, m in enumerate(msgs):
-                if m is not None:
-                    out_parts.append(m.payload[0])
-                elif combined and degrade:
-                    dead = self._dead_partial_keys(inst, group[q], layer - 1)
-                    out_parts.append(dead[sub.contains(dead)])
-                else:
-                    out_parts.append(out_keys[:0])
-            in_parts = [m.payload[1] if m is not None else in_keys[:0] for m in msgs]
-            recv_bytes = sum(m.nbytes for m in msgs if m is not None)
-            # Tree-merge the received index sets; memoise position maps.
-            merge_span = obs.begin(
-                f"merge L{layer}", node=rank, phase=phase, layer=layer, kind="merge"
-            )
-            out_union, out_maps = union_with_maps(out_parts)
-            in_union, in_maps = union_with_maps(in_parts)
-            obs.histogram("config.merge_length").observe(
-                out_union.size, phase=phase, layer=layer
-            )
-            if combined:
-                partial = np.full(
-                    (out_union.size, *spec.value_shape), identity, dtype=spec.dtype
-                )
-                partial_mask = (
-                    np.ones(out_union.size, dtype=bool) if degrade else None
-                )
-                for q, msg in enumerate(msgs):
-                    if msg is None:
-                        # Dead-partial key audit (the simulator port of
-                        # the wire protocol's accounting, see
-                        # repro.net.protocol): the adopted tombstone part
-                        # for this hole carries incomplete aggregates, so
-                        # every union position it maps to loses its valid
-                        # mask.  This covers both keys the hole shares
-                        # with live parts (partial sums missing the dead
-                        # contributions) and keys only the hole carried.
-                        # (A layer-1 hole's part is the dead member's raw
-                        # out keys — its own contribution counts as lost,
-                        # matching the split-protocol accounting.)
-                        if degrade:
-                            partial_mask[out_maps[q]] = False
-                        continue
-                    m = out_maps[q]
-                    partial[m] = ufunc(partial[m], msg.payload[2])
-                    if degrade:
-                        partial_mask[m] &= msg.payload[3]
-                v = partial
-                v_mask = partial_mask
-            # Merge cost: every element participates in ~log2(d)+1 merges.
-            depth = max(1, int(np.ceil(np.log2(max(d, 2)))) + 1)
-            yield node.compute_bytes(recv_bytes * depth)
-            obs.end(merge_span)
-
-            plan.layers.append(
-                LayerPlan(
-                    group=group,
-                    pos=pos,
-                    pos_of=pos_of,
-                    out_slices=out_slices,
-                    in_slices=in_slices,
-                    out_recv_maps=out_maps,
-                    in_recv_maps=in_maps,
-                    out_union_size=out_union.size,
-                    in_union_size=in_union.size,
-                    in_prev_size=in_keys.size,
-                )
-            )
-            out_keys, in_keys = out_union, in_union
-            rng = rng.subrange(pos, d)
-            obs.end(span)
-
-        # Bottom projection: where each hosted in-key sits in the reduced
-        # out union (coverage holes surface here).
-        pos = np.searchsorted(out_keys, in_keys).astype(np.intp)
-        clipped = np.minimum(pos, max(out_keys.size - 1, 0))
-        hit = (
-            (out_keys[clipped] == in_keys)
-            if out_keys.size and in_keys.size
-            else np.zeros(in_keys.size, dtype=bool)
-        )
-        plan.bottom_pos = clipped
-        plan.bottom_hit = hit
-        plan.bottom_out_keys = out_keys
+        plan.rank = node.rank  # plans are keyed by physical rank (replication)
         return plan, v, v_mask
 
-    def _aligned_out_values(
-        self, rank: int, plan: NodePlan, spec: ReduceSpec, values: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        """Caller-order values -> unique-sorted-key order, duplicates combined."""
-        ufunc = reduction_ufunc(spec.op)
-        identity = reduction_identity(spec.op, spec.dtype)
-        raw = np.asarray(values[rank], dtype=spec.dtype)
-        if raw.shape != (len(spec.out_indices[rank]), *spec.value_shape):
-            raise ValueError(
-                f"rank {rank}: out values shape {raw.shape} does not match "
-                f"(n_out={len(spec.out_indices[rank])}, "
-                f"value_shape={spec.value_shape})"
-            )
-        v = np.full((plan.n_out, *spec.value_shape), identity, dtype=spec.dtype)
-        ufunc.at(v, plan.out_inverse, raw)
-        return v
-
-    def _bottom_projection(
-        self, rank: int, plan: NodePlan, spec: ReduceSpec, v: np.ndarray,
-        v_mask: Optional[np.ndarray] = None,
-    ):
-        """Project the fully reduced bottom partial onto hosted in-keys.
-
-        Returns ``(r, r_mask)``; ``r_mask`` is None outside degraded
-        completion.  Under degradation, positions whose reduced value is
-        incomplete (mask holes) or uncovered (spec coverage holes) hold
-        the reduction identity and are reported, not raised.
-        """
-        identity = reduction_identity(spec.op, spec.dtype)
-        degrade = v_mask is not None
-        if plan.bottom_hit is not None and not bool(plan.bottom_hit.all()):
-            if self.strict_coverage and not degrade:
-                missing = int((~plan.bottom_hit).sum())
-                raise CoverageError(
-                    f"rank {rank}: {missing} requested indices have no contributor"
-                )
-        r = np.full(
-            (plan.bottom_pos.size, *spec.value_shape), identity, dtype=spec.dtype
-        )
-        hit = plan.bottom_hit
-        if degrade and v.size:
-            hit = hit & v_mask[plan.bottom_pos]
-        if v.size:
-            np.copyto(r, v[plan.bottom_pos], where=_expand(hit, r.ndim))
-        return r, (hit.copy() if degrade else None)
-
-    def _up_pass(
-        self, node: SimNode, plan: NodePlan, spec: ReduceSpec, r, inst: int,
-        r_mask: Optional[np.ndarray] = None,
-    ):
-        """Upward allgather: return reduced values along the memoised routes.
-
-        Returns ``(r, r_mask)``.  Under degraded completion every payload
-        carries its validity mask; a missing member (or one that never
-        learned our keys because its config part from us was lost) leaves
-        its whole slice invalid and identity-filled.
-        """
-        vshape = spec.value_shape
-        dtype = spec.dtype
-        degrade = r_mask is not None
-        identity = reduction_identity(spec.op, spec.dtype)
-        obs = self._obs
+    def _gather_proto(self, node: SimNode, bottom_values, inst: int):
         rank = self._logical(node.rank)
-        for layer in range(len(plan.layers), 0, -1):
-            span = obs.begin(
-                f"{PHASE_GATHER_UP} L{layer}",
-                node=rank,
-                phase=PHASE_GATHER_UP,
-                layer=layer,
+        plan = self.plans[node.rank]
+        spec = self.spec
+        v = np.asarray(bottom_values[rank], dtype=spec.dtype)
+        if v.shape != (plan.bottom_out_keys.size, *spec.value_shape):
+            raise ValueError(
+                f"rank {rank}: bottom values shape {v.shape} does not match "
+                f"the bottom range ({plan.bottom_out_keys.size} keys)"
             )
-            lp = plan.layers[layer - 1]
-            tag = (self.name, "up", inst, layer)
-            for q, member in enumerate(lp.group):
-                part = r[lp.in_recv_maps[q]]
-                payload = (part, r_mask[lp.in_recv_maps[q]]) if degrade else part
-                self._send_to(
-                    node,
-                    member,
-                    payload,
-                    tag=tag,
-                    phase=PHASE_GATHER_UP,
-                    layer=layer,
-                )
-            if degrade:
-                out = np.full((lp.in_prev_size, *vshape), identity, dtype=dtype)
-                out_mask = np.zeros(lp.in_prev_size, dtype=bool)
-            else:
-                out = np.zeros((lp.in_prev_size, *vshape), dtype=dtype)
-                out_mask = None
-            msgs = yield from self._recv_group(
-                node, tag, lp.pos_of, len(lp.group),
-                phase=PHASE_GATHER_UP, layer=layer, nbytes_hint=r.nbytes,
-            )
-            merge_span = obs.begin(
-                f"merge L{layer}",
-                node=rank,
-                phase=PHASE_GATHER_UP,
-                layer=layer,
-                kind="merge",
-            )
-            recv_bytes = 0
-            for q, msg in enumerate(msgs):
-                if msg is None:
-                    continue  # unrecoverable member: slice stays invalid
-                sl = lp.in_slices[q]
-                if degrade:
-                    vals, mask_part = msg.payload
-                    if len(vals) != (sl.stop - sl.start):
-                        # The member never integrated our config part, so
-                        # it cannot return our keys: whole slice lost.
-                        recv_bytes += msg.nbytes
-                        continue
-                    out[sl] = vals
-                    out_mask[sl] = mask_part
-                else:
-                    out[sl] = msg.payload
-                recv_bytes += msg.nbytes
-            yield node.compute_bytes(recv_bytes)
-            obs.end(merge_span)
-            r = out
-            r_mask = out_mask
-            obs.end(span)
-        return r, r_mask
+        v_mask = (
+            np.ones(v.shape[0], dtype=bool) if self._degrade_active() else None
+        )
+        r, r_mask = core.bottom_projection(
+            plan, spec, v, v_mask, strict=self.strict_coverage
+        )
+        return (yield from self.node_up(node, r, inst, r_mask))
+
+    def _combined_proto(self, node: SimNode, out_values, inst: int):
+        plan, v, v_mask = yield from self._down(node, inst, out_values)
+        r, r_mask = core.bottom_projection(
+            plan, self.spec, v, v_mask, strict=self.strict_coverage
+        )
+        # Not node_up: self.plans still holds the previous configuration.
+        r, r_mask = yield from self._drive(
+            node, core.up_pass(plan, self.spec, r, r_mask), inst
+        )
+        return plan, core.in_order(plan, r, r_mask)
 
     # ------------------------------------------------------------------
     # Reduction
@@ -712,57 +544,14 @@ class KylixAllreduce:
         """
         if self.spec is None:
             raise RuntimeError("configure() must run before reduce()")
-        spec = self.spec
-        self._instance += 1
-        inst = self._instance
-        start = self.cluster.now
-        self._loss_events = []
-        with self._obs.span("reduce"):
-            results = self.cluster.run(self._reduce_proto, spec, out_values, inst)
-        self.last_reduce_timing = PhaseTiming(start, self.cluster.now)
+        results, self.last_reduce_timing = self._run(
+            "reduce", self.node_reduce, out_values
+        )
         return self._finish_report(results)
 
     # ------------------------------------------------------------------
     # Degraded-completion accounting
     # ------------------------------------------------------------------
-    def _dead_partial_keys(self, inst: int, hole: int, upto: int) -> np.ndarray:
-        """Exact key set of ``hole``'s lost partial after ``upto`` layers.
-
-        The recurrence of the wire protocol's dead-partial key audit
-        (:func:`repro.net.protocol._dead_partial_keys`), read directly
-        from the in-memory audit stores instead of control frames::
-
-            state(h, 0) = h's raw unique out keys
-            state(h, s) = U_p sent(p -> h, s)  U  (state(h, s-1) ^ range(h, s))
-
-        A piece a peer never reached recording (it is stuck or dead
-        itself) degrades the reconstruction to a subset — under
-        multi-failure schedules some incomplete aggregates may keep a
-        valid mask, never the reverse.
-        """
-        raw = self._audit_raw.get((inst, hole))
-        keys = (
-            np.asarray(raw, dtype=np.uint64)
-            if raw is not None
-            else np.empty(0, dtype=np.uint64)
-        )
-        topo = self.topology
-        for s in range(1, upto + 1):
-            kept = (
-                keys[topo.key_range(hole, s).contains(keys)]
-                if keys.size
-                else keys
-            )
-            pieces = [kept]
-            for p in topo.group(hole, s):
-                if p == hole:
-                    continue
-                piece = self._audit_sent.get((inst, s, p, hole))
-                if piece is not None:
-                    pieces.append(np.asarray(piece, dtype=np.uint64))
-            keys = np.unique(np.concatenate(pieces))
-        return keys
-
     def _collation_rank(self, logical_rank: int) -> int:
         """Physical rank whose result represents ``logical_rank``."""
         return logical_rank
@@ -805,127 +594,6 @@ class KylixAllreduce:
             losses=tuple(self._loss_events),
         )
         return values
-
-    def _value_down_pass(
-        self, node: SimNode, plan: NodePlan, spec: ReduceSpec, out_values, inst: int
-    ):
-        """Values ride the memoised routes downward; returns the node's
-        fully reduced bottom partial (aligned with ``bottom_out_keys``)
-        and its validity mask (None outside degraded completion)."""
-        rank = self._logical(node.rank)
-        degrade = self._degrade_active()
-        ufunc = reduction_ufunc(spec.op)
-        identity = reduction_identity(spec.op, spec.dtype)
-        v = self._aligned_out_values(rank, plan, spec, out_values)
-        v_mask = np.ones(v.shape[0], dtype=bool) if degrade else None
-        obs = self._obs
-        for layer, lp in enumerate(plan.layers, start=1):
-            span = obs.begin(
-                f"{PHASE_REDUCE_DOWN} L{layer}",
-                node=rank,
-                phase=PHASE_REDUCE_DOWN,
-                layer=layer,
-            )
-            tag = (self.name, "rd", inst, layer)
-            for q, member in enumerate(lp.group):
-                part = v[lp.out_slices[q]]
-                payload = (part, v_mask[lp.out_slices[q]]) if degrade else part
-                self._send_to(
-                    node,
-                    member,
-                    payload,
-                    tag=tag,
-                    phase=PHASE_REDUCE_DOWN,
-                    layer=layer,
-                )
-            partial = np.full(
-                (lp.out_union_size, *spec.value_shape), identity, dtype=spec.dtype
-            )
-            partial_mask = np.ones(lp.out_union_size, dtype=bool) if degrade else None
-            msgs = yield from self._recv_group(
-                node, tag, lp.pos_of, len(lp.group),
-                phase=PHASE_REDUCE_DOWN, layer=layer, nbytes_hint=v.nbytes,
-            )
-            merge_span = obs.begin(
-                f"merge L{layer}",
-                node=rank,
-                phase=PHASE_REDUCE_DOWN,
-                layer=layer,
-                kind="merge",
-            )
-            recv_bytes = 0
-            for q, msg in enumerate(msgs):
-                # Positions within one map are unique, so the combine can
-                # use plain fancy indexing rather than ufunc.at.
-                m = lp.out_recv_maps[q]
-                if msg is None:
-                    # Unrecoverable member: every key its part covered is
-                    # now an incomplete sum.
-                    partial_mask[m] = False
-                    continue
-                if degrade:
-                    vals, mask_part = msg.payload
-                    partial[m] = ufunc(partial[m], vals)
-                    partial_mask[m] &= mask_part
-                else:
-                    partial[m] = ufunc(partial[m], msg.payload)
-                recv_bytes += msg.nbytes
-            yield node.compute_bytes(recv_bytes)
-            obs.end(merge_span)
-            v = partial
-            v_mask = partial_mask
-            obs.end(span)
-        return v, v_mask
-
-    def _reduce_proto(
-        self, node: SimNode, spec: ReduceSpec, out_values: Mapping[int, np.ndarray], inst: int
-    ):
-        rank = self._logical(node.rank)
-        plan = self.plans[node.rank]
-        v, v_mask = yield from self._value_down_pass(node, plan, spec, out_values, inst)
-        r, r_mask = self._bottom_projection(rank, plan, spec, v, v_mask)
-        r, r_mask = yield from self._up_pass(node, plan, spec, r, inst, r_mask)
-        if r_mask is None:
-            return r[plan.in_inverse]
-        return r[plan.in_inverse], r_mask[plan.in_inverse]
-
-    def _scatter_proto(
-        self, node: SimNode, spec: ReduceSpec, out_values: Mapping[int, np.ndarray], inst: int
-    ):
-        plan = self.plans[node.rank]
-        v, _ = yield from self._value_down_pass(node, plan, spec, out_values, inst)
-        return v
-
-    def _gather_proto(
-        self, node: SimNode, spec: ReduceSpec, bottom_values: Mapping[int, np.ndarray], inst: int
-    ):
-        rank = self._logical(node.rank)
-        plan = self.plans[node.rank]
-        v = np.asarray(bottom_values[rank], dtype=spec.dtype)
-        if v.shape != (plan.bottom_out_keys.size, *spec.value_shape):
-            raise ValueError(
-                f"rank {rank}: bottom values shape {v.shape} does not match "
-                f"the bottom range ({plan.bottom_out_keys.size} keys)"
-            )
-        v_mask = (
-            np.ones(v.shape[0], dtype=bool) if self._degrade_active() else None
-        )
-        r, r_mask = self._bottom_projection(rank, plan, spec, v, v_mask)
-        r, r_mask = yield from self._up_pass(node, plan, spec, r, inst, r_mask)
-        if r_mask is None:
-            return r[plan.in_inverse]
-        return r[plan.in_inverse], r_mask[plan.in_inverse]
-
-    def _combined_proto(
-        self, node: SimNode, spec: ReduceSpec, out_values: Mapping[int, np.ndarray], inst: int
-    ):
-        rank = self._logical(node.rank)
-        plan, v, v_mask = yield from self._down_pass(node, spec, inst, values=out_values)
-        r, r_mask = self._bottom_projection(rank, plan, spec, v, v_mask)
-        r, r_mask = yield from self._up_pass(node, plan, spec, r, inst, r_mask)
-        if r_mask is None:
-            return plan, r[plan.in_inverse]
-        return plan, (r[plan.in_inverse], r_mask[plan.in_inverse])
 
     # ------------------------------------------------------------------
     def verify_plans(self) -> None:
@@ -970,15 +638,11 @@ class KylixAllreduce:
         """
         if self.spec is None:
             raise RuntimeError("configure() must run before scatter_reduce()")
-        self._instance += 1
-        start = self.cluster.now
-        with self._obs.span("scatter_reduce"):
-            raw = self.cluster.run(
-                self._scatter_proto, self.spec, out_values, self._instance
-            )
-        self.last_reduce_timing = PhaseTiming(start, self.cluster.now)
+        raw, self.last_reduce_timing = self._run(
+            "scatter_reduce", self._value_down, out_values
+        )
         out = {}
-        for rank, v in raw.items():
+        for rank, (v, _) in raw.items():
             lr = self._logical(rank)
             keys = self.plans[rank].bottom_out_keys
             out[lr] = (self.hasher.unhash(keys), v)
@@ -1000,14 +664,9 @@ class KylixAllreduce:
             self._logical(rank): bottom_values[self._logical(rank)]
             for rank in self.plans
         }
-        self._instance += 1
-        start = self.cluster.now
-        self._loss_events = []
-        with self._obs.span("allgather_from_bottom"):
-            raw = self.cluster.run(
-                self._gather_proto, self.spec, values, self._instance
-            )
-        self.last_reduce_timing = PhaseTiming(start, self.cluster.now)
+        raw, self.last_reduce_timing = self._run(
+            "allgather_from_bottom", self._gather_proto, values
+        )
         raw = self._finish_report(raw)
         return {self._logical(r): v for r, v in raw.items()}
 
@@ -1022,23 +681,15 @@ class KylixAllreduce:
         The routing plan built along the way is kept, so subsequent
         :meth:`reduce` calls (same index sets) work as usual.
         """
-        expected = set(range(self.size))
-        if set(spec.ranks) != expected:
-            raise ValueError(
-                f"spec must cover every logical rank (got {len(spec.ranks)} of "
-                f"{self.size})"
-            )
+        self._check_spec(spec)
         self.spec = spec
-        self._instance += 1
-        inst = self._instance
-        start = self.cluster.now
-        self._loss_events = []
         self._audit_raw.clear()
         self._audit_sent.clear()
-        with self._obs.span("allreduce_combined", phase=PHASE_COMBINED_DOWN):
-            raw = self.cluster.run(self._combined_proto, spec, out_values, inst)
+        raw, self.last_combined_timing = self._run(
+            "allreduce_combined", self._combined_proto, out_values,
+            phase=PHASE_COMBINED_DOWN,
+        )
         self.plans = {rank: pr[0] for rank, pr in raw.items()}
-        self.last_combined_timing = PhaseTiming(start, self.cluster.now)
         results = self._finish_report({rank: pr[1] for rank, pr in raw.items()})
         if self._degrade_active():
             return {
@@ -1047,8 +698,3 @@ class KylixAllreduce:
                 if self._collation_rank(lr) in results
             }
         return {self._logical(rank): v for rank, v in results.items()}
-
-
-def _expand(mask: np.ndarray, ndim: int) -> np.ndarray:
-    """Broadcast a row mask over trailing value dimensions."""
-    return mask.reshape(mask.shape + (1,) * (ndim - 1))

@@ -231,11 +231,13 @@ class Fabric:
 
         nic_s = self._nics[src]
         jitter = self._latency.sample_service_factor()
-        # 1. sender thread slot runs the per-message overhead
-        slot = min(range(self.threads), key=lambda t: nic_s.thread_free[t])
-        cpu_start = max(now, nic_s.thread_free[slot])
+        # 1. sender thread slot (the first of the earliest-free ones) runs
+        # the per-message overhead
+        free = nic_s.thread_free
+        slot = free.index(min(free))
+        cpu_start = max(now, free[slot])
         cpu_done = cpu_start + (self._overhead + self.params.per_byte_cpu * nbytes) * jitter
-        nic_s.thread_free[slot] = cpu_done
+        free[slot] = cpu_done
         # 2. egress serialization (service jitter models congestion/steal)
         tx = nbytes / self.params.bandwidth * jitter
         tx_start = max(cpu_done, nic_s.egress_free)
@@ -254,10 +256,11 @@ class Fabric:
         # deserialisation/copy work that multi-threading overlaps
         proc = self.params.recv_byte_cpu * nbytes
         if proc > 0.0:
-            slot_r = min(range(self.threads), key=lambda t: nic_d.thread_free[t])
-            proc_start = max(arrived, nic_d.thread_free[slot_r])
+            free = nic_d.thread_free
+            slot_r = free.index(min(free))
+            proc_start = max(arrived, free[slot_r])
             deliver = proc_start + proc * jitter
-            nic_d.thread_free[slot_r] = deliver
+            free[slot_r] = deliver
         else:
             deliver = arrived
 

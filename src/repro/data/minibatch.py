@@ -103,7 +103,7 @@ class FixedPatternStream(MinibatchStream):
     Every batch a node draws touches exactly the same feature set (values
     and labels still vary), so the allreduce spec built from the batches
     is identical across steps — the workload shape the service's keyed
-    config cache and wire-plan replay are built for.  ``pattern_size``
+    config cache and cached-plan replay are built for.  ``pattern_size``
     features per node are drawn from the same bounded Zipf(α) the rolling
     stream uses; examples then sample uniformly within the node's
     pattern.

@@ -23,12 +23,12 @@ from typing import Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..allreduce import ReduceSpec
+from ..allreduce import ButterflyTopology, ReduceSpec
 from ..faults import CoverageReport, FaultPlan, LossRecord, PeerFailedError, RetryPolicy
 from ..obs import NULL_OBSERVER, Observer
 from ..obs.telemetry import FlightRecorder, TelemetryAgent, WallClockSampler
 from ..sparse import IndexHasher, MultiplicativeHasher
-from .protocol import run_combined, run_reduce
+from .protocol import run_rounds
 from .transport import POLL_INTERVAL
 
 __all__ = ["ForkedKylixBase", "worker_main"]
@@ -45,7 +45,7 @@ def worker_main(
     linger_budget: float,
     observe: bool,
     degrade: bool,
-    extra_rounds: Optional[Sequence[np.ndarray]] = None,
+    rounds_values: Sequence[np.ndarray],
     telemetry_interval: Optional[float] = None,
 ) -> None:
     """One node's blocking protocol run (executed in a child process).
@@ -53,25 +53,20 @@ def worker_main(
     ``transport_factory(rank, plan, retry, obs)`` builds the medium —
     a pipe transport or a socket mesh — and everything above it is
     byte-identical between backends.  Results ride ``result_q`` as
-    ``(rank, value, err, snapshot, extra)`` where ``extra`` is
-    ``(lost_raw, losses)`` under degraded completion.
+    ``(rank, value, err, snapshot, extra)`` where ``value`` is the list
+    of per-round results and ``extra`` is ``(lost_raw, losses)`` under
+    degraded completion.
 
-    ``extra_rounds`` (clean runs only) is a list of further per-round
-    value arrays, each aligned with ``out_idx``: the combined round
-    captures its :class:`~repro.net.protocol.WirePlan` and every extra
-    round replays values-only through it (``run_reduce``), so one fork +
-    one configuration serve the whole batch.  ``value`` is then the list
-    of per-round results.
+    ``spec_args`` is the protocol's static input (``topo``, ``hasher``,
+    ``spec``, ``strict``); ``rounds_values`` holds one value array per
+    round, each aligned with the spec's out indices: round 0 runs the
+    combined protocol and — on clean runs — every later round replays
+    values-only through the plan it built
+    (:func:`~repro.net.protocol.run_rounds`), so one fork + one
+    configuration serve the whole batch.
     """
-    step_kill = plan.step_kill_for(rank) if plan is not None else None
     if plan is not None and not plan.is_alive(rank, 0.0):
         os._exit(1)  # dead from the start: no result, no goodbye
-
-    def maybe_crash(kind: str, layer: int) -> None:
-        # Crash point: die immediately before the first send at the
-        # targeted (phase, layer) — same semantics as the simulator.
-        if step_kill is not None and step_kill == (kind, layer):
-            os._exit(1)
 
     # A private wall-clock observer; its snapshot rides the result queue
     # back to the parent, which absorbs it under this worker's pid row.
@@ -97,30 +92,17 @@ def worker_main(
     net = None
     try:
         net = transport_factory(rank, plan, retry, obs)
-        sink = [] if extra_rounds else None
-        result, lost_raw, losses = run_combined(
-            rank,
-            net,
-            retry=retry,
-            obs=obs,
-            degrade=degrade,
-            maybe_crash=maybe_crash,
-            plan_sink=sink,
-            **spec_args,
+        rounds = list(
+            run_rounds(
+                rank, net, rounds_values=rounds_values,
+                retry=retry, obs=obs, degrade=degrade, **spec_args,
+            )
         )
-        if extra_rounds:
-            wire_plan = sink[0]
-            rounds = [result]
-            for rnd, vals in enumerate(extra_rounds, start=1):
-                rounds.append(
-                    run_reduce(
-                        rank, net, wire_plan, vals,
-                        retry=retry, obs=obs, seq=rnd, maybe_crash=maybe_crash,
-                    )
-                )
-            result = rounds
-        extra = (lost_raw, losses) if degrade else None
-        result_q.put((rank, result, None, final_snapshot(), extra))
+        # Degraded completion is one round per run (see allreduce_rounds).
+        extra = (rounds[0][1], list(rounds[0][2])) if degrade else None
+        result_q.put(
+            (rank, [result for result, *_ in rounds], None, final_snapshot(), extra)
+        )
         # Slow peers may still need resends of our final up-parts: stay
         # around servicing NACKs until the parent flips the done event.
         net.linger(done_evt, linger_budget)
@@ -241,7 +223,7 @@ class ForkedKylixBase:
     def allreduce(
         self, spec: ReduceSpec, out_values: Mapping[int, np.ndarray]
     ) -> Dict[int, np.ndarray]:
-        return self._run(spec, out_values, None)
+        return self._run(spec, [out_values])[0]
 
     def allreduce_rounds(
         self,
@@ -250,9 +232,9 @@ class ForkedKylixBase:
     ) -> list:
         """Many same-pattern reductions over one fork and one config.
 
-        Round 0 runs the combined protocol and captures each worker's
-        :class:`~repro.net.protocol.WirePlan`; rounds 1.. replay values
-        only through the cached maps (``run_reduce``) on the same live
+        Round 0 runs the combined protocol and keeps each worker's
+        routing plan; rounds 1.. replay values only through the cached
+        maps (:func:`~repro.net.protocol.run_rounds`) on the same live
         mesh — the paper's amortization without re-paying fork, connect,
         or configuration.  Returns one ``{rank: values}`` dict per round.
         Clean runs only: fault plans and degraded completion need the
@@ -263,29 +245,18 @@ class ForkedKylixBase:
             return []
         if self.faults is not None or self.degrade:
             raise ValueError(
-                "allreduce_rounds caches the round-0 wire plan and cannot "
+                "allreduce_rounds caches the round-0 plan and cannot "
                 "replay fault schedules; use allreduce per round instead"
             )
-        extra = {
-            rank: [
-                np.asarray(rv[rank], dtype=spec.dtype) for rv in rounds_values[1:]
-            ]
-            for rank in range(self.size)
-        }
-        raw = self._run(spec, rounds_values[0], extra)
-        if len(rounds_values) == 1:
-            return [raw]
-        return [
-            {rank: raw[rank][rnd] for rank in raw}
-            for rnd in range(len(rounds_values))
-        ]
+        return self._run(spec, rounds_values)
 
     def _run(
         self,
         spec: ReduceSpec,
-        out_values: Mapping[int, np.ndarray],
-        extra_rounds: Optional[Dict[int, list]],
-    ) -> Dict[int, Any]:
+        rounds_values: Sequence[Mapping[int, np.ndarray]],
+    ) -> list:
+        """Fork the workers, run one reduction per entry of
+        ``rounds_values`` on one mesh; one ``{rank: values}`` per round."""
         import multiprocessing as mp
 
         if set(spec.ranks) != set(range(self.size)):
@@ -305,18 +276,12 @@ class ForkedKylixBase:
         )
         self.last_report = None
         try:
+            topo = ButterflyTopology(self.degrees, self.size)
+            hasher = MultiplicativeHasher(self._multiplier)
+            spec_args = dict(
+                topo=topo, hasher=hasher, spec=spec, strict=self.strict_coverage
+            )
             for rank in range(self.size):
-                spec_args = dict(
-                    degrees=self.degrees,
-                    multiplier=self._multiplier,
-                    op=spec.op,
-                    strict=self.strict_coverage,
-                    value_shape=spec.value_shape,
-                    dtype_str=spec.dtype.str,
-                    in_idx=spec.in_indices[rank],
-                    out_idx=spec.out_indices[rank],
-                    values=np.asarray(out_values[rank], dtype=spec.dtype),
-                )
                 p = ctx.Process(
                     target=worker_main,
                     args=(
@@ -330,7 +295,10 @@ class ForkedKylixBase:
                         self.timeout,
                         obs.enabled,
                         self.degrade,
-                        extra_rounds[rank] if extra_rounds else None,
+                        [
+                            np.asarray(rv[rank], dtype=spec.dtype)
+                            for rv in rounds_values
+                        ],
                         self.telemetry_interval,
                     ),
                 )
@@ -339,7 +307,10 @@ class ForkedKylixBase:
                 procs[rank] = p
             self._release_mesh(mesh)
             results = self._collect_results(result_q, procs, spec, obs)
-            return results
+            return [
+                {rank: rounds[rnd] for rank, rounds in results.items()}
+                for rnd in range(len(rounds_values))
+            ]
         finally:
             done_evt.set()
             self._reap(procs)

@@ -11,7 +11,7 @@ distributed-systems repos:
   the peer address map, this rank's slice of the workload, the fault
   plan, and the retry policy; the node forms the socket mesh with its
   peers (:class:`~repro.net.tcp.TcpTransport`), runs the requested
-  reduction rounds through the shared protocol body, and returns
+  reduction rounds through the shared protocol driver, and returns
   results + coverage + an observer snapshot on the control connection.
 * **Launcher** (:func:`launch_cluster`, ``python -m repro run-cluster``)
   — spawns N node processes on loopback (or *attaches* to nodes you
@@ -58,6 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..allreduce import ButterflyTopology, ReduceSpec, dense_reduce
 from ..faults import (
     CoverageReport,
     FaultPlan,
@@ -67,6 +68,7 @@ from ..faults import (
     RetryPolicy,
 )
 from ..obs import NULL_OBSERVER, Observer
+from ..sparse import MultiplicativeHasher
 from ..verify.watchlock import watched_lock
 from ..obs.telemetry import (
     FlightRecorder,
@@ -75,7 +77,7 @@ from ..obs.telemetry import (
     WallClockSampler,
 )
 from .framing import FrameError, FrameStream, encode_frame, recv_frame
-from .protocol import run_combined, run_reduce
+from .protocol import run_rounds
 from .tcp import TcpTransport, loopback_listener
 from .transport import POLL_INTERVAL
 
@@ -227,13 +229,8 @@ def _run_session(
             ),
             name=f"telemetry-node-{rank}",
         ).start()
-    step_kill = plan.step_kill_for(rank) if plan is not None else None
     if plan is not None and not plan.is_alive(rank, 0.0):
         os._exit(1)  # dead from the start: a real process death
-
-    def maybe_crash(kind: str, layer: int) -> None:
-        if step_kill is not None and step_kill == (kind, layer):
-            os._exit(1)  # the SIGKILL-equivalent: no goodbye frames
 
     net = TcpTransport(
         rank,
@@ -247,13 +244,8 @@ def _run_session(
     net.on_stray = lambda frame, sock: stray.append((frame, sock))
     rounds_out: List[Tuple[int, Any, Any, Tuple[LossRecord, ...]]] = []
     err = None
-    # Config reuse across the wave's rounds: on a clean session (no fault
-    # plan, strict mode) round 0 captures its wire plan and rounds 1..
-    # replay values-only through it — one configuration per wave instead
-    # of one per round.  Fault sessions keep the combined protocol every
-    # round: the fault oracle's decisions are keyed by (kind, seq), so a
-    # cached replay would silently change the schedule being driven.
-    use_cache = plan is None and not degrade
+    # Config reuse across the wave's rounds (run_rounds): a clean session
+    # configures once per wave instead of once per round.
     cache_stats = {"hits": 0, "misses": 0}
     try:
         net.form_mesh(
@@ -262,41 +254,24 @@ def _run_session(
             timeout=float(cfg.get("mesh_timeout", 10.0)),
             pending=pending,
         )
-        sink: Optional[list] = [] if use_cache else None
-        wire_plan = None
-        for rnd in range(int(cfg.get("rounds", 1))):
-            if wire_plan is not None:
-                cache_stats["hits"] += 1
-                result = run_reduce(
-                    rank, net, wire_plan, cfg["values"],
-                    retry=retry, obs=obs, seq=rnd, maybe_crash=maybe_crash,
-                )
-                rounds_out.append((rnd, result, None, ()))
-                continue
-            if use_cache:
-                cache_stats["misses"] += 1
-            result, lost_raw, losses = run_combined(
-                rank,
-                net,
-                degrees=cfg["degrees"],
-                multiplier=cfg["multiplier"],
-                op=cfg["op"],
-                strict=bool(cfg.get("strict", True)),
-                value_shape=tuple(cfg.get("value_shape", ())),
-                dtype_str=cfg["dtype_str"],
-                in_idx=cfg["in_idx"],
-                out_idx=cfg["out_idx"],
-                values=cfg["values"],
-                retry=retry,
-                obs=obs,
-                degrade=degrade,
-                seq=rnd,
-                maybe_crash=maybe_crash,
-                plan_sink=sink,
-            )
-            if sink:
-                wire_plan = sink[0]
-            rounds_out.append((rnd, result, lost_raw, tuple(losses)))
+        rounds = run_rounds(
+            rank,
+            net,
+            ButterflyTopology(cfg["degrees"], len(cfg["addrs"])),
+            MultiplicativeHasher(cfg["multiplier"]),
+            cfg["spec"],
+            [cfg["values"]] * int(cfg.get("rounds", 1)),
+            strict=bool(cfg.get("strict", True)),
+            retry=retry,
+            obs=obs,
+            degrade=degrade,
+        )
+        # Round by round, so a session that fails midway still reports
+        # the rounds it completed.
+        for rnd, (result, lost_raw, losses, cached) in enumerate(rounds):
+            if cached is not None:
+                cache_stats["hits" if cached else "misses"] += 1
+            rounds_out.append((rnd, result, lost_raw, losses))
     except PeerFailedError as exc:
         err = ("peer", exc.slot, exc.phase, exc.layer, str(exc))
     except Exception as exc:  # pragma: no cover - surfaced at the driver
@@ -662,7 +637,7 @@ def drive_cluster(
     ``concurrency`` is the number of reduction rounds batched into one
     session wave: one mesh formation — and, on clean sessions, one
     *configuration* — amortizes over that many rounds (round 0 runs the
-    combined protocol and caches its wire plan; the wave's later rounds
+    combined protocol and keeps the plan it built; the wave's later rounds
     replay values-only through it, reported as ``config_cache`` hits).
     Waves repeat until ``rounds`` rounds have run, or — with
     ``duration`` — until the wall clock says stop.
@@ -671,10 +646,7 @@ def drive_cluster(
     reference, the merged :class:`~repro.faults.CoverageReport` for
     degraded modes, and the static worst-case-loss gate verdict.
     """
-    from ..allreduce import ReduceSpec, dense_reduce
-    from ..allreduce.topology import ButterflyTopology
     from ..obs.runner import EXPERIMENTS
-    from ..sparse import MultiplicativeHasher
     from ..verify.flow import worst_case_loss
 
     if workload not in EXPERIMENTS:
@@ -881,12 +853,15 @@ def _run_wave(
             "addrs": addrs,
             "degrees": w["degrees"],
             "multiplier": multiplier,
-            "op": spec.op,
             "strict": not degrade,
-            "value_shape": spec.value_shape,
-            "dtype_str": spec.dtype.str,
-            "in_idx": spec.in_indices[rank],
-            "out_idx": spec.out_indices[rank],
+            # Only this rank's index sets cross the wire.
+            "spec": ReduceSpec(
+                in_indices={rank: spec.in_indices[rank]},
+                out_indices={rank: spec.out_indices[rank]},
+                value_shape=spec.value_shape,
+                dtype=spec.dtype,
+                op=spec.op,
+            ),
             "values": np.asarray(w["values"][rank], dtype=spec.dtype),
             "plan": plan,
             "retry": retry,

@@ -14,7 +14,7 @@ the simulator.  It is built for correctness and portability, not
 throughput: spawning processes costs ~100 ms each, and a single-core
 host serialises them — use the simulator for performance studies.
 
-The protocol body, the NACK/retry/dedupe reliability layer, the parent
+The protocol driver, the NACK/retry/dedupe reliability layer, the parent
 supervision (heartbeat reaping, zero-zombie teardown), and degraded
 completion all live in the shared layers this backend is assembled
 from — :mod:`repro.net.protocol`, :mod:`repro.net.transport`, and

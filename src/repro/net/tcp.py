@@ -3,7 +3,7 @@
 The paper's claim is *commodity clusters* — machines talking over plain
 sockets, where peers die mid-frame, connections half-open, and accept
 queues time out.  :class:`TcpTransport` is the socket medium under the
-shared reliability layer (:mod:`repro.net.transport`) and protocol body
+shared reliability layer (:mod:`repro.net.transport`) and protocol driver
 (:mod:`repro.net.protocol`); :class:`TcpKylix` is the single-host
 embedded backend (one forked process per node, loopback sockets) with
 the exact API, fault semantics, and observability of

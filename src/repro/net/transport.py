@@ -2,7 +2,7 @@
 
 :class:`BaseTransport` is the piece of ``repro.net`` that makes a lossy,
 crash-prone medium look like "one logical message per (peer, kind,
-layer, seq)" to the protocol body in :mod:`repro.net.protocol`:
+layer, seq)" to the protocol driver in :mod:`repro.net.protocol`:
 
 * **Fault injection** — sender paths consult the installed
   :class:`~repro.faults.FaultPlan` oracle per message and drop,
@@ -33,6 +33,7 @@ import time
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..allreduce.base import PHASE_COMBINED_DOWN, PHASE_GATHER_UP, PHASE_REDUCE_DOWN
 from ..cluster.node import payload_nbytes
 from ..faults import PeerFailedError, RetryPolicy
 from ..faults.plan import _PHASE_ID, canonical_phase
@@ -48,7 +49,7 @@ POLL_INTERVAL = 0.005
 #: Wire kind -> canonical observer phase for message events.  The real
 #: backends run the combined protocol, so the downward exchange reports
 #: as ``combined_down`` (matching the simulator's combined variant).
-PHASE_OF = {"down": "combined_down", "rd": "reduce_down", "up": "gather_up"}
+PHASE_OF = {"down": PHASE_COMBINED_DOWN, "rd": PHASE_REDUCE_DOWN, "up": PHASE_GATHER_UP}
 
 #: One logical message slot on a link.
 _Key = Tuple[int, str, int, int]  # (member, kind, layer, seq)

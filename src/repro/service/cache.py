@@ -78,7 +78,7 @@ class CacheEntry:
     """One memoised configuration."""
 
     fingerprint: str
-    plans: Dict[int, Any]  # rank -> NodePlan (or a backend-specific plan)
+    plans: Dict[int, Any]  # rank -> NodePlan ({} on forked backends: plans live in the workers)
     spec: Any = None
 
 

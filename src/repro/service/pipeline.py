@@ -53,28 +53,21 @@ def pipelined_reduces(
     batches = list(batches)
     if not batches:
         return []
-    spec = net.spec
-    insts = []
-    for _ in batches:
-        net._instance += 1
-        insts.append(net._instance)
+    insts = [net.next_instance() for _ in batches]
 
     def proto(node):
         engine = node.engine
-        rank = net._logical(node.rank)
-        plan = net.plans[node.rank]
         ups = []
-        for k, values in enumerate(batches):
-            v, _ = yield from net._value_down_pass(node, plan, spec, values, insts[k])
-            r, _ = net._bottom_projection(rank, plan, spec, v, None)
-            ups.append(engine.process(net._up_pass(node, plan, spec, r, insts[k])))
+        for values, inst in zip(batches, insts):
+            r, _ = yield from net.node_down(node, values, inst)
+            ups.append(engine.process(net.node_up(node, r, inst)))
             # Admission bound: at most `depth` allgathers in flight.
             pending = [p for p in ups if not p.triggered]
             while len(pending) >= depth:
                 yield AnyOf(engine, pending)
                 pending = [p for p in pending if not p.triggered]
         yield AllOf(engine, ups)
-        return [p.value[0][plan.in_inverse] for p in ups]
+        return [p.value for p in ups]
 
     raw = net.cluster.run(proto)
     return [{rank: raw[rank][k] for rank in raw} for k in range(len(batches))]

@@ -266,8 +266,8 @@ class ReduceService:
         """One cache consult per reduce: hit adopts, miss configures."""
         if self.backend != "sim":
             # Forked backends run the combined protocol on the wire; the
-            # cache tracks driver-side reuse (hits mean the wire plan is
-            # round-cacheable, see ForkedKylixBase.allreduce_rounds).
+            # cache tracks driver-side reuse (hits mean the round-0 plan
+            # is replayable, see ForkedKylixBase.allreduce_rounds).
             entry = self.cache.lookup(stream.fingerprint)
             if entry is None:
                 self.cache.store(stream.fingerprint, {}, stream.spec)
@@ -422,15 +422,13 @@ class ReduceService:
         for kind, st, values, fut in jobs:
             if kind != "reduce":
                 raise RuntimeError(f"unexpected job kind {kind!r} on the sim queue")
-            net = st.net
-            net._instance += 1
-            protos.append((net, st.spec, values, net._instance))
+            protos.append((st.net, values, st.net.next_instance()))
 
         def wave_proto(node):
             engine = node.engine
             procs = [
-                engine.process(net._reduce_proto(node, spec, values, inst))
-                for net, spec, values, inst in protos
+                engine.process(net.node_reduce(node, values, inst))
+                for net, values, inst in protos
             ]
             yield AllOf(engine, procs)
             return [p.value for p in procs]

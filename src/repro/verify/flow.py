@@ -75,7 +75,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..allreduce.base import ReduceSpec
-from ..allreduce.kylix import NodePlan
+from ..allreduce.core import NodePlan
 from ..allreduce.topology import ButterflyTopology
 from ..sparse import IndexHasher, MultiplicativeHasher
 from .errors import ProtocolInvariantError

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..allreduce.base import ReduceSpec
-from ..allreduce.kylix import LayerPlan, NodePlan
+from ..allreduce.core import LayerPlan, NodePlan
 from ..allreduce.topology import ButterflyTopology
 from ..sparse import IndexHasher, KeyRange, MultiplicativeHasher, split_sorted, union_with_maps
 from .invariants import Violation, check_replication, verify_all
@@ -42,10 +42,12 @@ def build_plans(
 ) -> Dict[int, NodePlan]:
     """Construct every node's :class:`NodePlan` without running anything.
 
-    Mirrors ``KylixAllreduce._down_pass`` in config-only mode: the same
-    hashing, splits, unions and memoised maps, executed as a synchronous
-    sweep (all nodes advance one layer together) instead of as simulated
-    processes exchanging messages.
+    Mirrors :func:`repro.allreduce.core.down_pass` in config-only mode:
+    the same hashing, splits, unions and memoised maps, executed as a
+    synchronous sweep (all nodes advance one layer together) instead of
+    as processes exchanging messages.  Deliberately a second, independent
+    construction: it is the reference the simulated configure and the
+    certifier are compared against.
     """
     hasher = hasher if hasher is not None else MultiplicativeHasher()
     m = topology.num_nodes

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.allreduce import (
+    ButterflyTopology,
     KylixAllreduce,
     ReduceSpec,
     ReplicatedKylix,
@@ -31,6 +32,10 @@ from repro.cluster import Cluster, attach_tracer
 from repro.faults import FaultPlan, LinkFault, PeerFailedError, RetryPolicy
 from repro.net import LocalKylix
 from repro.verify import worst_case_loss
+
+
+def net_topology(degrees):
+    return ButterflyTopology(degrees, int(np.prod(degrees)))
 
 
 def make_case(m, n, seed):
@@ -307,6 +312,45 @@ class TestLocalChaos:
         deadline = time.monotonic() + 5.0
         while mp.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
+        assert mp.active_children() == []
+
+    def test_local_midstack_death_audit_is_exact(self):
+        """One case of TestSimulatedChaos's mid-stack audit on real
+        processes: the hole policy is the core's, so a node crashing in
+        the middle of a three-layer combined down pass must be reported
+        exactly on pipes too — keys only the dead partial carried included
+        — inside the static ``worst_case_loss`` envelope.  The generous
+        deadline costs nothing: the victim's peers see EOF at once."""
+        victim, degrees = 3, [2, 2, 2]
+        spec, vals = make_case(8, 500, 21)
+        base = LocalKylix(degrees).allreduce(spec, vals)
+        plan = FaultPlan().kill_at_step(victim, "down", 2)
+        net = LocalKylix(
+            degrees,
+            faults=plan,
+            retry=RetryPolicy(base_timeout=1.0, max_retries=2),
+            degrade=True,
+            timeout=60.0,
+        )
+        out = net.allreduce(spec, vals)
+        report = net.last_report
+        assert not report.complete and victim in report.dead_members
+        envelope = worst_case_loss(net_topology(degrees), spec, None, plan)
+        for r in range(8):
+            if r == victim:
+                continue
+            lost = set(
+                np.asarray(report.lost_indices.get(r, np.empty(0)))
+                .astype(int)
+                .tolist()
+            )
+            actually_lost = {
+                int(ix)
+                for i, ix in enumerate(spec.in_indices[r])
+                if out[r][i] != base[r][i]
+            }
+            assert lost == actually_lost
+            assert lost <= set(np.asarray(envelope.get(r, np.empty(0))).astype(int).tolist())
         assert mp.active_children() == []
 
     def test_local_dead_from_start_zero_children(self):
