@@ -90,6 +90,16 @@ def _usage() -> str:
     return "\n".join(lines)
 
 
+def _parse_degrees(parser, text: str | None, default: list[int]) -> list[int]:
+    """The ``--degrees D,D`` flag (``default`` when it was not given)."""
+    if not text:
+        return default
+    try:
+        return [int(d) for d in text.split(",") if d]
+    except ValueError:
+        parser.error(f"--degrees must be comma-separated ints, got {text!r}")
+
+
 def _demo() -> int:
     from .allreduce import KylixAllreduce, ReduceSpec, dense_reduce
     from .bench.reporting import format_bytes, format_seconds
@@ -311,15 +321,7 @@ def _certify(args: list[str]) -> int:
         if opts.experiment is not None:
             parser.error("--experiment cannot combine with --faults/--mutant")
         m = opts.nodes
-        if opts.degrees:
-            try:
-                degrees = [int(d) for d in opts.degrees.split(",") if d]
-            except ValueError:
-                parser.error(
-                    f"--degrees must be comma-separated ints, got {opts.degrees!r}"
-                )
-        else:
-            degrees = [m]
+        degrees = _parse_degrees(parser, opts.degrees, [m])
         if opts.density is not None:
             spec = density_spec(m, n=opts.n, density=opts.density, seed=opts.seed)
         else:
@@ -592,7 +594,7 @@ def _trace(args: list[str]) -> int:
 
         from .allreduce import ReduceSpec
         from .allreduce.topology import ButterflyTopology
-        from .faults import FaultPlan
+        from .faults import FaultPlan, lost_outside_bound
         from .verify.flow import worst_case_loss
 
         w = _EXP[opts.experiment](opts.seed)
@@ -603,14 +605,10 @@ def _trace(args: list[str]) -> int:
         bound = worst_case_loss(
             ButterflyTopology(w["degrees"], w["m"]), spec, None, plan
         )
-        bad = []
-        for rank, lost in sorted(report.lost_indices.items()):
-            extra = np.setdiff1d(
-                np.asarray(lost, dtype=np.int64),
-                bound.get(rank, np.empty(0, dtype=np.int64)),
-            )
-            if extra.size:
-                bad.append(f"rank {rank}: {extra.size} indices outside the bound")
+        bad = [
+            f"rank {rank}: {extra.size} indices outside the bound"
+            for rank, extra in lost_outside_bound(report.lost_indices, bound.get).items()
+        ]
         if bad:
             for line in bad:
                 print(f"  coverage-bound violation: {line}")
@@ -658,10 +656,8 @@ def _analyze(args: list[str]) -> int:
 def _monitor(args: list[str]) -> int:
     import argparse
     import json
-    import socket as _socket
     import time as _time
 
-    from .net.framing import FrameError, encode_frame, recv_frame
     from .obs.runner import BACKENDS, EXPERIMENTS, run_traced
     from .obs.telemetry import TimeSeriesAggregator
 
@@ -723,7 +719,7 @@ def _monitor(args: list[str]) -> int:
 
     agg = TimeSeriesAggregator()
     if opts.attach:
-        from .net.cluster import load_manifest
+        from .net.cluster import load_manifest, probe
 
         try:
             manifest = load_manifest(opts.attach)
@@ -740,22 +736,11 @@ def _monitor(args: list[str]) -> int:
         while True:
             fresh, unreachable = 0, 0
             for nd in nodes:
-                try:
-                    sock = _socket.create_connection(
-                        (nd["host"], nd["port"]), timeout=2.0
-                    )
-                except OSError:
+                rep = probe(nd["host"], nd["port"], ("telemetry-req",), timeout=5.0)
+                if rep is None:
                     unreachable += 1
                     continue
-                try:
-                    sock.sendall(encode_frame(("telemetry-req",)))
-                    ok, rep = recv_frame(sock, timeout=5.0)
-                except (OSError, FrameError):
-                    unreachable += 1
-                    continue
-                finally:
-                    sock.close()
-                if not ok or not isinstance(rep, tuple) or rep[0] != "telemetry-rep":
+                if not isinstance(rep, tuple) or rep[0] != "telemetry-rep":
                     continue
                 for s in rep[2]:
                     key = (s.node, s.seq, s.t)
@@ -926,13 +911,7 @@ def _explore(args: list[str]) -> int:
     if opts.mutant:
         model = UnreadNackModel(buggy=True, seed=opts.seed)
     else:
-        if opts.degrees:
-            try:
-                degrees = tuple(int(d) for d in opts.degrees.split(",") if d)
-            except ValueError:
-                parser.error(f"--degrees must be comma-separated ints, got {opts.degrees!r}")
-        else:
-            degrees = (opts.nodes,)
+        degrees = tuple(_parse_degrees(parser, opts.degrees, [opts.nodes]))
         faults = None
         if opts.faults == "drop":
             from .faults import FaultPlan, LinkFault
@@ -1300,13 +1279,9 @@ def _serve(args: list[str]) -> int:
     opts = parser.parse_args(args)
     if opts.nodes < 2 or opts.streams < 1 or opts.reduces < 1:
         parser.error("--nodes >= 2, --streams >= 1, --reduces >= 1 required")
-    if opts.degrees:
-        try:
-            degrees = [int(d) for d in opts.degrees.split(",") if d]
-        except ValueError:
-            parser.error(f"--degrees must be comma-separated ints, got {opts.degrees!r}")
-    else:
-        degrees = [4, 2] if opts.nodes == 8 else [opts.nodes]
+    degrees = _parse_degrees(
+        parser, opts.degrees, [4, 2] if opts.nodes == 8 else [opts.nodes]
+    )
 
     m = opts.nodes
     kwargs: dict = dict(
@@ -1388,13 +1363,9 @@ def _drive_service(args: list[str]) -> int:
     opts = parser.parse_args(args)
     if opts.nodes < 2 or opts.reduces < 2:
         parser.error("--nodes >= 2 and --reduces >= 2 required")
-    if opts.degrees:
-        try:
-            degrees = [int(d) for d in opts.degrees.split(",") if d]
-        except ValueError:
-            parser.error(f"--degrees must be comma-separated ints, got {opts.degrees!r}")
-    else:
-        degrees = [4, 4, 4] if opts.nodes == 64 else [opts.nodes]
+    degrees = _parse_degrees(
+        parser, opts.degrees, [4, 4, 4] if opts.nodes == 64 else [opts.nodes]
+    )
 
     if opts.backend == "sim":
         from .service import run_service_benchmark

@@ -17,6 +17,7 @@ from .base import (
     CoverageError,
     ReduceSpec,
     dense_reduce,
+    dense_reduce_without,
 )
 from .butterfly import BinaryButterflyAllreduce, binary_degrees, uniform_degrees
 from .core import LayerPlan, NodePlan
@@ -31,6 +32,7 @@ __all__ = [
     "ReduceSpec",
     "CoverageError",
     "dense_reduce",
+    "dense_reduce_without",
     "PHASE_CONFIG",
     "PHASE_REDUCE_DOWN",
     "PHASE_GATHER_UP",

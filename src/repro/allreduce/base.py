@@ -177,3 +177,20 @@ def dense_reduce(
             raise ValueError(f"values for rank {r} misaligned with out indices")
         ufunc.at(total, idx, vals)
     return {r: total[spec.in_indices[r]] for r in spec.ranks}
+
+
+def dense_reduce_without(
+    spec: ReduceSpec, out_values: Mapping[int, np.ndarray], absent: int
+) -> Dict[int, np.ndarray]:
+    """:func:`dense_reduce` with rank ``absent`` contributing the identity.
+
+    The honest reference for the survivors of a degraded run whose victim
+    died (or was cut off) before any of its values left: the full dense
+    reference would charge them the victim's missing addends.
+    """
+    values = dict(out_values)
+    values[absent] = np.full_like(
+        np.asarray(values[absent], dtype=spec.dtype),
+        reduction_identity(spec.op, spec.dtype),
+    )
+    return dense_reduce(spec, values)

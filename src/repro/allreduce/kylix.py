@@ -586,12 +586,8 @@ class KylixAllreduce:
             mask = masks[phys]
             if not bool(mask.all()):
                 lost[lr] = np.asarray(spec.in_indices[lr])[~mask]
-        self.last_report = CoverageReport(
-            total_ranks=self.size,
-            in_sizes={lr: len(spec.in_indices[lr]) for lr in range(self.size)},
-            lost_indices=lost,
-            dead_members=tuple(e.member for e in self._loss_events),
-            losses=tuple(self._loss_events),
+        self.last_report = CoverageReport.from_losses(
+            spec, self.size, lost, self._loss_events
         )
         return values
 

@@ -18,7 +18,7 @@ schedule reproduces bit-identically across backends and runs.
 from .errors import FaultPlanError, PeerFailedError
 from .plan import FaultDecision, FaultPlan, LinkFault, canonical_phase
 from .policy import RetryPolicy, derive_timeout
-from .report import CoverageReport, LossRecord
+from .report import CoverageReport, LossRecord, exact_outside_lost, lost_outside_bound
 
 __all__ = [
     "FaultPlan",
@@ -29,6 +29,8 @@ __all__ = [
     "derive_timeout",
     "CoverageReport",
     "LossRecord",
+    "lost_outside_bound",
+    "exact_outside_lost",
     "PeerFailedError",
     "FaultPlanError",
 ]

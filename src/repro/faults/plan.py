@@ -28,7 +28,8 @@ both the split and combined protocol variants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -198,6 +199,16 @@ class FaultPlan(FailurePlan):
             return True
         recovery = self._recoveries.get(node)
         return recovery is not None and now >= recovery
+
+    @property
+    def deaths(self) -> Mapping[int, float]:
+        """Read-only ``{node: death time}`` (at-start deaths are 0.0)."""
+        return MappingProxyType(self._deaths)
+
+    @property
+    def recoveries(self) -> Mapping[int, float]:
+        """Read-only ``{node: recovery time}``."""
+        return MappingProxyType(self._recoveries)
 
     def step_kill_for(self, node: int) -> Optional[Tuple[str, int]]:
         return self._step_kills.get(node)

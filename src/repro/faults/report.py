@@ -13,11 +13,11 @@ log line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["LossRecord", "CoverageReport"]
+__all__ = ["LossRecord", "CoverageReport", "lost_outside_bound", "exact_outside_lost"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,27 @@ class CoverageReport:
     lost_indices: Dict[int, np.ndarray] = field(default_factory=dict)
     dead_members: Tuple[int, ...] = ()
     losses: Tuple[LossRecord, ...] = ()
+
+    @classmethod
+    def from_losses(
+        cls,
+        spec,
+        size: int,
+        lost: Mapping[int, np.ndarray],
+        losses: Iterable[LossRecord],
+    ) -> "CoverageReport":
+        """The report of one run of ``spec`` over ``size`` ranks, from what
+        the run observed: per-rank lost raw indices and its loss events.
+        Every backend builds its report here, so equal observations give
+        equal reports."""
+        losses = tuple(losses)
+        return cls(
+            total_ranks=size,
+            in_sizes={r: len(spec.in_indices[r]) for r in range(size)},
+            lost_indices=lost,
+            dead_members=tuple(e.member for e in losses),
+            losses=losses,
+        )
 
     def __post_init__(self):
         self.lost_indices = {
@@ -118,3 +139,33 @@ class CoverageReport:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CoverageReport<{self.summary()}>"
+
+
+def lost_outside_bound(
+    lost_indices: Mapping[int, np.ndarray],
+    bound_for: Callable[[int], Optional[np.ndarray]],
+) -> Dict[int, np.ndarray]:
+    """Per rank (ascending), the lost indices *outside* its static
+    worst-case set ``bound_for(rank)`` (``None`` = nothing may be lost).
+    Empty means the run stayed inside the bound — the gate every degraded
+    run is held to (:func:`~repro.verify.flow.worst_case_loss`)."""
+    outside: Dict[int, np.ndarray] = {}
+    for rank, lost in sorted(lost_indices.items()):
+        bound = bound_for(rank)
+        extra = np.setdiff1d(
+            np.asarray(lost, dtype=np.int64),
+            bound if bound is not None else np.empty(0, dtype=np.int64),
+        )
+        if extra.size:
+            outside[int(rank)] = extra
+    return outside
+
+
+def exact_outside_lost(got, reference, in_indices, lost) -> bool:
+    """Does ``got`` equal ``reference`` on every position of ``in_indices``
+    not reported ``lost``?  A degraded run owes exactly this: what it did
+    not report lost is exact."""
+    if lost is None or not len(lost):
+        return bool(np.allclose(got, reference, atol=1e-9))
+    keep = ~np.isin(np.asarray(in_indices), np.asarray(lost))
+    return bool(np.allclose(got[keep], reference[keep], atol=1e-9))

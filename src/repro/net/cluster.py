@@ -7,12 +7,11 @@ distributed-systems repos:
 * **Node server** (:func:`serve_node`, ``python -m repro node``) — one
   long-lived process per logical rank.  Binds a listener, announces
   ``KYLIX-NODE READY rank=.. host=.. port=.. pid=..`` on stdout, then
-  serves *sessions*: the driver connects and ships a session frame with
-  the peer address map, this rank's slice of the workload, the fault
-  plan, and the retry policy; the node forms the socket mesh with its
-  peers (:class:`~repro.net.tcp.TcpTransport`), runs the requested
-  reduction rounds through the shared protocol driver, and returns
-  results + coverage + an observer snapshot on the control connection.
+  serves *sessions*: the driver connects and ships ``("session", job,
+  mesh)`` — this rank's :class:`~repro.net.session.NodeJob` and the peer
+  address map — and the node runs :func:`~repro.net.session.run_node`
+  over a socket mesh (:class:`~repro.net.tcp.TcpTransport`) formed on
+  that listener, with the connection as its session control.
 * **Launcher** (:func:`launch_cluster`, ``python -m repro run-cluster``)
   — spawns N node processes on loopback (or *attaches* to nodes you
   started yourself on other hosts, probing each with a ping frame),
@@ -21,10 +20,12 @@ distributed-systems repos:
   down: shutdown frames first, SIGTERM for stragglers, manifest removed.
 * **Driver** (:func:`drive_cluster`, ``python -m repro drive-cluster``)
   — consumes the manifest, runs a named workload for a round count or
-  wall duration with a chosen ``--failure-mode``, checks exactness
-  against the dense reference, gates degraded coverage against the
-  static :func:`~repro.verify.flow.worst_case_loss` bound, and can
-  export the merged Chrome trace.
+  wall duration with a chosen ``--failure-mode`` as a sequence of session
+  waves (:func:`~repro.net.session.collect` /
+  :func:`~repro.net.session.collate`), checks exactness against the
+  dense reference, gates degraded coverage against the static
+  :func:`~repro.verify.flow.worst_case_loss` bound, and can export the
+  merged Chrome trace.
 
 Failure modes reuse :class:`~repro.faults.FaultPlan`, so the *identical*
 deterministic fault schedule a mode denotes here can be replayed on the
@@ -51,33 +52,26 @@ import signal
 import socket
 import subprocess
 import sys
-import threading
 import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..allreduce import ButterflyTopology, ReduceSpec, dense_reduce
+from ..allreduce import ButterflyTopology, ReduceSpec, dense_reduce, dense_reduce_without
 from ..faults import (
     CoverageReport,
     FaultPlan,
     LinkFault,
-    LossRecord,
-    PeerFailedError,
     RetryPolicy,
+    exact_outside_lost,
+    lost_outside_bound,
 )
 from ..obs import NULL_OBSERVER, Observer
+from ..obs.telemetry import FlightRecorder, TimeSeriesAggregator
 from ..sparse import MultiplicativeHasher
-from ..verify.watchlock import watched_lock
-from ..obs.telemetry import (
-    FlightRecorder,
-    TelemetryAgent,
-    TimeSeriesAggregator,
-    WallClockSampler,
-)
 from .framing import FrameError, FrameStream, encode_frame, recv_frame
-from .protocol import run_rounds
+from .session import NodeJob, SocketControl, collate, collect, release, run_node
 from .tcp import TcpTransport, loopback_listener
 from .transport import POLL_INTERVAL
 
@@ -89,6 +83,7 @@ __all__ = [
     "attach_cluster",
     "stop_cluster",
     "load_manifest",
+    "probe",
     "drive_cluster",
 ]
 
@@ -153,7 +148,9 @@ def serve_node(
                 except socket.timeout:
                     continue
                 try:
-                    ok, frame = recv_frame(sock, timeout=5.0)
+                    # One frame exactly: a peer's hello may have its first
+                    # parts right behind it, and they belong to the reader.
+                    ok, frame = FrameStream(sock).recv(timeout=5.0)
                 except (OSError, FrameError):
                     sock.close()
                     continue
@@ -164,25 +161,14 @@ def serve_node(
             if kind == "hello":
                 pending.append((int(frame[1]), sock))
             elif kind == "ping":
-                try:
-                    sock.sendall(encode_frame(("pong", rank, os.getpid())))
-                finally:
-                    sock.close()
+                _reply(sock, ("pong", rank, os.getpid()))
             elif kind == "shutdown":
-                try:
-                    sock.sendall(encode_frame(("bye", rank)))
-                finally:
-                    sock.close()
+                _reply(sock, ("bye", rank))
                 return 0
             elif kind == "telemetry-req":
-                try:
-                    sock.sendall(
-                        encode_frame(("telemetry-rep", rank, list(recent)))
-                    )
-                finally:
-                    sock.close()
+                _reply(sock, ("telemetry-rep", rank, list(recent)))
             elif kind == "session":
-                _run_session(rank, listener, sock, frame[1], pending, stray, recent)
+                _serve_session(rank, listener, sock, frame[1], frame[2], pending, stray, recent)
                 pending = []
                 if once:
                     return 0
@@ -192,137 +178,85 @@ def serve_node(
         listener.close()
 
 
-def _run_session(
-    rank: int, listener, control: socket.socket, cfg: Dict[str, Any], pending,
-    stray, recent=None,
-) -> None:
-    """Run one driver session: mesh up, reduce ``rounds`` times, report."""
-    plan: Optional[FaultPlan] = cfg.get("plan")
-    retry: RetryPolicy = cfg.get("retry") or RetryPolicy()
-    degrade = bool(cfg.get("degrade", False))
-    observe = bool(cfg.get("observe", False))
-    obs = Observer(name=f"node {rank}") if observe else NULL_OBSERVER
-    telemetry_interval = cfg.get("telemetry_interval")
-    # The result frame and streamed telemetry frames share the control
-    # socket; the lock keeps their byte streams from interleaving.
-    ctrl_lock = watched_lock("net.cluster._run_session.ctrl_lock")
-    sampler = None
-    recorder = None
-    if observe:
-        recorder = FlightRecorder(capacity=512, node=rank).attach(obs)
-    if observe and telemetry_interval:
-        def ship(sample) -> None:
-            # Buffer for monitor telemetry-req probes, then stream the
-            # control-plane TELEMETRY frame to the driver (best-effort:
-            # a departed driver must not kill the sampler).
-            if recent is not None:
-                recent.append(sample)
-            with ctrl_lock:
-                try:
-                    control.sendall(encode_frame(("telemetry", rank, sample)))
-                except OSError:
-                    pass
-
-        sampler = WallClockSampler(
-            TelemetryAgent(
-                obs, node=rank, interval=float(telemetry_interval), sink=ship
-            ),
-            name=f"telemetry-node-{rank}",
-        ).start()
-    if plan is not None and not plan.is_alive(rank, 0.0):
-        os._exit(1)  # dead from the start: a real process death
-
-    net = TcpTransport(
-        rank,
-        plan,
-        retry,
-        obs=obs,
-        hb_interval=float(cfg.get("hb_interval", 0.25)),
-        hb_timeout=float(cfg.get("hb_timeout", 5.0)),
-    )
-    net.keep_listener = True  # the node's listener outlives the session
-    net.on_stray = lambda frame, sock: stray.append((frame, sock))
-    rounds_out: List[Tuple[int, Any, Any, Tuple[LossRecord, ...]]] = []
-    err = None
-    # Config reuse across the wave's rounds (run_rounds): a clean session
-    # configures once per wave instead of once per round.
-    cache_stats = {"hits": 0, "misses": 0}
+def _reply(sock: socket.socket, frame) -> None:
+    """Answer a one-shot probe connection and hang up."""
     try:
-        net.form_mesh(
-            listener,
-            cfg["addrs"],
-            timeout=float(cfg.get("mesh_timeout", 10.0)),
-            pending=pending,
-        )
-        rounds = run_rounds(
-            rank,
-            net,
-            ButterflyTopology(cfg["degrees"], len(cfg["addrs"])),
-            MultiplicativeHasher(cfg["multiplier"]),
-            cfg["spec"],
-            [cfg["values"]] * int(cfg.get("rounds", 1)),
-            strict=bool(cfg.get("strict", True)),
-            retry=retry,
-            obs=obs,
-            degrade=degrade,
-        )
-        # Round by round, so a session that fails midway still reports
-        # the rounds it completed.
-        for rnd, (result, lost_raw, losses, cached) in enumerate(rounds):
-            if cached is not None:
-                cache_stats["hits" if cached else "misses"] += 1
-            rounds_out.append((rnd, result, lost_raw, losses))
-    except PeerFailedError as exc:
-        err = ("peer", exc.slot, exc.phase, exc.layer, str(exc))
-    except Exception as exc:  # pragma: no cover - surfaced at the driver
-        err = f"{type(exc).__name__}: {exc}"
-    try:
-        # Slow peers may still want resends of our final up-parts; give
-        # the NACK layer a short grace before tearing the mesh down.
-        net.linger(threading.Event(), budget=min(0.5, retry.local_budget()))
-        # Stop (and final-flush) the sampler before the result frame so
-        # the telemetry stream is complete and ordered before it.
-        if sampler is not None:
-            sampler.stop(flush=True)
-        _dump_node_postmortem(rank, recorder, cfg, err, rounds_out)
-        with ctrl_lock:
-            control.sendall(
-                encode_frame(
-                    (
-                        "result",
-                        rank,
-                        err,
-                        rounds_out,
-                        obs.snapshot() if obs.enabled else None,
-                        cache_stats,
-                    )
-                )
-            )
-    except OSError:  # pragma: no cover - driver went away
-        pass
+        sock.sendall(encode_frame(frame))
     finally:
-        if sampler is not None:
-            sampler.stop(flush=False)
-        # Close under the control lock: the sampler thread may be inside
-        # a sendall on this socket, and closing mid-write hands the fd
-        # back to the OS while bytes are still leaving.
-        with ctrl_lock:
-            control.close()
-        net.close()
+        sock.close()
 
 
-def _dump_node_postmortem(rank, recorder, cfg, err, rounds_out) -> None:
+def probe(host: str, port: int, frame, *, timeout: float = 2.0):
+    """One control-plane question to a node: connect, send ``frame``,
+    return its one-frame reply — ``None`` if the node is unreachable or
+    hangs up without answering."""
+    try:
+        sock = socket.create_connection((host, port), timeout=timeout)
+    except OSError:
+        return None
+    try:
+        sock.sendall(encode_frame(frame))
+        ok, reply = recv_frame(sock, timeout=timeout)
+        return reply if ok else None
+    except (OSError, FrameError):
+        return None
+    finally:
+        sock.close()
+
+
+class _NodeControl(SocketControl):
+    """A node's end of a session control: telemetry frames bound for the
+    driver are also buffered for monitor ``telemetry-req`` probes."""
+
+    def __init__(self, sock, recent: deque) -> None:
+        super().__init__(sock)
+        self._recent = recent
+
+    def send(self, frame: Any) -> None:
+        if frame[0] == "telemetry":
+            self._recent.append(frame[2])
+        super().send(frame)
+
+
+def _serve_session(
+    rank: int, listener, sock: socket.socket, job: NodeJob, mesh: Dict[str, Any],
+    pending, stray, recent: deque,
+) -> None:
+    """Run one driver session: :func:`~repro.net.session.run_node` over
+    a socket mesh formed on this node's long-lived listener."""
+    recorder = FlightRecorder(capacity=512, node=rank)
+
+    def open_transport(rank_, plan, retry, obs):
+        if obs.enabled:
+            recorder.attach(obs)
+        net = TcpTransport(rank_, plan, retry, obs=obs)
+        net.keep_listener = True  # the node's listener outlives the session
+        net.on_stray = lambda frame, s: stray.append((frame, s))
+        try:
+            net.form_mesh(listener, mesh["addrs"], pending=pending)
+        except BaseException:
+            net.close()
+            raise
+        return net
+
+    control = _NodeControl(sock, recent)
+    try:
+        err, rounds_out = run_node(rank, job, open_transport, control)
+        if job.observe and mesh["postmortem_dir"]:
+            _dump_node_postmortem(rank, recorder, mesh["postmortem_dir"], err, rounds_out)
+    finally:
+        control.close()
+
+
+def _dump_node_postmortem(rank, recorder, pm_dir, err, rounds_out) -> None:
     """Write this node's flight-recorder dump if the session went bad.
 
     Triggered by a session error or by degraded rounds that reported
     losses; the path is ``<postmortem_dir>/postmortem-node-<rank>.json``
-    (the driver ships ``postmortem_dir`` in the session config)."""
-    pm_dir = cfg.get("postmortem_dir")
-    if recorder is None or not pm_dir:
-        return
+    (the driver ships ``postmortem_dir`` with the session frame)."""
     had_loss = any(
         (losses or (lost_raw is not None and len(lost_raw)))
-        for _rnd, _res, lost_raw, losses in rounds_out
+        for _res, lost_raw, losses in rounds_out
     )
     if err is None and not had_loss:
         return
@@ -450,13 +384,8 @@ def attach_cluster(
         host, _, port_s = ep.rpartition(":")
         if not host or not port_s.isdigit():
             raise ValueError(f"endpoint {ep!r} is not host:port")
-        sock = socket.create_connection((host, int(port_s)), timeout=probe_timeout)
-        try:
-            sock.sendall(encode_frame(("ping",)))
-            ok, pong = recv_frame(sock, timeout=probe_timeout)
-        finally:
-            sock.close()
-        if not ok or pong[0] != "pong":
+        pong = probe(host, int(port_s), ("ping",), timeout=probe_timeout)
+        if pong is None or pong[0] != "pong":
             raise RuntimeError(f"endpoint {ep} did not answer the ping probe")
         rank, pid = int(pong[1]), int(pong[2])
         nodes[f"node{rank}"] = {
@@ -539,18 +468,7 @@ def _reap_if_child(pid: int) -> None:
 
 
 def _send_shutdown(host: str, port: int) -> bool:
-    try:
-        sock = socket.create_connection((host, port), timeout=2.0)
-    except OSError:
-        return False
-    try:
-        sock.sendall(encode_frame(("shutdown",)))
-        ok, _ = recv_frame(sock, timeout=2.0)
-        return ok
-    except (OSError, FrameError):
-        return False
-    finally:
-        sock.close()
+    return probe(host, port, ("shutdown",)) is not None
 
 
 def _pid_alive(pid: int) -> bool:
@@ -683,22 +601,33 @@ def drive_cluster(
     addrs = {
         n["rank"]: (n["host"], n["port"]) for n in manifest["nodes"].values()
     }
-    multiplier = int(MultiplicativeHasher()._mult)
     # Exactness reference.  Under a degraded mode the victim contributes
     # *nothing* (it dies or all its sends drop before any value leaves),
     # so the honest reference for the survivors' kept positions is the
-    # reduction over every member *except* the victim — the full dense
-    # reference would charge them the victim's missing addends.
-    ref_values = dict(w["values"])
+    # reduction over every member *except* the victim.
+    victim = VICTIM_RANK % m
     if degrade:
-        from ..allreduce.base import reduction_identity
+        reference = dense_reduce_without(spec, w["values"], victim)
+    else:
+        reference = dense_reduce(spec, w["values"])
+    job_fields = dict(
+        degrees=tuple(degrees),
+        hasher=MultiplicativeHasher(),
+        strict=not degrade,
+        plan=plan,
+        retry=retry,
+        degrade=degrade,
+        observe=obs.enabled,
+        telemetry_interval=telemetry_interval,
+    )
 
-        victim = VICTIM_RANK % m
-        ident = reduction_identity(spec.op, spec.dtype)
-        ref_values[victim] = np.full_like(
-            np.asarray(ref_values[victim], dtype=spec.dtype), ident
-        )
-    reference = dense_reduce(spec, ref_values)
+    def on_frame(frame) -> None:
+        if frame[0] == "telemetry":
+            aggregator.ingest(frame[2])
+            recorder.record("telemetry", frame[2].t, node=frame[1], seq=frame[2].seq)
+        elif frame[0] == "result" and frame[4] is not None:
+            # One trace process row per node (pid 0 = driver).
+            obs.absorb(frame[4], pid=frame[1] + 1, name=f"node {frame[1]}")
 
     outcome: Dict[str, Any] = {
         "workload": workload,
@@ -714,49 +643,45 @@ def drive_cluster(
         "config_cache": {"hits": 0, "misses": 0, "hit_rate": 0.0},
     }
     all_lost: Dict[int, List[np.ndarray]] = {}
-    all_losses: List[LossRecord] = []
+    all_losses: list = []
     started = time.monotonic()
     rounds_left = rounds
     while rounds_left > 0:
         wave = min(concurrency, rounds_left)
-        wave_results, wave_errs, dead, wave_cache = _run_wave(
-            addrs, spec, w, plan, retry, degrade, wave,
-            multiplier=multiplier, obs=obs, session_timeout=session_timeout,
-            telemetry_interval=telemetry_interval, aggregator=aggregator,
-            recorder=recorder, postmortem_dir=postmortem_dir,
-        )
+        jobs = {
+            rank: NodeJob.for_rank(rank, spec, [w["values"]] * wave, **job_fields)
+            for rank in addrs
+        }
+        records = _run_wave(addrs, jobs, postmortem_dir, session_timeout, on_frame)
+        out = collate(records, spec, m, degrade)
+        wave_errs = [f"rank {r}: {exc}" for r, exc in out.errors.items()]
         for msg in wave_errs:
             recorder.record("error", time.monotonic() - started, detail=msg)
-        for r in dead:
+        for r in out.dead:
             recorder.record("dead", time.monotonic() - started, rank=r)
         outcome["waves"] += 1
         outcome["rounds_run"] += wave
         outcome["errors"].extend(wave_errs)
-        outcome["config_cache"]["hits"] += wave_cache["hits"]
-        outcome["config_cache"]["misses"] += wave_cache["misses"]
-        for r in dead:
-            if r not in outcome["dead_ranks"]:
-                outcome["dead_ranks"].append(r)
-            all_lost.setdefault(r, []).append(np.asarray(spec.in_indices[r]))
-            all_losses.append(
-                LossRecord(rank=r, member=r, phase="combined_down", layer=0)
-            )
-        for rank, per_round in wave_results.items():
-            for _rnd, result, lost_raw, losses in per_round:
-                all_losses.extend(losses)
-                if lost_raw is not None and len(lost_raw):
-                    all_lost.setdefault(rank, []).append(lost_raw)
-                if result is None:
-                    continue
-                if degrade and rank == VICTIM_RANK % m:
-                    # The victim's surviving values are reductions over
-                    # whatever happened to reach it — no dense reference
-                    # matches them; its coverage report is the contract.
-                    continue
-                ok = _round_exact(result, reference[rank], spec, rank, lost_raw)
+        outcome["config_cache"]["hits"] += out.cache["hits"]
+        outcome["config_cache"]["misses"] += out.cache["misses"]
+        outcome["dead_ranks"].extend(
+            r for r in out.dead if r not in outcome["dead_ranks"]
+        )
+        if degrade:
+            for r, lost_ix in out.report.lost_indices.items():
+                all_lost.setdefault(r, []).append(lost_ix)
+            all_losses.extend(out.report.losses)
+        for rank, per_round in out.rounds.items():
+            if degrade and rank == victim:
+                # The victim's surviving values are reductions over
+                # whatever happened to reach it — no dense reference
+                # matches them; its coverage report is the contract.
+                continue
+            for result, lost_raw, _losses in per_round:
                 outcome["checked_rounds"] += 1
-                if ok:
-                    outcome["exact_rounds"] += 1
+                outcome["exact_rounds"] += exact_outside_lost(
+                    result, reference[rank], spec.in_indices[rank], lost_raw
+                )
         rounds_left -= wave
         if duration is not None:
             if time.monotonic() - started >= duration:
@@ -771,29 +696,17 @@ def drive_cluster(
 
     report = None
     if degrade:
-        lost = {
-            r: np.unique(np.concatenate(chunks))
-            for r, chunks in all_lost.items()
-            if chunks
-        }
-        report = CoverageReport(
-            total_ranks=m,
-            in_sizes={r: len(spec.in_indices[r]) for r in range(m)},
-            lost_indices=lost,
-            dead_members=tuple(e.member for e in all_losses),
-            losses=tuple(all_losses),
+        report = CoverageReport.from_losses(
+            spec, m, {r: np.concatenate(c) for r, c in all_lost.items()}, all_losses
         )
         outcome["coverage"] = report.summary()
         bound = worst_case_loss(
             ButterflyTopology(degrees, m), spec, None, bound_plan or plan
         )
-        violations = []
-        for r, lost_ix in report.lost_indices.items():
-            extra = np.setdiff1d(lost_ix, bound.get(r, np.empty(0, dtype=np.int64)))
-            if extra.size:
-                violations.append(
-                    f"rank {r}: {extra.size} lost indices outside the static bound"
-                )
+        violations = [
+            f"rank {r}: {extra.size} lost indices outside the static bound"
+            for r, extra in lost_outside_bound(report.lost_indices, bound.get).items()
+        ]
         outcome["bound_ok"] = not violations
         outcome["bound_violations"] = violations
     outcome["report"] = report
@@ -824,111 +737,32 @@ def drive_cluster(
     return outcome
 
 
-def _round_exact(result, reference, spec, rank, lost_raw) -> bool:
-    """Exactness for one rank-round, skipping positions reported lost."""
-    if lost_raw is None or not len(lost_raw):
-        return bool(np.allclose(result, reference, atol=1e-9))
-    keep = ~np.isin(np.asarray(spec.in_indices[rank]), lost_raw)
-    return bool(np.allclose(result[keep], reference[keep], atol=1e-9))
+def _run_wave(addrs, jobs, postmortem_dir, timeout, on_frame) -> Dict[int, tuple]:
+    """One session wave: connect, ship each node its ``("session", job,
+    mesh)`` frame, settle every rank; returns ``{rank: settled frame}``.
 
-
-def _run_wave(
-    addrs, spec, w, plan, retry, degrade, rounds, *, multiplier, obs,
-    session_timeout, telemetry_interval=None, aggregator=None, recorder=None,
-    postmortem_dir=None,
-):
-    """One session wave: ship configs to every node, collect results.
-
-    With telemetry enabled, each control connection carries a stream of
-    ``("telemetry", rank, sample)`` frames before its ``result`` frame;
-    they are ingested into ``aggregator`` as they arrive."""
-    results: Dict[int, list] = {}
-    errors: List[str] = []
-    dead: List[int] = []
-    cache_stats = {"hits": 0, "misses": 0}
-    lock = watched_lock("net.cluster._run_wave.lock")
-
-    def one(rank: int) -> None:
-        cfg = {
-            "addrs": addrs,
-            "degrees": w["degrees"],
-            "multiplier": multiplier,
-            "strict": not degrade,
-            # Only this rank's index sets cross the wire.
-            "spec": ReduceSpec(
-                in_indices={rank: spec.in_indices[rank]},
-                out_indices={rank: spec.out_indices[rank]},
-                value_shape=spec.value_shape,
-                dtype=spec.dtype,
-                op=spec.op,
-            ),
-            "values": np.asarray(w["values"][rank], dtype=spec.dtype),
-            "plan": plan,
-            "retry": retry,
-            "degrade": degrade,
-            "rounds": rounds,
-            "observe": obs.enabled,
-            "telemetry_interval": telemetry_interval,
-            "postmortem_dir": postmortem_dir,
-        }
-        try:
-            sock = socket.create_connection(addrs[rank], timeout=5.0)
-        except OSError as exc:
-            with lock:
-                dead.append(rank)
-                errors.append(f"rank {rank}: connect failed: {exc}")
-            return
-        try:
-            sock.sendall(encode_frame(("session", cfg)))
-            stream = FrameStream(sock)
-            while True:
-                ok, frame = stream.recv(timeout=session_timeout)
-                if not ok or not isinstance(frame, tuple):
-                    break
-                if frame[0] != "telemetry":
-                    break  # the result frame
-                with lock:
-                    if aggregator is not None:
-                        aggregator.ingest(frame[2])
-                    if recorder is not None:
-                        recorder.record(
-                            "telemetry", frame[2].t, node=frame[1],
-                            seq=frame[2].seq,
-                        )
-        except (OSError, FrameError) as exc:
-            # The node died mid-session (crash mode's os._exit lands
-            # here as an EOF): a real process death, accounted as one.
-            with lock:
-                dead.append(rank)
-                errors.append(f"rank {rank}: session lost: {exc}")
-            return
-        finally:
-            sock.close()
-        if not ok:
-            with lock:
-                dead.append(rank)
-                errors.append(f"rank {rank}: node closed before its result")
-            return
-        _, r_rank, err, per_round, snap = frame[:5]
-        node_cache = frame[5] if len(frame) > 5 else None
-        with lock:
-            if snap is not None and obs.enabled:
-                obs.absorb(snap, pid=r_rank + 1, name=f"node {r_rank}")
-            if err is not None:
-                errors.append(f"rank {r_rank}: {err}")
-            results[r_rank] = per_round
-            if node_cache:
-                cache_stats["hits"] += int(node_cache.get("hits", 0))
-                cache_stats["misses"] += int(node_cache.get("misses", 0))
-
-    threads = [
-        threading.Thread(target=one, args=(rank,), daemon=True) for rank in addrs
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=session_timeout + 10.0)
-    with lock:
-        # Snapshot under the lock: a straggler that outlived the bounded
-        # join may still be appending while we hand the wave back.
-        return dict(results), list(errors), list(dead), dict(cache_stats)
+    A node that cannot be reached, or whose connection breaks (crash
+    mode's ``os._exit`` lands as an EOF), is a real process death and is
+    accounted as one — a ``lost`` frame."""
+    mesh = {"addrs": addrs, "postmortem_dir": postmortem_dir}
+    controls: Dict[int, SocketControl] = {}
+    records: Dict[int, tuple] = {}
+    try:
+        for rank, addr in addrs.items():
+            try:
+                control = SocketControl(socket.create_connection(addr, timeout=5.0))
+            except OSError as exc:
+                records[rank] = ("lost", rank, f"connect to node {rank} failed: {exc}")
+                continue
+            controls[rank] = control
+            try:
+                control.send(("session", jobs[rank], mesh))
+            except OSError:
+                pass  # collect meets the broken control and settles it lost
+        for frame in collect(controls, timeout=timeout):
+            on_frame(frame)
+            if frame[0] != "telemetry":
+                records[frame[1]] = frame
+    finally:
+        release(controls, hangup=5.0)
+    return records

@@ -101,6 +101,16 @@ class FrameDecoder:
     def pending_bytes(self) -> int:
         return len(self._buf)
 
+    @property
+    def missing(self) -> int:
+        """Bytes still needed to complete the frame in progress (its
+        header first, then its body).  A reader that asks the socket for
+        at most this many never consumes a byte of the next frame."""
+        if len(self._buf) < _HEADER.size:
+            return _HEADER.size - len(self._buf)
+        (length,) = _HEADER.unpack_from(self._buf)
+        return _HEADER.size + length - len(self._buf)
+
     def feed(self, chunk: bytes) -> List[Any]:
         """Absorb a chunk; return every message completed by it."""
         self._buf.extend(chunk)
@@ -148,30 +158,29 @@ class FrameStream:
     contract, which suits probes and single replies.  Connections that
     *stream* frames — a session control socket carrying TELEMETRY
     frames ahead of its result — can legitimately pack several frames
-    into one TCP chunk; this wrapper keeps the remainder buffered and
-    hands frames back one at a time, in order.
+    into one TCP chunk; this reader hands them back one at a time, in
+    order, and never reads past the frame it returns.  What it has not
+    returned is therefore still in the socket, so the socket's
+    readability is the truth about pending frames and ``select`` /
+    ``multiprocessing.connection.wait`` can multiplex many streams.
     """
 
     def __init__(self, sock) -> None:
         self.sock = sock
         self._dec = FrameDecoder()
-        self._ready: List[Any] = []
 
     def recv(self, timeout: Optional[float] = None) -> Tuple[bool, Any]:
         """Next frame: ``(True, message)``, or ``(False, None)`` on a
         clean EOF at a frame boundary.  Raises like :func:`recv_frame`."""
-        if self._ready:
-            return True, self._ready.pop(0)
         if timeout is not None:
             self.sock.settimeout(timeout)
         while True:
-            chunk = self.sock.recv(65536)
+            chunk = self.sock.recv(min(self._dec.missing, 1 << 20))
             if not chunk:
                 self._dec.eof()
                 return False, None
             msgs = self._dec.feed(chunk)
             if msgs:
-                self._ready.extend(msgs[1:])
                 return True, msgs[0]
 
 

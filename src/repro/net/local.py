@@ -14,53 +14,19 @@ the simulator.  It is built for correctness and portability, not
 throughput: spawning processes costs ~100 ms each, and a single-core
 host serialises them — use the simulator for performance studies.
 
-The protocol driver, the NACK/retry/dedupe reliability layer, the parent
-supervision (heartbeat reaping, zero-zombie teardown), and degraded
-completion all live in the shared layers this backend is assembled
-from — :mod:`repro.net.protocol`, :mod:`repro.net.transport`, and
-:mod:`repro.net.base` — and are byte-identical to the TCP backend
-(:mod:`repro.net.tcp`); only the medium (pipe send/receive) is local
-to this file.
-
-Fault tolerance (this mirrors the simulator's fabric, see
-:mod:`repro.faults`):
-
-* A :class:`~repro.faults.FaultPlan` wraps the transport: sender threads
-  consult ``plan.decide`` per message and drop, duplicate, or delay
-  (``time.sleep``) accordingly.  Each link carries exactly one logical
-  message per (kind, layer, seq), so the decision inputs — and therefore
-  the fault schedule — are *identical* to a simulator run of the
-  combined protocol with the same plan.
-* Receivers dedupe by (peer, kind, layer, seq) and enforce per-attempt
-  deadlines with exponential backoff (plus the policy's seeded jitter);
-  a missing message triggers a NACK that the sender services from its
-  send cache.  Exhausted retries, a peer EOF, or a reaped child raise
-  :class:`~repro.faults.PeerFailedError` in bounded time — never a
-  hang — and the parent terminates + joins all workers on every exit
-  path (no zombie processes).  With ``degrade=True`` an unrecoverable
-  peer becomes a hole instead: the run completes on the survivors and
-  :attr:`~repro.net.base.ForkedKylixBase.last_report` carries the exact
-  :class:`~repro.faults.CoverageReport`.
-* ``kill_at_step`` crash points are honoured with ``os._exit`` right
-  before the worker's first send at the targeted (phase, layer).  Only
-  at-start deaths (``kill(node)``) and step-kills are supported here:
-  there is no simulated clock, so time-based deaths are rejected.
-
-Observability (see :mod:`repro.obs` and ``docs/observability.md``):
-pass ``observe=Observer(...)`` and each worker process builds a private
-wall-clock observer, opens the same per-layer spans the simulator's
-protocol does (``config`` / ``reduce_down`` / ``gather_up``, plus the
-``combined_down`` exchange), maintains the same ``net.*`` traffic
-counters, and ships a snapshot back on its result queue; the parent
-absorbs every snapshot into your observer with one process row per
-worker.  ``CLOCK_MONOTONIC`` is system-wide on Linux, so worker
-timestamps are directly comparable and the exporter's common-epoch
-normalisation aligns the rows.  Wire frames carry their send timestamp,
-so receivers emit the same ``message_delivered`` events (and
-``net.latency`` / ``net.queue_wait`` histograms) the simulator fabric
-does: send-to-dispatch is the delivery latency — fault-injected delays
-included — and dispatch-to-consumption is the queue wait the trace
-analyzer's straggler report reads.
+Only the medium (pipe send/receive) is local to this file.  The node
+body and the driver's collection are :mod:`repro.net.session`, the
+protocol pump :mod:`repro.net.protocol`, fault injection and the
+NACK/retry/dedupe layer :mod:`repro.net.transport`, process supervision
+:mod:`repro.net.base` — all shared with, and byte-identical on, the TCP
+backend (:mod:`repro.net.tcp`).  Each link carries exactly one logical
+message per (kind, layer, seq), so a :class:`~repro.faults.FaultPlan`
+draws the *same* fault schedule here as on the simulator; wire frames
+carry their send timestamp, so receivers emit the same
+``message_delivered`` events and ``net.latency`` / ``net.queue_wait``
+histograms the simulator fabric does (``CLOCK_MONOTONIC`` is system-wide
+on Linux, so worker timestamps are directly comparable).  See
+``docs/faults.md`` and ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -141,31 +107,7 @@ class LocalKylix(ForkedKylixBase):
         net = LocalKylix(degrees=[2, 2])
         result = net.allreduce(spec, values)   # spawns 4 worker processes
 
-    Parameters
-    ----------
-    faults:
-        Optional :class:`~repro.faults.FaultPlan`.  Message-fault rules
-        and ``kill_at_step`` / at-start deaths are honoured; time-based
-        deaths and recoveries need a simulated clock and are rejected.
-    retry:
-        :class:`~repro.faults.RetryPolicy` for receive deadlines/NACKs.
-        Defaults to ``RetryPolicy()`` with a 0.25 s wall-clock base.
-    timeout:
-        Total wall-clock budget (seconds) for collecting worker results.
-    join_timeout:
-        Budget for joining each worker during cleanup; workers still
-        alive after it are terminated, then killed — no zombies on any
-        exit path.
-    observe:
-        Optional :class:`~repro.obs.Observer` to collect spans, traffic
-        counters, and fault metrics from the run.  Each worker process
-        records into a private wall-clock observer and ships a snapshot
-        back with its result; the parent absorbs them all here, one
-        trace process row per worker.  Default off.
-    degrade:
-        Complete on survivors instead of raising when a peer is
-        unrecoverable; the run's :class:`~repro.faults.CoverageReport`
-        lands on :attr:`last_report`.  Default off (strict).
+    Parameters: see :class:`~repro.net.base.ForkedKylixBase`.
     """
 
     _BACKEND_NAME = "local"
@@ -180,13 +122,8 @@ class LocalKylix(ForkedKylixBase):
                 conns[j][i] = b
         return conns
 
-    def _transport_factory(self, rank, mesh):
-        conns = mesh[rank]
-
-        def factory(rank_, plan, retry, obs):
-            return LocalTransport(rank_, conns, plan, retry, obs=obs)
-
-        return factory
+    def _open_transport(self, mesh, rank, plan, retry, obs):
+        return LocalTransport(rank, mesh[rank], plan, retry, obs=obs)
 
     def _release_mesh(self, mesh) -> None:
         # The children inherited every pipe end at fork; drop the

@@ -1,0 +1,397 @@
+"""The driver↔node session contract of the real backends.
+
+A *session* is one driver running one batch of reduction rounds on a
+set of live nodes.  Everything the two sides must agree on lives here,
+once, for every real medium (:class:`~repro.net.local.LocalKylix`,
+:class:`~repro.net.tcp.TcpKylix`, the standalone cluster of
+:mod:`repro.net.cluster`):
+
+* the **job** a node is handed (:class:`NodeJob`);
+* the **frames** on the control channel — node to driver any number of
+  ``("telemetry", rank, sample)`` and then exactly one ``("result",
+  rank, err, rounds_out, snapshot, cache_stats)``; driver to node one
+  ``("done",)``;
+* the **error encoding** (:func:`encode_error` / :func:`failure`): a
+  typed :class:`~repro.faults.PeerFailedError` keeps its slot, phase and
+  layer across the wire, anything else travels as its traceback;
+* the **dead-rank rule** (:func:`collate`): a rank that is gone without
+  a result lost its whole requested slice, recorded as the one
+  ``LossRecord(rank, rank, "combined_down", 0)``;
+* the **done handshake**: a node sends its result *first* and then
+  keeps servicing NACKs (slow peers may still need its final up-parts)
+  until the driver — which says so once every rank is settled — sends
+  ``done``, the control reaches EOF, or the linger budget runs out.
+
+Node half: :func:`run_node` is the only body a real node ever runs.
+What differs between media is passed in: ``open_transport(rank, plan,
+retry, obs)`` builds the mesh, and ``control`` is any object with
+``send(obj)`` / ``recv()`` / ``fileno()`` / ``close()`` — a
+``multiprocessing`` ``Connection`` under a forked backend, a
+:class:`SocketControl` on the node server.  Driver half:
+:func:`collect` multiplexes every control through one
+``multiprocessing.connection.wait`` loop, :func:`release` is the done
+handshake, and :func:`collate` turns the settled frames into results,
+errors and the run's :class:`~repro.faults.CoverageReport`.
+"""
+
+from __future__ import annotations
+
+import os
+import time
+import traceback
+from dataclasses import dataclass
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
+
+from ..allreduce import ButterflyTopology, ReduceSpec
+from ..faults import CoverageReport, FaultPlan, LossRecord, PeerFailedError, RetryPolicy
+from ..obs import NULL_OBSERVER, Observer
+from ..obs.telemetry import TelemetryAgent, WallClockSampler
+from ..sparse import MultiplicativeHasher
+from ..verify.watchlock import watched_lock
+from .framing import FrameError, FrameStream, send_frame
+from .protocol import run_rounds
+from .transport import POLL_INTERVAL
+
+__all__ = [
+    "NodeJob",
+    "SocketControl",
+    "run_node",
+    "encode_error",
+    "failure",
+    "collect",
+    "release",
+    "Collated",
+    "collate",
+]
+
+
+@dataclass(frozen=True, eq=False)
+class NodeJob:
+    """What one node is asked to run in one session (picklable).
+
+    ``spec`` holds only this rank's index sets and ``rounds_values`` one
+    value array per round, each aligned with the spec's out indices:
+    round 0 runs the combined protocol and — on clean sessions — every
+    later round replays values-only through the plan it built
+    (:func:`~repro.net.protocol.run_rounds`), so one mesh and one
+    configuration serve the whole batch.
+    """
+
+    degrees: Tuple[int, ...]
+    hasher: MultiplicativeHasher
+    spec: ReduceSpec
+    rounds_values: Tuple[np.ndarray, ...]
+    strict: bool = True
+    plan: Optional[FaultPlan] = None
+    retry: RetryPolicy = RetryPolicy()
+    degrade: bool = False
+    observe: bool = False
+    telemetry_interval: Optional[float] = None
+
+    @classmethod
+    def for_rank(
+        cls,
+        rank: int,
+        spec: ReduceSpec,
+        rounds_values: Sequence[Mapping[int, np.ndarray]],
+        **fields: Any,
+    ) -> "NodeJob":
+        """``rank``'s slice of a whole-cluster job: only its own index
+        sets and values travel to it."""
+        return cls(
+            spec=ReduceSpec(
+                in_indices={rank: spec.in_indices[rank]},
+                out_indices={rank: spec.out_indices[rank]},
+                value_shape=spec.value_shape,
+                dtype=spec.dtype,
+                op=spec.op,
+            ),
+            rounds_values=tuple(
+                np.asarray(values[rank], dtype=spec.dtype) for values in rounds_values
+            ),
+            **fields,
+        )
+
+
+class SocketControl:
+    """A framed socket with the ``Connection`` surface a session uses.
+
+    ``recv`` returns one frame and raises ``EOFError`` when the peer is
+    gone — at a frame boundary or mid-frame alike, as a ``Connection``
+    does.  :class:`~repro.net.framing.FrameStream` never reads ahead, so
+    ``fileno()`` readability means "a frame is waiting"; the timeout the
+    socket already carries bounds a frame that stalls midway (``OSError``).
+    """
+
+    def __init__(self, sock) -> None:
+        self._stream = FrameStream(sock)
+
+    def fileno(self) -> int:
+        return self._stream.sock.fileno()
+
+    def send(self, frame: Any) -> None:
+        send_frame(self._stream.sock, frame)
+
+    def recv(self) -> Any:
+        try:
+            ok, frame = self._stream.recv()  # lint: ok — the socket carries its own timeout
+        except FrameError as exc:
+            raise EOFError(str(exc)) from exc
+        if not ok:
+            raise EOFError("control closed")
+        return frame
+
+    def close(self) -> None:
+        self._stream.sock.close()
+
+
+# ---------------------------------------------------------------------------
+# Node half
+# ---------------------------------------------------------------------------
+
+def encode_error(exc: BaseException):
+    """An exception as it rides the result frame: a typed peer failure
+    keeps its slot/phase/layer, anything else is its traceback text."""
+    if isinstance(exc, PeerFailedError):
+        return ("peer", exc.slot, exc.phase, exc.layer, str(exc))
+    return f"{type(exc).__name__}: {exc}\n" + "".join(traceback.format_exception(exc))
+
+
+def run_node(rank: int, job: NodeJob, open_transport, control):
+    """One node's blocking session; returns ``(err, rounds_out)`` as sent.
+
+    ``rounds_out`` holds ``(result, lost_raw, losses)`` per *completed*
+    round, so a session that fails midway still reports the rounds it
+    finished.  The order below is the contract: see the module docstring.
+    """
+    plan, retry = job.plan, job.retry
+    if plan is not None and not plan.is_alive(rank, 0.0):
+        os._exit(1)  # dead from the start: no result, no goodbye
+
+    # The sampler thread and this thread share the control's write side.
+    send_lock = watched_lock("net.session.run_node.send_lock")
+
+    def send(frame) -> None:
+        with send_lock:
+            control.send(frame)
+
+    # A private wall-clock observer; its snapshot rides the result frame
+    # back to the driver, which absorbs it under this node's pid row.
+    obs = Observer(name=f"node {rank}") if job.observe else NULL_OBSERVER
+    sampler = None
+    if obs.enabled and job.telemetry_interval is not None:
+        def ship(sample) -> None:
+            # Live telemetry is best-effort: a departed driver must not
+            # kill the sampler (the samples also ride obs.telemetry home
+            # inside the snapshot).
+            try:
+                send(("telemetry", rank, sample))
+            except OSError:
+                pass
+
+        sampler = WallClockSampler(
+            TelemetryAgent(obs, node=rank, interval=job.telemetry_interval, sink=ship),
+            name=f"telemetry-{rank}",
+        ).start()
+
+    def done(timeout: float) -> bool:
+        # After the result the only frame a driver sends is ("done",);
+        # EOF or a broken control means it is gone.  Either ends the wait.
+        if not wait([control], timeout):
+            return False
+        try:
+            control.recv()  # lint: ok — wait-guarded
+        except (EOFError, OSError):
+            pass
+        return True
+
+    net = None
+    err = None
+    rounds_out: List[Tuple[np.ndarray, Any, Tuple[LossRecord, ...]]] = []
+    cache_stats = {"hits": 0, "misses": 0}
+    try:
+        net = open_transport(rank, plan, retry, obs)
+        rounds = run_rounds(
+            rank,
+            net,
+            ButterflyTopology(job.degrees, int(np.prod(job.degrees))),
+            job.hasher,
+            job.spec,
+            job.rounds_values,
+            strict=job.strict,
+            retry=retry,
+            obs=obs,
+            degrade=job.degrade,
+        )
+        for result, lost_raw, losses, cached in rounds:
+            if cached is not None:
+                cache_stats["hits" if cached else "misses"] += 1
+            rounds_out.append((result, lost_raw, losses))
+    except Exception as exc:  # surfaced at the driver
+        err = encode_error(exc)
+    try:
+        # Stop (and final-flush) the sampler before the result frame so
+        # the telemetry stream is complete and ordered before it, and no
+        # thread mutates the registry while the snapshot is pickled.
+        if sampler is not None:
+            sampler.stop(flush=True)
+        snapshot = obs.snapshot() if obs.enabled else None
+        send(("result", rank, err, rounds_out, snapshot, cache_stats))
+        if net is not None:
+            # A live peer can be at most every remaining exchange behind,
+            # each bounded by one receive ladder.
+            net.linger(done, 2 * len(job.degrees) * retry.local_budget())
+    except OSError:  # driver went away
+        pass
+    finally:
+        if net is not None:
+            net.close()
+    return err, rounds_out
+
+
+# ---------------------------------------------------------------------------
+# Driver half
+# ---------------------------------------------------------------------------
+
+def failure(frame) -> Optional[Exception]:
+    """The exception a settled frame stands for (``None`` = clean)."""
+    rank = frame[1]
+    if frame[0] == "lost":
+        return PeerFailedError(frame[2], slot=rank)
+    err = frame[2]
+    if err is None:
+        return None
+    if isinstance(err, tuple):
+        _, slot, phase, layer, text = err
+        return PeerFailedError(text, slot=slot, phase=phase, layer=layer)
+    return RuntimeError(f"worker {rank} failed: {err}")
+
+
+def collect(
+    controls: Mapping[int, Any],
+    *,
+    timeout: float,
+    alive: Callable[[int], bool] = lambda rank: True,
+) -> Iterator[tuple]:
+    """Yield a session's frames as they arrive, until every rank settled.
+
+    Telemetry frames pass through; each rank then settles exactly once,
+    with its ``result`` frame or with ``("lost", rank, why)`` — when its
+    control breaks, when ``alive(rank)`` turns false with nothing left to
+    read (where control ends are inherited across forks EOF alone is not
+    a death signal), or when ``timeout`` runs out.  All controls are
+    drained continuously, so a node's blocking send of a large result
+    never waits on a slower sibling.  The driver owes the nodes a
+    :func:`release` afterwards, on every exit path.
+    """
+    pending = dict(controls)
+    deadline = time.monotonic() + timeout
+    while pending:
+        ready = wait(list(pending.values()), timeout=POLL_INTERVAL * 20)
+        for rank in [r for r, c in pending.items() if c in ready]:
+            try:
+                frame = pending[rank].recv()  # lint: ok — wait-guarded
+            except (EOFError, OSError) as exc:
+                frame = ("lost", rank, f"node {rank} closed its control before a result ({exc})")
+            if frame[0] != "telemetry":
+                del pending[rank]
+            yield frame
+        for rank in [r for r in pending if not alive(r)]:
+            # Sends are synchronous, so whatever a node wrote before it
+            # exited is already readable: silence now is final.
+            if not wait([pending[rank]], 0):
+                del pending[rank]
+                yield ("lost", rank, f"node {rank} exited before posting a result")
+        if time.monotonic() >= deadline:
+            for rank in sorted(pending):
+                yield ("lost", rank, f"node {rank} posted no result within {timeout}s")
+            return
+
+
+def release(controls: Mapping[int, Any], hangup: float = 0.0) -> None:
+    """The done handshake: tell every node the driver has finished with
+    the session (so it may stop lingering), then close its control.  A
+    driver calls this on every exit path once :func:`collect` returned
+    or raised.
+
+    A driver that will reuse the nodes first waits up to ``hangup``
+    seconds for each to hang up its end: a long-lived node does so once
+    its transport is closed and it is back in its accept loop, so the
+    next session's frames cannot meet a mesh that is still winding down
+    (the analogue of joining a forked worker).
+    """
+    waiting = []
+    for control in controls.values():
+        try:
+            control.send(("done",))
+            waiting.append(control)
+        except OSError:  # already gone
+            pass
+    deadline = time.monotonic() + hangup
+    while waiting and (remaining := deadline - time.monotonic()) > 0:
+        # Nothing follows a result, so readable means hung up.
+        for control in wait(waiting, remaining):
+            waiting.remove(control)
+    for control in controls.values():
+        control.close()
+
+
+class Collated(NamedTuple):
+    """One session's settled frames, decoded (see :func:`collate`)."""
+
+    #: ``{rank: [(result, lost_raw, losses), ...]}`` — completed rounds
+    #: of every rank that reported, partial sessions included.
+    rounds: Dict[int, List[tuple]]
+    #: ``{rank: exception}`` for every rank that failed or was lost.
+    errors: Dict[int, Exception]
+    #: Ranks gone without a result, ascending.
+    dead: List[int]
+    #: Summed node-side config-cache consults.
+    cache: Dict[str, int]
+    #: The session's coverage receipt under degraded completion.
+    report: Optional[CoverageReport]
+
+
+def collate(
+    records: Mapping[int, tuple], spec: ReduceSpec, size: int, degrade: bool
+) -> Collated:
+    """Decode settled frames and apply the dead-rank rule.
+
+    A lost rank (and its result) is gone: its entire requested slice is
+    lost, recorded as one ``LossRecord(rank, rank, "combined_down", 0)``;
+    the survivors' own ``lost_raw`` / loss events are merged in, and
+    under ``degrade`` the lot becomes the session's
+    :class:`~repro.faults.CoverageReport`.
+    """
+    rounds: Dict[int, List[tuple]] = {}
+    errors: Dict[int, Exception] = {}
+    dead: List[int] = []
+    cache = {"hits": 0, "misses": 0}
+    lost: Dict[int, List[np.ndarray]] = {}
+    losses: List[LossRecord] = []
+    for rank, frame in sorted(records.items()):
+        exc = failure(frame)
+        if exc is not None:
+            errors[rank] = exc
+        if frame[0] == "lost":
+            dead.append(rank)
+            lost[rank] = [np.asarray(spec.in_indices[rank])]
+            losses.append(LossRecord(rank=rank, member=rank, phase="combined_down", layer=0))
+            continue
+        _, _, _, rounds_out, _, node_cache = frame
+        rounds[rank] = rounds_out
+        for _result, lost_raw, round_losses in rounds_out:
+            if lost_raw is not None and len(lost_raw):
+                lost.setdefault(rank, []).append(lost_raw)
+            losses.extend(round_losses)
+        cache["hits"] += node_cache["hits"]
+        cache["misses"] += node_cache["misses"]
+    report = None
+    if degrade:
+        report = CoverageReport.from_losses(
+            spec, size, {r: np.concatenate(chunks) for r, chunks in lost.items()}, losses
+        )
+    return Collated(rounds, errors, dead, cache, report)

@@ -50,7 +50,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..obs import NULL_OBSERVER
 from ..verify.watchlock import watched_lock
 from .base import ForkedKylixBase
-from .framing import FrameError, FrameTruncatedError, encode_frame, FrameDecoder, recv_frame
+from .framing import FrameDecoder, FrameError, FrameStream, FrameTruncatedError, encode_frame
 from .transport import POLL_INTERVAL, BaseTransport
 
 __all__ = ["TcpTransport", "TcpKylix", "loopback_listener"]
@@ -239,7 +239,9 @@ class TcpTransport(BaseTransport):
             except OSError:
                 return
             try:
-                ok, hello = recv_frame(sock, timeout=2.0)
+                # One frame exactly: the peer's first parts may be right
+                # behind its hello, and they belong to the reader thread.
+                ok, hello = FrameStream(sock).recv(timeout=2.0)
             except (OSError, FrameError):
                 sock.close()
                 continue
@@ -287,13 +289,6 @@ class TcpTransport(BaseTransport):
         if link is None or link.failed or member in self.closed:  # conc: ok(racy read of failed; a stale False only queues one frame the drain reaps)
             return  # peer unreachable: the NACK layer cannot help a dead peer
         link.q.put(encode_frame(frame))
-
-    def send_telemetry(self, member, sample) -> None:
-        """Ship one TelemetrySample to ``member`` as a TELEMETRY frame.
-
-        Control plane: never fault-injected, never cached for NACKs —
-        best-effort streaming on the ordered per-peer sender thread."""
-        self._send_frame(member, ("telemetry", sample))
 
     def post(self, member, kind, layer, part, seq=0) -> None:
         """Cache + fault-inject off-thread; bytes go out on the per-peer
@@ -517,30 +512,24 @@ class TcpKylix(ForkedKylixBase):
             addrs[rank] = ("127.0.0.1", s.getsockname()[1])
         return listeners, addrs
 
-    def _transport_factory(self, rank, mesh):
+    def _open_transport(self, mesh, rank, plan, retry, obs):
         listeners, addrs = mesh
-        hb_interval, hb_timeout = self.hb_interval, self.hb_timeout
-        mesh_timeout = self.mesh_timeout
-
-        def factory(rank_, plan, retry, obs):
-            # Drop the other ranks' inherited listeners so a dead peer's
-            # port actually refuses connections instead of queueing them
-            # in a socket nobody will ever accept from.
-            for r, s in listeners.items():
-                if r != rank_:
-                    s.close()
-            t = TcpTransport(
-                rank_,
-                plan,
-                retry,
-                obs=obs,
-                hb_interval=hb_interval,
-                hb_timeout=hb_timeout,
-            )
-            t.form_mesh(listeners[rank_], addrs, timeout=mesh_timeout)
-            return t
-
-        return factory
+        # Drop the other ranks' inherited listeners so a dead peer's
+        # port actually refuses connections instead of queueing them
+        # in a socket nobody will ever accept from.
+        for r, s in listeners.items():
+            if r != rank:
+                s.close()
+        t = TcpTransport(
+            rank,
+            plan,
+            retry,
+            obs=obs,
+            hb_interval=self.hb_interval,
+            hb_timeout=self.hb_timeout,
+        )
+        t.form_mesh(listeners[rank], addrs, timeout=self.mesh_timeout)
+        return t
 
     def _release_mesh(self, mesh) -> None:
         listeners, _ = mesh

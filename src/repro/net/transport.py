@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..allreduce.base import PHASE_COMBINED_DOWN, PHASE_GATHER_UP, PHASE_REDUCE_DOWN
@@ -108,10 +107,6 @@ class BaseTransport:
         self._audit_events: Dict[int, threading.Event] = {}
         self._audit_token = 0
         self._audit_lock = watched_lock("net.transport.BaseTransport._audit_lock")
-        #: TELEMETRY frames received from peers, as (member, sample).
-        #: Bounded: telemetry is best-effort and an unattended buffer
-        #: must not grow without limit.
-        self.telemetry_in: deque = deque(maxlen=1024)
         self.duplicates_dropped = 0
         self.senders: List[threading.Thread] = []
 
@@ -248,12 +243,6 @@ class BaseTransport:
             evt = self._audit_events.get(token)
             if evt is not None:
                 evt.set()
-        elif obj[0] == "telemetry":
-            # Control-plane TELEMETRY frame: a peer streaming its
-            # TelemetrySample upstream (repro.obs.telemetry).  Buffered
-            # for the owner to drain; never fault-injected, never part
-            # of the reduction's message-order invariant.
-            self.telemetry_in.append((member, obj[1]))
         else:
             raise ProtocolInvariantError(
                 f"rank {self.rank}: unknown frame {obj[0]!r} from {member}",
@@ -263,13 +252,6 @@ class BaseTransport:
     def pump(self) -> List[int]:
         """Drain everything readable once; returns peers newly seen dead."""
         return self._pump_once()
-
-    def drain_telemetry(self) -> List[Tuple[int, Any]]:
-        """Pop every buffered TELEMETRY frame as (member, sample)."""
-        out: List[Tuple[int, Any]] = []
-        while self.telemetry_in:
-            out.append(self.telemetry_in.popleft())
-        return out
 
     def _jitter_salt(self, kind: str, layer: int, seq: int) -> tuple:
         # Per-(node, phase, layer, seq) salt: peers that all lost the
@@ -449,12 +431,16 @@ class BaseTransport:
         self.seen = {k for k in self.seen if k[3] >= seq - 1}
         self.audit_prune(seq)
 
-    def linger(self, done_evt, budget: float) -> None:
-        """After finishing: keep servicing NACKs until everyone is done."""
+    def linger(self, done, budget: float) -> None:
+        """After finishing: keep servicing NACKs until everyone is done.
+
+        ``done(timeout)`` waits up to ``timeout`` seconds and says
+        whether the run is over (the driver's done frame, or its loss).
+        """
         deadline = time.monotonic() + budget
-        while not done_evt.is_set() and time.monotonic() < deadline:
+        while time.monotonic() < deadline:
             self.pump()
-            if done_evt.wait(timeout=0.02):  # lint: ok — bounded wait
+            if done(0.02):
                 break
         self.join_senders(budget=1.0)
 

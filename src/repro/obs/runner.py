@@ -147,8 +147,8 @@ def run_traced(
         )
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    from ..allreduce import ReduceSpec, dense_reduce
-    from ..faults import FaultPlan, RetryPolicy
+    from ..allreduce import ReduceSpec, dense_reduce, dense_reduce_without
+    from ..faults import FaultPlan, RetryPolicy, exact_outside_lost
     from .observer import Observer
 
     w = EXPERIMENTS[experiment](seed)
@@ -202,28 +202,17 @@ def run_traced(
         info["config_seconds"] = net.config_timing.elapsed
         info["reduce_seconds"] = net.last_reduce_timing.elapsed
         info["report"] = net.last_report
-    elif backend == "local":
-        from ..net.local import LocalKylix
-
-        obs = Observer(name=f"{experiment}@local")
-        net = LocalKylix(
-            degrees=degrees, faults=faults, retry=retry, observe=obs,
-            degrade=degrade, telemetry_interval=telemetry_interval,
-        )
-        result = net.allreduce(spec, w["values"])
-        info["report"] = net.last_report
     else:
-        from ..net.tcp import TcpKylix
+        from ..net import LocalKylix, TcpKylix
 
-        obs = Observer(name=f"{experiment}@tcp")
-        net = TcpKylix(
+        obs = Observer(name=f"{experiment}@{backend}")
+        net = (LocalKylix if backend == "local" else TcpKylix)(
             degrees=degrees, faults=faults, retry=retry, observe=obs,
             degrade=degrade, telemetry_interval=telemetry_interval,
         )
         result = net.allreduce(spec, w["values"])
         info["report"] = net.last_report
 
-    ref_values = w["values"]
     if degrade and backend != "sim" and phase == "down" and int(layer) == 1:
         # The victim died before sending anything: on the combined
         # backends its contributions reached nobody and its keys never
@@ -234,14 +223,9 @@ def run_traced(
         # holds.)  Deeper kills leave the victim's layer-1 parts
         # integrated everywhere, so the full reference applies and the
         # dead-partial audit accounts what its crash took with it.
-        from ..allreduce.base import reduction_identity
-
-        ident = reduction_identity(spec.op, np.dtype(spec.dtype))
-        ref_values = dict(w["values"])
-        ref_values[int(node)] = np.full_like(
-            np.asarray(ref_values[int(node)], dtype=spec.dtype), ident
-        )
-    reference = dense_reduce(spec, ref_values)
+        reference = dense_reduce_without(spec, w["values"], int(node))
+    else:
+        reference = dense_reduce(spec, w["values"])
     report = info["report"]
     lost = getattr(report, "lost_indices", {}) if report is not None else {}
 
@@ -249,11 +233,7 @@ def run_traced(
         got = result.get(r) if isinstance(result, dict) else result[r]
         if got is None:
             return r in lost  # dead rank: no result is fine iff accounted
-        lost_r = lost.get(r)
-        if lost_r is None or not len(lost_r):
-            return bool(np.allclose(got, reference[r], atol=1e-9))
-        keep = ~np.isin(np.asarray(w["in_idx"][r]), np.asarray(lost_r))
-        return bool(np.allclose(got[keep], reference[r][keep], atol=1e-9))
+        return exact_outside_lost(got, reference[r], w["in_idx"][r], lost.get(r))
 
     info["exact"] = all(_exact(r) for r in range(m))
     return obs, info

@@ -219,8 +219,8 @@ class WallClockSampler:
     Threading contract (checked by ``python -m repro races``): the
     sampler thread is a daemon polling ``_stop`` and is joined with an
     explicit timeout in :meth:`stop`; the agent's ``sink`` callback runs
-    *on the sampler thread*, so whatever the sink touches (e.g. the node
-    control socket in ``net.cluster``) must carry its own lock.
+    *on the sampler thread*, so whatever the sink touches (e.g. a node's
+    session control in ``net.session.run_node``) must carry its own lock.
     """
 
     def __init__(self, agent: TelemetryAgent, *, name: str = "telemetry-agent"):
@@ -257,11 +257,9 @@ class TimeSeriesAggregator:
     summary dicts (count/min/max/mean/p50/p99) the agent computed from
     the fresh observations.
 
-    Not internally locked: the aggregator is single-owner by design.
-    The one concurrent caller — the driver's per-rank session threads in
-    ``net.cluster._run_wave`` — serialises :meth:`ingest` under the wave
-    lock, which is exactly the discipline the static analyzer's
-    function-local-lock pass pins there.
+    Not internally locked: the aggregator is single-owner by design —
+    a cluster driver ingests every node's frames from the one thread that
+    runs ``net.session.collect``.
     """
 
     def __init__(self) -> None:

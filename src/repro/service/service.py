@@ -190,7 +190,7 @@ class ReduceService:
         else:
             self.obs = NULL_OBSERVER
         self.cache = ConfigCache(cache_size, obs=self.obs)
-        self._multiplier = int(MultiplicativeHasher()._mult)
+        self._multiplier = MultiplicativeHasher().multiplier
         self.streams: Dict[str, ReduceStream] = {}
         # Admission queue: the bounded-queue backpressure contract.
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_depth)

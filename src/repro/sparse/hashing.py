@@ -52,6 +52,12 @@ class MultiplicativeHasher(IndexHasher):
         self._mult = np.uint64(multiplier)
         self._inv = np.uint64(pow(multiplier, -1, 1 << 64))
 
+    @property
+    def multiplier(self) -> int:
+        """The odd multiplier: with it a hasher is fully determined, so it
+        is what plan fingerprints key on."""
+        return int(self._mult)
+
     def hash(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices)
         if idx.size and idx.min() < 0:

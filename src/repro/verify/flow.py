@@ -77,6 +77,7 @@ import numpy as np
 from ..allreduce.base import ReduceSpec
 from ..allreduce.core import NodePlan
 from ..allreduce.topology import ButterflyTopology
+from ..faults.report import lost_outside_bound
 from ..sparse import IndexHasher, MultiplicativeHasher
 from .errors import ProtocolInvariantError
 from .invariants import Violation
@@ -702,22 +703,16 @@ def check_coverage(cert: Certificate, report: Any) -> List[Violation]:
     """Gate a runtime :class:`~repro.faults.CoverageReport` against the
     certificate's worst-case loss bound: every index a rank actually
     lost must be inside its statically reachable loss set."""
-    violations: List[Violation] = []
-    if report is None:
-        return violations
-    for rank, lost in sorted(getattr(report, "lost_indices", {}).items()):
-        bound = cert.bound_for(rank)
-        extra = np.setdiff1d(np.asarray(lost, dtype=np.int64), bound)
-        if extra.size:
-            violations.append(
-                Violation(
-                    "coverage-bound",
-                    f"lost {extra.size} indices outside the static worst-case "
-                    f"set (first: {int(extra[0])})",
-                    node=int(rank),
-                )
-            )
-    return violations
+    outside = lost_outside_bound(getattr(report, "lost_indices", {}), cert.bound_for)
+    return [
+        Violation(
+            "coverage-bound",
+            f"lost {extra.size} indices outside the static worst-case "
+            f"set (first: {int(extra[0])})",
+            node=rank,
+        )
+        for rank, extra in outside.items()
+    ]
 
 
 def worst_case_loss(

@@ -107,6 +107,23 @@ class TestNodeServer:
         assert outcome["exact_rounds"] == 16
         assert outcome["report"] is None
 
+    def test_result_precedes_linger_on_long_lived_nodes(self):
+        """A node sends its result first and lingers only until the
+        driver's done frame.  Four one-round sessions on long-lived
+        nodes used to cost four fixed 0.5 s lingers *before* each result
+        (>= 2 s of dead time); the handshake leaves only the work."""
+        threads, manifest = start_node_threads(8, once=False)
+        try:
+            outcome = drive_cluster(
+                manifest, workload="quickstart", rounds=4, concurrency=1, seed=0
+            )
+        finally:
+            shutdown_node_threads(threads, manifest)
+        assert outcome["errors"] == [] and outcome["dead_ranks"] == []
+        assert outcome["waves"] == 4
+        assert outcome["checked_rounds"] == outcome["exact_rounds"] == 32
+        assert outcome["elapsed"] < 4 * 0.5
+
     def test_partition_mode_degrades_within_static_bound(self, tmp_path, monkeypatch):
         """The silent partition (drop=1.0 both ways, connections up) on
         real node processes: survivors finish exactly on their kept

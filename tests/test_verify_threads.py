@@ -348,14 +348,14 @@ class TestPackageClean:
         assert "obs.telemetry.WallClockSampler._loop" in roots
         # The escaping-closure rule catches the telemetry sink that runs
         # on the sampler thread.
-        assert "net.cluster._run_session.ship" in roots
+        assert "net.session.run_node.ship" in roots
 
     def test_known_locks_are_catalogued(self):
         locks = set(analyze_package().locks)
         assert "net.tcp._Link.lock" in locks
         assert "service.service.ReduceService._lock" in locks
         assert "net.local.LocalTransport.locks[]" in locks
-        assert "net.cluster._run_wave.lock" in locks
+        assert "net.session.run_node.send_lock" in locks
 
 
 class TestWatchedLock:
