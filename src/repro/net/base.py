@@ -120,7 +120,6 @@ class ForkedKylixBase:
         #: :class:`CoverageReport` of the last degraded run (None outside
         #: degraded completion) — same contract as the simulator backend.
         self.last_report: Optional[CoverageReport] = None
-        self.duplicates_dropped = 0
 
     # -- medium hooks (subclass responsibilities) --------------------------
     def _make_mesh(self, ctx):

@@ -73,7 +73,6 @@ from ..sparse import MultiplicativeHasher
 from .framing import FrameError, FrameStream, encode_frame, recv_frame
 from .session import NodeJob, SocketControl, collate, collect, release, run_node
 from .tcp import TcpTransport, loopback_listener
-from .transport import POLL_INTERVAL
 
 __all__ = [
     "DEFAULT_MANIFEST",
@@ -274,6 +273,14 @@ def _dump_node_postmortem(rank, recorder, pm_dir, err, rounds_out) -> None:
 # Launcher
 # ---------------------------------------------------------------------------
 
+#: A node's READY line lands in a log file, which has no readiness to
+#: block on: the launcher re-reads it on this cadence.
+_READY_POLL = 0.05
+#: ``stop_cluster`` watches pids that need not be its children, which
+#: nothing can wait on: ``kill(pid, 0)`` on this cadence.
+_PID_POLL = 0.05
+
+
 def launch_cluster(
     size: int,
     *,
@@ -327,7 +334,7 @@ def launch_cluster(
                 port = _parse_ready(logs[r])
                 if port is not None:
                     break
-                time.sleep(POLL_INTERVAL * 10)
+                time.sleep(_READY_POLL)
             if port is None:
                 raise RuntimeError(
                     f"node {r} not READY within {ready_timeout}s (see {logs[r]})"
@@ -443,7 +450,7 @@ def stop_cluster(
         pid = node.get("pid")
         while pid and _pid_alive(pid) and time.monotonic() < deadline:
             _reap_if_child(pid)
-            time.sleep(POLL_INTERVAL * 10)
+            time.sleep(_PID_POLL)
         if pid and _pid_alive(pid):
             try:
                 os.kill(pid, signal.SIGKILL)
@@ -452,7 +459,7 @@ def stop_cluster(
             kill_deadline = time.monotonic() + 2.0
             while _pid_alive(pid) and time.monotonic() < kill_deadline:
                 _reap_if_child(pid)
-                time.sleep(POLL_INTERVAL)
+                time.sleep(_PID_POLL)
     os.remove(manifest_path)
     return stopped
 

@@ -10,9 +10,12 @@ implementation ("we start threads to send all messages concurrently",
 
 It executes the *combined* variant of the protocol (indices + values in
 one downward pass, §III) and supports the same reduction operators as
-the simulator.  It is built for correctness and portability, not
-throughput: spawning processes costs ~100 ms each, and a single-core
-host serialises them — use the simulator for performance studies.
+the simulator.  A receiver blocks in one ``multiprocessing.connection.
+wait`` over all its pipes and wakes on arrival, so a round costs its
+merges and context switches, not a poll period.  It is still built for
+correctness and portability rather than throughput: spawning processes
+costs ~100 ms each, and a single-core host serialises them — use the
+simulator for performance studies.
 
 Only the medium (pipe send/receive) is local to this file.  The node
 body and the driver's collection are :mod:`repro.net.session`, the
@@ -31,8 +34,7 @@ on Linux, so worker timestamps are directly comparable).  See
 
 from __future__ import annotations
 
-import threading
-import time
+from multiprocessing.connection import wait
 from typing import Dict
 
 from ..obs import NULL_OBSERVER
@@ -49,6 +51,7 @@ class LocalTransport(BaseTransport):
     A ``multiprocessing.Connection`` is not thread-safe, so each link
     carries a send lock; sends run on one fresh thread per post (cheap
     at pipe latencies, and exactly the paper's concurrent-send shape).
+    Receives happen only on the thread that calls ``pump``.
     """
 
     def __init__(self, rank, conns, plan, retry, obs=NULL_OBSERVER):
@@ -63,23 +66,14 @@ class LocalTransport(BaseTransport):
         except (BrokenPipeError, OSError):  # peer already gone
             self.closed.add(member)
 
-    def post(self, member, kind, layer, part, seq=0) -> None:
-        """Cache + send on a background thread (deadlock-free exchange)."""
-        self.sent[(member, kind, layer, seq)] = part
-        t = threading.Thread(  # lint: ok — BaseTransport.join_senders joins these with a timeout
-            target=self._transmit,
-            args=(member, kind, layer, part, seq, 0, time.monotonic()),
-        )
-        t.daemon = True
-        t.start()
-        self.senders.append(t)
-
-    def _pump_once(self):
-        """Drain every readable connection once; returns peers hit EOF."""
+    def _pump_once(self, timeout):
+        """Block in one ``wait`` over every open pipe, then drain the
+        readable ones; returns peers hit EOF (which also reads as
+        "readable", so a death wakes the wait like an arrival does)."""
+        links = {conn: m for m, conn in self.conns.items() if m not in self.closed}
         dead = []
-        for member, conn in self.conns.items():
-            if member in self.closed:
-                continue
+        for conn in wait(list(links), timeout):  # a negative timeout is a zero one
+            member = links[conn]
             try:
                 while conn.poll(0):
                     self._dispatch(member, conn.recv())  # lint: ok — poll-guarded
@@ -87,16 +81,6 @@ class LocalTransport(BaseTransport):
                 self.closed.add(member)
                 dead.append(member)
         return dead
-
-    def prune_round(self, seq: int) -> None:
-        """Per-round cleanup + reap finished per-post sender threads.
-
-        The one-thread-per-post send model accumulates dead ``Thread``
-        objects across a multi-round session; dropping them here keeps a
-        long-lived service run at a bounded thread list.
-        """
-        self.senders = [t for t in self.senders if t.is_alive()]
-        super().prune_round(seq)
 
 
 class LocalKylix(ForkedKylixBase):

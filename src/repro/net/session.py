@@ -53,7 +53,6 @@ from ..sparse import MultiplicativeHasher
 from ..verify.watchlock import watched_lock
 from .framing import FrameError, FrameStream, send_frame
 from .protocol import run_rounds
-from .transport import POLL_INTERVAL
 
 __all__ = [
     "NodeJob",
@@ -270,6 +269,12 @@ def failure(frame) -> Optional[Exception]:
     return RuntimeError(f"worker {rank} failed: {err}")
 
 
+#: A frame wakes :func:`collect`'s wait at once; a node that died without
+#: one has nothing to wake it with (a forked sibling may hold its control
+#: end open), so ``alive(rank)`` is asked on this cadence between waits.
+_ALIVE_PROBE = 0.1
+
+
 def collect(
     controls: Mapping[int, Any],
     *,
@@ -290,7 +295,7 @@ def collect(
     pending = dict(controls)
     deadline = time.monotonic() + timeout
     while pending:
-        ready = wait(list(pending.values()), timeout=POLL_INTERVAL * 20)
+        ready = wait(list(pending.values()), timeout=_ALIVE_PROBE)
         for rank in [r for r, c in pending.items() if c in ready]:
             try:
                 frame = pending[rank].recv()  # lint: ok — wait-guarded

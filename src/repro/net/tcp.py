@@ -18,25 +18,33 @@ Medium mechanics:
   :class:`~repro.net.framing.FrameTruncatedError` on the reader and is
   treated as connection loss, not corruption.
 * **Mesh formation** — rank ``i`` *initiates* connections to every
-  ``j < i`` and *accepts* (with a bounded-timeout accept loop) from
-  every ``j > i``; the first frame on every connection is a
-  ``("hello", rank)``.  Peers the fault plan declares dead at start are
-  skipped; any other peer unreachable within the mesh deadline is
-  marked closed, and the reliability layer converts that into a typed
-  :class:`~repro.faults.PeerFailedError` (strict) or a coverage hole
-  (degraded) — never a hang.
+  ``j < i`` and *accepts* from every ``j > i``; the first frame on every
+  connection is a ``("hello", rank)``.  Peers the fault plan declares
+  dead at start are skipped; any other peer unreachable within
+  :data:`MESH_TIMEOUT` is marked closed, and the reliability layer
+  converts that into a typed :class:`~repro.faults.PeerFailedError`
+  (strict) or a coverage hole (degraded) — never a hang.
 * **Per-peer sender threads** — each link has one long-lived sender
   thread owning the socket write side; it drains a frame queue, emits
   heartbeats when idle, and runs the reconnect-with-backoff dance on
   write failure.  Connection loss is message loss: whatever was in
   flight is recovered by the NACK/retry layer above, exactly like a
   dropped packet.
-* **Liveness** — heartbeats every ``hb_interval``; a link silent for
-  ``hb_timeout`` is declared half-open-dead even if the kernel never
+* **Receiving** — reader threads (they also drain heartbeats while the
+  node computes) decode frames into one queue; the protocol thread
+  blocks on that queue (``_pump_once``) and wakes on arrival.
+* **Liveness** — heartbeats every :data:`HB_INTERVAL`; a link silent for
+  :data:`HB_TIMEOUT` is declared half-open-dead even if the kernel never
   delivers an error (the classic silent-partition failure).  A clean
   EOF (peer SIGKILLed → kernel FIN/RST) closes much faster: the
   initiator side probes with a bounded reconnect burst, the acceptor
-  side waits one ``reconnect_grace`` for a re-hello.
+  side waits one :data:`RECONNECT_GRACE` for a re-hello.
+* **Waiting** — whoever waits for a link (mesh formation, the acceptor
+  side of a reconnect) blocks on one condition ``_install`` notifies; a
+  socket is retired with ``shutdown`` before ``close`` so its reader
+  wakes at once, and ``close()`` knocks on its own listener to wake the
+  accept loop.  The socket timeouts (0.1 s accept, 0.2 s recv) are
+  safety nets, not cadences.
 """
 
 from __future__ import annotations
@@ -45,15 +53,26 @@ import queue
 import socket
 import threading
 import time
+from contextlib import suppress
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..obs import NULL_OBSERVER
 from ..verify.watchlock import watched_lock
 from .base import ForkedKylixBase
 from .framing import FrameDecoder, FrameError, FrameStream, FrameTruncatedError, encode_frame
-from .transport import POLL_INTERVAL, BaseTransport
+from .transport import BaseTransport
 
 __all__ = ["TcpTransport", "TcpKylix", "loopback_listener"]
+
+#: Timing of the socket medium, in seconds (table: ``docs/faults.md``).
+#: Constants, not options: no caller ever ran anything else.
+HB_INTERVAL = 0.25  # idle-sender heartbeat; also the pump's liveness re-check period
+HB_TIMEOUT = 5.0  # silence after which a link is half-open-dead
+MESH_TIMEOUT = 10.0  # mesh formation deadline
+RECONNECT_ATTEMPTS = 3  # initiator side of a lost link: this many dials,
+RECONNECT_BACKOFF = 0.05  # pausing this long before the second, doubling
+RECONNECT_GRACE = 0.5  # acceptor side: wait this long for the peer's re-hello
+_PROBE_INTERVAL = 0.2  # mesh formation re-probes a silent higher peer's listener
 
 #: Sentinel frames on a sender queue.
 _STOP = object()
@@ -63,9 +82,10 @@ _HB = object()
 def loopback_listener(host: str = "127.0.0.1", port: int = 0, backlog: int = 64):
     """A bound, listening TCP socket with an explicit accept timeout.
 
-    Every listener in this package goes through here: the accept loop
-    must wake to notice shutdown, so a listener without a timeout is a
-    bug (and the ``socket-timeout`` lint rule enforces it).
+    Every listener in this package goes through here: no socket in
+    ``net/`` may block forever (the ``socket-timeout`` lint rule).  The
+    timeout is a safety net — :meth:`TcpTransport.close` wakes its
+    accept loop explicitly instead of waiting it out.
     """
     s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     s.settimeout(0.1)
@@ -73,6 +93,16 @@ def loopback_listener(host: str = "127.0.0.1", port: int = 0, backlog: int = 64)
     s.bind((host, port))
     s.listen(backlog)
     return s
+
+
+def _retire(sock) -> None:
+    """Shut ``sock`` down, then close it.  The shutdown is what wakes a
+    reader thread blocked in ``recv`` on it (and sends the FIN now); a
+    bare ``close`` leaves that thread blocked until its timeout."""
+    with suppress(OSError):  # never connected, or the peer is already gone
+        sock.shutdown(socket.SHUT_RDWR)
+    with suppress(OSError):
+        sock.close()
 
 
 class _Link:
@@ -94,29 +124,16 @@ class _Link:
 class TcpTransport(BaseTransport):
     """The shared reliability layer over framed TCP sockets."""
 
-    def __init__(
-        self,
-        rank: int,
-        plan,
-        retry,
-        obs=NULL_OBSERVER,
-        *,
-        hb_interval: float = 0.25,
-        hb_timeout: float = 5.0,
-        reconnect_attempts: int = 3,
-        reconnect_backoff: float = 0.05,
-        reconnect_grace: float = 0.5,
-    ):
+    def __init__(self, rank: int, plan, retry, obs=NULL_OBSERVER):
         super().__init__(rank, plan, retry, obs)
-        if hb_interval <= 0 or hb_timeout <= hb_interval:
-            raise ValueError("need 0 < hb_interval < hb_timeout")
-        self._hb_interval = float(hb_interval)
-        self._hb_timeout = float(hb_timeout)
-        self._reconnect_attempts = int(reconnect_attempts)
-        self._reconnect_backoff = float(reconnect_backoff)
-        self._reconnect_grace = float(reconnect_grace)
         self._stop = threading.Event()
         self._links: Dict[int, _Link] = {}
+        #: Notified when a link is installed, a peer given up, or the
+        #: transport closed.  Predicates waited on under it take no other
+        #: lock, so the lock graph stays nesting-free.
+        self._link_change = threading.Condition(
+            watched_lock("net.tcp.TcpTransport._link_change")
+        )
         self._rx: "queue.Queue" = queue.Queue()
         self._listener = None
         self._accept_thread: Optional[threading.Thread] = None
@@ -136,10 +153,10 @@ class TcpTransport(BaseTransport):
         listener,
         addrs: Dict[int, Tuple[str, int]],
         *,
-        timeout: float = 10.0,
         pending: Iterable[Tuple[int, socket.socket]] = (),
     ) -> None:
-        """Connect to lower ranks, accept from higher ranks, bounded.
+        """Connect to lower ranks, accept from higher ranks, bounded by
+        :data:`MESH_TIMEOUT`.
 
         ``pending`` carries peer connections someone already accepted on
         our behalf (the standalone node server stashes early hellos that
@@ -156,7 +173,7 @@ class TcpTransport(BaseTransport):
         self._accept_thread.start()
 
         expected = sorted(p for p in self._addrs if p != self.rank)
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + MESH_TIMEOUT
         for peer in expected:
             if self.plan is not None and not self.plan.is_alive(peer, 0.0):
                 self.closed.add(peer)  # dead at start: do not wait for it
@@ -164,14 +181,11 @@ class TcpTransport(BaseTransport):
         # peer must not stall the links behind it in rank order (a
         # sequential loop would leave alive pairs unlinked and cascade
         # spurious abandonments through the whole reduction).
-        initiators = []
         for peer in expected:
             if peer < self.rank and peer not in self.closed and peer not in self._links:
-                t = threading.Thread(
+                threading.Thread(
                     target=self._initiate, args=(peer, deadline), daemon=True
-                )
-                t.start()
-                initiators.append(t)
+                ).start()
         # The accept side has no failure signal of its own: a dead higher
         # peer just never connects, and waiting out the whole mesh window
         # for it would stall this node into looking dead to *its* groups.
@@ -179,20 +193,16 @@ class TcpTransport(BaseTransport):
         # for the node's whole lifetime, so repeated refusal means the
         # process is gone.  Probes hang up before the hello, which the
         # accept loop discards by design.
+        def missing() -> List[int]:
+            return [p for p in expected if p not in self._links and p not in self.closed]
+
         probe_at: Dict[int, float] = {}
         refusals: Dict[int, int] = {}
-        while time.monotonic() < deadline:
-            missing = [
-                p for p in expected
-                if p not in self._links and p not in self.closed
-            ]
-            if not missing:
-                break
-            now = time.monotonic()
-            for p in missing:
+        while (silent := missing()) and (now := time.monotonic()) < deadline:
+            for p in silent:
                 if p < self.rank or now < probe_at.get(p, 0.0):
                     continue  # initiator threads fast-fail their own refusals
-                probe_at[p] = now + 0.2
+                probe_at[p] = now + _PROBE_INTERVAL
                 try:
                     socket.create_connection(self._addrs[p], timeout=0.5).close()
                     refusals[p] = 0
@@ -202,13 +212,20 @@ class TcpTransport(BaseTransport):
                         self.closed.add(p)
                 except OSError:
                     pass
-            time.sleep(POLL_INTERVAL)
-        for peer in expected:
-            if peer not in self._links and peer not in self.closed:
-                self.closed.add(peer)  # accept-side timeout: peer never arrived
+            # Sleep until the mesh is whole; otherwise until the next probe.
+            with self._link_change:
+                self._link_change.wait_for(
+                    lambda: not missing(),
+                    timeout=min(_PROBE_INTERVAL, deadline - now),
+                )
+        self.closed.update(missing())  # accept-side timeout: peer never arrived
+
+    def _links_changed(self) -> None:
+        with self._link_change:
+            self._link_change.notify_all()
 
     def _initiate(self, peer: int, deadline: float) -> None:
-        delay = self._reconnect_backoff
+        delay = RECONNECT_BACKOFF
         refused = 0
         while time.monotonic() < deadline and not self._stop.is_set():
             try:
@@ -229,6 +246,7 @@ class TcpTransport(BaseTransport):
             time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
             delay = min(delay * 2, 0.5)
         self.closed.add(peer)
+        self._links_changed()
 
     def _accept_loop(self) -> None:
         while not self._stop.is_set():
@@ -249,22 +267,22 @@ class TcpTransport(BaseTransport):
                 if ok and isinstance(hello, tuple) and self.on_stray is not None:
                     self.on_stray(hello, sock)
                 else:
-                    sock.close()  # not a peer: garbage or a lost stranger
-                continue
-            self._install(int(hello[1]), sock)
+                    # Not a peer: garbage, a lost stranger, or close()'s
+                    # wake-up connection.
+                    sock.close()
+            elif self._stop.is_set():
+                sock.close()  # close() got there first: adopt nothing
+            else:
+                self._install(int(hello[1]), sock)
 
     def _install(self, peer: int, sock: socket.socket) -> None:
         """Adopt ``sock`` as the live connection for ``peer`` (fresh link
         or reconnect replacement)."""
         sock.settimeout(0.2)
         link = self._links.get(peer)
-        if link is None:
+        fresh = link is None
+        if fresh:
             link = _Link(peer)
-            self._links[peer] = link
-            link.sender = threading.Thread(
-                target=self._sender_loop, args=(link,), daemon=True
-            )
-            link.sender.start()
         with link.lock:
             old, link.sock = link.sock, sock
             # Reset liveness inside the same critical section: a pump
@@ -277,11 +295,19 @@ class TcpTransport(BaseTransport):
             target=self._reader_loop, args=(link, sock), daemon=True
         )
         link.reader.start()
+        if fresh:
+            link.sender = threading.Thread(
+                target=self._sender_loop, args=(link,), daemon=True
+            )
+            link.sender.start()
+            # Register the link last, complete.  Found socketless, it
+            # let form_mesh return and the first post take "no socket"
+            # for a lost connection and dial a second one; each end then
+            # kept a different one of the two.
+            self._links[peer] = link
         if old is not None:
-            try:
-                old.close()
-            except OSError:  # pragma: no cover - close on a dead socket
-                pass
+            _retire(old)
+        self._links_changed()
 
     # -- sender side -------------------------------------------------------
     def _send_frame(self, member, frame) -> None:
@@ -290,25 +316,13 @@ class TcpTransport(BaseTransport):
             return  # peer unreachable: the NACK layer cannot help a dead peer
         link.q.put(encode_frame(frame))
 
-    def post(self, member, kind, layer, part, seq=0) -> None:
-        """Cache + fault-inject off-thread; bytes go out on the per-peer
-        sender thread (deadlock-free exchange, ordered per link)."""
-        self.sent[(member, kind, layer, seq)] = part
-        t = threading.Thread(
-            target=self._transmit,
-            args=(member, kind, layer, part, seq, 0, time.monotonic()),
-        )
-        t.daemon = True
-        t.start()
-        self.senders.append(t)
-
     def _sender_loop(self, link: _Link) -> None:
         last_tx = time.monotonic()
         while not self._stop.is_set() and not link.failed:  # conc: ok(exit-condition poll; only _write on this same thread sets failed)
             try:
-                item = link.q.get(timeout=self._hb_interval)
+                item = link.q.get(timeout=HB_INTERVAL)
             except queue.Empty:
-                if time.monotonic() - last_tx < self._hb_interval:
+                if time.monotonic() - last_tx < HB_INTERVAL:
                     continue
                 item = _HB
             if item is _STOP:
@@ -347,8 +361,8 @@ class TcpTransport(BaseTransport):
         if self._stop.is_set():
             return False
         if link.peer < self.rank:
-            delay = self._reconnect_backoff
-            for _ in range(self._reconnect_attempts):
+            delay = RECONNECT_BACKOFF
+            for _ in range(RECONNECT_ATTEMPTS):
                 if self._stop.is_set():
                     return False
                 try:
@@ -360,18 +374,21 @@ class TcpTransport(BaseTransport):
                     time.sleep(delay)
                     delay *= 2
             return False
-        old = link.sock  # conc: ok(poll baseline; waiting for _install's swap by identity)
-        deadline = time.monotonic() + self._reconnect_grace
-        while time.monotonic() < deadline and not self._stop.is_set():
-            if link.sock is not old and link.sock is not None:  # conc: ok(poll for the swap; lock-free by design)
-                return True
-            time.sleep(POLL_INTERVAL)
-        return False
+        old = link.sock  # conc: ok(baseline; waiting for _install's swap by identity)
+
+        def swapped() -> bool:
+            return link.sock is not old  # conc: ok(identity test for the swap; lock-free by design)
+
+        with self._link_change:
+            self._link_change.wait_for(
+                lambda: swapped() or self._stop.is_set(), timeout=RECONNECT_GRACE
+            )
+        return swapped() and not self._stop.is_set()
 
     # -- reader side -------------------------------------------------------
     def _reader_loop(self, link: _Link, sock: socket.socket) -> None:
         dec = FrameDecoder()
-        while not self._stop.is_set() and link.sock is sock:  # conc: ok(identity poll; a stale read costs one 0.2s recv timeout)
+        while not self._stop.is_set() and link.sock is sock:  # conc: ok(exit-condition read; whoever retires sock shuts it down, which ends the recv)
             try:
                 chunk = sock.recv(65536)
             except socket.timeout:
@@ -401,26 +418,39 @@ class TcpTransport(BaseTransport):
                 link.down_at = time.monotonic()
 
     # -- pump / liveness ---------------------------------------------------
-    def _pump_once(self) -> List[int]:
+    def _pump_once(self, timeout: float) -> List[int]:
+        """Block on the readers' queue, drain it fully on every wake,
+        then apply the liveness rules.  Those are time-driven (an EOF
+        closes a link one grace later, silence one ``HB_TIMEOUT`` later)
+        and put nothing on the queue when due, so the block is cut into
+        ``HB_INTERVAL`` slices: a dead peer is declared within grace plus
+        one heartbeat however long the caller's timeout is."""
+        deadline = time.monotonic() + timeout
         while True:
+            block = min(deadline - time.monotonic(), HB_INTERVAL)
+            arrived = False
             try:
-                peer, msg = self._rx.get_nowait()
+                item = self._rx.get(timeout=block) if block > 0 else self._rx.get_nowait()
+                while True:
+                    arrived = True
+                    self._dispatch(*item)
+                    item = self._rx.get_nowait()
             except queue.Empty:
-                break
-            self._dispatch(peer, msg)
-        dead: List[int] = []
-        now = time.monotonic()
-        for peer, link in self._links.items():
-            if peer in self.closed:
-                continue
-            with link.lock:
-                last_seen, down_at, failed = link.last_seen, link.down_at, link.failed
-            half_open = now - last_seen > self._hb_timeout
-            eof_dead = down_at is not None and now - down_at > self._reconnect_grace
-            if failed or eof_dead or half_open:
-                self.closed.add(peer)
-                dead.append(peer)
-        return dead
+                pass
+            dead: List[int] = []
+            now = time.monotonic()
+            for peer, link in self._links.items():
+                if peer in self.closed:
+                    continue
+                with link.lock:
+                    last_seen, down_at, failed = link.last_seen, link.down_at, link.failed
+                half_open = now - last_seen > HB_TIMEOUT
+                eof_dead = down_at is not None and now - down_at > RECONNECT_GRACE
+                if failed or eof_dead or half_open:
+                    self.closed.add(peer)
+                    dead.append(peer)
+            if arrived or dead or now >= deadline:
+                return dead
 
     def prune_round(self, seq: int) -> None:
         """Per-round cleanup + drain dead links' queued frames.
@@ -428,7 +458,6 @@ class TcpTransport(BaseTransport):
         A failed link's sender thread has exited, so frames still queued
         to it (sends racing the failure, heartbeat NACK replies) would
         sit in its unbounded send queue for the life of the session.
-        Also reaps finished post/resend threads, like the pipe transport.
         """
         for link in self._links.values():
             if not link.failed:  # conc: ok(racy read; a link that fails mid-drain is drained next round)
@@ -438,33 +467,37 @@ class TcpTransport(BaseTransport):
                     link.q.get_nowait()
                 except queue.Empty:
                     break
-        self.senders = [t for t in self.senders if t.is_alive()]
         super().prune_round(seq)
 
     # -- teardown ----------------------------------------------------------
     def close(self) -> None:
         """Stop threads and close every socket.  Idempotent; afterwards
-        the process holds no open sockets from this transport."""
+        the process holds no open sockets from this transport.  Every
+        blocked thread is woken first: no join waits out a timeout."""
         self._stop.set()
-        for link in self._links.values():
-            link.q.put(_STOP)
+        self._links_changed()  # senders waiting out a reconnect grace
+        if self._accept_thread is not None:
+            # Closing a listener does not wake a thread blocked in its
+            # accept(), and a keep_listener listener must stay open:
+            # knock.  The loop reads EOF for a hello and sees _stop.
+            with suppress(OSError):
+                socket.create_connection(self._listener.getsockname(), timeout=1.0).close()
+            self._accept_thread.join(timeout=1.0)
+            self._accept_thread = None
         if self._listener is not None and not self.keep_listener:
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover
                 pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=1.0)
+        for link in self._links.values():
+            link.q.put(_STOP)
         for link in self._links.values():
             if link.sender is not None:
                 link.sender.join(timeout=1.0)
             with link.lock:
                 sock = link.sock
             if sock is not None:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover
-                    pass
+                _retire(sock)
             if link.reader is not None:
                 link.reader.join(timeout=1.0)
 
@@ -479,29 +512,11 @@ class TcpKylix(ForkedKylixBase):
     connection with framing, heartbeats, and reconnect.  The parent
     binds one loopback listener per rank *before* forking (race-free
     mesh bootstrap), hands each child its listener plus the full
-    address map, and drops its own copies.
-
-    Extra knobs over the base: ``hb_interval`` / ``hb_timeout`` (liveness
-    detection), ``mesh_timeout`` (formation deadline).
+    address map, and drops its own copies.  Parameters: see
+    :class:`~repro.net.base.ForkedKylixBase`.
     """
 
     _BACKEND_NAME = "tcp"
-
-    def __init__(
-        self,
-        degrees,
-        *,
-        hb_interval: float = 0.25,
-        hb_timeout: float = 5.0,
-        mesh_timeout: float = 10.0,
-        **kwargs,
-    ):
-        super().__init__(degrees, **kwargs)
-        if mesh_timeout <= 0:
-            raise ValueError("mesh_timeout must be positive")
-        self.hb_interval = float(hb_interval)
-        self.hb_timeout = float(hb_timeout)
-        self.mesh_timeout = float(mesh_timeout)
 
     def _make_mesh(self, ctx):
         listeners: Dict[int, socket.socket] = {}
@@ -520,15 +535,8 @@ class TcpKylix(ForkedKylixBase):
         for r, s in listeners.items():
             if r != rank:
                 s.close()
-        t = TcpTransport(
-            rank,
-            plan,
-            retry,
-            obs=obs,
-            hb_interval=self.hb_interval,
-            hb_timeout=self.hb_timeout,
-        )
-        t.form_mesh(listeners[rank], addrs, timeout=self.mesh_timeout)
+        t = TcpTransport(rank, plan, retry, obs=obs)
+        t.form_mesh(listeners[rank], addrs)
         return t
 
     def _release_mesh(self, mesh) -> None:

@@ -9,10 +9,11 @@ layer, seq)" to the protocol driver in :mod:`repro.net.protocol`:
   duplicate, or delay accordingly, with the same decision inputs as the
   simulator fabric (so schedules reproduce bit-identically across all
   backends).
-* **NACK/retry** — receivers enforce per-attempt deadlines from the
-  :class:`~repro.faults.RetryPolicy` (wall-clock ladder + seeded
-  jitter); a deadline miss NACKs every missing peer, and senders service
-  resends from their send cache.
+* **NACK/retry** — receivers block on arrival (:meth:`BaseTransport.
+  pump`) with the :class:`~repro.faults.RetryPolicy` ladder's current
+  deadline (wall clock + seeded jitter) as the timeout; a deadline miss
+  NACKs every missing peer, and senders service resends from their send
+  cache.
 * **Dedupe** — retransmitted or fault-duplicated copies are dropped by
   (peer, kind, layer, seq).
 * **Bounded failure** — a peer EOF or an exhausted retry budget either
@@ -40,10 +41,7 @@ from ..obs import NULL_OBSERVER
 from ..verify.errors import ProtocolInvariantError
 from ..verify.watchlock import watched_lock
 
-__all__ = ["BaseTransport", "POLL_INTERVAL", "PHASE_OF"]
-
-#: Poll granularity for connection and result waits (seconds).
-POLL_INTERVAL = 0.005
+__all__ = ["BaseTransport", "PHASE_OF"]
 
 #: Wire kind -> canonical observer phase for message events.  The real
 #: backends run the combined protocol, so the downward exchange reports
@@ -64,14 +62,12 @@ class BaseTransport:
         Transmit one frame; swallow peer-already-gone errors (the
         reliability layer recovers or reports them) and mark the peer
         closed on hard loss.
-    ``_pump_once()``
-        Drain whatever has arrived, calling :meth:`_dispatch` per frame;
-        return the list of members newly seen dead (EOF / stale).
-    ``post(member, kind, layer, part, seq=0)``
-        Cache the payload and hand the send to a background sender (a
-        fresh thread on the pipe transport, a per-peer sender thread on
-        the socket transport) so simultaneous exchanges cannot deadlock
-        on transport buffers.
+    ``_pump_once(timeout)``
+        The one receive path.  Block until a frame arrives on *any* open
+        link, a peer is newly seen dead, or ``timeout`` seconds pass
+        (``<= 0``: do not block); then drain everything that is ready,
+        calling :meth:`_dispatch` per frame on the caller's thread, and
+        return the members newly seen dead (EOF / stale).
     """
 
     def __init__(self, rank: int, plan, retry: RetryPolicy, obs=NULL_OBSERVER):
@@ -104,23 +100,34 @@ class BaseTransport:
         self.audit_sent: Dict[Tuple[int, int, int], Any] = {}
         self.audit_recv: Dict[Tuple[int, int, int], Any] = {}
         self._audit_replies: Dict[int, Any] = {}
-        self._audit_events: Dict[int, threading.Event] = {}
+        #: The one fetch :meth:`audit` is blocked on; a reply for any
+        #: other token (its fetch timed out) is dropped on arrival.
+        self._audit_pending: Optional[int] = None
         self._audit_token = 0
         self._audit_lock = watched_lock("net.transport.BaseTransport._audit_lock")
-        self.duplicates_dropped = 0
         self.senders: List[threading.Thread] = []
 
     # -- medium (subclass responsibilities) --------------------------------
     def _send_frame(self, member: int, frame: Any) -> None:
         raise NotImplementedError
 
-    def _pump_once(self) -> List[int]:
-        raise NotImplementedError
-
-    def post(self, member: int, kind: str, layer: int, part, seq: int = 0) -> None:
+    def _pump_once(self, timeout: float) -> List[int]:
         raise NotImplementedError
 
     # -- sending -----------------------------------------------------------
+    def post(self, member: int, kind: str, layer: int, part, seq: int = 0) -> None:
+        """Cache the payload; fault-inject and send it on a fresh
+        thread, so simultaneous exchanges cannot deadlock on transport
+        buffers ("threads to send all messages concurrently", §VI-B)."""
+        self.sent[(member, kind, layer, seq)] = part
+        t = threading.Thread(
+            target=self._transmit,
+            args=(member, kind, layer, part, seq, 0, time.monotonic()),
+        )
+        t.daemon = True
+        t.start()
+        self.senders.append(t)
+
     def _transmit(
         self, member, kind, layer, part, seq=0, attempt=0, sent_at=None
     ) -> None:
@@ -177,7 +184,6 @@ class BaseTransport:
             _, kind, layer, seq, part, sent_at = obj
             key = (member, kind, layer, seq)
             if key in self.seen:
-                self.duplicates_dropped += 1
                 with self._obs_lock:
                     self.obs.counter("faults.duplicates_dropped").inc(
                         phase=kind, layer=layer
@@ -239,19 +245,19 @@ class BaseTransport:
             self._send_frame(member, ("audit-rep", token, store.get((seq, layer, hole))))
         elif obj[0] == "audit-rep":
             _, token, keys = obj
-            self._audit_replies[token] = keys
-            evt = self._audit_events.get(token)
-            if evt is not None:
-                evt.set()
+            if token == self._audit_pending:
+                self._audit_replies[token] = keys
         else:
             raise ProtocolInvariantError(
                 f"rank {self.rank}: unknown frame {obj[0]!r} from {member}",
                 invariant="message-order",
             )
 
-    def pump(self) -> List[int]:
-        """Drain everything readable once; returns peers newly seen dead."""
-        return self._pump_once()
+    def pump(self, timeout: float) -> List[int]:
+        """Block up to ``timeout`` seconds for something to arrive on any
+        link, then drain everything readable; returns peers newly seen
+        dead.  ``timeout <= 0`` drains without blocking."""
+        return self._pump_once(timeout)
 
     def _jitter_salt(self, kind: str, layer: int, seq: int) -> tuple:
         # Per-(node, phase, layer, seq) salt: peers that all lost the
@@ -317,15 +323,11 @@ class BaseTransport:
                                     layer=layer,
                                 )
                 return (got, failed) if missing_ok else got
-            # Drain *every* connection, not just the missing peers': NACKs
-            # for our earlier sends arrive on links this collect is not
-            # waiting on, and leaving them unread deadlocks chains of
-            # stuck groups (each blocked node polls only the peers it
-            # waits for, so nobody services anybody's resend requests).
-            self.pump()
+            # A peer seen dead (by this collect's pump or an earlier
+            # layer's) cannot send the part any more: settle it now.
             still = []
             for m in missing:
-                if m in self.closed and (m, kind, layer, seq) not in self.inbox:
+                if m in self.closed:
                     if not missing_ok:
                         raise PeerFailedError(
                             f"rank {self.rank}: peer {m} closed its connection "
@@ -357,7 +359,6 @@ class BaseTransport:
                         deadline = time.monotonic() + retry.local_timeout(
                             attempt, salt
                         )
-                        time.sleep(POLL_INTERVAL)
                         continue
                     if not missing_ok:
                         raise PeerFailedError(
@@ -375,7 +376,14 @@ class BaseTransport:
                 for m in missing:
                     self._send_frame(m, ("nack", kind, layer, seq, attempt))
                 deadline = time.monotonic() + retry.local_timeout(attempt, salt)
-            time.sleep(POLL_INTERVAL)
+            # Block on arrival, with the ladder's current deadline as the
+            # timeout.  The pump waits on *every* link, not just the
+            # missing peers': NACKs for our earlier sends arrive on links
+            # this collect is not waiting on, and leaving them unread
+            # deadlocks chains of stuck groups (each blocked node reads
+            # only the peers it waits for, so nobody services anybody's
+            # resend requests).
+            self.pump(deadline - time.monotonic())
 
     def audit(
         self, member: int, direction: str, layer: int, seq: int, hole: int,
@@ -397,17 +405,17 @@ class BaseTransport:
         with self._audit_lock:
             self._audit_token += 1
             token = self._audit_token
-        evt = threading.Event()
-        self._audit_events[token] = evt
+        self._audit_pending = token
         self._send_frame(member, ("audit-req", token, direction, layer, seq, hole))
         deadline = time.monotonic() + timeout
-        # Pump while waiting: on the pipe transport replies only surface
-        # through our own drain, and two peers auditing each other's
-        # holes simultaneously must keep servicing one another.
-        while not evt.is_set() and time.monotonic() < deadline:
-            self.pump()
-            evt.wait(timeout=POLL_INTERVAL)  # lint: ok — bounded wait
-        del self._audit_events[token]
+        # Replies only surface through our own pump, and it serves every
+        # link: two peers auditing each other's holes simultaneously keep
+        # answering one another while they wait.
+        while token not in self._audit_replies and (
+            remaining := deadline - time.monotonic()
+        ) > 0:
+            self.pump(remaining)
+        self._audit_pending = None
         return self._audit_replies.pop(token, None)
 
     def audit_prune(self, seq: int) -> None:
@@ -436,10 +444,14 @@ class BaseTransport:
 
         ``done(timeout)`` waits up to ``timeout`` seconds and says
         whether the run is over (the driver's done frame, or its loss).
+        No one call blocks on both that and the links, so the block is on
+        ``done`` — what ends the linger — and the links, where only a
+        straggler's NACK (already a deadline late) can arrive, are
+        drained between short slices of it.
         """
         deadline = time.monotonic() + budget
         while time.monotonic() < deadline:
-            self.pump()
+            self.pump(0.0)
             if done(0.02):
                 break
         self.join_senders(budget=1.0)

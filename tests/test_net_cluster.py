@@ -119,7 +119,11 @@ class TestNodeServer:
             )
         finally:
             shutdown_node_threads(threads, manifest)
-        assert outcome["errors"] == [] and outcome["dead_ranks"] == []
+        # Every rank's error, not the first: which rank failed first and
+        # why is what tells a real death from its cascade.
+        assert outcome["errors"] == [] and outcome["dead_ranks"] == [], "\n".join(
+            outcome["errors"]
+        )
         assert outcome["waves"] == 4
         assert outcome["checked_rounds"] == outcome["exact_rounds"] == 32
         assert outcome["elapsed"] < 4 * 0.5

@@ -256,6 +256,9 @@ class TestConcurrencyRegressions:
             def recv(self, n):
                 raise OSError("test socket has no bytes")
 
+            def shutdown(self, how):
+                pass
+
             def close(self):
                 pass
 
