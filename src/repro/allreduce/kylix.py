@@ -16,6 +16,7 @@ all-to-all allreduce, ``[2]*log2(m)`` the binary butterfly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -203,7 +204,9 @@ class KylixAllreduce:
         copies that lost the race, injected copies, late retransmits) are
         skipped.  Returns messages indexed by group position.
 
-        With a retry policy in force, each wait is bounded by a deadline
+        Without a retry policy this is one group receive: the process
+        wakes once per layer, when the last position fills.  With a retry
+        policy in force, each wait is bounded by a deadline
         derived from the netmodel envelope; on expiry a NACK is sent for
         every missing member (bounded by ``max_retries``, backoff applied
         to subsequent deadlines), receivers dedupe retransmitted copies
@@ -213,18 +216,15 @@ class KylixAllreduce:
         :class:`CoverageReport`).
         """
         retry = self._effective_retry()
+        if retry is None:
+            return (
+                yield node.recv_all(
+                    count, tag=tag, slot_of=partial(self._pos_from_src, pos_of=pos_of)
+                )
+            )
+
         received: List = [None] * count
         got = 0
-        if retry is None:
-            while got < count:
-                msg = yield node.recv(tag=tag)
-                q = self._pos_from_src(msg.src, pos_of)
-                if received[q] is not None:
-                    continue  # duplicate replica copy
-                received[q] = msg
-                got += 1
-            return received
-
         params = self.cluster.params
         engine = node.engine
         degrade = self.degrade

@@ -118,7 +118,12 @@ class Cluster:
             seed=seed,
             stats=self.stats,
         )
-        self.fabric.set_liveness(lambda i: self.failures.is_alive(i, self.engine.now))
+        if len(self.failures):
+            # A plan that can kill nobody (none, or message faults only) is
+            # never asked: the fabric skips its per-message liveness checks.
+            self.fabric.set_liveness(
+                lambda i: self.failures.is_alive(i, self.engine.now)
+            )
         if hasattr(self.failures, "decide"):
             # A FaultPlan doubles as the fabric's message-fault/step-kill
             # oracle, and enables the sent-payload cache that serves NACK

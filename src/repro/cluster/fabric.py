@@ -26,18 +26,21 @@ still reported to :class:`TrafficStats`, since the paper's Fig 5 counts
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional
 
 from ..netmodel import LatencyModel, NetworkParams
-from ..simul import Engine, FilterStore
+from ..simul import Engine, FilterStore, Timeout
 from .stats import TrafficStats
 
 __all__ = ["Message", "Fabric"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
-    """One delivered message, as seen by the receiving protocol code.
+    """One delivered message, as seen by the receiving protocol code,
+    which only reads it (slots, not ``frozen``: a frozen dataclass pays
+    ten ``object.__setattr__`` calls per message built).
 
     ``seq`` numbers the messages on one (src, dst, phase, layer) link in
     send order; duplicates (injected or replica race copies) share the
@@ -114,7 +117,21 @@ class Fabric:
         self._overhead = params.message_overhead * (
             1.0 + switch_penalty * over / max(1, hw_threads)
         )
-        self._alive: Callable[[int], bool] = lambda node: True
+        # The interconnect constants one send reads (params is frozen), and
+        # the two jitter draws where LatencyModel would return a constant
+        # without touching its stream (sigma 0); None = draw per message.
+        self._per_byte_cpu = params.per_byte_cpu
+        self._recv_byte_cpu = params.recv_byte_cpu
+        self._bandwidth = params.bandwidth
+        self._incast_overhead = params.incast_overhead
+        self._fixed_service = 1.0 if params.service_sigma == 0.0 else None
+        self._fixed_latency = (
+            params.base_latency
+            if params.latency_sigma == 0.0 or params.base_latency == 0.0
+            else None
+        )
+        # The failure oracle; None = nobody ever dies, nothing to ask.
+        self._alive: Optional[Callable[[int], bool]] = None
         self._obs = observer  # repro.obs.Observer; None = observation off
         self.dropped = 0
         # -- fault-injection state (inert unless a FaultPlan is installed) --
@@ -196,18 +213,19 @@ class Fabric:
             raise ValueError("nbytes must be non-negative")
         now = self.engine.now
         plan = self._fault_plan
-        if plan is not None and src != dst and src not in self._crashed:
+        crashed = self._crashed
+        if plan is not None and src != dst and src not in crashed:
             # Step-kill crash point: the node dies immediately *before*
             # its first send at the targeted (phase, layer), so that send
             # and everything after it is lost.
             sk = plan.step_kill_for(src)
             if sk is not None and sk == (self._canon(phase), layer):
-                self._crashed.add(src)
+                crashed.add(src)
+        alive = self._alive
         if (
-            src in self._crashed
-            or dst in self._crashed
-            or not self._alive(src)
-            or not self._alive(dst)
+            src in crashed
+            or dst in crashed
+            or (alive is not None and not (alive(src) and alive(dst)))
         ):
             self.dropped += 1
             return float("inf")
@@ -225,36 +243,39 @@ class Fabric:
 
         if src == dst:
             # Local hand-off: no network, only a memcpy-scale CPU charge.
-            deliver = now + self.params.per_byte_cpu * nbytes
+            deliver = now + self._per_byte_cpu * nbytes
             self._deliver_at(deliver, src, dst, tag, payload, nbytes, now, phase, layer)
             return deliver
 
         nic_s = self._nics[src]
-        jitter = self._latency.sample_service_factor()
+        jitter = self._fixed_service
+        if jitter is None:
+            jitter = self._latency.sample_service_factor()
         # 1. sender thread slot (the first of the earliest-free ones) runs
         # the per-message overhead
         free = nic_s.thread_free
         slot = free.index(min(free))
         cpu_start = max(now, free[slot])
-        cpu_done = cpu_start + (self._overhead + self.params.per_byte_cpu * nbytes) * jitter
+        cpu_done = cpu_start + (self._overhead + self._per_byte_cpu * nbytes) * jitter
         free[slot] = cpu_done
         # 2. egress serialization (service jitter models congestion/steal)
-        tx = nbytes / self.params.bandwidth * jitter
+        tx = nbytes / self._bandwidth * jitter
         tx_start = max(cpu_done, nic_s.egress_free)
         tx_done = tx_start + tx
         nic_s.egress_free = tx_done
         # 3. propagation
-        first_byte = tx_start + self._latency.sample()
+        latency = self._fixed_latency
+        first_byte = tx_start + (self._latency.sample() if latency is None else latency)
         # 4. ingress serialization at the receiver; a backlog on arrival
         # signals fan-in contention and charges the incast penalty
         nic_d = self._nics[dst]
         contended = nic_d.ingress_free > first_byte
         rx_start = max(first_byte, nic_d.ingress_free)
-        arrived = rx_start + tx + (self.params.incast_overhead if contended else 0.0)
+        arrived = rx_start + tx + (self._incast_overhead if contended else 0.0)
         nic_d.ingress_free = arrived
         # 5. receive-side processing in a receiver thread slot (§VI-B):
         # deserialisation/copy work that multi-threading overlaps
-        proc = self.params.recv_byte_cpu * nbytes
+        proc = self._recv_byte_cpu * nbytes
         if proc > 0.0:
             free = nic_d.thread_free
             slot_r = free.index(min(free))
@@ -291,20 +312,15 @@ class Fabric:
         return deliver
 
     def _deliver_at(self, when, src, dst, tag, payload, nbytes, sent, phase, layer, seq=0):
-        def deliver():
-            if dst in self._crashed or not self._alive(dst):
-                self.dropped += 1
-                return
-            msg = Message(
-                src, dst, tag, payload, nbytes, sent, self.engine.now, phase, layer, seq
-            )
-            self.mailboxes[dst].put(msg)
-            if self._obs is not None:
-                self._obs.message_delivered(
-                    src, dst, nbytes, sent, self.engine.now, phase, layer
-                )
-
-        ev = self.engine.schedule_at(max(when, self.engine.now), deliver)
+        # now + (when - now), not `when`: the arithmetic the event queue has
+        # always keyed deliveries on, kept to the bit.
+        now = self.engine.now
+        ev = Timeout(self.engine, max(when, now) - now)
+        # A partial, not a closure: a closure is a function plus one cell
+        # per captured name, a dozen GC-tracked objects per message in flight.
+        ev.callbacks.append(
+            partial(self._deliver, src, dst, tag, payload, nbytes, sent, phase, layer, seq)
+        )
         if src != dst:
             # Commutativity label for the model checker: two network
             # deliveries conflict only when they land in the same mailbox
@@ -315,6 +331,18 @@ class Fabric:
             # unlabeled: their relative order is fixed by program order
             # on a single sequential node.
             ev.footprint = ("mbox", dst, phase, layer)
+
+    def _deliver(self, src, dst, tag, payload, nbytes, sent, phase, layer, seq, _event):
+        alive = self._alive
+        if dst in self._crashed or (alive is not None and not alive(dst)):
+            self.dropped += 1
+            return
+        now = self.engine.now
+        self.mailboxes[dst].put(
+            Message(src, dst, tag, payload, nbytes, sent, now, phase, layer, seq)
+        )
+        if self._obs is not None:
+            self._obs.message_delivered(src, dst, nbytes, sent, now, phase, layer)
 
     def request_resend(self, requester: int, src: int, tag: Any, attempt: int = 1) -> bool:
         """Model a NACK from ``requester``: redeliver the cached payload
@@ -331,7 +359,7 @@ class Fabric:
         own retry budget upstream), so the requester should keep waiting
         without charging its retry budget.
         """
-        if src in self._crashed or not self._alive(src):
+        if src in self._crashed or (self._alive is not None and not self._alive(src)):
             return False
         entry = self._sent_cache.get((src, requester, tag))
         if entry is None:
@@ -384,10 +412,11 @@ class Fabric:
 
             ev = self.mailboxes[node].get(match)
         # Deadlock-analysis breadcrumbs: a stuck process's awaited event
-        # walks back to this description, and any retry timer racing this
-        # get inherits the wildcard mailbox footprint (phase/layer of the
-        # winning message are unknown until it arrives).
-        ev.desc = f"recv(node={node}, tag={tag!r}, src={src})"
+        # walks back to this description (formatted only when read), and
+        # any retry timer racing this get inherits the wildcard mailbox
+        # footprint (phase/layer of the winning message are unknown until
+        # it arrives).
+        ev.what = ("recv(node=%s, tag=%r, src=%s)", node, tag, src)
         ev.race_footprint = ("mbox", node, None, None)
         if self._obs is not None:
             ev.add_callback(self._record_queue_wait)
@@ -396,10 +425,43 @@ class Fabric:
     def _record_queue_wait(self, ev) -> None:
         if ev.ok is not True or getattr(ev, "cancelled", False):
             return
-        msg = ev.value
+        self._observe_queue_wait(ev.value, self.engine.now)
+
+    def _observe_queue_wait(self, msg: Message, consumed_at: float) -> None:
         self._obs.histogram("net.queue_wait").observe(
-            self.engine.now - msg.delivered_at,
+            consumed_at - msg.delivered_at,
             node=msg.dst,
             phase=msg.phase,
             layer=msg.layer,
         )
+
+    def recv_all(
+        self, node: int, count: int, *, tag: Any, slot_of: Callable[[int], int]
+    ):
+        """Event that fires with ``count`` messages tagged ``tag``, as a list
+        indexed by ``slot_of(msg.src)`` — "receive from all d_i neighbours"
+        as one wait: one wake-up when the last slot fills, not one per
+        message (:class:`~repro.simul.GroupGet`).  The first copy per slot
+        is kept; later copies that arrive before the group is complete
+        (replicas that lost the race) are consumed and dropped.
+
+        Every consumed message, dropped copies included, is charged its
+        ``net.queue_wait`` as by :meth:`recv`: zero when it was taken on
+        arrival, the time since its delivery when it was found queued.
+        """
+
+        def slot(msg: Message) -> Optional[int]:
+            return slot_of(msg.src) if msg.tag == tag else None
+
+        asked_at = self.engine.now
+        ev = self.mailboxes[node].get_group(slot, count)
+        ev.what = ("recv_all(node=%s, tag=%r)", node, tag)
+        ev.race_footprint = ("mbox", node, None, None)
+        if self._obs is not None:
+
+            def record(ev) -> None:
+                for msg in ev.taken:
+                    self._observe_queue_wait(msg, max(asked_at, msg.delivered_at))
+
+            ev.add_callback(record)
+        return ev

@@ -9,7 +9,7 @@ the pseudocode in the paper.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -82,22 +82,17 @@ class SimNode:
         """Event yielding the next matching :class:`Message`."""
         return self.cluster.fabric.recv(self.rank, tag=tag, src=src)
 
-    def recv_all(self, count: int, *, tag: Any = None):
-        """Event yielding a list of ``count`` messages with this tag.
+    def recv_all(self, count: int, *, tag: Any, slot_of: Callable[[int], int]):
+        """Event yielding ``count`` messages with this tag, one per slot.
 
-        Matches the "receive from all d_i neighbours" step; arrival order
-        is preserved in the returned list.
+        Matches the "receive from all d_i neighbours" step as a single
+        wait: ``slot_of(src)`` maps a sender to its slot in the returned
+        list, the first copy per slot wins and the process wakes once,
+        when the last slot fills (see :meth:`Fabric.recv_all`).
         """
-        eng = self.cluster.engine
-
-        def gather():
-            out = []
-            for _ in range(count):
-                msg = yield self.recv(tag=tag)
-                out.append(msg)
-            return out
-
-        return eng.process(gather())
+        return self.cluster.fabric.recv_all(
+            self.rank, count, tag=tag, slot_of=slot_of
+        )
 
     # -- compute -----------------------------------------------------------
     def compute(self, seconds: float):

@@ -18,7 +18,7 @@ from .events import (
 )
 from .process import Process
 from .scheduler import FifoScheduler, JitterScheduler, ReplayScheduler, Scheduler
-from .store import FilterStore, Store, StoreGet
+from .store import FilterStore, GroupGet, Store, StoreGet
 from .waiting import WaitTimeout, wait_with_timeout
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "Store",
     "FilterStore",
     "StoreGet",
+    "GroupGet",
     "Scheduler",
     "FifoScheduler",
     "JitterScheduler",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Optional
 
-from .events import AllOf, AnyOf, Event, SimulationError, Timeout
+from .events import PENDING, AllOf, AnyOf, Event, SimulationError, Timeout
 from .process import Process
 from .scheduler import Scheduler
 
@@ -165,8 +165,19 @@ class Engine:
         Raises the stored exception if any process failed, so protocol bugs
         surface as test failures instead of silently-hung simulations.
         """
-        while self._queue and not all(p.triggered for p in processes):
-            self.step()
+        # Stop as soon as every process is *triggered* (trailing events stay
+        # queued).  Triggering is permanent, so each process has to be seen
+        # triggered only once: retire them from the tail, and an event that
+        # finishes nobody costs one attribute read instead of a scan.
+        pending = list(processes)
+        queue, step = self._queue, self.step
+        while pending:
+            if pending[-1]._state != PENDING:
+                pending.pop()
+            elif queue:
+                step()
+            else:
+                break
         # A protocol error on one node usually strands its peers waiting for
         # messages that will never come; report the root cause, not the
         # resulting deadlock.

@@ -133,11 +133,16 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None):  # noqa: F821
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(engine)
-        self.delay = delay
-        self._ok = True
+        # Born triggered: Event's fields written once, not initialised to
+        # pending by super().__init__ and then overwritten (one Timeout
+        # per message and per compute charge).
+        self.engine = engine
+        self.callbacks = []
         self._value = value
+        self._ok = True
         self._state = TRIGGERED
+        self.footprint = None
+        self.delay = delay
         engine._push(self, delay)
 
 

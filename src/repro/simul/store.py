@@ -11,9 +11,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from .events import Event
+from .events import PENDING, Event
 
-__all__ = ["Store", "FilterStore", "StoreGet"]
+__all__ = ["Store", "FilterStore", "StoreGet", "GroupGet"]
 
 
 class StoreGet(Event):
@@ -24,21 +24,100 @@ class StoreGet(Event):
     checker's deadlock analysis: a drained-queue state is explained by
     walking each stuck process's awaited event back to the store it is
     parked on and the human-readable description of what it was waiting
-    for.  ``race_footprint`` labels the mailbox slot this get contends
-    on so a retry timer racing it can be tagged with the same footprint.
+    for.  Only those reports read the text, so a get carries ``what`` —
+    ``(format, *args)`` — and ``desc`` formats it on read.
+    ``race_footprint`` labels the mailbox slot this get contends on so a
+    retry timer racing it can be tagged with the same footprint.
     """
 
-    __slots__ = ("cancelled", "store", "desc", "race_footprint")
+    __slots__ = ("cancelled", "store", "filt", "what", "race_footprint")
 
-    def __init__(self, engine):
-        super().__init__(engine)
+    def __init__(self, store: "Store", filt: Optional[Callable[[Any], bool]] = None):
+        # Event's fields inline: one get per receive is the hot path.
+        self.engine = store.engine
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._state = PENDING
+        self.footprint = None
         self.cancelled = False
-        self.store: Optional["Store"] = None
-        self.desc: Optional[str] = None
+        self.store = store
+        self.filt = filt
+        self.what: Optional[tuple] = None
         self.race_footprint: Any = None
+
+    @property
+    def desc(self) -> Optional[str]:
+        """What this get waits for, or None when nobody said."""
+        return None if self.what is None else self.what[0] % self.what[1:]
 
     def cancel(self) -> None:
         self.cancelled = True
+
+    def _wants(self, item: Any) -> bool:
+        return self.filt is None or self.filt(item)
+
+    def _offer(self, item: Any) -> bool:
+        """Take ``item`` if this get wants it; True when it was consumed."""
+        if self._wants(item):
+            self.succeed(item)
+            return True
+        return False
+
+
+class GroupGet(StoreGet):
+    """One get for a whole group: ``count`` items, one per slot.
+
+    ``slot_of(item)`` names the slot (``0 <= slot < count``) an item
+    belongs to, or None for an item this get does not want.  Every wanted
+    item is consumed on arrival; the first per slot is kept, later copies
+    for a filled slot (losing replicas of a raced packet) are dropped —
+    what a loop of single gets that skips duplicates does, with one
+    wake-up when the last slot fills instead of one per item.  Fires with
+    the kept items as a list indexed by slot; ``taken`` is everything
+    consumed, dropped copies included, in arrival order.
+    """
+
+    __slots__ = ("slot_of", "slots", "missing", "taken")
+
+    def __init__(self, store: "Store", slot_of: Callable[[Any], Optional[int]], count: int):
+        super().__init__(store)
+        self.slot_of = slot_of
+        self.slots: list = [None] * count
+        self.missing = count
+        self.taken: list = []
+
+    @property
+    def desc(self) -> Optional[str]:
+        free = [q for q, item in enumerate(self.slots) if item is None]
+        return f"{super().desc or 'group get'} missing slots {free} of {len(self.slots)}"
+
+    def cancel(self) -> None:
+        """Withdraw a get that has not fired, handing back everything it
+        consumed: the items re-enter the store in arrival order (offered
+        to the other waiters first, like any put), so nothing a partly
+        filled group get took is lost.  No same-slot-function item can be
+        queued behind them — this get consumed every one on arrival."""
+        if self.cancelled or self._state != PENDING:
+            return
+        self.cancelled = True  # first: put() must not offer them back to us
+        for item in self.taken:
+            self.store.put(item)
+
+    def _wants(self, item: Any) -> bool:
+        return self.slot_of(item) is not None
+
+    def _offer(self, item: Any) -> bool:
+        q = self.slot_of(item)
+        if q is None:
+            return False
+        self.taken.append(item)
+        if self.slots[q] is None:
+            self.slots[q] = item
+            self.missing -= 1
+            if not self.missing:
+                self.succeed(self.slots)
+        return True
 
 
 class Store:
@@ -57,8 +136,7 @@ class Store:
         self._dispatch()
 
     def get(self) -> StoreGet:
-        ev = StoreGet(self.engine)
-        ev.store = self
+        ev = StoreGet(self)
         self._getters.append(ev)
         self._dispatch()
         return ev
@@ -115,53 +193,58 @@ class FilterStore(Store):
         # A list, not a deque: dispatch needs positional removal of a
         # matching waiter while preserving the order of the rest.
         self._getters: list = []
-        self._filters: dict = {}
 
     def put(self, item: Any) -> None:
         getters = self._getters
         i = 0
         while i < len(getters):
             getter = getters[i]
-            if getter.triggered or getter.cancelled:
+            if getter._state != PENDING or getter.cancelled:
                 del getters[i]
-                self._filters.pop(getter, None)
                 continue
-            filt = self._filters.get(getter)
-            if filt is None or filt(item):
-                del getters[i]
-                self._filters.pop(getter, None)
-                getter.succeed(item)
+            if getter._offer(item):
+                if getter._state != PENDING:  # a group get may want more
+                    del getters[i]
                 return
             i += 1
         self._items.append(item)
 
     def find_lost_wakeups(self) -> list:
-        """``(getter, item)`` pairs where a pending getter's predicate
-        matches a queued item.  Always empty if incremental dispatch is
-        correct; explored exhaustively by the model checker."""
+        """``(getter, item)`` pairs where a pending getter wants a queued
+        item — a group get included, for any slot, filled or not.  Always
+        empty if incremental dispatch is correct; explored exhaustively
+        by the model checker."""
         lost = []
         for getter in self.waiting():
-            filt = self._filters.get(getter)
             for item in self._items:
-                if filt is None or filt(item):
+                if getter._wants(item):
                     lost.append((getter, item))
                     break
         return lost
 
     def get(self, filt: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        ev = StoreGet(self.engine)
-        ev.store = self
-        items = self._items
-        if filt is None:
-            if items:
-                ev.succeed(items.popleft())
+        ev = StoreGet(self, filt)
+        for idx, item in enumerate(self._items):
+            if ev._offer(item):
+                del self._items[idx]
                 return ev
-        else:
-            for idx, item in enumerate(items):
-                if filt(item):
-                    del items[idx]
-                    ev.succeed(item)
-                    return ev
-            self._filters[ev] = filt
         self._getters.append(ev)
+        return ev
+
+    def get_group(
+        self, slot_of: Callable[[Any], Optional[int]], count: int
+    ) -> GroupGet:
+        """One event for ``count`` items, one per slot (:class:`GroupGet`).
+
+        Queued items are offered first, in arrival order, exactly as a
+        loop of single gets would find them; once the last slot fills,
+        later copies stay queued."""
+        ev = GroupGet(self, slot_of, count)
+        if self._items:
+            queued, self._items = self._items, deque()
+            for item in queued:
+                if ev._state != PENDING or not ev._offer(item):
+                    self._items.append(item)
+        if ev._state == PENDING:
+            self._getters.append(ev)
         return ev
