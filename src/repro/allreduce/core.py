@@ -411,7 +411,7 @@ def dead_partial_keys(
             piece = sent_to(p, hole, s)
             if piece is not None:
                 pieces.append(np.asarray(piece, dtype=np.uint64))
-        keys = np.unique(np.concatenate(pieces))
+        keys = union_with_maps(pieces)[0]
     return keys
 
 

@@ -1,21 +1,15 @@
-"""Sparse index/value machinery: vectors, merges, and range partitioning.
+"""Sparse index/value machinery: vectors, unions, and range partitioning.
 
 These are the data-plane kernels of the Sparse Allreduce: sorted-key sparse
-vectors (:class:`SparseVector`), union strategies with position maps
-(:func:`tree_merge`, :func:`union_with_maps`), bijective index hashing for
-balanced partitioning, and nested equal-range splits of the key space.
+vectors (:class:`SparseVector`), the configuration kernel
+:func:`union_with_maps` (one stable argsort per union of sorted index sets,
+yielding the union and every set's position map in it), bijective index
+hashing for balanced partitioning, and nested equal-range splits of the
+key space.
 """
 
 from .hashing import IdentityHasher, IndexHasher, MultiplicativeHasher
-from .merge import (
-    hash_merge,
-    is_sorted_unique,
-    merge_two,
-    pairwise_merge,
-    position_maps,
-    tree_merge,
-    union_with_maps,
-)
+from .merge import is_sorted_unique, union_with_maps
 from .partition import KeyRange, ranges_tile, split_sorted
 from .vector import SparseVector
 
@@ -28,10 +22,5 @@ __all__ = [
     "split_sorted",
     "ranges_tile",
     "is_sorted_unique",
-    "merge_two",
-    "hash_merge",
-    "pairwise_merge",
-    "tree_merge",
-    "position_maps",
     "union_with_maps",
 ]

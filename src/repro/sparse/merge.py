@@ -1,39 +1,33 @@
-"""Index-set union strategies and position maps (§VI-A of the paper).
+"""Index-set union with position maps — the configuration kernel (§VI-A).
 
-The dominant cost in Kylix's configuration phase is merging (taking the
-union of) the sorted index sets arriving from a node's neighbours.  The
-paper found a **tree merge** of sorted sequences ~5x faster than a hash
-table, because hash probes are random memory accesses while merging streams
-sequentially.  We implement three strategies to reproduce that ablation:
+The dominant cost in Kylix's configuration phase is taking the union of
+the sorted index sets a node receives from its ``d_i`` group members and
+memoising where each member's keys landed.  The paper merges sorted sets
+instead of hashing them (§VI-A: "5x faster than a hash implementation")
+because a merge streams memory sequentially.  :func:`union_with_maps`
+does that merge as one stable argsort of the concatenated sets: each set
+is an already-sorted run, and NumPy's stable sort (timsort) finds the
+runs and merges them pairwise, keeping merged operands of similar length
+— the paper's balanced tree merge, inside one call.  The permutation
+that yields the union yields, by one scatter, the position of every
+input key inside it.  Those are the maps ``f^i_jk`` / ``g^i_jk`` of
+§III-A: during reduction they let a node scatter-add an arriving value
+vector into its partial (down pass) and extract the slice a neighbour
+asked for (up pass) in O(1) per element.
 
-* :func:`hash_merge` — Python ``dict``-based union (the strawman),
-* :func:`pairwise_merge` — left-fold of two-way merges (unbalanced; cost is
-  quadratic-ish when inputs are similar sizes),
-* :func:`tree_merge` — balanced binary tree of two-way merges (the paper's
-  choice; each element participates in ~log2(k) merges).
-
-After the union is built, :func:`position_maps` computes, for each input
-set, the positions of its elements inside the union.  These are the maps
-``f^i_jk`` / ``g^i_jk`` of §III-A: during reduction they let a node
-scatter-add an arriving value vector into its partial (down pass) and
-extract the slice a neighbour asked for (up pass) in O(1) per element.
+The strawmen of the §VI-A ablation (hash-set union, unbalanced pairwise
+fold, balanced tree of two-way merges) live with that ablation, in
+``benchmarks/test_ablation_merge.py``.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "is_sorted_unique",
-    "merge_two",
-    "hash_merge",
-    "pairwise_merge",
-    "tree_merge",
-    "position_maps",
-    "union_with_maps",
-]
+__all__ = ["is_sorted_unique", "union_with_maps"]
 
 _EMPTY = np.empty(0, dtype=np.uint64)
 
@@ -53,95 +47,37 @@ def is_sorted_unique(arr: np.ndarray) -> bool:
     return bool(np.all(arr[1:] > arr[:-1]))
 
 
-def _check_sorted(arr: np.ndarray) -> np.ndarray:
+def _as_keys(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.uint64)
     if arr.ndim != 1:
         raise ValueError("index sets must be one-dimensional")
     return arr
 
 
-def merge_two(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Union of two sorted unique arrays.
-
-    NumPy has no linear merge primitive, so this concatenates and sorts —
-    O((|a|+|b|) log) with tiny constants — then deduplicates in one
-    vectorized pass.  For already-sorted halves, ``np.sort`` (introsort)
-    is close to linear in practice.
-    """
-    a = _check_sorted(a)
-    b = _check_sorted(b)
-    if a.size == 0:
-        return b
-    if b.size == 0:
-        return a
-    merged = np.sort(np.concatenate([a, b]), kind="mergesort")
-    keep = np.empty(merged.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-    return merged[keep]
-
-
-def hash_merge(sets: Sequence[np.ndarray]) -> np.ndarray:
-    """Union via a Python hash set — the slow baseline of the §VI-A ablation."""
-    seen: set = set()
-    for s in sets:
-        seen.update(_check_sorted(s).tolist())
-    return np.fromiter(sorted(seen), dtype=np.uint64, count=len(seen))
-
-
-def pairwise_merge(sets: Sequence[np.ndarray]) -> np.ndarray:
-    """Left-fold union: acc = merge(acc, s) over the inputs."""
-    acc = _EMPTY
-    for s in sets:
-        acc = merge_two(acc, s)
-    return acc
-
-
-def tree_merge(sets: Sequence[np.ndarray]) -> np.ndarray:
-    """Balanced binary-tree union — the paper's production strategy.
-
-    Sequences sit at the leaves of a full binary tree; siblings merge
-    recursively.  Merged operands stay approximately equal in length,
-    which keeps total work at O(N log k) for k sets of total size N.
-    """
-    level = [_check_sorted(s) for s in sets]
-    if not level:
-        return _EMPTY
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(merge_two(level[i], level[i + 1]))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
-
-def position_maps(union: np.ndarray, sets: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """For each set, the positions of its elements within ``union``.
-
-    Every element of every set must be present in the union (guaranteed
-    when ``union`` was produced by one of the merge functions above).
-    Returned maps are ``intp`` arrays usable directly for fancy indexing.
-    """
-    union = _check_sorted(union)
-    maps = []
-    for s in sets:
-        s = _check_sorted(s)
-        pos = np.searchsorted(union, s).astype(np.intp)
-        if s.size:
-            if pos.max(initial=0) >= union.size or not np.array_equal(union[pos], s):
-                raise ValueError("set contains keys missing from the union")
-        maps.append(pos)
-    return maps
-
-
 def union_with_maps(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Tree-merge the sets and return (union, per-set position maps).
+    """Union the sorted unique key sets; return (union, per-set position maps).
 
     This is the configuration-phase kernel: node ``k`` receives index sets
     from its ``d_i`` neighbours, unions them, and memoises where each
-    neighbour's elements landed.
+    neighbour's elements landed.  ``union`` is sorted unique ``uint64`` and
+    ``union[maps[j]] == sets[j]``; each map is a C-contiguous ``intp`` array
+    (strictly increasing, as its set is), usable directly for fancy
+    indexing.  The maps are consecutive slices of one array.
     """
-    union = tree_merge(sets)
-    return union, position_maps(union, sets)
+    parts = [_as_keys(s) for s in sets]
+    cat = np.concatenate(parts) if parts else _EMPTY
+    order = np.argsort(cat, kind="stable")  # merges the sorted runs, no re-sort
+    srt = cat[order]
+    new = np.empty(srt.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(srt[1:], srt[:-1], out=new[1:])
+    union = srt[new]
+    # A key's union position is the number of new keys before it, the
+    # first not counted.  An int32 running count is about twice as fast as
+    # an intp one and widening it afterwards is cheap.
+    new[:1] = False
+    ids = np.cumsum(new, dtype=np.int32 if cat.size < 2**31 else np.intp)
+    inv = np.empty(cat.size, dtype=np.intp)
+    inv[order] = ids.astype(np.intp, copy=False)
+    ends = list(accumulate((p.size for p in parts), initial=0))
+    return union, [inv[a:b] for a, b in zip(ends, ends[1:])]

@@ -1,47 +1,49 @@
-"""Unit and property tests for merge strategies and position maps."""
+"""Unit and property tests for the union kernel and its position maps."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.sparse import (
-    hash_merge,
-    merge_two,
-    pairwise_merge,
-    position_maps,
-    tree_merge,
-    union_with_maps,
-)
+from repro.sparse import union_with_maps
 
 
 def arr(xs):
     return np.array(sorted(set(xs)), dtype=np.uint64)
 
 
+def union_of(*sets):
+    return union_with_maps(list(sets))[0]
+
+
 class TestMergeTwo:
+    """Two-set unions, the building block of §VI-A's merge."""
+
     def test_disjoint(self):
-        assert merge_two(arr([1, 3]), arr([2, 4])).tolist() == [1, 2, 3, 4]
+        assert union_of(arr([1, 3]), arr([2, 4])).tolist() == [1, 2, 3, 4]
 
     def test_overlap_deduplicated(self):
-        assert merge_two(arr([1, 2, 3]), arr([2, 3, 4])).tolist() == [1, 2, 3, 4]
+        assert union_of(arr([1, 2, 3]), arr([2, 3, 4])).tolist() == [1, 2, 3, 4]
 
     def test_empty_sides(self):
         a = arr([1, 2])
-        assert merge_two(a, arr([])).tolist() == [1, 2]
-        assert merge_two(arr([]), a).tolist() == [1, 2]
-        assert merge_two(arr([]), arr([])).size == 0
+        assert union_of(a, arr([])).tolist() == [1, 2]
+        assert union_of(arr([]), a).tolist() == [1, 2]
+        assert union_of(arr([]), arr([])).size == 0
 
     def test_identical(self):
         a = arr([5, 6, 7])
-        assert merge_two(a, a).tolist() == [5, 6, 7]
+        assert union_of(a, a).tolist() == [5, 6, 7]
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
-            merge_two(np.zeros((2, 2), dtype=np.uint64), arr([1]))
+            union_of(np.zeros((2, 2), dtype=np.uint64), arr([1]))
 
 
 class TestStrategiesAgree:
+    """The kernel against a Python set union on hand-picked shapes (the
+    strawman strategies' agreement lives in the §VI-A ablation)."""
+
     CASES = [
         [],
         [[]],
@@ -56,15 +58,14 @@ class TestStrategiesAgree:
     def test_all_strategies_equal(self, case):
         sets = [arr(c) for c in case]
         expect = sorted(set().union(*[set(c) for c in case])) if case else []
-        for strategy in (hash_merge, pairwise_merge, tree_merge):
-            assert strategy(sets).tolist() == expect, strategy.__name__
+        assert union_of(*sets).tolist() == expect
 
-    def test_tree_merge_odd_count(self):
+    def test_odd_set_count(self):
         sets = [arr([i]) for i in range(7)]
-        assert tree_merge(sets).tolist() == list(range(7))
+        assert union_of(*sets).tolist() == list(range(7))
 
-    def test_tree_merge_single(self):
-        assert tree_merge([arr([1, 9])]).tolist() == [1, 9]
+    def test_single_set(self):
+        assert union_of(arr([1, 9])).tolist() == [1, 9]
 
 
 class TestPositionMaps:
@@ -83,13 +84,9 @@ class TestPositionMaps:
         # union = [1, 5, 9]; key 5 got 2 + 10.
         assert total.tolist() == [1.0, 12.0, 20.0]
 
-    def test_missing_key_rejected(self):
-        with pytest.raises(ValueError):
-            position_maps(arr([1, 2]), [arr([3])])
-
     def test_empty_set_ok(self):
-        maps = position_maps(arr([1, 2]), [arr([])])
-        assert maps[0].size == 0
+        _, maps = union_with_maps([arr([1, 2]), arr([])])
+        assert maps[1].size == 0
 
     def test_map_dtype_is_intp(self):
         _, maps = union_with_maps([arr([1, 2, 3])])
@@ -104,12 +101,36 @@ key_sets = st.lists(
     st.lists(st.integers(0, 10_000), max_size=50).map(arr), max_size=8
 )
 
+# Keys from the whole uint64 ring, with the ends and a shared pool drawn
+# often so that sets overlap heavily.
+ring_keys = st.one_of(
+    st.sampled_from([0, 1, 2**63, 2**64 - 2, 2**64 - 1]),
+    st.integers(0, 30),
+    st.integers(0, 2**64 - 1),
+)
+ring_sets = st.lists(st.lists(ring_keys, max_size=40), max_size=8)
 
-@given(key_sets)
-def test_prop_strategies_agree(sets):
-    expected = pairwise_merge(sets)
-    np.testing.assert_array_equal(tree_merge(sets), expected)
-    np.testing.assert_array_equal(hash_merge(sets), expected)
+
+@given(ring_sets)
+@example([])
+@example([[], [], []])
+@example([[0, 2**64 - 1]])
+@example([[0, 7, 2**64 - 1]] * 8)
+def test_prop_union_with_maps_matches_reference(raw):
+    """Against a pure-Python reference: the union is the sorted set of all
+    keys, and map ``j`` holds each key's position in it."""
+    sets = [arr(s) for s in raw]
+    union, maps = union_with_maps(sets)
+    expect = sorted(set().union(*map(set, raw)))
+    where = {key: i for i, key in enumerate(expect)}
+    assert union.dtype == np.uint64
+    assert union.tolist() == expect
+    assert len(maps) == len(sets)
+    for s, m in zip(sets, maps):
+        assert m.dtype == np.intp and m.flags.c_contiguous
+        assert m.tolist() == [where[key] for key in s.tolist()]
+        np.testing.assert_array_equal(union[m], s)
+        assert np.all(m[1:] > m[:-1])
 
 
 @given(key_sets)
@@ -122,14 +143,15 @@ def test_prop_union_contains_every_element(sets):
 
 @given(key_sets)
 def test_prop_union_sorted_unique(sets):
-    union = tree_merge(sets)
+    union, _ = union_with_maps(sets)
     if union.size > 1:
         assert np.all(union[1:] > union[:-1])
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
 def test_prop_full_64bit_domain(keys):
-    """Merges must be correct over the whole uint64 ring (hashed keys)."""
+    """Unions must be correct over the whole uint64 ring (hashed keys)."""
     a = arr(keys)
-    union = merge_two(a, a)
+    union, maps = union_with_maps([a, a])
     np.testing.assert_array_equal(union, a)
+    np.testing.assert_array_equal(maps[0], maps[1])
