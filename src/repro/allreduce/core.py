@@ -5,7 +5,7 @@ The protocol in brief (node ``k``, degree stack ``d_1 × … × d_l``):
 **Configuration** (downward only).  At layer ``i`` every node splits its
 current in/out key sets into ``d_i`` equal hashed sub-ranges of the range
 it shares with its layer-``i`` group, sends part ``q`` to the group member
-at position ``q``, unions what it receives (tree merge), and memoises the
+at position ``q``, unions what it receives, and memoises the
 position maps of each received part inside the union.  After ``l`` layers
 node ``k`` owns the union of all contributions to its nested range.
 
@@ -195,7 +195,7 @@ def down_pass(
             phase, layer, group, pos, parts, out_keys.nbytes + in_keys.nbytes, plan
         )
 
-        # Tree-merge the received index sets; memoise position maps.
+        # Union the received index sets; memoise position maps.
         span = obs.begin(
             f"{PHASE_CONFIG} L{layer}",
             node=rank, phase=PHASE_CONFIG, layer=layer, kind="merge",
@@ -421,11 +421,18 @@ def tombstone_part(
     rank: int,
     layer: int,
     hole: int,
-    raw_of: Callable[[int], Optional[np.ndarray]],
-    sent_to: Callable[[int, int, int], Optional[np.ndarray]],
+    fetch: Callable[[int, str, int, int], Optional[np.ndarray]],
 ) -> tuple:
     """The part ``rank`` adopts in place of ``hole``'s at a combined-down
     ``layer`` — the one hole policy, on every backend.
+
+    ``fetch(holder, direction, layer, about)`` is the one lookup into the
+    retained keys (:class:`~repro.faults.RetainedKeys`): ``"sent"`` is the
+    out-key slice ``holder`` sent ``about`` at ``layer``, ``"recv"`` the
+    raw keys of ``about`` that ``holder`` learned at layer 1.  The raw
+    keys are asked of the hole's layer-1 group in position order: on a
+    real network its live peers hold them (the layer-1 piggyback), on the
+    simulator the hole's own store does.
 
     Some keys of the dead partial may not be carried by anyone else in
     this sub-range: if they simply vanished, their homes would aggregate
@@ -440,7 +447,17 @@ def tombstone_part(
     out keys — its own contribution counts as lost, matching the
     separate-pass accounting.
     """
-    dead = dead_partial_keys(topo, hole, layer - 1, raw_of, sent_to)
+
+    def raw_of(h: int) -> Optional[np.ndarray]:
+        for p in topo.group(h, 1):
+            keys = fetch(p, "recv", 1, h)
+            if keys is not None:
+                return keys
+        return None
+
+    dead = dead_partial_keys(
+        topo, hole, layer - 1, raw_of, lambda p, h, s: fetch(p, "sent", s, h)
+    )
     keys = dead[topo.key_range(rank, layer).contains(dead)]
     return (
         keys, keys[:0], _identity_rows(spec, keys.size),

@@ -1,13 +1,14 @@
 """Kylix on the simulator: the virtual-clock driver of the protocol core (§III).
 
-The protocol itself — split, scatter, tree-merge and memoise maps on the
-way down, replay the maps back up — lives in :mod:`repro.allreduce.core`
-as sans-IO generators that yield one ``Exchange`` per layer.
+The protocol itself — split, scatter, union and memoise maps on the way
+down, replay the maps back up — lives in :mod:`repro.allreduce.core` as
+sans-IO generators that yield one ``Exchange`` per layer.
 :class:`KylixAllreduce` is what turns those into simulator processes:
-message tags, the send and receive hooks :class:`ReplicatedKylix`
-overrides, the deadline/NACK receive loop, merge cost charged to the
-node's CPU on the virtual clock, the hole policy's in-memory audit
-stores, and the public configure/reduce API.
+message tags, sends and receives through the replica
+:class:`~repro.faults.SlotMap`, the simulator runner of the one
+:class:`~repro.faults.ReceiveLadder`, merge cost charged to the node's CPU
+on the virtual clock, the hole policy's retained keys held in memory, and
+the public configure/reduce API.
 
 Degenerate stacks reproduce the baselines: ``[m]`` is the direct
 all-to-all allreduce, ``[2]*log2(m)`` the binary butterfly.
@@ -15,14 +16,15 @@ all-to-all allreduce, ``[2]*log2(m)`` the binary butterfly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..cluster import Cluster, SimNode
-from ..faults import CoverageReport, FaultPlan, LossRecord, PeerFailedError, RetryPolicy
+from ..faults import CoverageReport, FaultPlan, LossRecord, RetryPolicy
+from ..faults.ladder import DUPLICATE, ReceiveLadder, RetainedKeys, SlotMap, slot_status
 from ..obs import NULL_OBSERVER
 from ..simul import WaitTimeout, wait_with_timeout
 from ..sparse import IndexHasher, MultiplicativeHasher
@@ -100,6 +102,9 @@ class KylixAllreduce:
         out = net.reduce(values)         # many times (e.g. per PageRank iter)
     """
 
+    #: Physical replicas per logical slot (:class:`ReplicatedKylix` sets it).
+    replication = 1
+
     def __init__(
         self,
         cluster: Cluster,
@@ -113,7 +118,8 @@ class KylixAllreduce:
     ):
         self.cluster = cluster
         self.hasher = hasher if hasher is not None else MultiplicativeHasher()
-        self.size = self._logical_size()
+        self.slots = SlotMap(cluster.num_nodes, self.replication)
+        self.size = self.slots.size
         self.topology = ButterflyTopology(
             degrees, self.size, key_space=self.hasher.key_space
         )
@@ -130,13 +136,10 @@ class KylixAllreduce:
         self.duplicates_dropped = 0  # retransmit/injected copies deduped by seq
         self._loss_events: List[LossRecord] = []
         self._instance = 0
-        # Dead-partial key audit state for the combined path (degraded
-        # completion): per instance, each node's raw unique out keys and
-        # the out-key slice of every down part it sent.  The in-memory
-        # equivalent of the wire transports' retained sent-keys stores —
-        # see core.dead_partial_keys.
-        self._audit_raw: Dict[tuple, np.ndarray] = {}
-        self._audit_sent: Dict[tuple, np.ndarray] = {}
+        # The hole policy's retained keys (combined path, degraded
+        # completion), one store per logical rank, read in memory by
+        # core.tombstone_part.
+        self._retained: Dict[int, RetainedKeys] = defaultdict(RetainedKeys)
 
     @property
     def _obs(self):
@@ -144,33 +147,9 @@ class KylixAllreduce:
         off — instrumentation sites call unconditionally."""
         return getattr(self.cluster, "obs", None) or NULL_OBSERVER
 
-    # ------------------------------------------------------------------
-    # Logical/physical mapping hooks (overridden by ReplicatedKylix)
-    # ------------------------------------------------------------------
-    def _logical_size(self) -> int:
-        """Width of the logical butterfly (= physical size when unreplicated)."""
-        return self.cluster.num_nodes
-
     def _logical(self, physical_rank: int) -> int:
         """Logical slot hosted by a physical node."""
-        return physical_rank
-
-    def _send_to(self, node: SimNode, logical_dst: int, payload, *, tag, phase, layer):
-        """Deliver ``payload`` to (every replica of) a logical destination."""
-        node.send(logical_dst, payload, tag=tag, phase=phase, layer=layer)
-
-    def _pos_from_src(self, src: int, pos_of: Dict[int, int]) -> int:
-        """Group position of the (logical) sender of a received message."""
-        return pos_of[src]
-
-    def _request_resend(self, node: SimNode, member: int, tag, attempt: int):
-        """Ask the fabric to retransmit ``member``'s message for ``tag``.
-
-        Tri-state: True = resend scheduled, False = the sender is dead
-        (no recovery possible), None = the sender is alive but has not
-        reached that send yet (its own recovery may be in progress).
-        """
-        return node.cluster.fabric.request_resend(node.rank, member, tag, attempt)
+        return self.slots.logical(physical_rank)
 
     def _effective_retry(self) -> Optional[RetryPolicy]:
         """The retry policy actually in force for this protocol.
@@ -190,133 +169,68 @@ class KylixAllreduce:
         return self.degrade and self._effective_retry() is not None
 
     def _recv_group(
-        self,
-        node: SimNode,
-        tag,
-        pos_of: Dict[int, int],
-        count: int,
-        *,
-        phase: str = "",
-        layer: int = -1,
-        nbytes_hint: int = 0,
+        self, node: SimNode, tag, group, pos_of: Dict[int, int], *,
+        phase: str, layer: int, nbytes_hint: int,
     ):
-        """Receive one message per group position; duplicates (replica
-        copies that lost the race, injected copies, late retransmits) are
-        skipped.  Returns messages indexed by group position.
+        """Receive one message per group position, the first copy per
+        position; returns them indexed by position (``None`` = a hole).
 
         Without a retry policy this is one group receive: the process
-        wakes once per layer, when the last position fills.  With a retry
-        policy in force, each wait is bounded by a deadline
-        derived from the netmodel envelope; on expiry a NACK is sent for
-        every missing member (bounded by ``max_retries``, backoff applied
-        to subsequent deadlines), receivers dedupe retransmitted copies
-        by sequence number, and an unrecoverable member either raises
-        :class:`PeerFailedError` (strict) or leaves a ``None`` hole for
-        the degrade machinery to account (the entry becomes a loss in the
-        :class:`CoverageReport`).
+        wakes once per layer, when the last position fills.  With one it
+        is the simulator runner of the :class:`~repro.faults.ReceiveLadder`:
+        each wait is one message's, bounded by the netmodel envelope at
+        the ladder's step (``retry.timeout_for``), so the engine trace and
+        the timer-versus-delivery races ``repro.mc`` explores stay as
+        they were; an expiry NACKs through the fabric (every replica of
+        the slot), and the ladder decides the rest.
         """
         retry = self._effective_retry()
+        slot_of = self.slots.slot_fn(pos_of)
         if retry is None:
-            return (
-                yield node.recv_all(
-                    count, tag=tag, slot_of=partial(self._pos_from_src, pos_of=pos_of)
-                )
+            return (yield node.recv_all(len(group), tag=tag, slot_of=slot_of))
+        ladder = ReceiveLadder(
+            group, rank=self._logical(node.rank), phase=phase, layer=layer,
+            max_retries=retry.max_retries, degrade=self.degrade,
+            reset_on_arrival=True, losses=self._loss_events,
+        )
+        request_resend = node.cluster.fabric.request_resend
+        physical = self.slots.physical
+
+        def nack(q: int, attempt: int):
+            return slot_status(
+                [request_resend(node.rank, src, tag, attempt) for src in physical[group[q]]]
             )
 
-        received: List = [None] * count
-        got = 0
-        params = self.cluster.params
-        engine = node.engine
-        degrade = self.degrade
-        seen_seq: set = set()  # (physical src, seq) already consumed
-        tries: Dict[int, int] = {}  # member -> resend requests issued
-        abandoned: set = set()  # positions declared unrecoverable
-        timeouts = 0  # consecutive expiries since last progress
-        pending_waits = 0
-        # A member can be late because *its* upstream peer died and it is
-        # burning its own retry budget; such waits (fabric says "alive,
-        # nothing sent yet") do not consume our budget but are capped so
-        # a cascade of failures still resolves in bounded time.
-        max_pending = 4 * (retry.max_retries + 1)
-
-        def give_up(member: int, q: int):
-            if not degrade:
-                raise PeerFailedError(
-                    f"{self.name}: no response from slot {member} "
-                    f"(phase={phase or '?'}, layer={layer}) within the retry "
-                    f"budget ({retry.max_retries} resend requests)",
-                    slot=member,
-                    phase=phase,
-                    layer=layer,
-                )
-            self._loss_events.append(
-                LossRecord(
-                    rank=self._logical(node.rank), member=member, phase=phase, layer=layer
-                )
-            )
-            abandoned.add(q)
-
-        while got < count:
-            deadline = retry.timeout_for(
-                params, nbytes_hint, min(timeouts, retry.max_retries)
-            )
+        params, engine = self.cluster.params, node.engine
+        while not ladder.done:
             try:
-                msg = yield from wait_with_timeout(engine, node.recv(tag=tag), deadline)
+                msg = yield from wait_with_timeout(
+                    engine, node.recv(tag=tag),
+                    retry.timeout_for(params, nbytes_hint, ladder.step),
+                )
             except WaitTimeout:
-                timeouts += 1
-                any_pending = False
-                for member, q in sorted(pos_of.items(), key=lambda kv: kv[1]):
-                    if received[q] is not None or q in abandoned:
-                        continue
-                    attempt = tries.get(member, 0)
-                    if attempt >= retry.max_retries:
-                        give_up(member, q)
-                        got += 1
-                        continue
-                    status = self._request_resend(node, member, tag, attempt + 1)
-                    if status is True:
-                        tries[member] = attempt + 1
-                    elif status is False:  # sender dead: no recovery possible
-                        give_up(member, q)
-                        got += 1
-                    else:
-                        any_pending = True
-                if any_pending:
-                    pending_waits += 1
-                    if pending_waits > max_pending:
-                        for member, q in sorted(pos_of.items(), key=lambda kv: kv[1]):
-                            if received[q] is None and q not in abandoned:
-                                give_up(member, q)
-                                got += 1
+                ladder.expire(nack)
                 continue
-            key = (msg.src, msg.seq)
-            if key in seen_seq:
+            if ladder.arrive(slot_of(msg.src), msg, (msg.src, msg.seq)) == DUPLICATE:
                 self.duplicates_dropped += 1
                 self._obs.counter("faults.duplicates_dropped").inc(
                     phase=phase, layer=layer
                 )
-                continue
-            seen_seq.add(key)
-            q = self._pos_from_src(msg.src, pos_of)
-            if received[q] is not None or q in abandoned:
-                continue  # replica copy that lost the race / late arrival
-            received[q] = msg
-            got += 1
-            timeouts = 0
-        return received
+        return [ladder.parts.get(q) for q in range(len(group))]
 
     def _drive(self, node: SimNode, gen, inst: int):
         """Pump one :mod:`~repro.allreduce.core` pass as a simulator process.
 
-        Per ``Exchange``: send every part (the node's own crosses the
-        fabric like any other), receive one per group position under the
-        deadline/NACK loop, resume the pass with them, and charge the
-        merge it just did to the node's CPU on the virtual clock.
-        Returns the pass's return value.
+        Per ``Exchange``: send every part to every replica of its
+        destination (the node's own crosses the fabric like any other),
+        receive one per group position, resume the pass with them, and
+        charge the merge it just did to the node's CPU on the virtual
+        clock.  Returns the pass's return value.
         """
         obs = self._obs
         rank = self._logical(node.rank)
         name = self.name
+        physical = self.slots.physical
         ex = next(gen)
         while ex is not None:
             phase, layer, group, _, out_parts, nbytes_hint, plan = ex
@@ -324,28 +238,30 @@ class KylixAllreduce:
             span = obs.begin(f"{phase} L{layer}", node=rank, phase=phase, layer=layer)
             tag = (name, _TAG_KIND[phase], inst, layer)
             # The hole policy (docs/faults.md): what a combined-down hole
-            # took with it is reconstructed from these in-memory stores —
-            # the equivalent of the wire transports' retained sent keys.
+            # took with it is reconstructed from the retained keys.
             audit = phase == PHASE_COMBINED_DOWN and self._degrade_active()
-            if audit and layer == 1:
-                # State 0: this node's partial starts as exactly its own
-                # unique out keys.  Recorded before any sends, so if this
-                # node later dies mid-protocol its survivors can
-                # reconstruct what the dead partial contained.
-                self._audit_raw[(inst, rank)] = np.concatenate(
-                    [part[0] for part in out_parts]
-                )
+            if audit:
+                kept = self._retained[rank]
+                if layer == 1:
+                    # State 0: this node's partial starts as exactly its
+                    # own unique out keys.  Kept before any sends, so if
+                    # this node later dies mid-protocol its survivors can
+                    # reconstruct what the dead partial contained.
+                    kept.recv[(inst, 1, rank)] = np.concatenate(
+                        [part[0] for part in out_parts]
+                    )
             for member, part in zip(group, out_parts):
                 if audit:
-                    self._audit_sent[(inst, layer, rank, member)] = part[0]
-                self._send_to(node, member, part, tag=tag, phase=phase, layer=layer)
+                    kept.sent[(inst, layer, member)] = part[0]
+                for dst in physical[member]:
+                    node.send(dst, part, tag=tag, phase=phase, layer=layer)
             pos_of = (
                 {member: q for q, member in enumerate(group)}
                 if building  # the layer's LayerPlan exists only after the resume
                 else plan.layers[layer - 1].pos_of
             )
             msgs = yield from self._recv_group(
-                node, tag, pos_of, len(group),
+                node, tag, group, pos_of,
                 phase=phase, layer=layer, nbytes_hint=nbytes_hint,
             )
             # A None message is an unrecoverable member: it stays a hole.
@@ -356,8 +272,7 @@ class KylixAllreduce:
                     if part is None:
                         parts[q] = core.tombstone_part(
                             self.topology, self.spec, rank, layer, group[q],
-                            lambda h: self._audit_raw.get((inst, h)),
-                            lambda p, h, s: self._audit_sent.get((inst, s, p, h)),
+                            lambda p, d, s, h: self._retained[p].get(d, inst, s, h),
                         )
             merge_span = obs.begin(
                 f"merge L{layer}", node=rank, phase=phase, layer=layer, kind="merge"
@@ -370,7 +285,8 @@ class KylixAllreduce:
                 obs.histogram("config.merge_length").observe(
                     plan.layers[layer - 1].out_union_size, phase=phase, layer=layer
                 )
-                # Tree merge: every element participates in ~log2(d)+1 merges.
+                # Modelled union cost: a balanced merge of d sorted parts,
+                # every element taking part in ~log2(d)+1 merges.
                 cost *= max(1, int(np.ceil(np.log2(max(len(group), 2)))) + 1)
             yield node.compute_bytes(cost)
             obs.end(merge_span)
@@ -679,8 +595,7 @@ class KylixAllreduce:
         """
         self._check_spec(spec)
         self.spec = spec
-        self._audit_raw.clear()
-        self._audit_sent.clear()
+        self._retained.clear()
         raw, self.last_combined_timing = self._run(
             "allreduce_combined", self._combined_proto, out_values,
             phase=PHASE_COMBINED_DOWN,

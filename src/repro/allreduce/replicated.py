@@ -25,7 +25,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..cluster import Cluster, SimNode
+from ..cluster import Cluster
 from ..faults import PeerFailedError
 from ..sparse import IndexHasher
 from .base import ReduceSpec
@@ -56,7 +56,15 @@ def expected_failures_survived(num_logical: int, replication: int = 2) -> float:
 
 
 class ReplicatedKylix(KylixAllreduce):
-    """Kylix with an ``s``-way replication layer and packet racing."""
+    """Kylix with an ``s``-way replication layer and packet racing.
+
+    The whole mechanism is the slot map (:class:`~repro.faults.SlotMap`)
+    with ``s`` replicas per slot, which the simulator driver reads
+    everywhere: the send loop fans every part out to all replicas of its
+    destination, the receive's slot function folds a replica's copy onto
+    its slot (the first copy wins), and a NACK goes to every replica — the
+    slot is unrecoverable only when all of them are dead.
+    """
 
     def __init__(
         self,
@@ -70,13 +78,6 @@ class ReplicatedKylix(KylixAllreduce):
         degrade: bool = False,
         name: str = "kylix-rep",
     ):
-        if replication < 1:
-            raise ValueError("replication must be >= 1")
-        if cluster.num_nodes % replication:
-            raise ValueError(
-                f"cluster size {cluster.num_nodes} not divisible by "
-                f"replication {replication}"
-            )
         self.replication = replication
         super().__init__(
             cluster,
@@ -88,57 +89,25 @@ class ReplicatedKylix(KylixAllreduce):
             name=name,
         )
 
-    # -- logical/physical mapping ----------------------------------------
-    def _logical_size(self) -> int:
-        return self.cluster.num_nodes // self.replication
-
-    def _logical(self, physical_rank: int) -> int:
-        return physical_rank % self.size
-
     def replicas(self, logical_rank: int) -> list[int]:
         """Physical nodes hosting ``logical_rank``."""
-        return [logical_rank + r * self.size for r in range(self.replication)]
-
-    def _send_to(self, node: SimNode, logical_dst: int, payload, *, tag, phase, layer):
-        for dst in self.replicas(logical_dst):
-            node.send(dst, payload, tag=tag, phase=phase, layer=layer)
-
-    def _pos_from_src(self, src: int, pos_of: Dict[int, int]) -> int:
-        return pos_of[self._logical(src)]
-
-    def _request_resend(self, node: SimNode, member: int, tag, attempt: int):
-        """NACK every replica of the logical member; the slot is only
-        unrecoverable when *all* replicas are dead."""
-        statuses = [
-            node.cluster.fabric.request_resend(node.rank, src, tag, attempt)
-            for src in self.replicas(member)
-        ]
-        if any(s is True for s in statuses):
-            return True
-        if any(s is None for s in statuses):
-            return None
-        return False
+        return list(self.slots.physical[logical_rank])
 
     # -- result collation ----------------------------------------------------
-    def _first_live_replica(self, logical_rank: int) -> int:
-        for p in self.replicas(logical_rank):
+    def _collation_rank(self, logical_rank: int):
+        """The slot's first live replica."""
+        for p in self.slots.physical[logical_rank]:
             if self.cluster.is_alive(p):
                 return p
+        if self._degrade_active():
+            # Whole replica group dead: no surviving result; the coverage
+            # report marks the slot fully lost instead.
+            return None
         raise PeerFailedError(
             f"all {self.replication} replicas of logical slot "
             f"{logical_rank} are dead",
             slot=logical_rank,
         )
-
-    def _collation_rank(self, logical_rank: int):
-        try:
-            return self._first_live_replica(logical_rank)
-        except PeerFailedError:
-            if self._degrade_active():
-                # Whole replica group dead: no surviving result; the
-                # coverage report marks the slot fully lost instead.
-                return None
-            raise
 
     def reduce(self, out_values: Mapping[int, np.ndarray]) -> Dict[int, np.ndarray]:
         """Reduce; returns values keyed by *logical* rank.

@@ -1,6 +1,6 @@
 """The blocking driver of the protocol core, shared by the real backends.
 
-The protocol — split, scatter, tree-merge and memoise maps on the way
+The protocol — split, scatter, union and memoise maps on the way
 down, replay the maps back up — is :mod:`repro.allreduce.core`, the same
 sans-IO generators the simulator runs.  This module pumps them over any
 :class:`~repro.net.transport.BaseTransport`: per ``Exchange`` it posts
@@ -93,31 +93,28 @@ def _pump(
             arrays = part if isinstance(part, tuple) else (part,)
             wire = (pos, *map(np.ascontiguousarray, arrays), *piggyback)
             if audit:
-                net.audit_sent[(seq, layer, member)] = part[0]
+                net.retained.sent[(seq, layer, member)] = part[0]
             obs.message_sent(
                 rank, member, payload_nbytes(wire), phase=phase, layer=layer
             )
             if member != rank:
                 net.post(member, kind, layer, wire, seq)
         if losses is None:
-            got, failed = net.collect(group, kind, layer, seq), ()
+            got, lost = net.collect(group, kind, layer, seq), ()
         else:
-            got, failed = net.collect(group, kind, layer, seq, missing_ok=True)
-            losses.extend(
-                LossRecord(rank=rank, member=m, phase=phase, layer=layer)
-                for m in sorted(failed)
-            )
+            got, lost = net.collect(group, kind, layer, seq, missing_ok=True)
+            losses.extend(sorted(lost, key=lambda e: e.member))
         parts: List[Optional[tuple]] = [None] * len(group)
         parts[pos] = ex.parts[pos]
         for member, wire in got.items():
             if piggyback:  # every peer's layer-1 part carries one too
-                net.audit_recv[(seq, layer, member)] = wire[-1]
+                net.retained.recv[(seq, layer, member)] = wire[-1]
                 wire = wire[:-1]
             parts[wire[0]] = wire[1:] if len(wire) > 2 else wire[1]
         net.join_senders()
         if audit:
-            for member in failed:
-                parts[group.index(member)] = tombstone(layer, member)
+            for e in lost:
+                parts[group.index(e.member)] = tombstone(layer, e.member)
         try:
             ex = gen.send(parts)
         except StopIteration as stop:
@@ -161,24 +158,16 @@ def run_combined(
     """
     losses: List[LossRecord] = []
     if degrade:
-        net.audit_prune(seq)
+        net.retained.prune(seq)
     timeout = min(2.0, max(0.2, 2.0 * retry.local_timeout()))  # per audit fetch
 
-    def raw_of(hole: int):
-        # The layer-1 raw-key piggyback, known to every peer the hole
-        # exchanged with — and if it died before sending anything, its
-        # raw keys reached *nobody*, so omitting them is exact, not lossy.
-        for p in topo.group(hole, 1):
-            if p != hole:
-                raw = net.audit(p, "recv", 1, seq, hole, timeout)
-                if raw is not None:
-                    return raw
-        return None
-
     def tombstone(layer: int, hole: int) -> tuple:
+        # The retained keys, fetched from their holders with audit frames.
+        # A hole that died before sending anything left its raw keys with
+        # *nobody*, so omitting them is exact, not lossy.
         return core.tombstone_part(
-            topo, spec, rank, layer, hole, raw_of,
-            lambda p, h, s: net.audit(p, "sent", s, seq, h, timeout),
+            topo, spec, rank, layer, hole,
+            lambda p, direction, s, h: net.audit(p, direction, s, seq, h, timeout),
         )
 
     pump = partial(

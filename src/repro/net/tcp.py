@@ -349,15 +349,22 @@ class TcpTransport(BaseTransport):
                         return True
                     except OSError:
                         pass
-            if fresh or not self._reestablish(link):
+            if fresh or not self._reestablish(link, sock):
                 with link.lock:
                     link.failed = True
                 return False
         return False  # pragma: no cover - loop always returns
 
-    def _reestablish(self, link: _Link) -> bool:
+    def _reestablish(self, link: _Link, failed: Optional[socket.socket]) -> bool:
         """Reconnect-with-backoff (initiator) or wait for the peer's
-        re-hello (acceptor).  Bounded either way."""
+        re-hello to replace ``failed``, the socket the write failed on
+        (acceptor).  Bounded either way.
+
+        The acceptor waits for a swap *away from* ``failed``, not from
+        whatever ``link.sock`` is by now: the peer's re-hello may have been
+        installed between the failed write and this call, and waiting for
+        a swap away from that fresh socket would fail a live link.
+        """
         if self._stop.is_set():
             return False
         if link.peer < self.rank:
@@ -374,10 +381,8 @@ class TcpTransport(BaseTransport):
                     time.sleep(delay)
                     delay *= 2
             return False
-        old = link.sock  # conc: ok(baseline; waiting for _install's swap by identity)
-
         def swapped() -> bool:
-            return link.sock is not old  # conc: ok(identity test for the swap; lock-free by design)
+            return link.sock is not failed  # conc: ok(identity test for the swap; lock-free by design)
 
         with self._link_change:
             self._link_change.wait_for(

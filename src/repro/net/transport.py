@@ -9,18 +9,18 @@ layer, seq)" to the protocol driver in :mod:`repro.net.protocol`:
   duplicate, or delay accordingly, with the same decision inputs as the
   simulator fabric (so schedules reproduce bit-identically across all
   backends).
-* **NACK/retry** — receivers block on arrival (:meth:`BaseTransport.
-  pump`) with the :class:`~repro.faults.RetryPolicy` ladder's current
-  deadline (wall clock + seeded jitter) as the timeout; a deadline miss
-  NACKs every missing peer, and senders service resends from their send
+* **NACK/retry** — :meth:`BaseTransport.collect` is the blocking runner
+  of the one :class:`~repro.faults.ReceiveLadder`: it blocks on arrival
+  (:meth:`BaseTransport.pump`) with the ladder's current deadline (wall
+  clock + seeded jitter) as the timeout, and the ladder decides whom to
+  NACK and when to give up.  Senders service resends from their send
   cache.
 * **Dedupe** — retransmitted or fault-duplicated copies are dropped by
-  (peer, kind, layer, seq).
+  (peer, kind, layer, seq), transport-wide.
 * **Bounded failure** — a peer EOF or an exhausted retry budget either
   raises a typed :class:`~repro.faults.PeerFailedError` (strict mode) or
-  marks the member *failed* and keeps going (degraded completion: the
-  caller accounts the hole in a :class:`~repro.faults.CoverageReport`).
-  Never a hang.
+  leaves a hole (degraded completion: the caller accounts it in a
+  :class:`~repro.faults.CoverageReport`).  Never a hang.
 
 Concrete transports implement the medium: pipe send/receive for
 :class:`~repro.net.local.LocalKylix`, framed sockets with per-peer
@@ -29,13 +29,16 @@ sender threads for :class:`~repro.net.tcp.TcpKylix`.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..allreduce.base import PHASE_COMBINED_DOWN, PHASE_GATHER_UP, PHASE_REDUCE_DOWN
 from ..cluster.node import payload_nbytes
-from ..faults import PeerFailedError, RetryPolicy
+from ..faults import LossRecord, ReceiveLadder, RetainedKeys, RetryPolicy
+from ..faults.ladder import SENT, first_copy
 from ..faults.plan import _PHASE_ID, canonical_phase
 from ..obs import NULL_OBSERVER
 from ..verify.errors import ProtocolInvariantError
@@ -82,7 +85,7 @@ class BaseTransport:
         self.inbox: Dict[_Key, Any] = {}
         self.arrived: Dict[_Key, float] = {}
         #: Keys a NACKed peer answered "alive, not produced yet" for —
-        #: the cascade signal :meth:`collect` spends pending waits on.
+        #: the cascade signal :meth:`collect` hands the ladder.
         self.waiting: Dict[_Key, float] = {}
         self.seen: Set[_Key] = set()
         self.closed: Set[int] = set()
@@ -90,21 +93,18 @@ class BaseTransport:
         #: later layers fail them immediately instead of re-burning the
         #: whole retry ladder on a peer already known dead.
         self.abandoned: Set[int] = set()
-        #: Dead-partial key audit (degraded completion).  Senders retain
-        #: the out-key slice of every down part per ``(seq, layer,
-        #: peer)``; receivers retain the raw-key piggyback of layer-1
-        #: parts.  A receiver that sees a hole reconstructs the dead
-        #: partial's exact key set from these stores (:meth:`audit`) —
-        #: the combined protocol's substitute for the separate config
-        #: pass's merge maps.
-        self.audit_sent: Dict[Tuple[int, int, int], Any] = {}
-        self.audit_recv: Dict[Tuple[int, int, int], Any] = {}
+        #: The hole policy's retained keys (degraded completion): the
+        #: out-key slice of every down part sent, and the raw-key
+        #: piggyback of every layer-1 part received, per ``(seq, layer,
+        #: peer)``.  Peers fetch them with audit frames (:meth:`audit`).
+        self.retained = RetainedKeys()
+        # Its two stores, by the direction names the audit frames use.
+        self.audit_sent, self.audit_recv = self.retained.sent, self.retained.recv
         self._audit_replies: Dict[int, Any] = {}
         #: The one fetch :meth:`audit` is blocked on; a reply for any
         #: other token (its fetch timed out) is dropped on arrival.
         self._audit_pending: Optional[int] = None
-        self._audit_token = 0
-        self._audit_lock = watched_lock("net.transport.BaseTransport._audit_lock")
+        self._audit_tokens = itertools.count(1)
         self.senders: List[threading.Thread] = []
 
     # -- medium (subclass responsibilities) --------------------------------
@@ -183,14 +183,13 @@ class BaseTransport:
         if obj[0] == "msg":
             _, kind, layer, seq, part, sent_at = obj
             key = (member, kind, layer, seq)
-            if key in self.seen:
+            if not first_copy(self.seen, key):
                 with self._obs_lock:
                     self.obs.counter("faults.duplicates_dropped").inc(
-                        phase=kind, layer=layer
+                        phase=PHASE_OF[kind], layer=layer
                     )
                 return
             now = time.monotonic()
-            self.seen.add(key)
             self.inbox[key] = part
             self.arrived[key] = now
             if self.obs.enabled:
@@ -201,7 +200,7 @@ class BaseTransport:
                         payload_nbytes(part),
                         sent_at,
                         now,
-                        phase=PHASE_OF.get(kind, kind),
+                        phase=PHASE_OF[kind],
                         layer=layer,
                     )
         elif obj[0] == "nack":
@@ -209,7 +208,9 @@ class BaseTransport:
             part = self.sent.get((member, kind, layer, seq))
             if part is not None:
                 with self._obs_lock:
-                    self.obs.counter("faults.resent").inc(phase=kind, layer=layer)
+                    self.obs.counter("faults.resent").inc(
+                        phase=PHASE_OF[kind], layer=layer
+                    )
                 # Service the resend off-thread; the retransmission gets
                 # an independent fault draw (attempt bumps the oracle).
                 t = threading.Thread(
@@ -241,8 +242,8 @@ class BaseTransport:
             # Control plane, like NACKs: answered inline from the
             # retained key stores, never fault-injected.
             _, token, direction, layer, seq, hole = obj
-            store = self.audit_sent if direction == "sent" else self.audit_recv
-            self._send_frame(member, ("audit-rep", token, store.get((seq, layer, hole))))
+            keys = self.retained.get(direction, seq, layer, hole)
+            self._send_frame(member, ("audit-rep", token, keys))
         elif obj[0] == "audit-rep":
             _, token, keys = obj
             if token == self._audit_pending:
@@ -274,108 +275,51 @@ class BaseTransport:
         *,
         missing_ok: bool = False,
     ):
-        """Block until one (kind, layer, seq) message from every member.
+        """Block until one (kind, layer, seq) message from every member:
+        the blocking runner of the :class:`~repro.faults.ReceiveLadder`.
 
-        Per-attempt deadlines with exponential backoff and seeded
-        jitter; deadline misses NACK every missing peer.  A peer that
-        hits EOF or outlives the retry budget either raises
-        :class:`PeerFailedError` (default) or — with ``missing_ok`` —
-        is marked failed and skipped.  Either way: bounded time.
+        The ladder decides; this loop feeds it what the links delivered
+        — parts from the inbox, "alive, not produced yet" answers
+        (``wait`` frames), peers seen closed, members an earlier layer
+        gave up — and otherwise blocks in ``pump(deadline − now)``.  The
+        deadline is absolute, one per ladder step (wall clock plus seeded
+        jitter); an expiry NACKs every missing peer.  A member given up
+        raises :class:`PeerFailedError` or — with ``missing_ok`` — is a
+        hole, and later layers give it up at once.  Bounded time either
+        way.
 
         Returns ``{member: payload}`` without ``missing_ok``;
-        ``({member: payload}, failed_members)`` with it.
+        ``({member: payload}, losses)`` with it, one
+        :class:`~repro.faults.LossRecord` per hole.
         """
         retry = self.retry
         salt = self._jitter_salt(kind, layer, seq)
-        wanted = [m for m in members if m != self.rank]
-        failed: Set[int] = set()
-        if missing_ok:
-            for m in wanted:
-                if m in self.abandoned:
-                    failed.add(m)
-            wanted = [m for m in wanted if m not in failed]
-        attempt = 0
-        # A member can be late because *its* upstream peer died and it is
-        # burning its own retry budget; such members answer NACKs with
-        # "wait" frames and get extra top-of-ladder deadlines that do not
-        # consume our budget — capped, so a cascade of failures still
-        # resolves in bounded time (mirrors the simulator's pending-wait
-        # cap in ``KylixAllreduce._recv_group``).
-        pending_waits = 0
-        max_pending = 4 * (retry.max_retries + 1)
-        deadline = time.monotonic() + retry.local_timeout(0, salt)
+        losses: List[LossRecord] = []
+        ladder = ReceiveLadder(
+            members, rank=self.rank, phase=PHASE_OF[kind], layer=layer,
+            max_retries=retry.max_retries, degrade=missing_ok,
+            reset_on_arrival=False, losses=losses,
+            awaited=[q for q, m in enumerate(members) if m != self.rank],
+        )
+        deadline = time.monotonic() + retry.local_timeout(ladder.step, salt)
         while True:
-            missing = [m for m in wanted if (m, kind, layer, seq) not in self.inbox]
-            if not missing:
-                got = {m: self.inbox[(m, kind, layer, seq)] for m in wanted}
-                if self.obs.enabled:
-                    # Queue wait: dispatch time -> consumption time,
-                    # mirroring the simulator fabric's mailbox accounting.
-                    now = time.monotonic()
-                    with self._obs_lock:
-                        for m in wanted:
-                            arr = self.arrived.get((m, kind, layer, seq))
-                            if arr is not None:
-                                self.obs.histogram("net.queue_wait").observe(
-                                    max(now - arr, 0.0),
-                                    node=self.rank,
-                                    phase=PHASE_OF.get(kind, kind),
-                                    layer=layer,
-                                )
-                return (got, failed) if missing_ok else got
-            # A peer seen dead (by this collect's pump or an earlier
-            # layer's) cannot send the part any more: settle it now.
-            still = []
-            for m in missing:
-                if m in self.closed:
-                    if not missing_ok:
-                        raise PeerFailedError(
-                            f"rank {self.rank}: peer {m} closed its connection "
-                            f"during {kind} layer {layer}",
-                            slot=m, phase=kind, layer=layer,
-                        )
-                    failed.add(m)
-                    self.abandoned.add(m)
-                else:
-                    still.append(m)
-            wanted = [m for m in wanted if m not in failed]
-            missing = still
-            if not missing:
-                continue
+            for q in list(ladder.open):
+                m = members[q]
+                key = (m, kind, layer, seq)
+                if m in self.abandoned:
+                    ladder.dead(q)
+                elif key in self.inbox:
+                    ladder.arrive(q, self.inbox[key])
+                elif m in self.closed:
+                    ladder.dead(q)
+                elif self.waiting.pop(key, None) is not None:
+                    ladder.note(q)
+            if ladder.done:
+                break
             if time.monotonic() >= deadline:
-                if attempt >= retry.max_retries:
-                    # Consume (one-shot) any "alive, not produced yet"
-                    # answers: a peer in a live cascade re-earns its
-                    # patience every round, a silent or dead peer never
-                    # does.
-                    pending = [
-                        m for m in missing
-                        if self.waiting.pop((m, kind, layer, seq), None) is not None
-                    ]
-                    if pending and pending_waits < max_pending:
-                        pending_waits += 1
-                        for m in missing:
-                            self._send_frame(m, ("nack", kind, layer, seq, attempt))
-                        deadline = time.monotonic() + retry.local_timeout(
-                            attempt, salt
-                        )
-                        continue
-                    if not missing_ok:
-                        raise PeerFailedError(
-                            f"rank {self.rank}: no {kind} layer {layer} message "
-                            f"from {missing} within the retry budget "
-                            f"({retry.max_retries} resend requests)",
-                            slot=missing[0], phase=kind, layer=layer,
-                        )
-                    for m in missing:
-                        failed.add(m)
-                        self.abandoned.add(m)
-                    wanted = [m for m in wanted if m not in failed]
-                    continue
-                attempt += 1
-                for m in missing:
-                    self._send_frame(m, ("nack", kind, layer, seq, attempt))
-                deadline = time.monotonic() + retry.local_timeout(attempt, salt)
+                ladder.expire(partial(self._nack, members, kind, layer, seq))
+                deadline = time.monotonic() + retry.local_timeout(ladder.step, salt)
+                continue
             # Block on arrival, with the ladder's current deadline as the
             # timeout.  The pump waits on *every* link, not just the
             # missing peers': NACKs for our earlier sends arrive on links
@@ -384,6 +328,30 @@ class BaseTransport:
             # only the peers it waits for, so nobody services anybody's
             # resend requests).
             self.pump(deadline - time.monotonic())
+        self.abandoned.update(members[q] for q in ladder.holes)
+        got = {members[q]: part for q, part in ladder.parts.items()}
+        if self.obs.enabled:
+            # Queue wait: dispatch time -> consumption time, mirroring the
+            # simulator fabric's mailbox accounting.
+            now = time.monotonic()
+            with self._obs_lock:
+                for m in got:
+                    arr = self.arrived.get((m, kind, layer, seq))
+                    if arr is not None:
+                        self.obs.histogram("net.queue_wait").observe(
+                            max(now - arr, 0.0),
+                            node=self.rank,
+                            phase=PHASE_OF[kind],
+                            layer=layer,
+                        )
+        return (got, losses) if missing_ok else got
+
+    def _nack(self, members, kind: str, layer: int, seq: int, q: int, attempt: int):
+        """The blocking runner's resend request: a NACK frame to the member
+        at position ``q``.  The frame was sent; what the peer makes of it
+        comes back later, if at all (a part, or a ``wait`` frame)."""
+        self._send_frame(members[q], ("nack", kind, layer, seq, attempt))
+        return SENT
 
     def audit(
         self, member: int, direction: str, layer: int, seq: int, hole: int,
@@ -397,15 +365,11 @@ class BaseTransport:
         when the peer has nothing retained or does not answer within
         ``timeout`` — the caller degrades to a partial reconstruction.
         """
-        store = self.audit_sent if direction == "sent" else self.audit_recv
         if member == self.rank:
-            return store.get((seq, layer, hole))
+            return self.retained.get(direction, seq, layer, hole)
         if member in self.closed or member in self.abandoned:
             return None
-        with self._audit_lock:
-            self._audit_token += 1
-            token = self._audit_token
-        self._audit_pending = token
+        token = self._audit_pending = next(self._audit_tokens)
         self._send_frame(member, ("audit-req", token, direction, layer, seq, hole))
         deadline = time.monotonic() + timeout
         # Replies only surface through our own pump, and it serves every
@@ -417,12 +381,6 @@ class BaseTransport:
             self.pump(remaining)
         self._audit_pending = None
         return self._audit_replies.pop(token, None)
-
-    def audit_prune(self, seq: int) -> None:
-        """Drop audit retention older than the previous round."""
-        for store in (self.audit_sent, self.audit_recv):
-            for k in [k for k in store if k[0] < seq - 1]:
-                del store[k]
 
     def prune_round(self, seq: int) -> None:
         """Drop per-round message state older than the previous round.
@@ -437,7 +395,7 @@ class BaseTransport:
             for k in [k for k in store if k[3] < seq - 1]:
                 del store[k]
         self.seen = {k for k in self.seen if k[3] >= seq - 1}
-        self.audit_prune(seq)
+        self.retained.prune(seq)
 
     def linger(self, done, budget: float) -> None:
         """After finishing: keep servicing NACKs until everyone is done.

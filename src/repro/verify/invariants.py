@@ -60,6 +60,7 @@ from typing import Iterable, List, Mapping, Optional
 
 import numpy as np
 
+from ..faults.ladder import SlotMap
 from ..sparse.merge import is_sorted_unique
 from ..sparse.partition import ranges_tile
 from .errors import ProtocolInvariantError
@@ -522,35 +523,24 @@ def check_replication(num_nodes: int, replication: int) -> List[Violation]:
     """Replica-group structure for an ``s``-way replicated cluster.
 
     ``replication``
-        ``s >= 1``, ``s`` divides ``m``, and the slot mapping
-        ``p ↦ p mod m/s`` gives every logical slot exactly ``s``
-        physical replicas (the §V layout).
+        ``s >= 1``, ``s`` divides ``m``, and the one slot map the drivers
+        read (:class:`~repro.faults.SlotMap`) gives every logical slot
+        exactly ``s`` physical replicas, each mapping back to it (the §V
+        layout: ``p ↦ p mod m/s``).
     """
+    try:
+        slots = SlotMap(num_nodes, replication)
+    except ValueError as err:
+        return [Violation("replication", str(err))]
     out: List[Violation] = []
-    if replication < 1:
-        out.append(
-            Violation("replication", f"replication {replication} must be >= 1")
-        )
-        return out
-    if num_nodes % replication:
-        out.append(
-            Violation(
-                "replication",
-                f"cluster size {num_nodes} not divisible by replication "
-                f"{replication}",
-            )
-        )
-        return out
-    logical = num_nodes // replication
-    for slot in range(logical):
-        replicas = [slot + r * logical for r in range(replication)]
-        if len(set(p % logical for p in replicas)) != 1 or any(
-            not 0 <= p < num_nodes for p in replicas
+    for slot, replicas in enumerate(slots.physical):
+        if len(replicas) != replication or any(
+            not 0 <= p < num_nodes or slots.logical(p) != slot for p in replicas
         ):
             out.append(
                 Violation(
                     "replication",
-                    f"slot {slot} replicas {replicas} do not all map back "
+                    f"slot {slot} replicas {list(replicas)} do not all map back "
                     f"to slot {slot}",
                     node=slot,
                 )

@@ -302,3 +302,56 @@ class TestConcurrencyRegressions:
             assert last_seen > 0.0, "last_seen refresh must be inside the lock"
         finally:
             net.close()
+
+    def test_acceptor_waits_for_a_swap_away_from_the_socket_that_failed(self):
+        """The reconnect-baseline race: the acceptor side of _reestablish
+        used to take its baseline, ``link.sock``, *after* the failed
+        write.  When the peer's re-hello was installed in between, it
+        waited RECONNECT_GRACE for a swap away from the fresh socket and
+        then failed a live link.  The instrumented lock installs the
+        re-hello as the failed write releases it — the lost race — and
+        the fixed _write must retry on the fresh socket at once."""
+        from repro.net.tcp import RECONNECT_GRACE, _Link
+
+        class DeadSock:
+            def sendall(self, data):
+                raise OSError("peer reset")
+
+        class LiveSock:
+            def __init__(self):
+                self.sent = []
+
+            def sendall(self, data):
+                self.sent.append(data)
+
+        class InstallOnFirstRelease:
+            def __init__(self, link, fresh):
+                self.link = link
+                self.fresh = fresh
+                self.inner = threading.Lock()
+                self.released = 0
+
+            def __enter__(self):
+                self.inner.acquire()
+                return self
+
+            def __exit__(self, *exc):
+                if not self.released:
+                    self.link.sock = self.fresh  # _install's swap
+                self.released += 1
+                self.inner.release()
+
+        net = self._bare_transport()
+        try:
+            link = _Link(2)  # a higher peer: this side waits for its re-hello
+            live = LiveSock()
+            link.sock = DeadSock()
+            link.lock = InstallOnFirstRelease(link, live)
+            start = time.monotonic()
+            assert net._write(link, b"payload") is True
+            elapsed = time.monotonic() - start
+            assert live.sent == [b"payload"]
+            assert link.failed is False
+            assert elapsed < RECONNECT_GRACE / 2
+        finally:
+            net.close()
