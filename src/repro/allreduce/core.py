@@ -88,7 +88,8 @@ class LayerPlan:
     out_slices: List[slice]  # split of the previous out key array
     in_slices: List[slice]  # split of the previous in key array
     out_recv_maps: List[np.ndarray]  # per position: part -> out union positions
-    in_recv_maps: List[np.ndarray]  # per position: part -> in union positions (f maps)
+    in_recv_maps: List[np.ndarray]  # per position: part -> in union positions (f maps);
+    # the out side's arrays where the group sent equal in and out keys
     out_union_size: int
     in_union_size: int
     in_prev_size: int  # length of the previous in key array (up-pass target)
@@ -107,6 +108,27 @@ class NodePlan:
     bottom_pos: Optional[np.ndarray] = None  # in^l positions within out^l union
     bottom_hit: Optional[np.ndarray] = None  # coverage mask for bottom_pos
     bottom_out_keys: Optional[np.ndarray] = None  # hashed keys of out^l (sorted)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of array memory the plan holds, each buffer counted once:
+        a view counts as the array it was cut from (one layer side's maps
+        are slices of one array), and a side sharing the other's arrays
+        adds nothing."""
+        arrays = [
+            self.out_inverse, self.in_inverse,
+            self.bottom_pos, self.bottom_hit, self.bottom_out_keys,
+        ]
+        for lp in self.layers:
+            arrays += lp.out_recv_maps + lp.in_recv_maps
+        buffers = {}
+        for a in arrays:
+            if a is None:
+                continue
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            buffers[id(a)] = a.nbytes
+        return sum(buffers.values())
 
 
 class Exchange(NamedTuple):
@@ -151,6 +173,15 @@ def down_pass(
     the driver substitutes :func:`tombstone_part`, so the merge below never
     special-cases holes.
 
+    Many callers ask for the keys they contribute.  Where the arrays in
+    hand are equal, the in side is the out side: the layer-0 keys when
+    ``spec``'s two index arrays are equal, and a layer's union and maps
+    when every member sent equal in and out keys (a ``None`` part is
+    empty on both sides).  One node's in = out at layer 0 is not enough
+    for its later layers: their unions are equal only if every group
+    member's received pair is.  The shared arrays are read-only; the
+    per-side lists (maps, slices) are not shared.
+
     ``obs`` receives a wall-clock ``kind="merge"`` span around each of the
     two kernels (index unions under ``config``, with the union size as
     ``config.merge_length``; the value scatter under ``reduce_down``).
@@ -158,16 +189,15 @@ def down_pass(
     kernel takes no time, so that driver charges the merge cost — and
     opens its merge span — around the resume instead.
     """
-    out_keys, out_inverse = np.unique(
-        hasher.hash(spec.out_indices[rank]), return_inverse=True
-    )
-    in_keys, in_inverse = np.unique(
-        hasher.hash(spec.in_indices[rank]), return_inverse=True
-    )
+    out_keys, out_inverse = _unique_keys(hasher, spec.out_indices[rank])
+    if np.array_equal(spec.in_indices[rank], spec.out_indices[rank]):
+        in_keys, in_inverse = out_keys, out_inverse
+    else:
+        in_keys, in_inverse = _unique_keys(hasher, spec.in_indices[rank])
     plan = NodePlan(
         rank=rank,
-        out_inverse=out_inverse.astype(np.intp),
-        in_inverse=in_inverse.astype(np.intp),
+        out_inverse=out_inverse,
+        in_inverse=in_inverse,
         n_out=out_keys.size,
         n_in=in_keys.size,
     )
@@ -203,9 +233,14 @@ def down_pass(
         out_union, out_maps = union_with_maps(
             [p[0] if p is not None else out_keys[:0] for p in got]
         )
-        in_union, in_maps = union_with_maps(
-            [p[1] if p is not None else in_keys[:0] for p in got]
-        )
+        if all(p is None or np.array_equal(p[0], p[1]) for p in got):
+            # Every member sent equal in and out keys, so the in union and
+            # its maps equal the out side's: share the (read-only) arrays.
+            in_union, in_maps = out_union, list(out_maps)
+        else:
+            in_union, in_maps = union_with_maps(
+                [p[1] if p is not None else in_keys[:0] for p in got]
+            )
         obs.histogram("config.merge_length").observe(
             out_union.size, phase=PHASE_CONFIG, layer=layer
         )
@@ -463,6 +498,15 @@ def tombstone_part(
         keys, keys[:0], _identity_rows(spec, keys.size),
         np.zeros(keys.size, dtype=bool),
     )
+
+
+def _unique_keys(hasher: IndexHasher, indices: np.ndarray):
+    """Sorted unique hashed keys of ``indices`` and the read-only ``intp``
+    inverse (each index -> its key's position)."""
+    keys, inverse = np.unique(hasher.hash(indices), return_inverse=True)
+    inverse = inverse.astype(np.intp, copy=False)
+    inverse.flags.writeable = False
+    return keys, inverse
 
 
 def _identity_rows(spec: ReduceSpec, n: int) -> np.ndarray:

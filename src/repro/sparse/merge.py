@@ -62,7 +62,7 @@ def union_with_maps(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.nda
     neighbour's elements landed.  ``union`` is sorted unique ``uint64`` and
     ``union[maps[j]] == sets[j]``; each map is a C-contiguous ``intp`` array
     (strictly increasing, as its set is), usable directly for fancy
-    indexing.  The maps are consecutive slices of one array.
+    indexing.  The maps are consecutive slices of one read-only array.
     """
     parts = [_as_keys(s) for s in sets]
     cat = np.concatenate(parts) if parts else _EMPTY
@@ -79,5 +79,8 @@ def union_with_maps(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.nda
     ids = np.cumsum(new, dtype=np.int32 if cat.size < 2**31 else np.intp)
     inv = np.empty(cat.size, dtype=np.intp)
     inv[order] = ids.astype(np.intp, copy=False)
+    # A plan may hand these maps to both of its sides: a write through
+    # one would corrupt the other, so none is allowed.
+    inv.flags.writeable = False
     ends = list(accumulate((p.size for p in parts), initial=0))
     return union, [inv[a:b] for a, b in zip(ends, ends[1:])]

@@ -47,7 +47,9 @@ def build_plans(
     synchronous sweep (all nodes advance one layer together) instead of
     as processes exchanging messages.  Deliberately a second, independent
     construction: it is the reference the simulated configure and the
-    certifier are compared against.
+    certifier are compared against.  It never lets the in side share the
+    out side's arrays (``down_pass`` does where they are equal), so the
+    two agreeing is a shared-vs-unshared check.
     """
     hasher = hasher if hasher is not None else MultiplicativeHasher()
     m = topology.num_nodes

@@ -129,7 +129,8 @@ class TestSeededViolations:
     def test_map_injective_violation(self):
         topo, plans = make_case()
         lp = plans[2].layers[0]
-        m = lp.in_recv_maps[0]
+        # Plan maps are read-only: corrupt a copy and install it.
+        m = lp.in_recv_maps[0] = lp.in_recv_maps[0].copy()
         assert m.size >= 2, "fixture needs a non-trivial part"
         m[1] = m[0]  # duplicate position: no longer injective
         assert "map-injective" in invariants_fired(check_plans(topo, plans))
@@ -137,6 +138,7 @@ class TestSeededViolations:
     def test_map_out_of_bounds_violation(self):
         topo, plans = make_case()
         lp = plans[5].layers[1]
+        lp.out_recv_maps[0] = lp.out_recv_maps[0].copy()  # maps are read-only
         lp.out_recv_maps[0][-1] = lp.out_union_size + 3
         assert "map-injective" in invariants_fired(check_plans(topo, plans))
 

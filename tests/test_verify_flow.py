@@ -69,6 +69,7 @@ class TestStaticProofs:
         topo, spec, plans = make_case()
         lp = plans[2].layers[0]
         assert lp.in_recv_maps[0].size >= 2
+        lp.in_recv_maps[0] = lp.in_recv_maps[0].copy()  # maps are read-only
         lp.in_recv_maps[0][0], lp.in_recv_maps[0][1] = (
             lp.in_recv_maps[0][1],
             lp.in_recv_maps[0][0],
