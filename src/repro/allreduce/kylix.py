@@ -509,23 +509,48 @@ class KylixAllreduce:
 
     # ------------------------------------------------------------------
     def verify_plans(self) -> None:
-        """Statically check every protocol invariant of the current plans.
+        """Statically check the current plans with the certifier's replay.
 
-        Must be called after :meth:`configure`; raises
-        :class:`~repro.verify.errors.ProtocolInvariantError` listing every
-        violated invariant (see ``docs/verify.md`` for the catalogue).
-        Costs one synchronous sweep over the memoised state — no
-        simulated traffic.
+        Must be called after :meth:`configure`.  Runs the topology
+        invariants and :func:`~repro.verify.flow.analyze_flow` — a replay
+        of every slot's memoised splits, unions, maps and bottom
+        projection against the spec, costing about as much as the
+        unions it replays (no simulated traffic).  Each slot's first live
+        replica (the one results are read from) is certified; every other
+        replica holding a plan must have the same fingerprint.  Raises
+        :class:`~repro.verify.flow.CertificationError` (a
+        :class:`~repro.verify.errors.ProtocolInvariantError`) listing
+        every violation (see ``docs/verify.md`` for the catalogue).
         """
         if not self.plans:
             raise RuntimeError("configure() must run before verify_plans()")
-        from ..verify.invariants import assert_valid
+        from ..verify.flow import CertificationError, analyze_flow, plan_fingerprint
+        from ..verify.invariants import Violation, check_topology
 
-        logical = {}
-        for rank, plan in self.plans.items():
-            lr = self._logical(rank)
-            logical.setdefault(lr, plan)
-        assert_valid(self.topology, logical)
+        violations = check_topology(self.topology)
+        certified: Dict[int, NodePlan] = {}
+        for lr, replicas in enumerate(self.slots.physical):
+            holders = sorted(
+                (p for p in replicas if p in self.plans),
+                key=lambda p: not self.cluster.is_alive(p),
+            )
+            if holders:
+                certified[lr] = self.plans[holders[0]]
+            if len(holders) > 1 and len(
+                {plan_fingerprint(self.topology, {lr: self.plans[p]}) for p in holders}
+            ) > 1:
+                violations.append(
+                    Violation(
+                        "replication",
+                        f"replicas {holders} hold plans with different fingerprints",
+                        node=lr,
+                    )
+                )
+        violations += analyze_flow(
+            self.topology, certified, self.spec, self.hasher
+        ).violations
+        if violations:
+            raise CertificationError(violations)
 
     # ------------------------------------------------------------------
     def allreduce(

@@ -1,28 +1,28 @@
-"""Static verification of the Kylix protocol: invariants + custom lint.
+"""Static verification of the Kylix protocol: one plan checker + custom lint.
 
 Two engines, no simulation required for either:
 
 * **Plan checker** — :func:`build_plans` constructs the full
   ``NodePlan``/``LayerPlan`` configuration state for any topology and
-  degree stack synchronously, and :mod:`repro.verify.invariants` checks
-  the paper's structural claims on it (range tiling, slice covers,
-  injective receive maps, group symmetry, the down/up nesting property).
-  CLI: ``python -m repro verify``.
+  degree stack synchronously; :mod:`repro.verify.invariants` checks the
+  topology (range tiling and nesting, group symmetry) and the fault
+  layers, and :mod:`repro.verify.flow`'s abstract-interpretation pass
+  checks the plans: it replays the memoised splits, unions and maps,
+  proves coverage and conservation end to end, and predicts the exact
+  per-(phase, layer) traffic.  CLI: ``python -m repro verify`` (the
+  static pass over every shipped stack) and ``python -m repro certify``
+  (the certificate runtime stats are gated against).
 * **AST lint** — :mod:`repro.verify.lint` walks the package source with
   repo-specific rules (determinism of ``simul``/``allreduce``, no bare
   asserts in library code, explicit accumulator dtypes, declared
   ``__all__``).  CLI: ``python -m repro lint``.
-* **Plan certifier** — :mod:`repro.verify.flow` goes beyond the local
-  invariants: an abstract-interpretation pass over the plans proves
-  coverage and conservation end to end, predicts the exact
-  per-(phase, layer) traffic, and emits a certificate runtime stats are
-  gated against.  CLI: ``python -m repro certify``.
-* **Concurrency analyzer** — :mod:`repro.verify.threads` extracts the
-  package's thread roots, lock-acquisition graph and guarded-attribute
-  sets from the AST, reporting lock-order cycles and unguarded shared
-  state; :mod:`repro.verify.watchlock` is the runtime half (the
-  ``REPRO_LOCK_SANITIZER`` witness mode).  CLI: ``python -m repro
-  races``.
+
+Beside them, the **concurrency analyzer** — :mod:`repro.verify.threads`
+extracts the package's thread roots, lock-acquisition graph and
+guarded-attribute sets from the AST, reporting lock-order cycles and
+unguarded shared state; :mod:`repro.verify.watchlock` is the runtime half
+(the ``REPRO_LOCK_SANITIZER`` witness mode).  CLI: ``python -m repro
+races``.
 
 :class:`ProtocolInvariantError` is re-exported here; library modules
 should import it from :mod:`repro.verify.errors` directly (that module
@@ -38,12 +38,9 @@ __all__ = [
     "ProtocolInvariantError",
     "Violation",
     "check_topology",
-    "check_plans",
     "check_fault_plan",
     "check_replication",
     "check_sequence_numbers",
-    "verify_all",
-    "assert_valid",
     "format_report",
     "build_plans",
     "default_stacks",
@@ -86,12 +83,9 @@ __all__ = [
 _LAZY = {
     "Violation": "invariants",
     "check_topology": "invariants",
-    "check_plans": "invariants",
     "check_fault_plan": "invariants",
     "check_replication": "invariants",
     "check_sequence_numbers": "invariants",
-    "verify_all": "invariants",
-    "assert_valid": "invariants",
     "format_report": "invariants",
     "build_plans": "plan",
     "default_stacks": "plan",

@@ -3,7 +3,7 @@
 This module is dependency-free on purpose: library code anywhere in
 ``repro`` (``allreduce``, ``net``, ``sparse``) imports
 :class:`ProtocolInvariantError` from here without pulling the checker
-machinery in :mod:`repro.verify.plan` / :mod:`repro.verify.invariants`
+machinery in :mod:`repro.verify.plan` / :mod:`repro.verify.flow`
 along, so there are no import cycles.
 
 The paper's predecessor work (Zhao & Canny, *Sparse Allreduce*) observes
@@ -21,10 +21,11 @@ __all__ = ["ProtocolInvariantError"]
 class ProtocolInvariantError(RuntimeError):
     """A structural invariant of the Kylix protocol does not hold.
 
-    Raised by the static checker (:mod:`repro.verify.invariants`) and by
-    runtime guards in library code that used to be bare ``assert``
-    statements.  ``invariant`` names the violated property (e.g.
-    ``"slice-cover"``); see ``docs/verify.md`` for the catalogue.
+    Raised by the plan checker (:class:`~repro.verify.flow.CertificationError`
+    is a subclass) and by runtime guards in library code that used to be
+    bare ``assert`` statements.  ``invariant`` names the violated property
+    (e.g. ``"flow-slice-tiling"``); see ``docs/verify.md`` for the
+    catalogue.
     """
 
     def __init__(self, message: str, *, invariant: str = ""):

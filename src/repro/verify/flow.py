@@ -1,10 +1,11 @@
 """Symbolic plan certification: static coverage proofs + exact volume model.
 
-The invariant checkers in :mod:`repro.verify.invariants` validate *local*
-structure (slices tile, maps are injective).  This module goes further:
-an abstract-interpretation pass over the ``NodePlan``/``LayerPlan`` state
-that **proves the whole protocol correct and predicts its exact cost**
-without running the simulator.
+The one plan checker: an abstract-interpretation pass over the
+``NodePlan``/``LayerPlan`` state that **proves the whole protocol correct
+and predicts its exact cost** without running the simulator.  ``python -m
+repro verify``, ``KylixAllreduce.verify_plans()`` and every
+:mod:`repro.mc` schedule run its static pass; ``python -m repro certify``
+adds the certificate and the runtime gates.
 
 The abstract domain is an index-interval lattice: each node's state at
 layer ``i`` is abstracted as ``(interval, key set)`` where the interval
@@ -25,10 +26,12 @@ Proof obligations (names are stable identifiers, catalogued in
 ``docs/verify.md``):
 
 ``flow-structure``
-    Every node's plan has exactly one ``LayerPlan`` per topology layer.
+    Every node's plan has exactly one ``LayerPlan`` per topology layer,
+    and each layer's memoised group, position and ``pos_of`` are the
+    topology's.
 ``flow-slice-tiling``
-    At each layer the memoised out/in splits tile ``[0, len(keys))``
-    exactly — conservation at the sender.
+    At each layer the memoised out/in splits are unit-stride slices that
+    tile ``[0, len(keys))`` exactly — conservation at the sender.
 ``flow-down-partition``
     Each part a node sends lies inside the receiving member's nested
     key interval (the interval-lattice transfer function).  A
@@ -70,7 +73,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from math import prod
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,17 +163,52 @@ def _empty_cell() -> Dict[str, int]:
     return {"messages": 0, "bytes": 0, "self_messages": 0, "self_bytes": 0}
 
 
+def _sorted_set(keys: np.ndarray) -> np.ndarray:
+    """The distinct ``keys`` in ascending order: one sort and an adjacent
+    difference.  Not ``np.unique``, whose integer path hashes (about ten
+    times slower at 80k keys a node on NumPy 2.4), and not
+    :func:`~repro.sparse.union_with_maps`, the kernel this module checks."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if keys.size else keys
+
+
 def _slices_tile(slices: Sequence[slice], size: int, parts: int) -> bool:
-    """True iff ``slices`` are ``parts`` adjacent ascending cuts of
-    ``[0, size)`` — the conservation shape of ``split_sorted``."""
+    """True iff ``slices`` are ``parts`` adjacent ascending unit-stride
+    cuts of ``[0, size)`` — the conservation shape of ``split_sorted``."""
     if len(slices) != parts:
         return False
     prev = 0
     for s in slices:
-        if s.start != prev or s.stop < s.start:
+        if s.step not in (None, 1) or s.start != prev or s.stop < s.start:
             return False
         prev = s.stop
     return prev == size
+
+
+def _structure_violations(
+    topology: ButterflyTopology, rank: int, plan: Optional[NodePlan]
+) -> Iterator[Violation]:
+    """``flow-structure`` for one node: a plan with one ``LayerPlan`` per
+    layer, each memoising the topology's group, position and ``pos_of``."""
+    if plan is None or len(plan.layers) != topology.num_layers:
+        have = "no plan" if plan is None else f"a plan of {len(plan.layers)} layers"
+        yield Violation(
+            "flow-structure",
+            f"{have} for a topology of {topology.num_layers} layers",
+            node=rank,
+        )
+        return
+    for layer, lp in enumerate(plan.layers, start=1):
+        group = topology.group(rank, layer)
+        pos_of = {member: q for q, member in enumerate(group)}
+        if (list(lp.group), lp.pos, lp.pos_of) != (group, pos_of[rank], pos_of):
+            yield Violation(
+                "flow-structure",
+                f"memoised group {list(lp.group)}, position {lp.pos} or pos_of "
+                f"differ from the topology's group {group} at {pos_of[rank]}",
+                node=rank,
+                layer=layer,
+            )
 
 
 def analyze_flow(
@@ -203,22 +241,15 @@ def analyze_flow(
     state: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for rank in range(m):
         state[rank] = (
-            np.unique(hasher.hash(spec.out_indices[rank])),
-            np.unique(hasher.hash(spec.in_indices[rank])),
+            _sorted_set(hasher.hash(spec.out_indices[rank])),
+            _sorted_set(hasher.hash(spec.in_indices[rank])),
         )
 
     for rank in range(m):
         checked["flow-structure"] += 1
-        if len(plans[rank].layers) != nlayers:
-            violations.append(
-                Violation(
-                    "flow-structure",
-                    f"plan has {len(plans[rank].layers)} layers, "
-                    f"topology has {nlayers}",
-                    node=rank,
-                )
-            )
-    if any(v.invariant == "flow-structure" for v in violations):
+        violations.extend(_structure_violations(topology, rank, plans.get(rank)))
+    if violations:
+        # the replay below walks the memoised groups: it needs them right
         return FlowAnalysis(violations, checked, traffic)
 
     for layer in range(1, nlayers + 1):
@@ -249,7 +280,7 @@ def analyze_flow(
             # interval-lattice transfer: each part must sit inside the
             # receiving member's nested interval — O(1) per part on
             # sorted keys (endpoints only)
-            for q, member in enumerate(lp.group[:d]):
+            for q, member in enumerate(lp.group):
                 sub = topology.key_range(member, layer)
                 for side, part in (("out", parts_out[q] if q < len(parts_out) else None),
                                    ("in", parts_in[q] if q < len(parts_in) else None)):
@@ -275,7 +306,7 @@ def analyze_flow(
             cfg = traffic[("config", layer)]
             down = traffic[("reduce_down", layer)]
             up = traffic[("gather_up", layer)]
-            for q, member in enumerate(lp.group[:d]):
+            for q, member in enumerate(lp.group):
                 self_msg = member == rank
                 opart = parts_out[q] if q < len(parts_out) else out_keys[:0]
                 ipart = parts_in[q] if q < len(parts_in) else in_keys[:0]
@@ -296,10 +327,10 @@ def analyze_flow(
             ):
                 parts = [
                     sent[j][pos] if pos < len(sent[j]) else sent[j][0][:0]
-                    for j in lp.group[:d]
+                    for j in lp.group
                 ]
                 union = (
-                    np.unique(np.concatenate(parts)) if parts else
+                    _sorted_set(np.concatenate(parts)) if parts else
                     state[rank][0][:0]
                 )
                 checked["flow-down-union"] += 1
@@ -346,10 +377,10 @@ def analyze_flow(
                         layer=layer,
                     )
                 )
-            for q, member in enumerate(lp.group[:d]):
+            for q, member in enumerate(lp.group):
                 mlp = plans[member].layers[layer - 1]
                 member_union = new_state[member][1]
-                my_pos = mlp.pos_of.get(rank, lp.pos)
+                my_pos = mlp.pos_of[rank]
                 sent_part = (
                     prev_in[lp.in_slices[q]] if q < len(lp.in_slices) else prev_in[:0]
                 )
@@ -375,7 +406,7 @@ def analyze_flow(
         state = new_state
 
     # --- bottom: global coverage and conservation
-    global_out = np.unique(
+    global_out = _sorted_set(
         np.concatenate([hasher.hash(spec.out_indices[r]) for r in range(m)])
     )
     for rank in range(m):
@@ -773,7 +804,7 @@ def worst_case_loss(
     if not kills:
         return {}
 
-    hashed_out = {r: np.unique(hasher.hash(spec.out_indices[r])) for r in range(m)}
+    hashed_out = {r: _sorted_set(hasher.hash(spec.out_indices[r])) for r in range(m)}
 
     def suffix_stride(i: int) -> int:
         # product of degrees below layer i: nodes sharing digits i+1..l
@@ -800,7 +831,7 @@ def worst_case_loss(
                 keys = hashed_out[j]
                 broken_down.append(keys[(keys >= rng.lo) & (keys < rng.hi)])
     broken_down_set = (
-        np.unique(np.concatenate(broken_down))
+        _sorted_set(np.concatenate(broken_down))
         if broken_down
         else np.empty(0, dtype=np.uint64)
     )
@@ -811,7 +842,7 @@ def worst_case_loss(
         hashed_in = hasher.hash(raw_in)
         if r in kills:
             # a dead requester loses its entire in set
-            out[r] = np.unique(raw_in)
+            out[r] = _sorted_set(raw_in)
             continue
         lost = np.isin(hashed_in, broken_down_set)
         for v, (_, up_to) in kills.items():
@@ -821,7 +852,7 @@ def worst_case_loss(
                 rng = topology.key_range(v, i)
                 lost |= (hashed_in >= rng.lo) & (hashed_in < rng.hi)
         if lost.any():
-            out[r] = np.unique(raw_in[lost])
+            out[r] = _sorted_set(raw_in[lost])
     return out
 
 
@@ -891,8 +922,8 @@ def density_spec(
     for r in range(m):
         base = np.arange(r, n, m, dtype=np.int64)
         extra = rng.choice(n, size=want, replace=False).astype(np.int64)
-        out_idx[r] = np.unique(np.concatenate([base, extra]))
-        in_idx[r] = np.unique(
+        out_idx[r] = _sorted_set(np.concatenate([base, extra]))
+        in_idx[r] = _sorted_set(
             rng.choice(n, size=max(2, want // 2), replace=False).astype(np.int64)
         )
     return ReduceSpec(in_indices=in_idx, out_indices=out_idx)
@@ -907,12 +938,11 @@ def mutant_plans(
     """A mis-partitioned copy of ``plans``: one node's layer split moves
     the boundary between its first two parts by one key.
 
-    The slices still tile the sender's array (the local ``slice-cover``
-    invariant and ``flow-slice-tiling`` both hold) but the boundary key
-    now routes to the wrong member — outside its nested interval.  This
-    is exactly the corruption the interval-lattice
-    ``flow-down-partition`` obligation exists to reject; the receivers'
-    ``flow-down-union`` obligations fail with it.
+    The slices still tile the sender's array (``flow-slice-tiling``
+    holds) but the boundary key now routes to the wrong member — outside
+    its nested interval.  This is exactly the corruption the
+    interval-lattice ``flow-down-partition`` obligation exists to reject;
+    the receivers' ``flow-down-union`` obligations fail with it.
     """
     import copy
 

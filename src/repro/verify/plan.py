@@ -7,8 +7,9 @@ the same primitives (:func:`split_sorted`, :func:`union_with_maps`,
 :meth:`ButterflyTopology.group`).  The result is a ``{rank: NodePlan}``
 mapping identical to what ``configure()`` produces — without an event
 engine, a fabric, or a single simulated message — which makes it cheap
-enough to sweep every shipped degree stack in CI and feed the invariant
-checkers in :mod:`repro.verify.invariants`.
+enough to sweep every shipped degree stack in CI: :func:`verify_stack`
+checks each with the topology invariants and the certifier's replay
+(:func:`repro.verify.flow.analyze_flow`), the one plan checker.
 
 ``python -m repro verify`` is the command-line face of this module.
 """
@@ -24,7 +25,8 @@ from ..allreduce.base import ReduceSpec
 from ..allreduce.core import LayerPlan, NodePlan
 from ..allreduce.topology import ButterflyTopology
 from ..sparse import IndexHasher, KeyRange, MultiplicativeHasher, split_sorted, union_with_maps
-from .invariants import Violation, check_replication, verify_all
+from .flow import analyze_flow
+from .invariants import Violation, check_replication, check_topology
 
 __all__ = [
     "build_plans",
@@ -175,7 +177,8 @@ def verify_stack(
     seed: int = 0,
     hasher: Optional[IndexHasher] = None,
 ) -> List[Violation]:
-    """Build plans for one (size, stack) pair and check every invariant."""
+    """Build plans for one (size, stack) pair; topology invariants plus the
+    certifier's static pass over the plans."""
     if prod(degrees) != m:
         raise ValueError(f"degree stack {list(degrees)} does not factor {m}")
     topo = ButterflyTopology(
@@ -183,7 +186,7 @@ def verify_stack(
     )
     spec = synthetic_spec(m, n=n, seed=seed)
     plans = build_plans(topo, spec, hasher)
-    return verify_all(topo, plans)
+    return check_topology(topo) + analyze_flow(topo, plans, spec, hasher).violations
 
 
 def verify_sizes(

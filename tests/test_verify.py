@@ -1,32 +1,32 @@
-"""The static plan checker: clean topologies pass, seeded violations fire.
+"""The static checkers: clean topologies and plans pass, seeded violations fire.
 
-Each corruption fixture mutates one structural property of an otherwise
-valid plan/topology and asserts that exactly the matching invariant
-reports it — the checker's own regression suite.
+Each topology fixture mutates one structural property of an otherwise
+valid topology and asserts that the matching invariant reports it.  The
+plan cases run rows of the certifier's corruption table
+(``test_verify_flow.CORRUPTIONS``) through both plan-checker entry points.
 """
 
 import numpy as np
 import pytest
 
-from repro import Cluster, KylixAllreduce, ProtocolInvariantError
+from repro import (
+    Cluster,
+    KylixAllreduce,
+    ProtocolInvariantError,
+    ReduceSpec,
+    ReplicatedKylix,
+)
 from repro.__main__ import main as cli_main
 from repro.allreduce.topology import ButterflyTopology
+from repro.faults import FaultPlan, LinkFault
 from repro.verify import (
-    assert_valid,
     build_plans,
-    check_plans,
     check_topology,
     default_stacks,
     synthetic_spec,
-    verify_all,
     verify_stack,
 )
-
-
-def make_case(m=8, degrees=(2, 2, 2), n=200, seed=1):
-    topo = ButterflyTopology(list(degrees), m)
-    spec = synthetic_spec(m, n=n, seed=seed)
-    return topo, build_plans(topo, spec)
+from test_verify_flow import assert_rejected
 
 
 def invariants_fired(violations):
@@ -66,9 +66,23 @@ class TestCleanPlans:
 
     def test_verify_plans_method_passes_after_configure(self):
         m = 8
-        net = KylixAllreduce(Cluster(m), [2, 4])
-        net.configure(synthetic_spec(m, n=100))
-        net.verify_plans()  # should not raise
+        spec = synthetic_spec(m, n=100)
+        same = ReduceSpec(in_indices=spec.out_indices, out_indices=spec.out_indices)
+        values = {r: np.ones(spec.out_indices[r].size) for r in range(m)}
+        drops = FaultPlan(seed=0).with_rule(LinkFault(drop=0.2))
+        for net, run in (
+            (KylixAllreduce(Cluster(m), [2, 4]), lambda net: net.configure(spec)),
+            # in = out: the in side shares the out side's read-only arrays
+            (KylixAllreduce(Cluster(m), [2, 4]), lambda net: net.configure(same)),
+            (KylixAllreduce(Cluster(m), [4, 2]),
+             lambda net: net.allreduce_combined(spec, values)),
+            (ReplicatedKylix(Cluster(2 * m), [4, 2], replication=2),
+             lambda net: net.configure(spec)),
+            (KylixAllreduce(Cluster(m, seed=1, failures=drops), [2, 2, 2]),
+             lambda net: net.configure(spec)),
+        ):
+            run(net)
+            net.verify_plans()  # should not raise
 
     def test_verify_plans_requires_configure(self):
         net = KylixAllreduce(Cluster(4), [2, 2])
@@ -120,72 +134,31 @@ class TestSeededViolations:
         assert "group-symmetry" in fired
 
     def test_slice_cover_violation(self):
-        topo, plans = make_case()
-        lp = plans[3].layers[0]
-        s = lp.out_slices[0]
-        lp.out_slices[0] = slice(s.start, max(s.stop - 1, s.start))  # drop a key
-        assert "slice-cover" in invariants_fired(check_plans(topo, plans))
+        assert_rejected("slice_drops_a_key", "slice_not_unit_stride")
 
     def test_map_injective_violation(self):
-        topo, plans = make_case()
-        lp = plans[2].layers[0]
-        # Plan maps are read-only: corrupt a copy and install it.
-        m = lp.in_recv_maps[0] = lp.in_recv_maps[0].copy()
-        assert m.size >= 2, "fixture needs a non-trivial part"
-        m[1] = m[0]  # duplicate position: no longer injective
-        assert "map-injective" in invariants_fired(check_plans(topo, plans))
+        assert_rejected("map_duplicate_position")
 
     def test_map_out_of_bounds_violation(self):
-        topo, plans = make_case()
-        lp = plans[5].layers[1]
-        lp.out_recv_maps[0] = lp.out_recv_maps[0].copy()  # maps are read-only
-        lp.out_recv_maps[0][-1] = lp.out_union_size + 3
-        assert "map-injective" in invariants_fired(check_plans(topo, plans))
+        assert_rejected("map_out_of_bounds")
 
     def test_map_cover_violation(self):
-        topo, plans = make_case()
-        lp = plans[1].layers[0]
-        lp.in_union_size += 1  # one union position nobody contributes
-        assert "map-cover" in invariants_fired(check_plans(topo, plans))
+        assert_rejected("union_position_nobody_sends")
 
     def test_group_consistency_violation(self):
-        topo, plans = make_case()
-        lp = plans[4].layers[0]
-        a, b = lp.group[0], lp.group[1]
-        lp.pos_of[a], lp.pos_of[b] = lp.pos_of[b], lp.pos_of[a]
-        assert "group-consistency" in invariants_fired(check_plans(topo, plans))
+        assert_rejected("pos_of_swapped", "group_members_swapped", "wrong_position")
 
     def test_nesting_violation(self):
-        topo, plans = make_case()
-        plans[6].layers[1].in_prev_size += 2  # up pass no longer retraces down
-        assert "nesting" in invariants_fired(check_plans(topo, plans))
+        assert_rejected("in_prev_size_bumped")
 
     def test_missing_layer_is_nesting_violation(self):
-        topo, plans = make_case()
-        plans[0].layers.pop()
-        assert "nesting" in invariants_fired(check_plans(topo, plans))
+        assert_rejected("layer_missing")
 
     def test_part_size_violation(self):
-        topo, plans = make_case()
-        lp = plans[7].layers[0]
-        lp.in_recv_maps[0] = lp.in_recv_maps[0][:-1]  # expect fewer keys than sent
-        fired = invariants_fired(check_plans(topo, plans))
-        assert "part-size" in fired
+        assert_rejected("map_shorter_than_part")
 
     def test_bottom_projection_violation(self):
-        topo, plans = make_case()
-        plan = plans[0]
-        assert plan.bottom_pos.size, "fixture needs a non-empty in set"
-        plan.bottom_pos[0] = plan.bottom_out_keys.size + 10
-        assert "bottom-projection" in invariants_fired(check_plans(topo, plans))
-
-    def test_assert_valid_raises_with_report(self):
-        topo, plans = make_case()
-        plans[0].layers[0].in_prev_size += 1
-        with pytest.raises(ProtocolInvariantError) as exc:
-            assert_valid(topo, plans)
-        assert "nesting" in str(exc.value)
-        assert exc.value.invariant  # names the first violated invariant
+        assert_rejected("bottom_pos_out_of_bounds")
 
     def test_verify_plans_method_detects_corruption(self):
         m = 8
@@ -194,6 +167,14 @@ class TestSeededViolations:
         net.plans[0].layers[0].in_prev_size += 1
         with pytest.raises(ProtocolInvariantError):
             net.verify_plans()
+        # Slot 0's second replica (physical 8), the one results are read
+        # from once replica 0 is dead, is checked too.
+        net = ReplicatedKylix(Cluster(2 * m), [4, 2], replication=2)
+        net.configure(synthetic_spec(m, n=200, seed=1))
+        net.plans[8].layers[0].in_prev_size += 1
+        with pytest.raises(ProtocolInvariantError) as exc:
+            net.verify_plans()
+        assert exc.value.invariant == "replication"
 
     def test_self_check_raises_on_broken_topology(self):
         class Broken(ButterflyTopology):
@@ -228,7 +209,3 @@ class TestVerifyCLI:
         out = capsys.readouterr().out
         assert "FAIL" in out and "seeded failure" in out
 
-
-def test_verify_all_combines_topology_and_plans():
-    topo, plans = make_case(m=6, degrees=(3, 2), n=120)
-    assert verify_all(topo, plans) == []

@@ -1,6 +1,10 @@
 """The symbolic plan certifier: proofs discharge on clean plans, seeded
 corruptions are rejected by name, and the exact traffic predictions gate
-live simulated runs cell for cell."""
+live simulated runs cell for cell.
+
+``CORRUPTIONS`` is the one corruption table of the plan checker: every
+row is rejected by :func:`analyze_flow` on ``build_plans`` output and by
+``verify_plans()`` on a live configure (:func:`assert_rejected`)."""
 
 import json
 
@@ -42,6 +46,172 @@ def dense_spec(m, n):
     return ReduceSpec(in_indices=idx, out_indices=idx)
 
 
+# ---------------------------------------------------------------------------
+# The corruption table: row name -> (corrupt(plans), the obligation that
+# rejects it first).
+# Plan arrays are read-only, so a row edits a copy and installs it.
+# ---------------------------------------------------------------------------
+CORRUPTIONS = {}
+
+
+def corruption(obligation):
+    def register(corrupt):
+        CORRUPTIONS[corrupt.__name__] = (corrupt, obligation)
+        return corrupt
+
+    return register
+
+
+def _edit(owner, name, edit, index=None):
+    """Replace ``owner.name`` (or its ``index``-th entry) by an edited copy."""
+    if index is None:
+        arr = getattr(owner, name).copy()
+        edit(arr)
+        setattr(owner, name, arr)
+    else:
+        arr = getattr(owner, name)[index].copy()
+        edit(arr)
+        getattr(owner, name)[index] = arr
+
+
+def _swap(seq, a=0, b=1):
+    seq[a], seq[b] = seq[b], seq[a]
+
+
+def _covered_slot(plan):
+    return int(np.flatnonzero(plan.bottom_hit)[0])
+
+
+@corruption("flow-slice-tiling")
+def slice_drops_a_key(plans):
+    lp = plans[3].layers[0]
+    s = lp.out_slices[0]
+    lp.out_slices[0] = slice(s.start, max(s.stop - 1, s.start))
+
+
+@corruption("flow-slice-tiling")
+def slice_not_unit_stride(plans):
+    s = plans[3].layers[0].out_slices[0]
+    plans[3].layers[0].out_slices[0] = slice(s.start, s.stop, 2)
+
+
+@corruption("flow-down-union")
+def map_duplicate_position(plans):
+    _edit(plans[2].layers[0], "in_recv_maps", lambda m: m.__setitem__(1, m[0]), 0)
+
+
+@corruption("flow-down-union")
+def map_out_of_bounds(plans):
+    lp = plans[5].layers[1]
+    _edit(lp, "out_recv_maps", lambda m: m.__setitem__(-1, lp.out_union_size + 3), 0)
+
+
+@corruption("flow-down-union")
+def union_position_nobody_sends(plans):
+    plans[1].layers[0].in_union_size += 1
+
+
+@corruption("flow-down-union")
+def map_shorter_than_part(plans):
+    lp = plans[7].layers[0]
+    lp.in_recv_maps[0] = lp.in_recv_maps[0][:-1]
+
+
+@corruption("flow-down-union")
+def map_entries_swapped(plans):
+    _edit(plans[2].layers[0], "in_recv_maps", _swap, 0)
+
+
+@corruption("flow-down-union")
+def equal_size_maps_swapped(plans):
+    for rank in sorted(plans):
+        for lp in plans[rank].layers:
+            for maps in (lp.out_recv_maps, lp.in_recv_maps):
+                for a in range(len(maps)):
+                    for b in range(a + 1, len(maps)):
+                        if maps[a].size == maps[b].size and not np.array_equal(
+                            maps[a], maps[b]
+                        ):
+                            _swap(maps, a, b)
+                            return
+    raise AssertionError("fixture needs two equal-size receive maps")
+
+
+@corruption("flow-structure")
+def pos_of_swapped(plans):
+    lp = plans[4].layers[0]
+    a, b = lp.group[0], lp.group[1]
+    lp.pos_of[a], lp.pos_of[b] = lp.pos_of[b], lp.pos_of[a]
+
+
+@corruption("flow-structure")
+def group_members_swapped(plans):
+    _swap(plans[4].layers[0].group)
+
+
+@corruption("flow-structure")
+def wrong_position(plans):
+    lp = plans[4].layers[0]
+    lp.pos = (lp.pos + 1) % len(lp.group)
+
+
+@corruption("flow-structure")
+def layer_missing(plans):
+    plans[0].layers.pop()
+
+
+@corruption("flow-up-reassembly")
+def in_prev_size_bumped(plans):
+    plans[6].layers[1].in_prev_size += 2
+
+
+@corruption("flow-up-coverage")
+def bottom_pos_out_of_bounds(plans):
+    size = plans[0].bottom_out_keys.size
+    _edit(plans[0], "bottom_pos", lambda a: a.__setitem__(0, size + 10))
+
+
+@corruption("flow-up-coverage")
+def bottom_pos_shifted(plans):
+    _edit(plans[0], "bottom_pos", lambda a: a.__setitem__(0, a[0] + 1))
+
+
+@corruption("flow-up-coverage")
+def bottom_pos_missing(plans):
+    plans[0].bottom_pos = None
+
+
+@corruption("flow-up-coverage")
+def covered_bottom_hit_flipped(plans):
+    _edit(plans[0], "bottom_hit", lambda a: a.__setitem__(_covered_slot(plans[0]), False))
+
+
+@corruption("flow-up-coverage")
+def covered_bottom_pos_moved(plans):
+    i, size = _covered_slot(plans[0]), plans[0].bottom_out_keys.size
+    _edit(plans[0], "bottom_pos", lambda a: a.__setitem__(i, (a[i] + 1) % size))
+
+
+def assert_rejected(*rows):
+    """Each named row is rejected first by its obligation, through both
+    entry points."""
+    m, degrees = 8, [4, 2]
+    spec = synthetic_spec(m, n=256, seed=3)
+    topo = ButterflyTopology(degrees, m)
+    for row in rows:
+        corrupt, obligation = CORRUPTIONS[row]
+        plans = build_plans(topo, spec)
+        corrupt(plans)
+        violations = analyze_flow(topo, plans, spec).violations
+        assert violations and violations[0].invariant == obligation, (row, violations)
+        net = KylixAllreduce(Cluster(m), degrees)
+        net.configure(spec)
+        corrupt(net.plans)
+        with pytest.raises(CertificationError) as exc:
+            net.verify_plans()
+        assert exc.value.invariant == obligation, (row, exc.value.violations)
+
+
 class TestStaticProofs:
     @pytest.mark.parametrize(
         "m,degrees",
@@ -66,24 +236,15 @@ class TestStaticProofs:
         assert "flow-down-union" in fired  # receivers notice too
 
     def test_corrupted_recv_map_rejected(self):
-        topo, spec, plans = make_case()
-        lp = plans[2].layers[0]
-        assert lp.in_recv_maps[0].size >= 2
-        lp.in_recv_maps[0] = lp.in_recv_maps[0].copy()  # maps are read-only
-        lp.in_recv_maps[0][0], lp.in_recv_maps[0][1] = (
-            lp.in_recv_maps[0][1],
-            lp.in_recv_maps[0][0],
-        )
-        analysis = analyze_flow(topo, plans, spec)
-        fired = {v.invariant for v in analysis.violations}
-        assert "flow-down-union" in fired or "flow-up-reassembly" in fired
+        assert_rejected("map_entries_swapped", "equal_size_maps_swapped")
 
     def test_corrupted_bottom_projection_rejected(self):
-        topo, spec, plans = make_case()
-        assert plans[0].bottom_pos.size
-        plans[0].bottom_pos[0] += 1
-        fired = {v.invariant for v in analyze_flow(topo, plans, spec).violations}
-        assert "flow-up-coverage" in fired
+        assert_rejected(
+            "bottom_pos_shifted",
+            "bottom_pos_missing",
+            "covered_bottom_hit_flipped",
+            "covered_bottom_pos_moved",
+        )
 
     def test_missing_layer_is_structure_violation(self):
         topo, spec, plans = make_case()

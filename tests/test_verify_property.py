@@ -1,4 +1,4 @@
-"""Property tests for the plan invariants: odd cluster sizes, degenerate
+"""Property tests for the plan checker: odd cluster sizes, degenerate
 stacks, and randomised sparse workloads (extends the strategy matrix of
 ``test_property_protocols.py`` with non-power-of-two shapes)."""
 
@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from repro.allreduce import ReduceSpec
 from repro.allreduce.topology import ButterflyTopology
-from repro.verify import build_plans, default_stacks, verify_all, verify_stack
+from repro.verify import (
+    analyze_flow,
+    build_plans,
+    check_topology,
+    default_stacks,
+    verify_stack,
+)
 
 # Odd/composite sizes with their interesting factorisations, plus the two
 # degenerate stacks the module docstrings promise: [m] (direct) and
@@ -46,13 +52,17 @@ def spec_case(draw):
     return m, degrees, ReduceSpec(in_idx, out_idx)
 
 
+def violations(topo, spec):
+    """Topology invariants plus the certifier's pass over fresh plans."""
+    plans = build_plans(topo, spec)
+    return check_topology(topo) + analyze_flow(topo, plans, spec).violations
+
+
 @given(spec_case())
 @settings(max_examples=40, deadline=None)
 def test_prop_plans_satisfy_all_invariants(case):
     m, degrees, spec = case
-    topo = ButterflyTopology(degrees, m)
-    plans = build_plans(topo, spec)
-    assert verify_all(topo, plans) == []
+    assert violations(ButterflyTopology(degrees, m), spec) == []
 
 
 @given(st.sampled_from(ODD_STACKS), st.integers(0, 1000))
@@ -79,4 +89,4 @@ def test_prop_single_node_edge_case(case):
     one = ReduceSpec(
         {0: spec.in_indices[0]}, {0: spec.out_indices[0]}
     )
-    assert verify_all(topo, build_plans(topo, one)) == []
+    assert violations(topo, one) == []
