@@ -22,11 +22,12 @@ This module is that protocol and nothing else.  Every pass is a
 generator that ``yield``\\ s one :class:`Exchange` per layer — "deliver
 ``parts[q]`` to ``group[q]``" — and is resumed with the parts the node
 received, indexed by sender group position (``None`` = the member is
-unrecoverable).  It never sends, receives, waits or reads a clock: a
-*driver* does, and there are two — :class:`~repro.allreduce.KylixAllreduce`
-pumps the passes as simulator processes on the virtual clock,
-:mod:`repro.net.protocol` pumps them over a blocking pipe/TCP transport.
-A test can pump them with a for-loop (``tests/test_allreduce_core.py``).
+unrecoverable).  A pass never sends, receives, waits or reads a clock.
+:func:`drive` is the one exchange step that does, through a *medium*,
+and there are two — :class:`~repro.allreduce.KylixAllreduce` runs it as
+a simulator process on the virtual clock, :mod:`repro.net.protocol` over
+a blocking pipe/TCP transport.  A test can pump the passes with a
+for-loop (``tests/test_allreduce_core.py``).
 
 A part is an array or a tuple of arrays, so its wire size is the sum of
 their ``nbytes`` on every backend:
@@ -49,7 +50,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import NULL_OBSERVER
 from ..sparse import IndexHasher, KeyRange, split_sorted, union_with_maps
 from .base import (
     PHASE_COMBINED_DOWN,
@@ -67,6 +67,7 @@ __all__ = [
     "NodePlan",
     "LayerPlan",
     "Exchange",
+    "drive",
     "down_pass",
     "value_down_pass",
     "bottom_projection",
@@ -132,7 +133,7 @@ class NodePlan:
 
 
 class Exchange(NamedTuple):
-    """One layer's group exchange: the only thing a pass asks of its driver.
+    """One layer's group exchange: the only thing a pass asks of :func:`drive`.
 
     Deliver ``parts[q]`` to ``group[q]`` for every position (``parts[pos]``
     is the node's own part: the simulator sends it across the fabric, a
@@ -149,6 +150,90 @@ class Exchange(NamedTuple):
     plan: NodePlan  # the plan this pass builds (layer appended on resume) or replays
 
 
+def drive(gen, medium):
+    """The one exchange step: run a pass to completion over ``medium``;
+    returns the pass's return value.
+
+    Per :class:`Exchange`, under a ``{phase} L{layer}`` span: send every
+    part to every replica of its destination (``medium.slots.physical``),
+    receive one part per group position, resume the pass under a
+    ``merge L{layer}`` span (``kind="merge"``) and let the medium charge
+    the merge.  Under degraded completion (``medium.degrade``) a
+    combined-down exchange runs the hole policy (``docs/faults.md``): the
+    sent out-key slices and the node's raw keys at layer 1 are retained
+    in ``medium.retained`` under ``(medium.round, layer, member)``, and
+    every hole is resumed as :func:`tombstone_part` through
+    ``medium.fetch``.  A medium with ``piggyback`` set also ships the raw
+    keys on every layer-1 part, and each receiver retains the sender's.
+
+    What a medium provides (``docs/protocol.md`` §4 decides every
+    difference between the two): ``rank``, ``round``, ``obs``,
+    ``degrade``, ``piggyback``, ``slots``, ``retained``, ``topo`` and
+    ``spec`` as data; ``send(dst, part, phase, layer)``;
+    ``recv(exchange, pos_of)``, a generator returning ``(parts, nbytes)``
+    by group position (``None`` = a hole) — whatever it yields, this step
+    yields; ``fetch(holder, direction, layer, about)``, the retained-key
+    lookup; and ``charge(nbytes, d, building)``, which returns something
+    for this step to yield, or ``None``.
+    """
+    rank, round, obs = medium.rank, medium.round, medium.obs
+    physical = medium.slots.physical
+    ex = next(gen)
+    while ex is not None:
+        phase, layer, group, _, parts, _, plan = ex
+        building = phase in (PHASE_CONFIG, PHASE_COMBINED_DOWN)
+        span = obs.begin(f"{phase} L{layer}", node=rank, phase=phase, layer=layer)
+        audit = medium.degrade and phase == PHASE_COMBINED_DOWN
+        raw = ()
+        if audit:
+            kept = medium.retained
+            if layer == 1:
+                # State 0: this node's partial starts as exactly its own
+                # unique out keys, kept before any send, so survivors can
+                # reconstruct what it held if it dies mid-protocol.
+                keys = np.concatenate([part[0] for part in parts])
+                kept.recv[(round, 1, rank)] = keys
+                raw = (keys,) if medium.piggyback else ()
+        for member, part in zip(group, parts):
+            if audit:
+                kept.sent[(round, layer, member)] = part[0]
+                part += raw
+            for dst in physical[member]:
+                medium.send(dst, part, phase, layer)
+        pos_of = (
+            {member: q for q, member in enumerate(group)}
+            if building  # the layer's LayerPlan exists only after the resume
+            else plan.layers[layer - 1].pos_of
+        )
+        got, nbytes = yield from medium.recv(ex, pos_of)
+        if audit:
+            for q, part in enumerate(got):
+                if part is None:
+                    got[q] = tombstone_part(
+                        medium.topo, medium.spec, rank, layer, group[q], medium.fetch
+                    )
+                elif raw:
+                    kept.recv[(round, 1, group[q])] = part[-1]
+                    got[q] = part[:-1]
+        merge = obs.begin(
+            f"merge L{layer}", node=rank, phase=phase, layer=layer, kind="merge"
+        )
+        try:
+            ex = gen.send(got)
+        except StopIteration as stop:
+            ex, result = None, stop.value
+        if building:
+            obs.histogram("config.merge_length").observe(
+                plan.layers[layer - 1].out_union_size, phase=phase, layer=layer
+            )
+        charge = medium.charge(nbytes, len(group), building)
+        if charge is not None:
+            yield charge
+        obs.end(merge)
+        obs.end(span)
+    return result
+
+
 def down_pass(
     topo: ButterflyTopology,
     hasher: IndexHasher,
@@ -157,7 +242,6 @@ def down_pass(
     values: Optional[np.ndarray] = None,
     *,
     degrade: bool = False,
-    obs=NULL_OBSERVER,
 ):
     """The downward pass: build ``rank``'s routing plan, optionally
     carrying ``values`` (aligned with ``spec.out_indices[rank]``) in the
@@ -181,13 +265,6 @@ def down_pass(
     for its later layers: their unions are equal only if every group
     member's received pair is.  The shared arrays are read-only; the
     per-side lists (maps, slices) are not shared.
-
-    ``obs`` receives a wall-clock ``kind="merge"`` span around each of the
-    two kernels (index unions under ``config``, with the union size as
-    ``config.merge_length``; the value scatter under ``reduce_down``).
-    Only a real-time driver passes one; on the simulator's virtual clock a
-    kernel takes no time, so that driver charges the merge cost — and
-    opens its merge span — around the resume instead.
     """
     out_keys, out_inverse = _unique_keys(hasher, spec.out_indices[rank])
     if np.array_equal(spec.in_indices[rank], spec.out_indices[rank]):
@@ -226,10 +303,6 @@ def down_pass(
         )
 
         # Union the received index sets; memoise position maps.
-        span = obs.begin(
-            f"{PHASE_CONFIG} L{layer}",
-            node=rank, phase=PHASE_CONFIG, layer=layer, kind="merge",
-        )
         out_union, out_maps = union_with_maps(
             [p[0] if p is not None else out_keys[:0] for p in got]
         )
@@ -241,10 +314,6 @@ def down_pass(
             in_union, in_maps = union_with_maps(
                 [p[1] if p is not None else in_keys[:0] for p in got]
             )
-        obs.histogram("config.merge_length").observe(
-            out_union.size, phase=PHASE_CONFIG, layer=layer
-        )
-        obs.end(span)
         lp = LayerPlan(
             group=group,
             pos=pos,
@@ -259,14 +328,9 @@ def down_pass(
         )
         plan.layers.append(lp)
         if combined:
-            span = obs.begin(
-                f"{PHASE_REDUCE_DOWN} L{layer}",
-                node=rank, phase=PHASE_REDUCE_DOWN, layer=layer, kind="merge",
-            )
             v, v_mask = _scatter(
                 lp, spec, [p[2:] if degrade else p[2] for p in got], degrade
             )
-            obs.end(span)
         out_keys, in_keys = out_union, in_union
         rng = rng.subrange(pos, d)
 

@@ -2,13 +2,15 @@
 
 The protocol itself — split, scatter, union and memoise maps on the way
 down, replay the maps back up — lives in :mod:`repro.allreduce.core` as
-sans-IO generators that yield one ``Exchange`` per layer.
-:class:`KylixAllreduce` is what turns those into simulator processes:
+sans-IO generators that yield one ``Exchange`` per layer, and so does
+the one exchange step that drives them on every medium
+(:func:`~repro.allreduce.core.drive`).  :class:`KylixAllreduce` runs
+that step as each node's simulator process over the simulator medium:
 message tags, sends and receives through the replica
 :class:`~repro.faults.SlotMap`, the simulator runner of the one
 :class:`~repro.faults.ReceiveLadder`, merge cost charged to the node's CPU
-on the virtual clock, the hole policy's retained keys held in memory, and
-the public configure/reduce API.
+on the virtual clock, the hole policy's retained keys held in memory —
+and it holds the public configure/reduce API.
 
 Degenerate stacks reproduce the baselines: ``[m]`` is the direct
 all-to-all allreduce, ``[2]*log2(m)`` the binary butterfly.
@@ -48,6 +50,99 @@ _TAG_KIND = {
     PHASE_REDUCE_DOWN: "rd",
     PHASE_GATHER_UP: "up",
 }
+
+
+class _SimMedium:
+    """The simulator medium of :func:`~repro.allreduce.core.drive`: one
+    node's fabric for one protocol instance.
+
+    Message tags are ``(name, kind, instance, layer)``; the node's own
+    part crosses the fabric like any other; the merge is charged to the
+    node's CPU on the virtual clock; the retained keys are read in memory.
+    """
+
+    piggyback = False  # a node keeps its own raw keys; parts carry none
+
+    def __init__(self, net: "KylixAllreduce", node: SimNode, inst: int):
+        self.net, self.node, self.name, self.round = net, node, net.name, inst
+        self.rank = net._logical(node.rank)
+        self.topo, self.spec, self.slots = net.topology, net.spec, net.slots
+        self.obs = net._obs
+        self.degrade = net._degrade_active()
+
+    @property
+    def retained(self) -> RetainedKeys:
+        return self.net._retained[self.rank]
+
+    def fetch(self, holder: int, direction: str, layer: int, about: int):
+        return self.net._retained[holder].get(direction, self.round, layer, about)
+
+    def send(self, dst: int, part, phase: str, layer: int) -> None:
+        tag = (self.name, _TAG_KIND[phase], self.round, layer)
+        self.node.send(dst, part, tag=tag, phase=phase, layer=layer)
+
+    def recv(self, ex: core.Exchange, pos_of: Dict[int, int]):
+        """Receive one message per group position, the first copy per
+        position; returns their payloads indexed by position (``None`` =
+        a hole) and their bytes.
+
+        Without a retry policy this is one group receive: the process
+        wakes once per layer, when the last position fills.  With one it
+        is the simulator runner of the :class:`~repro.faults.ReceiveLadder`:
+        each wait is one message's, bounded by the netmodel envelope at
+        the ladder's step (``retry.timeout_for``), so the engine trace and
+        the timer-versus-delivery races ``repro.mc`` explores stay as
+        they were; an expiry NACKs through the fabric (every replica of
+        the slot), and the ladder decides the rest.
+        """
+        net, node, group = self.net, self.node, ex.group
+        tag = (self.name, _TAG_KIND[ex.phase], self.round, ex.layer)
+        retry = net._effective_retry()
+        slot_of = self.slots.slot_fn(pos_of)
+        if retry is None:
+            msgs = yield node.recv_all(len(group), tag=tag, slot_of=slot_of)
+        else:
+            ladder = ReceiveLadder(
+                group, rank=self.rank, phase=ex.phase, layer=ex.layer,
+                max_retries=retry.max_retries, degrade=net.degrade,
+                reset_on_arrival=True, losses=net._loss_events,
+            )
+            request_resend = node.cluster.fabric.request_resend
+            physical = self.slots.physical
+
+            def nack(q: int, attempt: int):
+                return slot_status(
+                    [request_resend(node.rank, src, tag, attempt) for src in physical[group[q]]]
+                )
+
+            params, engine = node.cluster.params, node.engine
+            while not ladder.done:
+                try:
+                    msg = yield from wait_with_timeout(
+                        engine, node.recv(tag=tag),
+                        retry.timeout_for(params, ex.nbytes_hint, ladder.step),
+                    )
+                except WaitTimeout:
+                    ladder.expire(nack)
+                    continue
+                if ladder.arrive(slot_of(msg.src), msg, (msg.src, msg.seq)) == DUPLICATE:
+                    net.duplicates_dropped += 1
+                    self.obs.counter("faults.duplicates_dropped").inc(
+                        phase=ex.phase, layer=ex.layer
+                    )
+            msgs = [ladder.parts.get(q) for q in range(len(group))]
+        return (
+            [None if msg is None else msg.payload for msg in msgs],
+            sum([msg.nbytes for msg in msgs if msg is not None]),
+        )
+
+    def charge(self, nbytes: int, d: int, building: bool):
+        if building:
+            # Modelled union cost: a balanced merge of d sorted parts,
+            # every element taking part in ~log2(d)+1 merges.
+            nbytes *= max(1, int(np.ceil(np.log2(max(d, 2)))) + 1)
+        return self.node.compute_bytes(nbytes)
+
 
 @dataclass(frozen=True)
 class PhaseTiming:
@@ -168,131 +263,6 @@ class KylixAllreduce:
     def _degrade_active(self) -> bool:
         return self.degrade and self._effective_retry() is not None
 
-    def _recv_group(
-        self, node: SimNode, tag, group, pos_of: Dict[int, int], *,
-        phase: str, layer: int, nbytes_hint: int,
-    ):
-        """Receive one message per group position, the first copy per
-        position; returns them indexed by position (``None`` = a hole).
-
-        Without a retry policy this is one group receive: the process
-        wakes once per layer, when the last position fills.  With one it
-        is the simulator runner of the :class:`~repro.faults.ReceiveLadder`:
-        each wait is one message's, bounded by the netmodel envelope at
-        the ladder's step (``retry.timeout_for``), so the engine trace and
-        the timer-versus-delivery races ``repro.mc`` explores stay as
-        they were; an expiry NACKs through the fabric (every replica of
-        the slot), and the ladder decides the rest.
-        """
-        retry = self._effective_retry()
-        slot_of = self.slots.slot_fn(pos_of)
-        if retry is None:
-            return (yield node.recv_all(len(group), tag=tag, slot_of=slot_of))
-        ladder = ReceiveLadder(
-            group, rank=self._logical(node.rank), phase=phase, layer=layer,
-            max_retries=retry.max_retries, degrade=self.degrade,
-            reset_on_arrival=True, losses=self._loss_events,
-        )
-        request_resend = node.cluster.fabric.request_resend
-        physical = self.slots.physical
-
-        def nack(q: int, attempt: int):
-            return slot_status(
-                [request_resend(node.rank, src, tag, attempt) for src in physical[group[q]]]
-            )
-
-        params, engine = self.cluster.params, node.engine
-        while not ladder.done:
-            try:
-                msg = yield from wait_with_timeout(
-                    engine, node.recv(tag=tag),
-                    retry.timeout_for(params, nbytes_hint, ladder.step),
-                )
-            except WaitTimeout:
-                ladder.expire(nack)
-                continue
-            if ladder.arrive(slot_of(msg.src), msg, (msg.src, msg.seq)) == DUPLICATE:
-                self.duplicates_dropped += 1
-                self._obs.counter("faults.duplicates_dropped").inc(
-                    phase=phase, layer=layer
-                )
-        return [ladder.parts.get(q) for q in range(len(group))]
-
-    def _drive(self, node: SimNode, gen, inst: int):
-        """Pump one :mod:`~repro.allreduce.core` pass as a simulator process.
-
-        Per ``Exchange``: send every part to every replica of its
-        destination (the node's own crosses the fabric like any other),
-        receive one per group position, resume the pass with them, and
-        charge the merge it just did to the node's CPU on the virtual
-        clock.  Returns the pass's return value.
-        """
-        obs = self._obs
-        rank = self._logical(node.rank)
-        name = self.name
-        physical = self.slots.physical
-        ex = next(gen)
-        while ex is not None:
-            phase, layer, group, _, out_parts, nbytes_hint, plan = ex
-            building = phase in (PHASE_CONFIG, PHASE_COMBINED_DOWN)
-            span = obs.begin(f"{phase} L{layer}", node=rank, phase=phase, layer=layer)
-            tag = (name, _TAG_KIND[phase], inst, layer)
-            # The hole policy (docs/faults.md): what a combined-down hole
-            # took with it is reconstructed from the retained keys.
-            audit = phase == PHASE_COMBINED_DOWN and self._degrade_active()
-            if audit:
-                kept = self._retained[rank]
-                if layer == 1:
-                    # State 0: this node's partial starts as exactly its
-                    # own unique out keys.  Kept before any sends, so if
-                    # this node later dies mid-protocol its survivors can
-                    # reconstruct what the dead partial contained.
-                    kept.recv[(inst, 1, rank)] = np.concatenate(
-                        [part[0] for part in out_parts]
-                    )
-            for member, part in zip(group, out_parts):
-                if audit:
-                    kept.sent[(inst, layer, member)] = part[0]
-                for dst in physical[member]:
-                    node.send(dst, part, tag=tag, phase=phase, layer=layer)
-            pos_of = (
-                {member: q for q, member in enumerate(group)}
-                if building  # the layer's LayerPlan exists only after the resume
-                else plan.layers[layer - 1].pos_of
-            )
-            msgs = yield from self._recv_group(
-                node, tag, group, pos_of,
-                phase=phase, layer=layer, nbytes_hint=nbytes_hint,
-            )
-            # A None message is an unrecoverable member: it stays a hole.
-            parts = [None if msg is None else msg.payload for msg in msgs]
-            cost = sum([msg.nbytes for msg in msgs if msg is not None])
-            if audit:
-                for q, part in enumerate(parts):
-                    if part is None:
-                        parts[q] = core.tombstone_part(
-                            self.topology, self.spec, rank, layer, group[q],
-                            lambda p, d, s, h: self._retained[p].get(d, inst, s, h),
-                        )
-            merge_span = obs.begin(
-                f"merge L{layer}", node=rank, phase=phase, layer=layer, kind="merge"
-            )
-            try:
-                ex = gen.send(parts)
-            except StopIteration as stop:
-                ex, result = None, stop.value
-            if building:
-                obs.histogram("config.merge_length").observe(
-                    plan.layers[layer - 1].out_union_size, phase=phase, layer=layer
-                )
-                # Modelled union cost: a balanced merge of d sorted parts,
-                # every element taking part in ~log2(d)+1 merges.
-                cost *= max(1, int(np.ceil(np.log2(max(len(group), 2)))) + 1)
-            yield node.compute_bytes(cost)
-            obs.end(merge_span)
-            obs.end(span)
-        return result
-
     def _run(self, name: str, proto, *args, phase: str = ""):
         """One cluster run of ``proto(node, *args, inst)`` on every node as
         a fresh protocol instance, under a ``name`` span; returns
@@ -372,8 +342,8 @@ class KylixAllreduce:
         Returns the values aligned with the node's ``spec.in_indices`` —
         paired with their validity mask under degraded completion."""
         plan = self.plans[node.rank]
-        r, r_mask = yield from self._drive(
-            node, core.up_pass(plan, self.spec, r, r_mask), inst
+        r, r_mask = yield from core.drive(
+            core.up_pass(plan, self.spec, r, r_mask), _SimMedium(self, node, inst)
         )
         return core.in_order(plan, r, r_mask)
 
@@ -381,41 +351,38 @@ class KylixAllreduce:
         """Generator: one node's whole reduction ``inst`` — what
         :meth:`node_down` then :meth:`node_up` return, driven as one pass
         so every simulator resume crosses one generator fewer."""
-        return self._drive(
-            node,
+        return core.drive(
             core.reduce_pass(
                 self.plans[node.rank], self.spec,
                 out_values[self._logical(node.rank)],
                 degrade=self._degrade_active(), strict=self.strict_coverage,
             ),
-            inst,
+            _SimMedium(self, node, inst),
         )
 
     def _value_down(self, node: SimNode, out_values, inst: int):
         """The values-only down pass over the configured plan; returns the
         bottom partial ``(v, v_mask)``."""
-        return self._drive(
-            node,
+        return core.drive(
             core.value_down_pass(
                 self.plans[node.rank], self.spec,
                 out_values[self._logical(node.rank)],
                 degrade=self._degrade_active(),
             ),
-            inst,
+            _SimMedium(self, node, inst),
         )
 
     def _down(self, node: SimNode, inst: int, values=None):
         """The plan-building down pass (combined when ``values`` is given);
         returns ``(plan, v, v_mask)``."""
         rank = self._logical(node.rank)
-        plan, v, v_mask = yield from self._drive(
-            node,
+        plan, v, v_mask = yield from core.drive(
             core.down_pass(
                 self.topology, self.hasher, self.spec, rank,
                 None if values is None else values[rank],
                 degrade=self._degrade_active(),
             ),
-            inst,
+            _SimMedium(self, node, inst),
         )
         plan.rank = node.rank  # plans are keyed by physical rank (replication)
         return plan, v, v_mask
@@ -444,8 +411,8 @@ class KylixAllreduce:
             plan, self.spec, v, v_mask, strict=self.strict_coverage
         )
         # Not node_up: self.plans still holds the previous configuration.
-        r, r_mask = yield from self._drive(
-            node, core.up_pass(plan, self.spec, r, r_mask), inst
+        r, r_mask = yield from core.drive(
+            core.up_pass(plan, self.spec, r, r_mask), _SimMedium(self, node, inst)
         )
         return plan, core.in_order(plan, r, r_mask)
 

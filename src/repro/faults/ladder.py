@@ -25,12 +25,13 @@ the parts and holes by position.  A give-up raises
 completion it appends a :class:`~repro.faults.LossRecord` and leaves a
 hole.
 
-Two runners: :meth:`repro.allreduce.KylixAllreduce._recv_group` waits per
-message on the virtual clock, :meth:`repro.net.transport.BaseTransport.
-collect` blocks in ``pump(deadline - now)``.  Where the two media
-legitimately differ, the difference is constructor data or an input only
-one medium produces — never a branch on the caller; the table is in
-``docs/protocol.md`` §4.
+Two runners: the simulator medium's ``recv``
+(:mod:`repro.allreduce.kylix`) waits per message on the virtual clock,
+:meth:`repro.net.transport.BaseTransport.collect` blocks in
+``pump(deadline - now)``.
+Where the two media legitimately differ, the difference is constructor
+data or an input only one medium produces — never a branch on the
+caller; the table is in ``docs/protocol.md`` §4.
 
 The module also holds the two other things both runners read: the
 replica :class:`SlotMap` and the hole policy's :class:`RetainedKeys`.

@@ -3,9 +3,9 @@
 :class:`LocalKylix` runs one OS process per logical node with pipe
 transport and sender threads; :class:`TcpKylix` is its socket twin —
 every message crosses a real loopback TCP connection with framing,
-heartbeats, and reconnect.  Both pump the simulator's own protocol core
-(:mod:`repro.allreduce.core`) through the exact same blocking driver
-(:mod:`repro.net.protocol`) under the exact same reliability layer
+heartbeats, and reconnect.  Both run the simulator's own protocol core
+and exchange step (:mod:`repro.allreduce.core`) over the exact same wire
+medium (:mod:`repro.net.protocol`) under the exact same reliability layer
 (:mod:`repro.net.transport`), so fault semantics, typed failures,
 degraded completion, and observability cannot drift between mediums —
 the existence proof that Kylix "can be run self-contained" (§I-B) on a

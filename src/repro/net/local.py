@@ -19,7 +19,7 @@ simulator for performance studies.
 
 Only the medium (pipe send/receive) is local to this file.  The node
 body and the driver's collection are :mod:`repro.net.session`, the
-protocol pump :mod:`repro.net.protocol`, fault injection and the
+wire medium :mod:`repro.net.protocol`, fault injection and the
 NACK/retry/dedupe layer :mod:`repro.net.transport`, process supervision
 :mod:`repro.net.base` — all shared with, and byte-identical on, the TCP
 backend (:mod:`repro.net.tcp`).  Each link carries exactly one logical

@@ -2,7 +2,7 @@
 
 :class:`BaseTransport` is the piece of ``repro.net`` that makes a lossy,
 crash-prone medium look like "one logical message per (peer, kind,
-layer, seq)" to the protocol driver in :mod:`repro.net.protocol`:
+layer, seq)" to the wire medium in :mod:`repro.net.protocol`:
 
 * **Fault injection** — sender paths consult the installed
   :class:`~repro.faults.FaultPlan` oracle per message and drop,
@@ -30,6 +30,7 @@ sender threads for :class:`~repro.net.tcp.TcpKylix`.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 import time
 from functools import partial
@@ -76,6 +77,7 @@ class BaseTransport:
     def __init__(self, rank: int, plan, retry: RetryPolicy, obs=NULL_OBSERVER):
         self.rank = int(rank)
         self.plan = plan
+        self._step_kill = plan.step_kill_for(self.rank) if plan is not None else None
         self.retry = retry
         self.obs = obs
         # Fault decisions happen on sender threads; metric dicts are not
@@ -118,7 +120,13 @@ class BaseTransport:
     def post(self, member: int, kind: str, layer: int, part, seq: int = 0) -> None:
         """Cache the payload; fault-inject and send it on a fresh
         thread, so simultaneous exchanges cannot deadlock on transport
-        buffers ("threads to send all messages concurrently", §VI-B)."""
+        buffers ("threads to send all messages concurrently", §VI-B).
+
+        The fault plan's crash point is here, as in ``Fabric.send``: a
+        node scheduled to die at a (phase, layer) exits right before its
+        first post there (a node's own part is never posted)."""
+        if self._step_kill == (canonical_phase(kind), layer):
+            os._exit(1)  # the SIGKILL-equivalent: no goodbye frames
         self.sent[(member, kind, layer, seq)] = part
         t = threading.Thread(
             target=self._transmit,

@@ -264,10 +264,21 @@ class TestLocalBackend:
         _, exact = traced
         assert exact
 
-    def test_spans_cover_all_three_phases(self, traced):
+    def test_spans_cover_both_passes_and_their_merges(self, traced):
+        """The exchange step's spans, as on the simulator: per worker and
+        layer, one span per pass and one merge span inside each."""
         obs, _ = traced
-        phases = {sp.phase for sp in obs.spans}
-        assert {"config", "reduce_down", "gather_up", "combined_down"} <= phases
+        spans = {
+            (sp.node, sp.name, sp.phase, sp.args.get("kind"))
+            for sp in obs.spans if sp.node >= 0
+        }
+        assert spans == {
+            (node, name, phase, kind)
+            for node in range(4)
+            for phase in ("combined_down", "gather_up")
+            for layer in (1, 2)
+            for name, kind in ((f"{phase} L{layer}", None), (f"merge L{layer}", "merge"))
+        }
 
     def test_one_process_row_per_worker(self, traced):
         obs, _ = traced

@@ -3,7 +3,7 @@
 ``repro.faults.ladder`` decides what a group receive does when a deadline
 passes — NACK whom with which attempt, when a late member stops being
 charged, when to give up and what giving up is — for the simulator
-(``KylixAllreduce._recv_group``) and for the real transports
+(the simulator medium's ``recv``) and for the real transports
 (``BaseTransport.collect``).  Here it is driven three ways: by hand, with
 no engine and no socket; through both runners on one scripted scenario,
 whose NACK and give-up sequences must be equal wherever
