@@ -142,10 +142,10 @@ class RetryPolicy:
         """Worst-case wall time one receive can take on a real backend.
 
         The sum of every attempt's maximum deadline (jitter included).
-        Sender-thread join windows are derived from this, so an
+        A finished node's linger window is derived from this, so an
         aggressive retry configuration (many retries, steep backoff)
-        can never outlive the join budget — the window grows with the
-        policy instead of being a hard-coded constant.
+        can never outlive it — the window grows with the policy instead
+        of being a hard-coded constant.
         """
         base = (
             self.base_timeout

@@ -1,9 +1,10 @@
 """Real-execution backends: the protocol outside the simulator.
 
-:class:`LocalKylix` runs one OS process per logical node with pipe
-transport and sender threads; :class:`TcpKylix` is its socket twin —
-every message crosses a real loopback TCP connection with framing,
-heartbeats, and reconnect.  Both run the simulator's own protocol core
+:class:`LocalKylix` runs one OS process per logical node over
+non-blocking socket-pair links, every send and receive on the node's
+one thread; :class:`TcpKylix` is its socket twin — every message
+crosses a real loopback TCP connection with framing, heartbeats, and
+reconnect.  Both run the simulator's own protocol core
 and exchange step (:mod:`repro.allreduce.core`) over the exact same wire
 medium (:mod:`repro.net.protocol`) under the exact same reliability layer
 (:mod:`repro.net.transport`), so fault semantics, typed failures,

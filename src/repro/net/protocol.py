@@ -8,13 +8,13 @@ policy, spans and accounting).  This module is the step's second medium,
 over any :class:`~repro.net.transport.BaseTransport`: a send posts a part
 to its member (the node's own part is handed straight back), a receive
 blocks in ``collect`` until one part arrived from every member — slotted
-by the link it arrived on — and joins the senders, and a merge is
-charged nothing.  The pipe backend (:mod:`repro.net.local`) and the
-socket backend (:mod:`repro.net.tcp`) run this one medium, and the
-simulator runs the same step: the protocol cannot drift between media,
-and every guarantee pinned on one backend (NACK recovery, typed
-failure, degraded completion, observability parity) is pinned on all by
-construction.
+by the link it arrived on — while the pump finishes the node's own
+unsent posts, and a merge is charged nothing.  The socket-pair backend
+(:mod:`repro.net.local`) and the TCP backend (:mod:`repro.net.tcp`) run
+this one medium, and the simulator runs the same step: the protocol
+cannot drift between media, and every guarantee pinned on one backend
+(NACK recovery, typed failure, degraded completion, observability
+parity) is pinned on all by construction.
 
 Degraded completion is the core's: validity masks ride the parts, an
 unrecoverable member is a hole, incomplete aggregates are masked out at
@@ -81,7 +81,6 @@ class _Wire:
             self.losses.extend(sorted(lost, key=lambda e: e.member))
         else:
             got = net.collect(group, kind, ex.layer, self.round)
-        net.join_senders()
         slot = self.slots.slot_fn(pos_of)
         parts: List[Optional[tuple]] = [None] * len(group)
         parts[slot(self.rank)] = self._own

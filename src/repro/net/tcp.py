@@ -24,12 +24,15 @@ Medium mechanics:
   :data:`MESH_TIMEOUT` is marked closed, and the reliability layer
   converts that into a typed :class:`~repro.faults.PeerFailedError`
   (strict) or a coverage hole (degraded) — never a hang.
-* **Per-peer sender threads** — each link has one long-lived sender
-  thread owning the socket write side; it drains a frame queue, emits
-  heartbeats when idle, and runs the reconnect-with-backoff dance on
-  write failure.  Connection loss is message loss: whatever was in
-  flight is recovered by the NACK/retry layer above, exactly like a
-  dropped packet.
+* **Per-peer sender threads** — a post runs on the protocol thread,
+  like every post (:mod:`repro.net.transport`): it encodes the frame
+  and enqueues it, which never blocks.  Each link has one long-lived
+  sender thread owning the socket write side; it drains that frame
+  queue, emits heartbeats when idle, and runs the reconnect-with-backoff
+  dance on write failure.  Fault-delayed copies wait in the transport's
+  heap until the pump releases them onto the queue.  Connection loss is
+  message loss: whatever was in flight is recovered by the NACK/retry
+  layer above, exactly like a dropped packet.
 * **Receiving** — reader threads (they also drain heartbeats while the
   node computes) decode frames into one queue; the protocol thread
   blocks on that queue (``_pump_once``) and wakes on arrival.
@@ -311,6 +314,7 @@ class TcpTransport(BaseTransport):
 
     # -- sender side -------------------------------------------------------
     def _send_frame(self, member, frame) -> None:
+        """Enqueue for the link's sender thread: never blocks."""
         link = self._links.get(member)
         if link is None or link.failed or member in self.closed:  # conc: ok(racy read of failed; a stale False only queues one frame the drain reaps)
             return  # peer unreachable: the NACK layer cannot help a dead peer

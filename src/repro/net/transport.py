@@ -22,16 +22,24 @@ layer, seq)" to the wire medium in :mod:`repro.net.protocol`:
   leaves a hole (degraded completion: the caller accounts it in a
   :class:`~repro.faults.CoverageReport`).  Never a hang.
 
-Concrete transports implement the medium: pipe send/receive for
-:class:`~repro.net.local.LocalKylix`, framed sockets with per-peer
-sender threads for :class:`~repro.net.tcp.TcpKylix`.
+Every send happens on the caller's thread: :meth:`BaseTransport.post`
+draws the fault decision, caches the part and hands each copy to the
+medium's ``_send_frame``, which never blocks.  A fault-delayed copy
+waits in a heap of due times that :meth:`BaseTransport.pump` releases —
+the pump never blocks past the next due time — and NACK resends take
+the same path.  Nothing here sleeps or starts a thread.
+
+Concrete transports implement the medium: non-blocking socket-pair
+links under one selector for :class:`~repro.net.local.LocalKylix`,
+framed sockets whose per-peer sender threads drain a frame queue for
+:class:`~repro.net.tcp.TcpKylix`.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
-import threading
 import time
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -43,7 +51,6 @@ from ..faults.ladder import SENT, first_copy
 from ..faults.plan import _PHASE_ID, canonical_phase
 from ..obs import NULL_OBSERVER
 from ..verify.errors import ProtocolInvariantError
-from ..verify.watchlock import watched_lock
 
 __all__ = ["BaseTransport", "PHASE_OF"]
 
@@ -60,18 +67,26 @@ class BaseTransport:
     """One node's fault-wrapped, retrying view of its peer links.
 
     Owns the send cache that services NACKs and the receive inbox with
-    (peer, kind, layer, seq) dedupe.  Subclasses provide the medium:
+    (peer, kind, layer, seq) dedupe.  One thread owns a transport: it
+    posts, pumps, and so writes every metric.  Subclasses provide the
+    medium:
 
     ``_send_frame(member, frame)``
-        Transmit one frame; swallow peer-already-gone errors (the
-        reliability layer recovers or reports them) and mark the peer
-        closed on hard loss.
+        Transmit one frame *without blocking*: write what the link takes
+        now and keep the rest for the pump, or hand the frame to the
+        link's own writer.  Per-link frame order is preserved.  Swallow
+        peer-already-gone errors (the reliability layer recovers or
+        reports them) and mark the peer closed on hard loss.
     ``_pump_once(timeout)``
         The one receive path.  Block until a frame arrives on *any* open
-        link, a peer is newly seen dead, or ``timeout`` seconds pass
-        (``<= 0``: do not block); then drain everything that is ready,
-        calling :meth:`_dispatch` per frame on the caller's thread, and
-        return the members newly seen dead (EOF / stale).
+        link, a peer is newly seen dead, pending bytes can be written,
+        or ``timeout`` seconds pass (``<= 0``: do not block); then drain
+        everything that is ready, calling :meth:`_dispatch` per frame on
+        the caller's thread, and return the members newly seen dead
+        (EOF / stale).
+    ``_unsent()``
+        Whether frames handed to ``_send_frame`` still wait for the
+        pump to write them (default: never).
     """
 
     def __init__(self, rank: int, plan, retry: RetryPolicy, obs=NULL_OBSERVER):
@@ -80,9 +95,6 @@ class BaseTransport:
         self._step_kill = plan.step_kill_for(self.rank) if plan is not None else None
         self.retry = retry
         self.obs = obs
-        # Fault decisions happen on sender threads; metric dicts are not
-        # thread-safe, so their updates serialise through this lock.
-        self._obs_lock = watched_lock("net.transport.BaseTransport._obs_lock")
         self.sent: Dict[_Key, Any] = {}
         self.inbox: Dict[_Key, Any] = {}
         self.arrived: Dict[_Key, float] = {}
@@ -107,7 +119,10 @@ class BaseTransport:
         #: other token (its fetch timed out) is dropped on arrival.
         self._audit_pending: Optional[int] = None
         self._audit_tokens = itertools.count(1)
-        self.senders: List[threading.Thread] = []
+        #: Fault-delayed copies, ``(due, order, member, frame)``: a heap
+        #: the pump releases (``order`` keeps equal due times FIFO).
+        self._delayed: List[Tuple[float, int, int, Any]] = []
+        self._delay_order = itertools.count()
 
     # -- medium (subclass responsibilities) --------------------------------
     def _send_frame(self, member: int, frame: Any) -> None:
@@ -116,11 +131,16 @@ class BaseTransport:
     def _pump_once(self, timeout: float) -> List[int]:
         raise NotImplementedError
 
+    def _unsent(self) -> bool:
+        return False
+
     # -- sending -----------------------------------------------------------
     def post(self, member: int, kind: str, layer: int, part, seq: int = 0) -> None:
-        """Cache the payload; fault-inject and send it on a fresh
-        thread, so simultaneous exchanges cannot deadlock on transport
-        buffers ("threads to send all messages concurrently", §VI-B).
+        """Cache the payload, then fault-inject and send it on the
+        caller's thread.  Never blocks: the medium writes without
+        blocking, and the pump finishes the write while it waits for
+        anything else, so simultaneous exchanges cannot deadlock on
+        transport buffers — §VI-B's concurrent sends, with no thread.
 
         The fault plan's crash point is here, as in ``Fabric.send``: a
         node scheduled to die at a (phase, layer) exits right before its
@@ -128,30 +148,23 @@ class BaseTransport:
         if self._step_kill == (canonical_phase(kind), layer):
             os._exit(1)  # the SIGKILL-equivalent: no goodbye frames
         self.sent[(member, kind, layer, seq)] = part
-        t = threading.Thread(
-            target=self._transmit,
-            args=(member, kind, layer, part, seq, 0, time.monotonic()),
-        )
-        t.daemon = True
-        t.start()
-        self.senders.append(t)
+        self._transmit(member, kind, layer, part, seq)
 
-    def _transmit(
-        self, member, kind, layer, part, seq=0, attempt=0, sent_at=None
-    ) -> None:
-        """Consult the fault oracle, then send (runs on a sender thread).
+    def _transmit(self, member, kind, layer, part, seq=0, attempt=0) -> None:
+        """Consult the fault oracle, then send or schedule each copy.
 
-        ``sent_at`` stamps the wire frame (captured *before* any
-        fault-injected delay, so the delay shows up as delivery latency
-        at the receiver — same accounting as the simulator fabric).
+        The wire frame is stamped now, *before* any fault-injected
+        delay, so the delay shows up as delivery latency at the receiver
+        — same accounting as the simulator fabric.  A delayed copy waits
+        in the heap the pump releases.
         """
-        if sent_at is None:
-            sent_at = time.monotonic()
+        sent_at = time.monotonic()
         decision = None
         if self.plan is not None:
             decision = self.plan.decide(self.rank, member, kind, layer, seq, attempt)
-        if decision is not None and self.obs.enabled:
-            with self._obs_lock:
+        copies, delay = 1, 0.0
+        if decision is not None:
+            if self.obs.enabled:
                 if decision.drop:
                     self.obs.counter("faults.injected").inc(kind="dropped")
                 if decision.delay > 0.0:
@@ -160,31 +173,28 @@ class BaseTransport:
                     self.obs.counter("faults.injected").inc(
                         decision.duplicates, kind="duplicated"
                     )
-        if decision is not None and decision.delay > 0.0:
-            time.sleep(decision.delay)
-        copies = 1 + (decision.duplicates if decision is not None else 0)
-        if decision is not None and decision.drop:
-            copies -= 1
+            copies += decision.duplicates - decision.drop
+            delay = decision.delay
         frame = ("msg", kind, layer, seq, part, sent_at)
         for _ in range(copies):
-            self._send_frame(member, frame)
+            if delay > 0.0:
+                due = (sent_at + delay, next(self._delay_order), member, frame)
+                heapq.heappush(self._delayed, due)
+            else:
+                self._send_frame(member, frame)
 
-    def join_senders(self, budget: Optional[float] = None) -> None:
-        """Join in-flight sender threads.
+    def _owed(self) -> bool:
+        """Frames posted but not yet written: delayed or unsent."""
+        return bool(self._delayed) or self._unsent()
 
-        The default budget is the retry policy's full receive budget
-        (:meth:`~repro.faults.RetryPolicy.local_budget`): a sender
-        stalled longer than any receiver could still be waiting is
-        abandoned, never waited on forever — and an aggressive retry
-        configuration grows the join window with it instead of outliving
-        a hard-coded constant.
-        """
-        if budget is None:
-            budget = self.retry.local_budget()
+    def flush(self, budget: float) -> None:
+        """Pump until every posted frame is written — delayed copies
+        released, unsent bytes handed to the link — or ``budget``
+        seconds pass.  A peer too slow to take them within it is past
+        any receiver's patience; its bytes stay behind."""
         deadline = time.monotonic() + budget
-        for t in self.senders:
-            t.join(timeout=max(0.0, deadline - time.monotonic()))
-        self.senders = [t for t in self.senders if t.is_alive()]
+        while self._owed() and (left := deadline - time.monotonic()) > 0:
+            self.pump(left)
 
     # -- receiving ---------------------------------------------------------
     def _dispatch(self, member: int, obj) -> None:
@@ -192,42 +202,33 @@ class BaseTransport:
             _, kind, layer, seq, part, sent_at = obj
             key = (member, kind, layer, seq)
             if not first_copy(self.seen, key):
-                with self._obs_lock:
-                    self.obs.counter("faults.duplicates_dropped").inc(
-                        phase=PHASE_OF[kind], layer=layer
-                    )
+                self.obs.counter("faults.duplicates_dropped").inc(
+                    phase=PHASE_OF[kind], layer=layer
+                )
                 return
             now = time.monotonic()
             self.inbox[key] = part
             self.arrived[key] = now
             if self.obs.enabled:
-                with self._obs_lock:
-                    self.obs.message_delivered(
-                        member,
-                        self.rank,
-                        payload_nbytes(part),
-                        sent_at,
-                        now,
-                        phase=PHASE_OF[kind],
-                        layer=layer,
-                    )
+                self.obs.message_delivered(
+                    member,
+                    self.rank,
+                    payload_nbytes(part),
+                    sent_at,
+                    now,
+                    phase=PHASE_OF[kind],
+                    layer=layer,
+                )
         elif obj[0] == "nack":
             _, kind, layer, seq, attempt = obj
             part = self.sent.get((member, kind, layer, seq))
             if part is not None:
-                with self._obs_lock:
-                    self.obs.counter("faults.resent").inc(
-                        phase=PHASE_OF[kind], layer=layer
-                    )
-                # Service the resend off-thread; the retransmission gets
-                # an independent fault draw (attempt bumps the oracle).
-                t = threading.Thread(
-                    target=self._transmit,
-                    args=(member, kind, layer, part, seq, attempt),
+                self.obs.counter("faults.resent").inc(
+                    phase=PHASE_OF[kind], layer=layer
                 )
-                t.daemon = True
-                t.start()
-                self.senders.append(t)
+                # The retransmission gets an independent fault draw
+                # (attempt bumps the oracle) and the post path's delays.
+                self._transmit(member, kind, layer, part, seq, attempt)
             else:
                 # We have not produced that message yet (e.g. we are
                 # stuck one layer back burning our own retry budget on a
@@ -265,8 +266,17 @@ class BaseTransport:
     def pump(self, timeout: float) -> List[int]:
         """Block up to ``timeout`` seconds for something to arrive on any
         link, then drain everything readable; returns peers newly seen
-        dead.  ``timeout <= 0`` drains without blocking."""
-        return self._pump_once(timeout)
+        dead.  ``timeout <= 0`` drains without blocking.  The block ends
+        no later than the next delayed copy's due time, and every copy
+        due by the end is sent."""
+        if self._delayed:
+            timeout = min(timeout, self._delayed[0][0] - time.monotonic())
+        dead = self._pump_once(timeout)
+        now = time.monotonic()
+        while self._delayed and self._delayed[0][0] <= now:
+            _, _, member, frame = heapq.heappop(self._delayed)
+            self._send_frame(member, frame)
+        return dead
 
     def _jitter_salt(self, kind: str, layer: int, seq: int) -> tuple:
         # Per-(node, phase, layer, seq) salt: peers that all lost the
@@ -342,16 +352,15 @@ class BaseTransport:
             # Queue wait: dispatch time -> consumption time, mirroring the
             # simulator fabric's mailbox accounting.
             now = time.monotonic()
-            with self._obs_lock:
-                for m in got:
-                    arr = self.arrived.get((m, kind, layer, seq))
-                    if arr is not None:
-                        self.obs.histogram("net.queue_wait").observe(
-                            max(now - arr, 0.0),
-                            node=self.rank,
-                            phase=PHASE_OF[kind],
-                            layer=layer,
-                        )
+            for m in got:
+                arr = self.arrived.get((m, kind, layer, seq))
+                if arr is not None:
+                    self.obs.histogram("net.queue_wait").observe(
+                        max(now - arr, 0.0),
+                        node=self.rank,
+                        phase=PHASE_OF[kind],
+                        layer=layer,
+                    )
         return (got, losses) if missing_ok else got
 
     def _nack(self, members, kind: str, layer: int, seq: int, q: int, attempt: int):
@@ -413,14 +422,19 @@ class BaseTransport:
         No one call blocks on both that and the links, so the block is on
         ``done`` — what ends the linger — and the links, where only a
         straggler's NACK (already a deadline late) can arrive, are
-        drained between short slices of it.
+        drained between short slices of it.  While frames are still owed
+        (delayed, or unsent on a busy link), the slices block on the
+        links instead.  Frames still owed at the end are flushed within
+        one more second.
         """
         deadline = time.monotonic() + budget
         while time.monotonic() < deadline:
-            self.pump(0.0)
-            if done(0.02):
+            owed = self._owed()
+            self.pump(0.02 if owed else 0.0)
+            if done(0.0 if owed else 0.02):
                 break
-        self.join_senders(budget=1.0)
+        self.flush(1.0)
 
     def close(self) -> None:
-        """Release medium resources (sockets, threads).  Idempotent."""
+        """Release medium resources (sockets, selectors, threads).
+        Idempotent."""

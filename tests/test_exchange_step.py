@@ -7,7 +7,7 @@ stay bounded on every session path.
 """
 
 import collections
-import multiprocessing as mp
+import socket
 import threading
 
 import numpy as np
@@ -83,9 +83,6 @@ class HubNet:
             got = {k[0]: hub.frames.pop(k) for k in reversed(keys)}
         return (got, []) if missing_ok else got
 
-    def join_senders(self):
-        pass
-
     def prune_round(self, seq):
         pass
 
@@ -143,7 +140,7 @@ def test_fault_sessions_prune_round_state():
     conns = {r: {} for r in range(m)}
     for i in range(m):
         for j in range(i + 1, m):
-            conns[i][j], conns[j][i] = mp.Pipe(duplex=True)
+            conns[i][j], conns[j][i] = socket.socketpair()
     topo, hasher = ButterflyTopology([2, 2], m), MultiplicativeHasher()
     retry = RetryPolicy(base_timeout=0.5)
     finished, lock, count = threading.Event(), threading.Lock(), [0]

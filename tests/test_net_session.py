@@ -8,6 +8,7 @@ accounting on pipes, on loopback TCP and on the node-server cluster.
 """
 
 import multiprocessing as mp
+import socket
 import threading
 import time
 
@@ -62,13 +63,13 @@ class RecordingControl:
 
 
 def run_nodes_on_threads(m, degrees, rounds, *, fail_at_round=None, **job_fields):
-    """``m`` run_node bodies on threads over a pipe mesh; returns once
+    """``m`` run_node bodies on threads over a socket-pair mesh; returns once
     every node has posted its result (and, by contract, is lingering)."""
     spec, vals = make_case(m, 120, 4)
     conns = {r: {} for r in range(m)}
     for i in range(m):
         for j in range(i + 1, m):
-            conns[i][j], conns[j][i] = mp.Pipe(duplex=True)
+            conns[i][j], conns[j][i] = socket.socketpair()
 
     def open_transport(rank, plan, retry, obs):
         net = LocalTransport(rank, conns[rank], plan, retry, obs=obs)

@@ -1,14 +1,14 @@
 """How ``repro.net`` waits: blocked on what it awaits, never on a clock.
 
 The receive loop (``BaseTransport.collect`` / ``audit`` over
-``pump(timeout)``) is driven here on threads over real pipes, over a
+``pump(timeout)``) is driven here over real socket-pair links, over a
 recording medium whose ``_pump_once(timeout)`` is a ``queue.Queue``, and
 over a loopback socket mesh — pinning that a wait ends when the awaited
-thing arrives, that its timeout is the retry ladder's deadline, and that
-teardown waits out no socket timeout.
+thing arrives, that its timeout is the retry ladder's deadline, that a
+send neither blocks nor starts a thread nor sleeps, and that teardown
+waits out no socket timeout.
 """
 
-import multiprocessing as mp
 import queue
 import socket
 import statistics
@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.faults import PeerFailedError, RetryPolicy
+from repro.faults import FaultPlan, LinkFault, PeerFailedError, RetryPolicy
 from repro.net.framing import FrameStream, encode_frame
 from repro.net.local import LocalTransport
 from repro.net.tcp import (
@@ -29,13 +29,18 @@ from repro.net.tcp import (
     loopback_listener,
 )
 from repro.net.transport import BaseTransport
+from repro.obs import NULL_OBSERVER, Observer
 
 PART = (0, np.arange(4.0))
 
 
-def pipe_pair(retry=RetryPolicy()):
-    a, b = mp.Pipe(duplex=True)
-    return LocalTransport(0, {1: a}, None, retry), LocalTransport(1, {0: b}, None, retry)
+def link_pair(retry=RetryPolicy(), plan=None, obs=NULL_OBSERVER):
+    """Ranks 0 and 1 as two in-process transports over one socket pair."""
+    a, b = socket.socketpair()
+    return (
+        LocalTransport(0, {1: a}, plan, retry, obs=obs),
+        LocalTransport(1, {0: b}, plan, retry, obs=obs),
+    )
 
 
 def on_thread(fn):
@@ -79,14 +84,13 @@ class TestCollectBlocksOnArrival:
     def test_part_wakes_collect_and_nothing_sleeps(self, monkeypatch):
         slept = []
         monkeypatch.setattr("repro.net.transport.time.sleep", slept.append)
-        net, peer = pipe_pair()
+        net, peer = link_pair()
         barrier = threading.Barrier(2)
 
         def post_late():
             barrier.wait(timeout=5.0)
             threading.Event().wait(0.03)  # time.sleep is the thing under watch
             peer.post(0, "down", 1, PART, 0)
-            peer.join_senders()
 
         finish = on_thread(post_late)
         barrier.wait(timeout=5.0)
@@ -130,9 +134,87 @@ class TestCollectBlocksOnArrival:
         assert max(net.timeouts) <= retry.local_timeout(retry.max_retries) + 1e-6
 
 
+class TestSendPath:
+    """A post runs on the caller's thread and never blocks; fault delays
+    and resends are released by the pump, not slept out on a thread."""
+
+    def test_no_thread_and_no_sleep_on_the_send_path(self, monkeypatch):
+        slept, started = [], []
+        monkeypatch.setattr("repro.net.transport.time.sleep", slept.append)
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+        delay = 0.15
+        plan = FaultPlan(rules=[LinkFault(src=0, dst=1, phase="down", delay=delay)])
+        obs = Observer(name="pair")
+        # The first deadline (0.1 s) expires before the delayed part is
+        # due: b NACKs, and a's resend draws the same delay.
+        a, b = link_pair(RetryPolicy(base_timeout=0.1), plan, obs)
+        threads = threading.active_count()
+        counts = []
+        own = b.pump
+
+        def pump(timeout):
+            # One thread plays both nodes: b's waits also run a's pump,
+            # which services the NACK and releases the delayed copies.
+            counts.append(threading.active_count())
+            a.pump(0.0)
+            return own(min(timeout, 0.005))
+
+        b.pump = pump
+        start = time.monotonic()
+        a.post(1, "down", 1, PART, 0)
+        posted = time.monotonic() - start
+        got = b.collect([0, 1], "down", 1, 0)
+        a.flush(1.0)  # the resend's delay is due after the collect
+        metrics = obs.metrics
+        resent = metrics.counter("faults.resent").total()
+        dropped = metrics.counter("faults.duplicates_dropped")
+        deadline = time.monotonic() + 2.0
+        while dropped.total() < resent and time.monotonic() < deadline:
+            own(0.1)  # the resent copies reach b and are deduped
+        np.testing.assert_array_equal(got[0][1], PART[1])
+        assert posted < delay / 3
+        assert b.arrived[(0, "down", 1, 0)] - start >= delay
+        assert resent >= 1 and dropped.total() == resent
+        assert metrics.counter("faults.injected").value(kind="delayed") == 1 + resent
+        assert not a._owed()
+        assert slept == [] and started == []
+        assert set(counts) == {threads} and threading.active_count() == threads
+
+    def test_simultaneous_large_posts_do_not_deadlock(self):
+        """Each side posts far more than a socket buffer holds before
+        either collects: the pumps finish both writes while they read.
+        A side whose collect completes first still owes the rest of its
+        part; it keeps pumping, as a node's next exchange or its linger
+        does, until that is written."""
+        a, b = link_pair()
+        big = (0, np.ones(1 << 20))  # 8 MB
+        barrier = threading.Barrier(2)
+
+        def exchange(net, peer):
+            barrier.wait(timeout=5.0)
+            net.post(peer, "down", 1, big, 0)
+            got = net.collect([0, 1], "down", 1, 0)[peer]
+            net.flush(5.0)
+            return got
+
+        finish = on_thread(lambda: exchange(b, 0))
+        np.testing.assert_array_equal(exchange(a, 1)[1], big[1])
+        np.testing.assert_array_equal(finish()[1], big[1])
+
+    def test_linger_flushes_a_pending_tail(self):
+        a, b = link_pair()
+        big = (0, np.ones(1 << 20))  # 8 MB
+        a.post(1, "up", 1, big, 0)
+        assert a._unsent()  # the link took only what its buffer holds
+        finish = on_thread(lambda: b.collect([0, 1], "up", 1, 0)[0])
+        a.linger(lambda timeout: True, 5.0)  # the run is already over
+        assert not a._unsent()
+        np.testing.assert_array_equal(finish()[1], big[1])
+
+
 class TestAudit:
     def test_mutual_audits_both_answered(self):
-        a, b = pipe_pair()
+        a, b = link_pair()
         a.audit_sent[(0, 1, 7)] = "keys a sent to 7"
         b.audit_sent[(0, 1, 9)] = "keys b sent to 9"
         barrier = threading.Barrier(2)
@@ -147,7 +229,7 @@ class TestAudit:
         assert a._audit_replies == {} and b._audit_replies == {}
 
     def test_reply_after_its_fetch_timed_out_is_dropped(self):
-        a, b = pipe_pair()
+        a, b = link_pair()
         b.audit_sent[(0, 1, 9)] = "late"
         assert a.audit(1, "sent", 1, 0, 9, timeout=0.05) is None  # b is not pumping
         b.pump(1.0)  # b answers now

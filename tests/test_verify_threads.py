@@ -354,8 +354,23 @@ class TestPackageClean:
         locks = set(analyze_package().locks)
         assert "net.tcp._Link.lock" in locks
         assert "service.service.ReduceService._lock" in locks
-        assert "net.local.LocalTransport.locks[]" in locks
+        assert "service.cache.ConfigCache._lock" in locks
         assert "net.session.run_node.send_lock" in locks
+        # A map of locks, one per key, is catalogued as one lock family.
+        report = analyze(
+            """
+            import threading
+
+            class Links:
+                def __init__(self, peers):
+                    self.locks = {m: threading.Lock() for m in peers}
+
+                def send(self, m):
+                    with self.locks[m]:
+                        pass
+            """
+        )
+        assert report.locks == ["fixture.Links.locks[]"]
 
 
 class TestWatchedLock:
