@@ -8,8 +8,8 @@ policy, spans and accounting).  This module is the step's second medium,
 over any :class:`~repro.net.transport.BaseTransport`: a send posts a part
 to its member (the node's own part is handed straight back), a receive
 blocks in ``collect`` until one part arrived from every member — slotted
-by the link it arrived on — while the pump finishes the node's own
-unsent posts, and a merge is charged nothing.  The socket-pair backend
+by the link it arrived on — and the node's own posts are written, and a
+merge is charged nothing.  The socket-pair backend
 (:mod:`repro.net.local`) and the TCP backend (:mod:`repro.net.tcp`) run
 this one medium, and the simulator runs the same step: the protocol
 cannot drift between media, and every guarantee pinned on one backend

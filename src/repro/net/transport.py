@@ -144,8 +144,12 @@ class BaseTransport:
 
         The fault plan's crash point is here, as in ``Fabric.send``: a
         node scheduled to die at a (phase, layer) exits right before its
-        first post there (a node's own part is never posted)."""
+        first post there (a node's own part is never posted), once the
+        parts it posted earlier are written."""
         if self._step_kill == (canonical_phase(kind), layer):
+            # Every part handed to the link before the crash reaches the
+            # peer, as on the simulator fabric; delayed copies die here.
+            self._write_unsent(self.retry.local_budget())
             os._exit(1)  # the SIGKILL-equivalent: no goodbye frames
         self.sent[(member, kind, layer, seq)] = part
         self._transmit(member, kind, layer, part, seq)
@@ -186,6 +190,13 @@ class BaseTransport:
     def _owed(self) -> bool:
         """Frames posted but not yet written: delayed or unsent."""
         return bool(self._delayed) or self._unsent()
+
+    def _write_unsent(self, budget: float) -> None:
+        """Pump until the medium has written every frame handed to it, or
+        ``budget`` seconds pass.  Delayed copies stay in their heap."""
+        deadline = time.monotonic() + budget
+        while self._unsent() and (left := deadline - time.monotonic()) > 0:
+            self._pump_once(left)
 
     def flush(self, budget: float) -> None:
         """Pump until every posted frame is written — delayed copies
@@ -304,7 +315,7 @@ class BaseTransport:
         jitter); an expiry NACKs every missing peer.  A member given up
         raises :class:`PeerFailedError` or — with ``missing_ok`` — is a
         hole, and later layers give it up at once.  Bounded time either
-        way.
+        way.  It returns once this node's own posts are written too.
 
         Returns ``{member: payload}`` without ``missing_ok``;
         ``({member: payload}, losses)`` with it, one
@@ -346,6 +357,9 @@ class BaseTransport:
             # only the peers it waits for, so nobody services anybody's
             # resend requests).
             self.pump(deadline - time.monotonic())
+        # What follows (a merge) does not pump: finish writing this node's
+        # own posts first, so no peer's receive waits on that merge.
+        self._write_unsent(retry.local_budget())
         self.abandoned.update(members[q] for q in ladder.holes)
         got = {members[q]: part for q, part in ladder.parts.items()}
         if self.obs.enabled:

@@ -9,6 +9,7 @@ send neither blocks nor starts a thread nor sleeps, and that teardown
 waits out no socket timeout.
 """
 
+import os
 import queue
 import socket
 import statistics
@@ -182,10 +183,9 @@ class TestSendPath:
 
     def test_simultaneous_large_posts_do_not_deadlock(self):
         """Each side posts far more than a socket buffer holds before
-        either collects: the pumps finish both writes while they read.
-        A side whose collect completes first still owes the rest of its
-        part; it keeps pumping, as a node's next exchange or its linger
-        does, until that is written."""
+        either collects: the pumps finish both writes while they read,
+        and a collect returns only once its own side's part is written,
+        so no peer waits on what the node does next."""
         a, b = link_pair()
         big = (0, np.ones(1 << 20))  # 8 MB
         barrier = threading.Barrier(2)
@@ -194,7 +194,7 @@ class TestSendPath:
             barrier.wait(timeout=5.0)
             net.post(peer, "down", 1, big, 0)
             got = net.collect([0, 1], "down", 1, 0)[peer]
-            net.flush(5.0)
+            assert not net._unsent()
             return got
 
         finish = on_thread(lambda: exchange(b, 0))
@@ -210,6 +210,33 @@ class TestSendPath:
         a.linger(lambda timeout: True, 5.0)  # the run is already over
         assert not a._unsent()
         np.testing.assert_array_equal(finish()[1], big[1])
+
+    def test_crash_point_writes_what_was_posted_before_it(self):
+        """A node that reaches its crash point with part of an earlier
+        post still unwritten writes it before it dies: the peer collects
+        that part whole, as the simulator fabric delivers every part sent
+        before a crash."""
+        ours, theirs = socket.socketpair()
+        plan = FaultPlan().kill_at_step(0, "down", 2)
+        big = (0, np.ones(1 << 20))  # 8 MB, far more than a socket buffer
+        pid = os.fork()
+        if pid == 0:  # rank 0: post layer 1, then die at layer 2's first post
+            try:
+                theirs.close()
+                net = LocalTransport(0, {1: ours}, plan, RetryPolicy())
+                net.post(1, "down", 1, big, 0)
+                net.post(1, "down", 2, big, 0)
+            finally:
+                os._exit(2)  # reached only if the crash point did not fire
+        ours.close()
+        b = LocalTransport(1, {0: theirs}, None, RetryPolicy())
+        try:
+            got = b.collect([0, 1], "down", 1, 0)
+        finally:
+            _, status = os.waitpid(pid, 0)
+            b.close()
+        assert os.waitstatus_to_exitcode(status) == 1
+        np.testing.assert_array_equal(got[0][1], big[1])
 
 
 class TestAudit:
