@@ -148,7 +148,7 @@ def serve_node(
                     continue
                 try:
                     # One frame exactly: a peer's hello may have its first
-                    # parts right behind it, and they belong to the reader.
+                    # parts right behind it, and they belong to the link.
                     ok, frame = FrameStream(sock).recv(timeout=5.0)
                 except (OSError, FrameError):
                     sock.close()
@@ -229,7 +229,10 @@ def _serve_session(
         if obs.enabled:
             recorder.attach(obs)
         net = TcpTransport(rank_, plan, retry, obs=obs)
-        net.keep_listener = True  # the node's listener outlives the session
+        # The node's listener outlives the session: the mesh runs it
+        # non-blocking under its pump and hands it back, accept timeout
+        # restored, on close.
+        net.keep_listener = True
         net.on_stray = lambda frame, s: stray.append((frame, s))
         try:
             net.form_mesh(listener, mesh["addrs"], pending=pending)

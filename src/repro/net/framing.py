@@ -88,7 +88,7 @@ def _loads(body: bytes) -> Any:
 class FrameDecoder:
     """Incremental decoder: feed raw stream bytes, pop complete messages.
 
-    Used by reader threads: TCP hands back arbitrary chunk boundaries,
+    Used by the socket pump: a stream hands back arbitrary chunk boundaries,
     so a message may arrive split across many ``recv`` calls or packed
     several to a chunk.  ``eof()`` distinguishes a clean close (empty
     buffer) from a peer dying mid-frame.

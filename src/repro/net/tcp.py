@@ -14,9 +14,8 @@ cluster — launcher, node server, experiment driver — lives in
 Medium mechanics:
 
 * **Framing** — length-prefixed pickled frames
-  (:mod:`repro.net.framing`); a peer dying mid-frame surfaces as
-  :class:`~repro.net.framing.FrameTruncatedError` on the reader and is
-  treated as connection loss, not corruption.
+  (:mod:`repro.net.framing`); a peer dying mid-frame surfaces as EOF
+  inside a frame and is treated as connection loss, not corruption.
 * **Mesh formation** — rank ``i`` *initiates* connections to every
   ``j < i`` and *accepts* from every ``j > i``; the first frame on every
   connection is a ``("hello", rank)``.  Peers the fault plan declares
@@ -24,123 +23,105 @@ Medium mechanics:
   :data:`MESH_TIMEOUT` is marked closed, and the reliability layer
   converts that into a typed :class:`~repro.faults.PeerFailedError`
   (strict) or a coverage hole (degraded) — never a hang.
-* **Per-peer sender threads** — a post runs on the protocol thread,
-  like every post (:mod:`repro.net.transport`): it encodes the frame
-  and enqueues it, which never blocks.  Each link has one long-lived
-  sender thread owning the socket write side; it drains that frame
-  queue, emits heartbeats when idle, and runs the reconnect-with-backoff
-  dance on write failure.  Fault-delayed copies wait in the transport's
-  heap until the pump releases them onto the queue.  Connection loss is
-  message loss: whatever was in flight is recovered by the NACK/retry
-  layer above, exactly like a dropped packet.
-* **Receiving** — reader threads (they also drain heartbeats while the
-  node computes) decode frames into one queue; the protocol thread
-  blocks on that queue (``_pump_once``) and wakes on arrival.
-* **Liveness** — heartbeats every :data:`HB_INTERVAL`; a link silent for
-  :data:`HB_TIMEOUT` is declared half-open-dead even if the kernel never
-  delivers an error (the classic silent-partition failure).  A clean
-  EOF (peer SIGKILLed → kernel FIN/RST) closes much faster: the
-  initiator side probes with a bounded reconnect burst, the acceptor
-  side waits one :data:`RECONNECT_GRACE` for a re-hello.
-* **Waiting** — whoever waits for a link (mesh formation, the acceptor
-  side of a reconnect) blocks on one condition ``_install`` notifies; a
-  socket is retired with ``shutdown`` before ``close`` so its reader
-  wakes at once, and ``close()`` knocks on its own listener to wake the
-  accept loop.  The socket timeouts (0.1 s accept, 0.2 s recv) are
-  safety nets, not cadences.
+* **One thread** — the node's one thread runs everything on the shared
+  socket pump (:class:`~repro.net.transport.SocketTransport`): a post
+  writes what the link takes without blocking and leaves the rest to the
+  pump, the pump reads every link, accepts on the listener, greets new
+  connections and completes non-blocking dials, all in one ``selectors``
+  call.  Connection loss is message loss: whatever was in flight is
+  recovered by the NACK/retry layer above, exactly like a dropped packet.
+* **Liveness** — a link writes a heartbeat :data:`HB_INTERVAL` after
+  its last write; a link silent for :data:`HB_TIMEOUT` is declared
+  half-open-dead even if the kernel never delivers an error (the classic
+  silent-partition failure).  A lost connection (EOF, failed write)
+  closes the link one :data:`RECONNECT_GRACE` later unless a new one
+  replaces it: the initiator re-dials with backoff, the acceptor waits
+  for the peer's re-hello.
+* **Waiting** — every one of those rules, and every dial, probe and
+  greeting, is a deadline the pump's block never outlasts; nothing
+  sleeps.  A node that is computing (a merge) pumps nothing, so
+  :data:`HB_TIMEOUT` is the longest merge its peers tolerate.
 """
 
 from __future__ import annotations
 
-import queue
+import errno
+import math
+import selectors
 import socket
-import threading
 import time
-from contextlib import suppress
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from functools import partial
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..obs import NULL_OBSERVER
-from ..verify.watchlock import watched_lock
 from .base import ForkedKylixBase
-from .framing import FrameDecoder, FrameError, FrameStream, FrameTruncatedError, encode_frame
-from .transport import BaseTransport
+from .framing import FrameDecoder, FrameError, encode_frame
+from .transport import SocketTransport
 
 __all__ = ["TcpTransport", "TcpKylix", "loopback_listener"]
 
 #: Timing of the socket medium, in seconds (table: ``docs/faults.md``).
 #: Constants, not options: no caller ever ran anything else.
-HB_INTERVAL = 0.25  # idle-sender heartbeat; also the pump's liveness re-check period
+HB_INTERVAL = 0.25  # a link writes a heartbeat this long after its last write
 HB_TIMEOUT = 5.0  # silence after which a link is half-open-dead
 MESH_TIMEOUT = 10.0  # mesh formation deadline
 RECONNECT_ATTEMPTS = 3  # initiator side of a lost link: this many dials,
 RECONNECT_BACKOFF = 0.05  # pausing this long before the second, doubling
-RECONNECT_GRACE = 0.5  # acceptor side: wait this long for the peer's re-hello
+RECONNECT_GRACE = 0.5  # a lost link closes this long after, unless replaced
 _PROBE_INTERVAL = 0.2  # mesh formation re-probes a silent higher peer's listener
-
-#: Sentinel frames on a sender queue.
-_STOP = object()
-_HB = object()
+_REFUSALS = 3  # refused dials in a row that declare a peer's process gone
+_HELLO_TIMEOUT = 2.0  # an accepted connection must say who it is by then
+_LISTENER_TIMEOUT = 0.1  # a listener's accept timeout outside a mesh
 
 
 def loopback_listener(host: str = "127.0.0.1", port: int = 0, backlog: int = 64):
     """A bound, listening TCP socket with an explicit accept timeout.
 
     Every listener in this package goes through here: no socket in
-    ``net/`` may block forever (the ``socket-timeout`` lint rule).  The
-    timeout is a safety net — :meth:`TcpTransport.close` wakes its
-    accept loop explicitly instead of waiting it out.
+    ``net/`` may block forever (the ``socket-timeout`` lint rule).  A
+    mesh runs its listener non-blocking under the pump and gives the
+    timeout back on :meth:`TcpTransport.close`.
     """
     s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    s.settimeout(0.1)
+    s.settimeout(_LISTENER_TIMEOUT)
     s.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     s.bind((host, port))
     s.listen(backlog)
     return s
 
 
-def _retire(sock) -> None:
-    """Shut ``sock`` down, then close it.  The shutdown is what wakes a
-    reader thread blocked in ``recv`` on it (and sends the FIN now); a
-    bare ``close`` leaves that thread blocked until its timeout."""
-    with suppress(OSError):  # never connected, or the peer is already gone
-        sock.shutdown(socket.SHUT_RDWR)
-    with suppress(OSError):
-        sock.close()
+@dataclass
+class _Dial:
+    """Dialling one peer: the connect in flight, or the pause before the
+    next.  A probe hangs up once connected — it only asks whether the
+    peer's listener is still there."""
+
+    left: float = math.inf  # dials before the peer is given up
+    probe: bool = False
+    pause: float = RECONNECT_BACKOFF  # before the next dial; doubles, probes excepted
+    sock: Optional[socket.socket] = None
+    due: float = 0.0  # the first dial is due at once
+    refused: int = 0  # refusals in a row
 
 
-class _Link:
-    """One peer connection: socket + sender thread + reader thread."""
-
-    def __init__(self, peer: int):
-        self.peer = peer
-        self.q: "queue.Queue" = queue.Queue()
-        self.sock: Optional[socket.socket] = None
-        # Guards sock swaps vs writes, plus the liveness fields below.
-        self.lock = watched_lock("net.tcp._Link.lock")
-        self.sender: Optional[threading.Thread] = None
-        self.reader: Optional[threading.Thread] = None
-        self.last_seen = time.monotonic()
-        self.down_at: Optional[float] = None  # reader saw EOF/error at this time
-        self.failed = False  # reconnect exhausted: permanently dead
-
-
-class TcpTransport(BaseTransport):
-    """The shared reliability layer over framed TCP sockets."""
+class TcpTransport(SocketTransport):
+    """The shared socket pump over TCP: adds the listener, the dials and
+    the liveness deadlines."""
 
     def __init__(self, rank: int, plan, retry, obs=NULL_OBSERVER):
-        super().__init__(rank, plan, retry, obs)
-        self._stop = threading.Event()
-        self._links: Dict[int, _Link] = {}
-        #: Notified when a link is installed, a peer given up, or the
-        #: transport closed.  Predicates waited on under it take no other
-        #: lock, so the lock graph stays nesting-free.
-        self._link_change = threading.Condition(
-            watched_lock("net.tcp.TcpTransport._link_change")
-        )
-        self._rx: "queue.Queue" = queue.Queue()
+        super().__init__(rank, {}, plan, retry, obs)
         self._listener = None
-        self._accept_thread: Optional[threading.Thread] = None
         self._addrs: Dict[int, Tuple[str, int]] = {}
+        self._dials: Dict[int, _Dial] = {}
+        #: Accepted connections waiting for their first frame, with the
+        #: decoder reading it and the time they must have sent it by.
+        self._greetings: Dict[socket.socket, Tuple[FrameDecoder, float]] = {}
+        self._last_rx: Dict[int, float] = {}
+        self._last_tx: Dict[int, float] = {}
+        #: Links whose connection was lost, and when.
+        self._down_at: Dict[int, float] = {}
         #: When True, :meth:`close` leaves the listener open — the
         #: standalone node server owns one listener across many sessions.
         self.keep_listener = False
@@ -169,346 +150,208 @@ class TcpTransport(BaseTransport):
         bounded, exactly like a mid-run death.
         """
         self._listener = listener
+        listener.setblocking(False)
+        self._selector.register(listener, selectors.EVENT_READ, self._accept)
         self._addrs = {int(r): (h, int(p)) for r, (h, p) in addrs.items()}
         for peer, sock in pending:
             self._install(int(peer), sock)
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-
         expected = sorted(p for p in self._addrs if p != self.rank)
-        deadline = time.monotonic() + MESH_TIMEOUT
+        # Dial every lower peer at once: a dead one must not stall the
+        # links behind it.  A higher peer just never connects when dead,
+        # and waiting out the whole mesh window for it would stall this
+        # node into looking dead to *its* groups — so probe its listener
+        # meanwhile: it is bound for the node's whole lifetime, so
+        # repeated refusal means the process is gone.
         for peer in expected:
             if self.plan is not None and not self.plan.is_alive(peer, 0.0):
                 self.closed.add(peer)  # dead at start: do not wait for it
-        # Initiations run in parallel, one thread per lower peer: a dead
-        # peer must not stall the links behind it in rank order (a
-        # sequential loop would leave alive pairs unlinked and cascade
-        # spurious abandonments through the whole reduction).
-        for peer in expected:
-            if peer < self.rank and peer not in self.closed and peer not in self._links:
-                threading.Thread(
-                    target=self._initiate, args=(peer, deadline), daemon=True
-                ).start()
-        # The accept side has no failure signal of its own: a dead higher
-        # peer just never connects, and waiting out the whole mesh window
-        # for it would stall this node into looking dead to *its* groups.
-        # So probe silent peers' listeners while waiting — they are bound
-        # for the node's whole lifetime, so repeated refusal means the
-        # process is gone.  Probes hang up before the hello, which the
-        # accept loop discards by design.
-        def missing() -> List[int]:
-            return [p for p in expected if p not in self._links and p not in self.closed]
+            elif peer not in self.links:
+                probe = peer > self.rank
+                self._dials[peer] = _Dial(probe=probe, pause=_PROBE_INTERVAL) if probe else _Dial()
+        self._wake = 0.0
+        deadline = time.monotonic() + MESH_TIMEOUT
 
-        probe_at: Dict[int, float] = {}
-        refusals: Dict[int, int] = {}
-        while (silent := missing()) and (now := time.monotonic()) < deadline:
-            for p in silent:
-                if p < self.rank or now < probe_at.get(p, 0.0):
-                    continue  # initiator threads fast-fail their own refusals
-                probe_at[p] = now + _PROBE_INTERVAL
-                try:
-                    socket.create_connection(self._addrs[p], timeout=0.5).close()
-                    refusals[p] = 0
-                except ConnectionRefusedError:
-                    refusals[p] = refusals.get(p, 0) + 1
-                    if refusals[p] >= 3:
-                        self.closed.add(p)
-                except OSError:
-                    pass
-            # Sleep until the mesh is whole; otherwise until the next probe.
-            with self._link_change:
-                self._link_change.wait_for(
-                    lambda: not missing(),
-                    timeout=min(_PROBE_INTERVAL, deadline - now),
-                )
-        self.closed.update(missing())  # accept-side timeout: peer never arrived
+        def missing():
+            return [p for p in expected if p not in self.links and p not in self.closed]
 
-    def _links_changed(self) -> None:
-        with self._link_change:
-            self._link_change.notify_all()
+        while missing() and (left := deadline - time.monotonic()) > 0:
+            self._pump_once(left)
+        for peer in missing():
+            self._lose(peer)  # never arrived
 
-    def _initiate(self, peer: int, deadline: float) -> None:
-        delay = RECONNECT_BACKOFF
-        refused = 0
-        while time.monotonic() < deadline and not self._stop.is_set():
-            try:
-                sock = socket.create_connection(self._addrs[peer], timeout=1.0)
-                sock.sendall(encode_frame(("hello", self.rank)))
-                self._install(peer, sock)
-                return
-            except ConnectionRefusedError:
-                # Peers bind their listeners before any mesh forms, so
-                # refusal means the process is gone — not still starting.
-                # A few quick confirmations, then declare it dead instead
-                # of burning the whole mesh window.
-                refused += 1
-                if refused >= 3:
-                    break
-            except OSError:
-                refused = 0
-            time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
-            delay = min(delay * 2, 0.5)
-        self.closed.add(peer)
-        self._links_changed()
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+    def _accept(self, events) -> None:
+        """The listener is readable: greet every waiting connection."""
+        while True:
             try:
                 sock, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:  # none left (or the listener is gone)
                 return
-            try:
-                # One frame exactly: the peer's first parts may be right
-                # behind its hello, and they belong to the reader thread.
-                ok, hello = FrameStream(sock).recv(timeout=2.0)
-            except (OSError, FrameError):
+            sock.setblocking(False)
+            self._greetings[sock] = (FrameDecoder(), time.monotonic() + _HELLO_TIMEOUT)
+            self._selector.register(sock, selectors.EVENT_READ, partial(self._greet, sock))
+
+    def _greet(self, sock, events) -> None:
+        """Read an accepted connection's first frame, and not one byte
+        more: a peer's first parts may be right behind its hello, and
+        they belong to the link's decoder."""
+        decoder, frames = self._greetings[sock][0], []
+        try:
+            while not frames:
+                chunk = sock.recv(min(decoder.missing, 1 << 20))
+                if not chunk:
+                    break  # hung up first: a probe, or a quitter
+                frames = decoder.feed(chunk)
+        except BlockingIOError:
+            return  # the rest of it has not arrived yet
+        except (OSError, FrameError):
+            pass
+        del self._greetings[sock]
+        self._selector.unregister(sock)
+        first = frames[0] if frames else None
+        if isinstance(first, tuple) and first[0] == "hello":
+            self._install(int(first[1]), sock)
+        elif isinstance(first, tuple) and self.on_stray is not None:
+            sock.settimeout(_HELLO_TIMEOUT)
+            self.on_stray(first, sock)
+        else:
+            sock.close()  # not a peer: garbage, a probe, or a lost stranger
+
+    def _dial(self, peer: int, dial: _Dial) -> None:
+        """Start the due dial to ``peer``.  A connect still pending when
+        the mesh window or the link's grace ends is cancelled with it."""
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.settimeout(0.0)  # non-blocking: the pump waits for the connect
+        err = sock.connect_ex(self._addrs[peer])
+        if err in (0, errno.EINPROGRESS):
+            dial.sock = sock
+            self._selector.register(sock, selectors.EVENT_WRITE, partial(self._connected, peer, sock))
+        else:
+            sock.close()
+            self._dial_failed(peer, dial, err)
+
+    def _connected(self, peer: int, sock, events) -> None:
+        """A dial's connect finished, one way or the other."""
+        dial = self._dials.get(peer)
+        if dial is None or dial.sock is not sock:
+            return  # cancelled earlier in this wake
+        self._selector.unregister(sock)
+        dial.sock = None
+        err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if not err and not dial.probe:
+            self._install(peer, sock, hello=True)
+            return
+        sock.close()
+        if err:
+            self._dial_failed(peer, dial, err)
+        else:  # the listener answered: the peer is alive, not yet dialling
+            dial.refused, dial.due = 0, time.monotonic() + dial.pause
+
+    def _dial_failed(self, peer: int, dial: _Dial, err: int) -> None:
+        # Peers bind their listeners before any mesh forms, so refusal
+        # means the process is gone — not still starting.  A few quick
+        # confirmations, then declare it dead.
+        dial.refused = dial.refused + 1 if err == errno.ECONNREFUSED else 0
+        dial.left -= 1
+        if dial.refused >= _REFUSALS or dial.left <= 0:
+            self._lose(peer)
+            return
+        dial.due = time.monotonic() + dial.pause
+        if not dial.probe:
+            dial.pause = min(2 * dial.pause, 0.5)
+
+    def _cancel_dial(self, peer: int) -> None:
+        dial = self._dials.pop(peer, None)
+        if dial is not None and dial.sock is not None:
+            self._selector.unregister(dial.sock)
+            dial.sock.close()
+
+    def _install(self, peer: int, sock: socket.socket, hello: bool = False) -> None:
+        """Adopt ``sock`` as ``peer``'s link — a fresh one, or a lost
+        one's replacement; it is usable at once.  ``hello``: this side
+        dialled, so the link's first frame says who we are."""
+        if peer in self.closed:
+            sock.close()  # given up already: a late connection revives nothing
+            return
+        self._cancel_dial(peer)
+        self._detach(peer)
+        self._down_at.pop(peer, None)
+        self._last_rx[peer] = self._last_tx[peer] = time.monotonic()
+        if hello:
+            frame = memoryview(encode_frame(("hello", self.rank)))
+            self._tails.setdefault(peer, deque()).appendleft(frame)
+        self._attach(peer, sock)
+
+    # -- the link's life ---------------------------------------------------
+    def _flush_tail(self, member) -> None:
+        self._last_tx[member] = time.monotonic()
+        super()._flush_tail(member)
+
+    def _drain(self, member) -> bool:
+        self._last_rx[member] = time.monotonic()
+        return super()._drain(member)
+
+    def _link_down(self, member) -> None:
+        """A lost connection is message loss, not yet a dead peer: the
+        initiator re-dials at once, the acceptor waits for a re-hello,
+        and either way the link closes one grace later unless replaced."""
+        self._detach(member)
+        self._down_at[member] = time.monotonic()
+        if member < self.rank:
+            self._dials[member] = _Dial(left=RECONNECT_ATTEMPTS)
+        self._wake = 0.0  # it may be down outside the pump: tick at once
+
+    def _lose(self, member) -> None:
+        super()._lose(member)
+        self._cancel_dial(member)
+        self._down_at.pop(member, None)
+
+    def _tick(self, now: float) -> float:
+        """The time-driven rules: heartbeats, half-open and lost-link
+        deaths, due dials, silent greetings.  Returns the next deadline."""
+        for peer in list(self.links):
+            if now - self._last_rx[peer] > HB_TIMEOUT:
+                self._lose(peer)  # half-open: silent though never closed
+            elif now - self._last_tx[peer] >= HB_INTERVAL:
+                self._last_tx[peer] = now  # a link with a tail is not idle
+                if not self._tails[peer]:
+                    self._send_frame(peer, ("hb",))
+        for peer, at in list(self._down_at.items()):
+            if now - at > RECONNECT_GRACE:
+                self._lose(peer)
+        for peer, dial in list(self._dials.items()):
+            if dial.sock is None and now >= dial.due:
+                self._dial(peer, dial)
+        for sock, (_, at) in list(self._greetings.items()):
+            if now >= at:  # it never said who it is
+                del self._greetings[sock]
+                self._selector.unregister(sock)
                 sock.close()
-                continue
-            if not ok or not isinstance(hello, tuple) or hello[0] != "hello":
-                if ok and isinstance(hello, tuple) and self.on_stray is not None:
-                    self.on_stray(hello, sock)
-                else:
-                    # Not a peer: garbage, a lost stranger, or close()'s
-                    # wake-up connection.
-                    sock.close()
-            elif self._stop.is_set():
-                sock.close()  # close() got there first: adopt nothing
-            else:
-                self._install(int(hello[1]), sock)
-
-    def _install(self, peer: int, sock: socket.socket) -> None:
-        """Adopt ``sock`` as the live connection for ``peer`` (fresh link
-        or reconnect replacement)."""
-        sock.settimeout(0.2)
-        link = self._links.get(peer)
-        fresh = link is None
-        if fresh:
-            link = _Link(peer)
-        with link.lock:
-            old, link.sock = link.sock, sock
-            # Reset liveness inside the same critical section: a pump
-            # between the swap and the resets would see the new socket
-            # with the old link's death certificate still attached.
-            link.down_at = None
-            link.failed = False
-            link.last_seen = time.monotonic()
-        link.reader = threading.Thread(
-            target=self._reader_loop, args=(link, sock), daemon=True
+        return min(
+            (
+                *(self._last_tx[p] + HB_INTERVAL for p in self.links),
+                *(self._last_rx[p] + HB_TIMEOUT for p in self.links),
+                *(at + RECONNECT_GRACE for at in self._down_at.values()),
+                *(d.due for d in self._dials.values() if d.sock is None),
+                *(at for _, at in self._greetings.values()),
+            ),
+            default=math.inf,
         )
-        link.reader.start()
-        if fresh:
-            link.sender = threading.Thread(
-                target=self._sender_loop, args=(link,), daemon=True
-            )
-            link.sender.start()
-            # Register the link last, complete.  Found socketless, it
-            # let form_mesh return and the first post take "no socket"
-            # for a lost connection and dial a second one; each end then
-            # kept a different one of the two.
-            self._links[peer] = link
-        if old is not None:
-            _retire(old)
-        self._links_changed()
-
-    # -- sender side -------------------------------------------------------
-    def _send_frame(self, member, frame) -> None:
-        """Enqueue for the link's sender thread: never blocks."""
-        link = self._links.get(member)
-        if link is None or link.failed or member in self.closed:  # conc: ok(racy read of failed; a stale False only queues one frame the drain reaps)
-            return  # peer unreachable: the NACK layer cannot help a dead peer
-        link.q.put(encode_frame(frame))
-
-    def _sender_loop(self, link: _Link) -> None:
-        last_tx = time.monotonic()
-        while not self._stop.is_set() and not link.failed:  # conc: ok(exit-condition poll; only _write on this same thread sets failed)
-            try:
-                item = link.q.get(timeout=HB_INTERVAL)
-            except queue.Empty:
-                if time.monotonic() - last_tx < HB_INTERVAL:
-                    continue
-                item = _HB
-            if item is _STOP:
-                return
-            data = (
-                encode_frame(("hb", time.monotonic())) if item is _HB else item
-            )
-            if self._write(link, data):
-                last_tx = time.monotonic()
-            elif item is not _HB:
-                return  # reconnect exhausted with a real frame pending
-
-    def _write(self, link: _Link, data: bytes) -> bool:
-        """One framed write; on failure, run the reconnect dance once."""
-        for fresh in (False, True):
-            # Read the socket inside the lock: snapshotting it outside
-            # races _install's swap and can sendall() on the socket the
-            # reconnect just retired, losing the frame on a live link.
-            with link.lock:
-                sock = link.sock
-                if sock is not None:
-                    try:
-                        sock.sendall(data)
-                        return True
-                    except OSError:
-                        pass
-            if fresh or not self._reestablish(link, sock):
-                with link.lock:
-                    link.failed = True
-                return False
-        return False  # pragma: no cover - loop always returns
-
-    def _reestablish(self, link: _Link, failed: Optional[socket.socket]) -> bool:
-        """Reconnect-with-backoff (initiator) or wait for the peer's
-        re-hello to replace ``failed``, the socket the write failed on
-        (acceptor).  Bounded either way.
-
-        The acceptor waits for a swap *away from* ``failed``, not from
-        whatever ``link.sock`` is by now: the peer's re-hello may have been
-        installed between the failed write and this call, and waiting for
-        a swap away from that fresh socket would fail a live link.
-        """
-        if self._stop.is_set():
-            return False
-        if link.peer < self.rank:
-            delay = RECONNECT_BACKOFF
-            for _ in range(RECONNECT_ATTEMPTS):
-                if self._stop.is_set():
-                    return False
-                try:
-                    sock = socket.create_connection(self._addrs[link.peer], timeout=1.0)
-                    sock.sendall(encode_frame(("hello", self.rank)))
-                    self._install(link.peer, sock)
-                    return True
-                except OSError:
-                    time.sleep(delay)
-                    delay *= 2
-            return False
-        def swapped() -> bool:
-            return link.sock is not failed  # conc: ok(identity test for the swap; lock-free by design)
-
-        with self._link_change:
-            self._link_change.wait_for(
-                lambda: swapped() or self._stop.is_set(), timeout=RECONNECT_GRACE
-            )
-        return swapped() and not self._stop.is_set()
-
-    # -- reader side -------------------------------------------------------
-    def _reader_loop(self, link: _Link, sock: socket.socket) -> None:
-        dec = FrameDecoder()
-        while not self._stop.is_set() and link.sock is sock:  # conc: ok(exit-condition read; whoever retires sock shuts it down, which ends the recv)
-            try:
-                chunk = sock.recv(65536)
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            if not chunk:
-                try:
-                    dec.eof()
-                except FrameTruncatedError:
-                    pass  # peer died mid-frame: same outcome as clean EOF
-                break
-            link.last_seen = time.monotonic()  # conc: ok(hot path; atomic float store and both writers store "now")
-            try:
-                msgs = dec.feed(chunk)
-            except FrameError:
-                break  # corrupt stream: treat as connection loss
-            for msg in msgs:
-                if msg[0] in ("hb", "hello"):
-                    continue
-                self._rx.put((link.peer, msg))
-        with link.lock:
-            # Atomic check-and-set: only the reader of the *current*
-            # socket may post the death certificate, and the check must
-            # not race an _install swap.
-            if link.sock is sock and not self._stop.is_set():
-                link.down_at = time.monotonic()
-
-    # -- pump / liveness ---------------------------------------------------
-    def _pump_once(self, timeout: float) -> List[int]:
-        """Block on the readers' queue, drain it fully on every wake,
-        then apply the liveness rules.  Those are time-driven (an EOF
-        closes a link one grace later, silence one ``HB_TIMEOUT`` later)
-        and put nothing on the queue when due, so the block is cut into
-        ``HB_INTERVAL`` slices: a dead peer is declared within grace plus
-        one heartbeat however long the caller's timeout is."""
-        deadline = time.monotonic() + timeout
-        while True:
-            block = min(deadline - time.monotonic(), HB_INTERVAL)
-            arrived = False
-            try:
-                item = self._rx.get(timeout=block) if block > 0 else self._rx.get_nowait()
-                while True:
-                    arrived = True
-                    self._dispatch(*item)
-                    item = self._rx.get_nowait()
-            except queue.Empty:
-                pass
-            dead: List[int] = []
-            now = time.monotonic()
-            for peer, link in self._links.items():
-                if peer in self.closed:
-                    continue
-                with link.lock:
-                    last_seen, down_at, failed = link.last_seen, link.down_at, link.failed
-                half_open = now - last_seen > HB_TIMEOUT
-                eof_dead = down_at is not None and now - down_at > RECONNECT_GRACE
-                if failed or eof_dead or half_open:
-                    self.closed.add(peer)
-                    dead.append(peer)
-            if arrived or dead or now >= deadline:
-                return dead
-
-    def prune_round(self, seq: int) -> None:
-        """Per-round cleanup + drain dead links' queued frames.
-
-        A failed link's sender thread has exited, so frames still queued
-        to it (sends racing the failure, heartbeat NACK replies) would
-        sit in its unbounded send queue for the life of the session.
-        """
-        for link in self._links.values():
-            if not link.failed:  # conc: ok(racy read; a link that fails mid-drain is drained next round)
-                continue
-            while True:
-                try:
-                    link.q.get_nowait()
-                except queue.Empty:
-                    break
-        super().prune_round(seq)
 
     # -- teardown ----------------------------------------------------------
     def close(self) -> None:
-        """Stop threads and close every socket.  Idempotent; afterwards
-        the process holds no open sockets from this transport.  Every
-        blocked thread is woken first: no join waits out a timeout."""
-        self._stop.set()
-        self._links_changed()  # senders waiting out a reconnect grace
-        if self._accept_thread is not None:
-            # Closing a listener does not wake a thread blocked in its
-            # accept(), and a keep_listener listener must stay open:
-            # knock.  The loop reads EOF for a hello and sees _stop.
-            with suppress(OSError):
-                socket.create_connection(self._listener.getsockname(), timeout=1.0).close()
-            self._accept_thread.join(timeout=1.0)
-            self._accept_thread = None
-        if self._listener is not None and not self.keep_listener:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
-        for link in self._links.values():
-            link.q.put(_STOP)
-        for link in self._links.values():
-            if link.sender is not None:
-                link.sender.join(timeout=1.0)
-            with link.lock:
-                sock = link.sock
-            if sock is not None:
-                _retire(sock)
-            if link.reader is not None:
-                link.reader.join(timeout=1.0)
+        """Close every socket this transport opened or adopted.
+        Idempotent; a ``keep_listener`` listener stays open, with its
+        accept timeout back, for whoever accepts on it next."""
+        for sock in [*self._greetings, *(d.sock for d in self._dials.values() if d.sock)]:
+            sock.close()
+        self._greetings.clear()
+        self._dials.clear()
+        super().close()  # the selector first: it lets go of the listener
+        if self._listener is not None and self.keep_listener:
+            self._listener.settimeout(_LISTENER_TIMEOUT)
+        elif self._listener is not None:
+            self._listener.close()
+        self._listener = None
 
 
 class TcpKylix(ForkedKylixBase):
@@ -528,12 +371,8 @@ class TcpKylix(ForkedKylixBase):
     _BACKEND_NAME = "tcp"
 
     def _make_mesh(self, ctx):
-        listeners: Dict[int, socket.socket] = {}
-        addrs: Dict[int, Tuple[str, int]] = {}
-        for rank in range(self.size):
-            s = loopback_listener(backlog=self.size)
-            listeners[rank] = s
-            addrs[rank] = ("127.0.0.1", s.getsockname()[1])
+        listeners = {rank: loopback_listener(backlog=self.size) for rank in range(self.size)}
+        addrs = {rank: ("127.0.0.1", s.getsockname()[1]) for rank, s in listeners.items()}
         return listeners, addrs
 
     def _open_transport(self, mesh, rank, plan, retry, obs):

@@ -29,20 +29,25 @@ waits in a heap of due times that :meth:`BaseTransport.pump` releases —
 the pump never blocks past the next due time — and NACK resends take
 the same path.  Nothing here sleeps or starts a thread.
 
-Concrete transports implement the medium: non-blocking socket-pair
-links under one selector for :class:`~repro.net.local.LocalKylix`,
-framed sockets whose per-peer sender threads drain a frame queue for
-:class:`~repro.net.tcp.TcpKylix`.
+Both real backends share one medium, :class:`SocketTransport`: a
+non-blocking stream socket per peer under one selector, pumped by the
+node's one thread.  :class:`~repro.net.local.LocalKylix` hands it a
+socket-pair mesh; :class:`~repro.net.tcp.TcpTransport` adds the
+listener, the dials and the liveness rules, as pump deadlines.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
+import selectors
+import socket
 import time
+from collections import deque
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..allreduce.base import PHASE_COMBINED_DOWN, PHASE_GATHER_UP, PHASE_REDUCE_DOWN
 from ..cluster.node import payload_nbytes
@@ -51,8 +56,9 @@ from ..faults.ladder import SENT, first_copy
 from ..faults.plan import _PHASE_ID, canonical_phase
 from ..obs import NULL_OBSERVER
 from ..verify.errors import ProtocolInvariantError
+from .framing import FrameDecoder, FrameError, encode_frame
 
-__all__ = ["BaseTransport", "PHASE_OF"]
+__all__ = ["BaseTransport", "PHASE_OF", "SocketTransport"]
 
 #: Wire kind -> canonical observer phase for message events.  The real
 #: backends run the combined protocol, so the downward exchange reports
@@ -73,17 +79,16 @@ class BaseTransport:
 
     ``_send_frame(member, frame)``
         Transmit one frame *without blocking*: write what the link takes
-        now and keep the rest for the pump, or hand the frame to the
-        link's own writer.  Per-link frame order is preserved.  Swallow
-        peer-already-gone errors (the reliability layer recovers or
-        reports them) and mark the peer closed on hard loss.
+        now and keep the rest for the pump.  Per-link frame order is
+        preserved.  Swallow peer-already-gone errors (the reliability
+        layer recovers or reports them) and mark the peer closed on hard
+        loss.
     ``_pump_once(timeout)``
         The one receive path.  Block until a frame arrives on *any* open
         link, a peer is newly seen dead, pending bytes can be written,
         or ``timeout`` seconds pass (``<= 0``: do not block); then drain
         everything that is ready, calling :meth:`_dispatch` per frame on
-        the caller's thread, and return the members newly seen dead
-        (EOF / stale).
+        the caller's thread.  A dead peer lands in :attr:`closed`.
     ``_unsent()``
         Whether frames handed to ``_send_frame`` still wait for the
         pump to write them (default: never).
@@ -128,7 +133,7 @@ class BaseTransport:
     def _send_frame(self, member: int, frame: Any) -> None:
         raise NotImplementedError
 
-    def _pump_once(self, timeout: float) -> List[int]:
+    def _pump_once(self, timeout: float) -> None:
         raise NotImplementedError
 
     def _unsent(self) -> bool:
@@ -268,26 +273,25 @@ class BaseTransport:
             _, token, keys = obj
             if token == self._audit_pending:
                 self._audit_replies[token] = keys
-        else:
+        elif obj[0] != "hb":  # a heartbeat's bytes refreshed the link; nothing else
             raise ProtocolInvariantError(
                 f"rank {self.rank}: unknown frame {obj[0]!r} from {member}",
                 invariant="message-order",
             )
 
-    def pump(self, timeout: float) -> List[int]:
+    def pump(self, timeout: float) -> None:
         """Block up to ``timeout`` seconds for something to arrive on any
-        link, then drain everything readable; returns peers newly seen
-        dead.  ``timeout <= 0`` drains without blocking.  The block ends
-        no later than the next delayed copy's due time, and every copy
-        due by the end is sent."""
+        link, then drain everything readable; a peer seen dead lands in
+        :attr:`closed`.  ``timeout <= 0`` drains without blocking.  The
+        block ends no later than the next delayed copy's due time, and
+        every copy due by the end is sent."""
         if self._delayed:
             timeout = min(timeout, self._delayed[0][0] - time.monotonic())
-        dead = self._pump_once(timeout)
+        self._pump_once(timeout)
         now = time.monotonic()
         while self._delayed and self._delayed[0][0] <= now:
             _, _, member, frame = heapq.heappop(self._delayed)
             self._send_frame(member, frame)
-        return dead
 
     def _jitter_salt(self, kind: str, layer: int, seq: int) -> tuple:
         # Per-(node, phase, layer, seq) salt: peers that all lost the
@@ -450,5 +454,150 @@ class BaseTransport:
         self.flush(1.0)
 
     def close(self) -> None:
-        """Release medium resources (sockets, selectors, threads).
-        Idempotent."""
+        """Release medium resources (sockets, selectors).  Idempotent."""
+
+
+#: Bytes asked of a readable link per ``recv``.
+_CHUNK = 1 << 18
+
+
+class SocketTransport(BaseTransport):
+    """The reliability layer over one non-blocking stream socket per
+    peer (``links``), pumped by the owning thread under one selector.
+
+    A send writes what the socket takes and keeps the rest as the link's
+    unsent tail, in order; :meth:`_pump_once` flushes tails as sockets
+    turn writable and feeds reads to each link's
+    :class:`~repro.net.framing.FrameDecoder`.  EOF, a corrupt frame or a
+    failed write downs a link (:meth:`_link_down`: here, the peer is
+    lost).  A medium may register sockets of its own with a callback
+    ``fn(events)`` as their data, and keep time-driven rules in
+    :meth:`_tick`, whose returned deadline the pump never blocks past.
+    """
+
+    def __init__(self, rank, links, plan, retry, obs=NULL_OBSERVER):
+        super().__init__(rank, plan, retry, obs)
+        self.links: Dict[int, socket.socket] = {}
+        self._tails: Dict[int, Deque[memoryview]] = {}
+        self._decoders: Dict[int, FrameDecoder] = {}
+        self._selector = selectors.DefaultSelector()
+        #: When :meth:`_tick` wants to run next.
+        self._wake = math.inf
+        for member, sock in links.items():
+            self._attach(member, sock)
+
+    def _attach(self, member, sock) -> None:
+        """Make ``sock`` ``member``'s link, and write what its tail holds."""
+        sock.setblocking(False)
+        self.links[member] = sock
+        self._decoders[member] = FrameDecoder()
+        self._selector.register(sock, selectors.EVENT_READ, member)
+        if self._tails.setdefault(member, deque()):
+            self._flush_tail(member)
+
+    def _detach(self, member) -> None:
+        """Close ``member``'s socket, if it has one.  A frame it had
+        written in part is lost with it; whole frames wait for the next."""
+        sock = self.links.pop(member, None)
+        if sock is not None:
+            self._selector.unregister(sock)
+            sock.close()
+        tail = self._tails.get(member)
+        if tail and tail[0].nbytes < len(tail[0].obj):
+            tail.popleft()  # its rest would garble the next socket's stream
+
+    def _send_frame(self, member, frame) -> None:
+        tail = self._tails.get(member)
+        if tail is None or member in self.closed:
+            return  # never linked, or gone: the reliability layer reports it
+        tail.append(memoryview(encode_frame(frame)))
+        if len(tail) == 1 and member in self.links:
+            self._flush_tail(member)  # nothing queued ahead: write what fits now
+
+    def _unsent(self) -> bool:
+        return any(self._tails[m] for m in self.links)
+
+    def _pump_once(self, timeout) -> None:
+        """``select`` over every link (and the medium's own sockets),
+        flush the writable tails, drain the readable links, run the
+        medium's due rules; repeat until something was ready, a peer was
+        lost, or ``timeout`` passed.  EOF also reads as "readable", so a
+        death wakes the wait like an arrival does."""
+        end = time.monotonic() + timeout
+        while True:
+            lost = len(self.closed)
+            ready = self._selector.select(max(min(end, self._wake) - time.monotonic(), 0.0))
+            for key, events in ready:
+                member, sock = key.data, key.fileobj
+                if member.__class__ is not int:
+                    member(events)  # one of the medium's own sockets
+                    continue
+                if events & selectors.EVENT_WRITE and self.links.get(member) is sock:
+                    self._flush_tail(member)
+                if events & selectors.EVENT_READ and self.links.get(member) is sock:
+                    # A reply written while draining may have downed it already.
+                    if not self._drain(member) and self.links.get(member) is sock:
+                        self._link_down(member)
+            now = time.monotonic()
+            self._wake = self._tick(now)
+            if ready or len(self.closed) > lost or now >= end:
+                return
+
+    def _tick(self, now: float) -> float:
+        """Run the medium's rules due by ``now``; return when the next
+        one is due."""
+        return math.inf
+
+    def _flush_tail(self, member) -> None:
+        """Write as much of ``member``'s tail as its socket takes now, and
+        wait for write readiness on it only while some is left."""
+        sock, tail = self.links[member], self._tails[member]
+        try:
+            while tail:
+                sent = sock.send(tail[0])
+                if sent < len(tail[0]):
+                    tail[0] = tail[0][sent:]
+                    break
+                tail.popleft()
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._link_down(member)
+            return
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if tail else 0)
+        if self._selector.get_key(sock).events != events:
+            self._selector.modify(sock, events, member)
+
+    def _drain(self, member) -> bool:
+        """Read and dispatch everything ``member``'s link holds; False
+        once it reached EOF or carried a corrupt frame."""
+        sock, decoder = self.links[member], self._decoders[member]
+        try:
+            while True:
+                chunk = sock.recv(_CHUNK)
+                if not chunk:
+                    return False  # EOF, at a frame boundary or mid-frame
+                for frame in decoder.feed(chunk):
+                    self._dispatch(member, frame)
+                if len(chunk) < _CHUNK:
+                    return True
+        except BlockingIOError:
+            return True
+        except (OSError, FrameError):
+            return False
+
+    def _link_down(self, member) -> None:
+        """``member``'s connection broke; on a fixed mesh the peer is lost."""
+        self._lose(member)
+
+    def _lose(self, member) -> None:
+        """``member`` is gone for good: close its link, drop its tail."""
+        self.closed.add(member)
+        self._detach(member)
+        self._tails.pop(member, None)
+
+    def close(self) -> None:
+        self._selector.close()
+        for sock in self.links.values():
+            sock.close()
+        self.links.clear()

@@ -159,7 +159,7 @@ class ConcReport:
 
 @dataclass
 class _FuncInfo:
-    qual: str  # module-qualified, e.g. "net.tcp.TcpTransport._write"
+    qual: str  # module-qualified, e.g. "service.service.ReduceService._worker_loop"
     node: ast.AST  # FunctionDef | AsyncFunctionDef
     module: str
     cls: Optional[str]  # declaring class qualname, if a method
@@ -172,7 +172,7 @@ class _FuncInfo:
 
 @dataclass
 class _ClassInfo:
-    qual: str  # e.g. "net.tcp._Link"
+    qual: str  # e.g. "service.cache.ConfigCache"
     module: str
     name: str
     bases: List[str] = field(default_factory=list)

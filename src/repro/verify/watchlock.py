@@ -205,8 +205,8 @@ def watched_lock(name: str, reentrant: bool = False):
     """A lock for the thread backends: plain by default, watched when enabled.
 
     The ``name`` should match the static analyzer's lock identity (e.g.
-    ``net.tcp._Link.lock``) so runtime witness edges line up with the static
-    graph in :func:`LockWatchdog.validate_against`.
+    ``service.cache.ConfigCache._lock``) so runtime witness edges line up
+    with the static graph in :func:`LockWatchdog.validate_against`.
     """
     if not sanitizer_enabled():
         return threading.RLock() if reentrant else threading.Lock()

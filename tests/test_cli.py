@@ -124,7 +124,8 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "no lock-order cycles, no unguarded shared-state access" in out
         assert "thread root(s)" in out
-        assert "net.tcp.TcpTransport._sender_loop" in out
+        assert "obs.telemetry.WallClockSampler._loop" in out
+        assert "net.tcp." not in out  # a tcp node runs no thread of its own
 
     def test_races_mutant_exits_one_and_names_both_paths(self, capsys, tmp_path):
         import json
@@ -146,7 +147,7 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "kylix-races-v1"
         assert doc["ok"] is True
-        assert "net.tcp._Link.lock" in doc["locks"]
+        assert "net.session.run_node.send_lock" in doc["locks"]
 
     def test_perf_rejects_unknown_experiment(self, capsys):
         with pytest.raises(SystemExit):

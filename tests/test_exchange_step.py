@@ -16,8 +16,8 @@ from repro.allreduce import ButterflyTopology, KylixAllreduce, ReduceSpec, dense
 from repro.cluster import Cluster
 from repro.faults import FaultPlan, RetainedKeys, RetryPolicy
 from repro.net import LocalKylix
-from repro.net.local import LocalTransport
 from repro.net.protocol import run_rounds
+from repro.net.transport import SocketTransport
 from repro.obs import Observer
 from repro.sparse import IdentityHasher, MultiplicativeHasher
 from repro.verify.plan import synthetic_spec
@@ -146,7 +146,7 @@ def test_fault_sessions_prune_round_state():
     finished, lock, count = threading.Event(), threading.Lock(), [0]
 
     def node(rank):
-        net = LocalTransport(rank, conns[rank], FaultPlan(), retry)
+        net = SocketTransport(rank, conns[rank], FaultPlan(), retry)
         stale = []
         try:
             rounds = run_rounds(

@@ -18,8 +18,8 @@ from repro.allreduce import ReduceSpec, dense_reduce
 from repro.faults import FaultPlan, LossRecord, PeerFailedError, RetryPolicy
 from repro.net import LocalKylix, TcpKylix
 from repro.net.cluster import _run_wave
-from repro.net.local import LocalTransport
 from repro.net.session import NodeJob, collate, encode_error, failure, run_node
+from repro.net.transport import SocketTransport
 from repro.obs.runner import EXPERIMENTS
 from repro.sparse import MultiplicativeHasher
 
@@ -72,7 +72,7 @@ def run_nodes_on_threads(m, degrees, rounds, *, fail_at_round=None, **job_fields
             conns[i][j], conns[j][i] = socket.socketpair()
 
     def open_transport(rank, plan, retry, obs):
-        net = LocalTransport(rank, conns[rank], plan, retry, obs=obs)
+        net = SocketTransport(rank, conns[rank], plan, retry, obs=obs)
         prune = net.prune_round
 
         def failing_prune(seq):

@@ -1,7 +1,7 @@
 """The real-sockets backend (repro.net.TcpKylix) over loopback.
 
-Everything here crosses actual TCP connections: framing, per-peer
-sender threads, heartbeats, reconnect.  The acceptance contract is the
+Everything here crosses actual TCP connections: framing, the one
+pump per node, heartbeats, reconnect.  The acceptance contract is the
 same as LocalKylix's — typed failures in bounded time, zero zombie
 processes — plus the socket-specific clause: zero leaked file
 descriptors in the parent across a run, including runs that end in a
@@ -173,185 +173,40 @@ class TestTcpFaults:
         assert open_fds() <= fds_before
 
 
-class TestConcurrencyRegressions:
-    """Deterministic regressions for the races ``python -m repro races``
-    surfaced in this transport (and the fixes it forced).
+def thread_census(run, interval=0.005):
+    """Run ``run()`` on a thread; meanwhile sample the OS thread count of
+    every worker process.  Returns (its result, the set of counts seen)."""
+    box, counts = [], set()
+    t = threading.Thread(target=lambda: box.append(run()))
+    t.start()
+    while t.is_alive():
+        for child in mp.active_children():
+            try:
+                counts.add(len(os.listdir(f"/proc/{child.pid}/task")))
+            except FileNotFoundError:
+                pass  # it just exited
+        time.sleep(interval)
+    t.join(timeout=1.0)
+    return box[0], counts
 
-    Each test replaces ``link.lock`` with an instrumented lock that
-    *forces* the racing interleaving, so the old buggy orderings fail
-    every run instead of once per thousand soak runs."""
 
-    @staticmethod
-    def _bare_transport():
-        from repro.faults import RetryPolicy
-        from repro.net.tcp import TcpTransport
+class TestOneThread:
+    """A tcp worker is one thread: the pump reads, writes, accepts,
+    dials and keeps liveness.  Telemetry adds its sampler, and only it."""
 
-        return TcpTransport(0, None, RetryPolicy())
+    @pytest.mark.parametrize("telemetry, threads", [(False, 1), (True, 2)])
+    def test_a_worker_runs_one_thread(self, telemetry, threads):
+        from repro.obs import Observer
 
-    def test_write_reads_the_socket_inside_the_lock(self):
-        """The _Link.sock finding: _write used to snapshot ``link.sock``
-        *before* taking the lock, so a reconnect swap between the read
-        and the sendall wrote to the retired socket and declared a live
-        link dead.  The instrumented lock performs the swap at acquire
-        time — exactly the lost race — and the fixed _write must send on
-        the fresh socket."""
-        from repro.net.tcp import _Link
-
-        class DeadSock:
-            def sendall(self, data):
-                raise OSError("stale fd")
-
-        class LiveSock:
-            def __init__(self):
-                self.sent = []
-
-            def sendall(self, data):
-                self.sent.append(data)
-
-        class SwapOnAcquire:
-            """_install's swap wins the race: by the time _write holds
-            the lock, the socket has been replaced."""
-
-            def __init__(self, link, fresh):
-                self.link = link
-                self.fresh = fresh
-                self.inner = threading.Lock()
-
-            def __enter__(self):
-                self.inner.acquire()
-                self.link.sock = self.fresh
-                return self
-
-            def __exit__(self, *exc):
-                self.inner.release()
-
-        net = self._bare_transport()
-        try:
-            link = _Link(1)
-            live = LiveSock()
-            link.sock = DeadSock()
-            link.lock = SwapOnAcquire(link, live)
-            reestablishes = []
-            net._reestablish = lambda l: reestablishes.append(l) or False
-            assert net._write(link, b"payload") is True
-            assert live.sent == [b"payload"]
-            assert link.failed is False
-            assert reestablishes == [], "a fresh socket must not trigger reconnect"
-        finally:
-            net.close()
-
-    def test_install_resets_liveness_inside_the_critical_section(self):
-        """The _install finding: the down_at/failed/last_seen resets
-        used to happen *after* the lock was released, so a pump running
-        between the swap and the resets saw the new socket wearing the
-        old link's death certificate and declared the peer dead.  The
-        instrumented lock snapshots the fields at first release: the
-        fixed _install must have reset them by then."""
-        from repro.net.tcp import _Link
-
-        class FakeSock:
-            def settimeout(self, t):
-                pass
-
-            def recv(self, n):
-                raise OSError("test socket has no bytes")
-
-            def shutdown(self, how):
-                pass
-
-            def close(self):
-                pass
-
-        class SnapshotOnRelease:
-            def __init__(self, link):
-                self.link = link
-                self.inner = threading.Lock()
-                self.at_first_release = None
-
-            def __enter__(self):
-                self.inner.acquire()
-                return self
-
-            def __exit__(self, *exc):
-                if self.at_first_release is None:
-                    self.at_first_release = (
-                        self.link.down_at,
-                        self.link.failed,
-                        self.link.last_seen,
-                    )
-                self.inner.release()
-
-        net = self._bare_transport()
-        try:
-            net._stop.set()  # keep the spawned reader passive
-            link = _Link(1)
-            link.down_at = 123.0
-            link.failed = True
-            link.last_seen = 0.0
-            link.sender = threading.Thread(target=lambda: None)
-            link.sender.start()  # close() joins it; a no-op thread exits at once
-            snap = SnapshotOnRelease(link)
-            link.lock = snap
-            net._links[1] = link  # pre-registered: no sender spawn
-            net._install(1, FakeSock())
-            if link.reader is not None:
-                link.reader.join(timeout=2.0)
-            down_at, failed, last_seen = snap.at_first_release
-            assert down_at is None, "down_at reset must be inside the lock"
-            assert failed is False, "failed reset must be inside the lock"
-            assert last_seen > 0.0, "last_seen refresh must be inside the lock"
-        finally:
-            net.close()
-
-    def test_acceptor_waits_for_a_swap_away_from_the_socket_that_failed(self):
-        """The reconnect-baseline race: the acceptor side of _reestablish
-        used to take its baseline, ``link.sock``, *after* the failed
-        write.  When the peer's re-hello was installed in between, it
-        waited RECONNECT_GRACE for a swap away from the fresh socket and
-        then failed a live link.  The instrumented lock installs the
-        re-hello as the failed write releases it — the lost race — and
-        the fixed _write must retry on the fresh socket at once."""
-        from repro.net.tcp import RECONNECT_GRACE, _Link
-
-        class DeadSock:
-            def sendall(self, data):
-                raise OSError("peer reset")
-
-        class LiveSock:
-            def __init__(self):
-                self.sent = []
-
-            def sendall(self, data):
-                self.sent.append(data)
-
-        class InstallOnFirstRelease:
-            def __init__(self, link, fresh):
-                self.link = link
-                self.fresh = fresh
-                self.inner = threading.Lock()
-                self.released = 0
-
-            def __enter__(self):
-                self.inner.acquire()
-                return self
-
-            def __exit__(self, *exc):
-                if not self.released:
-                    self.link.sock = self.fresh  # _install's swap
-                self.released += 1
-                self.inner.release()
-
-        net = self._bare_transport()
-        try:
-            link = _Link(2)  # a higher peer: this side waits for its re-hello
-            live = LiveSock()
-            link.sock = DeadSock()
-            link.lock = InstallOnFirstRelease(link, live)
-            start = time.monotonic()
-            assert net._write(link, b"payload") is True
-            elapsed = time.monotonic() - start
-            assert live.sent == [b"payload"]
-            assert link.failed is False
-            assert elapsed < RECONNECT_GRACE / 2
-        finally:
-            net.close()
+        rng = np.random.default_rng(14)
+        spec, vals = covered_case(4, 150, rng)
+        extra = dict(observe=Observer(name="census"), telemetry_interval=0.05) if telemetry else {}
+        net = TcpKylix([2, 2], **extra)
+        rounds, counts = thread_census(lambda: net.allreduce_rounds(spec, [vals] * 150))
+        ref = dense_reduce(spec, vals)
+        for got in (rounds[0], rounds[-1]):
+            for r in spec.ranks:
+                np.testing.assert_allclose(got[r], ref[r], atol=1e-9)
+        # The sampler starts after the worker forks and stops before it exits.
+        assert max(counts) == threads and counts <= {1, threads}
+        assert_no_children()

@@ -5,12 +5,14 @@ The receive loop (``BaseTransport.collect`` / ``audit`` over
 recording medium whose ``_pump_once(timeout)`` is a ``queue.Queue``, and
 over a loopback socket mesh — pinning that a wait ends when the awaited
 thing arrives, that its timeout is the retry ladder's deadline, that a
-send neither blocks nor starts a thread nor sleeps, and that teardown
-waits out no socket timeout.
+send neither blocks nor starts a thread nor sleeps, that tcp's liveness
+rules fire on time inside one long pump, and that teardown waits out no
+socket timeout.
 """
 
 import os
 import queue
+import signal
 import socket
 import statistics
 import threading
@@ -20,16 +22,10 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, LinkFault, PeerFailedError, RetryPolicy
+from repro.net import tcp
 from repro.net.framing import FrameStream, encode_frame
-from repro.net.local import LocalTransport
-from repro.net.tcp import (
-    HB_INTERVAL,
-    RECONNECT_GRACE,
-    TcpTransport,
-    _Link,
-    loopback_listener,
-)
-from repro.net.transport import BaseTransport
+from repro.net.tcp import HB_INTERVAL, RECONNECT_GRACE, TcpTransport, loopback_listener
+from repro.net.transport import BaseTransport, SocketTransport
 from repro.obs import NULL_OBSERVER, Observer
 
 PART = (0, np.arange(4.0))
@@ -39,8 +35,8 @@ def link_pair(retry=RetryPolicy(), plan=None, obs=NULL_OBSERVER):
     """Ranks 0 and 1 as two in-process transports over one socket pair."""
     a, b = socket.socketpair()
     return (
-        LocalTransport(0, {1: a}, plan, retry, obs=obs),
-        LocalTransport(1, {0: b}, plan, retry, obs=obs),
+        SocketTransport(0, {1: a}, plan, retry, obs=obs),
+        SocketTransport(1, {0: b}, plan, retry, obs=obs),
     )
 
 
@@ -223,14 +219,43 @@ class TestSendPath:
         if pid == 0:  # rank 0: post layer 1, then die at layer 2's first post
             try:
                 theirs.close()
-                net = LocalTransport(0, {1: ours}, plan, RetryPolicy())
+                net = SocketTransport(0, {1: ours}, plan, RetryPolicy())
                 net.post(1, "down", 1, big, 0)
                 net.post(1, "down", 2, big, 0)
             finally:
                 os._exit(2)  # reached only if the crash point did not fire
         ours.close()
-        b = LocalTransport(1, {0: theirs}, None, RetryPolicy())
+        b = SocketTransport(1, {0: theirs}, None, RetryPolicy())
         try:
+            got = b.collect([0, 1], "down", 1, 0)
+        finally:
+            _, status = os.waitpid(pid, 0)
+            b.close()
+        assert os.waitstatus_to_exitcode(status) == 1
+        np.testing.assert_array_equal(got[0][1], big[1])
+
+
+    def test_crash_point_writes_what_was_posted_before_it_over_tcp(self):
+        """The same over loopback TCP: the crash point writes the tail
+        of the part posted before it, which only the pump writes."""
+        listeners = [loopback_listener() for _ in range(2)]
+        addrs = {r: ("127.0.0.1", s.getsockname()[1]) for r, s in enumerate(listeners)}
+        plan = FaultPlan().kill_at_step(0, "down", 2)
+        big = (0, np.ones(1 << 20))  # 8 MB, far more than a socket buffer
+        pid = os.fork()
+        if pid == 0:  # rank 0: post layer 1, then die at layer 2's first post
+            try:
+                listeners[1].close()
+                net = TcpTransport(0, plan, RetryPolicy())
+                net.form_mesh(listeners[0], addrs)
+                net.post(1, "down", 1, big, 0)
+                net.post(1, "down", 2, big, 0)
+            finally:
+                os._exit(2)  # reached only if the crash point did not fire
+        listeners[0].close()
+        b = TcpTransport(1, None, RetryPolicy())
+        try:
+            b.form_mesh(listeners[1], addrs)
             got = b.collect([0, 1], "down", 1, 0)
         finally:
             _, status = os.waitpid(pid, 0)
@@ -264,48 +289,9 @@ class TestAudit:
         assert a._audit_replies == {}
 
 
-class TestTcpLiveness:
-    def test_eof_link_is_declared_dead_by_one_long_pump(self):
-        net = TcpTransport(0, None, RetryPolicy())
-        try:
-            link = _Link(1)
-            link.down_at = time.monotonic()  # what a reader posts on EOF
-            net._links[1] = link
-            start = time.monotonic()
-            dead = net.pump(timeout=10)
-            elapsed = time.monotonic() - start
-            assert dead == [1] and 1 in net.closed
-            assert RECONNECT_GRACE - 0.01 <= elapsed <= RECONNECT_GRACE + HB_INTERVAL + 0.2
-        finally:
-            net.close()
-
-
-class TestTcpLinks:
-    def test_a_link_is_registered_only_once_it_is_usable(self):
-        """Registered socketless, a link let mesh formation finish and the
-        first post dial a *second* connection (no socket = lost link);
-        the two ends then kept different connections and the exchange
-        stalled past its retry budget — the partition test's flake."""
-
-        class Checked(dict):
-            def __setitem__(self, peer, link):
-                assert link.sock is not None
-                assert link.reader.is_alive() and link.sender.is_alive()
-                super().__setitem__(peer, link)
-
-        net = TcpTransport(0, None, RetryPolicy())
-        net._links = Checked()
-        ours, theirs = socket.socketpair()
-        try:
-            net._install(1, ours)
-            assert 1 in net._links
-        finally:
-            net.close()
-            theirs.close()
-
-
 def loopback_mesh():
-    """Two TcpTransports meshed over loopback; returns (nets, listeners)."""
+    """Two TcpTransports meshed over loopback; returns (nets, listeners).
+    Rank 1 keeps its listener, as the node server's sessions do."""
     listeners = [loopback_listener() for _ in range(2)]
     addrs = {r: ("127.0.0.1", s.getsockname()[1]) for r, s in enumerate(listeners)}
     nets = [TcpTransport(r, None, RetryPolicy()) for r in range(2)]
@@ -316,40 +302,186 @@ def loopback_mesh():
     return nets, listeners
 
 
+def exchange(nets, layer=1):
+    """Each rank posts its own part to the other and collects the
+    other's, each on its own thread, then services NACKs until both are
+    done, as a node lingers; returns ``{rank: part received}``."""
+    parts = {r: (0, np.arange(4.0) + 10 * r) for r in range(2)}
+    done = [threading.Event() for _ in range(2)]
+
+    def side(r):
+        nets[r].post(1 - r, "down", layer, parts[r], 0)
+        got = nets[r].collect([0, 1], "down", layer, 0)[1 - r]
+        done[r].set()
+        nets[r].linger(done[1 - r].wait, 5.0)
+        return got
+
+    finishing = [on_thread(lambda r=r: side(r)) for r in range(2)]
+    got = {r: finish() for r, finish in enumerate(finishing)}
+    for r in range(2):
+        np.testing.assert_array_equal(got[r][1], parts[1 - r][1])
+    return got
+
+
+def close_all(nets, listeners):
+    for net in nets:
+        net.close()
+    for s in listeners:
+        s.close()
+
+
+class TestTcpLiveness:
+    """The time-driven rules are pump deadlines: one long pump fires
+    them, and nothing else runs meanwhile."""
+
+    def test_eof_link_is_declared_dead_by_one_long_pump(self):
+        nets, listeners = loopback_mesh()
+        try:
+            nets[1].close()  # rank 0 accepts from 1: it waits for a re-hello
+            while 1 in nets[0].links:
+                nets[0].pump(1.0)  # reads the EOF
+            down_at = nets[0]._down_at[1]
+            nets[0].pump(timeout=10)
+            elapsed = time.monotonic() - down_at
+            assert 1 in nets[0].closed and 1 not in nets[0]._down_at
+            assert RECONNECT_GRACE <= elapsed <= RECONNECT_GRACE + HB_INTERVAL
+        finally:
+            close_all(nets, listeners)
+
+    def test_a_re_hello_within_the_grace_revives_the_link(self):
+        nets, listeners = loopback_mesh()
+        try:
+            old = [net.links[1 - net.rank] for net in nets]
+            # Break the connection, not the nodes: rank 1 re-dials, rank 0
+            # adopts the re-hello, and the round completes exactly.
+            old[1].shutdown(socket.SHUT_RDWR)
+            exchange(nets)
+            for net in nets:
+                peer = 1 - net.rank
+                assert peer not in net.closed and peer not in net._down_at
+                assert net.links[peer] is not old[net.rank]
+            assert nets[0].links[1].getpeername() == nets[1].links[0].getsockname()
+        finally:
+            close_all(nets, listeners)
+
+    def test_idle_pump_writes_a_heartbeat_every_interval(self, monkeypatch):
+        nets, listeners = loopback_mesh()
+        try:
+            sent, seen = [], []
+            send = nets[0]._send_frame
+            monkeypatch.setattr(
+                nets[0], "_send_frame",
+                lambda m, f: (sent.append(time.monotonic()) if f[0] == "hb" else None, send(m, f)),
+            )
+            monkeypatch.setattr(nets[1], "_dispatch", lambda m, f: seen.append(f))
+            nets[0].pump(4 * HB_INTERVAL + 0.1)  # one long pump: rank 1 is silent
+            nets[1].pump(0.0)
+            assert len(sent) >= 3 and seen == [("hb",)] * len(sent)
+            gaps = np.diff(sent)  # never early; late only by a wake-up
+            assert HB_INTERVAL - 0.01 <= gaps.min() and gaps.max() <= HB_INTERVAL + 0.1
+        finally:
+            close_all(nets, listeners)
+
+    def test_sigstopped_peer_is_declared_half_open_dead(self, monkeypatch):
+        """A stopped process keeps its sockets open and the kernel keeps
+        acknowledging: only its silence tells."""
+        monkeypatch.setattr(tcp, "HB_TIMEOUT", 1.0)  # the rule, not the constant
+        listeners = [loopback_listener() for _ in range(2)]
+        addrs = {r: ("127.0.0.1", s.getsockname()[1]) for r, s in enumerate(listeners)}
+        pid = os.fork()
+        if pid == 0:  # rank 1: mesh, then pump until stopped and killed
+            try:
+                listeners[0].close()
+                peer = TcpTransport(1, None, RetryPolicy())
+                peer.form_mesh(listeners[1], addrs)
+                while True:
+                    peer.pump(1.0)
+            finally:
+                os._exit(2)
+        listeners[1].close()
+        net = TcpTransport(0, None, RetryPolicy())
+        try:
+            net.form_mesh(listeners[0], addrs)
+            net.pump(2 * HB_INTERVAL)  # a heartbeat or two arrive
+            os.kill(pid, signal.SIGSTOP)
+            net.pump(0.1)  # whatever it wrote before it stopped
+            while 1 not in net.closed and time.monotonic() - net._last_rx[1] < 10:
+                net.pump(10)  # woken only by the half-open rule
+            silent = time.monotonic() - net._last_rx[1]
+            assert 1 in net.closed
+            assert tcp.HB_TIMEOUT <= silent <= tcp.HB_TIMEOUT + HB_INTERVAL
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            net.close()
+
+
+class TestTcpLinks:
+    def test_a_link_is_registered_only_once_it_is_usable(self):
+        """A link is usable from the moment it is registered: the first
+        post right behind mesh formation reaches the peer on the one
+        connection the mesh made, with no second dial."""
+        nets, listeners = loopback_mesh()
+        try:
+            socks = [net.links[1 - net.rank] for net in nets]
+            for net, sock in zip(nets, socks):
+                assert net._selector.get_key(sock).data == 1 - net.rank
+                assert net._dials == {}
+            exchange(nets)
+            assert [net.links[1 - net.rank] for net in nets] == socks
+        finally:
+            close_all(nets, listeners)
+
+    def test_a_silent_connection_delays_no_peer_and_is_closed_after_2s(self):
+        """A connection that never says hello is closed after 2 s — and
+        greeting it blocks nobody: the real peer behind it links at once."""
+        listeners = [loopback_listener() for _ in range(2)]
+        silent = socket.create_connection(listeners[0].getsockname(), timeout=5.0)
+        opened = time.monotonic()
+        try:
+            addrs = {r: ("127.0.0.1", s.getsockname()[1]) for r, s in enumerate(listeners)}
+            nets = [TcpTransport(r, None, RetryPolicy()) for r in range(2)]
+            forming = [on_thread(lambda r=r: nets[r].form_mesh(listeners[r], addrs)) for r in range(2)]
+            for finish in forming:
+                finish()
+            assert time.monotonic() - opened < 1.0
+            finish = on_thread(lambda: nets[0].pump(3.0))  # nothing else wakes it
+            assert silent.recv(1) == b""
+            closed_after = time.monotonic() - opened
+            finish()
+            assert 2.0 <= closed_after <= 2.0 + HB_INTERVAL
+            assert nets[0]._greetings == {}
+        finally:
+            silent.close()
+            close_all(nets, listeners)
+
+
 class TestTcpTeardown:
-    def test_close_joins_every_thread_without_waiting_out_a_timeout(self):
+    def test_close_releases_every_socket_without_waiting(self):
+        before = len(os.listdir("/proc/self/fd"))
         durations = []
         for _ in range(5):
             nets, listeners = loopback_mesh()
-            try:
-                threads = {
-                    net.rank: [net._accept_thread, *(
-                        t for link in net._links.values() for t in (link.sender, link.reader)
-                    )]
-                    for net in nets
-                }
-                assert all(t.is_alive() for ts in threads.values() for t in ts)
-                for net in nets:
-                    start = time.monotonic()
-                    net.close()
-                    durations.append(time.monotonic() - start)
-                    assert not any(t.is_alive() for t in threads[net.rank])
-                    net.close()  # idempotent
-            finally:
-                for s in listeners:
-                    s.close()
-        # It used to wait out the 0.1 s accept timeout (and a 0.2 s recv).
-        assert statistics.median(durations) < 0.1
+            for net in nets:
+                start = time.monotonic()
+                net.close()
+                durations.append(time.monotonic() - start)
+                net.close()  # idempotent
+            assert listeners[0].fileno() == -1  # closed with its mesh
+            listeners[1].close()  # kept: its owner closes it
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert statistics.median(durations) < 0.01
 
     def test_kept_listener_still_serves_after_close(self):
         nets, listeners = loopback_mesh()
         try:
             for net in nets:
                 net.close()
+            assert listeners[1].gettimeout() == tcp._LISTENER_TIMEOUT
             client = socket.create_connection(listeners[1].getsockname(), timeout=2.0)
             client.sendall(encode_frame(("ping",)))
             frame = None
-            for _ in range(2):  # close()'s own knock may still be queued
+            for _ in range(2):  # a peer's mesh probe may still be queued
                 sock, _ = listeners[1].accept()
                 ok, frame = FrameStream(sock).recv(timeout=2.0)
                 sock.close()
