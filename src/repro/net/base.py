@@ -5,9 +5,9 @@ node" backend needs that is neither the medium nor the session: argument
 validation, forking one :func:`~repro.net.session.run_node` per rank
 with a control pipe each, raising the first failure
 :func:`~repro.net.session.collect` settles (a worker that dies without
-posting a result is noticed by its exit code within a heartbeat, not at
-the 120 s budget), and the terminate/join/kill ladder that guarantees
-zero zombie processes on every exit path.
+posting a result is noticed at once, as EOF on its control pipe, not
+at the 120 s budget), and the terminate/join/kill ladder that
+guarantees zero zombie processes on every exit path.
 :class:`~repro.net.local.LocalKylix` plugs in a pipe mesh,
 :class:`~repro.net.tcp.TcpKylix` a loopback socket mesh; the
 supervision — and therefore the failure semantics the tests pin — is
@@ -213,14 +213,10 @@ class ForkedKylixBase:
                 p.daemon = True
                 p.start()
                 procs[rank] = p
-                node_end.close()
+                node_end.close()  # before the next fork: the node's EOF is its death
             self._release_mesh(mesh)
             records = {}
-            for frame in collect(
-                controls,
-                timeout=self.timeout,
-                alive=lambda rank: procs[rank].exitcode is None,
-            ):
+            for frame in collect(controls, timeout=self.timeout):
                 if frame[0] == "telemetry":
                     continue  # the samples also ride the snapshot
                 records[frame[1]] = frame

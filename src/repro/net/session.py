@@ -21,17 +21,20 @@ once, for every real medium (:class:`~repro.net.local.LocalKylix`,
   keeps servicing NACKs (slow peers may still need its final up-parts)
   until the driver — which says so once every rank is settled — sends
   ``done``, the control reaches EOF, or the linger budget runs out.
+  A node's death is the EOF of its control: only the node holds its end.
 
-Node half: :func:`run_node` is the only body a real node ever runs.
-What differs between media is passed in: ``open_transport(rank, plan,
-retry, obs)`` builds the mesh, and ``control`` is any object with
-``send(obj)`` / ``recv()`` / ``fileno()`` / ``close()`` — a
+Node half: :func:`run_node` is the only body a real node ever runs, on
+one thread that waits only in its transport's pump (telemetry ticks are
+due calls there; the linger puts the control on its selector).  What
+differs between media is passed in: ``open_transport(rank, plan,
+retry, obs)`` builds the mesh, and ``control`` is any selectable object
+with ``send(obj)`` / ``recv()`` / ``fileno()`` / ``close()`` — a
 ``multiprocessing`` ``Connection`` under a forked backend, a
 :class:`SocketControl` on the node server.  Driver half:
-:func:`collect` multiplexes every control through one
-``multiprocessing.connection.wait`` loop, :func:`release` is the done
-handshake, and :func:`collate` turns the settled frames into results,
-errors and the run's :class:`~repro.faults.CoverageReport`.
+:func:`collect` blocks in one ``multiprocessing.connection.wait`` over
+every control, :func:`release` is the done handshake, and
+:func:`collate` turns the settled frames into results, errors and the
+run's :class:`~repro.faults.CoverageReport`.
 """
 
 from __future__ import annotations
@@ -41,16 +44,15 @@ import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import wait
-from typing import Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..allreduce import ButterflyTopology, ReduceSpec
 from ..faults import CoverageReport, FaultPlan, LossRecord, PeerFailedError, RetryPolicy
 from ..obs import NULL_OBSERVER, Observer
-from ..obs.telemetry import TelemetryAgent, WallClockSampler
+from ..obs.telemetry import Sampler, TelemetryAgent
 from ..sparse import MultiplicativeHasher
-from ..verify.watchlock import watched_lock
 from .framing import FrameError, FrameStream, send_frame
 from .protocol import run_rounds
 
@@ -170,49 +172,27 @@ def run_node(rank: int, job: NodeJob, open_transport, control):
     if plan is not None and not plan.is_alive(rank, 0.0):
         os._exit(1)  # dead from the start: no result, no goodbye
 
-    # The sampler thread and this thread share the control's write side.
-    send_lock = watched_lock("net.session.run_node.send_lock")
-
-    def send(frame) -> None:
-        with send_lock:
-            control.send(frame)
+    def ship(sample) -> None:
+        # Best-effort: the samples also ride the snapshot home.
+        try:
+            control.send(("telemetry", rank, sample))
+        except OSError:
+            pass
 
     # A private wall-clock observer; its snapshot rides the result frame
     # back to the driver, which absorbs it under this node's pid row.
     obs = Observer(name=f"node {rank}") if job.observe else NULL_OBSERVER
     sampler = None
-    if obs.enabled and job.telemetry_interval is not None:
-        def ship(sample) -> None:
-            # Live telemetry is best-effort: a departed driver must not
-            # kill the sampler (the samples also ride obs.telemetry home
-            # inside the snapshot).
-            try:
-                send(("telemetry", rank, sample))
-            except OSError:
-                pass
-
-        sampler = WallClockSampler(
-            TelemetryAgent(obs, node=rank, interval=job.telemetry_interval, sink=ship),
-            name=f"telemetry-{rank}",
-        ).start()
-
-    def done(timeout: float) -> bool:
-        # After the result the only frame a driver sends is ("done",);
-        # EOF or a broken control means it is gone.  Either ends the wait.
-        if not wait([control], timeout):
-            return False
-        try:
-            control.recv()  # lint: ok — wait-guarded
-        except (EOFError, OSError):
-            pass
-        return True
-
     net = None
     err = None
     rounds_out: List[Tuple[np.ndarray, Any, Tuple[LossRecord, ...]]] = []
     cache_stats = {"hits": 0, "misses": 0}
     try:
         net = open_transport(rank, plan, retry, obs)
+        if obs.enabled and job.telemetry_interval is not None:
+            # Ticks are due calls of the transport's pump, on this thread.
+            agent = TelemetryAgent(obs, node=rank, interval=job.telemetry_interval, sink=ship)
+            sampler = Sampler(net, agent).start()
         rounds = run_rounds(
             rank,
             net,
@@ -233,16 +213,15 @@ def run_node(rank: int, job: NodeJob, open_transport, control):
         err = encode_error(exc)
     try:
         # Stop (and final-flush) the sampler before the result frame so
-        # the telemetry stream is complete and ordered before it, and no
-        # thread mutates the registry while the snapshot is pickled.
+        # the telemetry stream is complete and ordered before it.
         if sampler is not None:
             sampler.stop(flush=True)
         snapshot = obs.snapshot() if obs.enabled else None
-        send(("result", rank, err, rounds_out, snapshot, cache_stats))
+        control.send(("result", rank, err, rounds_out, snapshot, cache_stats))
         if net is not None:
             # A live peer can be at most every remaining exchange behind,
             # each bounded by one receive ladder.
-            net.linger(done, 2 * len(job.degrees) * retry.local_budget())
+            net.linger(control, 2 * len(job.degrees) * retry.local_budget())
     except OSError:  # driver went away
         pass
     finally:
@@ -269,33 +248,21 @@ def failure(frame) -> Optional[Exception]:
     return RuntimeError(f"worker {rank} failed: {err}")
 
 
-#: A frame wakes :func:`collect`'s wait at once; a node that died without
-#: one has nothing to wake it with (a forked sibling may hold its control
-#: end open), so ``alive(rank)`` is asked on this cadence between waits.
-_ALIVE_PROBE = 0.1
-
-
-def collect(
-    controls: Mapping[int, Any],
-    *,
-    timeout: float,
-    alive: Callable[[int], bool] = lambda rank: True,
-) -> Iterator[tuple]:
+def collect(controls: Mapping[int, Any], *, timeout: float) -> Iterator[tuple]:
     """Yield a session's frames as they arrive, until every rank settled.
 
     Telemetry frames pass through; each rank then settles exactly once,
     with its ``result`` frame or with ``("lost", rank, why)`` — when its
-    control breaks, when ``alive(rank)`` turns false with nothing left to
-    read (where control ends are inherited across forks EOF alone is not
-    a death signal), or when ``timeout`` runs out.  All controls are
-    drained continuously, so a node's blocking send of a large result
+    control breaks or reaches EOF (a node that exits closes its end), or
+    when ``timeout`` runs out; nothing else wakes the wait.  All controls
+    are drained continuously, so a node's blocking send of a large result
     never waits on a slower sibling.  The driver owes the nodes a
     :func:`release` afterwards, on every exit path.
     """
     pending = dict(controls)
     deadline = time.monotonic() + timeout
     while pending:
-        ready = wait(list(pending.values()), timeout=_ALIVE_PROBE)
+        ready = wait(list(pending.values()), max(deadline - time.monotonic(), 0.0))
         for rank in [r for r, c in pending.items() if c in ready]:
             try:
                 frame = pending[rank].recv()  # lint: ok — wait-guarded
@@ -304,12 +271,6 @@ def collect(
             if frame[0] != "telemetry":
                 del pending[rank]
             yield frame
-        for rank in [r for r in pending if not alive(r)]:
-            # Sends are synchronous, so whatever a node wrote before it
-            # exited is already readable: silence now is final.
-            if not wait([pending[rank]], 0):
-                del pending[rank]
-                yield ("lost", rank, f"node {rank} exited before posting a result")
         if time.monotonic() >= deadline:
             for rank in sorted(pending):
                 yield ("lost", rank, f"node {rank} posted no result within {timeout}s")

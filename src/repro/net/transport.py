@@ -24,10 +24,11 @@ layer, seq)" to the wire medium in :mod:`repro.net.protocol`:
 
 Every send happens on the caller's thread: :meth:`BaseTransport.post`
 draws the fault decision, caches the part and hands each copy to the
-medium's ``_send_frame``, which never blocks.  A fault-delayed copy
-waits in a heap of due times that :meth:`BaseTransport.pump` releases —
-the pump never blocks past the next due time — and NACK resends take
-the same path.  Nothing here sleeps or starts a thread.
+medium's ``_send_frame``, which never blocks; NACK resends take the
+same path.  Timers — a fault-delayed copy, a telemetry tick — are one
+heap of due calls (:meth:`BaseTransport.schedule_at`) that
+:meth:`BaseTransport.pump` runs, never blocking past the next.  Nothing
+here sleeps, starts a thread or takes a lock.
 
 Both real backends share one medium, :class:`SocketTransport`: a
 non-blocking stream socket per peer under one selector, pumped by the
@@ -47,7 +48,7 @@ import socket
 import time
 from collections import deque
 from functools import partial
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..allreduce.base import PHASE_COMBINED_DOWN, PHASE_GATHER_UP, PHASE_REDUCE_DOWN
 from ..cluster.node import payload_nbytes
@@ -89,6 +90,7 @@ class BaseTransport:
         or ``timeout`` seconds pass (``<= 0``: do not block); then drain
         everything that is ready, calling :meth:`_dispatch` per frame on
         the caller's thread.  A dead peer lands in :attr:`closed`.
+        Return False only if the timeout passed with nothing to do.
     ``_unsent()``
         Whether frames handed to ``_send_frame`` still wait for the
         pump to write them (default: never).
@@ -124,20 +126,32 @@ class BaseTransport:
         #: other token (its fetch timed out) is dropped on arrival.
         self._audit_pending: Optional[int] = None
         self._audit_tokens = itertools.count(1)
-        #: Fault-delayed copies, ``(due, order, member, frame)``: a heap
-        #: the pump releases (``order`` keeps equal due times FIFO).
-        self._delayed: List[Tuple[float, int, int, Any]] = []
-        self._delay_order = itertools.count()
+        #: Calls due at a time, ``(due, order, fn)``: a heap the pump
+        #: runs (``order`` keeps equal due times FIFO).
+        self._due: List[Tuple[float, int, Callable[[], None]]] = []
+        self._due_order = itertools.count()
+        #: How many of those calls are fault-delayed copies: frames owed.
+        self._delayed = 0
 
     # -- medium (subclass responsibilities) --------------------------------
     def _send_frame(self, member: int, frame: Any) -> None:
         raise NotImplementedError
 
-    def _pump_once(self, timeout: float) -> None:
+    def _pump_once(self, timeout: float) -> bool:
         raise NotImplementedError
 
     def _unsent(self) -> bool:
         return False
+
+    # -- clock -------------------------------------------------------------
+    @property
+    def now(self) -> float:
+        """The clock :meth:`schedule_at` counts in (``Engine.now``'s twin)."""
+        return time.monotonic()
+
+    def schedule_at(self, due: float, fn: Callable[[], None]) -> None:
+        """Have the first :meth:`pump` that reaches ``due`` call ``fn()``."""
+        heapq.heappush(self._due, (due, next(self._due_order), fn))
 
     # -- sending -----------------------------------------------------------
     def post(self, member: int, kind: str, layer: int, part, seq: int = 0) -> None:
@@ -164,8 +178,8 @@ class BaseTransport:
 
         The wire frame is stamped now, *before* any fault-injected
         delay, so the delay shows up as delivery latency at the receiver
-        — same accounting as the simulator fabric.  A delayed copy waits
-        in the heap the pump releases.
+        — same accounting as the simulator fabric.  A delayed copy is a
+        call due ``delay`` seconds on.
         """
         sent_at = time.monotonic()
         decision = None
@@ -187,18 +201,22 @@ class BaseTransport:
         frame = ("msg", kind, layer, seq, part, sent_at)
         for _ in range(copies):
             if delay > 0.0:
-                due = (sent_at + delay, next(self._delay_order), member, frame)
-                heapq.heappush(self._delayed, due)
+                self._delayed += 1
+                self.schedule_at(sent_at + delay, partial(self._send_delayed, member, frame))
             else:
                 self._send_frame(member, frame)
 
+    def _send_delayed(self, member: int, frame: Any) -> None:
+        self._delayed -= 1
+        self._send_frame(member, frame)
+
     def _owed(self) -> bool:
         """Frames posted but not yet written: delayed or unsent."""
-        return bool(self._delayed) or self._unsent()
+        return self._delayed > 0 or self._unsent()
 
     def _write_unsent(self, budget: float) -> None:
         """Pump until the medium has written every frame handed to it, or
-        ``budget`` seconds pass.  Delayed copies stay in their heap."""
+        ``budget`` seconds pass.  Due calls wait: delayed copies too."""
         deadline = time.monotonic() + budget
         while self._unsent() and (left := deadline - time.monotonic()) > 0:
             self._pump_once(left)
@@ -282,16 +300,19 @@ class BaseTransport:
     def pump(self, timeout: float) -> None:
         """Block up to ``timeout`` seconds for something to arrive on any
         link, then drain everything readable; a peer seen dead lands in
-        :attr:`closed`.  ``timeout <= 0`` drains without blocking.  The
-        block ends no later than the next delayed copy's due time, and
-        every copy due by the end is sent."""
-        if self._delayed:
-            timeout = min(timeout, self._delayed[0][0] - time.monotonic())
-        self._pump_once(timeout)
-        now = time.monotonic()
-        while self._delayed and self._delayed[0][0] <= now:
-            _, _, member, frame = heapq.heappop(self._delayed)
-            self._send_frame(member, frame)
+        :attr:`closed`.  ``timeout <= 0`` drains without blocking.  Calls
+        that fall due meanwhile run on the way, and one that hands a
+        delayed copy to the medium ends the pump too: a frame owed is
+        gone."""
+        end = time.monotonic() + timeout
+        due = self._due
+        while True:
+            woke = self._pump_once((min(end, due[0][0]) if due else end) - time.monotonic())
+            delayed, now = self._delayed, time.monotonic()
+            while due and due[0][0] <= now:
+                heapq.heappop(due)[2]()
+            if woke or self._delayed < delayed or now >= end:
+                return
 
     def _jitter_salt(self, kind: str, layer: int, seq: int) -> tuple:
         # Per-(node, phase, layer, seq) salt: peers that all lost the
@@ -432,27 +453,6 @@ class BaseTransport:
         self.seen = {k for k in self.seen if k[3] >= seq - 1}
         self.retained.prune(seq)
 
-    def linger(self, done, budget: float) -> None:
-        """After finishing: keep servicing NACKs until everyone is done.
-
-        ``done(timeout)`` waits up to ``timeout`` seconds and says
-        whether the run is over (the driver's done frame, or its loss).
-        No one call blocks on both that and the links, so the block is on
-        ``done`` — what ends the linger — and the links, where only a
-        straggler's NACK (already a deadline late) can arrive, are
-        drained between short slices of it.  While frames are still owed
-        (delayed, or unsent on a busy link), the slices block on the
-        links instead.  Frames still owed at the end are flushed within
-        one more second.
-        """
-        deadline = time.monotonic() + budget
-        while time.monotonic() < deadline:
-            owed = self._owed()
-            self.pump(0.02 if owed else 0.0)
-            if done(0.0 if owed else 0.02):
-                break
-        self.flush(1.0)
-
     def close(self) -> None:
         """Release medium resources (sockets, selectors).  Idempotent."""
 
@@ -517,7 +517,7 @@ class SocketTransport(BaseTransport):
     def _unsent(self) -> bool:
         return any(self._tails[m] for m in self.links)
 
-    def _pump_once(self, timeout) -> None:
+    def _pump_once(self, timeout) -> bool:
         """``select`` over every link (and the medium's own sockets),
         flush the writable tails, drain the readable links, run the
         medium's due rules; repeat until something was ready, a peer was
@@ -540,8 +540,9 @@ class SocketTransport(BaseTransport):
                         self._link_down(member)
             now = time.monotonic()
             self._wake = self._tick(now)
-            if ready or len(self.closed) > lost or now >= end:
-                return
+            woke = bool(ready) or len(self.closed) > lost
+            if woke or now >= end:
+                return woke
 
     def _tick(self, now: float) -> float:
         """Run the medium's rules due by ``now``; return when the next
@@ -595,6 +596,32 @@ class SocketTransport(BaseTransport):
         self.closed.add(member)
         self._detach(member)
         self._tails.pop(member, None)
+
+    def linger(self, control, budget: float) -> None:
+        """After finishing: keep servicing NACKs until everyone is done.
+
+        ``control`` (anything with ``fileno()`` and ``recv()``) joins the
+        links on the selector, so one blocking call waits for a
+        straggler's NACK and for the driver's done frame or EOF, which
+        ends the linger.  Frames still owed then get one more second.
+        """
+        over = []
+
+        def hear(events) -> None:
+            try:
+                control.recv()  # lint: ok — selector-guarded: the done frame, or EOF
+            except (EOFError, OSError):
+                pass
+            over.append(True)
+
+        self._selector.register(control, selectors.EVENT_READ, hear)
+        try:
+            deadline = time.monotonic() + budget
+            while not over and (left := deadline - time.monotonic()) > 0:
+                self.pump(left)
+        finally:
+            self._selector.unregister(control)
+        self.flush(1.0)
 
     def close(self) -> None:
         self._selector.close()

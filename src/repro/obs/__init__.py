@@ -51,11 +51,10 @@ from .telemetry import (
     POSTMORTEM_SCHEMA,
     TELEMETRY_SCHEMA,
     FlightRecorder,
-    SimSampler,
+    Sampler,
     TelemetryAgent,
     TelemetrySample,
     TimeSeriesAggregator,
-    WallClockSampler,
     postmortem_doc,
 )
 
@@ -86,8 +85,7 @@ __all__ = [
     "DEFAULT_INTERVAL",
     "TelemetrySample",
     "TelemetryAgent",
-    "SimSampler",
-    "WallClockSampler",
+    "Sampler",
     "TimeSeriesAggregator",
     "FlightRecorder",
     "postmortem_doc",

@@ -135,11 +135,12 @@ def run_traced(
     check skips exactly the indices the report declares lost.
 
     ``telemetry_interval`` turns on the live telemetry plane
-    (:mod:`repro.obs.telemetry`): on ``sim`` a :class:`SimSampler`
+    (:mod:`repro.obs.telemetry`): on ``sim`` a :class:`Sampler`
     ticks the virtual clock (same seed ⇒ bit-identical series); on the
-    real backends every worker runs a wall-clock sampler and its samples
-    ride the snapshot home.  The samples land in ``observer.telemetry``,
-    ready for :meth:`TimeSeriesAggregator.ingest_observer`.
+    real backends every worker's :class:`Sampler` ticks in its
+    transport's pump and its samples ride the snapshot home.  The samples
+    land in ``observer.telemetry``, ready for
+    :meth:`TimeSeriesAggregator.ingest_observer`.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(
@@ -182,14 +183,14 @@ def run_traced(
     if backend == "sim":
         from ..allreduce import KylixAllreduce
         from ..cluster import Cluster
-        from .telemetry import SimSampler, TelemetryAgent
+        from .telemetry import Sampler, TelemetryAgent
 
         cluster = Cluster(m, seed=seed, failures=faults, observe=True)
         obs = cluster.obs
         obs.name = f"{experiment}@sim"
         sampler = None
         if telemetry_interval is not None:
-            sampler = SimSampler(
+            sampler = Sampler(
                 cluster.engine,
                 TelemetryAgent(obs, node=-1, interval=float(telemetry_interval)),
             ).start()

@@ -9,10 +9,12 @@ Post-hoc traces answer "what happened"; a live 64-node service needs
   seconds it diffs the registry against its cursors and emits one
   :class:`TelemetrySample` carrying counter *deltas*, current gauge
   values, and :class:`~repro.obs.metrics.Histogram` summaries of the
-  observations added since the previous sample.  On the simulator the
-  agent is driven by :class:`SimSampler` against the virtual clock, so
-  two same-seed runs produce **bit-identical** time series; on the real
-  backends :class:`WallClockSampler` drives it from a daemon thread.
+  observations added since the previous sample.  One :class:`Sampler`
+  drives it on any clock with ``now`` and ``schedule_at``: on the
+  simulator's engine (virtual time, so two same-seed runs produce
+  **bit-identical** time series) and on a real node's transport (wall
+  time; ticks run in the node's one pump, so the registry has one
+  writer and a tick due during a merge is taken right after it).
 * :class:`TimeSeriesAggregator` — the central collector.  Samples arrive
   as observer events (sim/local: they ride the worker snapshot) or as
   control-plane ``("telemetry", ...)`` frames over the TCP wire
@@ -35,7 +37,6 @@ schemas and the monitor CLI.
 from __future__ import annotations
 
 import json
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -48,8 +49,7 @@ __all__ = [
     "DEFAULT_INTERVAL",
     "TelemetrySample",
     "TelemetryAgent",
-    "SimSampler",
-    "WallClockSampler",
+    "Sampler",
     "TimeSeriesAggregator",
     "FlightRecorder",
     "postmortem_doc",
@@ -116,45 +116,38 @@ class TelemetryAgent:
         self._counter_cursor: Dict[str, Dict[LabelKey, float]] = {}
         self._hist_cursor: Dict[str, Dict[LabelKey, int]] = {}
 
-    def sample(self) -> Optional[TelemetrySample]:
-        """Take one sample now; returns it (or ``None`` if a concurrent
-        registry mutation raced the diff — the next tick catches up)."""
+    def sample(self) -> TelemetrySample:
+        """Take one sample now and return it."""
         reg = self.obs.metrics
         t = self.obs.now()
-        try:
-            counters: Dict[str, Dict[LabelKey, float]] = {}
-            for name in sorted(reg._counters):
-                prev = self._counter_cursor.setdefault(name, {})
-                moved: Dict[LabelKey, float] = {}
-                for k, v in list(reg._counters[name]._values.items()):
-                    delta = v - prev.get(k, 0)
-                    if delta:
-                        moved[k] = delta
-                    prev[k] = v
-                if moved:
-                    counters[name] = moved
-            gauges = {
-                name: dict(reg._gauges[name]._values)
-                for name in sorted(reg._gauges)
-                if reg._gauges[name]._values
-            }
-            histograms: Dict[str, Dict[LabelKey, Dict[str, float]]] = {}
-            for name in sorted(reg._histograms):
-                cursor = self._hist_cursor.setdefault(name, {})
-                moved_h: Dict[LabelKey, Dict[str, float]] = {}
-                for k, obs_list in list(reg._histograms[name]._values.items()):
-                    start = cursor.get(k, 0)
-                    fresh = obs_list[start:]
-                    cursor[k] = start + len(fresh)
-                    if fresh:
-                        moved_h[k] = Histogram._summarise(fresh)
-                if moved_h:
-                    histograms[name] = moved_h
-        except RuntimeError:
-            # "dictionary changed size during iteration": a transport
-            # thread mutated the registry mid-diff.  Skip this tick —
-            # cursors are per-series, so nothing is lost, only late.
-            return None
+        counters: Dict[str, Dict[LabelKey, float]] = {}
+        for name in sorted(reg._counters):
+            prev = self._counter_cursor.setdefault(name, {})
+            moved: Dict[LabelKey, float] = {}
+            for k, v in reg._counters[name]._values.items():
+                delta = v - prev.get(k, 0)
+                if delta:
+                    moved[k] = delta
+                prev[k] = v
+            if moved:
+                counters[name] = moved
+        gauges = {
+            name: dict(reg._gauges[name]._values)
+            for name in sorted(reg._gauges)
+            if reg._gauges[name]._values
+        }
+        histograms: Dict[str, Dict[LabelKey, Dict[str, float]]] = {}
+        for name in sorted(reg._histograms):
+            cursor = self._hist_cursor.setdefault(name, {})
+            moved_h: Dict[LabelKey, Dict[str, float]] = {}
+            for k, obs_list in reg._histograms[name]._values.items():
+                start = cursor.get(k, 0)
+                fresh = obs_list[start:]
+                cursor[k] = start + len(fresh)
+                if fresh:
+                    moved_h[k] = Histogram._summarise(fresh)
+            if moved_h:
+                histograms[name] = moved_h
         s = TelemetrySample(
             node=self.node,
             t=t,
@@ -172,32 +165,34 @@ class TelemetryAgent:
         return s
 
 
-class SimSampler:
-    """Drives a :class:`TelemetryAgent` on the simulator's virtual clock.
+class Sampler:
+    """Drives a :class:`TelemetryAgent` on a clock's timers.
 
-    Each tick samples and reschedules itself ``interval`` virtual
-    seconds later via ``engine.schedule_at`` — the engine's (time, seq)
-    tie-break makes the resulting series deterministic.  A stopped
-    sampler leaves at most one inert callback in the event queue (it
-    checks the flag and does not reschedule), so runs that follow are
-    unperturbed.
+    ``clock`` is anything with a ``now`` and a ``schedule_at(due, fn)``:
+    the simulator's :class:`~repro.simul.engine.Engine` (virtual seconds;
+    its (time, seq) tie-break makes the series deterministic) or a real
+    node's :class:`~repro.net.transport.BaseTransport` (wall seconds; the
+    tick runs in its pump).  Each tick samples and reschedules itself
+    ``interval`` seconds later.  A stopped sampler leaves at most one
+    inert call behind (it checks the flag and does not reschedule), so
+    what follows is unperturbed.
     """
 
     #: Hard backstop on scheduled ticks, far above any real run.
     MAX_TICKS = 1_000_000
 
-    def __init__(self, engine, agent: TelemetryAgent):
-        self.engine = engine
+    def __init__(self, clock, agent: TelemetryAgent):
+        self.clock = clock
         self.agent = agent
         self._stopped = False
         self._ticks = 0
 
-    def start(self) -> "SimSampler":
+    def start(self) -> "Sampler":
         self._schedule()
         return self
 
     def _schedule(self) -> None:
-        self.engine.schedule_at(self.engine.now + self.agent.interval, self._tick)
+        self.clock.schedule_at(self.clock.now + self.agent.interval, self._tick)
 
     def _tick(self) -> None:
         if self._stopped or self._ticks >= self.MAX_TICKS:
@@ -209,37 +204,6 @@ class SimSampler:
     def stop(self, *, flush: bool = True) -> None:
         """Stop rescheduling; ``flush`` takes one final catch-all sample."""
         self._stopped = True
-        if flush:
-            self.agent.sample()
-
-
-class WallClockSampler:
-    """Drives a :class:`TelemetryAgent` from a daemon thread (real backends).
-
-    Threading contract (checked by ``python -m repro races``): the
-    sampler thread is a daemon polling ``_stop`` and is joined with an
-    explicit timeout in :meth:`stop`; the agent's ``sink`` callback runs
-    *on the sampler thread*, so whatever the sink touches (e.g. a node's
-    session control in ``net.session.run_node``) must carry its own lock.
-    """
-
-    def __init__(self, agent: TelemetryAgent, *, name: str = "telemetry-agent"):
-        self.agent = agent
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._loop, name=name, daemon=True)
-
-    def start(self) -> "WallClockSampler":
-        self._thread.start()
-        return self
-
-    def _loop(self) -> None:
-        # Event.wait(interval) is the tick *and* the bounded stop check.
-        while not self._stop.wait(self.agent.interval):
-            self.agent.sample()
-
-    def stop(self, *, flush: bool = True, join_timeout: float = 2.0) -> None:
-        self._stop.set()
-        self._thread.join(timeout=join_timeout)
         if flush:
             self.agent.sample()
 

@@ -124,8 +124,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "no lock-order cycles, no unguarded shared-state access" in out
         assert "thread root(s)" in out
-        assert "obs.telemetry.WallClockSampler._loop" in out
-        assert "net.tcp." not in out  # a tcp node runs no thread of its own
+        # A node runs no thread and takes no lock: only the service does.
+        assert "service.service.ReduceService._worker_loop [thread-target]" in out
+        assert not any(
+            f"{pkg}." in line and "[thread-target]" in line
+            for line in out.splitlines()
+            for pkg in ("net", "obs")
+        )
 
     def test_races_mutant_exits_one_and_names_both_paths(self, capsys, tmp_path):
         import json
@@ -147,7 +152,8 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "kylix-races-v1"
         assert doc["ok"] is True
-        assert "net.session.run_node.send_lock" in doc["locks"]
+        assert "service.service.ReduceService._lock" in doc["locks"]
+        assert not [lock for lock in doc["locks"] if lock.startswith(("net.", "obs."))]
 
     def test_perf_rejects_unknown_experiment(self, capsys):
         with pytest.raises(SystemExit):

@@ -7,6 +7,7 @@ stay bounded on every session path.
 """
 
 import collections
+import multiprocessing as mp
 import socket
 import threading
 
@@ -143,7 +144,8 @@ def test_fault_sessions_prune_round_state():
             conns[i][j], conns[j][i] = socket.socketpair()
     topo, hasher = ButterflyTopology([2, 2], m), MultiplicativeHasher()
     retry = RetryPolicy(base_timeout=0.5)
-    finished, lock, count = threading.Event(), threading.Lock(), [0]
+    # Closing the write end is EOF on the read end every node lingers on.
+    (finished, all_done), lock, count = mp.Pipe(duplex=False), threading.Lock(), [0]
 
     def node(rank):
         net = SocketTransport(rank, conns[rank], FaultPlan(), retry)
@@ -162,8 +164,8 @@ def test_fault_sessions_prune_round_state():
             with lock:
                 count[0] += 1
                 if count[0] == m:
-                    finished.set()
-            net.linger(finished.wait, 10.0)  # serve late NACKs until all are done
+                    all_done.close()
+            net.linger(finished, 10.0)  # serve late NACKs until all are done
         finally:
             net.close()
         return stale

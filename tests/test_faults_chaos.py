@@ -291,9 +291,10 @@ class TestLocalChaos:
         """The heartbeat-reaping edge: the victim builds its transport
         (the 'configure' stage of the combined run) and dies immediately
         before its first send — it never posts a result and never sends
-        a byte, so only the parent's exitcode heartbeat can notice.  The
-        typed error must arrive in seconds, far below both the 30 s run
-        budget and the peers' own retry ladders."""
+        a byte, so only the EOF of its control pipe (its exit closes the
+        one end) tells the driver.  The typed error must arrive in
+        seconds, far below both the 30 s run budget and the peers' own
+        retry ladders."""
         spec, vals = make_case(4, 200, 11)
         retry = RetryPolicy(base_timeout=0.2, max_retries=2)
         net = LocalKylix(
@@ -307,7 +308,7 @@ class TestLocalChaos:
         with pytest.raises(PeerFailedError):
             net.allreduce(spec, vals)
         elapsed = time.monotonic() - start
-        # Heartbeat grace (1 s) + spawn/teardown slack, not the timeout.
+        # Spawn/teardown slack and the peers' ladders, not the timeout.
         assert elapsed < 15.0
         deadline = time.monotonic() + 5.0
         while mp.active_children() and time.monotonic() < deadline:

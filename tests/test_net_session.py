@@ -8,6 +8,7 @@ accounting on pipes, on loopback TCP and on the node-server cluster.
 """
 
 import multiprocessing as mp
+import multiprocessing.connection
 import socket
 import threading
 import time
@@ -153,6 +154,23 @@ class TestRunNode:
             assert len(rounds_out) == 2
             for result, _, _ in rounds_out:
                 np.testing.assert_allclose(result, ref[r], atol=1e-9)
+
+
+class TestCollect:
+    def test_silent_controls_cost_one_wait(self, monkeypatch):
+        from repro.net import session
+
+        calls = []
+
+        def wait(conns, timeout):
+            calls.append(timeout)
+            return mp.connection.wait(conns, timeout)
+
+        monkeypatch.setattr(session, "wait", wait)
+        pipes = {r: mp.Pipe() for r in range(3)}  # the node ends stay open and silent
+        frames = list(session.collect({r: ends[0] for r, ends in pipes.items()}, timeout=0.5))
+        assert [(f[0], f[1]) for f in frames] == [("lost", 0), ("lost", 1), ("lost", 2)]
+        assert len(calls) == 1
 
 
 class TestCollate:

@@ -191,10 +191,11 @@ def thread_census(run, interval=0.005):
 
 
 class TestOneThread:
-    """A tcp worker is one thread: the pump reads, writes, accepts,
-    dials and keeps liveness.  Telemetry adds its sampler, and only it."""
+    """A worker is one thread: the pump reads, writes, takes the
+    telemetry samples and — over tcp — accepts, dials and keeps
+    liveness."""
 
-    @pytest.mark.parametrize("telemetry, threads", [(False, 1), (True, 2)])
+    @pytest.mark.parametrize("telemetry, threads", [(False, 1), (True, 1)])
     def test_a_worker_runs_one_thread(self, telemetry, threads):
         from repro.obs import Observer
 
@@ -207,6 +208,20 @@ class TestOneThread:
         for got in (rounds[0], rounds[-1]):
             for r in spec.ranks:
                 np.testing.assert_allclose(got[r], ref[r], atol=1e-9)
-        # The sampler starts after the worker forks and stops before it exits.
         assert max(counts) == threads and counts <= {1, threads}
+        assert_no_children()
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_a_local_worker_runs_one_thread(self, telemetry):
+        from repro.obs import Observer
+
+        rng = np.random.default_rng(15)
+        spec, vals = covered_case(4, 150, rng)
+        extra = dict(observe=Observer(name="census"), telemetry_interval=0.005) if telemetry else {}
+        net = LocalKylix([2, 2], **extra)
+        rounds, counts = thread_census(lambda: net.allreduce_rounds(spec, [vals] * 150))
+        ref = dense_reduce(spec, vals)
+        for r in spec.ranks:
+            np.testing.assert_allclose(rounds[-1][r], ref[r], atol=1e-9)
+        assert counts == {1}
         assert_no_children()

@@ -10,6 +10,7 @@ rules fire on time inside one long pump, and that teardown waits out no
 socket timeout.
 """
 
+import multiprocessing as mp
 import os
 import queue
 import signal
@@ -72,9 +73,9 @@ class QueueTransport(BaseTransport):
         try:
             member, frame = self.rx.get(timeout=timeout) if timeout > 0 else self.rx.get_nowait()
         except queue.Empty:
-            return []
+            return False
         self._dispatch(member, frame)
-        return []
+        return True
 
 
 class TestCollectBlocksOnArrival:
@@ -203,7 +204,9 @@ class TestSendPath:
         a.post(1, "up", 1, big, 0)
         assert a._unsent()  # the link took only what its buffer holds
         finish = on_thread(lambda: b.collect([0, 1], "up", 1, 0)[0])
-        a.linger(lambda timeout: True, 5.0)  # the run is already over
+        over, done = mp.Pipe(duplex=False)
+        done.send(("done",))  # the run is already over
+        a.linger(over, 5.0)
         assert not a._unsent()
         np.testing.assert_array_equal(finish()[1], big[1])
 
@@ -264,6 +267,41 @@ class TestSendPath:
         np.testing.assert_array_equal(got[0][1], big[1])
 
 
+class TestOneWait:
+    """A node waits in one place: the selector its links are on."""
+
+    def test_linger_wakes_only_for_its_done_frame(self, monkeypatch):
+        a, _b = link_pair()
+        selects = []
+        select = a._selector.select
+        monkeypatch.setattr(a._selector, "select", lambda t: selects.append(t) or select(t))
+        over, done = mp.Pipe(duplex=False)
+        timer = threading.Timer(0.5, done.send, [("done",)])
+        timer.start()
+        start = time.monotonic()
+        a.linger(over, 5.0)
+        elapsed = time.monotonic() - start
+        timer.join(timeout=5.0)
+        assert 0.45 < elapsed < 2.0  # ended by the done frame, not the budget
+        assert len(selects) <= 2
+
+    def test_sampler_ticks_inside_one_idle_pump(self):
+        from repro.obs.telemetry import Sampler, TelemetryAgent
+
+        a, _b = link_pair()
+        obs = Observer(name="ticks")
+        sampler = Sampler(a, TelemetryAgent(obs, interval=0.2)).start()
+        a.pump(1.0)
+        times = [s.t for s in obs.telemetry]
+        assert len(times) >= 4
+        assert all(t1 - t0 >= 0.2 for t0, t1 in zip(times, times[1:]))
+        sampler.stop(flush=False)
+        assert not a._owed()  # its last tick is no frame owed
+        start = time.monotonic()
+        a.flush(5.0)
+        assert time.monotonic() - start < 0.05
+
+
 class TestAudit:
     def test_mutual_audits_both_answered(self):
         a, b = link_pair()
@@ -307,13 +345,13 @@ def exchange(nets, layer=1):
     other's, each on its own thread, then services NACKs until both are
     done, as a node lingers; returns ``{rank: part received}``."""
     parts = {r: (0, np.arange(4.0) + 10 * r) for r in range(2)}
-    done = [threading.Event() for _ in range(2)]
+    done = [mp.Pipe(duplex=False) for _ in range(2)]  # (hears, says)
 
     def side(r):
         nets[r].post(1 - r, "down", layer, parts[r], 0)
         got = nets[r].collect([0, 1], "down", layer, 0)[1 - r]
-        done[r].set()
-        nets[r].linger(done[1 - r].wait, 5.0)
+        done[r][1].close()  # EOF: this side is done
+        nets[r].linger(done[1 - r][0], 5.0)
         return got
 
     finishing = [on_thread(lambda r=r: side(r)) for r in range(2)]

@@ -430,7 +430,7 @@ class TestSelfTimeMetric:
         families are registered names, not ad-hoc strings."""
         from repro.cluster import Cluster
         from repro.obs import CATALOGUE
-        from repro.obs.telemetry import SimSampler, TelemetryAgent
+        from repro.obs.telemetry import Sampler, TelemetryAgent
         from repro.service import ReduceService
 
         m, n = 8, 400
@@ -444,7 +444,7 @@ class TestSelfTimeMetric:
         spec = ReduceSpec(in_indices=idx, out_indices=idx)
         cluster = Cluster(m, observe=True)
         obs = cluster.obs
-        sampler = SimSampler(
+        sampler = Sampler(
             cluster.engine, TelemetryAgent(obs, interval=0.0005)
         ).start()
         svc = ReduceService(cluster=cluster, degrees=[4, 2])

@@ -17,7 +17,7 @@ from repro.obs.telemetry import (
     POSTMORTEM_SCHEMA,
     TELEMETRY_SCHEMA,
     FlightRecorder,
-    SimSampler,
+    Sampler,
     TelemetryAgent,
     TelemetrySample,
     TimeSeriesAggregator,
@@ -129,7 +129,7 @@ class TestSimSampler:
 
         cluster = Cluster(4, observe=True)
         obs = cluster.obs
-        sampler = SimSampler(
+        sampler = Sampler(
             cluster.engine, TelemetryAgent(obs, interval=0.5)
         ).start()
         obs.counter("net.bytes").inc(10, phase="config", layer=1)
@@ -144,11 +144,59 @@ class TestSimSampler:
 
         cluster = Cluster(4, observe=True)
         obs = cluster.obs
-        sampler = SimSampler(cluster.engine, TelemetryAgent(obs, interval=0.5))
+        sampler = Sampler(cluster.engine, TelemetryAgent(obs, interval=0.5))
         sampler.start()
         sampler.stop(flush=False)
         cluster.engine.run(until=5.0)
         assert obs.telemetry == []  # the inert callback never resamples
+
+
+class SnapshotsByNode(Observer):
+    """A driver observer that also keeps each worker's snapshot apart."""
+
+    def __init__(self):
+        super().__init__(name="driver")
+        self.snaps = {}
+
+    def absorb(self, snap, *, pid=0, name=""):
+        self.snaps[pid - 1] = snap  # worker rank r is trace pid r + 1
+        super().absorb(snap, pid=pid, name=name)
+
+
+class TestRealNodeTelemetry:
+    @pytest.mark.parametrize("backend", ["LocalKylix", "TcpKylix"])
+    def test_streamed_deltas_sum_to_the_snapshot(self, backend):
+        """Samples taken every 2 ms on a node's pump lose nothing: per
+        node, the counter deltas of its samples add up to the counters
+        its snapshot carries home, series by series."""
+        import repro.net
+        from repro.allreduce import ReduceSpec
+
+        rng = np.random.default_rng(21)
+        idx = {r: np.unique(rng.choice(400, 150)) for r in range(4)}
+        idx[0] = np.arange(400)  # every key has an owner
+        spec = ReduceSpec(in_indices=idx, out_indices=idx)
+        vals = {r: rng.normal(size=idx[r].size) for r in range(4)}
+        obs = SnapshotsByNode()
+        net = getattr(repro.net, backend)([2, 2], observe=obs, telemetry_interval=0.002)
+        net.allreduce_rounds(spec, [vals] * 30)
+        assert sorted(obs.snaps) == [0, 1, 2, 3]
+        for rank, snap in obs.snaps.items():
+            summed = {}
+            for sample in snap["telemetry"]:
+                assert sample.node == rank
+                for name, moved in sample.counters.items():
+                    for key, delta in moved.items():
+                        summed[name, key] = summed.get((name, key), 0) + delta
+            held = {
+                (name, key): value
+                for name, values in snap["metrics"]["counters"].items()
+                for key, value in values.items()
+            }
+            # The last sample tallies itself after its own diff.
+            held["telemetry.samples", (("node", rank),)] -= 1
+            assert len(snap["telemetry"]) > 1
+            assert summed == pytest.approx({k: v for k, v in held.items() if v})
 
 
 class TestSimDeterminism:

@@ -340,21 +340,21 @@ class TestPackageClean:
         assert analyze_package().static_edges() == set()
 
     def test_known_thread_roots_are_discovered(self):
-        roots = {r.func for r in analyze_package().roots}
-        # A tcp node runs on its one pump: no thread root in net.tcp.
-        assert not any(r.startswith("net.tcp.") for r in roots)
-        assert "service.service.ReduceService._worker_loop" in roots
-        assert "obs.telemetry.WallClockSampler._loop" in roots
-        # The escaping-closure rule catches the telemetry sink that runs
-        # on the sampler thread.
-        assert "net.session.run_node.ship" in roots
+        roots = analyze_package().roots
+        threads = {r.func for r in roots if r.kind == "thread-target"}
+        # A node runs on its one pump: only the service starts threads.
+        assert not [r for r in threads if r.startswith(("net.", "obs."))]
+        assert "service.service.ReduceService._worker_loop" in threads
+        # The escaping-closure rule still sees the telemetry sink, which
+        # the pump calls back.
+        assert "net.session.run_node.ship" in {r.func for r in roots}
 
     def test_known_locks_are_catalogued(self):
         locks = set(analyze_package().locks)
-        assert not any(lock.startswith("net.tcp.") for lock in locks)
+        # A node holds no lock: the ones left are the service's.
+        assert not [lock for lock in locks if lock.startswith(("net.", "obs."))]
         assert "service.service.ReduceService._lock" in locks
         assert "service.cache.ConfigCache._lock" in locks
-        assert "net.session.run_node.send_lock" in locks
         # A map of locks, one per key, is catalogued as one lock family.
         report = analyze(
             """
