@@ -96,6 +96,14 @@ def check_indices(indices: np.ndarray, *, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _canonical(dtype) -> np.dtype:
+    """The one shared instance of ``dtype`` (``np.dtype(np.float64)``
+    itself), not an equal copy such as unpickling makes.  NumPy's
+    in-place kernels (``ufunc.at``) take a slow path when their
+    operands' dtype instances differ."""
+    return np.dtype(np.dtype(dtype).str)
+
+
 @dataclass
 class ReduceSpec:
     """Per-node in/out index declarations for one allreduce configuration.
@@ -128,10 +136,15 @@ class ReduceSpec:
         }
         if set(self.in_indices) != set(self.out_indices):
             raise ValueError("in and out index sets must cover the same ranks")
-        self.dtype = np.dtype(self.dtype)
+        self.dtype = _canonical(self.dtype)
         reduction_ufunc(self.op)  # validate early
         if self.op == "or" and self.dtype.kind not in "ui":
             raise ValueError("bitwise-or reduction requires an integer dtype")
+
+    def __setstate__(self, state) -> None:
+        # An unpickled dtype is a fresh instance; keep the canonical one.
+        self.__dict__.update(state)
+        self.dtype = _canonical(self.dtype)
 
     @property
     def ranks(self) -> list[int]:

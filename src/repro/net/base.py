@@ -3,10 +3,12 @@
 :class:`ForkedKylixBase` is everything a "one OS process per logical
 node" backend needs that is neither the medium nor the session: argument
 validation, forking one :func:`~repro.net.session.run_node` per rank
-with a control pipe each, raising the first failure
+with a control each (a :class:`~repro.net.session.SocketControl` over a
+``socket.socketpair()``, so round results come home out of band, with
+no user-space copy), raising the first failure
 :func:`~repro.net.session.collect` settles (a worker that dies without
-posting a result is noticed at once, as EOF on its control pipe, not
-at the 120 s budget), and the terminate/join/kill ladder that
+posting a result is noticed at once, as EOF on its control, not at the
+120 s budget), and the terminate/join/kill ladder that
 guarantees zero zombie processes on every exit path.
 :class:`~repro.net.local.LocalKylix` plugs in a pipe mesh,
 :class:`~repro.net.tcp.TcpKylix` a loopback socket mesh; the
@@ -16,6 +18,7 @@ identical.
 
 from __future__ import annotations
 
+import socket
 from functools import partial
 from typing import Any, Dict, Mapping, Optional, Sequence
 
@@ -25,7 +28,7 @@ from ..allreduce import ReduceSpec
 from ..faults import CoverageReport, FaultPlan, RetryPolicy
 from ..obs import NULL_OBSERVER, Observer
 from ..sparse import IndexHasher, MultiplicativeHasher
-from .session import NodeJob, collate, collect, failure, release, run_node
+from .session import NodeJob, SocketControl, collate, collect, failure, release, run_node
 
 __all__ = ["ForkedKylixBase"]
 
@@ -122,7 +125,7 @@ class ForkedKylixBase:
         self.last_report: Optional[CoverageReport] = None
 
     # -- medium hooks (subclass responsibilities) --------------------------
-    def _make_mesh(self, ctx):
+    def _make_mesh(self):
         """Create pre-fork medium state; returns an opaque mesh handle."""
         raise NotImplementedError
 
@@ -179,7 +182,7 @@ class ForkedKylixBase:
                 f"spec must cover ranks 0..{self.size - 1} (got {spec.ranks})"
             )
         ctx = mp.get_context("fork")
-        mesh = self._make_mesh(ctx)
+        mesh = self._make_mesh()
         procs: Dict[int, Any] = {}
         controls: Dict[int, Any] = {}
         obs = self.observe if self.observe is not None else NULL_OBSERVER
@@ -205,7 +208,8 @@ class ForkedKylixBase:
                     observe=obs.enabled,
                     telemetry_interval=self.telemetry_interval,
                 )
-                controls[rank], node_end = ctx.Pipe(duplex=True)
+                driver_end, node_end = map(SocketControl, socket.socketpair())
+                controls[rank] = driver_end
                 p = ctx.Process(
                     target=run_node,
                     args=(rank, job, partial(self._open_transport, mesh), node_end),

@@ -70,8 +70,8 @@ from ..faults import (
 from ..obs import NULL_OBSERVER, Observer
 from ..obs.telemetry import FlightRecorder, TimeSeriesAggregator
 from ..sparse import MultiplicativeHasher
-from .framing import FrameError, FrameStream, encode_frame, recv_frame
-from .session import NodeJob, SocketControl, collate, collect, release, run_node
+from .framing import Ctl, FrameError, FrameStream
+from .session import NodeJob, SocketControl, collate, collect, decode_ctl, release, run_node
 from .tcp import TcpTransport, loopback_listener
 
 __all__ = [
@@ -150,12 +150,20 @@ def serve_node(
                     # One frame exactly: a peer's hello may have its first
                     # parts right behind it, and they belong to the link.
                     ok, frame = FrameStream(sock).recv(timeout=5.0)
-                except (OSError, FrameError):
+                except (OSError, FrameError, MemoryError):  # a stranger's absurd length too
                     sock.close()
                     continue
-                if not ok or not isinstance(frame, tuple):
+                if not ok:
                     sock.close()
                     continue
+            try:
+                # A driver's frames are ctl frames; a peer's hello is not.
+                frame = decode_ctl(frame) if isinstance(frame, Ctl) else frame
+            except FrameError:
+                frame = None
+            if not isinstance(frame, tuple) or not frame:
+                sock.close()
+                continue
             kind = frame[0]
             if kind == "hello":
                 pending.append((int(frame[1]), sock))
@@ -179,10 +187,11 @@ def serve_node(
 
 def _reply(sock: socket.socket, frame) -> None:
     """Answer a one-shot probe connection and hang up."""
+    control = SocketControl(sock)
     try:
-        sock.sendall(encode_frame(frame))
+        control.send(frame)
     finally:
-        sock.close()
+        control.close()
 
 
 def probe(host: str, port: int, frame, *, timeout: float = 2.0):
@@ -190,17 +199,16 @@ def probe(host: str, port: int, frame, *, timeout: float = 2.0):
     return its one-frame reply — ``None`` if the node is unreachable or
     hangs up without answering."""
     try:
-        sock = socket.create_connection((host, port), timeout=timeout)
+        control = SocketControl(socket.create_connection((host, port), timeout=timeout))
     except OSError:
         return None
     try:
-        sock.sendall(encode_frame(frame))
-        ok, reply = recv_frame(sock, timeout=timeout)
-        return reply if ok else None
-    except (OSError, FrameError):
+        control.send(frame)
+        return control.recv()  # lint: ok — the socket carries the timeout
+    except (OSError, EOFError):
         return None
     finally:
-        sock.close()
+        control.close()
 
 
 class _NodeControl(SocketControl):

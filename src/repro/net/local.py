@@ -15,9 +15,10 @@ them — use the simulator for performance studies.
 
 Only the mesh is local to this file.  The pump over it is
 :class:`~repro.net.transport.SocketTransport`, which the TCP backend
-runs too; frames are :mod:`repro.net.framing`'s length-prefixed pickles,
-passed only between forked siblings.  The node body and the driver's
-collection are :mod:`repro.net.session`, the wire medium
+runs too; frames are :mod:`repro.net.framing`'s typed raw-buffer
+frames, gather-written and decoded as views of their receive buffers.
+The node body and the driver's collection are
+:mod:`repro.net.session`, the wire medium
 :mod:`repro.net.protocol`, fault injection and the NACK/retry/dedupe
 layer :mod:`repro.net.transport`, process supervision
 :mod:`repro.net.base` — all shared with, and byte-identical on, the TCP
@@ -54,7 +55,7 @@ class LocalKylix(ForkedKylixBase):
 
     _BACKEND_NAME = "local"
 
-    def _make_mesh(self, ctx) -> Dict[int, Dict[int, socket.socket]]:
+    def _make_mesh(self) -> Dict[int, Dict[int, socket.socket]]:
         # full mesh: one socket pair per pair of ranks
         links: Dict[int, Dict[int, socket.socket]] = {r: {} for r in range(self.size)}
         for i in range(self.size):

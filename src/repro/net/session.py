@@ -28,9 +28,15 @@ one thread that waits only in its transport's pump (telemetry ticks are
 due calls there; the linger puts the control on its selector).  What
 differs between media is passed in: ``open_transport(rank, plan,
 retry, obs)`` builds the mesh, and ``control`` is any selectable object
-with ``send(obj)`` / ``recv()`` / ``fileno()`` / ``close()`` — a
-``multiprocessing`` ``Connection`` under a forked backend, a
-:class:`SocketControl` on the node server.  Driver half:
+with ``send(obj)`` / ``recv()`` / ``fileno()`` / ``close()`` — in
+practice a :class:`SocketControl`, over a ``socket.socketpair()`` under
+a forked backend and over the driver's TCP connection on the node
+server.  Control frames are ``ctl`` frames of :mod:`repro.net.framing`
+whose metadata is a protocol-5 pickle with out-of-band buffers: the
+arrays of a job or of a result are written from where they lie and read
+into the frame's own buffer, never copied in user space.  This codec
+(:func:`encode_ctl` / :func:`decode_ctl`) is the one place a real
+backend pickles; mesh links refuse ``ctl`` frames.  Driver half:
 :func:`collect` blocks in one ``multiprocessing.connection.wait`` over
 every control, :func:`release` is the done handshake, and
 :func:`collate` turns the settled frames into results, errors and the
@@ -40,6 +46,7 @@ run's :class:`~repro.faults.CoverageReport`.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 import traceback
 from dataclasses import dataclass
@@ -53,12 +60,14 @@ from ..faults import CoverageReport, FaultPlan, LossRecord, PeerFailedError, Ret
 from ..obs import NULL_OBSERVER, Observer
 from ..obs.telemetry import Sampler, TelemetryAgent
 from ..sparse import MultiplicativeHasher
-from .framing import FrameError, FrameStream, send_frame
+from .framing import MAX_ARRAYS, Ctl, FrameError, FrameStream, send_frame
 from .protocol import run_rounds
 
 __all__ = [
     "NodeJob",
     "SocketControl",
+    "encode_ctl",
+    "decode_ctl",
     "run_node",
     "encode_error",
     "failure",
@@ -117,14 +126,37 @@ class NodeJob:
         )
 
 
+def encode_ctl(obj: Any) -> Ctl:
+    """``obj`` as a ``ctl`` frame: a protocol-5 pickle whose contiguous
+    array buffers travel out of band, as the frame's raw section (in
+    band, copied, if they are more than a frame may carry)."""
+    buffers: List[pickle.PickleBuffer] = []
+    meta = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    if len(buffers) >= MAX_ARRAYS:
+        meta, buffers = pickle.dumps(obj, protocol=5), []
+    return Ctl(meta, [b.raw() for b in buffers])
+
+
+def decode_ctl(frame: Ctl) -> Any:
+    """The object a ``ctl`` frame carries; its arrays view the frame's
+    receive buffer.  Raises :class:`~repro.net.framing.FrameError` on
+    an undecodable frame."""
+    try:
+        return pickle.loads(frame.meta, buffers=frame.buffers)
+    except Exception as exc:
+        raise FrameError(f"undecodable control frame: {exc}") from exc
+
+
 class SocketControl:
     """A framed socket with the ``Connection`` surface a session uses.
 
-    ``recv`` returns one frame and raises ``EOFError`` when the peer is
-    gone — at a frame boundary or mid-frame alike, as a ``Connection``
-    does.  :class:`~repro.net.framing.FrameStream` never reads ahead, so
-    ``fileno()`` readability means "a frame is waiting"; the timeout the
-    socket already carries bounds a frame that stalls midway (``OSError``).
+    ``send`` gather-writes ``obj`` as one ``ctl`` frame (:func:`encode_ctl`).
+    ``recv`` returns one object and raises ``EOFError`` when the peer is
+    gone — at a frame boundary or mid-frame alike — or sends anything but
+    a decodable ``ctl`` frame.  :class:`~repro.net.framing.FrameStream`
+    never reads ahead, so ``fileno()`` readability means "a frame is
+    waiting"; the timeout the socket carries, if any, bounds a frame that
+    stalls midway (``OSError``).
     """
 
     def __init__(self, sock) -> None:
@@ -133,17 +165,19 @@ class SocketControl:
     def fileno(self) -> int:
         return self._stream.sock.fileno()
 
-    def send(self, frame: Any) -> None:
-        send_frame(self._stream.sock, frame)
+    def send(self, obj: Any) -> None:
+        send_frame(self._stream.sock, encode_ctl(obj))
 
     def recv(self) -> Any:
         try:
             ok, frame = self._stream.recv()  # lint: ok — the socket carries its own timeout
+            if not ok:
+                raise EOFError("control closed")
+            if not isinstance(frame, Ctl):
+                raise FrameError(f"a {frame[0]} frame on a control")
+            return decode_ctl(frame)
         except FrameError as exc:
             raise EOFError(str(exc)) from exc
-        if not ok:
-            raise EOFError("control closed")
-        return frame
 
     def close(self) -> None:
         self._stream.sock.close()

@@ -13,12 +13,15 @@ cluster — launcher, node server, experiment driver — lives in
 
 Medium mechanics:
 
-* **Framing** — length-prefixed pickled frames
-  (:mod:`repro.net.framing`); a peer dying mid-frame surfaces as EOF
-  inside a frame and is treated as connection loss, not corruption.
+* **Framing** — typed raw-buffer frames (:mod:`repro.net.framing`),
+  gather-written and read into their own buffers; a peer dying mid-frame
+  surfaces as EOF inside a frame and is treated as connection loss, not
+  corruption.  A link refuses a session-control (``ctl``) frame.
 * **Mesh formation** — rank ``i`` *initiates* connections to every
   ``j < i`` and *accepts* from every ``j > i``; the first frame on every
-  connection is a ``("hello", rank)``.  Peers the fault plan declares
+  connection is a ``("hello", rank)``.  An accepted connection that
+  opens with a ``ctl`` frame instead is handed on undecoded
+  (:attr:`TcpTransport.on_stray`).  Peers the fault plan declares
   dead at start are skipped; any other peer unreachable within
   :data:`MESH_TIMEOUT` is marked closed, and the reliability layer
   converts that into a typed :class:`~repro.faults.PeerFailedError`
@@ -57,7 +60,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from ..obs import NULL_OBSERVER
 from .base import ForkedKylixBase
-from .framing import FrameDecoder, FrameError, encode_frame
+from .framing import LARGE_BODY, Ctl, FrameDecoder, FrameError, frame_views, read_some
 from .transport import SocketTransport
 
 __all__ = ["TcpTransport", "TcpKylix", "loopback_listener"]
@@ -126,9 +129,10 @@ class TcpTransport(SocketTransport):
         #: standalone node server owns one listener across many sessions.
         self.keep_listener = False
         #: Optional ``(frame, sock)`` callback for accepted connections
-        #: whose first frame is not a peer hello.  The node server
-        #: registers one so a driver control connection racing the tail
-        #: of a session is stashed for later service instead of closed.
+        #: whose first frame is a ``ctl`` frame, handed over undecoded.
+        #: The node server registers one so a driver control connection
+        #: racing the tail of a session is stashed for later service
+        #: instead of closed.
         self.on_stray = None
 
     # -- mesh formation ----------------------------------------------------
@@ -187,7 +191,7 @@ class TcpTransport(SocketTransport):
             except OSError:  # none left (or the listener is gone)
                 return
             sock.setblocking(False)
-            self._greetings[sock] = (FrameDecoder(), time.monotonic() + _HELLO_TIMEOUT)
+            self._greetings[sock] = (FrameDecoder(ctl=True), time.monotonic() + _HELLO_TIMEOUT)
             self._selector.register(sock, selectors.EVENT_READ, partial(self._greet, sock))
 
     def _greet(self, sock, events) -> None:
@@ -196,21 +200,18 @@ class TcpTransport(SocketTransport):
         they belong to the link's decoder."""
         decoder, frames = self._greetings[sock][0], []
         try:
-            while not frames:
-                chunk = sock.recv(min(decoder.missing, 1 << 20))
-                if not chunk:
-                    break  # hung up first: a probe, or a quitter
-                frames = decoder.feed(chunk)
+            while frames is not None and not frames:  # None: hung up first (a probe, or a quitter)
+                frames, _ = read_some(sock, decoder, min(decoder.missing, LARGE_BODY))
         except BlockingIOError:
             return  # the rest of it has not arrived yet
-        except (OSError, FrameError):
+        except (OSError, FrameError, MemoryError):
             pass
         del self._greetings[sock]
         self._selector.unregister(sock)
         first = frames[0] if frames else None
         if isinstance(first, tuple) and first[0] == "hello":
             self._install(int(first[1]), sock)
-        elif isinstance(first, tuple) and self.on_stray is not None:
+        elif isinstance(first, Ctl) and self.on_stray is not None:
             sock.settimeout(_HELLO_TIMEOUT)
             self.on_stray(first, sock)
         else:
@@ -277,8 +278,7 @@ class TcpTransport(SocketTransport):
         self._down_at.pop(peer, None)
         self._last_rx[peer] = self._last_tx[peer] = time.monotonic()
         if hello:
-            frame = memoryview(encode_frame(("hello", self.rank)))
-            self._tails.setdefault(peer, deque()).appendleft(frame)
+            self._tails.setdefault(peer, deque()).appendleft(frame_views(("hello", self.rank)))
         self._attach(peer, sock)
 
     # -- the link's life ---------------------------------------------------
@@ -370,7 +370,7 @@ class TcpKylix(ForkedKylixBase):
 
     _BACKEND_NAME = "tcp"
 
-    def _make_mesh(self, ctx):
+    def _make_mesh(self):
         listeners = {rank: loopback_listener(backlog=self.size) for rank in range(self.size)}
         addrs = {rank: ("127.0.0.1", s.getsockname()[1]) for rank, s in listeners.items()}
         return listeners, addrs

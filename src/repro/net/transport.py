@@ -57,7 +57,7 @@ from ..faults.ladder import SENT, first_copy
 from ..faults.plan import _PHASE_ID, canonical_phase
 from ..obs import NULL_OBSERVER
 from ..verify.errors import ProtocolInvariantError
-from .framing import FrameDecoder, FrameError, encode_frame
+from .framing import FrameDecoder, FrameError, frame_views, read_some, write_some
 
 __all__ = ["BaseTransport", "PHASE_OF", "SocketTransport"]
 
@@ -160,6 +160,12 @@ class BaseTransport:
         blocking, and the pump finishes the write while it waits for
         anything else, so simultaneous exchanges cannot deadlock on
         transport buffers — §VI-B's concurrent sends, with no thread.
+
+        The part's arrays are written from where they lie, not copied,
+        and the send cache keeps them for resends: a caller must not
+        mutate a posted array afterwards.  The passes never do — every
+        part they post is freshly built or a slice of an array they
+        replace, never update.
 
         The fault plan's crash point is here, as in ``Fabric.send``: a
         node scheduled to die at a (phase, layer) exits right before its
@@ -465,10 +471,12 @@ class SocketTransport(BaseTransport):
     """The reliability layer over one non-blocking stream socket per
     peer (``links``), pumped by the owning thread under one selector.
 
-    A send writes what the socket takes and keeps the rest as the link's
-    unsent tail, in order; :meth:`_pump_once` flushes tails as sockets
-    turn writable and feeds reads to each link's
-    :class:`~repro.net.framing.FrameDecoder`.  EOF, a corrupt frame or a
+    A send gather-writes what the socket takes of the frame's buffers
+    (:func:`~repro.net.framing.frame_views`) and keeps the rest as the
+    link's unsent tail, in order; :meth:`_pump_once` flushes tails as
+    sockets turn writable and feeds reads to each link's
+    :class:`~repro.net.framing.FrameDecoder`, a large body straight into
+    its own buffer.  EOF, a corrupt frame or a
     failed write downs a link (:meth:`_link_down`: here, the peer is
     lost).  A medium may register sockets of its own with a callback
     ``fn(events)`` as their data, and keep time-driven rules in
@@ -478,7 +486,10 @@ class SocketTransport(BaseTransport):
     def __init__(self, rank, links, plan, retry, obs=NULL_OBSERVER):
         super().__init__(rank, plan, retry, obs)
         self.links: Dict[int, socket.socket] = {}
-        self._tails: Dict[int, Deque[memoryview]] = {}
+        #: Per link, the frames not yet written: each a list of buffers.
+        self._tails: Dict[int, Deque[List[memoryview]]] = {}
+        #: Links whose first tail frame is partly written.
+        self._started: Set[int] = set()
         self._decoders: Dict[int, FrameDecoder] = {}
         self._selector = selectors.DefaultSelector()
         #: When :meth:`_tick` wants to run next.
@@ -502,15 +513,15 @@ class SocketTransport(BaseTransport):
         if sock is not None:
             self._selector.unregister(sock)
             sock.close()
-        tail = self._tails.get(member)
-        if tail and tail[0].nbytes < len(tail[0].obj):
-            tail.popleft()  # its rest would garble the next socket's stream
+        if member in self._started:
+            self._started.discard(member)
+            self._tails[member].popleft()  # its rest would garble the next socket's stream
 
     def _send_frame(self, member, frame) -> None:
         tail = self._tails.get(member)
         if tail is None or member in self.closed:
             return  # never linked, or gone: the reliability layer reports it
-        tail.append(memoryview(encode_frame(frame)))
+        tail.append(frame_views(frame))
         if len(tail) == 1 and member in self.links:
             self._flush_tail(member)  # nothing queued ahead: write what fits now
 
@@ -554,12 +565,12 @@ class SocketTransport(BaseTransport):
         wait for write readiness on it only while some is left."""
         sock, tail = self.links[member], self._tails[member]
         try:
-            while tail:
-                sent = sock.send(tail[0])
-                if sent < len(tail[0]):
-                    tail[0] = tail[0][sent:]
-                    break
-                tail.popleft()
+            while tail:  # until the socket refuses more (BlockingIOError)
+                if write_some(sock, tail[0]):
+                    tail.popleft()
+                    self._started.discard(member)
+                else:
+                    self._started.add(member)
         except BlockingIOError:
             pass
         except OSError:
@@ -575,12 +586,12 @@ class SocketTransport(BaseTransport):
         sock, decoder = self.links[member], self._decoders[member]
         try:
             while True:
-                chunk = sock.recv(_CHUNK)
-                if not chunk:
+                frames, short = read_some(sock, decoder, _CHUNK)
+                if frames is None:
                     return False  # EOF, at a frame boundary or mid-frame
-                for frame in decoder.feed(chunk):
+                for frame in frames:
                     self._dispatch(member, frame)
-                if len(chunk) < _CHUNK:
+                if short:
                     return True
         except BlockingIOError:
             return True

@@ -9,12 +9,16 @@ not protocol.
 """
 
 import ast
+import pickle
 from pathlib import Path
+from types import SimpleNamespace
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.allreduce import ButterflyTopology, KylixAllreduce, ReduceSpec, core, dense_reduce
+from repro.allreduce.base import reduction_identity, reduction_ufunc
 from repro.cluster import Cluster
 from repro.faults import FaultPlan
 from repro.net import LocalKylix
@@ -262,3 +266,61 @@ def test_core_imports_no_io():
             name == bad or name.startswith(bad + ".") for bad in forbidden
         ), f"core.py imports {name}"
     assert {"repro.sparse", "repro.allreduce.base"} <= imported  # resolver sanity
+
+
+def gather_op_scatter(lp, spec, parts, degrade):
+    """The scatter as it was before it accumulated in place: gather the
+    partial at each map, combine, scatter back.  The oracle below."""
+    ufunc = reduction_ufunc(spec.op)
+    partial = np.full(
+        (lp.out_union_size, *spec.value_shape),
+        reduction_identity(spec.op, spec.dtype), dtype=spec.dtype,
+    )
+    mask = np.ones(lp.out_union_size, dtype=bool) if degrade else None
+    for m, part in zip(lp.out_recv_maps, parts):
+        if part is None:
+            mask[m] = False
+            continue
+        if degrade:
+            partial[m] = ufunc(partial[m], part[0])
+            mask[m] &= part[1]
+        else:
+            partial[m] = ufunc(partial[m], part)
+    return partial, mask
+
+
+@pytest.mark.parametrize("op", ["sum", "max", "min", "or"])  # every op ReduceSpec has
+@pytest.mark.parametrize("dtype", ["f4", "f8", "i4", "i8", "u8"])
+@pytest.mark.parametrize("value_shape", [(), (3,)])
+@pytest.mark.parametrize("degrade", [False, True])
+def test_scatter_matches_gather_op_scatter_byte_for_byte(op, dtype, value_shape, degrade):
+    if op == "or" and dtype[0] == "f":
+        pytest.skip("bitwise-or reduces integers only")
+    rng = np.random.default_rng(zlib.crc32(repr((op, dtype, value_shape, degrade)).encode()))
+    size = 300
+    maps = [np.sort(rng.choice(size, n, replace=False)).astype(np.intp) for n in (120, 0, 250)]
+    lp = SimpleNamespace(out_recv_maps=maps, out_union_size=size)
+    spec = ReduceSpec(
+        in_indices={0: np.arange(3)}, out_indices={0: np.arange(3)},
+        value_shape=value_shape, dtype=dtype, op=op,
+    )
+    parts = []
+    for m in maps:
+        values = (rng.normal(size=(m.size, *value_shape)) * 50).astype(spec.dtype)
+        parts.append((values, rng.random(m.size) < 0.9) if degrade else values)
+    if degrade:
+        parts[1] = None  # an unrecoverable member
+    got, got_mask = core._scatter(lp, spec, parts, degrade)
+    want, want_mask = gather_op_scatter(lp, spec, parts, degrade)
+    assert got.dtype is spec.dtype and got.tobytes() == want.tobytes()
+    assert (got_mask is None) == (want_mask is None)
+    if degrade:
+        assert got_mask.tobytes() == want_mask.tobytes()
+
+
+def test_spec_dtype_is_the_canonical_instance():
+    fresh = pickle.loads(pickle.dumps(np.dtype(np.float64)))
+    assert fresh is not np.dtype(np.float64)  # unpickling makes an equal copy
+    spec = ReduceSpec(in_indices={0: np.arange(3)}, out_indices={0: np.arange(3)}, dtype=fresh)
+    assert spec.dtype is np.dtype(np.float64)
+    assert pickle.loads(pickle.dumps(spec)).dtype is np.dtype(np.float64)

@@ -19,7 +19,7 @@ from repro.allreduce import ReduceSpec, dense_reduce
 from repro.faults import FaultPlan, LossRecord, PeerFailedError, RetryPolicy
 from repro.net import LocalKylix, TcpKylix
 from repro.net.cluster import _run_wave
-from repro.net.session import NodeJob, collate, encode_error, failure, run_node
+from repro.net.session import NodeJob, SocketControl, collate, encode_error, failure, run_node
 from repro.net.transport import SocketTransport
 from repro.obs.runner import EXPERIMENTS
 from repro.sparse import MultiplicativeHasher
@@ -40,10 +40,10 @@ def make_case(m, n, seed):
 
 class RecordingControl:
     """A control whose node→driver direction is a list; the driver→node
-    direction is a real pipe, so the node can wait on it."""
+    direction is a real socket-pair control, so the node can wait on it."""
 
     def __init__(self):
-        self.driver_end, self._node_end = mp.Pipe()
+        self.driver_end, self._node_end = map(SocketControl, socket.socketpair())
         self.sent = []
 
     def send(self, frame):
@@ -167,8 +167,9 @@ class TestCollect:
             return mp.connection.wait(conns, timeout)
 
         monkeypatch.setattr(session, "wait", wait)
-        pipes = {r: mp.Pipe() for r in range(3)}  # the node ends stay open and silent
-        frames = list(session.collect({r: ends[0] for r, ends in pipes.items()}, timeout=0.5))
+        # The node ends stay open and silent.
+        pairs = {r: [SocketControl(s) for s in socket.socketpair()] for r in range(3)}
+        frames = list(session.collect({r: ends[0] for r, ends in pairs.items()}, timeout=0.5))
         assert [(f[0], f[1]) for f in frames] == [("lost", 0), ("lost", 1), ("lost", 2)]
         assert len(calls) == 1
 

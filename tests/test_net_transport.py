@@ -10,7 +10,6 @@ rules fire on time inside one long pump, and that teardown waits out no
 socket timeout.
 """
 
-import multiprocessing as mp
 import os
 import queue
 import signal
@@ -24,7 +23,8 @@ import pytest
 
 from repro.faults import FaultPlan, LinkFault, PeerFailedError, RetryPolicy
 from repro.net import tcp
-from repro.net.framing import FrameStream, encode_frame
+from repro.net.framing import FrameStream
+from repro.net.session import SocketControl, decode_ctl
 from repro.net.tcp import HB_INTERVAL, RECONNECT_GRACE, TcpTransport, loopback_listener
 from repro.net.transport import BaseTransport, SocketTransport
 from repro.obs import NULL_OBSERVER, Observer
@@ -53,6 +53,12 @@ def on_thread(fn):
         return box[0]
 
     return finish
+
+
+def control_pair():
+    """A session control's two ends over a socket pair: (node's, driver's)."""
+    a, b = socket.socketpair()
+    return SocketControl(a), SocketControl(b)
 
 
 class QueueTransport(BaseTransport):
@@ -204,7 +210,7 @@ class TestSendPath:
         a.post(1, "up", 1, big, 0)
         assert a._unsent()  # the link took only what its buffer holds
         finish = on_thread(lambda: b.collect([0, 1], "up", 1, 0)[0])
-        over, done = mp.Pipe(duplex=False)
+        over, done = control_pair()
         done.send(("done",))  # the run is already over
         a.linger(over, 5.0)
         assert not a._unsent()
@@ -275,7 +281,7 @@ class TestOneWait:
         selects = []
         select = a._selector.select
         monkeypatch.setattr(a._selector, "select", lambda t: selects.append(t) or select(t))
-        over, done = mp.Pipe(duplex=False)
+        over, done = control_pair()
         timer = threading.Timer(0.5, done.send, [("done",)])
         timer.start()
         start = time.monotonic()
@@ -305,8 +311,8 @@ class TestOneWait:
 class TestAudit:
     def test_mutual_audits_both_answered(self):
         a, b = link_pair()
-        a.audit_sent[(0, 1, 7)] = "keys a sent to 7"
-        b.audit_sent[(0, 1, 9)] = "keys b sent to 9"
+        a.audit_sent[(0, 1, 7)] = np.array([7, 70], dtype=np.uint64)  # keys a sent to 7
+        b.audit_sent[(0, 1, 9)] = np.array([9, 90], dtype=np.uint64)  # keys b sent to 9
         barrier = threading.Barrier(2)
 
         def fetch(net, member, hole):
@@ -314,13 +320,13 @@ class TestAudit:
             return net.audit(member, "sent", 1, 0, hole, timeout=5.0)
 
         finish = on_thread(lambda: fetch(b, 0, 7))
-        assert fetch(a, 1, 9) == "keys b sent to 9"
-        assert finish() == "keys a sent to 7"
+        assert fetch(a, 1, 9).tolist() == [9, 90]
+        assert finish().tolist() == [7, 70]
         assert a._audit_replies == {} and b._audit_replies == {}
 
     def test_reply_after_its_fetch_timed_out_is_dropped(self):
         a, b = link_pair()
-        b.audit_sent[(0, 1, 9)] = "late"
+        b.audit_sent[(0, 1, 9)] = np.array([9], dtype=np.uint64)  # late
         assert a.audit(1, "sent", 1, 0, 9, timeout=0.05) is None  # b is not pumping
         b.pump(1.0)  # b answers now
         a.pump(1.0)  # the stale reply arrives
@@ -345,7 +351,7 @@ def exchange(nets, layer=1):
     other's, each on its own thread, then services NACKs until both are
     done, as a node lingers; returns ``{rank: part received}``."""
     parts = {r: (0, np.arange(4.0) + 10 * r) for r in range(2)}
-    done = [mp.Pipe(duplex=False) for _ in range(2)]  # (hears, says)
+    done = [control_pair() for _ in range(2)]  # (hears, says)
 
     def side(r):
         nets[r].post(1 - r, "down", layer, parts[r], 0)
@@ -516,8 +522,10 @@ class TestTcpTeardown:
             for net in nets:
                 net.close()
             assert listeners[1].gettimeout() == tcp._LISTENER_TIMEOUT
-            client = socket.create_connection(listeners[1].getsockname(), timeout=2.0)
-            client.sendall(encode_frame(("ping",)))
+            client = SocketControl(
+                socket.create_connection(listeners[1].getsockname(), timeout=2.0)
+            )
+            client.send(("ping",))
             frame = None
             for _ in range(2):  # a peer's mesh probe may still be queued
                 sock, _ = listeners[1].accept()
@@ -526,7 +534,7 @@ class TestTcpTeardown:
                 if ok:
                     break
             client.close()
-            assert frame == ("ping",)
+            assert decode_ctl(frame) == ("ping",)
         finally:
             for s in listeners:
                 s.close()

@@ -417,14 +417,15 @@ class TestChromeTraceCounterEvents:
 class TestFrameStream:
     def test_many_frames_packed_into_one_chunk(self):
         from repro.net.framing import FrameStream, encode_frame
+        from repro.net.session import decode_ctl, encode_ctl
 
         a, b = socket.socketpair()
         try:
             # three frames in a single send: one TCP chunk, three messages
             a.sendall(
-                encode_frame(("telemetry", 0))
-                + encode_frame(("telemetry", 1))
-                + encode_frame(("result", 2))
+                encode_frame(encode_ctl(("telemetry", 0)))
+                + encode_frame(encode_ctl(("telemetry", 1)))
+                + encode_frame(encode_ctl(("result", 2)))
             )
             a.close()
             stream = FrameStream(b)
@@ -433,7 +434,7 @@ class TestFrameStream:
                 ok, msg = stream.recv(timeout=5.0)
                 if not ok:
                     break
-                got.append(msg)
+                got.append(decode_ctl(msg))
             assert got == [("telemetry", 0), ("telemetry", 1), ("result", 2)]
         finally:
             b.close()
@@ -450,10 +451,11 @@ class TestFrameStream:
 
     def test_midframe_eof_raises_truncation(self):
         from repro.net.framing import FrameStream, FrameTruncatedError, encode_frame
+        from repro.net.session import encode_ctl
 
         a, b = socket.socketpair()
         try:
-            a.sendall(encode_frame(("x",))[:-2])  # die mid-body
+            a.sendall(encode_frame(encode_ctl(("x",)))[:-2])  # die mid-body
             a.close()
             with pytest.raises(FrameTruncatedError):
                 FrameStream(b).recv(timeout=5.0)
