@@ -51,6 +51,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..sparse import IndexHasher, KeyRange, split_sorted, union_with_maps
+from ..verify.errors import ProtocolInvariantError
 from .base import (
     PHASE_COMBINED_DOWN,
     PHASE_CONFIG,
@@ -154,14 +155,16 @@ def drive(gen, medium):
     """The one exchange step: run a pass to completion over ``medium``;
     returns the pass's return value.
 
-    Per :class:`Exchange`, under a ``{phase} L{layer}`` span: send every
-    part to every replica of its destination (``medium.slots.physical``),
-    receive one part per group position, resume the pass under a
-    ``merge L{layer}`` span (``kind="merge"``) and let the medium charge
-    the merge.  Under degraded completion (``medium.degrade``) a
-    combined-down exchange runs the hole policy (``docs/faults.md``): the
-    sent out-key slices and the node's raw keys at layer 1 are retained
-    in ``medium.retained`` under ``(medium.round, layer, member)``, and
+    Per :class:`Exchange`: send every part to every replica of its
+    destination (``medium.slots.physical``) in one ``medium.send``,
+    receive one part per group position, resume the pass and let the
+    medium charge the merge.  An enabled observer (``obs.enabled``) sees
+    the exchange as a ``{phase} L{layer}`` span around a ``merge
+    L{layer}`` span (``kind="merge"``); a disabled one is never called.
+    Under degraded completion (``medium.degrade``) a combined-down
+    exchange runs the hole policy (``docs/faults.md``): the sent out-key
+    slices and the node's raw keys at layer 1 are retained in
+    ``medium.retained`` under ``(medium.round, layer, member)``, and
     every hole is resumed as :func:`tombstone_part` through
     ``medium.fetch``.  A medium with ``piggyback`` set also ships the raw
     keys on every layer-1 part, and each receiver retains the sender's.
@@ -169,7 +172,8 @@ def drive(gen, medium):
     What a medium provides (``docs/protocol.md`` §4 decides every
     difference between the two): ``rank``, ``round``, ``obs``,
     ``degrade``, ``piggyback``, ``slots``, ``retained``, ``topo`` and
-    ``spec`` as data; ``send(dst, part, phase, layer)``;
+    ``spec`` as data; ``send(sends, phase, layer)``, the exchange's
+    ``(dst, part)`` pairs in send order;
     ``recv(exchange, pos_of)``, a generator returning ``(parts, nbytes)``
     by group position (``None`` = a hole) — whatever it yields, this step
     yields; ``fetch(holder, direction, layer, about)``, the retained-key
@@ -177,16 +181,18 @@ def drive(gen, medium):
     for this step to yield, or ``None``.
     """
     rank, round, obs = medium.rank, medium.round, medium.obs
+    traced = obs.enabled
     physical = medium.slots.physical
     ex = next(gen)
     while ex is not None:
         phase, layer, group, _, parts, _, plan = ex
         building = phase in (PHASE_CONFIG, PHASE_COMBINED_DOWN)
-        span = obs.begin(f"{phase} L{layer}", node=rank, phase=phase, layer=layer)
+        if traced:
+            span = obs.begin(f"{phase} L{layer}", node=rank, phase=phase, layer=layer)
         audit = medium.degrade and phase == PHASE_COMBINED_DOWN
-        raw = ()
         if audit:
             kept = medium.retained
+            raw = ()
             if layer == 1:
                 # State 0: this node's partial starts as exactly its own
                 # unique out keys, kept before any send, so survivors can
@@ -194,12 +200,14 @@ def drive(gen, medium):
                 keys = np.concatenate([part[0] for part in parts])
                 kept.recv[(round, 1, rank)] = keys
                 raw = (keys,) if medium.piggyback else ()
-        for member, part in zip(group, parts):
-            if audit:
+            for member, part in zip(group, parts):
                 kept.sent[(round, layer, member)] = part[0]
-                part += raw
-            for dst in physical[member]:
-                medium.send(dst, part, phase, layer)
+            if raw:
+                parts = [part + raw for part in parts]
+        medium.send(
+            [(dst, part) for member, part in zip(group, parts) for dst in physical[member]],
+            phase, layer,
+        )
         pos_of = (
             {member: q for q, member in enumerate(group)}
             if building  # the layer's LayerPlan exists only after the resume
@@ -215,22 +223,24 @@ def drive(gen, medium):
                 elif raw:
                     kept.recv[(round, 1, group[q])] = part[-1]
                     got[q] = part[:-1]
-        merge = obs.begin(
-            f"merge L{layer}", node=rank, phase=phase, layer=layer, kind="merge"
-        )
+        if traced:
+            merge = obs.begin(
+                f"merge L{layer}", node=rank, phase=phase, layer=layer, kind="merge"
+            )
         try:
             ex = gen.send(got)
         except StopIteration as stop:
             ex, result = None, stop.value
-        if building:
+        if traced and building:
             obs.histogram("config.merge_length").observe(
                 plan.layers[layer - 1].out_union_size, phase=phase, layer=layer
             )
         charge = medium.charge(nbytes, len(group), building)
         if charge is not None:
             yield charge
-        obs.end(merge)
-        obs.end(span)
+        if traced:
+            obs.end(merge)
+            obs.end(span)
     return result
 
 
@@ -386,7 +396,9 @@ def bottom_projection(
     """
     degrade = v_mask is not None
     hit = plan.bottom_hit
-    if strict and not degrade and not bool(hit.all()):
+    if not degrade and bool(hit.all()):
+        return v[plan.bottom_pos], None  # every hosted key is covered
+    if strict and not degrade:
         raise CoverageError(
             f"rank {plan.rank}: {int((~hit).sum())} requested indices have "
             "no contributor"
@@ -413,7 +425,8 @@ def up_pass(
     Under degraded completion (``r_mask`` given) every part carries its
     validity mask; a missing member (or one that never learned our keys
     because its config part from us was lost) leaves its whole slice
-    invalid and identity-filled.
+    invalid and identity-filled.  Outside it every member's part is
+    required: a hole raises :class:`ProtocolInvariantError`.
     """
     degrade = r_mask is not None
     for layer in range(len(plan.layers), 0, -1):
@@ -429,10 +442,17 @@ def up_pass(
             out = _identity_rows(spec, lp.in_prev_size)
             out_mask = np.zeros(lp.in_prev_size, dtype=bool)
         else:
-            out = np.zeros((lp.in_prev_size, *spec.value_shape), dtype=spec.dtype)
+            # No fill: the in slices tile the array and every part is present.
+            out = np.empty((lp.in_prev_size, *spec.value_shape), dtype=spec.dtype)
             out_mask = None
-        for sl, part in zip(lp.in_slices, got):
+        for q, (sl, part) in enumerate(zip(lp.in_slices, got)):
             if part is None:
+                if not degrade:
+                    raise ProtocolInvariantError(
+                        f"rank {plan.rank}: no gather_up L{layer} part from "
+                        f"member {lp.group[q]} outside degraded completion",
+                        invariant="up-reassembly",
+                    )
                 continue  # unrecoverable member: slice stays invalid
             if not degrade:
                 out[sl] = part

@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..cluster import Cluster, SimNode
+from ..cluster.node import payload_nbytes
 from ..faults import CoverageReport, FaultPlan, LossRecord, RetryPolicy
 from ..faults.ladder import DUPLICATE, ReceiveLadder, RetainedKeys, SlotMap, slot_status
 from ..obs import NULL_OBSERVER
@@ -65,6 +66,7 @@ class _SimMedium:
 
     def __init__(self, net: "KylixAllreduce", node: SimNode, inst: int):
         self.net, self.node, self.name, self.round = net, node, net.name, inst
+        self.fabric = node.cluster.fabric
         self.rank = net._logical(node.rank)
         self.topo, self.spec, self.slots = net.topology, net.spec, net.slots
         self.obs = net._obs
@@ -77,9 +79,15 @@ class _SimMedium:
     def fetch(self, holder: int, direction: str, layer: int, about: int):
         return self.net._retained[holder].get(direction, self.round, layer, about)
 
-    def send(self, dst: int, part, phase: str, layer: int) -> None:
-        tag = (self.name, _TAG_KIND[phase], self.round, layer)
-        self.node.send(dst, part, tag=tag, phase=phase, layer=layer)
+    def send(self, sends, phase: str, layer: int) -> None:
+        """The exchange's ``(dst, part)`` pairs, one fabric call."""
+        self.fabric.send_group(
+            self.node.rank,
+            [(dst, part, payload_nbytes(part)) for dst, part in sends],
+            tag=(self.name, _TAG_KIND[phase], self.round, layer),
+            phase=phase,
+            layer=layer,
+        )
 
     def recv(self, ex: core.Exchange, pos_of: Dict[int, int]):
         """Receive one message per group position, the first copy per
@@ -95,46 +103,51 @@ class _SimMedium:
         they were; an expiry NACKs through the fabric (every replica of
         the slot), and the ladder decides the rest.
         """
-        net, node, group = self.net, self.node, ex.group
         tag = (self.name, _TAG_KIND[ex.phase], self.round, ex.layer)
-        retry = net._effective_retry()
+        retry = self.net._effective_retry()
         slot_of = self.slots.slot_fn(pos_of)
         if retry is None:
-            msgs = yield node.recv_all(len(group), tag=tag, slot_of=slot_of)
+            msgs = yield self.node.recv_all(len(ex.group), tag=tag, slot_of=slot_of)
         else:
-            ladder = ReceiveLadder(
-                group, rank=self.rank, phase=ex.phase, layer=ex.layer,
-                max_retries=retry.max_retries, degrade=net.degrade,
-                reset_on_arrival=True, losses=net._loss_events,
-            )
-            request_resend = node.cluster.fabric.request_resend
-            physical = self.slots.physical
-
-            def nack(q: int, attempt: int):
-                return slot_status(
-                    [request_resend(node.rank, src, tag, attempt) for src in physical[group[q]]]
-                )
-
-            params, engine = node.cluster.params, node.engine
-            while not ladder.done:
-                try:
-                    msg = yield from wait_with_timeout(
-                        engine, node.recv(tag=tag),
-                        retry.timeout_for(params, ex.nbytes_hint, ladder.step),
-                    )
-                except WaitTimeout:
-                    ladder.expire(nack)
-                    continue
-                if ladder.arrive(slot_of(msg.src), msg, (msg.src, msg.seq)) == DUPLICATE:
-                    net.duplicates_dropped += 1
-                    self.obs.counter("faults.duplicates_dropped").inc(
-                        phase=ex.phase, layer=ex.layer
-                    )
-            msgs = [ladder.parts.get(q) for q in range(len(group))]
+            msgs = yield from self._ladder_recv(ex, tag, slot_of, retry)
         return (
             [None if msg is None else msg.payload for msg in msgs],
             sum([msg.nbytes for msg in msgs if msg is not None]),
         )
+
+    def _ladder_recv(self, ex: core.Exchange, tag, slot_of, retry: RetryPolicy):
+        """The deadline/NACK receive (a generator of its own, so the
+        group receive's frame holds no closure cells while it waits)."""
+        net, node, group = self.net, self.node, ex.group
+        ladder = ReceiveLadder(
+            group, rank=self.rank, phase=ex.phase, layer=ex.layer,
+            max_retries=retry.max_retries, degrade=net.degrade,
+            reset_on_arrival=True, losses=net._loss_events,
+        )
+        request_resend = self.fabric.request_resend
+        physical = self.slots.physical
+
+        def nack(q: int, attempt: int):
+            return slot_status(
+                [request_resend(node.rank, src, tag, attempt) for src in physical[group[q]]]
+            )
+
+        params, engine = node.cluster.params, node.engine
+        while not ladder.done:
+            try:
+                msg = yield from wait_with_timeout(
+                    engine, node.recv(tag=tag),
+                    retry.timeout_for(params, ex.nbytes_hint, ladder.step),
+                )
+            except WaitTimeout:
+                ladder.expire(nack)
+                continue
+            if ladder.arrive(slot_of(msg.src), msg, (msg.src, msg.seq)) == DUPLICATE:
+                net.duplicates_dropped += 1
+                self.obs.counter("faults.duplicates_dropped").inc(
+                    phase=ex.phase, layer=ex.layer
+                )
+        return [ladder.parts.get(q) for q in range(len(group))]
 
     def charge(self, nbytes: int, d: int, building: bool):
         if building:

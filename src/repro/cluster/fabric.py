@@ -21,42 +21,96 @@ benchmarks.
 Messages to self bypass the network entirely (delivered next tick) but are
 still reported to :class:`TrafficStats`, since the paper's Fig 5 counts
 "packets to its own" in communication volume.
+
+The simulator pays for this once per message and once per exchange, in
+wall time as well.  :meth:`Fabric.send_group` is the one send loop: it
+takes a node's whole exchange in one call and reads what the exchange
+shares once.  :meth:`Fabric.send` is that loop with one message.  A
+message in flight is a single :class:`Message`, which is also the engine
+event that delivers it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Optional
 
 from ..netmodel import LatencyModel, NetworkParams
 from ..simul import Engine, FilterStore, Timeout
+from ..simul.events import PROCESSED, TRIGGERED
 from .stats import TrafficStats
 
 __all__ = ["Message", "Fabric"]
 
 
-@dataclass(slots=True)
-class Message:
-    """One delivered message, as seen by the receiving protocol code,
-    which only reads it (slots, not ``frozen``: a frozen dataclass pays
-    ten ``object.__setattr__`` calls per message built).
+class Message(Timeout):
+    """One message: in flight, the engine event that delivers it; once
+    delivered, what the receiving protocol code reads.
+
+    Processing the event *is* the delivery — the receiver's liveness
+    check, the mailbox put, ``delivered_at`` and the observer's
+    ``message_delivered`` — so a message in flight is this object, its
+    (empty) callback list and its queue entry, and nothing else.
 
     ``seq`` numbers the messages on one (src, dst, phase, layer) link in
     send order; duplicates (injected or replica race copies) share the
     original's sequence number, which is what receivers dedupe on.
     """
 
-    src: int
-    dst: int
-    tag: Any
-    payload: Any
-    nbytes: int
-    sent_at: float
-    delivered_at: float
-    phase: str = ""
-    layer: int = -1
-    seq: int = 0
+    __slots__ = (
+        "src", "dst", "tag", "payload", "nbytes", "sent_at", "delivered_at",
+        "phase", "layer", "seq", "_fabric",
+    )
+
+    def __init__(
+        self, fabric: "Fabric", when: float, src: int, dst: int, tag: Any,
+        payload: Any, nbytes: int, phase: str, layer: int, seq: int,
+    ):
+        # Timeout's fields inline (its footprint is derived, not stored).
+        engine = self.engine = fabric.engine
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = TRIGGERED
+        # now + (when - now), not `when`: the arithmetic the event queue has
+        # always keyed deliveries on, kept to the bit.
+        now = engine._now
+        self.delay = delay = max(when, now) - now
+        self.src, self.dst, self.tag, self.payload = src, dst, tag, payload
+        self.nbytes, self.sent_at, self.delivered_at = nbytes, now, None
+        self.phase, self.layer, self.seq = phase, layer, seq
+        self._fabric = fabric
+        engine._push(self, delay)
+
+    @property
+    def footprint(self):
+        """Commutativity label for the model checker: two network
+        deliveries conflict only when they land in the same mailbox
+        within the same (phase, layer) step group — all protocol receives
+        are tag-filtered on exactly those coordinates, so deliveries with
+        different footprints commute and need not be reordered against
+        each other.  Self-messages are unlabeled (``None``): their
+        relative order is fixed by program order on a single sequential
+        node."""
+        if self.src == self.dst:
+            return None
+        return ("mbox", self.dst, self.phase, self.layer)
+
+    def _process(self) -> None:
+        callbacks, self.callbacks = self.callbacks, None
+        self._state = PROCESSED
+        fabric, dst = self._fabric, self.dst
+        alive = fabric._alive
+        if dst in fabric._crashed or (alive is not None and not alive(dst)):
+            fabric.dropped += 1
+        else:
+            now = self.delivered_at = self.engine._now
+            fabric.mailboxes[dst].put(self)
+            if fabric._obs is not None:
+                fabric._obs.message_delivered(
+                    self.src, dst, self.nbytes, self.sent_at, now, self.phase, self.layer
+                )
+        for cb in callbacks:
+            cb(self)
 
 
 class _Nic:
@@ -175,21 +229,15 @@ class Fabric:
         return node in self._crashed
 
     # -- sending -------------------------------------------------------------
-    def _account_send(
-        self, src: int, dst: int, nbytes: int, phase: str, layer: int
-    ) -> None:
-        """Per-message bookkeeping (TrafficStats cell + observer counters)
-        through the memoized cell cache — the fabric send hot path."""
+    def _cell(self, phase: str, layer: int):
+        """The memoized :class:`TrafficStats` cell of ``(phase, layer)``."""
         if self._stats_epoch != self.stats.epoch:
             self._stats_cells.clear()
             self._stats_epoch = self.stats.epoch
         cell = self._stats_cells.get((phase, layer))
         if cell is None:
-            cell = self.stats.cell_ref(phase, layer)
-            self._stats_cells[(phase, layer)] = cell
-        cell.add(nbytes, self_message=src == dst)
-        if self._obs is not None:
-            self._obs.message_sent(src, dst, nbytes, phase=phase, layer=layer)
+            cell = self._stats_cells[(phase, layer)] = self.stats.cell_ref(phase, layer)
+        return cell
 
     def send(
         self,
@@ -202,147 +250,151 @@ class Fabric:
         phase: str = "",
         layer: int = -1,
     ) -> float:
-        """Fire-and-forget send; returns the scheduled delivery time.
+        """Fire-and-forget send of one message: :meth:`send_group` of one.
+        Returns the scheduled delivery time (``inf`` if it vanished)."""
+        return self.send_group(
+            src, ((dst, payload, nbytes),), tag=tag, phase=phase, layer=layer
+        )
 
-        Sends from or to dead nodes vanish (counted in ``dropped``), which
-        is exactly the failure behaviour replication must survive.
+    def send_group(
+        self,
+        src: int,
+        sends,
+        *,
+        tag: Any = None,
+        phase: str = "",
+        layer: int = -1,
+    ) -> float:
+        """Send every ``(dst, payload, nbytes)`` of ``sends`` from ``src``,
+        in order, under one tag, phase and layer — one exchange's sends in
+        one call.  This is the fabric's only send path; returns the last
+        message's scheduled delivery time (``inf`` if it vanished).
+
+        Each message is exactly what a lone send of it would be: what
+        does not depend on the message (the source check, the stats cell,
+        the clock, the interconnect constants) is read once, every
+        per-message step runs per message, in send order.  Sends from or
+        to dead nodes vanish (counted in ``dropped``), which is exactly
+        the failure behaviour replication must survive.
         """
-        if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
-            raise ValueError(f"bad endpoints {src}->{dst}")
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
+        num_nodes = self.num_nodes
+        if not 0 <= src < num_nodes:
+            raise ValueError(f"bad source {src}")
+        cell = self._cell(phase, layer)
         now = self.engine.now
         plan = self._fault_plan
-        crashed = self._crashed
-        if plan is not None and src != dst and src not in crashed:
-            # Step-kill crash point: the node dies immediately *before*
-            # its first send at the targeted (phase, layer), so that send
-            # and everything after it is lost.
-            sk = plan.step_kill_for(src)
-            if sk is not None and sk == (self._canon(phase), layer):
-                crashed.add(src)
-        alive = self._alive
-        if (
-            src in crashed
-            or dst in crashed
-            or (alive is not None and not (alive(src) and alive(dst)))
-        ):
-            self.dropped += 1
-            return float("inf")
+        canon = self._canon(phase) if plan is not None else None
+        crashed, alive, obs = self._crashed, self._alive, self._obs
+        nics = self._nics
+        nic_s = nics[src]
+        overhead, per_byte_cpu = self._overhead, self._per_byte_cpu
+        recv_byte_cpu, bandwidth = self._recv_byte_cpu, self._bandwidth
+        incast_overhead, latency_model = self._incast_overhead, self._latency
+        fixed_service, fixed_latency = self._fixed_service, self._fixed_latency
+        deliver = float("inf")
+        for dst, payload, nbytes in sends:
+            if not 0 <= dst < num_nodes:
+                raise ValueError(f"bad endpoints {src}->{dst}")
+            if nbytes < 0:
+                raise ValueError("nbytes must be non-negative")
+            if plan is not None and src != dst and src not in crashed:
+                # Step-kill crash point: the node dies immediately *before*
+                # its first send at the targeted (phase, layer), so that
+                # send and everything after it is lost.
+                sk = plan.step_kill_for(src)
+                if sk is not None and sk == (canon, layer):
+                    crashed.add(src)
+            if (
+                src in crashed
+                or dst in crashed
+                or (alive is not None and not (alive(src) and alive(dst)))
+            ):
+                self.dropped += 1
+                deliver = float("inf")
+                continue
 
-        decision = None
-        seq = 0
-        if plan is not None and src != dst:
-            key = (src, dst, self._canon(phase), layer)
-            seq = self._seq_counters.get(key, 0)
-            self._seq_counters[key] = seq + 1
-            self._sent_cache[(src, dst, tag)] = (payload, nbytes, phase, layer, seq)
-            decision = plan.decide(src, dst, phase, layer, seq)
+            decision = None
+            seq = 0
+            if plan is not None and src != dst:
+                key = (src, dst, canon, layer)
+                seq = self._seq_counters.get(key, 0)
+                self._seq_counters[key] = seq + 1
+                self._sent_cache[(src, dst, tag)] = (payload, nbytes, phase, layer, seq)
+                decision = plan.decide(src, dst, phase, layer, seq)
 
-        self._account_send(src, dst, nbytes, phase, layer)
+            cell.add(nbytes, self_message=src == dst)
+            if obs is not None:
+                obs.message_sent(src, dst, nbytes, phase=phase, layer=layer)
 
-        if src == dst:
-            # Local hand-off: no network, only a memcpy-scale CPU charge.
-            deliver = now + self._per_byte_cpu * nbytes
-            self._deliver_at(deliver, src, dst, tag, payload, nbytes, now, phase, layer)
-            return deliver
+            if src == dst:
+                # Local hand-off: no network, only a memcpy-scale CPU charge.
+                deliver = now + per_byte_cpu * nbytes
+                Message(self, deliver, src, dst, tag, payload, nbytes, phase, layer, seq)
+                continue
 
-        nic_s = self._nics[src]
-        jitter = self._fixed_service
-        if jitter is None:
-            jitter = self._latency.sample_service_factor()
-        # 1. sender thread slot (the first of the earliest-free ones) runs
-        # the per-message overhead
-        free = nic_s.thread_free
-        slot = free.index(min(free))
-        cpu_start = max(now, free[slot])
-        cpu_done = cpu_start + (self._overhead + self._per_byte_cpu * nbytes) * jitter
-        free[slot] = cpu_done
-        # 2. egress serialization (service jitter models congestion/steal)
-        tx = nbytes / self._bandwidth * jitter
-        tx_start = max(cpu_done, nic_s.egress_free)
-        tx_done = tx_start + tx
-        nic_s.egress_free = tx_done
-        # 3. propagation
-        latency = self._fixed_latency
-        first_byte = tx_start + (self._latency.sample() if latency is None else latency)
-        # 4. ingress serialization at the receiver; a backlog on arrival
-        # signals fan-in contention and charges the incast penalty
-        nic_d = self._nics[dst]
-        contended = nic_d.ingress_free > first_byte
-        rx_start = max(first_byte, nic_d.ingress_free)
-        arrived = rx_start + tx + (self._incast_overhead if contended else 0.0)
-        nic_d.ingress_free = arrived
-        # 5. receive-side processing in a receiver thread slot (§VI-B):
-        # deserialisation/copy work that multi-threading overlaps
-        proc = self._recv_byte_cpu * nbytes
-        if proc > 0.0:
-            free = nic_d.thread_free
-            slot_r = free.index(min(free))
-            proc_start = max(arrived, free[slot_r])
-            deliver = proc_start + proc * jitter
-            free[slot_r] = deliver
-        else:
-            deliver = arrived
+            jitter = fixed_service
+            if jitter is None:
+                jitter = latency_model.sample_service_factor()
+            # 1. sender thread slot (the first of the earliest-free ones)
+            # runs the per-message overhead
+            free = nic_s.thread_free
+            slot = free.index(min(free))
+            cpu_start = max(now, free[slot])
+            cpu_done = cpu_start + (overhead + per_byte_cpu * nbytes) * jitter
+            free[slot] = cpu_done
+            # 2. egress serialization (service jitter models congestion/steal)
+            tx = nbytes / bandwidth * jitter
+            tx_start = max(cpu_done, nic_s.egress_free)
+            tx_done = tx_start + tx
+            nic_s.egress_free = tx_done
+            # 3. propagation
+            first_byte = tx_start + (
+                latency_model.sample() if fixed_latency is None else fixed_latency
+            )
+            # 4. ingress serialization at the receiver; a backlog on arrival
+            # signals fan-in contention and charges the incast penalty
+            nic_d = nics[dst]
+            contended = nic_d.ingress_free > first_byte
+            rx_start = max(first_byte, nic_d.ingress_free)
+            arrived = rx_start + tx + (incast_overhead if contended else 0.0)
+            nic_d.ingress_free = arrived
+            # 5. receive-side processing in a receiver thread slot (§VI-B):
+            # deserialisation/copy work that multi-threading overlaps
+            proc = recv_byte_cpu * nbytes
+            if proc > 0.0:
+                free = nic_d.thread_free
+                slot_r = free.index(min(free))
+                proc_start = max(arrived, free[slot_r])
+                deliver = proc_start + proc * jitter
+                free[slot_r] = deliver
+            else:
+                deliver = arrived
 
-        # Injected message faults (after the sender paid its costs — a
-        # network-dropped packet still burned CPU and egress, and the
-        # latency stream stays aligned with fault-free runs).
-        if decision is not None:
-            if decision.drop:
-                self.injected["dropped"] += 1
-                if self._obs is not None:
-                    self._obs.counter("faults.injected").inc(kind="dropped")
-                return float("inf")
-            if decision.delay > 0.0:
-                self.injected["delayed"] += 1
-                if self._obs is not None:
-                    self._obs.counter("faults.injected").inc(kind="delayed")
-                deliver += decision.delay
-            for k in range(decision.duplicates):
-                self.injected["duplicated"] += 1
-                if self._obs is not None:
-                    self._obs.counter("faults.injected").inc(kind="duplicated")
-                self._deliver_at(
-                    deliver + (k + 1) * self.params.base_latency,
-                    src, dst, tag, payload, nbytes, now, phase, layer, seq,
-                )
+            # Injected message faults (after the sender paid its costs — a
+            # network-dropped packet still burned CPU and egress, and the
+            # latency stream stays aligned with fault-free runs).
+            if decision is not None:
+                if decision.drop:
+                    self._inject("dropped")
+                    deliver = float("inf")
+                    continue
+                if decision.delay > 0.0:
+                    self._inject("delayed")
+                    deliver += decision.delay
+                for k in range(decision.duplicates):
+                    self._inject("duplicated")
+                    Message(
+                        self, deliver + (k + 1) * self.params.base_latency,
+                        src, dst, tag, payload, nbytes, phase, layer, seq,
+                    )
 
-        self._deliver_at(deliver, src, dst, tag, payload, nbytes, now, phase, layer, seq)
+            Message(self, deliver, src, dst, tag, payload, nbytes, phase, layer, seq)
         return deliver
 
-    def _deliver_at(self, when, src, dst, tag, payload, nbytes, sent, phase, layer, seq=0):
-        # now + (when - now), not `when`: the arithmetic the event queue has
-        # always keyed deliveries on, kept to the bit.
-        now = self.engine.now
-        ev = Timeout(self.engine, max(when, now) - now)
-        # A partial, not a closure: a closure is a function plus one cell
-        # per captured name, a dozen GC-tracked objects per message in flight.
-        ev.callbacks.append(
-            partial(self._deliver, src, dst, tag, payload, nbytes, sent, phase, layer, seq)
-        )
-        if src != dst:
-            # Commutativity label for the model checker: two network
-            # deliveries conflict only when they land in the same mailbox
-            # within the same (phase, layer) step group — all protocol
-            # receives are tag-filtered on exactly those coordinates, so
-            # deliveries with different footprints commute and need not
-            # be reordered against each other.  Self-messages stay
-            # unlabeled: their relative order is fixed by program order
-            # on a single sequential node.
-            ev.footprint = ("mbox", dst, phase, layer)
-
-    def _deliver(self, src, dst, tag, payload, nbytes, sent, phase, layer, seq, _event):
-        alive = self._alive
-        if dst in self._crashed or (alive is not None and not alive(dst)):
-            self.dropped += 1
-            return
-        now = self.engine.now
-        self.mailboxes[dst].put(
-            Message(src, dst, tag, payload, nbytes, sent, now, phase, layer, seq)
-        )
+    def _inject(self, kind: str) -> None:
+        self.injected[kind] += 1
         if self._obs is not None:
-            self._obs.message_delivered(src, dst, nbytes, sent, now, phase, layer)
+            self._obs.counter("faults.injected").inc(kind=kind)
 
     def request_resend(self, requester: int, src: int, tag: Any, attempt: int = 1) -> bool:
         """Model a NACK from ``requester``: redeliver the cached payload
@@ -366,8 +418,11 @@ class Fabric:
             return None
         payload, nbytes, phase, layer, seq = entry
         self.injected["resent"] += 1
-        self._account_send(src, requester, nbytes, phase, layer)
-        self.stats.cell_ref(phase, layer).add_resent(nbytes)
+        cell = self._cell(phase, layer)
+        cell.add(nbytes, self_message=src == requester)
+        if self._obs is not None:
+            self._obs.message_sent(src, requester, nbytes, phase=phase, layer=layer)
+        cell.add_resent(nbytes)
         if self._obs is not None:
             self._obs.counter("faults.resent").inc(phase=phase, layer=layer)
         delay = (
@@ -378,14 +433,12 @@ class Fabric:
         if self._fault_plan is not None:
             decision = self._fault_plan.decide(src, requester, phase, layer, seq, attempt)
             if decision.drop:
-                self.injected["dropped"] += 1
-                if self._obs is not None:
-                    self._obs.counter("faults.injected").inc(kind="dropped")
+                self._inject("dropped")
                 return True
             delay += decision.delay
-        self._deliver_at(
-            self.engine.now + delay, src, requester, tag, payload,
-            nbytes, self.engine.now, phase, layer, seq,
+        Message(
+            self, self.engine.now + delay, src, requester, tag, payload,
+            nbytes, phase, layer, seq,
         )
         return True
 

@@ -65,12 +65,14 @@ class _Wire:
         self._timeout = timeout  # per audit fetch
         self._own = None
 
-    def send(self, dst: int, part, phase: str, layer: int) -> None:
-        self.obs.message_sent(self.rank, dst, payload_nbytes(part), phase=phase, layer=layer)
-        if dst == self.rank:
-            self._own = part  # never touches the wire
-        else:
-            self.net.post(dst, _KIND_OF[phase], layer, part, self.round)
+    def send(self, sends, phase: str, layer: int) -> None:
+        kind = _KIND_OF[phase]
+        for dst, part in sends:
+            self.obs.message_sent(self.rank, dst, payload_nbytes(part), phase=phase, layer=layer)
+            if dst == self.rank:
+                self._own = part  # never touches the wire
+            else:
+                self.net.post(dst, kind, layer, part, self.round)
 
     def recv(self, ex: core.Exchange, pos_of):
         """Block until one part per member arrived (or, degraded, was

@@ -23,6 +23,7 @@ from repro.cluster import Cluster
 from repro.faults import FaultPlan
 from repro.net import LocalKylix
 from repro.sparse import MultiplicativeHasher, union_with_maps
+from repro.verify.errors import ProtocolInvariantError
 from repro.verify.plan import build_plans, synthetic_spec
 from test_plan_golden import CASES as GOLDEN_CASES
 from test_plan_golden import equal_sets
@@ -105,6 +106,30 @@ def test_lockstep_pump_matches_dense_reduce(degrees, combined):
     ref = dense_reduce(spec, vals)
     for r in range(m):
         np.testing.assert_array_equal(out[r], ref[r])
+
+
+def test_a_hole_in_a_strict_up_pass_is_an_invariant_violation():
+    """Outside degraded completion every member's up part is required: a
+    ``None`` part raises instead of leaving its slice unwritten."""
+    degrees = [2, 2, 2]
+    m = 8
+    spec, vals = make_case(m, seed=3, integral=True)
+    topo, hasher = ButterflyTopology(degrees, m), MultiplicativeHasher()
+    configs = pump({r: core.down_pass(topo, hasher, spec, r) for r in range(m)})
+    plans = {r: plan for r, (plan, _, _) in configs.items()}
+    downs = pump({r: core.value_down_pass(plans[r], spec, vals[r]) for r in range(m)})
+    ups = {
+        r: core.up_pass(plans[r], spec, core.bottom_projection(plans[r], spec, v)[0])
+        for r, (v, _) in downs.items()
+    }
+
+    def drop_one(rank, ex, got):
+        if rank == 0 and ex.layer == 1:
+            got[1 - ex.pos] = None
+
+    with pytest.raises(ProtocolInvariantError) as err:
+        pump(ups, drop_one)
+    assert err.value.invariant == "up-reassembly"
 
 
 def test_pump_simulator_and_pipes_are_bit_identical():

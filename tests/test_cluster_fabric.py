@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, FailurePlan, TrafficStats
+from repro.allreduce import KylixAllreduce, ReduceSpec, dense_reduce
+from repro.cluster import Cluster, FailurePlan, Message, TrafficStats
 from repro.netmodel import EC2_LIKE, LOW_LATENCY, NetworkParams
 
 
@@ -151,6 +152,42 @@ class TestDelivery:
         c = make_cluster(2)
         with pytest.raises(ValueError):
             c.fabric.send(0, 1, None, -1)
+
+
+class TestMessageInFlight:
+    def test_a_message_in_flight_is_one_object(self):
+        """A queued delivery is the Message itself: it carries its payload,
+        has nothing on its callback list and derives its footprint."""
+        m = 8
+        rng = np.random.default_rng(0)
+        idx = {r: np.unique(rng.choice(200, 40)) for r in range(m)}
+        spec = ReduceSpec(in_indices=idx, out_indices=idx)
+        vals = {r: rng.integers(-9, 10, idx[r].size).astype(np.float64) for r in range(m)}
+        c = make_cluster(m)
+        net = KylixAllreduce(c, [2, 2, 2])
+        net.configure(spec)
+        inst = net.next_instance()
+        procs = [c.engine.process(net.node_reduce(c.node(r), vals, inst)) for r in range(m)]
+        # Start every node; each sends its two layer-1 parts, then waits.
+        queue = c.engine._queue
+        for _ in range(10 * m):
+            if sum(isinstance(ev, Message) for _, _, ev in queue) == 2 * m:
+                break
+            c.engine.step()
+        queued = [ev for _, _, ev in queue]
+        assert len(queued) == 2 * m
+        for msg in queued:
+            assert type(msg) is Message
+            assert isinstance(msg.payload, np.ndarray) and msg.payload.size
+            assert msg.callbacks == []
+            if msg.src == msg.dst:
+                assert msg.footprint is None
+            else:
+                assert msg.footprint == ("mbox", msg.dst, "reduce_down", 1)
+        c.engine.run_until_complete(*procs)
+        ref = dense_reduce(spec, vals)
+        for r, proc in enumerate(procs):
+            np.testing.assert_array_equal(proc.value, ref[r])
 
 
 class TestFailures:

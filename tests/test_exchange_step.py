@@ -209,3 +209,26 @@ def test_one_byte_count_and_one_span_shape_on_both_media():
     assert cells == sim_cells
     assert spans == sim_spans
     assert labels == sim_labels == [("combined_down", 1), ("combined_down", 2)]
+
+
+def test_an_idle_observer_is_never_called_by_the_step(monkeypatch):
+    """With observation off the step opens no span, formats no span name
+    and observes no histogram: a cached reduce and a combined run finish
+    with the disabled observer's span and histogram calls made to raise."""
+    from repro.obs.observer import NullObserver
+
+    def called(*args, **kwargs):
+        raise AssertionError("the exchange step called the disabled observer")
+
+    for name in ("begin", "end", "histogram"):
+        monkeypatch.setattr(NullObserver, name, called)
+    m, degrees = 8, [2, 4]
+    spec = synthetic_spec(m, n=300, seed=5)
+    rng = np.random.default_rng(5)
+    vals = {r: rng.integers(-9, 10, spec.out_indices[r].size).astype(np.float64) for r in range(m)}
+    ref = dense_reduce(spec, vals)
+    net = KylixAllreduce(Cluster(m), degrees)
+    net.configure(spec)
+    for out in (net.reduce(vals), net.allreduce_combined(spec, vals)):
+        for r in range(m):
+            np.testing.assert_array_equal(out[r], ref[r])
