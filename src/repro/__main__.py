@@ -33,10 +33,6 @@ COMMANDS: dict[str, tuple[str, str]] = {
         "prove plan coverage/conservation and gate traffic against the certificate",
     ),
     "lint": ("[paths...]", "run the repo-specific AST lint; exit 1 on findings"),
-    "races": (
-        "[--json] [--out FILE] [--mutant] [--allow ATTR]",
-        "static lock-order/shared-state analysis of the thread backends; exit 1 on findings",
-    ),
     "trace": (
         "[experiment] [--backend sim|local|tcp] [--kill N:PHASE:L] [--out FILE]",
         "run a named experiment observed; export a Chrome-trace JSON",
@@ -439,76 +435,6 @@ def _lint(args: list[str]) -> int:
         return 1
     print(f"lint clean  [rules: {rules}]")
     return 0
-
-
-def _races(args: list[str]) -> int:
-    import argparse
-    import json
-
-    from .verify import analyze_package, analyze_paths, analyze_source, mutant_source
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro races",
-        description="Static concurrency analysis: thread roots, the "
-        "lock-acquisition graph, and guarded-attribute races.",
-    )
-    parser.add_argument(
-        "paths", nargs="*", help="files/dirs to analyze (default: the repro package)"
-    )
-    parser.add_argument("--json", action="store_true", help="print the JSON report")
-    parser.add_argument("--out", metavar="FILE", help="write the JSON report to FILE")
-    parser.add_argument(
-        "--mutant",
-        action="store_true",
-        help="analyze the seeded AB/BA inversion fixture instead (must FAIL; "
-        "the analyzer's own self-test)",
-    )
-    parser.add_argument(
-        "--allow",
-        action="append",
-        default=[],
-        metavar="CLS.ATTR",
-        help="treat accesses to this attribute as vetted (repeatable)",
-    )
-    opts = parser.parse_args(args)
-    if opts.mutant:
-        report = analyze_source(mutant_source(), "mutant.py", allow=opts.allow)
-    elif opts.paths:
-        from pathlib import Path
-
-        report = analyze_paths([Path(p) for p in opts.paths], allow=opts.allow)
-    else:
-        report = analyze_package(allow=opts.allow)
-    if opts.json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(
-            f"{len(report.roots)} thread root(s), {len(report.locks)} lock(s), "
-            f"{len(report.edges)} acquisition edge(s)"
-        )
-        for root in report.roots:
-            print(f"  root: {root.func} [{root.kind}] spawned at {root.spawned_at}")
-        for edge in report.edges:
-            print(f"  edge: {edge.src} -> {edge.dst} (x{edge.count})")
-        for finding in report.cycles:
-            print(f"\nPOTENTIAL DEADLOCK [{finding.kind}]")
-            print(f"  {finding.message}")
-            for site in finding.sites:
-                print(f"    {site}")
-        for finding in report.races:
-            print(f"\nPOTENTIAL RACE [{finding.kind}]")
-            print(f"  {finding.message}")
-            for site in finding.sites:
-                print(f"    {site}")
-        if report.suppressed:
-            print(f"\n{report.suppressed} access(es) suppressed by '# conc: ok' pragmas")
-        if not report.findings:
-            print("no lock-order cycles, no unguarded shared-state access")
-    if opts.out:
-        with open(opts.out, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        print(f"written: {opts.out}")
-    return 1 if report.findings else 0
 
 
 def _trace(args: list[str]) -> int:
@@ -1243,7 +1169,7 @@ def _serve(args: list[str]) -> int:
 
     from .allreduce import dense_reduce
     from .cluster import Cluster
-    from .service import ReduceService
+    from .service import ReduceService, ServiceOverloaded
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -1269,7 +1195,7 @@ def _serve(args: list[str]) -> int:
         help="total reduces, submitted round-robin across streams (default: 9)",
     )
     parser.add_argument(
-        "--slots", type=int, default=4, help="service concurrency slots"
+        "--slots", type=int, default=4, help="sim: protocol instances per wave"
     )
     parser.add_argument(
         "--queue-depth", type=int, default=16, help="admission-queue bound"
@@ -1300,7 +1226,12 @@ def _serve(args: list[str]) -> int:
             name = f"stream-{j % opts.streams}"
             spec, idx = specs[name]
             values = {r: rng.normal(size=idx[r].size) for r in range(m)}
-            futures.append((name, values, svc.submit(name, values)))
+            try:
+                fut = svc.submit(name, values)
+            except ServiceOverloaded:
+                svc.drain()  # backpressure: run the queue, then resubmit
+                fut = svc.submit(name, values)
+            futures.append((name, values, fut))
         bad = 0
         for name, values, fut in futures:
             out = fut.result()
@@ -1454,8 +1385,6 @@ def main(argv: list[str]) -> int:
         return _certify(rest)
     if cmd == "lint":
         return _lint(rest)
-    if cmd == "races":
-        return _races(rest)
     if cmd == "trace":
         return _trace(rest)
     if cmd == "analyze":

@@ -276,7 +276,10 @@ def _decode(body, ctl: bool):
         elif items:
             arrays.append(np.frombuffer(body, dtype, items, pos).reshape(shape))
         else:
-            arrays.append(np.empty(shape, dtype))
+            try:  # no bytes, but numpy still refuses a shape whose other dims overflow
+                arrays.append(np.empty(shape, dtype))
+            except ValueError:
+                raise FrameError(f"an empty array of impossible shape {shape}") from None
         pos += nbytes + (-nbytes % 8)
     if pos != size:
         raise FrameError(f"{size - pos} trailing bytes after the frame's arrays")

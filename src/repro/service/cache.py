@@ -27,7 +27,6 @@ amortization directly.
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence
@@ -35,7 +34,6 @@ from typing import Any, Dict, Optional, Sequence
 import numpy as np
 
 from ..obs import NULL_OBSERVER
-from ..verify.watchlock import watched_lock
 
 __all__ = ["spec_fingerprint", "CacheEntry", "ConfigCache"]
 
@@ -85,11 +83,10 @@ class CacheEntry:
 class ConfigCache:
     """Bounded LRU of memoised configurations, instrumented.
 
-    Thread-safe: the service's threaded backends consult it from
-    submitter threads.  All four ``config.cache.*`` counters are emitted
-    through ``obs`` (a no-op on the shared ``NULL_OBSERVER``), and the
-    same tallies are kept as plain attributes so un-observed callers can
-    still read :attr:`stats`.
+    All four ``config.cache.*`` counters are emitted through ``obs`` (a
+    no-op on the shared ``NULL_OBSERVER``), and the same tallies are kept
+    as plain attributes so un-observed callers can still read
+    :attr:`stats`.
     """
 
     def __init__(self, maxsize: int = 8, *, obs=NULL_OBSERVER):
@@ -98,7 +95,6 @@ class ConfigCache:
         self.maxsize = int(maxsize)
         self.obs = obs
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
-        self._lock = watched_lock("service.cache.ConfigCache._lock")
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -113,27 +109,25 @@ class ConfigCache:
     def lookup(self, fingerprint: str) -> Optional[CacheEntry]:
         """One cache consult: returns the entry (freshened to MRU) or
         ``None``, emitting ``config.cache.hits`` / ``.misses``."""
-        with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                self.misses += 1
-                self.obs.counter("config.cache.misses").inc(phase="config")
-                return None
-            self._entries.move_to_end(fingerprint)
-            self.hits += 1
-            self.obs.counter("config.cache.hits").inc(phase="config")
-            return entry
+        entry = self._entries.get(fingerprint)
+        if entry is None:
+            self.misses += 1
+            self.obs.counter("config.cache.misses").inc(phase="config")
+            return None
+        self._entries.move_to_end(fingerprint)
+        self.hits += 1
+        self.obs.counter("config.cache.hits").inc(phase="config")
+        return entry
 
     def store(self, fingerprint: str, plans: Dict[int, Any], spec: Any = None) -> CacheEntry:
         """Memoise a configuration; LRU-evicts past :attr:`maxsize`."""
         entry = CacheEntry(fingerprint=fingerprint, plans=plans, spec=spec)
-        with self._lock:
-            self._entries[fingerprint] = entry
-            self._entries.move_to_end(fingerprint)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                self.obs.counter("config.cache.evictions").inc(phase="config")
+        self._entries[fingerprint] = entry
+        self._entries.move_to_end(fingerprint)
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+            self.obs.counter("config.cache.evictions").inc(phase="config")
         return entry
 
     def invalidate(self, fingerprint: str) -> None:
@@ -144,28 +138,23 @@ class ConfigCache:
         never serve the drifted pattern), so an A → B → A epoch replay
         still hits; capacity pressure retires it through plain LRU.
         """
-        with self._lock:
-            self.invalidations += 1
-            self.obs.counter("config.cache.invalidations").inc(phase="config")
+        self.invalidations += 1
+        self.obs.counter("config.cache.invalidations").inc(phase="config")
 
     def evict(self, fingerprint: str) -> bool:
         """Drop one entry explicitly (counts as an eviction)."""
-        with self._lock:
-            if self._entries.pop(fingerprint, None) is None:
-                return False
-            self.evictions += 1
-            self.obs.counter("config.cache.evictions").inc(phase="config")
-            return True
+        if self._entries.pop(fingerprint, None) is None:
+            return False
+        self.evictions += 1
+        self.obs.counter("config.cache.evictions").inc(phase="config")
+        return True
 
     @property
     def stats(self) -> Dict[str, int]:
-        # Snapshot under the lock: the counters are bumped by service
-        # worker threads, and a torn read here skews the SLO hit-rate.
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-                "size": len(self._entries),
-            }
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "invalidations": self.invalidations,
+            "size": len(self._entries),
+        }

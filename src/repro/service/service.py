@@ -15,15 +15,20 @@ the load shape:
 * **Concurrent streams** — on the simulator backend, queued submissions
   from many streams execute inside *one* cluster run as concurrent
   protocol generators (distinct instance tags keep them from
-  cross-talking); on the forked backends (``local`` / ``tcp``) a bounded
-  worker pool drives one backend reduce per job.  Results are
+  cross-talking); on the forked backends (``local`` / ``tcp``) each job
+  is one backend reduce, run in submission order.  Results are
   bit-identical to sequential execution because merges are position-map
   driven, never arrival-order driven.
 * **Admission control** — the submission queue is bounded
-  (``queue_depth``); when streams outrun the service's slots,
-  :meth:`submit` raises :class:`ServiceOverloaded` instead of queueing
-  without bound.  That is the backpressure contract: the caller sheds or
-  retries, the service never hides an unbounded queue.
+  (``queue_depth``); when the queue is full, :meth:`submit` raises
+  :class:`ServiceOverloaded` before it touches the stream or the cache.
+  That is the backpressure contract: the caller sheds or retries, the
+  service never hides an unbounded queue.
+
+Everything runs on the caller's thread: queued jobs run when a result is
+asked for (:meth:`ReduceFuture.result`), on :meth:`ReduceService.drain`
+or on :meth:`ReduceService.close`.  The service is not thread-safe; one
+thread drives it.
 
 Minibatch pipelining (reduce ``k+1``'s scatter overlapping reduce
 ``k``'s allgather) is exposed as :meth:`ReduceService.submit_pipelined`
@@ -36,10 +41,8 @@ semantics in detail.
 
 from __future__ import annotations
 
-import queue
-import threading
-import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -48,7 +51,6 @@ from ..allreduce import KylixAllreduce, ReduceSpec
 from ..obs import NULL_OBSERVER
 from ..simul import AllOf
 from ..sparse import MultiplicativeHasher
-from ..verify.watchlock import watched_lock
 from .cache import ConfigCache, spec_fingerprint
 from .pipeline import pipelined_reduces
 
@@ -62,9 +64,6 @@ __all__ = [
 
 BACKENDS = ("sim", "local", "tcp")
 
-#: Worker-pool shutdown sentinel (one per worker thread).
-_STOP = object()
-
 
 class ServiceOverloaded(RuntimeError):
     """Admission control rejected a submit: the bounded queue is full."""
@@ -75,18 +74,18 @@ class ServiceClosed(RuntimeError):
 
 
 class ReduceFuture:
-    """Handle for one in-flight reduce.
+    """Handle for one queued reduce.
 
-    ``result()`` blocks until the value is ready; on the simulator
-    backend it drives :meth:`ReduceService.drain` first (the simulator
-    is single-threaded — somebody has to turn the crank).
+    ``result()`` runs the service's queue (:meth:`ReduceService.drain`)
+    if this reduce has not run yet, then returns its value or raises its
+    error.
     """
 
     def __init__(self, service: "ReduceService", stream: "ReduceStream", seq: int):
         self.stream = stream
         self.seq = seq  # per-stream submission sequence number
         self._service = service
-        self._evt = threading.Event()
+        self._done = False
         self._value: Any = None
         self._error: Optional[BaseException] = None
         # Observer-clock admission timestamp (set by submit); feeds the
@@ -94,21 +93,16 @@ class ReduceFuture:
         self.submitted_at: Optional[float] = None
 
     def done(self) -> bool:
-        return self._evt.is_set()
+        return self._done
 
     def _resolve(self, value: Any = None, error: Optional[BaseException] = None) -> None:
         self._value = value
         self._error = error
-        self._evt.set()
+        self._done = True
 
-    def result(self, timeout: Optional[float] = None):
-        if not self._evt.is_set():
-            self._service._make_progress()
-        budget = timeout if timeout is not None else self._service.result_timeout
-        if not self._evt.wait(budget):  # lint: ok — bounded wait
-            raise TimeoutError(
-                f"reduce {self.stream.name}#{self.seq} not done within {budget}s"
-            )
+    def result(self):
+        if not self._done:
+            self._service.drain()
         if self._error is not None:
             raise self._error
         return self._value
@@ -141,8 +135,8 @@ class ReduceService:
     degrees:
         Butterfly degree stack shared by every stream.
     slots:
-        Concurrency: jobs executed per simulator wave, or worker threads
-        on the forked backends.
+        Protocol instances per simulator wave (no effect on the forked
+        backends, which run one job at a time).
     queue_depth:
         Bound of the admission queue; a full queue raises
         :class:`ServiceOverloaded` (emitted as ``service.rejected``).
@@ -164,9 +158,6 @@ class ReduceService:
         cache_size: int = 8,
         retry=None,
         obs=None,
-        result_timeout: float = 120.0,
-        admission_timeout: float = 0.0,
-        net_kwargs: Optional[Dict[str, Any]] = None,
     ):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
@@ -180,9 +171,6 @@ class ReduceService:
         self.slots = int(slots)
         self.queue_depth = int(queue_depth)
         self.retry = retry
-        self.result_timeout = float(result_timeout)
-        self.admission_timeout = float(admission_timeout)
-        self.net_kwargs = dict(net_kwargs or {})
         if obs is not None:
             self.obs = obs
         elif backend == "sim":
@@ -192,10 +180,9 @@ class ReduceService:
         self.cache = ConfigCache(cache_size, obs=self.obs)
         self._multiplier = MultiplicativeHasher().multiplier
         self.streams: Dict[str, ReduceStream] = {}
-        # Admission queue: the bounded-queue backpressure contract.
-        self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_depth)
-        self._lock = watched_lock("service.service.ReduceService._lock")
-        self._workers: List[threading.Thread] = []
+        # Admission queue of (stream, values, future) jobs: submit checks
+        # its length against queue_depth before it appends.
+        self._queue: deque = deque(maxlen=self.queue_depth)
         self._closed = False
         self.stats = {"submitted": 0, "completed": 0, "rejected": 0}
 
@@ -221,11 +208,7 @@ class ReduceService:
     def _make_net(self, name: str):
         if self.backend == "sim":
             return KylixAllreduce(
-                self.cluster,
-                self.degrees,
-                retry=self.retry,
-                name=f"svc:{name}",
-                **self.net_kwargs,
+                self.cluster, self.degrees, retry=self.retry, name=f"svc:{name}"
             )
         if self.backend == "local":
             from ..net.local import LocalKylix
@@ -235,10 +218,7 @@ class ReduceService:
             from ..net.tcp import TcpKylix
 
             cls = TcpKylix
-        kwargs = dict(self.net_kwargs)
-        if self.retry is not None:
-            kwargs.setdefault("retry", self.retry)
-        return cls(degrees=self.degrees, **kwargs)
+        return cls(degrees=self.degrees, retry=self.retry)
 
     def _stream(self, stream: Union[str, ReduceStream]) -> ReduceStream:
         if isinstance(stream, ReduceStream):
@@ -253,6 +233,9 @@ class ReduceService:
         fp = spec_fingerprint(spec, self.degrees, multiplier=self._multiplier)
         if fp == stream.fingerprint:
             return
+        # Queued jobs were submitted against the old pattern: run them
+        # before the stream is rebound under them.
+        self.drain()
         self.cache.invalidate(stream.fingerprint)
         stream.spec = spec
         stream.fingerprint = fp
@@ -291,36 +274,28 @@ class ReduceService:
 
         ``spec`` re-binds the stream when its sparsity pattern drifted
         (recorded as a ``config.cache.invalidations`` event).  Raises
-        :class:`ServiceOverloaded` when the bounded queue stays full past
-        ``admission_timeout``.
+        :class:`ServiceOverloaded` when the bounded queue is full; a
+        rejected submit leaves the stream and the cache untouched.
         """
         self._check_open()
         st = self._stream(stream)
-        if spec is not None:
-            self._drift(st, spec)
-        self._ensure_configured(st)
-        fut = ReduceFuture(self, st, st.submitted)
-        job = ("reduce", st, values, fut)
-        try:
-            if self.admission_timeout > 0:
-                self._queue.put(job, timeout=self.admission_timeout)
-            else:
-                self._queue.put_nowait(job)
-        except queue.Full:
-            with self._lock:
-                self.stats["rejected"] += 1
+        if len(self._queue) >= self.queue_depth:
+            self.stats["rejected"] += 1
             self.obs.counter("service.rejected").inc(stream=st.name)
             raise ServiceOverloaded(
                 f"stream {st.name!r}: admission queue full "
                 f"({self.queue_depth} pending)"
-            ) from None
+            )
+        if spec is not None:
+            self._drift(st, spec)
+        self._ensure_configured(st)
+        fut = ReduceFuture(self, st, st.submitted)
+        self._queue.append((st, values, fut))
         st.submitted += 1
-        with self._lock:
-            self.stats["submitted"] += 1
+        self.stats["submitted"] += 1
         self.obs.counter("service.submitted").inc(stream=st.name)
         fut.submitted_at = self.obs.now()
         self._sample_slo()
-        self._start_workers()
         return fut
 
     def reduce(
@@ -355,16 +330,14 @@ class ReduceService:
             self._ensure_configured(st)
         self._sample_slo()
         st.submitted += len(batches)
-        with self._lock:
-            self.stats["submitted"] += len(batches)
+        self.stats["submitted"] += len(batches)
         self.obs.counter("service.submitted").inc(len(batches), stream=st.name)
         if self.backend == "sim":
             results = pipelined_reduces(st.net, batches, depth=depth)
         else:
             results = st.net.allreduce_rounds(st.spec, batches)
         st.completed += len(batches)
-        with self._lock:
-            self.stats["completed"] += len(batches)
+        self.stats["completed"] += len(batches)
         self.obs.counter("service.completed").inc(len(batches), stream=st.name)
         return results
 
@@ -373,8 +346,8 @@ class ReduceService:
         """Refresh the sampled SLO gauges: queue depth (on every submit
         and completion — the docstring's queue-depth visibility) and the
         config-cache hit-rate trend."""
-        self.obs.gauge("service.queue.depth").set(float(self._queue.qsize()))
-        cache = self.cache.stats  # locked snapshot: no torn hits/misses pair
+        self.obs.gauge("service.queue.depth").set(float(len(self._queue)))
+        cache = self.cache.stats
         consults = cache["hits"] + cache["misses"]
         if consults:
             self.obs.gauge("slo.cache.hit_rate").set(cache["hits"] / consults)
@@ -390,39 +363,35 @@ class ReduceService:
         if self._closed:
             raise ServiceClosed("the service is closed")
 
-    def _make_progress(self) -> None:
-        """Called by futures: sim drains inline, forked backends have
-        worker threads already turning the crank."""
-        if self.backend == "sim":
-            self.drain()
-
     def drain(self) -> int:
-        """Execute every queued job (sim backend); returns the count.
+        """Run every queued job on the caller's thread; returns the count.
 
-        Jobs run in waves of up to ``slots``: one simulated-cluster run
-        per wave, every job in the wave a concurrent protocol instance.
+        On the simulator, jobs run in waves of up to ``slots``: one
+        simulated-cluster run per wave, every job in the wave a
+        concurrent protocol instance.  On the forked backends each job
+        is one backend reduce, in submission order; a failing job
+        resolves only its own future.
         """
-        if self.backend != "sim":
-            return 0
         done = 0
-        while True:
-            jobs = []
-            while len(jobs) < self.slots:
-                try:
-                    jobs.append(self._queue.get_nowait())
-                except queue.Empty:
-                    break
-            if not jobs:
-                return done
-            self._run_wave_sim(jobs)
-            done += len(jobs)
+        while self._queue:
+            if self.backend == "sim":
+                n = min(self.slots, len(self._queue))
+                self._run_wave_sim([self._queue.popleft() for _ in range(n)])
+            else:
+                n = 1
+                self._run_forked(*self._queue.popleft())
+            done += n
+        return done
+
+    def _complete(self, st: ReduceStream, fut: ReduceFuture, value) -> None:
+        fut._resolve(value=value)
+        st.completed += 1
+        self.stats["completed"] += 1
+        self.obs.counter("service.completed").inc(stream=st.name)
+        self._observe_latency(st, fut)
 
     def _run_wave_sim(self, jobs) -> None:
-        protos = []
-        for kind, st, values, fut in jobs:
-            if kind != "reduce":
-                raise RuntimeError(f"unexpected job kind {kind!r} on the sim queue")
-            protos.append((st.net, values, st.net.next_instance()))
+        protos = [(st.net, values, st.net.next_instance()) for st, values, _ in jobs]
 
         def wave_proto(node):
             engine = node.engine
@@ -436,67 +405,31 @@ class ReduceService:
         try:
             raw = self.cluster.run(wave_proto)
         except BaseException as exc:
-            for _, st, _, fut in jobs:
+            for _, _, fut in jobs:
                 fut._resolve(error=exc)
             raise
-        for j, (_, st, _, fut) in enumerate(jobs):
-            fut._resolve(value={rank: raw[rank][j] for rank in raw})
-            st.completed += 1
-            with self._lock:
-                self.stats["completed"] += 1
-            self.obs.counter("service.completed").inc(stream=st.name)
-            self._observe_latency(st, fut)
+        for j, (st, _, fut) in enumerate(jobs):
+            self._complete(st, fut, {rank: raw[rank][j] for rank in raw})
         self._sample_slo()
 
-    def _start_workers(self) -> None:
-        if self.backend == "sim":
+    def _run_forked(self, st: ReduceStream, values, fut: ReduceFuture) -> None:
+        try:
+            result = st.net.allreduce(st.spec, values)
+        except Exception as exc:
+            fut._resolve(error=exc)
             return
-        # The started-already check lives inside the lock: the old
-        # double-checked read raced a concurrent first submit and could
-        # start two full worker pools.
-        with self._lock:
-            if self._workers:
-                return
-            for i in range(self.slots):
-                t = threading.Thread(
-                    target=self._worker_loop, name=f"reduce-svc-{i}", daemon=True
-                )
-                t.start()
-                self._workers.append(t)
-
-    def _worker_loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is _STOP:
-                return
-            _, st, values, fut = job
-            try:
-                result = st.net.allreduce(st.spec, values)
-            except BaseException as exc:
-                fut._resolve(error=exc)
-                continue
-            fut._resolve(value=result)
-            st.completed += 1
-            with self._lock:
-                self.stats["completed"] += 1
-            self.obs.counter("service.completed").inc(stream=st.name)
-            self._observe_latency(st, fut)
-            self._sample_slo()
+        except BaseException as exc:  # an interrupt stops the drain too
+            fut._resolve(error=exc)
+            raise
+        self._complete(st, fut, result)
+        self._sample_slo()
 
     def close(self) -> None:
-        """Stop accepting work; drain sim jobs, stop worker threads."""
+        """Stop accepting work and run what is still queued."""
         if self._closed:
             return
         self._closed = True
-        if self.backend == "sim":
-            self.drain()
-        else:
-            with self._lock:
-                workers = list(self._workers)
-            for _ in workers:
-                self._queue.put(_STOP)
-            for t in workers:
-                t.join(timeout=self.result_timeout)
+        self.drain()
 
     def __enter__(self) -> "ReduceService":
         return self

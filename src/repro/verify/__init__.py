@@ -17,13 +17,6 @@ Two engines, no simulation required for either:
   asserts in library code, explicit accumulator dtypes, declared
   ``__all__``).  CLI: ``python -m repro lint``.
 
-Beside them, the **concurrency analyzer** — :mod:`repro.verify.threads`
-extracts the package's thread roots, lock-acquisition graph and
-guarded-attribute sets from the AST, reporting lock-order cycles and
-unguarded shared state; :mod:`repro.verify.watchlock` is the runtime half
-(the ``REPRO_LOCK_SANITIZER`` witness mode).  CLI: ``python -m repro
-races``.
-
 :class:`ProtocolInvariantError` is re-exported here; library modules
 should import it from :mod:`repro.verify.errors` directly (that module
 is dependency-free, so the import can never cycle).  The checker and
@@ -64,20 +57,6 @@ __all__ = [
     "plan_fingerprint",
     "density_spec",
     "emit_certificate_metrics",
-    "ThreadRoot",
-    "LockEdge",
-    "ConcFinding",
-    "ConcReport",
-    "analyze_package",
-    "analyze_paths",
-    "analyze_source",
-    "mutant_source",
-    "LockOrderViolation",
-    "LockWatchdog",
-    "WatchedLock",
-    "watched_lock",
-    "global_watchdog",
-    "sanitizer_enabled",
 ]
 
 _LAZY = {
@@ -109,20 +88,6 @@ _LAZY = {
     "plan_fingerprint": "flow",
     "density_spec": "flow",
     "emit_certificate_metrics": "flow",
-    "ThreadRoot": "threads",
-    "LockEdge": "threads",
-    "ConcFinding": "threads",
-    "ConcReport": "threads",
-    "analyze_package": "threads",
-    "analyze_paths": "threads",
-    "analyze_source": "threads",
-    "mutant_source": "threads",
-    "LockOrderViolation": "watchlock",
-    "LockWatchdog": "watchlock",
-    "WatchedLock": "watchlock",
-    "watched_lock": "watchlock",
-    "global_watchdog": "watchlock",
-    "sanitizer_enabled": "watchlock",
 }
 
 

@@ -15,7 +15,6 @@ from .mutable_defaults import NoMutableDefaultArgRule
 from .noprint import NoPrintRule
 from .sockets import SocketTimeoutRule
 from .spans import SpanBalanceRule
-from .threads_discipline import NoUnjoinedThreadRule
 from .timeouts import ExplicitTimeoutRule
 from .unbounded_queue import NoUnboundedQueueRule
 
@@ -33,7 +32,6 @@ __all__ = [
     "NoUnboundedQueueRule",
     "SocketTimeoutRule",
     "SpanBalanceRule",
-    "NoUnjoinedThreadRule",
 ]
 
 RULES = [
@@ -49,5 +47,4 @@ RULES = [
     NoUnboundedQueueRule,
     SocketTimeoutRule,
     SpanBalanceRule,
-    NoUnjoinedThreadRule,
 ]

@@ -119,41 +119,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["explore", "--nodes", "1"])
 
-    def test_races_clean_package_exits_zero(self, capsys):
-        assert cli_main(["races"]) == 0
+    def test_serve_sheds_load_past_the_queue_bound(self, capsys):
+        argv = ["serve", "--nodes", "4", "--degrees", "2,2", "--n", "200",
+                "--reduces", "6", "--queue-depth", "2"]
+        assert cli_main(argv) == 0
         out = capsys.readouterr().out
-        assert "no lock-order cycles, no unguarded shared-state access" in out
-        assert "thread root(s)" in out
-        # A node runs no thread and takes no lock: only the service does.
-        assert "service.service.ReduceService._worker_loop [thread-target]" in out
-        assert not any(
-            f"{pkg}." in line and "[thread-target]" in line
-            for line in out.splitlines()
-            for pkg in ("net", "obs")
-        )
-
-    def test_races_mutant_exits_one_and_names_both_paths(self, capsys, tmp_path):
-        import json
-
-        report = tmp_path / "races.json"
-        assert cli_main(["races", "--mutant", "--out", str(report)]) == 1
-        out = capsys.readouterr().out
-        assert "POTENTIAL DEADLOCK [lock-order-cycle]" in out
-        assert "Inverted.flip" in out and "Inverted.flop" in out
-        doc = json.loads(report.read_text())
-        assert doc["schema"] == "kylix-races-v1"
-        assert doc["ok"] is False
-        assert doc["cycles"]
-
-    def test_races_json_report_is_valid(self, capsys):
-        import json
-
-        assert cli_main(["races", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "kylix-races-v1"
-        assert doc["ok"] is True
-        assert "service.service.ReduceService._lock" in doc["locks"]
-        assert not [lock for lock in doc["locks"] if lock.startswith(("net.", "obs."))]
+        assert "6 submitted, 2 rejected" in out and "exact: yes" in out
 
     def test_perf_rejects_unknown_experiment(self, capsys):
         with pytest.raises(SystemExit):

@@ -275,6 +275,18 @@ class TestHostileBytes:
                 for a in arrays_of(frame):
                     assert a.dtype is DTYPES[DTYPES.index(a.dtype)]
 
+    def test_empty_array_with_an_overflowing_shape_is_a_frame_error(self):
+        # a msg frame whose one array has ndim 5, a zero dim and dims whose
+        # product overflows: no bytes to read, but numpy cannot build it
+        data = bytes.fromhex(
+            "00000060040000010100000000000000000000000000000009000000000000"
+            "00000000000000000000000000000000000805000300000000000000000000"
+            "0000000000000001000000000000000200000000000000030000000000000004"
+            "00000000000000"
+        )
+        with pytest.raises(FrameError, match="impossible shape"):
+            _decode_all(data, 1)
+
     @given(st.integers(MAX_FRAME_BYTES + 1, (1 << 32) - 1), st.binary(max_size=64))
     @settings(max_examples=50)
     def test_over_cap_prefix_allocates_nothing(self, length, tail):

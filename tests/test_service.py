@@ -4,6 +4,8 @@ under a jittered scheduler, bounded-queue backpressure, minibatch
 pipelining, the throughput benchmark's acceptance numbers, and the
 service-fed SGD loop."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,20 @@ class TestDriftInvalidation:
         assert svc.cache.stats["misses"] == 2
         assert svc.cache.stats["hits"] == 1
 
+    def test_drift_runs_the_jobs_queued_on_the_old_pattern_first(self):
+        m = 4
+        spec_a = random_spec(m, 200, 0.1, 0)
+        spec_b = random_spec(m, 200, 0.1, 1)
+        svc = ReduceService(cluster=Cluster(m), degrees=[2, 2])
+        stream = svc.open_stream("s", spec_a)
+        vals_a, vals_b = random_values(spec_a, 1), random_values(spec_b, 2)
+        fut_a = svc.submit(stream, vals_a)
+        fut_b = svc.submit(stream, vals_b, spec=spec_b)
+        for spec, vals, fut in ((spec_a, vals_a, fut_a), (spec_b, vals_b, fut_b)):
+            out, ref = fut.result(), dense_reduce(spec, vals)
+            for r in range(m):
+                np.testing.assert_allclose(out[r], ref[r], atol=1e-12)
+
     def test_rebinding_name_to_new_pattern_requires_explicit_drift(self):
         svc = ReduceService(cluster=Cluster(4), degrees=[2, 2])
         svc.open_stream("s", random_spec(4, 200, 0.1, 0))
@@ -224,9 +240,15 @@ class TestBackpressure:
         vals = random_values(spec, 1)
         f1 = svc.submit(stream, vals)
         f2 = svc.submit(stream, vals)
-        with pytest.raises(ServiceOverloaded):
-            svc.submit(stream, vals)
-        assert svc.stats["rejected"] == 1
+        cache_before = svc.cache.stats
+        for respec in ({}, {"spec": random_spec(m, 200, 0.1, 9)}):
+            with pytest.raises(ServiceOverloaded):
+                svc.submit(stream, vals, **respec)
+            # admission comes first: a rejected submit neither consults
+            # the cache nor rebinds the stream
+            assert svc.cache.stats == cache_before
+            assert stream.spec is spec
+        assert svc.stats["rejected"] == 2
         # draining the queue restores admission
         ref = dense_reduce(spec, vals)
         for fut in (f1, f2):
@@ -375,3 +397,40 @@ class TestLocalBackendService:
         ref0 = dense_reduce(spec, rounds[0])
         for r in range(m):
             np.testing.assert_allclose(single[r], ref0[r], atol=1e-12)
+
+    def test_forked_service_starts_no_thread(self):
+        m, degrees = 4, [2, 2]
+        spec = random_spec(m, 300, 0.1, 43)
+        vals = random_values(spec, 90)
+        threads = threading.active_count()
+        with ReduceService(backend="local", degrees=degrees, slots=4) as svc:
+            fut = svc.submit(svc.open_stream("s", spec), vals)
+            assert threading.active_count() == threads
+            out = fut.result()
+            assert threading.active_count() == threads
+        ref = dense_reduce(spec, vals)
+        for r in range(m):
+            np.testing.assert_allclose(out[r], ref[r], atol=1e-12)
+
+    def test_a_failing_job_fails_only_its_own_future(self):
+        m, degrees = 4, [2, 2]
+        spec_0 = random_spec(m, 300, 0.1, 44)
+        spec_1 = random_spec(m, 300, 0.1, 45)
+        vals_0, vals_1 = random_values(spec_0, 91), random_values(spec_1, 92)
+        short = {r: v for r, v in random_values(spec_1, 93).items() if r != m - 1}
+        with ReduceService(backend="local", degrees=degrees) as svc:
+            svc.open_stream("s0", spec_0)
+            svc.open_stream("s1", spec_1)
+            futures = [
+                svc.submit("s0", vals_0),
+                svc.submit("s1", short),
+                svc.submit("s1", vals_1),
+            ]
+            with pytest.raises(KeyError):
+                futures[1].result()
+            assert futures[0].done() and futures[2].done()
+            for spec, vals, fut in ((spec_0, vals_0, futures[0]), (spec_1, vals_1, futures[2])):
+                out, ref = fut.result(), dense_reduce(spec, vals)
+                for r in range(m):
+                    np.testing.assert_allclose(out[r], ref[r], atol=1e-12)
+            assert svc.stats["completed"] == 2

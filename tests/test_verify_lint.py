@@ -16,7 +16,6 @@ from repro.verify.rules import (
     NoMutableDefaultArgRule,
     NoPrintRule,
     NoUnboundedQueueRule,
-    NoUnjoinedThreadRule,
     NoUnseededRngRule,
     NoWallClockRule,
     SocketTimeoutRule,
@@ -506,104 +505,6 @@ class TestRuleFixtures:
             lint_file(path, [NoUnboundedQueueRule()], relpath="obs/fixture.py") == []
         )
 
-    def test_no_unjoined_thread_fires_on_fire_and_forget(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            """
-            __all__ = []
-            import threading
-
-            def launch(fn):
-                t = threading.Thread(target=fn)
-                t.start()
-                return t
-            """,
-        )
-        findings = lint_file(path, [NoUnjoinedThreadRule()], relpath="net/fixture.py")
-        assert rules_fired(findings) == {"no-unjoined-thread"}
-        assert "shutdown story" in findings[0].message
-
-    def test_no_unjoined_thread_accepts_join_with_timeout(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            """
-            __all__ = []
-            import threading
-
-            def run(fn):
-                t = threading.Thread(target=fn)
-                t.start()
-                t.join(timeout=1.0)
-            """,
-        )
-        assert lint_file(path, [NoUnjoinedThreadRule()], relpath="net/fixture.py") == []
-
-    def test_no_unjoined_thread_unbounded_join_is_no_evidence(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            """
-            __all__ = []
-            import threading
-
-            def run(fn):
-                t = threading.Thread(target=fn)
-                t.start()
-                t.join()
-            """,
-        )
-        findings = lint_file(path, [NoUnjoinedThreadRule()], relpath="net/fixture.py")
-        assert rules_fired(findings) == {"no-unjoined-thread"}
-
-    def test_no_unjoined_thread_accepts_daemon_with_stop_event(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            """
-            __all__ = []
-            import threading
-
-            class Sampler:
-                def __init__(self):
-                    self._stop = threading.Event()
-                    self._t = threading.Thread(target=self._loop, daemon=True)
-
-                def _loop(self):
-                    while not self._stop.wait(0.1):
-                        pass
-            """,
-        )
-        assert lint_file(path, [NoUnjoinedThreadRule()], relpath="obs/fixture.py") == []
-
-    def test_no_unjoined_thread_daemon_without_event_fires(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            """
-            __all__ = []
-            import threading
-
-            def spin(fn):
-                t = threading.Thread(target=fn, daemon=True)
-                t.start()
-            """,
-        )
-        findings = lint_file(path, [NoUnjoinedThreadRule()], relpath="net/fixture.py")
-        assert rules_fired(findings) == {"no-unjoined-thread"}
-
-    def test_no_unjoined_thread_str_join_is_not_evidence(self, tmp_path):
-        path = write_fixture(
-            tmp_path,
-            """
-            __all__ = []
-            import threading
-
-            def run(fn, parts):
-                t = threading.Thread(target=fn)
-                t.start()
-                return ", ".join(parts)
-            """,
-        )
-        findings = lint_file(path, [NoUnjoinedThreadRule()], relpath="net/fixture.py")
-        assert rules_fired(findings) == {"no-unjoined-thread"}
-
     def test_syntax_error_is_reported_not_raised(self, tmp_path):
         path = write_fixture(tmp_path, "def broken(:\n")
         findings = lint_file(path)
@@ -634,7 +535,6 @@ class TestPackageClean:
             "no-unbounded-queue",
             "socket-timeout",
             "span-balance",
-            "no-unjoined-thread",
         }
 
 
