@@ -16,6 +16,7 @@ from .base import (
     PHASE_REDUCE_DOWN,
     CoverageError,
     ReduceSpec,
+    check_values,
     dense_reduce,
     dense_reduce_without,
 )
@@ -31,6 +32,7 @@ from .tree import TreeAllreduce
 __all__ = [
     "ReduceSpec",
     "CoverageError",
+    "check_values",
     "dense_reduce",
     "dense_reduce_without",
     "PHASE_CONFIG",

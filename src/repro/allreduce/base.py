@@ -30,6 +30,7 @@ __all__ = [
     "PHASE_GATHER_UP",
     "PHASE_COMBINED_DOWN",
     "check_indices",
+    "check_values",
     "REDUCTION_OPS",
     "reduction_ufunc",
     "reduction_identity",
@@ -166,6 +167,28 @@ class ReduceSpec:
         raise NotImplementedError("use dense_reduce(spec, values)")
 
 
+def check_values(
+    spec: ReduceSpec, out_values: Mapping[int, np.ndarray]
+) -> Dict[int, np.ndarray]:
+    """``out_values`` as ``spec.dtype`` arrays, checked against ``spec``.
+
+    A rank of the spec without values raises ``KeyError``; values that do
+    not convert to ``spec.dtype``, or whose shape is not one
+    ``spec.value_shape`` row per entry of ``spec.out_indices[rank]``,
+    raise ``ValueError``.
+    """
+    arrays = {}
+    for r in spec.ranks:
+        vals = np.asarray(out_values[r], dtype=spec.dtype)
+        want = (spec.out_indices[r].size, *spec.value_shape)
+        if vals.shape != want:
+            raise ValueError(
+                f"values for rank {r} misaligned with out indices: shape {vals.shape}, want {want}"
+            )
+        arrays[r] = vals
+    return arrays
+
+
 def dense_reduce(
     spec: ReduceSpec, out_values: Mapping[int, np.ndarray]
 ) -> Dict[int, np.ndarray]:
@@ -183,12 +206,8 @@ def dense_reduce(
     ufunc = reduction_ufunc(spec.op)
     identity = reduction_identity(spec.op, spec.dtype)
     total = np.full((top, *spec.value_shape), identity, dtype=spec.dtype)
-    for r in spec.ranks:
-        idx = spec.out_indices[r]
-        vals = np.asarray(out_values[r], dtype=spec.dtype)
-        if vals.shape[:1] != idx.shape:
-            raise ValueError(f"values for rank {r} misaligned with out indices")
-        ufunc.at(total, idx, vals)
+    for r, vals in check_values(spec, out_values).items():
+        ufunc.at(total, spec.out_indices[r], vals)
     return {r: total[spec.in_indices[r]] for r in spec.ranks}
 
 

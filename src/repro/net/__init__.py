@@ -10,8 +10,11 @@ medium (:mod:`repro.net.protocol`) under the exact same reliability layer
 (:mod:`repro.net.transport`), so fault semantics, typed failures,
 degraded completion, and observability cannot drift between mediums —
 the existence proof that Kylix "can be run self-contained" (§I-B) on a
-commodity cluster.  The standalone cluster harness (launcher, node
-server, failure-mode driver) lives in :mod:`repro.net.cluster`.
+commodity cluster.  One driver (:class:`~repro.net.base.KylixDriver`)
+runs the sessions of every real backend: the two above fork their
+nodes; :class:`~repro.net.cluster.ClusterKylix`, in the standalone
+cluster harness (launcher, node server, failure-mode driver) of
+:mod:`repro.net.cluster`, attaches to a launched cluster's.
 
 Use the simulator for performance studies; use these to sanity-check
 the protocol against real concurrency and real sockets.

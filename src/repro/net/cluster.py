@@ -21,9 +21,10 @@ distributed-systems repos:
 * **Driver** (:func:`drive_cluster`, ``python -m repro drive-cluster``)
   — consumes the manifest, runs a named workload for a round count or
   wall duration with a chosen ``--failure-mode`` as a sequence of session
-  waves (:func:`~repro.net.session.collect` /
-  :func:`~repro.net.session.collate`), checks exactness against the
-  dense reference, gates degraded coverage against the static
+  waves on a :class:`ClusterKylix` — the one driver of every real
+  backend (:class:`~repro.net.base.KylixDriver`), attached to the
+  manifest's nodes instead of forking its own — checks exactness against
+  the dense reference, gates degraded coverage against the static
   :func:`~repro.verify.flow.worst_case_loss` bound, and can export the
   merged Chrome trace.
 
@@ -54,6 +55,7 @@ import subprocess
 import sys
 import time
 from collections import deque
+from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,11 +69,11 @@ from ..faults import (
     exact_outside_lost,
     lost_outside_bound,
 )
-from ..obs import NULL_OBSERVER, Observer
+from ..obs import Observer
 from ..obs.telemetry import FlightRecorder, TimeSeriesAggregator
-from ..sparse import MultiplicativeHasher
+from .base import KylixDriver
 from .framing import Ctl, FrameError, FrameStream
-from .session import NodeJob, SocketControl, collate, collect, decode_ctl, release, run_node
+from .session import NodeJob, SocketControl, decode_ctl, release, run_node
 from .tcp import TcpTransport, loopback_listener
 
 __all__ = [
@@ -83,6 +85,7 @@ __all__ = [
     "stop_cluster",
     "load_manifest",
     "probe",
+    "ClusterKylix",
     "drive_cluster",
 ]
 
@@ -406,6 +409,8 @@ def attach_cluster(
         if pong is None or pong[0] != "pong":
             raise RuntimeError(f"endpoint {ep} did not answer the ping probe")
         rank, pid = int(pong[1]), int(pong[2])
+        if f"node{rank}" in nodes:
+            raise RuntimeError(f"endpoint {ep} announces rank {rank}, which is already attached")
         nodes[f"node{rank}"] = {
             "rank": rank, "pid": pid, "host": host, "port": int(port_s),
             "log": None,
@@ -500,6 +505,72 @@ def _pid_alive(pid: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The driver, attached
+# ---------------------------------------------------------------------------
+
+class ClusterKylix(KylixDriver):
+    """The driver attached to a launched cluster's nodes (the manifest of
+    :func:`launch_cluster` / :func:`attach_cluster`), e.g.
+    ``ClusterKylix(load_manifest(), [4, 2]).allreduce(spec, values)``.
+
+    A session connects to every node's listener and ships it
+    ``("session", job, {"addrs", "postmortem_dir"})``; the connection is
+    its control.  A node that cannot be reached settles ``lost`` at once.
+    Parameters: those of :class:`~repro.net.base.KylixDriver`, and
+    ``postmortem_dir``, where a node whose session went bad writes its
+    flight-recorder dump (with ``observe`` only).
+    """
+
+    _BACKEND_NAME = "cluster"
+    _ROW = "node"
+
+    def __init__(
+        self,
+        manifest: Dict[str, Any],
+        degrees: Sequence[int],
+        *,
+        postmortem_dir: Optional[str] = None,
+        **options,
+    ):
+        super().__init__(degrees, **options)
+        self.addrs = {
+            n["rank"]: (n["host"], n["port"]) for n in manifest["nodes"].values()
+        }
+        if sorted(self.addrs) != list(range(self.size)):
+            raise ValueError(
+                f"a {self.degrees} butterfly needs {self.size} nodes; the manifest "
+                f"has ranks {sorted(self.addrs)}"
+            )
+        self.postmortem_dir = postmortem_dir
+
+    @contextmanager
+    def _nodes(self, jobs: Dict[int, NodeJob]):
+        """Ship every node its session; on exit, the done handshake and
+        each node's hang-up (so the next session cannot meet a mesh that
+        is still winding down)."""
+        mesh = {"addrs": self.addrs, "postmortem_dir": self.postmortem_dir}
+        controls: Dict[int, SocketControl] = {}
+        lost: Dict[int, tuple] = {}
+        try:
+            for rank, job in jobs.items():
+                try:
+                    control = SocketControl(
+                        socket.create_connection(self.addrs[rank], timeout=5.0)
+                    )
+                except OSError as exc:
+                    lost[rank] = ("lost", rank, f"connect to node {rank} failed: {exc}")
+                    continue
+                controls[rank] = control
+                try:
+                    control.send(("session", job, mesh))
+                except OSError:
+                    pass  # collect meets the broken control and settles it lost
+            yield controls, lost
+        finally:
+            release(controls, hangup=5.0)
+
+
+# ---------------------------------------------------------------------------
 # Experiment driver
 # ---------------------------------------------------------------------------
 
@@ -552,23 +623,23 @@ def drive_cluster(
     failure_mode: str = "none",
     seed: int = 0,
     observe: Optional[Observer] = None,
-    session_timeout: float = 120.0,
     telemetry_interval: Optional[float] = None,
-    aggregator: Optional[TimeSeriesAggregator] = None,
     postmortem_dir: Optional[str] = DEFAULT_LOG_DIR,
 ) -> Dict[str, Any]:
-    """Run a workload against a launched cluster; return the outcome.
+    """Run a workload in session waves of a :class:`ClusterKylix`; return
+    the outcome.
 
     ``telemetry_interval`` (requires ``observe``) turns on the live
     telemetry plane: every node samples its metric registry on that
     wall-clock interval and streams ``("telemetry", rank, sample)``
     frames back on its session control connection; the driver ingests
-    them into ``aggregator`` (created on demand, returned under
-    ``outcome["aggregator"]``), and the nodes also buffer them for
-    ``python -m repro monitor`` attach probes.  On degraded completion
-    or session errors a flight-recorder postmortem cross-linked with the
-    merged :class:`~repro.faults.CoverageReport` is written under
-    ``postmortem_dir`` (``outcome["postmortem"]`` names the file).
+    them into a :class:`~repro.obs.telemetry.TimeSeriesAggregator`
+    (returned under ``outcome["aggregator"]``), and the nodes also
+    buffer them for ``python -m repro monitor`` attach probes.  On
+    degraded completion or session errors a flight-recorder postmortem
+    cross-linked with the merged :class:`~repro.faults.CoverageReport`
+    is written under ``postmortem_dir`` (``outcome["postmortem"]`` names
+    the file).
 
     ``concurrency`` is the number of reduction rounds batched into one
     session wave: one mesh formation — and, on clean sessions, one
@@ -579,8 +650,9 @@ def drive_cluster(
     ``duration`` — until the wall clock says stop.
 
     The outcome dict carries per-wave exactness against the dense
-    reference, the merged :class:`~repro.faults.CoverageReport` for
-    degraded modes, and the static worst-case-loss gate verdict.
+    reference, every rank's error of every wave, the merged
+    :class:`~repro.faults.CoverageReport` for degraded modes, and the
+    static worst-case-loss gate verdict.
     """
     from ..obs.runner import EXPERIMENTS
     from ..verify.flow import worst_case_loss
@@ -591,34 +663,25 @@ def drive_cluster(
         raise ValueError("rounds and concurrency must be >= 1")
     w = EXPERIMENTS[workload](seed)
     m, degrees = w["m"], w["degrees"]
-    size = manifest["cluster"]["size"]
-    if m != size:
-        raise ValueError(
-            f"workload {workload} needs {m} nodes, manifest has {size}"
-        )
     spec = ReduceSpec(in_indices=w["in_idx"], out_indices=w["out_idx"])
     plan, retry_override, degrade, bound_plan = _failure_plan(
         failure_mode, w.get("faults"), m, seed
     )
-    retry = retry_override or w.get("retry") or RetryPolicy(base_timeout=0.25)
-    if plan is not None:
-        plan.validate(m)
-    obs = observe if observe is not None else NULL_OBSERVER
-    if obs.enabled:
-        obs.name_pid(0, "driver")
-    if telemetry_interval is not None:
-        if telemetry_interval <= 0:
-            raise ValueError("telemetry_interval must be positive")
-        if not obs.enabled:
-            raise ValueError("telemetry_interval requires observe=Observer(...)")
-        if aggregator is None:
-            aggregator = TimeSeriesAggregator()
+    net = ClusterKylix(
+        manifest,
+        degrees,
+        strict_coverage=not degrade,
+        faults=plan,
+        retry=retry_override or w.get("retry") or RetryPolicy(base_timeout=0.25),
+        observe=observe,
+        degrade=degrade,
+        telemetry_interval=telemetry_interval,
+        postmortem_dir=postmortem_dir,
+    )
+    aggregator = TimeSeriesAggregator() if telemetry_interval is not None else None
     recorder = FlightRecorder(capacity=512, node=-1)
-    if obs.enabled:
-        recorder.attach(obs)
-    addrs = {
-        n["rank"]: (n["host"], n["port"]) for n in manifest["nodes"].values()
-    }
+    if observe is not None and observe.enabled:
+        recorder.attach(observe)
     # Exactness reference.  Under a degraded mode the victim contributes
     # *nothing* (it dies or all its sends drop before any value leaves),
     # so the honest reference for the survivors' kept positions is the
@@ -628,24 +691,11 @@ def drive_cluster(
         reference = dense_reduce_without(spec, w["values"], victim)
     else:
         reference = dense_reduce(spec, w["values"])
-    job_fields = dict(
-        degrees=tuple(degrees),
-        hasher=MultiplicativeHasher(),
-        strict=not degrade,
-        plan=plan,
-        retry=retry,
-        degrade=degrade,
-        observe=obs.enabled,
-        telemetry_interval=telemetry_interval,
-    )
 
     def on_frame(frame) -> None:
         if frame[0] == "telemetry":
             aggregator.ingest(frame[2])
             recorder.record("telemetry", frame[2].t, node=frame[1], seq=frame[2].seq)
-        elif frame[0] == "result" and frame[4] is not None:
-            # One trace process row per node (pid 0 = driver).
-            obs.absorb(frame[4], pid=frame[1] + 1, name=f"node {frame[1]}")
 
     outcome: Dict[str, Any] = {
         "workload": workload,
@@ -666,12 +716,7 @@ def drive_cluster(
     rounds_left = rounds
     while rounds_left > 0:
         wave = min(concurrency, rounds_left)
-        jobs = {
-            rank: NodeJob.for_rank(rank, spec, [w["values"]] * wave, **job_fields)
-            for rank in addrs
-        }
-        records = _run_wave(addrs, jobs, postmortem_dir, session_timeout, on_frame)
-        out = collate(records, spec, m, degrade)
+        out = net.run_session(spec, [w["values"]] * wave, on_frame=on_frame)
         wave_errs = [f"rank {r}: {exc}" for r, exc in out.errors.items()]
         for msg in wave_errs:
             recorder.record("error", time.monotonic() - started, detail=msg)
@@ -753,34 +798,3 @@ def drive_cluster(
         )
         outcome["postmortem"] = path
     return outcome
-
-
-def _run_wave(addrs, jobs, postmortem_dir, timeout, on_frame) -> Dict[int, tuple]:
-    """One session wave: connect, ship each node its ``("session", job,
-    mesh)`` frame, settle every rank; returns ``{rank: settled frame}``.
-
-    A node that cannot be reached, or whose connection breaks (crash
-    mode's ``os._exit`` lands as an EOF), is a real process death and is
-    accounted as one — a ``lost`` frame."""
-    mesh = {"addrs": addrs, "postmortem_dir": postmortem_dir}
-    controls: Dict[int, SocketControl] = {}
-    records: Dict[int, tuple] = {}
-    try:
-        for rank, addr in addrs.items():
-            try:
-                control = SocketControl(socket.create_connection(addr, timeout=5.0))
-            except OSError as exc:
-                records[rank] = ("lost", rank, f"connect to node {rank} failed: {exc}")
-                continue
-            controls[rank] = control
-            try:
-                control.send(("session", jobs[rank], mesh))
-            except OSError:
-                pass  # collect meets the broken control and settles it lost
-        for frame in collect(controls, timeout=timeout):
-            on_frame(frame)
-            if frame[0] != "telemetry":
-                records[frame[1]] = frame
-    finally:
-        release(controls, hangup=5.0)
-    return records

@@ -17,10 +17,10 @@ Only the mesh is local to this file.  The pump over it is
 :class:`~repro.net.transport.SocketTransport`, which the TCP backend
 runs too; frames are :mod:`repro.net.framing`'s typed raw-buffer
 frames, gather-written and decoded as views of their receive buffers.
-The node body and the driver's collection are
+The node body and the session contract are
 :mod:`repro.net.session`, the wire medium
 :mod:`repro.net.protocol`, fault injection and the NACK/retry/dedupe
-layer :mod:`repro.net.transport`, process supervision
+layer :mod:`repro.net.transport`, the driver and process supervision
 :mod:`repro.net.base` — all shared with, and byte-identical on, the TCP
 backend (:mod:`repro.net.tcp`).  Each link carries exactly one logical
 message per (kind, layer, seq), so a :class:`~repro.faults.FaultPlan`
@@ -55,22 +55,14 @@ class LocalKylix(ForkedKylixBase):
 
     _BACKEND_NAME = "local"
 
-    def _make_mesh(self) -> Dict[int, Dict[int, socket.socket]]:
+    def _make_mesh(self):
         # full mesh: one socket pair per pair of ranks
         links: Dict[int, Dict[int, socket.socket]] = {r: {} for r in range(self.size)}
         for i in range(self.size):
             for j in range(i + 1, self.size):
                 links[i][j], links[j][i] = socket.socketpair()
-        return links
+        return links, [sock for ends in links.values() for sock in ends.values()]
 
     def _open_transport(self, mesh, rank, plan, retry, obs):
         # A fixed mesh: a link that breaks loses its peer, nothing re-dials.
         return SocketTransport(rank, mesh[rank], plan, retry, obs=obs)
-
-    def _release_mesh(self, mesh) -> None:
-        # The children inherited every link end at fork; drop the
-        # parent's copies so a dead worker's peers see EOF instead of
-        # a silently-held-open descriptor.
-        for ends in mesh.values():
-            for sock in ends.values():
-                sock.close()

@@ -373,7 +373,7 @@ class TcpKylix(ForkedKylixBase):
     def _make_mesh(self):
         listeners = {rank: loopback_listener(backlog=self.size) for rank in range(self.size)}
         addrs = {rank: ("127.0.0.1", s.getsockname()[1]) for rank, s in listeners.items()}
-        return listeners, addrs
+        return (listeners, addrs), list(listeners.values())
 
     def _open_transport(self, mesh, rank, plan, retry, obs):
         listeners, addrs = mesh
@@ -386,8 +386,3 @@ class TcpKylix(ForkedKylixBase):
         t = TcpTransport(rank, plan, retry, obs=obs)
         t.form_mesh(listeners[rank], addrs)
         return t
-
-    def _release_mesh(self, mesh) -> None:
-        listeners, _ = mesh
-        for s in listeners.values():
-            s.close()

@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..allreduce import KylixAllreduce, ReduceSpec
+from ..allreduce import KylixAllreduce, ReduceSpec, check_values
 from ..obs import NULL_OBSERVER
 from ..simul import AllOf
 from ..sparse import MultiplicativeHasher
@@ -180,8 +180,9 @@ class ReduceService:
         self.cache = ConfigCache(cache_size, obs=self.obs)
         self._multiplier = MultiplicativeHasher().multiplier
         self.streams: Dict[str, ReduceStream] = {}
-        # Admission queue of (stream, values, future) jobs: submit checks
-        # its length against queue_depth before it appends.
+        # Admission queue of (stream, values, future, bad) jobs — ``bad`` is
+        # the values' check error, if any: submit checks its length against
+        # queue_depth before it appends.
         self._queue: deque = deque(maxlen=self.queue_depth)
         self._closed = False
         self.stats = {"submitted": 0, "completed": 0, "rejected": 0}
@@ -250,7 +251,7 @@ class ReduceService:
         if self.backend != "sim":
             # Forked backends run the combined protocol on the wire; the
             # cache tracks driver-side reuse (hits mean the round-0 plan
-            # is replayable, see ForkedKylixBase.allreduce_rounds).
+            # is replayable, see KylixDriver.allreduce_rounds).
             entry = self.cache.lookup(stream.fingerprint)
             if entry is None:
                 self.cache.store(stream.fingerprint, {}, stream.spec)
@@ -288,9 +289,14 @@ class ReduceService:
             )
         if spec is not None:
             self._drift(st, spec)
+        try:
+            check_values(st.spec, values)
+            bad = None
+        except (KeyError, TypeError, ValueError) as exc:
+            bad = exc  # fails this job's future alone: it never joins a wave
         self._ensure_configured(st)
         fut = ReduceFuture(self, st, st.submitted)
-        self._queue.append((st, values, fut))
+        self._queue.append((st, values, fut, bad))
         st.submitted += 1
         self.stats["submitted"] += 1
         self.obs.counter("service.submitted").inc(stream=st.name)
@@ -369,18 +375,25 @@ class ReduceService:
         On the simulator, jobs run in waves of up to ``slots``: one
         simulated-cluster run per wave, every job in the wave a
         concurrent protocol instance.  On the forked backends each job
-        is one backend reduce, in submission order; a failing job
-        resolves only its own future.
+        is one backend reduce, in submission order.  A job whose values
+        failed :func:`~repro.allreduce.check_values` at submit resolves
+        only its own future and joins no wave.
         """
         done = 0
+        width = self.slots if self.backend == "sim" else 1
         while self._queue:
-            if self.backend == "sim":
-                n = min(self.slots, len(self._queue))
-                self._run_wave_sim([self._queue.popleft() for _ in range(n)])
-            else:
-                n = 1
-                self._run_forked(*self._queue.popleft())
-            done += n
+            wave = []
+            while self._queue and len(wave) < width:
+                st, values, fut, bad = self._queue.popleft()
+                done += 1
+                if bad is not None:
+                    fut._resolve(error=bad)
+                else:
+                    wave.append((st, values, fut))
+            if wave and self.backend == "sim":
+                self._sim_wave(wave)
+            elif wave:
+                self._run_forked(*wave[0])
         return done
 
     def _complete(self, st: ReduceStream, fut: ReduceFuture, value) -> None:
@@ -390,7 +403,7 @@ class ReduceService:
         self.obs.counter("service.completed").inc(stream=st.name)
         self._observe_latency(st, fut)
 
-    def _run_wave_sim(self, jobs) -> None:
+    def _sim_wave(self, jobs) -> None:
         protos = [(st.net, values, st.net.next_instance()) for st, values, _ in jobs]
 
         def wave_proto(node):

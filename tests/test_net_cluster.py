@@ -186,6 +186,18 @@ class TestNodeServer:
         finally:
             shutdown_node_threads(threads, manifest)
 
+    def test_attach_rejects_a_rank_announced_twice(self, tmp_path):
+        threads, manifest = start_node_threads(2)
+        path = str(tmp_path / "procs.json")
+        try:
+            node0, node1 = manifest["nodes"]["node0"], manifest["nodes"]["node1"]
+            endpoints = [f"{n['host']}:{n['port']}" for n in (node0, node1, node1)]
+            with pytest.raises(RuntimeError, match="rank 1"):
+                attach_cluster(endpoints, manifest_path=path)
+            assert not os.path.exists(path)
+        finally:
+            shutdown_node_threads(threads, manifest)
+
 
 class TestManifest:
     def test_load_manifest_validates_rank_cover(self, tmp_path):

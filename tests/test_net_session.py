@@ -18,13 +18,13 @@ import numpy as np
 from repro.allreduce import ReduceSpec, dense_reduce
 from repro.faults import FaultPlan, LossRecord, PeerFailedError, RetryPolicy
 from repro.net import LocalKylix, TcpKylix
-from repro.net.cluster import _run_wave
+from repro.net.cluster import ClusterKylix
 from repro.net.session import NodeJob, SocketControl, collate, encode_error, failure, run_node
 from repro.net.transport import SocketTransport
 from repro.obs.runner import EXPERIMENTS
 from repro.sparse import MultiplicativeHasher
 
-from test_net_cluster import start_node_threads
+from test_net_cluster import shutdown_node_threads, start_node_threads
 
 
 def make_case(m, n, seed):
@@ -243,23 +243,32 @@ class TestOneContractThreeMedia:
         tcp = TcpKylix(w["degrees"]).allreduce(spec, w["values"])
         threads, manifest = start_node_threads(w["m"], once=True)
         try:
-            addrs = {n["rank"]: (n["host"], n["port"]) for n in manifest["nodes"].values()}
-            jobs = {
-                r: NodeJob.for_rank(
-                    r, spec, [w["values"]], degrees=tuple(w["degrees"]),
-                    hasher=MultiplicativeHasher(), retry=RetryPolicy(base_timeout=0.25),
-                )
-                for r in addrs
-            }
-            records = _run_wave(addrs, jobs, None, 60.0, lambda frame: None)
+            cluster = ClusterKylix(
+                manifest, w["degrees"], retry=RetryPolicy(base_timeout=0.25), timeout=60.0
+            ).allreduce(spec, w["values"])
         finally:
             for t in threads:
                 t.join(timeout=30.0)
-        cluster = collate(records, spec, w["m"], degrade=False)
-        assert cluster.errors == {}
         for r in range(w["m"]):
             assert np.array_equal(local[r], tcp[r])
-            assert np.array_equal(local[r], cluster.rounds[r][0][0])
+            assert np.array_equal(local[r], cluster[r])
+
+    def test_rounds_on_long_lived_nodes_match_pipes_bit_for_bit(self):
+        w = EXPERIMENTS["quickstart"](6)
+        spec = ReduceSpec(in_indices=w["in_idx"], out_indices=w["out_idx"])
+        rounds = [w["values"]] * 2
+        local = LocalKylix(w["degrees"]).allreduce_rounds(spec, rounds)
+        threads, manifest = start_node_threads(w["m"], once=False)
+        try:
+            cluster = ClusterKylix(
+                manifest, w["degrees"], retry=RetryPolicy(base_timeout=0.25), timeout=60.0
+            ).allreduce_rounds(spec, rounds)
+        finally:
+            shutdown_node_threads(threads, manifest)
+        assert len(cluster) == len(local) == 2
+        for want, got in zip(local, cluster):
+            for r in range(w["m"]):
+                assert np.array_equal(want[r], got[r])
 
     def test_one_crash_schedule_one_report_on_pipes_and_tcp(self):
         spec, vals = make_case(4, 200, 11)

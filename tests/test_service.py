@@ -39,6 +39,35 @@ def random_values(spec, seed):
     return {r: rng.normal(size=spec.out_indices[r].size) for r in spec.ranks}
 
 
+def one_bad_job_of_three(backend):
+    """Three submits, the middle one missing a rank's values: it alone
+    fails, with the ``KeyError`` of a missing rank, and the two good
+    jobs complete exactly.  On the simulator all three share one wave
+    (slots=4)."""
+    m, degrees = 4, [2, 2]
+    spec_0 = random_spec(m, 300, 0.1, 44)
+    spec_1 = random_spec(m, 300, 0.1, 45)
+    vals_0, vals_1 = random_values(spec_0, 91), random_values(spec_1, 92)
+    short = {r: v for r, v in random_values(spec_1, 93).items() if r != m - 1}
+    cluster = Cluster(m) if backend == "sim" else None
+    with ReduceService(backend=backend, cluster=cluster, degrees=degrees, slots=4) as svc:
+        svc.open_stream("s0", spec_0)
+        svc.open_stream("s1", spec_1)
+        futures = [
+            svc.submit("s0", vals_0),
+            svc.submit("s1", short),
+            svc.submit("s1", vals_1),
+        ]
+        with pytest.raises(KeyError):
+            futures[1].result()
+        assert futures[0].done() and futures[2].done()
+        for spec, vals, fut in ((spec_0, vals_0, futures[0]), (spec_1, vals_1, futures[2])):
+            out, ref = fut.result(), dense_reduce(spec, vals)
+            for r in range(m):
+                np.testing.assert_allclose(out[r], ref[r], atol=1e-12)
+        assert svc.stats["completed"] == 2
+
+
 class TestSpecFingerprint:
     def test_equal_specs_equal_fingerprints(self):
         a = random_spec(8, 400, 0.1, 7)
@@ -230,6 +259,9 @@ class TestConcurrentStreams:
                     np.testing.assert_array_equal(got[(name, j)][r], want[r])
         assert svc.stats["completed"] == 6
 
+    def test_a_failing_job_fails_only_its_own_future_in_a_sim_wave(self):
+        one_bad_job_of_three("sim")
+
 
 class TestBackpressure:
     def test_overload_rejects_instead_of_queueing_unboundedly(self):
@@ -413,24 +445,4 @@ class TestLocalBackendService:
             np.testing.assert_allclose(out[r], ref[r], atol=1e-12)
 
     def test_a_failing_job_fails_only_its_own_future(self):
-        m, degrees = 4, [2, 2]
-        spec_0 = random_spec(m, 300, 0.1, 44)
-        spec_1 = random_spec(m, 300, 0.1, 45)
-        vals_0, vals_1 = random_values(spec_0, 91), random_values(spec_1, 92)
-        short = {r: v for r, v in random_values(spec_1, 93).items() if r != m - 1}
-        with ReduceService(backend="local", degrees=degrees) as svc:
-            svc.open_stream("s0", spec_0)
-            svc.open_stream("s1", spec_1)
-            futures = [
-                svc.submit("s0", vals_0),
-                svc.submit("s1", short),
-                svc.submit("s1", vals_1),
-            ]
-            with pytest.raises(KeyError):
-                futures[1].result()
-            assert futures[0].done() and futures[2].done()
-            for spec, vals, fut in ((spec_0, vals_0, futures[0]), (spec_1, vals_1, futures[2])):
-                out, ref = fut.result(), dense_reduce(spec, vals)
-                for r in range(m):
-                    np.testing.assert_allclose(out[r], ref[r], atol=1e-12)
-            assert svc.stats["completed"] == 2
+        one_bad_job_of_three("local")
