@@ -45,10 +45,6 @@ COMMANDS: dict[str, tuple[str, str]] = {
         "[experiment] [--backend sim|local|tcp] [--attach MANIFEST] [--once] [--out FILE]",
         "live telemetry dashboard: run an experiment sampled, or attach to a cluster",
     ),
-    "perf": (
-        "[experiment...] [--backend sim|local] [--update-baseline]",
-        "run the perf harness and gate against BENCH_kylix.json",
-    ),
     "explore": (
         "[--nodes N] [--degrees D,D] [--bound K] [--faults none|drop]",
         "model-check the protocol across event schedules; exit 1 on violation",
@@ -82,7 +78,8 @@ def _usage() -> str:
         left = f"{cmd} {suffix}".strip()
         lines.append(f"  {left:<52} {desc}")
     lines.append("")
-    lines.append("see docs/observability.md for the trace/analyze/perf workflow")
+    lines.append("see docs/observability.md for the trace/analyze/monitor workflow;")
+    lines.append("wall-clock speed is measured by `python3 -m perfbench` (perfbench/README.md)")
     return "\n".join(lines)
 
 
@@ -714,73 +711,6 @@ def _monitor(args: list[str]) -> int:
     return 0
 
 
-def _perf(args: list[str]) -> int:
-    import argparse
-
-    from .obs.perf import DEFAULT_BASELINE, run_perf
-    from .obs.runner import BACKENDS, EXPERIMENTS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro perf",
-        description="measure named experiments and gate the perf record "
-        f"against a committed baseline ({DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        default=["quickstart"],
-        metavar="experiment",
-        help="experiments to measure (default: quickstart); choose from "
-        + ", ".join(sorted(EXPERIMENTS))
-        + ", or 'service' for the service-throughput row (sim only)",
-    )
-    parser.add_argument(
-        "--backend", default="sim", choices=list(BACKENDS),
-        help="execution backend (default: sim; only sim metrics gate tightly)",
-    )
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help=f"baseline JSON path (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the measured records into the baseline instead of gating",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=None, metavar="REL",
-        help="override every gated metric's relative tolerance (e.g. 0.5)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    parser.add_argument(
-        "--report", default=None, metavar="FILE",
-        help="also write the per-metric comparison as JSON (CI artifact)",
-    )
-    opts = parser.parse_args(args)
-    unknown = [
-        e for e in opts.experiments if e not in EXPERIMENTS and e != "service"
-    ]
-    if unknown:
-        parser.error(
-            f"unknown experiment(s) {', '.join(unknown)}; "
-            f"choose from {', '.join(sorted(EXPERIMENTS))} or service"
-        )
-    if "service" in opts.experiments and opts.backend != "sim":
-        parser.error("the service row runs on the sim backend only")
-    if opts.tolerance is not None and opts.tolerance < 0:
-        parser.error("--tolerance must be non-negative")
-    code, report = run_perf(
-        opts.experiments,
-        backend=opts.backend,
-        baseline_path=opts.baseline,
-        update=opts.update_baseline,
-        tolerance=opts.tolerance,
-        seed=opts.seed,
-        report_path=opts.report,
-    )
-    print(report)
-    return code
-
-
 def _explore(args: list[str]) -> int:
     import argparse
     import json
@@ -1391,8 +1321,6 @@ def main(argv: list[str]) -> int:
         return _analyze(rest)
     if cmd == "monitor":
         return _monitor(rest)
-    if cmd == "perf":
-        return _perf(rest)
     if cmd == "explore":
         return _explore(rest)
     if cmd == "node":

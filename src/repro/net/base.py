@@ -223,6 +223,15 @@ class KylixDriver:
         return out
 
 
+def _run_forked(driver_ends, *node_args) -> None:
+    """A forked node's body: drop the driver's ends of the controls it
+    inherited (its own and the earlier ranks'), then run the node.  A copy
+    left open in a node hides the driver's hang-up from that control."""
+    for end in driver_ends:
+        end.close()
+    run_node(*node_args)
+
+
 class ForkedKylixBase(KylixDriver):
     """The driver over forked nodes: one OS process per rank.
 
@@ -258,8 +267,11 @@ class ForkedKylixBase(KylixDriver):
                 driver_end, node_end = map(SocketControl, socket.socketpair())
                 controls[rank] = driver_end
                 p = ctx.Process(
-                    target=run_node,
-                    args=(rank, job, partial(self._open_transport, mesh), node_end),
+                    target=_run_forked,
+                    args=(
+                        list(controls.values()),
+                        rank, job, partial(self._open_transport, mesh), node_end,
+                    ),
                 )
                 p.daemon = True
                 p.start()

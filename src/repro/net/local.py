@@ -64,5 +64,11 @@ class LocalKylix(ForkedKylixBase):
         return links, [sock for ends in links.values() for sock in ends.values()]
 
     def _open_transport(self, mesh, rank, plan, retry, obs):
+        # Drop the other ranks' inherited link ends: while one of them
+        # stays open in a live sibling, a dead rank's peers get no EOF.
+        for r, ends in mesh.items():
+            if r != rank:
+                for sock in ends.values():
+                    sock.close()
         # A fixed mesh: a link that breaks loses its peer, nothing re-dials.
         return SocketTransport(rank, mesh[rank], plan, retry, obs=obs)

@@ -18,9 +18,10 @@ package is the one lens over both execution backends:
   ``python -m repro trace <experiment> --backend sim|local``;
 * :mod:`repro.obs.analyze` — trace analytics over a run (critical-path
   extraction, queue-wait/straggler reports, the per-layer volume
-  "goblet"), consuming a live observer or exported JSON;
-* :mod:`repro.obs.perf` — the perf-regression harness behind
-  ``python -m repro perf``, gating runs against ``BENCH_kylix.json``;
+  "goblet"), consuming a live observer or exported JSON — on the
+  simulator its numbers for the named experiments are golden values,
+  pinned by ``tests/test_experiment_golden.py`` (wall-clock speed is
+  ``perfbench``'s to measure);
 * :mod:`repro.obs.telemetry` — the *live* plane: streaming metric
   samplers on every backend, the per-(node, metric, labels) time-series
   aggregator behind ``python -m repro monitor``, and the crash flight
@@ -45,7 +46,6 @@ from .events import MessageEvent, SpanEvent
 from .export import chrome_trace, metrics_json, text_summary, validate_chrome_trace
 from .metrics import CATALOGUE, Counter, Gauge, Histogram, MetricsRegistry
 from .observer import NULL_OBSERVER, NullObserver, Observer
-from .perf import run_perf
 from .telemetry import (
     DEFAULT_INTERVAL,
     POSTMORTEM_SCHEMA,
@@ -79,7 +79,6 @@ __all__ = [
     "GobletReport",
     "analyze",
     "render_analysis",
-    "run_perf",
     "TELEMETRY_SCHEMA",
     "POSTMORTEM_SCHEMA",
     "DEFAULT_INTERVAL",

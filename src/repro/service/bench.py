@@ -1,4 +1,4 @@
-"""The service-throughput benchmark behind ``python -m repro perf service``.
+"""The service-throughput benchmark behind ``python -m repro drive-service``.
 
 The whole point of splitting configure from reduce (§II-D) — and of the
 service's keyed config cache on top — is that a stream of same-pattern
@@ -8,7 +8,9 @@ through :class:`~repro.service.ReduceService` (one cache miss, then all
 hits, pipelined down/up overlap) against the naive loop that calls
 ``configure() + reduce()`` afresh every time.  Both run on the simulated
 clock, so the numbers are deterministic functions of the seed and the
-speedup gate in CI can be tight.
+speedup gate in CI can be tight; at seed 0 they are golden values
+(``tests/test_experiment_golden.py``).  The service's wall-clock cost is
+``perfbench``'s to measure.
 
 Bit-identity is asserted, not sampled: every pipelined result must equal
 its sequential counterpart exactly, otherwise the speedup would be

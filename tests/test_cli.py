@@ -81,16 +81,6 @@ class TestCLI:
         notrace.write_text('{"hello": 1}')
         assert cli_main(["analyze", str(notrace)]) == 2
 
-    def test_perf_update_and_gate(self, capsys, tmp_path):
-        base = tmp_path / "bench.json"
-        assert cli_main(
-            ["perf", "quickstart", "--update-baseline", "--baseline", str(base)]
-        ) == 0
-        capsys.readouterr()
-        assert cli_main(["perf", "quickstart", "--baseline", str(base)]) == 0
-        printed = capsys.readouterr().out
-        assert "within tolerance" in printed and "total_bytes" in printed
-
     def test_explore_acceptance_config_is_exhaustive(self, capsys):
         assert cli_main(
             ["explore", "--nodes", "4", "--degrees", "2,2", "--bound", "10000"]
@@ -126,9 +116,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "6 submitted, 2 rejected" in out and "exact: yes" in out
 
-    def test_perf_rejects_unknown_experiment(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["perf", "not-an-experiment"])
+    def test_perf_is_an_unknown_command(self, capsys):
+        # The simulator's figures are golden tests; perfbench times the code.
+        assert cli_main(["perf", "quickstart"]) == 2
+        assert "unknown command 'perf'" in capsys.readouterr().out
 
     def test_monitor_once_writes_telemetry_json(self, capsys, tmp_path):
         import json

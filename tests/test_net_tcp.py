@@ -37,6 +37,16 @@ def open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
+def open_sockets():
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+        except FileNotFoundError:  # listdir's own descriptor, closed by now
+            pass
+    return count
+
+
 def assert_no_children(budget=5.0):
     deadline = time.monotonic() + budget
     while mp.active_children() and time.monotonic() < deadline:
@@ -224,4 +234,28 @@ class TestOneThread:
         for r in spec.ranks:
             np.testing.assert_allclose(rounds[-1][r], ref[r], atol=1e-9)
         assert counts == {1}
+        assert_no_children()
+
+
+class TestWorkerSockets:
+    """A forked worker holds its own sockets only: its links (plus, over
+    tcp, its listener) and its control.  An inherited copy of another
+    rank's link end would keep that link open after its owner died, and
+    its peers would wait out the retry ladder instead of seeing EOF."""
+
+    @pytest.mark.parametrize("backend, listener", [(LocalKylix, 0), (TcpKylix, 1)])
+    def test_a_worker_holds_only_its_own_sockets(self, tmp_path, backend, listener):
+        class Census(backend):
+            def _open_transport(self, mesh, rank, plan, retry, obs):
+                net = super()._open_transport(mesh, rank, plan, retry, obs)
+                (tmp_path / str(rank)).write_text(str(open_sockets()))
+                return net
+
+        rng = np.random.default_rng(16)
+        spec, vals = covered_case(8, 160, rng)
+        held = open_sockets()  # the test process's own, inherited at fork
+        Census([2, 2, 2]).allreduce(spec, vals)
+        counts = [int((tmp_path / str(rank)).read_text()) - held for rank in range(8)]
+        # 7 links + the control (+ the listener over tcp), whatever the rank
+        assert counts == [7 + 1 + listener] * 8
         assert_no_children()

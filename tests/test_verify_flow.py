@@ -564,16 +564,25 @@ class TestStatsResentTracking:
 
 
 class TestPerfIntegration:
-    def test_measure_carries_predicted_bytes_and_certified(self):
-        from repro.obs.perf import measure
+    """A named experiment's measured traffic against its certificate."""
 
-        rec = measure("quickstart", backend="sim", seed=0)
-        assert rec["certified"] is True
-        assert rec["metrics"]["predicted_bytes"] == rec["metrics"]["total_bytes"]
+    @staticmethod
+    def traffic(experiment):
+        from repro.obs.analyze import TraceAnalysis
+        from repro.obs.runner import run_traced
+
+        obs, info = run_traced(experiment, backend="sim", seed=0)
+        cert = certificate_for_experiment(experiment, seed=0)
+        certified = not check_traffic(cert, info["stats"])
+        total = TraceAnalysis.from_observer(obs).goblet_report().total_bytes
+        return certified, int(cert.total_bytes), int(total)
+
+    def test_measure_carries_predicted_bytes_and_certified(self):
+        certified, predicted, total = self.traffic("quickstart")
+        assert certified
+        assert predicted == total
 
     def test_faults_predicted_bytes_excludes_resends(self):
-        from repro.obs.perf import measure
-
-        rec = measure("faults", backend="sim", seed=0)
-        assert rec["certified"] is True
-        assert rec["metrics"]["predicted_bytes"] < rec["metrics"]["total_bytes"]
+        certified, predicted, total = self.traffic("faults")
+        assert certified
+        assert predicted < total
