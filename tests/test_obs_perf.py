@@ -1,226 +1,40 @@
-"""The perf-regression harness: measurement determinism, the gate's
-delta table, baseline schema/versioning, and the committed
-``BENCH_kylix.json`` acceptance pins."""
+"""The quickstart measurement: its shape, its determinism, and that the
+current code passes the committed gate.
 
-import json
-import os
+The measurement is ``test_experiment_golden.run_experiment`` (trace,
+goblet, critical path, merge seconds, plan certificate) and the
+committed gate is that file's ``GOLDEN`` literals.
+"""
 
 import pytest
 
-from repro.obs.perf import (
-    DEFAULT_BASELINE,
-    DEFAULT_TOLERANCES,
-    SCHEMA_VERSION,
-    PerfError,
-    compare,
-    load_baseline,
-    measure,
-    render_delta_table,
-    run_perf,
-    update_baseline,
-)
+from test_experiment_golden import GOLDEN, SEED, run_experiment
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMITTED = os.path.join(REPO_ROOT, DEFAULT_BASELINE)
+METRIC_SECONDS = ("sim_seconds", "critical_path_seconds", "merge_seconds")
+
+
+@pytest.fixture(scope="module")
+def record():
+    return run_experiment("quickstart")
 
 
 class TestMeasure:
-    @pytest.fixture(scope="class")
-    def record(self):
-        return measure("quickstart", backend="sim", seed=0)
-
     def test_record_shape(self, record):
-        assert record["key"] == "quickstart@sim"
+        assert SEED == 0
         assert record["exact"] is True
-        m = record["metrics"]
-        # Every metric the harness records has a declared gate policy
-        # (DEFAULT_TOLERANCES also carries service-row metrics that a
-        # protocol experiment does not emit).
-        assert set(m) <= set(DEFAULT_TOLERANCES)
-        assert m["total_bytes"] > 0 and m["total_messages"] > 0
-        assert m["merge_seconds"] > 0 and m["critical_path_seconds"] > 0
-        assert set(m["layer_bytes"]) == {"L1", "L2"}
+        # Every metric the measurement records has a golden pin.
+        assert set(record) == set(GOLDEN["quickstart"])
+        assert record["total_bytes"] > 0 and record["total_messages"] > 0
+        assert float(record["merge_seconds"]) > 0
+        assert float(record["critical_path_seconds"]) > 0
+        assert set(record["layer_bytes"]) == {"L1", "L2"}
 
     def test_sim_metrics_are_deterministic(self, record):
-        again = measure("quickstart", backend="sim", seed=0)
-        a, b = record["metrics"], again["metrics"]
-        for name in ("sim_seconds", "critical_path_seconds", "merge_seconds",
-                     "total_bytes", "total_messages", "layer_bytes"):
-            assert a[name] == b[name], name
-
-    def test_json_serialisable(self, record):
-        json.dumps(record)
-
-
-class TestCompare:
-    BASE = {
-        "wall_seconds": 1.0,
-        "sim_seconds": 0.01,
-        "total_bytes": 1000,
-        "total_messages": 10,
-        "merge_seconds": 0.001,
-        "critical_path_seconds": 0.01,
-        "layer_bytes": {"L1": 600, "L2": 400},
-    }
-
-    def test_identical_metrics_pass(self):
-        rows, failures = compare(self.BASE, dict(self.BASE))
-        assert failures == 0
-        assert all(r["status"] in ("ok", "info") for r in rows)
-
-    def test_regression_beyond_tolerance_fails(self):
-        cur = json.loads(json.dumps(self.BASE))
-        cur["total_bytes"] = 1001  # zero tolerance on counters
-        cur["sim_seconds"] = 0.0125  # +25% > 2%
-        rows, failures = compare(self.BASE, cur)
-        assert failures == 2
-        failing = {r["metric"] for r in rows if r["status"] == "FAIL"}
-        assert failing == {"total_bytes", "sim_seconds"}
-
-    def test_within_tolerance_passes(self):
-        cur = json.loads(json.dumps(self.BASE))
-        cur["sim_seconds"] = 0.01015  # +1.5% < 2%
-        _, failures = compare(self.BASE, cur)
-        assert failures == 0
-
-    def test_improvement_never_fails(self):
-        cur = json.loads(json.dumps(self.BASE))
-        cur["total_bytes"] = 900
-        cur["sim_seconds"] = 0.005
-        rows, failures = compare(self.BASE, cur)
-        assert failures == 0
-        assert {r["metric"]: r["status"] for r in rows}["total_bytes"] == "better"
-
-    def test_wall_time_is_informational(self):
-        cur = json.loads(json.dumps(self.BASE))
-        cur["wall_seconds"] = 100.0  # 100x: noise, not a regression
-        rows, failures = compare(self.BASE, cur)
-        assert failures == 0
-        assert {r["metric"]: r["status"] for r in rows}["wall_seconds"] == "info"
-
-    def test_local_backend_gates_only_counters(self):
-        cur = json.loads(json.dumps(self.BASE))
-        cur["merge_seconds"] = 1.0  # wall-derived on local: not gated
-        rows, failures = compare(self.BASE, cur, backend="local")
-        assert failures == 0
-        cur["total_messages"] = 11
-        _, failures = compare(self.BASE, cur, backend="local")
-        assert failures == 1
-
-    def test_override_loosens_every_gate(self):
-        cur = json.loads(json.dumps(self.BASE))
-        cur["total_bytes"] = 1400  # +40% < 50% override
-        _, failures = compare(self.BASE, cur, tolerance_override=0.5)
-        assert failures == 0
-
-    def test_per_layer_regression_is_named(self):
-        cur = json.loads(json.dumps(self.BASE))
-        cur["layer_bytes"] = {"L1": 700, "L2": 400}
-        rows, failures = compare(self.BASE, cur)
-        assert failures == 1
-        (bad,) = [r for r in rows if r["status"] == "FAIL"]
-        assert bad["metric"] == "layer_bytes.L1"
-
-    def test_delta_table_renders_failures_readably(self):
-        cur = json.loads(json.dumps(self.BASE))
-        cur["total_bytes"] = 2000
-        rows, _ = compare(self.BASE, cur)
-        table = render_delta_table("quickstart@sim", rows)
-        assert "quickstart@sim" in table
-        assert "total_bytes" in table and "FAIL" in table
-        assert "+100.0%" in table
-
-
-class TestBaselineDocument:
-    def test_update_preserves_other_entries_and_history(self):
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "matrix": {"other@sim": {"seed": 0, "exact": True, "metrics": {}}},
-            "hotpath_history": [{"change": "kept"}],
-        }
-        rec = {"key": "quickstart@sim", "seed": 0, "exact": True,
-               "metrics": {"total_bytes": 1}}
-        out = update_baseline(doc, [rec])
-        assert out["schema"] == SCHEMA_VERSION
-        assert set(out["matrix"]) == {"other@sim", "quickstart@sim"}
-        assert out["hotpath_history"] == [{"change": "kept"}]
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        p = tmp_path / "bench.json"
-        p.write_text(json.dumps({"schema": 999, "matrix": {}}))
-        with pytest.raises(PerfError, match="schema"):
-            load_baseline(str(p))
-
-    def test_load_rejects_missing_and_garbage(self, tmp_path):
-        with pytest.raises(PerfError, match="not found"):
-            load_baseline(str(tmp_path / "nope.json"))
-        p = tmp_path / "bad.json"
-        p.write_text("{nope")
-        with pytest.raises(PerfError, match="JSON"):
-            load_baseline(str(p))
-
-
-class TestRunPerfEndToEnd:
-    def test_update_then_gate_round_trip(self, tmp_path):
-        path = str(tmp_path / "bench.json")
-        code, report = run_perf(["quickstart"], update=True, baseline_path=path)
-        assert code == 0 and "updated" in report
-        code, report = run_perf(["quickstart"], baseline_path=path)
-        assert code == 0
-        assert "within tolerance" in report
-
-    def test_inflated_baseline_metric_trips_the_gate(self, tmp_path):
-        """Artificially shrink the baseline so the (unchanged) current
-        run reads as a regression: the gate must fail with the table."""
-        path = str(tmp_path / "bench.json")
-        run_perf(["quickstart"], update=True, baseline_path=path)
-        doc = json.load(open(path))
-        doc["matrix"]["quickstart@sim"]["metrics"]["total_bytes"] //= 2
-        json.dump(doc, open(path, "w"))
-        code, report = run_perf(["quickstart"], baseline_path=path)
-        assert code == 1
-        assert "REGRESSION" in report and "total_bytes" in report
-        assert "FAIL" in report
-
-    def test_missing_entry_fails_with_guidance(self, tmp_path):
-        path = str(tmp_path / "bench.json")
-        run_perf(["quickstart"], update=True, baseline_path=path)
-        code, report = run_perf(["demo"], baseline_path=path)
-        assert code == 1 and "not in baseline matrix" in report
-
-    def test_unusable_baseline_exits_2(self, tmp_path):
-        code, report = run_perf(
-            ["quickstart"], baseline_path=str(tmp_path / "absent.json")
-        )
-        assert code == 2 and "perf:" in report
-
-    def test_report_artifact_written(self, tmp_path):
-        base = str(tmp_path / "bench.json")
-        out = str(tmp_path / "report.json")
-        run_perf(["quickstart"], update=True, baseline_path=base)
-        code, report = run_perf(["quickstart"], baseline_path=base, report_path=out)
-        assert code == 0 and "report written" in report
-        doc = json.load(open(out))
-        assert doc["results"][0]["key"] == "quickstart@sim"
+        again = run_experiment("quickstart")
+        for name in METRIC_SECONDS + ("total_bytes", "total_messages", "layer_bytes"):
+            assert record[name] == again[name], name
 
 
 class TestCommittedBaseline:
-    """Acceptance pins against the repo-root ``BENCH_kylix.json``."""
-
-    @pytest.fixture(scope="class")
-    def doc(self):
-        return load_baseline(COMMITTED)
-
-    def test_schema_and_matrix(self, doc):
-        assert doc["schema"] == SCHEMA_VERSION
-        assert {"quickstart@sim", "demo@sim", "faults@sim"} <= set(doc["matrix"])
-
-    def test_hotpath_history_documents_before_after(self, doc):
-        assert doc["hotpath_history"], "at least one documented hot-path change"
-        entry = doc["hotpath_history"][0]
-        assert entry["before_seconds"] > entry["after_seconds"] > 0
-        assert "FilterStore" in entry["change"]
-
-    def test_current_code_passes_the_committed_gate(self, doc):
-        code, report = run_perf(["quickstart"], baseline_path=COMMITTED)
-        assert code == 0, report
+    def test_current_code_passes_the_committed_gate(self, record):
+        assert record == GOLDEN["quickstart"]
