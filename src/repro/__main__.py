@@ -93,6 +93,28 @@ def _parse_degrees(parser, text: str | None, default: list[int]) -> list[int]:
         parser.error(f"--degrees must be comma-separated ints, got {text!r}")
 
 
+def _runner_parser(cmd: str, description: str, *, backend: bool = True):
+    """A parser with the experiment runner's arguments: the workload
+    (positional), ``--backend`` (unless ``backend`` is off) and ``--seed``."""
+    import argparse
+
+    from .obs.runner import BACKENDS, EXPERIMENTS
+
+    parser = argparse.ArgumentParser(prog=f"python -m repro {cmd}", description=description)
+    parser.add_argument(
+        "experiment", nargs="?", default="quickstart", choices=sorted(EXPERIMENTS),
+        help="named workload to run (default: quickstart)",
+    )
+    if backend:
+        parser.add_argument(
+            "--backend", default="sim", choices=list(BACKENDS),
+            help="simulated cluster, forked processes over pipes, or loopback TCP "
+            "(default: sim)",
+        )
+    parser.add_argument("--seed", type=int, default=0, help="workload (and fault) seed")
+    return parser
+
+
 def _demo() -> int:
     from .allreduce import KylixAllreduce, ReduceSpec, dense_reduce
     from .bench.reporting import format_bytes, format_seconds
@@ -196,17 +218,16 @@ def _certify(args: list[str]) -> int:
     import argparse
     import json
 
-    from .obs.runner import EXPERIMENTS
+    from .obs.runner import EXPERIMENTS, failure_schedule, parse_kill, run_traced
+    from .verify import Violation
     from .verify.flow import (
         PHASES,
         CertificationError,
         certificate_for_experiment,
         certify,
-        check_coverage,
         check_traffic,
         density_spec,
         emit_certificate_metrics,
-        model_crosscheck,
         mutant_plans,
     )
 
@@ -261,18 +282,12 @@ def _certify(args: list[str]) -> int:
 
     kills = []
     for entry in opts.faults or []:
-        parts = entry.split(":")
-        if len(parts) != 4 or parts[0] != "kill" or parts[2] not in (
-            "config", "down", "up"
-        ):
-            parser.error(
-                f"--faults entries look like kill:NODE:config|down|up:LAYER, "
-                f"got {entry!r}"
-            )
         try:
-            kills.append((int(parts[1]), parts[2], int(parts[3])))
-        except ValueError:
-            parser.error(f"--faults node/layer must be integers, got {entry!r}")
+            if not entry.startswith("kill:"):
+                raise ValueError("an entry is kill:N:PHASE:L")
+            kills.append(parse_kill(entry[len("kill:"):]))
+        except ValueError as exc:
+            parser.error(f"--faults {entry!r}: {exc}")
 
     def fail(exc: CertificationError) -> int:
         print("CERTIFICATION FAILED")
@@ -292,42 +307,36 @@ def _certify(args: list[str]) -> int:
             print(f"written: {opts.out}")
         return 1
 
-    runtime_violations: list = []
-    runtime_checked: dict[str, int] = {}
-    if opts.experiment is not None and not (kills or opts.mutant):
+    if opts.experiment is not None:
+        if kills or opts.mutant:
+            parser.error("--experiment cannot combine with --faults/--mutant")
         try:
             cert = certificate_for_experiment(opts.experiment, seed=opts.seed)
         except CertificationError as exc:
             return fail(exc)
         label = f"experiment {opts.experiment}"
-        if not opts.static_only:
-            from .obs.runner import run_traced
-
-            _, info = run_traced(opts.experiment, backend="sim", seed=opts.seed)
-            runtime_violations = check_traffic(cert, info["stats"])
-            runtime_checked["traffic-exact"] = len(PHASES) * len(cert.degrees)
+        workload = opts.experiment
     else:
         from .allreduce.topology import ButterflyTopology
         from .design.empirical import EmpiricalDensityCurve
         from .verify.plan import build_plans, synthetic_spec
 
-        if opts.experiment is not None:
-            parser.error("--experiment cannot combine with --faults/--mutant")
         m = opts.nodes
         degrees = _parse_degrees(parser, opts.degrees, [m])
         if opts.density is not None:
             spec = density_spec(m, n=opts.n, density=opts.density, seed=opts.seed)
         else:
             spec = synthetic_spec(m, n=opts.n, seed=opts.seed)
-        faults = None
-        if kills:
-            from .faults import FaultPlan
-
-            faults = FaultPlan(seed=opts.seed)
-            for node, phase, layer in kills:
-                if not 0 <= node < m:
-                    parser.error(f"--faults node {node} outside [0, {m})")
-                faults = faults.kill_at_step(node, phase, layer)
+        rng = np.random.default_rng(opts.seed)
+        workload = {
+            "m": m, "n": opts.n, "degrees": degrees,
+            "in_idx": spec.in_indices, "out_idx": spec.out_indices,
+            "values": {r: rng.normal(size=spec.out_indices[r].size) for r in spec.ranks},
+        }
+        try:
+            faults = failure_schedule(kills or None, workload, opts.seed).plan
+        except ValueError as exc:
+            parser.error(f"--faults: {exc}")
         try:
             topology = ButterflyTopology(degrees, m)
         except ValueError as exc:
@@ -346,27 +355,29 @@ def _certify(args: list[str]) -> int:
         except CertificationError as exc:
             return fail(exc)
         label = f"m={m} degrees={'x'.join(map(str, degrees))}"
-        if not opts.static_only:
-            from .allreduce import KylixAllreduce
-            from .cluster import Cluster
 
-            cluster = Cluster(m, seed=opts.seed, failures=faults, observe=True)
-            net = KylixAllreduce(cluster, degrees, degrade=bool(kills))
-            net.configure(spec)
-            rng = np.random.default_rng(opts.seed)
-            values = {
-                r: rng.normal(size=spec.out_indices[r].size) for r in spec.ranks
-            }
-            net.reduce(values)
-            if kills:
-                runtime_violations = check_coverage(cert, net.last_report)
-                runtime_checked["coverage-bound"] = m
-            else:
-                runtime_violations = check_traffic(cert, cluster.stats)
-                runtime_checked["traffic-exact"] = len(PHASES) * len(cert.degrees)
-            emit_certificate_metrics(
-                cluster.obs, cert, runtime_violations, runtime_checked
-            )
+    runtime_violations: list = []
+    runtime_checked: dict[str, int] = {}
+    if not opts.static_only:
+        obs, info = run_traced(
+            workload, backend="sim", seed=opts.seed, failure=kills or None
+        )
+        if kills:
+            # The kill gate: every loss inside the static bound, and
+            # every value outside the losses exact.
+            runtime_violations = [
+                Violation("coverage-bound", v) for v in info["bound_violations"]
+            ]
+            if not info["exact"]:
+                runtime_violations.append(Violation(
+                    "degraded-exact",
+                    "a result differs from the dense reference outside its reported losses",
+                ))
+            runtime_checked["coverage-bound"] = runtime_checked["degraded-exact"] = info["m"]
+        else:
+            runtime_violations = check_traffic(cert, info["stats"])
+            runtime_checked["traffic-exact"] = len(PHASES) * len(cert.degrees)
+        emit_certificate_metrics(obs, cert, runtime_violations, runtime_checked)
 
     print(f"certified {label}: all static obligations discharged")
     print(f"  fingerprint: {cert.fingerprint[:16]}…")
@@ -435,36 +446,22 @@ def _lint(args: list[str]) -> int:
 
 
 def _trace(args: list[str]) -> int:
-    import argparse
     import json
 
     from .obs import chrome_trace, metrics_json, text_summary, validate_chrome_trace
-    from .obs.runner import BACKENDS, EXPERIMENTS, run_traced
+    from .obs.runner import parse_kill, run_traced
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description="run one experiment fully observed; export a Chrome trace "
+    parser = _runner_parser(
+        "trace",
+        "run one experiment fully observed; export a Chrome trace "
         "(load it in Perfetto or chrome://tracing)",
-    )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        default="quickstart",
-        choices=sorted(EXPERIMENTS),
-        help="named workload to run (default: quickstart)",
-    )
-    parser.add_argument(
-        "--backend",
-        default="sim",
-        choices=list(BACKENDS),
-        help="simulated cluster, real OS processes, or loopback TCP "
-        "(default: sim)",
     )
     parser.add_argument(
         "--kill", default=None, metavar="N:PHASE:L",
         help="crash node N before its first send at (PHASE, layer L) — "
-        "PHASE is down or up; switches the run to degraded completion and "
-        "gates the coverage report against the static worst-case bound",
+        "PHASE is config (sim only), down or up; switches the run to "
+        "degraded completion and gates the coverage report against the "
+        "static worst-case bound",
     )
     parser.add_argument(
         "--out", default="trace.json", help="Chrome-trace output path"
@@ -472,25 +469,15 @@ def _trace(args: list[str]) -> int:
     parser.add_argument(
         "--metrics", default=None, help="also write flat metrics JSON here"
     )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
     opts = parser.parse_args(args)
 
-    kill = None
-    if opts.kill is not None:
-        bits = opts.kill.split(":")
-        if len(bits) != 3 or bits[1] not in ("config", "down", "up"):
-            parser.error(
-                f"--kill must be N:PHASE:L with PHASE in config|down|up, "
-                f"got {opts.kill!r}"
-            )
-        try:
-            kill = (int(bits[0]), bits[1], int(bits[2]))
-        except ValueError:
-            parser.error(f"--kill node and layer must be integers, got {opts.kill!r}")
-
-    obs, info = run_traced(
-        opts.experiment, backend=opts.backend, seed=opts.seed, kill=kill
-    )
+    try:
+        kills = [parse_kill(opts.kill)] if opts.kill is not None else None
+        obs, info = run_traced(
+            opts.experiment, backend=opts.backend, seed=opts.seed, failure=kills
+        )
+    except ValueError as exc:
+        parser.error(f"--kill: {exc}")
     meta = {k: v for k, v in info.items() if k not in ("stats", "report")}
     doc = chrome_trace(obs, meta=meta)
     errors = validate_chrome_trace(doc)
@@ -507,39 +494,14 @@ def _trace(args: list[str]) -> int:
     print(f"  exact vs dense reference: {'yes' if info['exact'] else 'NO'}")
     print(f"  trace: {opts.out} ({len(doc['traceEvents'])} events)"
           + (f"   metrics: {opts.metrics}" if opts.metrics else ""))
-    if kill is not None:
-        report = info.get("report")
-        if report is None:
-            print("  no coverage report produced under --kill")
-            return 1
-        print("  " + report.summary().replace("\n", "\n  "))
-        from .obs.runner import EXPERIMENTS as _EXP
-
-        from .allreduce import ReduceSpec
-        from .allreduce.topology import ButterflyTopology
-        from .faults import FaultPlan, lost_outside_bound
-        from .verify.flow import worst_case_loss
-
-        w = _EXP[opts.experiment](opts.seed)
-        spec = ReduceSpec(in_indices=w["in_idx"], out_indices=w["out_idx"])
-        plan = (w.get("faults") or FaultPlan(seed=opts.seed)).kill_at_step(
-            kill[0], kill[1], kill[2]
-        )
-        bound = worst_case_loss(
-            ButterflyTopology(w["degrees"], w["m"]), spec, None, plan
-        )
-        bad = [
-            f"rank {rank}: {extra.size} indices outside the bound"
-            for rank, extra in lost_outside_bound(report.lost_indices, bound.get).items()
-        ]
-        if bad:
-            for line in bad:
+    if kills:
+        print("  " + info["report"].summary().replace("\n", "\n  "))
+        if info["bound_violations"]:
+            for line in info["bound_violations"]:
                 print(f"  coverage-bound violation: {line}")
             return 1
         print("  coverage within the static worst-case bound")
-    if not info["exact"]:
-        return 1
-    return 0
+    return 0 if info["exact"] else 1
 
 
 def _analyze(args: list[str]) -> int:
@@ -577,32 +539,19 @@ def _analyze(args: list[str]) -> int:
 
 
 def _monitor(args: list[str]) -> int:
-    import argparse
     import json
     import time as _time
 
-    from .obs.runner import BACKENDS, EXPERIMENTS, run_traced
+    from .obs.runner import run_traced
     from .obs.telemetry import TimeSeriesAggregator
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro monitor",
-        description="the live telemetry dashboard: run a named experiment "
+    parser = _runner_parser(
+        "monitor",
+        "the live telemetry dashboard: run a named experiment "
         "with streaming metric sampling on any backend, or attach to a "
         "running TCP cluster (its nodes buffer recent samples and answer "
         "telemetry-req probes); --once renders a single dashboard and "
         "optionally writes the kylix-telemetry-v1 JSON for CI",
-    )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        default="quickstart",
-        choices=sorted(EXPERIMENTS),
-        help="named workload to run sampled (default: quickstart; ignored "
-        "with --attach)",
-    )
-    parser.add_argument(
-        "--backend", default="sim", choices=list(BACKENDS),
-        help="execution backend for the in-process run (default: sim)",
     )
     parser.add_argument(
         "--attach", default=None, metavar="MANIFEST",
@@ -633,7 +582,6 @@ def _monitor(args: list[str]) -> int:
     parser.add_argument(
         "--max-rows", type=int, default=24, help="dashboard series rows"
     )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
     opts = parser.parse_args(args)
     if opts.interval is not None and opts.interval <= 0:
         parser.error("--interval must be positive")
@@ -912,27 +860,18 @@ def _run_cluster(args: list[str]) -> int:
 
 
 def _drive_cluster(args: list[str]) -> int:
-    import argparse
     import json
 
     from .net.cluster import DEFAULT_MANIFEST, FAILURE_MODES, drive_cluster, load_manifest
-    from .obs import Observer, chrome_trace, validate_chrome_trace
-    from .obs.runner import EXPERIMENTS
+    from .obs import chrome_trace, validate_chrome_trace
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro drive-cluster",
-        description="drive a launched TCP cluster through a named workload "
-        "under a failure mode; exactness is checked against the dense "
-        "reference and degraded coverage is gated against the static "
-        "worst-case-loss bound",
-    )
-    parser.add_argument(
-        "workload",
-        nargs="?",
-        default="quickstart",
-        choices=sorted(EXPERIMENTS),
-        help="named workload (default: quickstart); its node count must "
-        "match the manifest",
+    parser = _runner_parser(
+        "drive-cluster",
+        "drive a launched TCP cluster through a named workload (its node "
+        "count must match the manifest) under a failure mode; exactness is "
+        "checked against the dense reference and degraded coverage is gated "
+        "against the static worst-case-loss bound",
+        backend=False,
     )
     parser.add_argument(
         "--failure-mode", default="none", choices=list(FAILURE_MODES),
@@ -953,16 +892,15 @@ def _drive_cluster(args: list[str]) -> int:
         "--manifest", default=DEFAULT_MANIFEST,
         help=f"manifest path (default: {DEFAULT_MANIFEST})",
     )
-    parser.add_argument("--seed", type=int, default=0, help="workload/fault seed")
     parser.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="export the merged Chrome trace of the driven run here",
     )
     parser.add_argument(
         "--telemetry-interval", type=float, default=None, metavar="SECONDS",
-        help="stream live telemetry: every node samples its metrics on "
-        "this interval, frames flow back to the driver, and the nodes "
-        "buffer samples for `python -m repro monitor --attach`",
+        help="sample live telemetry: every node samples its metrics on "
+        "this interval, the samples come home with each wave's results, "
+        "and the nodes buffer them for `python -m repro monitor --attach`",
     )
     parser.add_argument(
         "--telemetry-out", default=None, metavar="FILE",
@@ -979,21 +917,15 @@ def _drive_cluster(args: list[str]) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"drive-cluster: cannot load {opts.manifest}: {exc}")
         return 2
-    obs = (
-        Observer(name=f"{opts.workload}@cluster")
-        if (opts.trace_out or opts.telemetry_interval)
-        else None
-    )
     try:
         outcome = drive_cluster(
             manifest,
-            workload=opts.workload,
+            opts.experiment,
             rounds=opts.rounds,
             duration=opts.duration,
             concurrency=opts.concurrency,
             failure_mode=opts.failure_mode,
             seed=opts.seed,
-            observe=obs,
             telemetry_interval=opts.telemetry_interval,
         )
     except (RuntimeError, ValueError) as exc:
@@ -1011,9 +943,9 @@ def _drive_cluster(args: list[str]) -> int:
     )
     for err in outcome["errors"]:
         print(f"  note: {err}")
-    ok = True
-    cc = outcome.get("config_cache")
-    if cc is not None and (cc["hits"] + cc["misses"]) > 0:
+    ok = outcome["checked_rounds"] == outcome["exact_rounds"]
+    cc = outcome["config_cache"]
+    if cc["hits"] + cc["misses"] > 0:
         print(
             f"  config cache: {cc['hits']} hit(s), {cc['misses']} miss(es) "
             f"(hit rate {cc['hit_rate']:.0%})"
@@ -1038,12 +970,8 @@ def _drive_cluster(args: list[str]) -> int:
         if outcome["dead_ranks"]:
             print(f"  dead ranks: {sorted(outcome['dead_ranks'])}")
     else:
-        # Lossless modes: every rank-round must come back and be exact.
-        if (
-            outcome["checked_rounds"] != outcome["exact_rounds"]
-            or outcome["errors"]
-            or outcome["dead_ranks"]
-        ):
+        # Lossless modes: every rank-round must come back.
+        if outcome["errors"] or outcome["dead_ranks"]:
             ok = False
         if outcome["checked_rounds"] == 0:
             print("  no results came back from any node")
@@ -1064,10 +992,10 @@ def _drive_cluster(args: list[str]) -> int:
             print(f"  telemetry: {opts.telemetry_out}")
     if outcome.get("postmortem"):
         print(f"  postmortem: {outcome['postmortem']}")
-    if opts.trace_out and obs is not None:
-        doc = chrome_trace(obs, meta={"workload": opts.workload,
-                                      "failure_mode": opts.failure_mode,
-                                      "seed": opts.seed})
+    if opts.trace_out:
+        doc = chrome_trace(outcome["observer"], meta={"workload": opts.experiment,
+                                                      "failure_mode": opts.failure_mode,
+                                                      "seed": opts.seed})
         errors = validate_chrome_trace(doc)
         if errors:
             for e in errors:

@@ -16,7 +16,7 @@ partitioning and un-hash on the way out, so callers never see hash space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -212,17 +212,18 @@ def dense_reduce(
 
 
 def dense_reduce_without(
-    spec: ReduceSpec, out_values: Mapping[int, np.ndarray], absent: int
+    spec: ReduceSpec, out_values: Mapping[int, np.ndarray], absent: Iterable[int]
 ) -> Dict[int, np.ndarray]:
-    """:func:`dense_reduce` with rank ``absent`` contributing the identity.
+    """:func:`dense_reduce` with the ``absent`` ranks contributing the identity.
 
-    The honest reference for the survivors of a degraded run whose victim
-    died (or was cut off) before any of its values left: the full dense
-    reference would charge them the victim's missing addends.
+    The honest reference for the survivors of a degraded run whose victims
+    died (or were cut off) before any of their values left: the full dense
+    reference would charge them the victims' missing addends.
     """
     values = dict(out_values)
-    values[absent] = np.full_like(
-        np.asarray(values[absent], dtype=spec.dtype),
-        reduction_identity(spec.op, spec.dtype),
-    )
+    for rank in absent:
+        values[rank] = np.full_like(
+            np.asarray(values[rank], dtype=spec.dtype),
+            reduction_identity(spec.op, spec.dtype),
+        )
     return dense_reduce(spec, values)

@@ -161,12 +161,12 @@ def drive(gen, medium):
     medium charge the merge.  An enabled observer (``obs.enabled``) sees
     the exchange as a ``{phase} L{layer}`` span around a ``merge
     L{layer}`` span (``kind="merge"``); a disabled one is never called.
-    Under degraded completion (``medium.degrade``) a combined-down
-    exchange runs the hole policy (``docs/faults.md``): the sent out-key
-    slices and the node's raw keys at layer 1 are retained in
-    ``medium.retained`` under ``(medium.round, layer, member)``, and
+    Under degraded completion (``medium.degrade``) a configuration or
+    combined-down exchange runs the hole policy (``docs/faults.md``): the
+    sent out-key slices and the node's raw keys at layer 1 are retained
+    in ``medium.retained`` under ``(medium.round, layer, member)``, and
     every hole is resumed as :func:`tombstone_part` through
-    ``medium.fetch``.  A medium with ``piggyback`` set also ships the raw
+    ``medium.fetch`` (its key sets only, in configuration).  A medium with ``piggyback`` set also ships the raw
     keys on every layer-1 part, and each receiver retains the sender's.
 
     What a medium provides (``docs/protocol.md`` §4 decides every
@@ -189,7 +189,7 @@ def drive(gen, medium):
         building = phase in (PHASE_CONFIG, PHASE_COMBINED_DOWN)
         if traced:
             span = obs.begin(f"{phase} L{layer}", node=rank, phase=phase, layer=layer)
-        audit = medium.degrade and phase == PHASE_COMBINED_DOWN
+        audit = medium.degrade and building
         if audit:
             kept = medium.retained
             raw = ()
@@ -217,9 +217,11 @@ def drive(gen, medium):
         if audit:
             for q, part in enumerate(got):
                 if part is None:
-                    got[q] = tombstone_part(
+                    tomb = tombstone_part(
                         medium.topo, medium.spec, rank, layer, group[q], medium.fetch
                     )
+                    # A configuration part is its two key sets only.
+                    got[q] = tomb if phase == PHASE_COMBINED_DOWN else tomb[:2]
                 elif raw:
                     kept.recv[(round, 1, group[q])] = part[-1]
                     got[q] = part[:-1]
@@ -262,10 +264,12 @@ def down_pass(
     bottom-layer partial (``None`` in config-only mode) and ``v_mask`` its
     per-position validity (``None`` unless ``degrade``).
 
-    A ``None`` part (unrecoverable member) contributes empty index sets in
-    config-only mode.  A combined exchange must not be resumed with one:
-    the driver substitutes :func:`tombstone_part`, so the merge below never
-    special-cases holes.
+    A ``None`` part (unrecoverable member) contributes empty index sets.
+    Under degraded completion the driver resumes no exchange with one: it
+    substitutes :func:`tombstone_part` (in config-only mode its two key
+    sets), so a key only the hole carried still gets a slot — which the
+    reduce pass then masks — and the merge below never special-cases
+    holes.
 
     Many callers ask for the keys they contribute.  Where the arrays in
     hand are equal, the in side is the out side: the layer-0 keys when

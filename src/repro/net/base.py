@@ -51,7 +51,8 @@ class KylixDriver:
         and ``kill_at_step`` / at-start deaths are honoured (a step-kill
         is an ``os._exit`` right before the node's first send at that
         phase and layer); time-based deaths and recoveries need a
-        simulated clock and are rejected.
+        simulated clock, and a config-phase kill a separate configuration
+        pass: both are rejected.
     retry:
         :class:`~repro.faults.RetryPolicy` for receive deadlines/NACKs.
         Defaults to ``RetryPolicy()`` with a 0.25 s wall-clock base.
@@ -113,6 +114,12 @@ class KylixDriver:
                 raise ValueError(
                     f"{type(self).__name__} does not support recovery schedules"
                 )
+            for node in faults.step_killed_nodes:
+                if faults.step_kill_for(node)[0] == "config":
+                    raise ValueError(
+                        f"{type(self).__name__} runs the combined protocol, which has "
+                        f"no config phase: a kill of node {node} there never fires"
+                    )
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
         self.observe = observe

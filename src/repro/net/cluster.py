@@ -19,19 +19,19 @@ distributed-systems repos:
   manifest that every other tool consumes.  ``--stop`` tears a cluster
   down: shutdown frames first, SIGTERM for stragglers, manifest removed.
 * **Driver** (:func:`drive_cluster`, ``python -m repro drive-cluster``)
-  — consumes the manifest, runs a named workload for a round count or
+  — consumes the manifest and runs a named workload for a round count or
   wall duration with a chosen ``--failure-mode`` as a sequence of session
-  waves on a :class:`ClusterKylix` — the one driver of every real
-  backend (:class:`~repro.net.base.KylixDriver`), attached to the
-  manifest's nodes instead of forking its own — checks exactness against
-  the dense reference, gates degraded coverage against the static
-  :func:`~repro.verify.flow.worst_case_loss` bound, and can export the
-  merged Chrome trace.
+  waves, each one :func:`~repro.obs.runner.run_traced` on a
+  :class:`ClusterKylix` — the one driver of every real backend
+  (:class:`~repro.net.base.KylixDriver`), attached to the manifest's
+  nodes instead of forking its own.  The runner judges every wave
+  (exactness against the dense reference, degraded coverage against the
+  static :func:`~repro.verify.flow.worst_case_loss` bound); the driver
+  adds up the waves, merges their traces and writes the postmortem.
 
-Failure modes reuse :class:`~repro.faults.FaultPlan`, so the *identical*
-deterministic fault schedule a mode denotes here can be replayed on the
-simulator and the pipe backend — that is the whole point: one schedule,
-three media.
+Failure modes are :func:`~repro.obs.runner.failure_schedule`'s, so the
+*identical* deterministic fault schedule a mode denotes here replays on
+the simulator and the forked backends — one schedule, every medium.
 
 Manifest schema (``cluster_procs.json``)::
 
@@ -58,18 +58,8 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..allreduce import ButterflyTopology, ReduceSpec, dense_reduce, dense_reduce_without
-from ..faults import (
-    CoverageReport,
-    FaultPlan,
-    LinkFault,
-    RetryPolicy,
-    exact_outside_lost,
-    lost_outside_bound,
-)
 from ..obs import Observer
+from ..obs.runner import FAILURE_MODES, VICTIM_RANK
 from ..obs.telemetry import FlightRecorder, TimeSeriesAggregator
 from .base import KylixDriver
 from .framing import Ctl, FrameError, FrameStream
@@ -79,6 +69,7 @@ from .tcp import TcpTransport, loopback_listener
 __all__ = [
     "DEFAULT_MANIFEST",
     "FAILURE_MODES",
+    "VICTIM_RANK",
     "serve_node",
     "launch_cluster",
     "attach_cluster",
@@ -91,14 +82,6 @@ __all__ = [
 
 DEFAULT_MANIFEST = "cluster_procs.json"
 DEFAULT_LOG_DIR = ".kylix-cluster"
-FAILURE_MODES = ("none", "crash", "slow-node", "partition")
-
-#: The deliberately afflicted rank in crash/slow-node/partition modes —
-#: deterministic so a mode + seed fully names its fault schedule.
-VICTIM_RANK = 1
-#: Fixed straggler penalty for ``slow-node`` (matches the simulator's
-#: ``straggler`` experiment scale: late, not lost).
-SLOW_NODE_DELAY = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -515,23 +498,16 @@ class ClusterKylix(KylixDriver):
 
     A session connects to every node's listener and ships it
     ``("session", job, {"addrs", "postmortem_dir"})``; the connection is
-    its control.  A node that cannot be reached settles ``lost`` at once.
-    Parameters: those of :class:`~repro.net.base.KylixDriver`, and
-    ``postmortem_dir``, where a node whose session went bad writes its
-    flight-recorder dump (with ``observe`` only).
+    its control.  A node that cannot be reached settles ``lost`` at once;
+    one whose session went bad writes its flight-recorder dump under
+    :data:`DEFAULT_LOG_DIR` (with ``observe`` only).  Parameters: those
+    of :class:`~repro.net.base.KylixDriver`.
     """
 
     _BACKEND_NAME = "cluster"
     _ROW = "node"
 
-    def __init__(
-        self,
-        manifest: Dict[str, Any],
-        degrees: Sequence[int],
-        *,
-        postmortem_dir: Optional[str] = None,
-        **options,
-    ):
+    def __init__(self, manifest: Dict[str, Any], degrees: Sequence[int], **options):
         super().__init__(degrees, **options)
         self.addrs = {
             n["rank"]: (n["host"], n["port"]) for n in manifest["nodes"].values()
@@ -541,14 +517,13 @@ class ClusterKylix(KylixDriver):
                 f"a {self.degrees} butterfly needs {self.size} nodes; the manifest "
                 f"has ranks {sorted(self.addrs)}"
             )
-        self.postmortem_dir = postmortem_dir
 
     @contextmanager
     def _nodes(self, jobs: Dict[int, NodeJob]):
         """Ship every node its session; on exit, the done handshake and
         each node's hang-up (so the next session cannot meet a mesh that
         is still winding down)."""
-        mesh = {"addrs": self.addrs, "postmortem_dir": self.postmortem_dir}
+        mesh = {"addrs": self.addrs, "postmortem_dir": DEFAULT_LOG_DIR}
         controls: Dict[int, SocketControl] = {}
         lost: Dict[int, tuple] = {}
         try:
@@ -574,177 +549,79 @@ class ClusterKylix(KylixDriver):
 # Experiment driver
 # ---------------------------------------------------------------------------
 
-def _failure_plan(
-    mode: str, base: Optional[FaultPlan], m: int, seed: int
-) -> Tuple[Optional[FaultPlan], Optional[RetryPolicy], bool, Optional[FaultPlan]]:
-    """(plan, retry override, degrade, bound plan) for one failure mode.
-
-    Every mode is expressed as a :class:`FaultPlan`, so the exact same
-    schedule replays on the simulator and the pipe backend.  The *bound
-    plan* is the kill-equivalent schedule the static
-    :func:`~repro.verify.flow.worst_case_loss` gate understands: a
-    silently partitioned node and a crashed node both contribute nothing
-    and return nothing, so both are bounded by "victim dead at start".
-    """
-    victim = VICTIM_RANK % m
-    if mode == "none":
-        return base, None, False, None
-    plan = (base or FaultPlan()).with_seed(seed)
-    if mode == "crash":
-        # Die right before the first value send of layer 1 — mid-reduce,
-        # after mesh formation, the worst spot for the down pass.  This
-        # kills the actual node *process*: the manifest is stale for the
-        # victim afterwards (relaunch, or drive crash mode last).
-        plan = plan.kill_at_step(victim, "down", 1)
-        bound = FaultPlan().kill(victim)
-        return plan, RetryPolicy(base_timeout=0.2, max_retries=2), True, bound
-    if mode == "slow-node":
-        # Late, not lost: generous base deadline so delayed messages
-        # arrive inside attempt 0 instead of burning the retry budget.
-        plan = plan.with_rule(LinkFault(src=victim, delay=SLOW_NODE_DELAY))
-        return plan, RetryPolicy(base_timeout=0.25, max_retries=4), False, None
-    if mode == "partition":
-        # The victim can talk to nobody and hear nobody — both directions
-        # drop with certainty, connections stay up (the silent partition).
-        plan = plan.with_rule(LinkFault(src=victim, drop=1.0))
-        plan = plan.with_rule(LinkFault(dst=victim, drop=1.0))
-        bound = FaultPlan().kill(victim)
-        return plan, RetryPolicy(base_timeout=0.15, max_retries=1), True, bound
-    raise ValueError(f"unknown failure mode {mode!r}; choose from {FAILURE_MODES}")
-
-
 def drive_cluster(
     manifest: Dict[str, Any],
-    *,
     workload: str = "quickstart",
+    *,
     rounds: int = 1,
     duration: Optional[float] = None,
     concurrency: int = 1,
     failure_mode: str = "none",
     seed: int = 0,
-    observe: Optional[Observer] = None,
     telemetry_interval: Optional[float] = None,
-    postmortem_dir: Optional[str] = DEFAULT_LOG_DIR,
 ) -> Dict[str, Any]:
-    """Run a workload in session waves of a :class:`ClusterKylix`; return
-    the outcome.
+    """Run a workload on a launched cluster in session waves; return the
+    outcome.
 
-    ``telemetry_interval`` (requires ``observe``) turns on the live
-    telemetry plane: every node samples its metric registry on that
-    wall-clock interval and streams ``("telemetry", rank, sample)``
-    frames back on its session control connection; the driver ingests
-    them into a :class:`~repro.obs.telemetry.TimeSeriesAggregator`
-    (returned under ``outcome["aggregator"]``), and the nodes also
-    buffer them for ``python -m repro monitor`` attach probes.  On
-    degraded completion or session errors a flight-recorder postmortem
-    cross-linked with the merged :class:`~repro.faults.CoverageReport`
-    is written under ``postmortem_dir`` (``outcome["postmortem"]`` names
-    the file).
-
-    ``concurrency`` is the number of reduction rounds batched into one
-    session wave: one mesh formation — and, on clean sessions, one
-    *configuration* — amortizes over that many rounds (round 0 runs the
-    combined protocol and keeps the plan it built; the wave's later rounds
-    replay values-only through it, reported as ``config_cache`` hits).
-    Waves repeat until ``rounds`` rounds have run, or — with
-    ``duration`` — until the wall clock says stop.
-
-    The outcome dict carries per-wave exactness against the dense
-    reference, every rank's error of every wave, the merged
-    :class:`~repro.faults.CoverageReport` for degraded modes, and the
-    static worst-case-loss gate verdict.
+    Each wave is one :func:`~repro.obs.runner.run_traced` of
+    ``concurrency`` rounds, judged there; one mesh formation — and, on
+    clean sessions, one configuration (later rounds are ``config_cache``
+    hits) — amortizes over the wave.  Waves repeat until ``rounds``
+    rounds have run, or — with ``duration`` — until the wall clock says
+    stop.  The outcome adds the waves up: the merged ``observer`` (and,
+    with ``telemetry_interval``, an ``aggregator`` of the nodes'
+    samples), the exact and checked rank-round counts, every error, the
+    dead ranks, and for degraded modes the merged coverage ``report`` and
+    the bound gate.  A loss, an error or a dead rank leaves a
+    flight-recorder postmortem with that report under
+    :data:`DEFAULT_LOG_DIR` (``outcome["postmortem"]``).
     """
-    from ..obs.runner import EXPERIMENTS
-    from ..verify.flow import worst_case_loss
+    from ..obs.runner import EXPERIMENTS, merge_reports, run_traced
 
     if workload not in EXPERIMENTS:
         raise ValueError(f"unknown workload {workload!r}")
     if rounds < 1 or concurrency < 1:
         raise ValueError("rounds and concurrency must be >= 1")
-    w = EXPERIMENTS[workload](seed)
-    m, degrees = w["m"], w["degrees"]
-    spec = ReduceSpec(in_indices=w["in_idx"], out_indices=w["out_idx"])
-    plan, retry_override, degrade, bound_plan = _failure_plan(
-        failure_mode, w.get("faults"), m, seed
-    )
-    net = ClusterKylix(
-        manifest,
-        degrees,
-        strict_coverage=not degrade,
-        faults=plan,
-        retry=retry_override or w.get("retry") or RetryPolicy(base_timeout=0.25),
-        observe=observe,
-        degrade=degrade,
-        telemetry_interval=telemetry_interval,
-        postmortem_dir=postmortem_dir,
-    )
+    obs = Observer(name=f"{workload}@cluster")
     aggregator = TimeSeriesAggregator() if telemetry_interval is not None else None
     recorder = FlightRecorder(capacity=512, node=-1)
-    if observe is not None and observe.enabled:
-        recorder.attach(observe)
-    # Exactness reference.  Under a degraded mode the victim contributes
-    # *nothing* (it dies or all its sends drop before any value leaves),
-    # so the honest reference for the survivors' kept positions is the
-    # reduction over every member *except* the victim.
-    victim = VICTIM_RANK % m
-    if degrade:
-        reference = dense_reduce_without(spec, w["values"], victim)
-    else:
-        reference = dense_reduce(spec, w["values"])
-
-    def on_frame(frame) -> None:
-        if frame[0] == "telemetry":
-            aggregator.ingest(frame[2])
-            recorder.record("telemetry", frame[2].t, node=frame[1], seq=frame[2].seq)
-
     outcome: Dict[str, Any] = {
-        "workload": workload,
-        "failure_mode": failure_mode,
-        "seed": seed,
-        "rounds_requested": rounds,
-        "rounds_run": 0,
-        "waves": 0,
-        "exact_rounds": 0,
-        "checked_rounds": 0,
-        "dead_ranks": [],
-        "errors": [],
-        "config_cache": {"hits": 0, "misses": 0, "hit_rate": 0.0},
+        "workload": workload, "failure_mode": failure_mode, "seed": seed,
+        "observer": obs, "rounds_run": 0, "waves": 0, "exact_rounds": 0,
+        "checked_rounds": 0, "dead_ranks": [], "errors": [],
+        "config_cache": {"hits": 0, "misses": 0},
     }
-    all_lost: Dict[int, List[np.ndarray]] = {}
-    all_losses: list = []
+    reports, violations = [], []
     started = time.monotonic()
     rounds_left = rounds
     while rounds_left > 0:
         wave = min(concurrency, rounds_left)
-        out = net.run_session(spec, [w["values"]] * wave, on_frame=on_frame)
-        wave_errs = [f"rank {r}: {exc}" for r, exc in out.errors.items()]
-        for msg in wave_errs:
+        wave_obs, info = run_traced(
+            workload, backend=manifest, seed=seed, failure=failure_mode,
+            rounds=wave, telemetry_interval=telemetry_interval,
+        )
+        obs.absorb(wave_obs.snapshot(), pid=None)
+        obs.pid_names.update(wave_obs.pid_names)
+        if aggregator is not None:
+            aggregator.ingest_observer(wave_obs)
+        for sample in wave_obs.telemetry:
+            recorder.record("telemetry", sample.t, node=sample.node, seq=sample.seq)
+        for msg in info["errors"]:
             recorder.record("error", time.monotonic() - started, detail=msg)
-        for r in out.dead:
+        for r in info["dead"]:
             recorder.record("dead", time.monotonic() - started, rank=r)
+            if r not in outcome["dead_ranks"]:
+                outcome["dead_ranks"].append(r)
         outcome["waves"] += 1
         outcome["rounds_run"] += wave
-        outcome["errors"].extend(wave_errs)
-        outcome["config_cache"]["hits"] += out.cache["hits"]
-        outcome["config_cache"]["misses"] += out.cache["misses"]
-        outcome["dead_ranks"].extend(
-            r for r in out.dead if r not in outcome["dead_ranks"]
-        )
-        if degrade:
-            for r, lost_ix in out.report.lost_indices.items():
-                all_lost.setdefault(r, []).append(lost_ix)
-            all_losses.extend(out.report.losses)
-        for rank, per_round in out.rounds.items():
-            if degrade and rank == victim:
-                # The victim's surviving values are reductions over
-                # whatever happened to reach it — no dense reference
-                # matches them; its coverage report is the contract.
-                continue
-            for result, lost_raw, _losses in per_round:
-                outcome["checked_rounds"] += 1
-                outcome["exact_rounds"] += exact_outside_lost(
-                    result, reference[rank], spec.in_indices[rank], lost_raw
-                )
+        outcome["errors"] += info["errors"]
+        outcome["exact_rounds"] += info["exact_rounds"]
+        outcome["checked_rounds"] += info["checked_rounds"]
+        for key in ("hits", "misses"):
+            outcome["config_cache"][key] += info["cache"][key]
+        if info["report"] is not None:
+            reports.append(info["report"])
+            violations += info["bound_violations"]
         rounds_left -= wave
         if duration is not None:
             if time.monotonic() - started >= duration:
@@ -752,49 +629,20 @@ def drive_cluster(
             if rounds_left <= 0:
                 rounds_left = rounds  # keep cycling until the clock says stop
     outcome["elapsed"] = time.monotonic() - started
-    consults = outcome["config_cache"]["hits"] + outcome["config_cache"]["misses"]
-    outcome["config_cache"]["hit_rate"] = (
-        outcome["config_cache"]["hits"] / consults if consults else 0.0
-    )
-
-    report = None
-    if degrade:
-        report = CoverageReport.from_losses(
-            spec, m, {r: np.concatenate(c) for r, c in all_lost.items()}, all_losses
-        )
-        outcome["coverage"] = report.summary()
-        bound = worst_case_loss(
-            ButterflyTopology(degrees, m), spec, None, bound_plan or plan
-        )
-        violations = [
-            f"rank {r}: {extra.size} lost indices outside the static bound"
-            for r, extra in lost_outside_bound(report.lost_indices, bound.get).items()
-        ]
-        outcome["bound_ok"] = not violations
-        outcome["bound_violations"] = violations
-    outcome["report"] = report
+    cache = outcome["config_cache"]
+    cache["hit_rate"] = cache["hits"] / max(cache["hits"] + cache["misses"], 1)
+    report = outcome["report"] = merge_reports(reports) if reports else None
+    if report is not None:
+        outcome.update(coverage=report.summary(), bound_ok=not violations,
+                       bound_violations=violations)
     if aggregator is not None:
         outcome["aggregator"] = aggregator
-        outcome["telemetry_samples"] = aggregator.samples
-    # Crash evidence: any loss, error, or dead rank leaves a postmortem
-    # whose coverage section is exactly the merged report above.
-    went_bad = bool(
-        (report is not None and (report.lost_indices or report.losses))
-        or outcome["errors"]
-        or outcome["dead_ranks"]
-    )
-    if postmortem_dir and went_bad:
-        os.makedirs(postmortem_dir, exist_ok=True)
-        path = os.path.join(postmortem_dir, "postmortem-driver.json")
-        recorder.dump(
-            path,
-            report=report,
-            context={
-                "workload": workload,
-                "failure_mode": failure_mode,
-                "seed": seed,
-                "dead_ranks": [int(r) for r in outcome["dead_ranks"]],
-            },
-        )
-        outcome["postmortem"] = path
+    if (report is not None and (report.lost_indices or report.losses)) or (
+        outcome["errors"] or outcome["dead_ranks"]
+    ):
+        os.makedirs(DEFAULT_LOG_DIR, exist_ok=True)
+        path = outcome["postmortem"] = os.path.join(DEFAULT_LOG_DIR, "postmortem-driver.json")
+        context = {"workload": workload, "failure_mode": failure_mode, "seed": seed,
+                   "dead_ranks": [int(r) for r in outcome["dead_ranks"]]}
+        recorder.dump(path, report=report, context=context)
     return outcome

@@ -282,11 +282,14 @@ class Observer:
             "metrics": self.metrics.snapshot(),
         }
 
-    def absorb(self, snap: Dict[str, Any], *, pid: int = 0, name: str = "") -> None:
+    def absorb(
+        self, snap: Dict[str, Any], *, pid: Optional[int] = 0, name: str = ""
+    ) -> None:
         """Merge a worker :meth:`snapshot`, re-homing its spans under
-        ``pid`` so each worker gets its own process row in the trace."""
+        ``pid`` so each worker gets its own process row in the trace
+        (``pid=None`` keeps the spans' own rows)."""
         for sp in snap.get("spans", []):
-            self.spans.append(replace(sp, pid=pid))
+            self.spans.append(sp if pid is None else replace(sp, pid=pid))
         self.messages.extend(snap.get("messages", []))
         self.telemetry.extend(snap.get("telemetry", []))
         self.metrics.absorb(snap.get("metrics", {}))

@@ -51,7 +51,6 @@ __all__ = [
     "certify",
     "certificate_for_experiment",
     "check_traffic",
-    "check_coverage",
     "worst_case_loss",
     "mutant_plans",
     "plan_fingerprint",
@@ -82,7 +81,6 @@ _LAZY = {
     "certify": "flow",
     "certificate_for_experiment": "flow",
     "check_traffic": "flow",
-    "check_coverage": "flow",
     "worst_case_loss": "flow",
     "mutant_plans": "flow",
     "plan_fingerprint": "flow",

@@ -64,6 +64,11 @@ Runtime obligations (discharged against a live run):
     :class:`~repro.faults.CoverageReport` never loses an index outside
     the statically computed worst-case reachable set.
 
+Under a crash schedule ``certify`` also reports the runner's
+``degraded-exact`` check (:func:`repro.obs.runner.run_traced`): every
+value a rank does not report lost equals the dense reference.  It is a
+check of the run, not of the plan: the certificate's obligations do not list it.
+
 ``python -m repro certify`` is the command-line face of this module.
 """
 
@@ -80,7 +85,6 @@ import numpy as np
 from ..allreduce.base import ReduceSpec
 from ..allreduce.core import NodePlan
 from ..allreduce.topology import ButterflyTopology
-from ..faults.report import lost_outside_bound
 from ..sparse import IndexHasher, MultiplicativeHasher
 from .errors import ProtocolInvariantError
 from .invariants import Violation
@@ -96,7 +100,6 @@ __all__ = [
     "certify",
     "certificate_for_experiment",
     "check_traffic",
-    "check_coverage",
     "worst_case_loss",
     "mutant_plans",
     "plan_fingerprint",
@@ -728,22 +731,6 @@ def check_traffic(cert: Certificate, stats: Any) -> List[Violation]:
                     )
                 )
     return violations
-
-
-def check_coverage(cert: Certificate, report: Any) -> List[Violation]:
-    """Gate a runtime :class:`~repro.faults.CoverageReport` against the
-    certificate's worst-case loss bound: every index a rank actually
-    lost must be inside its statically reachable loss set."""
-    outside = lost_outside_bound(getattr(report, "lost_indices", {}), cert.bound_for)
-    return [
-        Violation(
-            "coverage-bound",
-            f"lost {extra.size} indices outside the static worst-case "
-            f"set (first: {int(extra[0])})",
-            node=rank,
-        )
-        for rank, extra in outside.items()
-    ]
 
 
 def worst_case_loss(

@@ -56,6 +56,32 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["trace", "quickstart", "--backend", "mpi"])
 
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["trace", "quickstart", "--kill", "99:down:1"], "node 99"),
+            (["trace", "quickstart", "--backend", "local", "--kill", "1:config:1"], "node 1"),
+            (["trace", "quickstart", "--kill", "1:sideways:1"], "sideways"),
+            (["certify", "--nodes", "8", "--faults", "kill:99:down:1"], "node 99"),
+            (["certify", "--nodes", "8", "--faults", "kill:2:down"], "kill:2:down"),
+        ],
+    )
+    def test_kill_specs_share_one_parser_and_a_node_range(self, capsys, tmp_path, argv, named):
+        """``trace --kill`` and ``certify --faults`` parse one spec: a bad
+        one, a node outside the cluster, or a kill the backend never runs
+        is a usage error naming what is wrong, not a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + (["--out", str(tmp_path / "t.json")] if argv[0] == "trace" else []))
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_trace_config_kill_on_sim_is_exact_within_the_bound(self, capsys, tmp_path):
+        argv = ["trace", "quickstart", "--kill", "1:config:1", "--out", str(tmp_path / "t.json")]
+        assert cli_main(argv) == 0
+        printed = capsys.readouterr().out
+        assert "exact vs dense reference: yes" in printed
+        assert "coverage within the static worst-case bound" in printed
+
     def test_experiments_dispatch(self, capsys):
         assert cli_main(["experiments", "design"]) == 0
         out = capsys.readouterr().out

@@ -20,9 +20,10 @@ from repro.allreduce import (
     ReduceSpec,
     ReplicatedKylix,
     dense_reduce,
+    dense_reduce_without,
 )
 from repro.cluster import Cluster
-from repro.faults import FaultPlan, PeerFailedError
+from repro.faults import FaultPlan, PeerFailedError, exact_outside_lost
 
 
 def make_case(m, n, seed):
@@ -76,7 +77,8 @@ class TestPlainKylixStrict:
 
 class TestPlainKylixDegraded:
     @pytest.mark.parametrize(
-        "phase,layer", [("down", 1), ("down", 2), ("up", 1), ("up", 2)]
+        "phase,layer",
+        [("config", 1), ("config", 2), ("down", 1), ("down", 2), ("up", 1), ("up", 2)],
     )
     def test_coverage_report_matches_actual_losses(self, phase, layer):
         spec, vals = make_case(8, 400, 3)
@@ -93,6 +95,25 @@ class TestPlainKylixDegraded:
         assert_report_is_exact(out, base, spec, report, survivors)
         # The dead rank itself is reported fully lost.
         assert report.satisfied_fraction(3) == 0.0
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_dead_from_start_is_exact_without_the_victim(self, seed):
+        """A node dead before the run starts sends nothing, so its keys
+        reach no union: the survivors owe the reduction over the other
+        members, exactly, and the victim's own slice is reported lost."""
+        spec, vals = make_case(8, 400, seed)
+        net = KylixAllreduce(
+            Cluster(8, failures=FaultPlan().kill(3)), degrees=[4, 2], degrade=True
+        )
+        out = net.allreduce(spec, vals)
+        report = net.last_report
+        assert set(out) == {r for r in range(8) if r != 3}
+        assert report.satisfied_fraction(3) == 0.0
+        ref = dense_reduce_without(spec, vals, [3])
+        for r in out:
+            assert exact_outside_lost(
+                out[r], ref[r], spec.in_indices[r], report.lost_indices.get(r)
+            ), f"rank {r}"
 
     def test_death_between_config_and_reduce(self):
         """Configure cleanly, then the node dies before its first reduce

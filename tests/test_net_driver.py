@@ -80,3 +80,17 @@ def test_attached_driver_needs_the_manifest_to_cover_its_degrees():
     # Forking options are not the attached driver's.
     with pytest.raises(TypeError):
         ClusterKylix(unreachable_manifest(2), [2], join_timeout=1.0)
+
+
+def test_a_config_phase_kill_is_rejected_before_any_node_starts():
+    """The real backends run the combined protocol, so a config-phase
+    kill never matches a step: accepting it would run a fault-free
+    session under a schedule that names a death."""
+    plan = FaultPlan().kill_at_step(1, "config", 1)
+    for make in (
+        lambda: LocalKylix([4, 2], faults=plan, degrade=True),
+        lambda: ClusterKylix(unreachable_manifest(8), [4, 2], faults=plan),
+    ):
+        with pytest.raises(ValueError, match="node 1"):
+            make()
+    LocalKylix([4, 2], faults=FaultPlan().kill_at_step(1, "down", 1))  # accepted

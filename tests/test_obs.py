@@ -317,6 +317,24 @@ class TestRunner:
         with pytest.raises(ValueError, match="unknown backend"):
             run_traced("quickstart", backend="mpi")
 
+    @pytest.mark.parametrize(
+        "backend,failure",
+        [
+            ("sim", [(1, "down", 1)]),
+            ("sim", [(1, "config", 1)]),
+            ("sim", "partition"),
+            ("local", [(1, "down", 1)]),
+        ],
+    )
+    def test_failure_paths_are_exact_within_the_bound(self, backend, failure):
+        """A run under a kill or a partition degrades: its survivors are
+        exact outside their reported losses, the victim's missing result
+        is reported lost, and every loss lies inside the static bound."""
+        _, info = run_traced("quickstart", backend=backend, seed=0, failure=failure)
+        assert info["report"] is not None and 1 in info["report"].dead_members
+        assert info["exact"] and info["checked_rounds"] == 7
+        assert info["bound_violations"] == []
+
     def test_faults_experiment_counts_injections_sim(self):
         obs, info = run_traced("faults", backend="sim", seed=0)
         assert info["exact"]

@@ -16,7 +16,7 @@ from repro.__main__ import main as cli_main
 from repro.allreduce.base import ReduceSpec
 from repro.allreduce.topology import ButterflyTopology
 from repro.design import EmpiricalDensityCurve, objective_volume
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, lost_outside_bound
 from repro.verify import build_plans, synthetic_spec
 from repro.verify.flow import (
     OBLIGATIONS,
@@ -25,7 +25,6 @@ from repro.verify.flow import (
     analyze_flow,
     certificate_for_experiment,
     certify,
-    check_coverage,
     check_traffic,
     density_spec,
     emit_certificate_metrics,
@@ -397,14 +396,14 @@ class TestFaultBounds:
         cert = certify(ButterflyTopology([4, 2], 8), spec, faults=faults)
         assert cert.fault_bound  # a crash schedule produces a bound
         report = self.run_degraded(spec, [4, 2], faults)
-        assert check_coverage(cert, report) == []
+        assert lost_outside_bound(report.lost_indices, cert.bound_for) == {}
 
     def test_timed_death_within_static_bound(self):
         faults = FaultPlan(seed=0).kill(3, at=0.0)
         spec = density_spec(8, n=512, density=0.2, seed=5)
         cert = certify(ButterflyTopology([4, 2], 8), spec, faults=faults)
         report = self.run_degraded(spec, [4, 2], faults)
-        assert check_coverage(cert, report) == []
+        assert lost_outside_bound(report.lost_indices, cert.bound_for) == {}
 
     def test_dead_requester_loses_whole_in_set(self):
         faults = FaultPlan(seed=0).kill_at_step(2, "config", 1)
@@ -429,8 +428,8 @@ class TestFaultBounds:
         outside = np.setdiff1d(np.asarray(spec.in_indices[1]), bound1)
         assert outside.size, "fixture needs an index outside the bound"
         fake.lost_indices = {1: outside[:3]}
-        violations = check_coverage(cert, fake)
-        assert violations and violations[0].invariant == "coverage-bound"
+        outside_bound = lost_outside_bound(fake.lost_indices, cert.bound_for)
+        np.testing.assert_array_equal(outside_bound[1], outside[:3])
 
     def test_message_fault_plans_carry_no_bound(self):
         from repro.faults import LinkFault
