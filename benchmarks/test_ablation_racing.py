@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 from conftest import emit
 
-from repro.allreduce import KylixAllreduce, ReplicatedKylix
+from repro.allreduce import KylixAllreduce
 from repro.bench import format_table, scaled_params
 from repro.cluster import Cluster
 from repro.data import random_edge_partition, spmv_spec
@@ -42,7 +42,7 @@ def _overhead_at_sigma(dataset, sigma, seed=5):
     t_plain = _reduce_time(plain, plain_cluster, spec, values)
 
     rep_cluster = Cluster(64, params=params, seed=seed)
-    rep = ReplicatedKylix(rep_cluster, [8, 4], replication=2, strict_coverage=False)
+    rep = KylixAllreduce(rep_cluster, [8, 4], replication=2, strict_coverage=False)
     t_rep = _reduce_time(rep, rep_cluster, spec, values)
     return t_rep / t_plain
 

@@ -10,7 +10,7 @@ packet racing — the paper's "modest overhead" claim, quantified.
 import numpy as np
 from conftest import emit
 
-from repro.allreduce import ReplicatedKylix, expected_failures_survived
+from repro.allreduce import KylixAllreduce, expected_failures_survived
 from repro.bench import format_seconds, format_table, scaled_params
 from repro.cluster import Cluster
 from repro.data import random_edge_partition, spmv_spec
@@ -29,9 +29,7 @@ def _time_replicated(dataset, s, m_phys=48, reduce_iters=2, seed=3):
         min_packet_bytes=params.min_efficient_packet(0.85) * (4 / 16),
         bytes_per_element=4,
     )
-    net = ReplicatedKylix(
-        cluster, degrees, replication=s, strict_coverage=False
-    )
+    net = KylixAllreduce(cluster, degrees, replication=s, strict_coverage=False)
     net.configure(spec)
     cfg = net.config_timing.elapsed
     t0 = cluster.now

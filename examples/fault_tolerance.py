@@ -20,7 +20,6 @@ import numpy as np
 from repro.allreduce import (
     KylixAllreduce,
     ReduceSpec,
-    ReplicatedKylix,
     dense_reduce,
     expected_failures_survived,
 )
@@ -48,7 +47,7 @@ params = replace(EC2_LIKE, latency_sigma=0.8, service_sigma=0.8)
 
 def run(failures=None, label=""):
     cluster = Cluster(M_PHYSICAL, params=params, failures=failures, seed=3)
-    net = ReplicatedKylix(cluster, degrees=[4, 2], replication=REPLICATION)
+    net = KylixAllreduce(cluster, degrees=[4, 2], replication=REPLICATION)
     net.configure(spec)
     t0 = cluster.now
     result = net.reduce(values)

@@ -13,7 +13,7 @@ Run:  python examples/pagerank_graph_mining.py
 
 import numpy as np
 
-from repro.allreduce import DirectAllreduce, KylixAllreduce
+from repro.allreduce import KylixAllreduce
 from repro.apps import (
     DistributedComponents,
     DistributedDiameter,
@@ -35,7 +35,7 @@ print(
 # ---------------------------------------------------------------- PageRank
 for name, factory in [
     ("Kylix 4x2x2", lambda c: KylixAllreduce(c, [4, 2, 2])),
-    ("direct all-to-all", lambda c: DirectAllreduce(c)),
+    ("direct all-to-all", lambda c: KylixAllreduce(c, [c.num_nodes])),
 ]:
     cluster = make_cluster(dataset)
     pr = DistributedPageRank(cluster, dataset.partitions, allreduce=factory)

@@ -4,9 +4,10 @@ Public API re-exports the pieces a downstream user touches most:
 
 * :class:`Cluster` — the simulated commodity cluster everything runs on;
 * :class:`ReduceSpec` / :class:`KylixAllreduce` — declare sparse in/out
-  index sets and run the nested heterogeneous butterfly allreduce;
-* the baseline topologies (direct, binary butterfly, tree, dense) and the
-  fault-tolerant :class:`ReplicatedKylix`;
+  index sets and run the nested heterogeneous butterfly allreduce; its
+  degree stack gives the direct (``[m]``) and binary butterfly
+  baselines, and ``replication=s`` the §V fault tolerance;
+* the other baselines (:class:`TreeAllreduce`, :class:`DenseAllreduce`);
 * the §IV design workflow (:func:`optimal_degrees`, :class:`PowerLawModel`).
 
 Subpackages: ``repro.simul`` (event engine), ``repro.netmodel`` (fabric
@@ -18,13 +19,10 @@ cost model), ``repro.cluster``, ``repro.sparse``, ``repro.allreduce``,
 """
 
 from .allreduce import (
-    BinaryButterflyAllreduce,
     CoverageError,
     DenseAllreduce,
-    DirectAllreduce,
     KylixAllreduce,
     ReduceSpec,
-    ReplicatedKylix,
     TreeAllreduce,
     dense_reduce,
 )
@@ -41,11 +39,8 @@ __all__ = [
     "FailurePlan",
     "ReduceSpec",
     "KylixAllreduce",
-    "DirectAllreduce",
-    "BinaryButterflyAllreduce",
     "TreeAllreduce",
     "DenseAllreduce",
-    "ReplicatedKylix",
     "CoverageError",
     "ProtocolInvariantError",
     "dense_reduce",

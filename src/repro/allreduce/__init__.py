@@ -2,11 +2,12 @@
 
 * :class:`KylixAllreduce` — the paper's contribution: nested,
   heterogeneous-degree butterfly (configure once, reduce many times).
-* :class:`DirectAllreduce` — all-to-all baseline (degree ``[m]``).
-* :class:`BinaryButterflyAllreduce` — classical ``[2]*log2(m)`` butterfly.
+  Its degree stack also gives the butterfly baselines — ``[m]`` is
+  direct all-to-all, :func:`binary_degrees` the classical
+  ``[2]*log2(m)`` butterfly — and ``replication=s`` the §V fault
+  tolerance via replication + packet racing.
 * :class:`TreeAllreduce` — binary reduction tree (shows the dense blow-up).
 * :class:`DenseAllreduce` — dense reduce-scatter/allgather reference.
-* :class:`ReplicatedKylix` — §V fault tolerance via replication + racing.
 """
 
 from .base import (
@@ -20,12 +21,10 @@ from .base import (
     dense_reduce,
     dense_reduce_without,
 )
-from .butterfly import BinaryButterflyAllreduce, binary_degrees, uniform_degrees
+from .butterfly import binary_degrees, uniform_degrees
 from .core import LayerPlan, NodePlan
 from .dense import DenseAllreduce
-from .direct import DirectAllreduce
-from .kylix import KylixAllreduce, PhaseTiming
-from .replicated import ReplicatedKylix, expected_failures_survived
+from .kylix import KylixAllreduce, PhaseTiming, expected_failures_survived
 from .topology import ButterflyTopology, validate_degrees
 from .tree import TreeAllreduce
 
@@ -43,13 +42,10 @@ __all__ = [
     "NodePlan",
     "LayerPlan",
     "PhaseTiming",
-    "DirectAllreduce",
-    "BinaryButterflyAllreduce",
     "binary_degrees",
     "uniform_degrees",
     "TreeAllreduce",
     "DenseAllreduce",
-    "ReplicatedKylix",
     "expected_failures_survived",
     "ButterflyTopology",
     "validate_degrees",

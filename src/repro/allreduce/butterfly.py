@@ -3,20 +3,18 @@
 A binary butterfly (``d_i = 2`` for every layer) minimises latency for
 fixed-cost messages but maximises layer count; the paper shows the optimal
 commodity-cluster configuration uses *fewer, wider* layers tuned so each
-layer's packets stay at or above the minimum efficient size.
+layer's packets stay at or above the minimum efficient size.  Either is
+a :class:`~repro.allreduce.kylix.KylixAllreduce` degree stack:
+``KylixAllreduce(cluster, binary_degrees(m))``.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Optional
 
-from ..cluster import Cluster
-from ..sparse import IndexHasher
 from ..verify.errors import ProtocolInvariantError
-from .kylix import KylixAllreduce
 
-__all__ = ["BinaryButterflyAllreduce", "binary_degrees", "uniform_degrees"]
+__all__ = ["binary_degrees", "uniform_degrees"]
 
 
 def binary_degrees(num_nodes: int) -> list[int]:
@@ -51,22 +49,3 @@ def uniform_degrees(num_nodes: int, degree: int) -> list[int]:
             invariant="degree-product",
         )
     return out
-
-
-class BinaryButterflyAllreduce(KylixAllreduce):
-    """The classical binary butterfly, as a Kylix degree stack."""
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        *,
-        hasher: Optional[IndexHasher] = None,
-        strict_coverage: bool = True,
-    ):
-        super().__init__(
-            cluster,
-            degrees=binary_degrees(cluster.num_nodes),
-            hasher=hasher,
-            strict_coverage=strict_coverage,
-            name="binary",
-        )

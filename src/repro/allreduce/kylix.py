@@ -12,8 +12,12 @@ message tags, sends and receives through the replica
 on the virtual clock, the hole policy's retained keys held in memory —
 and it holds the public configure/reduce API.
 
-Degenerate stacks reproduce the baselines: ``[m]`` is the direct
-all-to-all allreduce, ``[2]*log2(m)`` the binary butterfly.
+The paper's baselines and its §V fault tolerance are arguments of the
+one class, not subclasses: the degree stack ``[m]`` is the direct
+all-to-all allreduce (§II-A.2), ``[2]*log2(m)`` the binary butterfly
+(:func:`~repro.allreduce.butterfly.binary_degrees`), and
+``replication=s`` hosts each logical slot on ``s`` physical replicas
+that race every part (§V).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from ..cluster import Cluster, SimNode
 from ..cluster.node import payload_nbytes
-from ..faults import CoverageReport, FaultPlan, LossRecord, RetryPolicy
+from ..faults import CoverageReport, FaultPlan, LossRecord, PeerFailedError, RetryPolicy
 from ..faults.ladder import DUPLICATE, ReceiveLadder, RetainedKeys, SlotMap, slot_status
 from ..obs import NULL_OBSERVER
 from ..simul import WaitTimeout, wait_with_timeout
@@ -42,7 +46,7 @@ from .base import (
 from .core import NodePlan
 from .topology import ButterflyTopology
 
-__all__ = ["KylixAllreduce", "PhaseTiming"]
+__all__ = ["KylixAllreduce", "PhaseTiming", "expected_failures_survived"]
 
 #: Message-tag kind of each pass; a tag is ``(name, kind, instance, layer)``.
 _TAG_KIND = {
@@ -169,6 +173,27 @@ class PhaseTiming:
         return self.end - self.start
 
 
+def expected_failures_survived(num_logical: int, replication: int = 2) -> float:
+    """Birthday-paradox estimate of tolerable random failures (§V-A).
+
+    For replication 2 the network survives until two failures land on the
+    same replica group: about ``√m`` failures in expectation (the paper's
+    figure).  For general ``s`` the generalized birthday bound gives
+    ``(s! · m^(s-1))^(1/s) · Γ(1 + 1/s)`` — superlinear gains per extra
+    replica.
+    """
+    if replication < 2:
+        return 0.0
+    if replication == 2:
+        return float(np.sqrt(num_logical))
+    from math import factorial, gamma
+
+    s = replication
+    return float(
+        (factorial(s) * num_logical ** (s - 1)) ** (1.0 / s) * gamma(1.0 + 1.0 / s)
+    )
+
+
 class KylixAllreduce:
     """Sparse allreduce over a simulated cluster with a fixed degree stack.
 
@@ -177,8 +202,21 @@ class KylixAllreduce:
     cluster:
         The simulated cluster to run on.
     degrees:
-        Butterfly degrees, top layer first; their product must equal the
-        cluster size.  ``[m]`` degenerates to direct all-to-all.
+        Butterfly degrees over the logical slots, top layer first; their
+        product must equal the slot count (the cluster size over
+        ``replication``).  ``[m]`` degenerates to direct all-to-all,
+        ``[2]*log2(m)`` to the binary butterfly.
+    replication:
+        Physical replicas per logical slot (§V).  With ``s`` replicas the
+        ``m`` physical nodes host ``m/s`` slots: node ``p`` is replica
+        ``p // (m/s)`` of slot ``p % (m/s)`` (the paper: "data on machine
+        i also appears on the replicas m+i through i+(s-1)*m").  Every
+        logical message goes from each live replica of its source to
+        every replica of its destination, and a receiver keeps the first
+        copy — **packet racing** — so the run completes unless all
+        replicas of some slot are dead; a NACK goes to every replica.
+        The cost is up to ``s``× the traffic; racing wins part of it back
+        on jittery links (Table I).  ``1`` (default) is plain Kylix.
     hasher:
         Index↔key bijection; defaults to multiplicative hashing over the
         64-bit ring.  Pass :class:`IdentityHasher` in tests for readable
@@ -202,6 +240,12 @@ class KylixAllreduce:
         entries hold the reduction identity — and publishes an exact
         :class:`~repro.faults.CoverageReport` as :attr:`last_report`.
         Only meaningful when a retry policy is in effect.
+    name:
+        Namespaces this instance's message tags on a shared fabric.
+
+    Every entry point returns ``{logical rank: result}`` by one rule
+    (:meth:`_collate`): a slot's result, and its :attr:`last_report`
+    accounting, come from its first live replica.
 
     Usage::
 
@@ -210,14 +254,12 @@ class KylixAllreduce:
         out = net.reduce(values)         # many times (e.g. per PageRank iter)
     """
 
-    #: Physical replicas per logical slot (:class:`ReplicatedKylix` sets it).
-    replication = 1
-
     def __init__(
         self,
         cluster: Cluster,
         degrees: Sequence[int],
         *,
+        replication: int = 1,
         hasher: Optional[IndexHasher] = None,
         strict_coverage: bool = True,
         retry: Optional[RetryPolicy] = None,
@@ -226,7 +268,8 @@ class KylixAllreduce:
     ):
         self.cluster = cluster
         self.hasher = hasher if hasher is not None else MultiplicativeHasher()
-        self.slots = SlotMap(cluster.num_nodes, self.replication)
+        self.slots = SlotMap(cluster.num_nodes, replication)
+        self.replication = replication
         self.size = self.slots.size
         self.topology = ButterflyTopology(
             degrees, self.size, key_space=self.hasher.key_space
@@ -436,7 +479,8 @@ class KylixAllreduce:
         """One reduction over the configured index sets.
 
         ``out_values[rank]`` must align with ``spec.out_indices[rank]``;
-        the result aligns with ``spec.in_indices[rank]``.
+        the result, ``{logical rank: values}`` (see :meth:`_collate`),
+        aligns with ``spec.in_indices[rank]``.
         """
         if self.spec is None:
             raise RuntimeError("configure() must run before reduce()")
@@ -446,40 +490,57 @@ class KylixAllreduce:
         return self._finish_report(results)
 
     # ------------------------------------------------------------------
-    # Degraded-completion accounting
+    # Result collation
     # ------------------------------------------------------------------
-    def _collation_rank(self, logical_rank: int) -> int:
-        """Physical rank whose result represents ``logical_rank``."""
-        return logical_rank
+    def _collate(self, results: Mapping[int, Any]) -> Dict[int, int]:
+        """The one result rule of every entry point: ``{logical rank:
+        physical rank}`` whose result stands for the slot.
 
-    def _finish_report(self, results: Dict[int, Any]) -> Dict[int, Any]:
-        """Strip validity masks off protocol results and publish the
-        :class:`CoverageReport` for this run as :attr:`last_report`.
-
-        Outside degraded completion this is the identity.  The report's
-        per-rank lost indices are taken from the same replica that
-        :meth:`reduce` returns values from, so report and results always
-        agree.
+        A slot's result is read from its first live replica — the first,
+        in replica order, whose process returned (a node that dies mid-run
+        returns nothing; every live replica computes the same values).  A
+        slot with no live replica raises
+        :class:`~repro.faults.PeerFailedError` naming it; under degraded
+        completion it is left out instead, and :meth:`_finish_report`
+        marks its whole slice lost.
         """
+        first: Dict[int, int] = {}
+        for lr, replicas in enumerate(self.slots.physical):
+            for p in replicas:
+                if p in results:
+                    first[lr] = p
+                    break
+            else:
+                if not self._degrade_active():
+                    raise PeerFailedError(
+                        f"all {self.replication} replicas of logical slot "
+                        f"{lr} are dead",
+                        slot=lr,
+                    )
+        return first
+
+    def _finish_report(self, results: Mapping[int, Any]) -> Dict[int, Any]:
+        """Collate in-aligned protocol results by logical rank, strip their
+        validity masks and publish this run's :class:`CoverageReport` as
+        :attr:`last_report` (``None`` outside degraded completion).
+
+        A slot's lost indices are read from the same replica its values
+        are, so report and results always agree.
+        """
+        first = self._collate(results)
         if not self._degrade_active():
             self.last_report = None
-            return results
+            return {lr: results[p] for lr, p in first.items()}
         spec = self.spec
         values: Dict[int, Any] = {}
-        masks: Dict[int, np.ndarray] = {}
-        for rank, payload in results.items():
-            vals, mask = payload
-            values[rank] = vals
-            masks[rank] = mask
         lost: Dict[int, np.ndarray] = {}
         for lr in range(self.size):
-            phys = self._collation_rank(lr)
-            if phys is None or phys not in masks:
-                # The rank (or every replica of it) died mid-run: there is
-                # no surviving result, so its entire slice is lost.
+            if lr not in first:
+                # Every replica died mid-run: the whole slice is lost.
                 lost[lr] = np.asarray(spec.in_indices[lr])
                 continue
-            mask = masks[phys]
+            vals, mask = results[first[lr]]
+            values[lr] = vals
             if not bool(mask.all()):
                 lost[lr] = np.asarray(spec.in_indices[lr])[~mask]
         self.last_report = CoverageReport.from_losses(
@@ -547,23 +608,21 @@ class KylixAllreduce:
 
         Each logical node ends up holding the *fully reduced* values for
         its bottom nested key range.  Returns ``{rank: (indices, values)}``
-        with raw (un-hashed) indices.  Composes with
-        :meth:`allgather_from_bottom` — ``reduce()`` is exactly the two in
-        sequence — so callers can transform globally-reduced data in place
-        (normalise, clip, apply a model update at its home) before fanning
-        results back out.
+        with raw (un-hashed) indices, collated like :meth:`reduce`.
+        Composes with :meth:`allgather_from_bottom` — ``reduce()`` is
+        exactly the two in sequence — so callers can transform
+        globally-reduced data in place (normalise, clip, apply a model
+        update at its home) before fanning results back out.
         """
         if self.spec is None:
             raise RuntimeError("configure() must run before scatter_reduce()")
         raw, self.last_reduce_timing = self._run(
             "scatter_reduce", self._value_down, out_values
         )
-        out = {}
-        for rank, (v, _) in raw.items():
-            lr = self._logical(rank)
-            keys = self.plans[rank].bottom_out_keys
-            out[lr] = (self.hasher.unhash(keys), v)
-        return out
+        return {
+            lr: (self.hasher.unhash(self.plans[p].bottom_out_keys), raw[p][0])
+            for lr, p in self._collate(raw).items()
+        }
 
     def allgather_from_bottom(
         self, bottom_values: Mapping[int, np.ndarray]
@@ -576,16 +635,10 @@ class KylixAllreduce:
         """
         if self.spec is None:
             raise RuntimeError("configure() must run before allgather_from_bottom()")
-        # physical plans may outnumber logical ranks (replication)
-        values = {
-            self._logical(rank): bottom_values[self._logical(rank)]
-            for rank in self.plans
-        }
         raw, self.last_reduce_timing = self._run(
-            "allgather_from_bottom", self._gather_proto, values
+            "allgather_from_bottom", self._gather_proto, bottom_values
         )
-        raw = self._finish_report(raw)
-        return {self._logical(r): v for r, v in raw.items()}
+        return self._finish_report(raw)
 
     def allreduce_combined(
         self, spec: ReduceSpec, out_values: Mapping[int, np.ndarray]
@@ -606,11 +659,4 @@ class KylixAllreduce:
             phase=PHASE_COMBINED_DOWN,
         )
         self.plans = {rank: pr[0] for rank, pr in raw.items()}
-        results = self._finish_report({rank: pr[1] for rank, pr in raw.items()})
-        if self._degrade_active():
-            return {
-                lr: results[self._collation_rank(lr)]
-                for lr in range(self.size)
-                if self._collation_rank(lr) in results
-            }
-        return {self._logical(rank): v for rank, v in results.items()}
+        return self._finish_report({rank: pr[1] for rank, pr in raw.items()})

@@ -16,15 +16,16 @@ both of which this model reproduces on the same simulated fabric:
   the ratio.
 
 The PageRank driver below is therefore the same verified distributed
-PageRank, wired to a :class:`DirectAllreduce` and the GAS compute scale —
-a best-case PowerGraph (random vertex cut, as the paper compares against).
+PageRank, wired to a direct (degree ``[m]``) Kylix allreduce and the GAS
+compute scale — a best-case PowerGraph (random vertex cut, as the paper
+compares against).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..allreduce import DirectAllreduce
+from ..allreduce import KylixAllreduce
 from ..apps.pagerank import DistributedPageRank, PageRankResult
 from ..cluster import Cluster
 from ..data import GraphPartition
@@ -53,7 +54,7 @@ class PowerGraphPageRank(DistributedPageRank):
         super().__init__(
             cluster,
             partitions,
-            allreduce=lambda c: DirectAllreduce(c),
+            allreduce=lambda c: KylixAllreduce(c, [c.num_nodes]),
             damping=damping,
             compute_scale=compute_scale,
         )

@@ -14,13 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..allreduce import (
-    BinaryButterflyAllreduce,
-    DirectAllreduce,
-    KylixAllreduce,
-    ReplicatedKylix,
-    binary_degrees,
-)
+from ..allreduce import KylixAllreduce, binary_degrees
 from ..apps.pagerank import DistributedPageRank
 from ..baselines import GAS_COMPUTE_SCALE, HadoopCostModel, PowerGraphPageRank
 from ..cluster import Cluster, FailurePlan
@@ -420,7 +414,7 @@ def run_table1(
             cluster = cal.make_cluster(
                 dataset32, m=64, latency_sigma=latency_sigma, failures=plan, seed=seed
             )
-            net = ReplicatedKylix(
+            net = KylixAllreduce(
                 cluster, degrees32, replication=2, strict_coverage=False
             )
             return cluster, net
@@ -440,7 +434,7 @@ def run_table1(
         cluster = cal.make_cluster(
             dataset32, m=64, latency_sigma=latency_sigma, failures=plan, seed=seed
         )
-        net = ReplicatedKylix(cluster, degrees32, replication=2, strict_coverage=False)
+        net = KylixAllreduce(cluster, degrees32, replication=2, strict_coverage=False)
         return cluster, net
 
     cfg, red = averaged(make_rep_midrun, spec32, vals32)
@@ -455,7 +449,7 @@ def run_table1(
         cluster = cal.make_cluster(
             dataset32, m=64, latency_sigma=latency_sigma, failures=plan, seed=seed
         )
-        net = ReplicatedKylix(cluster, degrees32, replication=2, strict_coverage=False)
+        net = KylixAllreduce(cluster, degrees32, replication=2, strict_coverage=False)
         return cluster, net
 
     cfg, red = averaged(make_rep_straggler, spec32, vals32)

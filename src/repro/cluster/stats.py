@@ -92,16 +92,6 @@ class TrafficStats:
     ) -> None:
         self._cells[(phase, layer)].add(nbytes, self_message=src == dst)
 
-    def consume(self, event) -> None:
-        """Subscriber form of :meth:`record`, for attaching a stats
-        accumulator to a :class:`repro.obs.Observer` sent-message stream
-        (``observer.subscribe_sent(stats.consume)``).  The fabric feeds
-        its own :class:`TrafficStats` directly at the same accounting
-        point, so the two views always agree."""
-        self.record(
-            event.src, event.dst, event.nbytes, phase=event.phase, layer=event.layer
-        )
-
     # -- queries -----------------------------------------------------------
     def cell(self, phase: str, layer: int) -> PhaseBreakdown:
         return self._cells.get((phase, layer), PhaseBreakdown())

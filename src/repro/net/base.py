@@ -167,8 +167,6 @@ class KylixDriver:
     def _raise_failure(self, frame) -> None:
         # Fail at the first bad frame, not after the slowest retry ladder;
         # under degraded completion a lost rank is a hole.
-        if frame[0] == "telemetry":
-            return
         exc = failure(frame)
         if exc is not None and not (self.degrade and frame[0] == "lost"):
             raise exc
@@ -181,9 +179,9 @@ class KylixDriver:
     ) -> Collated:
         """One session: a job per rank, every rank settled, collated.
 
-        ``on_frame`` sees every frame as it arrives, telemetry included,
-        after the driver recorded it; an exception it raises ends the
-        session there (the nodes are released all the same).
+        ``on_frame`` sees every frame as it arrives, after the driver
+        recorded it; an exception it raises ends the session there (the
+        nodes are released all the same).
         """
         if set(spec.ranks) != set(range(self.size)):
             raise ValueError(
@@ -216,8 +214,7 @@ class KylixDriver:
         try:
             with self._nodes(jobs) as (controls, lost):
                 for frame in chain(lost.values(), collect(controls, timeout=self.timeout)):
-                    if frame[0] != "telemetry":
-                        records[frame[1]] = frame
+                    records[frame[1]] = frame
                     if frame[0] == "result" and frame[4] is not None:
                         # One trace process row per node (pid 0 = driver).
                         obs.absorb(frame[4], pid=frame[1] + 1, name=f"{self._ROW} {frame[1]}")

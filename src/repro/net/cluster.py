@@ -197,20 +197,6 @@ def probe(host: str, port: int, frame, *, timeout: float = 2.0):
         control.close()
 
 
-class _NodeControl(SocketControl):
-    """A node's end of a session control: telemetry frames bound for the
-    driver are also buffered for monitor ``telemetry-req`` probes."""
-
-    def __init__(self, sock, recent: deque) -> None:
-        super().__init__(sock)
-        self._recent = recent
-
-    def send(self, frame: Any) -> None:
-        if frame[0] == "telemetry":
-            self._recent.append(frame[2])
-        super().send(frame)
-
-
 def _serve_session(
     rank: int, listener, sock: socket.socket, job: NodeJob, mesh: Dict[str, Any],
     pending, stray, recent: deque,
@@ -235,9 +221,10 @@ def _serve_session(
             raise
         return net
 
-    control = _NodeControl(sock, recent)
+    control = SocketControl(sock)
     try:
-        err, rounds_out = run_node(rank, job, open_transport, control)
+        # Samples also land in the node's buffer for monitor probes.
+        err, rounds_out = run_node(rank, job, open_transport, control, sink=recent.append)
         if job.observe and mesh["postmortem_dir"]:
             _dump_node_postmortem(rank, recorder, mesh["postmortem_dir"], err, rounds_out)
     finally:

@@ -432,10 +432,10 @@ def send_frame(sock, frame) -> None:
 class FrameStream:
     """Stateful multi-frame receiver over one connected socket.
 
-    Connections that *stream* frames — a session control carrying
-    telemetry frames ahead of its result — can pack several frames into
-    one TCP chunk; this reader hands them back one at a time, in order,
-    and never reads past the frame it returns.  What it has not returned
+    Connections that *stream* frames — a peer's hello with its first
+    parts right behind it — can pack several frames into one TCP chunk;
+    this reader hands them back one at a time, in order, and never reads
+    past the frame it returns.  What it has not returned
     is therefore still in the socket, so the socket's readability is the
     truth about pending frames and ``select`` can multiplex many
     streams.  It accepts ``ctl`` frames: a listening socket's first

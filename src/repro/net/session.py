@@ -7,9 +7,9 @@ once, for every real medium (:class:`~repro.net.local.LocalKylix`,
 :mod:`repro.net.cluster`):
 
 * the **job** a node is handed (:class:`NodeJob`);
-* the **frames** on the control channel — node to driver any number of
-  ``("telemetry", rank, sample)`` and then exactly one ``("result",
-  rank, err, rounds_out, snapshot, cache_stats)``; driver to node one
+* the **frames** on the control channel — node to driver exactly one
+  ``("result", rank, err, rounds_out, snapshot, cache_stats)`` (the
+  node's telemetry samples ride its snapshot); driver to node one
   ``("done",)``;
 * the **error encoding** (:func:`encode_error` / :func:`failure`): a
   typed :class:`~repro.faults.PeerFailedError` keeps its slot, phase and
@@ -195,23 +195,19 @@ def encode_error(exc: BaseException):
     return f"{type(exc).__name__}: {exc}\n" + "".join(traceback.format_exception(exc))
 
 
-def run_node(rank: int, job: NodeJob, open_transport, control):
+def run_node(rank: int, job: NodeJob, open_transport, control, sink=None):
     """One node's blocking session; returns ``(err, rounds_out)`` as sent.
 
     ``rounds_out`` holds ``(result, lost_raw, losses)`` per *completed*
     round, so a session that fails midway still reports the rounds it
-    finished.  The order below is the contract: see the module docstring.
+    finished.  ``sink``, if given, also receives each telemetry sample as
+    it is taken (a cluster node's live buffer for ``monitor --attach``);
+    the samples reach the driver in the snapshot either way.  The order
+    below is the contract: see the module docstring.
     """
     plan, retry = job.plan, job.retry
     if plan is not None and not plan.is_alive(rank, 0.0):
         os._exit(1)  # dead from the start: no result, no goodbye
-
-    def ship(sample) -> None:
-        # Best-effort: the samples also ride the snapshot home.
-        try:
-            control.send(("telemetry", rank, sample))
-        except OSError:
-            pass
 
     # A private wall-clock observer; its snapshot rides the result frame
     # back to the driver, which absorbs it under this node's pid row.
@@ -225,7 +221,7 @@ def run_node(rank: int, job: NodeJob, open_transport, control):
         net = open_transport(rank, plan, retry, obs)
         if obs.enabled and job.telemetry_interval is not None:
             # Ticks are due calls of the transport's pump, on this thread.
-            agent = TelemetryAgent(obs, node=rank, interval=job.telemetry_interval, sink=ship)
+            agent = TelemetryAgent(obs, node=rank, interval=job.telemetry_interval, sink=sink)
             sampler = Sampler(net, agent).start()
         rounds = run_rounds(
             rank,
@@ -246,8 +242,8 @@ def run_node(rank: int, job: NodeJob, open_transport, control):
     except Exception as exc:  # surfaced at the driver
         err = encode_error(exc)
     try:
-        # Stop (and final-flush) the sampler before the result frame so
-        # the telemetry stream is complete and ordered before it.
+        # Stop (and final-flush) the sampler before the snapshot, so the
+        # snapshot carries every sample.
         if sampler is not None:
             sampler.stop(flush=True)
         snapshot = obs.snapshot() if obs.enabled else None
@@ -285,10 +281,10 @@ def failure(frame) -> Optional[Exception]:
 def collect(controls: Mapping[int, Any], *, timeout: float) -> Iterator[tuple]:
     """Yield a session's frames as they arrive, until every rank settled.
 
-    Telemetry frames pass through; each rank then settles exactly once,
-    with its ``result`` frame or with ``("lost", rank, why)`` — when its
-    control breaks or reaches EOF (a node that exits closes its end), or
-    when ``timeout`` runs out; nothing else wakes the wait.  All controls
+    Each rank settles exactly once, with its ``result`` frame or with
+    ``("lost", rank, why)`` — when its control breaks or reaches EOF (a
+    node that exits closes its end), or when ``timeout`` runs out;
+    nothing else wakes the wait.  All controls
     are drained continuously, so a node's blocking send of a large result
     never waits on a slower sibling.  The driver owes the nodes a
     :func:`release` afterwards, on every exit path.
@@ -302,8 +298,7 @@ def collect(controls: Mapping[int, Any], *, timeout: float) -> Iterator[tuple]:
                 frame = pending[rank].recv()  # lint: ok — wait-guarded
             except (EOFError, OSError) as exc:
                 frame = ("lost", rank, f"node {rank} closed its control before a result ({exc})")
-            if frame[0] != "telemetry":
-                del pending[rank]
+            del pending[rank]
             yield frame
         if time.monotonic() >= deadline:
             for rank in sorted(pending):

@@ -88,7 +88,6 @@ class Observer:
         self.telemetry: List[Any] = []
         self.metrics = MetricsRegistry()
         self.pid_names: Dict[int, str] = {}
-        self._sent_subs: List[Callable[[MessageEvent], None]] = []
         self._delivered_subs: List[Callable[[MessageEvent], None]] = []
         self._span_subs: List[Callable[[SpanEvent], None]] = []
         # (is_self, phase, layer) -> (bytes, messages) bound counters:
@@ -206,8 +205,7 @@ class Observer:
         self, src: int, dst: int, nbytes: int, *, phase: str = "", layer: int = -1
     ) -> None:
         """One transport send: maintains the (phase, layer) traffic
-        counters (self-messages separated, as in the paper's Fig 5) and
-        feeds send subscribers."""
+        counters (self-messages separated, as in the paper's Fig 5)."""
         is_self = src == dst
         pair = self._sent_counters.get((is_self, phase, layer))
         if pair is None:
@@ -221,12 +219,6 @@ class Observer:
             self._sent_counters[(is_self, phase, layer)] = pair
         pair[0].inc(nbytes)
         pair[1].inc()
-        if self._sent_subs:
-            ev = MessageEvent(
-                src, dst, nbytes, phase=phase, layer=layer, sent_at=self.now()
-            )
-            for fn in self._sent_subs:
-                fn(ev)
 
     def message_delivered(
         self,
@@ -256,9 +248,6 @@ class Observer:
         )
         for fn in self._delivered_subs:
             fn(ev)
-
-    def subscribe_sent(self, fn: Callable[[MessageEvent], None]) -> None:
-        self._sent_subs.append(fn)
 
     def subscribe_delivered(self, fn: Callable[[MessageEvent], None]) -> None:
         self._delivered_subs.append(fn)

@@ -16,9 +16,9 @@ Post-hoc traces answer "what happened"; a live 64-node service needs
   time; ticks run in the node's one pump, so the registry has one
   writer and a tick due during a merge is taken right after it).
 * :class:`TimeSeriesAggregator` — the central collector.  Samples arrive
-  as observer events (sim/local: they ride the worker snapshot) or as
-  control-plane ``("telemetry", ...)`` frames over the TCP wire
-  protocol; the aggregator keys them per (node, metric, labels) and
+  as observer events (a real node's ride its result snapshot home) or,
+  for ``monitor --attach``, from a cluster node's buffer of recent
+  samples; the aggregator keys them per (node, metric, labels) and
   offers rate/latest/percentile rollups, a canonical JSON document
   (``kylix-telemetry-v1``), and the text dashboard behind
   ``python -m repro monitor``.
@@ -94,8 +94,8 @@ class TelemetryAgent:
     against per-series cursors, histograms against per-series lengths,
     so each sample is proportional to what *moved*.  Every sample is
     appended to ``obs.telemetry`` (the observer-event path that rides
-    worker snapshots home) and handed to any extra ``sink`` — the TCP
-    node server uses a sink to ship ``("telemetry", ...)`` frames.
+    worker snapshots home) and handed to any extra ``sink`` — a cluster
+    node server's sink buffers them for monitor probes.
     """
 
     def __init__(

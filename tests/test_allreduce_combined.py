@@ -15,7 +15,6 @@ from repro.allreduce import (
     KylixAllreduce,
     PHASE_COMBINED_DOWN,
     ReduceSpec,
-    ReplicatedKylix,
     dense_reduce,
 )
 from repro.cluster import Cluster, FailurePlan
@@ -96,7 +95,7 @@ class TestCombinedCorrectness:
         rng = np.random.default_rng(9)
         spec, vals = covered_case(4, 150, rng)
         cluster = Cluster(8, failures=FailurePlan.dead_from_start([6]))
-        net = ReplicatedKylix(cluster, [2, 2], replication=2)
+        net = KylixAllreduce(cluster, [2, 2], replication=2)
         got = net.allreduce_combined(spec, vals)
         ref = dense_reduce(spec, vals)
         for r in range(4):

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allreduce import (
-    BinaryButterflyAllreduce,
     CoverageError,
-    DirectAllreduce,
     KylixAllreduce,
     ReduceSpec,
+    binary_degrees,
     dense_reduce,
 )
-from repro.cluster import Cluster
+from repro.cluster import Cluster, FailurePlan
+from repro.faults import PeerFailedError, RetryPolicy
 from repro.sparse import IdentityHasher
 
 
@@ -194,6 +194,52 @@ class TestCoverage:
             spec.validate_coverage()
 
 
+class TestCollation:
+    """Every entry point returns one value per logical slot, read from
+    the slot's first live replica; a slot with none is an error unless
+    degraded completion reports it lost."""
+
+    M, DEGREES, DEAD = 8, [4, 2], 3
+
+    def _run(self, op, failures=None, **kw):
+        rng = np.random.default_rng(5)
+        spec, vals = random_spec(self.M, 400, rng)
+        cluster = Cluster(self.M, failures=failures)
+        net = KylixAllreduce(cluster, self.DEGREES, **kw)
+        if op == "reduce":
+            net.configure(spec)
+            start = cluster.now
+            out = net.reduce(vals)
+        else:
+            start = cluster.now
+            out = net.allreduce_combined(spec, vals)
+        return spec, net, out, (start, cluster.now)
+
+    def _dies_late(self, op):
+        """Node 3 dies at 90% of the fault-free run's window: after its
+        last send, before its own result."""
+        *_, (t0, t1) = self._run(op)
+        return FailurePlan({self.DEAD: t0 + 0.9 * (t1 - t0)})
+
+    @pytest.mark.parametrize("op", ["reduce", "combined"])
+    def test_strict_run_raises_for_a_slot_without_a_live_replica(self, op):
+        with pytest.raises(PeerFailedError) as ei:
+            self._run(op, self._dies_late(op))
+        assert ei.value.slot == self.DEAD
+        assert f"slot {self.DEAD}" in str(ei.value)
+
+    @pytest.mark.parametrize("op", ["reduce", "combined"])
+    def test_degraded_run_reports_the_whole_slice_lost(self, op):
+        spec, net, out, _ = self._run(
+            op, self._dies_late(op), degrade=True, retry=RetryPolicy()
+        )
+        assert sorted(out) == [r for r in range(self.M) if r != self.DEAD]
+        np.testing.assert_array_equal(
+            np.sort(net.last_report.lost_indices[self.DEAD]),
+            np.sort(spec.in_indices[self.DEAD]),
+        )
+
+
 class TestValidation:
     def test_reduce_before_configure_rejected(self):
         net = KylixAllreduce(Cluster(2), [2])
@@ -248,7 +294,7 @@ class TestBaselineVariants:
         m = 8
         spec, vals = random_spec(m, 200, rng)
         ref = dense_reduce(spec, vals)
-        got = DirectAllreduce(Cluster(m)).allreduce(spec, vals)
+        got = KylixAllreduce(Cluster(m), [m]).allreduce(spec, vals)
         for r in range(m):
             np.testing.assert_allclose(got[r], ref[r], atol=1e-9)
 
@@ -257,13 +303,13 @@ class TestBaselineVariants:
         m = 16
         spec, vals = random_spec(m, 200, rng)
         ref = dense_reduce(spec, vals)
-        got = BinaryButterflyAllreduce(Cluster(m)).allreduce(spec, vals)
+        got = KylixAllreduce(Cluster(m), binary_degrees(m)).allreduce(spec, vals)
         for r in range(m):
             np.testing.assert_allclose(got[r], ref[r], atol=1e-9)
 
     def test_binary_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            BinaryButterflyAllreduce(Cluster(6))
+            KylixAllreduce(Cluster(6), binary_degrees(6))
 
 
 class TestTiming:

@@ -8,7 +8,6 @@ from repro.allreduce import (
     DenseAllreduce,
     KylixAllreduce,
     ReduceSpec,
-    ReplicatedKylix,
     TreeAllreduce,
     dense_reduce,
     expected_failures_survived,
@@ -130,11 +129,11 @@ class TestDenseAllreduce:
         assert kylix_reduce_bytes < dense_bytes / 3
 
 
-class TestReplicatedKylix:
+class TestReplication:
     def make(self, m_phys, degrees, s=2, failures=None, sigma=0.0):
         params = NetworkParams(latency_sigma=sigma, base_latency=1e-4)
         cluster = Cluster(m_phys, params=params, failures=failures, seed=42)
-        return cluster, ReplicatedKylix(cluster, degrees, replication=s)
+        return cluster, KylixAllreduce(cluster, degrees, replication=s)
 
     def logical_case(self, m_log, n=150, seed=0):
         rng = np.random.default_rng(seed)
@@ -183,7 +182,7 @@ class TestReplicatedKylix:
         spec, vals = self.logical_case(4)
         plan = FailurePlan.dead_from_start([2, 6])  # two replicas of slot 2; third alive
         _, net = self.make(12, [2, 2], s=3, failures=plan)
-        net.replication == 3
+        assert net.replication == 3
         ref = dense_reduce(spec, vals)
         net.configure(spec)
         got = net.reduce(vals)
@@ -193,7 +192,7 @@ class TestReplicatedKylix:
     def test_replication_one_is_plain_kylix(self):
         spec, vals = self.logical_case(8)
         cluster = Cluster(8)
-        net = ReplicatedKylix(cluster, [4, 2], replication=1)
+        net = KylixAllreduce(cluster, [4, 2], replication=1)
         ref = dense_reduce(spec, vals)
         net.configure(spec)
         got = net.reduce(vals)
@@ -202,15 +201,15 @@ class TestReplicatedKylix:
 
     def test_indivisible_cluster_rejected(self):
         with pytest.raises(ValueError):
-            ReplicatedKylix(Cluster(9), [2, 2], replication=2)
+            KylixAllreduce(Cluster(9), [2, 2], replication=2)
 
     def test_invalid_replication_rejected(self):
         with pytest.raises(ValueError):
-            ReplicatedKylix(Cluster(8), [4, 2], replication=0)
+            KylixAllreduce(Cluster(8), [4, 2], replication=0)
 
     def test_replicas_layout_matches_paper(self):
-        net = ReplicatedKylix(Cluster(8), [2, 2], replication=2)
-        assert net.replicas(3) == [3, 7]
+        net = KylixAllreduce(Cluster(8), [2, 2], replication=2)
+        assert net.slots.physical[3] == (3, 7)
         assert net._logical(7) == 3
 
     def test_replication_sends_more_traffic(self):
@@ -229,7 +228,8 @@ class TestReplicatedKylix:
         spec, vals = self.logical_case(4)
         cluster, net = self.make(8, [2, 2])
         net.configure(spec)
-        physical = KylixAllreduce.reduce(net, vals)
+        # Each physical replica's own result, before collation.
+        physical = cluster.run(net.node_reduce, vals, net.next_instance())
         for lr in range(4):
             np.testing.assert_array_equal(physical[lr], physical[lr + 4])
 

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.allreduce import (
-    BinaryButterflyAllreduce,
-    DirectAllreduce,
-    KylixAllreduce,
-    TreeAllreduce,
-)
+from repro.allreduce import KylixAllreduce, TreeAllreduce
 from repro.apps import DistributedPageRank, reference_pagerank, spmv_cost_bytes
 from repro.cluster import Cluster
 from repro.data import powerlaw_graph, random_edge_partition, ring_graph
@@ -40,7 +35,7 @@ class TestCorrectness:
     def test_direct_and_kylix_agree(self, small_graph):
         parts = random_edge_partition(small_graph, 4, seed=12)
         a = DistributedPageRank(
-            Cluster(4), parts, allreduce=lambda c: DirectAllreduce(c)
+            Cluster(4), parts, allreduce=lambda c: KylixAllreduce(c, [c.num_nodes])
         )
         b = DistributedPageRank(
             Cluster(4), parts, allreduce=lambda c: KylixAllreduce(c, [2, 2])

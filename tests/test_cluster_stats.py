@@ -52,22 +52,6 @@ class TestTrafficStats:
         s = self.make()
         assert s.merged("config", "reduce_down") == {1: 190, 2: 200}
 
-    def test_consume_matches_record(self):
-        direct, via_events = TrafficStats(), TrafficStats()
-        events = [
-            MessageEvent(0, 1, 100, phase="config", layer=1, sent_at=0.0),
-            MessageEvent(2, 2, 40, phase="gather_up", layer=2, sent_at=0.1),
-        ]
-        for ev in events:
-            direct.record(ev.src, ev.dst, ev.nbytes, phase=ev.phase, layer=ev.layer)
-            via_events.consume(ev)
-        for phase in direct.phases:
-            for layer in direct.layers(phase):
-                a, b = direct.cell(phase, layer), via_events.cell(phase, layer)
-                assert (a.messages, a.bytes, a.self_messages, a.self_bytes) == (
-                    b.messages, b.bytes, b.self_messages, b.self_bytes
-                )
-
     def test_reset(self):
         s = self.make()
         s.reset()

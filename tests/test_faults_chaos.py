@@ -3,7 +3,7 @@
 With 10% message drop, 5% duplication, two straggler links, and one
 mid-run node death injected from one seeded :class:`FaultPlan`:
 
-* ``ReplicatedKylix(s=2)`` returns results bit-identical to its own
+* ``KylixAllreduce(replication=2)`` returns results bit-identical to its own
   fault-free run (and matching the dense reference),
 * plain ``KylixAllreduce`` under degraded completion returns a
   :class:`CoverageReport` whose lost-index set exactly matches the
@@ -25,7 +25,6 @@ from repro.allreduce import (
     ButterflyTopology,
     KylixAllreduce,
     ReduceSpec,
-    ReplicatedKylix,
     dense_reduce,
 )
 from repro.cluster import Cluster, attach_tracer
@@ -104,12 +103,12 @@ class TestSimulatedChaos:
 
     def test_replicated_chaos_plus_death_bit_identical(self):
         spec, vals = make_case(8, 500, 3)
-        base_net = ReplicatedKylix(Cluster(16), degrees=[4, 2], replication=2)
+        base_net = KylixAllreduce(Cluster(16), degrees=[4, 2], replication=2)
         base_net.configure(spec)
         base = base_net.reduce(vals)
 
         plan = chaos_plan(seed=CHAOS_SEED + 2, death=(3, "down", 1))
-        net = ReplicatedKylix(
+        net = KylixAllreduce(
             Cluster(16, failures=plan), degrees=[4, 2], replication=2
         )
         net.configure(spec)

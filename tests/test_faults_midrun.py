@@ -18,7 +18,6 @@ import pytest
 from repro.allreduce import (
     KylixAllreduce,
     ReduceSpec,
-    ReplicatedKylix,
     dense_reduce,
     dense_reduce_without,
 )
@@ -143,12 +142,12 @@ class TestPlainKylixDegraded:
 class TestReplicatedMidRun:
     def test_midrun_death_is_bit_identical_to_fault_free(self):
         spec, vals = make_case(8, 400, 6)
-        base_net = ReplicatedKylix(Cluster(16), degrees=[4, 2], replication=2)
+        base_net = KylixAllreduce(Cluster(16), degrees=[4, 2], replication=2)
         base_net.configure(spec)
         base = base_net.reduce(vals)
 
         plan = FaultPlan().kill_at_step(3, "down", 1)
-        net = ReplicatedKylix(
+        net = KylixAllreduce(
             Cluster(16, failures=plan), degrees=[4, 2], replication=2
         )
         net.configure(spec)
@@ -160,7 +159,7 @@ class TestReplicatedMidRun:
         spec, vals = make_case(8, 400, 7)
         ref = dense_reduce(spec, vals)
         plan = FaultPlan().kill_at_step(11, "up", 2)
-        net = ReplicatedKylix(
+        net = KylixAllreduce(
             Cluster(16, failures=plan), degrees=[4, 2], replication=2
         )
         net.configure(spec)
@@ -171,7 +170,7 @@ class TestReplicatedMidRun:
     def test_whole_replica_group_dead_raises_typed_error(self):
         spec, vals = make_case(4, 200, 8)
         plan = FaultPlan().kill_at_step(1, "down", 1).kill_at_step(5, "down", 1)
-        net = ReplicatedKylix(
+        net = KylixAllreduce(
             Cluster(8, failures=plan), degrees=[2, 2], replication=2
         )
         net.configure(spec)
@@ -182,7 +181,7 @@ class TestReplicatedMidRun:
     def test_whole_replica_group_dead_degraded_reports_full_loss(self):
         spec, vals = make_case(4, 200, 9)
         plan = FaultPlan().kill_at_step(1, "down", 1).kill_at_step(5, "down", 1)
-        net = ReplicatedKylix(
+        net = KylixAllreduce(
             Cluster(8, failures=plan), degrees=[2, 2], replication=2, degrade=True
         )
         net.configure(spec)

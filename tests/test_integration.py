@@ -10,7 +10,6 @@ from repro import (
     KylixAllreduce,
     PowerLawModel,
     ReduceSpec,
-    ReplicatedKylix,
     dense_reduce,
     optimal_degrees,
 )
@@ -93,7 +92,7 @@ class TestEndToEndPageRankOnReplicatedNetwork:
         pr = DistributedPageRank(
             cluster,
             ds.partitions,
-            allreduce=lambda c: ReplicatedKylix(c, [2, 2], replication=2),
+            allreduce=lambda c: KylixAllreduce(c, [2, 2], replication=2),
         )
         result = pr.run(5)
         ref = reference_pagerank(ds.graph.to_csr(), iterations=5)

@@ -45,6 +45,7 @@ class RecordingControl:
     def __init__(self):
         self.driver_end, self._node_end = map(SocketControl, socket.socketpair())
         self.sent = []
+        self.samples = []  # the node's telemetry sink
 
     def send(self, frame):
         self.sent.append(frame)
@@ -93,7 +94,9 @@ def run_nodes_on_threads(m, degrees, rounds, *, fail_at_round=None, **job_fields
             **job_fields,
         )
         t = threading.Thread(
-            target=run_node, args=(r, job, open_transport, controls[r]), daemon=True
+            target=run_node,
+            args=(r, job, open_transport, controls[r], controls[r].samples.append),
+            daemon=True,
         )
         t.start()
         threads.append(t)
@@ -126,9 +129,8 @@ class TestRunNode:
         finish(controls, threads)
         ref = dense_reduce(spec, vals)
         for r, c in controls.items():
-            kinds = [f[0] for f in c.sent]
-            assert kinds[-1] == "result" and kinds.count("result") == 1
-            assert set(kinds[:-1]) == {"telemetry"}
+            # Exactly one frame: telemetry rides the snapshot, not the control.
+            assert [f[0] for f in c.sent] == ["result"]
             _, rank, err, rounds_out, snapshot, cache = c.result()
             assert (rank, err) == (r, None)
             assert len(rounds_out) == 3
@@ -136,9 +138,10 @@ class TestRunNode:
                 np.testing.assert_allclose(result, ref[r], atol=1e-9)
                 assert lost_raw is None and losses == ()
             assert cache == {"hits": 2, "misses": 1}
-            # The streamed samples also ride the snapshot home.
-            streamed = [f[2].seq for f in c.sent[:-1]]
-            assert [s.seq for s in snapshot["telemetry"]] == streamed
+            # Every sample rides the snapshot home; the sink saw the same.
+            seqs = [s.seq for s in snapshot["telemetry"]]
+            assert len(seqs) > 1 and seqs == list(range(len(seqs)))
+            assert [s.seq for s in c.samples] == seqs
 
     def test_failure_in_round_2_of_3_keeps_rounds_0_and_1(self):
         spec, vals, controls, threads = run_nodes_on_threads(

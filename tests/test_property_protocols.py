@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.allreduce import (
     KylixAllreduce,
     ReduceSpec,
-    ReplicatedKylix,
     TreeAllreduce,
     dense_reduce,
 )
@@ -109,7 +108,7 @@ def test_prop_replicated_correct_or_loud(dead_set, seed):
     ref = dense_reduce(spec, vals)
 
     cluster = Cluster(8, failures=FailurePlan.dead_from_start(dead_set), seed=seed)
-    net = ReplicatedKylix(cluster, [2, 2], replication=s)
+    net = KylixAllreduce(cluster, [2, 2], replication=s)
 
     slot_dead = {slot: {slot, slot + m_log} <= dead_set for slot in range(m_log)}
     survivable = not any(slot_dead.values())
@@ -145,7 +144,7 @@ def test_prop_mid_run_deaths_correct_or_loud(deaths, seed):
     ref = dense_reduce(spec, vals)
 
     cluster = Cluster(8, failures=plan, seed=seed)
-    net = ReplicatedKylix(cluster, [2, 2], replication=s)
+    net = KylixAllreduce(cluster, [2, 2], replication=s)
     try:
         net.configure(spec)
         got = net.reduce(vals)

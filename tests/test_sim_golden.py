@@ -24,7 +24,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from repro.allreduce import KylixAllreduce, ReduceSpec, ReplicatedKylix
+from repro.allreduce import KylixAllreduce, ReduceSpec
 from repro.cluster import Cluster, FailurePlan
 from repro.faults import FaultPlan, LinkFault, RetryPolicy
 from repro.netmodel import EC2_LIKE, NetworkParams
@@ -100,7 +100,7 @@ def run_replicated():
     cluster = Cluster(
         16, JITTERY, seed=2, failures=FailurePlan.dead_from_start([3])
     )
-    net = ReplicatedKylix(cluster, degrees=[4, 2], replication=2)
+    net = KylixAllreduce(cluster, degrees=[4, 2], replication=2)
     snap = snapshot(cluster, configure_and_reduce_twice(net, spec, vals))
     snap["left_in_mailboxes"] = cluster.pending_messages()
     snap["dropped"] = cluster.fabric.dropped

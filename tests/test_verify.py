@@ -14,7 +14,6 @@ from repro import (
     KylixAllreduce,
     ProtocolInvariantError,
     ReduceSpec,
-    ReplicatedKylix,
 )
 from repro.__main__ import main as cli_main
 from repro.allreduce.topology import ButterflyTopology
@@ -76,7 +75,7 @@ class TestCleanPlans:
             (KylixAllreduce(Cluster(m), [2, 4]), lambda net: net.configure(same)),
             (KylixAllreduce(Cluster(m), [4, 2]),
              lambda net: net.allreduce_combined(spec, values)),
-            (ReplicatedKylix(Cluster(2 * m), [4, 2], replication=2),
+            (KylixAllreduce(Cluster(2 * m), [4, 2], replication=2),
              lambda net: net.configure(spec)),
             (KylixAllreduce(Cluster(m, seed=1, failures=drops), [2, 2, 2]),
              lambda net: net.configure(spec)),
@@ -169,7 +168,7 @@ class TestSeededViolations:
             net.verify_plans()
         # Slot 0's second replica (physical 8), the one results are read
         # from once replica 0 is dead, is checked too.
-        net = ReplicatedKylix(Cluster(2 * m), [4, 2], replication=2)
+        net = KylixAllreduce(Cluster(2 * m), [4, 2], replication=2)
         net.configure(synthetic_spec(m, n=200, seed=1))
         net.plans[8].layers[0].in_prev_size += 1
         with pytest.raises(ProtocolInvariantError) as exc:

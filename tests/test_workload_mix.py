@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.allreduce import KylixAllreduce, ReduceSpec, ReplicatedKylix, dense_reduce
+from repro.allreduce import KylixAllreduce, ReduceSpec, dense_reduce
 from repro.apps import (
     DistributedComponents,
     DistributedPageRank,
@@ -75,7 +75,7 @@ class TestSharedCluster:
         spec = ReduceSpec(idx, idx)
         vals = {r: np.ones(idx[r].size) for r in range(m_log)}
         cluster = Cluster(8)
-        net = ReplicatedKylix(cluster, [2, 2], replication=s)
+        net = KylixAllreduce(cluster, [2, 2], replication=s)
         net.configure(spec)
         got = net.reduce(vals)
         ref = dense_reduce(spec, vals)
