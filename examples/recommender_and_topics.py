@@ -11,7 +11,8 @@ batch, and batched Gibbs samplers.  This example runs both:
 * **LDA topic modelling** — AD-LDA batched collapsed Gibbs with
   word-topic counts sharded across home machines;
 
-and finishes with a message-trace timeline of one factorization step.
+and finishes with a trace analysis (``repro.obs.analyze``) of one
+factorization step.
 
 Run:  python examples/recommender_and_topics.py
 """
@@ -25,7 +26,9 @@ from repro.apps import (
     synthetic_corpus,
     synthetic_ratings,
 )
-from repro.cluster import Cluster, attach_tracer
+from repro.cluster import Cluster
+from repro.obs import analyze
+from repro.obs.analyze import render_critical_path, render_straggler
 
 M = 8
 
@@ -63,15 +66,14 @@ for k in range(K):
     print(f"  topic {k}: top words {top.tolist()}")
 
 # ---------------------------------------------------- trace one MF step
-print("\n=== message timeline of one factorization step ===")
-cluster = Cluster(M)
-tracer = attach_tracer(cluster)
+print("\n=== trace analysis of one factorization step ===")
+cluster = Cluster(M, observe=True)
 mf2 = DistributedMatrixFactorization(
     cluster, shards, 600, rank=5,
     allreduce=lambda c: KylixAllreduce(c, [4, 2]), combined=True, seed=12,
 )
 mf2.step()
-print(tracer.timeline(width=54))
-print(f"messages: {len(tracer)}, straggler ratio (p99/median latency): "
-      f"{tracer.straggler_ratio():.2f}, send-load imbalance: "
-      f"{tracer.load_imbalance():.2f}")
+trace = analyze(cluster.obs)
+print(render_critical_path(trace.critical_path()))
+print(render_straggler(trace.straggler_report()))
+print(f"messages: {len(trace.messages)}")

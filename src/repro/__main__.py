@@ -118,7 +118,9 @@ def _runner_parser(cmd: str, description: str, *, backend: bool = True):
 def _demo() -> int:
     from .allreduce import KylixAllreduce, ReduceSpec, dense_reduce
     from .bench.reporting import format_bytes, format_seconds
-    from .cluster import Cluster, attach_tracer
+    from .cluster import Cluster
+    from .obs import analyze
+    from .obs.analyze import render_critical_path
 
     m, n = 16, 5_000
     rng = np.random.default_rng(0)
@@ -129,8 +131,7 @@ def _demo() -> int:
     spec = ReduceSpec(in_indices=idx, out_indices=idx)
     values = {r: rng.normal(size=idx[r].size) for r in range(m)}
 
-    cluster = Cluster(m)
-    tracer = attach_tracer(cluster)
+    cluster = Cluster(m, observe=True)
     net = KylixAllreduce(cluster, degrees=[4, 2, 2])
     net.configure(spec)
     result = net.reduce(values)
@@ -144,7 +145,10 @@ def _demo() -> int:
     down = cluster.stats.bytes_by_layer("reduce_down")
     print("  reduce-down volume by layer (the Kylix shape): "
           + ", ".join(f"L{k}={format_bytes(v)}" for k, v in down.items()))
-    print(tracer.timeline(width=52))
+    trace = analyze(cluster.obs)
+    print(render_critical_path(trace.critical_path()))
+    sr = trace.straggler_report()
+    print("straggler: " + ("none" if sr.straggler is None else f"node {sr.straggler} ({sr.reason})"))
     return 0
 
 

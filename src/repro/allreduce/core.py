@@ -513,7 +513,8 @@ def dead_partial_keys(
 
     ``sent_to(p, h, s)`` is the out-key slice live member ``p`` sent ``h``
     at layer ``s``.  Both look-ups return ``None`` for a piece nobody
-    retained (its holder is stuck or dead itself): the reconstruction
+    retained (its holder is dead itself; a live holder is waited for,
+    however late it answers): the reconstruction
     degrades to a subset — under multi-failure schedules some incomplete
     aggregates may keep a valid mask, never the reverse.  The result is
     precisely the congruent-contributor interval terms of

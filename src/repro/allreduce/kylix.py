@@ -74,7 +74,7 @@ class _SimMedium:
         self.rank = net._logical(node.rank)
         self.topo, self.spec, self.slots = net.topology, net.spec, net.slots
         self.obs = net._obs
-        self.degrade = net._degrade_active()
+        self.degrade = net.degrade
 
     @property
     def retained(self) -> RetainedKeys:
@@ -228,10 +228,12 @@ class KylixAllreduce:
     retry:
         Optional :class:`~repro.faults.RetryPolicy` enabling bounded
         receive deadlines with NACK retransmission.  ``None`` (default)
-        keeps the legacy wait-forever behaviour — unless the cluster's
-        failure plan is a :class:`~repro.faults.FaultPlan`, in which case
-        a default policy switches on automatically (a fault-injected run
-        without deadlines would just hang).
+        keeps the legacy wait-forever behaviour — unless ``degrade`` is
+        set or the cluster's failure plan is a
+        :class:`~repro.faults.FaultPlan`, in which case the default
+        :class:`~repro.faults.RetryPolicy` switches on (a fault-injected
+        run without deadlines would just hang, and degraded completion
+        needs deadlines to notice a loss).
     degrade:
         Fault-loss handling when a peer is unrecoverable (all replicas of
         a slot dead, retries exhausted).  ``False`` (strict, the default)
@@ -239,7 +241,7 @@ class KylixAllreduce:
         slot; ``True`` completes with the surviving data — unrecoverable
         entries hold the reduction identity — and publishes an exact
         :class:`~repro.faults.CoverageReport` as :attr:`last_report`.
-        Only meaningful when a retry policy is in effect.
+        Implies the default retry policy when ``retry`` is None.
     name:
         Namespaces this instance's message tags on a shared fabric.
 
@@ -305,19 +307,18 @@ class KylixAllreduce:
     def _effective_retry(self) -> Optional[RetryPolicy]:
         """The retry policy actually in force for this protocol.
 
-        Explicit wins; otherwise a default policy auto-enables when the
-        cluster carries a :class:`~repro.faults.FaultPlan` (a fault-
-        injected run without deadlines would hang on the first loss).
-        ``None`` preserves the legacy wait-forever receive path exactly.
+        Explicit wins; otherwise a default policy auto-enables under
+        ``degrade`` or when the cluster carries a
+        :class:`~repro.faults.FaultPlan` (a fault-injected run without
+        deadlines would hang on the first loss, and a degraded one would
+        never see it).  ``None`` preserves the legacy wait-forever
+        receive path exactly.
         """
         if self.retry is not None:
             return self.retry
-        if isinstance(getattr(self.cluster, "failures", None), FaultPlan):
+        if self.degrade or isinstance(getattr(self.cluster, "failures", None), FaultPlan):
             return RetryPolicy()
         return None
-
-    def _degrade_active(self) -> bool:
-        return self.degrade and self._effective_retry() is not None
 
     def _run(self, name: str, proto, *args, phase: str = ""):
         """One cluster run of ``proto(node, *args, inst)`` on every node as
@@ -411,7 +412,7 @@ class KylixAllreduce:
             core.reduce_pass(
                 self.plans[node.rank], self.spec,
                 out_values[self._logical(node.rank)],
-                degrade=self._degrade_active(), strict=self.strict_coverage,
+                degrade=self.degrade, strict=self.strict_coverage,
             ),
             _SimMedium(self, node, inst),
         )
@@ -423,7 +424,7 @@ class KylixAllreduce:
             core.value_down_pass(
                 self.plans[node.rank], self.spec,
                 out_values[self._logical(node.rank)],
-                degrade=self._degrade_active(),
+                degrade=self.degrade,
             ),
             _SimMedium(self, node, inst),
         )
@@ -436,7 +437,7 @@ class KylixAllreduce:
             core.down_pass(
                 self.topology, self.hasher, self.spec, rank,
                 None if values is None else values[rank],
-                degrade=self._degrade_active(),
+                degrade=self.degrade,
             ),
             _SimMedium(self, node, inst),
         )
@@ -454,7 +455,7 @@ class KylixAllreduce:
                 f"the bottom range ({plan.bottom_out_keys.size} keys)"
             )
         v_mask = (
-            np.ones(v.shape[0], dtype=bool) if self._degrade_active() else None
+            np.ones(v.shape[0], dtype=bool) if self.degrade else None
         )
         r, r_mask = core.bottom_projection(
             plan, spec, v, v_mask, strict=self.strict_coverage
@@ -511,7 +512,7 @@ class KylixAllreduce:
                     first[lr] = p
                     break
             else:
-                if not self._degrade_active():
+                if not self.degrade:
                     raise PeerFailedError(
                         f"all {self.replication} replicas of logical slot "
                         f"{lr} are dead",
@@ -528,7 +529,7 @@ class KylixAllreduce:
         are, so report and results always agree.
         """
         first = self._collate(results)
-        if not self._degrade_active():
+        if not self.degrade:
             self.last_report = None
             return {lr: results[p] for lr, p in first.items()}
         spec = self.spec

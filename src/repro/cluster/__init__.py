@@ -12,7 +12,6 @@ from .fabric import Fabric, Message
 from .failures import FailurePlan
 from .node import SimNode, payload_nbytes
 from .stats import PhaseBreakdown, TrafficStats
-from .trace import TraceRecord, TraceRecorder, attach_tracer
 
 __all__ = [
     "Cluster",
@@ -23,7 +22,4 @@ __all__ = [
     "payload_nbytes",
     "TrafficStats",
     "PhaseBreakdown",
-    "TraceRecord",
-    "TraceRecorder",
-    "attach_tracer",
 ]

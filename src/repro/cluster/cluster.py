@@ -10,6 +10,7 @@ are the experiment's outputs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence
 
 from ..netmodel import EC2_LIKE, NetworkParams
@@ -17,7 +18,6 @@ from ..simul import Engine
 from .fabric import Fabric
 from .failures import FailurePlan
 from .node import SimNode
-from .stats import TrafficStats
 
 __all__ = ["Cluster"]
 
@@ -62,9 +62,10 @@ class Cluster:
         Observability hook.  ``True`` creates a fresh
         :class:`~repro.obs.Observer`; an :class:`~repro.obs.Observer`
         instance is adopted as-is.  Either way its clock is bound to the
-        simulated clock, the fabric reports every message to it, and
-        protocol code (Kylix phases) opens spans on it — available as
-        :attr:`obs`.  Default off: unobserved runs pay nothing.
+        simulated clock, the fabric reports every delivery to it, its
+        ``net.*`` series read :attr:`stats`, and protocol code (Kylix
+        phases) opens spans on it — available as :attr:`obs`.  Default
+        off: unobserved runs pay nothing.
     """
 
     def __init__(
@@ -102,7 +103,6 @@ class Cluster:
         self.compute_rate = compute_rate
         self.creation_order = creation_order
         self.engine = Engine(record_trace=record_trace, scheduler=scheduler)
-        self.stats = TrafficStats()
         # `is not None` (not truthiness): a FaultPlan carrying only
         # message-fault rules has len() == 0 but must still be installed.
         self.failures = failures if failures is not None else FailurePlan.none()
@@ -116,8 +116,8 @@ class Cluster:
             threads=threads,
             hw_threads=hw_threads,
             seed=seed,
-            stats=self.stats,
         )
+        self.stats = self.fabric.stats
         if len(self.failures):
             # A plan that can kill nobody (none, or message faults only) is
             # never asked: the fabric skips its per-message liveness checks.
@@ -139,16 +139,21 @@ class Cluster:
     def enable_observer(self, observer=None):
         """Switch observation on (idempotent); returns the observer.
 
-        Binds the observer's clock to simulated time and installs it as
-        the fabric's message-event sink.  ``attach_tracer`` and the
-        ``observe=`` constructor argument both route through here.
+        Binds the observer's clock to simulated time, installs it as the
+        fabric's message-event sink, and serves its ``net.*`` series
+        from :attr:`stats`, the one byte ledger: they report every send
+        since the cluster was built (or the stats were reset), and the
+        observer never counts a send itself.
         """
         if self.obs is None:
             from ..obs import Observer
+            from ..obs.metrics import LedgerCounter
 
             self.obs = observer if observer is not None else Observer(name="sim")
             self.obs.set_clock(lambda: self.engine.now)
             self.obs.name_pid(0, "sim")
+            for name in self.stats.SERIES:
+                self.obs.metrics.adopt(LedgerCounter(name, partial(self.stats.series, name)))
             self.fabric.set_observer(self.obs)
         return self.obs
 

@@ -20,7 +20,9 @@ benchmarks.
 
 Messages to self bypass the network entirely (delivered next tick) but are
 still reported to :class:`TrafficStats`, since the paper's Fig 5 counts
-"packets to its own" in communication volume.
+"packets to its own" in communication volume.  Those cells are the one
+byte ledger: every send (NACK resends included) is added to them once,
+and an observer's ``net.*`` series read them rather than count again.
 
 The simulator pays for this once per message and once per exchange, in
 wall time as well.  :meth:`Fabric.send_group` is the one send loop: it
@@ -151,8 +153,6 @@ class Fabric:
         hw_threads: int = 16,
         switch_penalty: float = 0.06,
         seed: int = 0,
-        stats: Optional[TrafficStats] = None,
-        observer=None,
     ):
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
@@ -162,7 +162,7 @@ class Fabric:
         self.params = params
         self.num_nodes = num_nodes
         self.threads = threads
-        self.stats = stats if stats is not None else TrafficStats()
+        self.stats = TrafficStats()  # the one byte ledger
         self._latency = LatencyModel(params, seed=seed)
         self._nics = [_Nic(threads) for _ in range(num_nodes)]
         self.mailboxes = [FilterStore(engine) for _ in range(num_nodes)]
@@ -186,7 +186,7 @@ class Fabric:
         )
         # The failure oracle; None = nobody ever dies, nothing to ask.
         self._alive: Optional[Callable[[int], bool]] = None
-        self._obs = observer  # repro.obs.Observer; None = observation off
+        self._obs = None  # repro.obs.Observer; None = observation off
         self.dropped = 0
         # -- fault-injection state (inert unless a FaultPlan is installed) --
         self._fault_plan = None
@@ -194,13 +194,6 @@ class Fabric:
         self._sent_cache: dict = {}  # (src, dst, tag) -> retransmission state
         self._crashed: set = set()  # step-killed nodes
         self.injected = {"dropped": 0, "duplicated": 0, "delayed": 0, "resent": 0}
-        # Memoized per-(phase, layer) stats cells: the send bookkeeping
-        # used to rebuild the (phase, layer) key and re-run the dict
-        # machinery for every message; a protocol run touches only a
-        # handful of distinct cells, so the lookups are cached and only
-        # rebuilt when TrafficStats.reset() bumps the epoch.
-        self._stats_cells: dict = {}
-        self._stats_epoch = self.stats.epoch
 
     def set_liveness(self, fn: Callable[[int], bool]) -> None:
         """Install the failure oracle (see :mod:`repro.cluster.failures`)."""
@@ -208,11 +201,10 @@ class Fabric:
 
     def set_observer(self, observer) -> None:
         """Install a :class:`~repro.obs.Observer` as the message-event
-        sink.  Every send (including self-messages and retransmissions)
-        is reported at send time, every completed delivery at delivery
-        time — the same accounting points :class:`TrafficStats` and
-        :class:`~repro.cluster.trace.TraceRecorder` consume, so their
-        numbers and the observer's counters agree exactly."""
+        sink: every completed delivery is reported at delivery time, and
+        fault injections and resends as ``faults.*`` counts.  Sends are
+        not reported; their bytes are in :attr:`stats`, which the
+        observer's ``net.*`` series read (:meth:`Cluster.enable_observer`)."""
         self._obs = observer
 
     def set_fault_plan(self, plan) -> None:
@@ -229,16 +221,6 @@ class Fabric:
         return node in self._crashed
 
     # -- sending -------------------------------------------------------------
-    def _cell(self, phase: str, layer: int):
-        """The memoized :class:`TrafficStats` cell of ``(phase, layer)``."""
-        if self._stats_epoch != self.stats.epoch:
-            self._stats_cells.clear()
-            self._stats_epoch = self.stats.epoch
-        cell = self._stats_cells.get((phase, layer))
-        if cell is None:
-            cell = self._stats_cells[(phase, layer)] = self.stats.cell_ref(phase, layer)
-        return cell
-
     def send(
         self,
         src: int,
@@ -280,11 +262,11 @@ class Fabric:
         num_nodes = self.num_nodes
         if not 0 <= src < num_nodes:
             raise ValueError(f"bad source {src}")
-        cell = self._cell(phase, layer)
+        cell = self.stats.cell_ref(phase, layer)
         now = self.engine.now
         plan = self._fault_plan
         canon = self._canon(phase) if plan is not None else None
-        crashed, alive, obs = self._crashed, self._alive, self._obs
+        crashed, alive = self._crashed, self._alive
         nics = self._nics
         nic_s = nics[src]
         overhead, per_byte_cpu = self._overhead, self._per_byte_cpu
@@ -323,8 +305,6 @@ class Fabric:
                 decision = plan.decide(src, dst, phase, layer, seq)
 
             cell.add(nbytes, self_message=src == dst)
-            if obs is not None:
-                obs.message_sent(src, dst, nbytes, phase=phase, layer=layer)
 
             if src == dst:
                 # Local hand-off: no network, only a memcpy-scale CPU charge.
@@ -418,10 +398,8 @@ class Fabric:
             return None
         payload, nbytes, phase, layer, seq = entry
         self.injected["resent"] += 1
-        cell = self._cell(phase, layer)
+        cell = self.stats.cell_ref(phase, layer)
         cell.add(nbytes, self_message=src == requester)
-        if self._obs is not None:
-            self._obs.message_sent(src, requester, nbytes, phase=phase, layer=layer)
         cell.add_resent(nbytes)
         if self._obs is not None:
             self._obs.counter("faults.resent").inc(phase=phase, layer=layer)

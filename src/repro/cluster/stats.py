@@ -10,6 +10,10 @@ internals.
 Self-messages (a node's packet "to its own") are counted separately —
 the paper includes them in communication volume but they cost no network
 time.
+
+This is the simulator's one byte ledger: an observed cluster's ``net.*``
+metric series are read off these cells (:meth:`TrafficStats.series`),
+not counted a second time.
 """
 
 from __future__ import annotations
@@ -64,23 +68,33 @@ class PhaseBreakdown:
 class TrafficStats:
     """Accumulates message counts/volumes keyed by (phase, layer)."""
 
+    #: The observer series read off the cells: name -> (the cell field it
+    #: reports, the message count that makes a cell part of the series).
+    SERIES = {
+        "net.bytes": ("bytes", "messages"),
+        "net.messages": ("messages", "messages"),
+        "net.self_bytes": ("self_bytes", "self_messages"),
+        "net.self_messages": ("self_messages", "self_messages"),
+    }
+
     def __init__(self) -> None:
         self._cells: dict = defaultdict(PhaseBreakdown)
-        self._epoch: int = 0
-
-    @property
-    def epoch(self) -> int:
-        """Bumped by :meth:`reset`; invalidates cached :meth:`cell_ref`
-        handles (a reset replaces every cell object)."""
-        return self._epoch
 
     def cell_ref(self, phase: str, layer: int) -> PhaseBreakdown:
         """The live accumulator cell for ``(phase, layer)``, created on
-        first touch.  Callers may hold the reference and :meth:`~
-        PhaseBreakdown.add` to it repeatedly — skipping the per-message
-        key construction and dict lookup — but must re-fetch when
-        :attr:`epoch` changes."""
+        first touch, which a send adds to (valid until :meth:`reset`)."""
         return self._cells[(phase, layer)]
+
+    def series(self, name: str) -> dict:
+        """One :data:`SERIES` as a metrics counter's values: ``{label key:
+        value}`` (labels ``phase=, layer=``) over the cells that carried
+        such a message."""
+        value, count = self.SERIES[name]
+        return {
+            (("layer", layer), ("phase", phase)): getattr(cell, value)
+            for (phase, layer), cell in self._cells.items()
+            if getattr(cell, count)
+        }
 
     def record(
         self,
@@ -142,4 +156,3 @@ class TrafficStats:
 
     def reset(self) -> None:
         self._cells.clear()
-        self._epoch += 1

@@ -37,7 +37,7 @@ from ..allreduce import core
 from ..allreduce.base import ReduceSpec
 from ..allreduce.topology import ButterflyTopology
 from ..cluster.node import payload_nbytes
-from ..faults import LossRecord, RetryPolicy, SlotMap
+from ..faults import LossRecord, SlotMap
 from ..obs import NULL_OBSERVER
 from ..sparse import MultiplicativeHasher
 from ..verify.errors import ProtocolInvariantError
@@ -56,13 +56,12 @@ class _Wire:
 
     piggyback = True  # layer-1 parts carry the sender's raw keys
 
-    def __init__(self, rank, net: BaseTransport, topo, spec, *, obs, seq, degrade, timeout):
+    def __init__(self, rank, net: BaseTransport, topo, spec, *, obs, seq, degrade):
         self.rank, self.net, self.topo, self.spec = rank, net, topo, spec
         self.obs, self.round, self.degrade = obs, seq, degrade
         self.slots = SlotMap(topo.num_nodes, 1)
         self.retained = net.retained
         self.losses: List[LossRecord] = []
-        self._timeout = timeout  # per audit fetch
         self._own = None
 
     def send(self, sends, phase: str, layer: int) -> None:
@@ -94,7 +93,7 @@ class _Wire:
     def fetch(self, holder: int, direction: str, layer: int, about: int):
         # A hole that died before sending anything left its raw keys with
         # *nobody*, so a fetch that finds none is exact, not lossy.
-        return self.net.audit(holder, direction, layer, self.round, about, self._timeout)
+        return self.net.audit(holder, direction, layer, self.round, about)
 
     def charge(self, nbytes: int, d: int, building: bool) -> None:
         return None  # a real merge took the time it took
@@ -120,7 +119,6 @@ def run_rounds(
     rounds_values: Sequence[np.ndarray],
     *,
     strict: bool,
-    retry: RetryPolicy,
     obs=NULL_OBSERVER,
     degrade: bool = False,
 ) -> Iterator[
@@ -141,15 +139,12 @@ def run_rounds(
     """
     cacheable = net.plan is None and not degrade  # net.plan: the fault plan
     cached = None
-    timeout = min(2.0, max(0.2, 2.0 * retry.local_timeout()))  # per audit fetch
     for seq, values in enumerate(rounds_values):
         # Round-scoped transport state (send cache, inbox, dedupe, retained
         # keys) from rounds before the previous one is dead weight: drop it
         # so a thousand-round session runs in bounded memory.
         net.prune_round(seq)
-        wire = _Wire(
-            rank, net, topo, spec, obs=obs, seq=seq, degrade=degrade, timeout=timeout
-        )
+        wire = _Wire(rank, net, topo, spec, obs=obs, seq=seq, degrade=degrade)
         if cached is not None:
             # Indices never leave the node again: every message carries
             # only a value slice, merged through the plan's memoised maps.

@@ -231,7 +231,6 @@ def run_node(rank: int, job: NodeJob, open_transport, control, sink=None):
             job.spec,
             job.rounds_values,
             strict=job.strict,
-            retry=retry,
             obs=obs,
             degrade=job.degrade,
         )

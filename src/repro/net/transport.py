@@ -66,6 +66,10 @@ __all__ = ["BaseTransport", "PHASE_OF", "SocketTransport"]
 #: as ``combined_down`` (matching the simulator's combined variant).
 PHASE_OF = {"down": PHASE_COMBINED_DOWN, "rd": PHASE_REDUCE_DOWN, "up": PHASE_GATHER_UP}
 
+#: Seconds an audit fetch's pump blocks per wait; the fetch itself waits
+#: for the reply or the peer's death (:meth:`BaseTransport.audit`).
+_AUDIT_WAKE = 1.0
+
 #: One logical message slot on a link.
 _Key = Tuple[int, str, int, int]  # (member, kind, layer, seq)
 
@@ -122,9 +126,6 @@ class BaseTransport:
         # Its two stores, by the direction names the audit frames use.
         self.audit_sent, self.audit_recv = self.retained.sent, self.retained.recv
         self._audit_replies: Dict[int, Any] = {}
-        #: The one fetch :meth:`audit` is blocked on; a reply for any
-        #: other token (its fetch timed out) is dropped on arrival.
-        self._audit_pending: Optional[int] = None
         self._audit_tokens = itertools.count(1)
         #: Calls due at a time, ``(due, order, fn)``: a heap the pump
         #: runs (``order`` keeps equal due times FIFO).
@@ -295,8 +296,7 @@ class BaseTransport:
             self._send_frame(member, ("audit-rep", token, keys))
         elif obj[0] == "audit-rep":
             _, token, keys = obj
-            if token == self._audit_pending:
-                self._audit_replies[token] = keys
+            self._audit_replies[token] = keys
         elif obj[0] != "hb":  # a heartbeat's bytes refreshed the link; nothing else
             raise ProtocolInvariantError(
                 f"rank {self.rank}: unknown frame {obj[0]!r} from {member}",
@@ -416,32 +416,31 @@ class BaseTransport:
         return SENT
 
     def audit(
-        self, member: int, direction: str, layer: int, seq: int, hole: int,
-        timeout: float,
+        self, member: int, direction: str, layer: int, seq: int, hole: int
     ) -> Optional[Any]:
         """Fetch retained audit keys about ``hole`` from ``member``.
 
         ``direction`` is ``"sent"`` (the out-key slice ``member`` sent to
         ``hole`` at ``layer``) or ``"recv"`` (the raw-key piggyback
         ``member`` received from ``hole`` at layer 1).  Returns ``None``
-        when the peer has nothing retained or does not answer within
-        ``timeout`` — the caller degrades to a partial reconstruction.
+        when the peer has nothing retained or is dead — the caller
+        degrades to a partial reconstruction.  A live peer is waited for
+        however late it answers: reading a late answer as "nothing
+        retained" would shrink the dead partial's key set, and its keys
+        would then be lost without being reported.
         """
         if member == self.rank:
             return self.retained.get(direction, seq, layer, hole)
         if member in self.closed or member in self.abandoned:
             return None
-        token = self._audit_pending = next(self._audit_tokens)
+        token = next(self._audit_tokens)
         self._send_frame(member, ("audit-req", token, direction, layer, seq, hole))
-        deadline = time.monotonic() + timeout
         # Replies only surface through our own pump, and it serves every
         # link: two peers auditing each other's holes simultaneously keep
-        # answering one another while they wait.
-        while token not in self._audit_replies and (
-            remaining := deadline - time.monotonic()
-        ) > 0:
-            self.pump(remaining)
-        self._audit_pending = None
+        # answering one another while they wait.  The peer's death ends
+        # the wait the way it ends a receive: its link lands in `closed`.
+        while token not in self._audit_replies and member not in self.closed:
+            self.pump(_AUDIT_WAKE)
         return self._audit_replies.pop(token, None)
 
     def prune_round(self, seq: int) -> None:

@@ -14,8 +14,11 @@ three answers the ROADMAP's perf work needs:
   the fabric and :class:`~repro.net.local.LocalKylix` emit;
 * **goblet report** — the per-layer communication-volume curve of
   Fig 5, reproduced exactly from the ``net.bytes``/``net.self_bytes``
-  counters (pinned to :class:`~repro.cluster.stats.TrafficStats` on the
-  simulator).
+  counters (on the simulator, the fabric's
+  :class:`~repro.cluster.stats.TrafficStats` cells read through).
+
+It reads the observer's one message timeline (``obs.messages``); there
+is no second per-message recorder with a straggler rule of its own.
 
 Entry point: ``analyze(x)`` accepts any of the three input shapes and
 returns a :class:`TraceAnalysis`; the ``render_*`` helpers format each

@@ -7,11 +7,11 @@ Two event kinds cover everything the repo measures:
   butterfly layer it belongs to, and arbitrary extra args.  Spans are
   what Perfetto renders as bars on a timeline.
 * :class:`MessageEvent` — one point-to-point message as seen by a
-  transport, tagged the same way.  The simulator emits one at send time
-  (feeding the per-(phase, layer) traffic counters) and one at delivery
-  time (feeding latency histograms and :class:`~repro.cluster.trace.
-  TraceRecorder`); the real-process backend emits send events only
-  (pipes do not timestamp delivery).
+  transport, tagged the same way: the observer's message timeline
+  (:attr:`~repro.obs.observer.Observer.messages`), which the analyzer and
+  the exporters read.  The simulator records one per delivery (the
+  per-(phase, layer) traffic counters are its fabric's cells, not
+  events); a real-process worker records what its transport delivers.
 
 Timestamps are seconds on whatever clock the owning
 :class:`~repro.obs.observer.Observer` reads — the simulator's virtual
@@ -56,14 +56,3 @@ class MessageEvent:
     layer: int = -1
     sent_at: float = 0.0
     delivered_at: Optional[float] = None
-
-    @property
-    def latency(self) -> float:
-        if self.delivered_at is None:
-            return float("nan")
-        return self.delivered_at - self.sent_at
-
-    @property
-    def is_self(self) -> bool:
-        """A node's packet "to its own" — volume but no network time."""
-        return self.src == self.dst

@@ -45,6 +45,20 @@ def _t0(obs: Observer) -> float:
     return min(times) if times else 0.0
 
 
+def _name_row(kind: str, pid: int, tid: int, name: str) -> Dict[str, Any]:
+    """A ``process_name`` / ``thread_name`` metadata event."""
+    return {"name": kind, "ph": "M", "pid": pid, "tid": tid, "args": {"name": name}}
+
+
+def _complete(name: str, cat: str, start: float, end: float, pid: int, tid: int,
+              args: Dict[str, Any], t0: float) -> Dict[str, Any]:
+    """A complete (``"X"``) event over ``[start, end]`` on the observer clock."""
+    return {
+        "name": name, "cat": cat, "ph": "X", "ts": (start - t0) * 1e6,
+        "dur": max(end - start, 0.0) * 1e6, "pid": pid, "tid": tid, "args": args,
+    }
+
+
 def chrome_trace(obs: Observer, *, meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Render an observer as a Chrome-trace JSON object (see module doc)."""
     t0 = _t0(obs)
@@ -52,82 +66,32 @@ def chrome_trace(obs: Observer, *, meta: Optional[Dict[str, Any]] = None) -> Dic
 
     pids = sorted({sp.pid for sp in obs.spans} | set(obs.pid_names) | {0})
     for pid in pids:
+        events.append(_name_row("process_name", pid, 0, obs.pid_names.get(pid, f"proc {pid}")))
+    for pid, node in sorted({(sp.pid, sp.node) for sp in obs.spans}):
         events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": obs.pid_names.get(pid, f"proc {pid}")},
-            }
-        )
-    tids = sorted({(sp.pid, sp.node) for sp in obs.spans})
-    for pid, node in tids:
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": node + 1,
-                "args": {"name": "driver" if node < 0 else f"node {node}"},
-            }
+            _name_row("thread_name", pid, node + 1, "driver" if node < 0 else f"node {node}")
         )
 
     for sp in obs.spans:
         args: Dict[str, Any] = {"node": sp.node, "phase": sp.phase, "layer": sp.layer}
         args.update(sp.args)
         events.append(
-            {
-                "name": sp.name,
-                "cat": sp.phase or "span",
-                "ph": "X",
-                "ts": (sp.start - t0) * 1e6,
-                "dur": max(sp.duration, 0.0) * 1e6,
-                "pid": sp.pid,
-                "tid": sp.node + 1,
-                "args": args,
-            }
+            _complete(sp.name, sp.phase or "span", sp.start, sp.end, sp.pid, sp.node + 1, args, t0)
         )
 
     if obs.messages:
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": NET_PID,
-                "tid": 0,
-                "args": {"name": "network"},
-            }
-        )
+        events.append(_name_row("process_name", NET_PID, 0, "network"))
         for dst in sorted({ev.dst for ev in obs.messages}):
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": NET_PID,
-                    "tid": dst + 1,
-                    "args": {"name": f"→ node {dst}"},
-                }
-            )
+            events.append(_name_row("thread_name", NET_PID, dst + 1, f"→ node {dst}"))
         for ev in obs.messages:
             end = ev.delivered_at if ev.delivered_at is not None else ev.sent_at
+            args = {
+                "src": ev.src, "dst": ev.dst, "nbytes": ev.nbytes,
+                "phase": ev.phase, "layer": ev.layer,
+            }
             events.append(
-                {
-                    "name": f"{ev.src}→{ev.dst}",
-                    "cat": ev.phase or "net",
-                    "ph": "X",
-                    "ts": (ev.sent_at - t0) * 1e6,
-                    "dur": max(end - ev.sent_at, 0.0) * 1e6,
-                    "pid": NET_PID,
-                    "tid": ev.dst + 1,
-                    "args": {
-                        "src": ev.src,
-                        "dst": ev.dst,
-                        "nbytes": ev.nbytes,
-                        "phase": ev.phase,
-                        "layer": ev.layer,
-                    },
-                }
+                _complete(f"{ev.src}→{ev.dst}", ev.phase or "net", ev.sent_at, end,
+                          NET_PID, ev.dst + 1, args, t0)
             )
 
     # Telemetry samples render as Perfetto counter tracks: one "C" event
@@ -136,39 +100,16 @@ def chrome_trace(obs: Observer, *, meta: Optional[Dict[str, Any]] = None) -> Dic
     # Counters chart the per-interval delta, gauges the sampled value.
     for s in getattr(obs, "telemetry", ()):
         pid = 0 if s.node < 0 else s.node + 1
-        ts = (s.t - t0) * 1e6
-        for name in sorted(s.counters):
-            events.append(
-                {
-                    "name": name,
-                    "ph": "C",
-                    "ts": ts,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {
-                        (",".join(f"{k}={v}" for k, v in key) or "value"): val
-                        for key, val in sorted(
-                            s.counters[name].items(), key=lambda kv: str(kv[0])
-                        )
-                    },
+        for series in (s.counters, s.gauges):
+            for name in sorted(series):
+                args = {
+                    (",".join(f"{k}={v}" for k, v in key) or "value"): val
+                    for key, val in sorted(series[name].items(), key=lambda kv: str(kv[0]))
                 }
-            )
-        for name in sorted(s.gauges):
-            events.append(
-                {
-                    "name": name,
-                    "ph": "C",
-                    "ts": ts,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {
-                        (",".join(f"{k}={v}" for k, v in key) or "value"): val
-                        for key, val in sorted(
-                            s.gauges[name].items(), key=lambda kv: str(kv[0])
-                        )
-                    },
-                }
-            )
+                events.append(
+                    {"name": name, "ph": "C", "ts": (s.t - t0) * 1e6, "pid": pid,
+                     "tid": 0, "args": args}
+                )
 
     other = {"observer": obs.name}
     if meta:

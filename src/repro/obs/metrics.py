@@ -15,11 +15,12 @@ what lets the regression-tracking JSON be diffed across commits.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "CATALOGUE"]
+__all__ = ["Counter", "LedgerCounter", "Gauge", "Histogram", "MetricsRegistry", "CATALOGUE"]
 
 LabelKey = Tuple[Tuple[str, Any], ...]
 
@@ -34,7 +35,7 @@ LabelKey = Tuple[Tuple[str, Any], ...]
 #: ``service.*`` counters come from the :class:`repro.service.ReduceService`
 #: front-end multiplexing named streams over one fabric.
 CATALOGUE: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
-    "net.bytes": ("counter", ("phase", "layer"), "network bytes, mirroring TrafficStats cell for cell"),
+    "net.bytes": ("counter", ("phase", "layer"), "network bytes per (phase, layer); on the simulator read off the fabric's TrafficStats cells"),
     "net.messages": ("counter", ("phase", "layer"), "network messages per (phase, layer)"),
     "net.self_bytes": ("counter", ("phase", "layer"), "bytes a node sends to itself (counted in volume, free on the wire)"),
     "net.self_messages": ("counter", ("phase", "layer"), "self-messages per (phase, layer)"),
@@ -67,28 +68,6 @@ def _key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted(labels.items()))
 
 
-class _BoundCounter:
-    """A counter pre-bound to one label set.
-
-    ``Counter.inc(**labels)`` canonicalises the labels — a
-    ``tuple(sorted(...))`` allocation — on *every* call, which the
-    profiles flagged on the fabric send path (two incs per message).
-    Binding once amortises that to a single dict update per inc.  The
-    bound view aliases the parent counter's ``_values`` dict (which is
-    mutated in place, never reassigned — ``absorb`` included), so reads
-    through either side always agree.
-    """
-
-    __slots__ = ("_values", "_key")
-
-    def __init__(self, values: Dict[LabelKey, float], key: LabelKey):
-        self._values = values
-        self._key = key
-
-    def inc(self, value: float = 1) -> None:
-        self._values[self._key] = self._values.get(self._key, 0) + value
-
-
 class Counter:
     """A monotonically growing sum per label set (bytes, messages, retries)."""
 
@@ -99,10 +78,6 @@ class Counter:
     def inc(self, value: float = 1, **labels: Any) -> None:
         k = _key(labels)
         self._values[k] = self._values.get(k, 0) + value
-
-    def bind(self, **labels: Any) -> _BoundCounter:
-        """A hot-path view of this counter for one fixed label set."""
-        return _BoundCounter(self._values, _key(labels))
 
     def value(self, **labels: Any) -> float:
         return self._values.get(_key(labels), 0)
@@ -115,6 +90,27 @@ class Counter:
 
     def __len__(self) -> int:
         return len(self._values)
+
+
+class LedgerCounter(Counter):
+    """A read-only counter whose values live in another ledger.
+
+    ``read()`` returns ``{label key: value}`` and is called on every
+    access, so readers (``items``, ``total``, the telemetry sampler's
+    diff of ``_values``, :meth:`MetricsRegistry.snapshot`) always see
+    the ledger as it stands; ``inc`` raises.  The simulator serves its
+    ``net.*`` series this way from the fabric's
+    :class:`~repro.cluster.stats.TrafficStats` cells, so a simulated
+    send is counted once.
+    """
+
+    def __init__(self, name: str, read: Callable[[], Dict[LabelKey, float]]):
+        self.name = name
+        self._read = read
+
+    @property
+    def _values(self) -> Mapping[LabelKey, float]:
+        return MappingProxyType(self._read())
 
 
 class Gauge:
@@ -201,6 +197,10 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._counters.setdefault(name, Counter(name))
+
+    def adopt(self, counter: Counter) -> None:
+        """Serve ``counter.name`` from ``counter`` (a :class:`LedgerCounter`)."""
+        self._counters[counter.name] = counter
 
     def gauge(self, name: str) -> Gauge:
         return self._gauges.setdefault(name, Gauge(name))

@@ -2,23 +2,25 @@
 
 An observer owns a clock (the simulator's virtual clock or the host's
 monotonic clock — callers never care which), a span list, a
-:class:`~repro.obs.metrics.MetricsRegistry`, and the delivered-message
-stream that :class:`~repro.cluster.trace.TraceRecorder` and friends
-subscribe to.  Both execution backends report into the same API, which
-is what makes the exported trace schema identical across them:
+:class:`~repro.obs.metrics.MetricsRegistry`, and the one message
+timeline (:attr:`Observer.messages`, which :mod:`repro.obs.analyze` and
+:mod:`repro.obs.export` read).  Both execution backends report into the
+same API, which is what makes the exported trace schema identical across
+them:
 
-* the simulator fabric calls :meth:`message_sent` / :meth:`message_
-  delivered` for every packet, and protocol code opens :meth:`span`
-  regions timed against ``engine.now``;
+* the simulator fabric calls :meth:`message_delivered` for every packet,
+  and protocol code opens :meth:`span` regions timed against
+  ``engine.now``;
 * each real-process worker owns a private wall-clock observer, opens the
   same spans, and ships a :meth:`snapshot` back over its result queue
   for the parent to :meth:`absorb`.
 
-Message-sent events also maintain the canonical traffic counters
-(``net.bytes`` / ``net.messages`` and their ``net.self_*`` twins, each
-labelled ``phase=, layer=``), mirroring
-:class:`~repro.cluster.stats.TrafficStats` cell for cell — the
-acceptance tests pin the two to exact equality on the simulator.
+The canonical traffic counters are ``net.bytes`` / ``net.messages`` and
+their ``net.self_*`` twins, each labelled ``phase=, layer=``.  A real
+transport counts them through :meth:`message_sent`; on the simulator
+they are the fabric's :class:`~repro.cluster.stats.TrafficStats` cells,
+read through (:meth:`~repro.cluster.Cluster.enable_observer`), so each
+simulated send is counted once.
 
 ``NULL_OBSERVER`` is the disabled instance: every operation is a no-op,
 so instrumented code runs unconditionally with negligible overhead when
@@ -90,10 +92,6 @@ class Observer:
         self.pid_names: Dict[int, str] = {}
         self._delivered_subs: List[Callable[[MessageEvent], None]] = []
         self._span_subs: List[Callable[[SpanEvent], None]] = []
-        # (is_self, phase, layer) -> (bytes, messages) bound counters:
-        # the send path's two counter incs without re-canonicalising the
-        # same label set for every message.
-        self._sent_counters: Dict[tuple, tuple] = {}
         # Open-span stacks keyed (pid, node): each protocol node is
         # sequential within itself, so its spans nest LIFO; different
         # nodes interleave freely in the simulator and must not share a
@@ -204,21 +202,12 @@ class Observer:
     def message_sent(
         self, src: int, dst: int, nbytes: int, *, phase: str = "", layer: int = -1
     ) -> None:
-        """One transport send: maintains the (phase, layer) traffic
-        counters (self-messages separated, as in the paper's Fig 5)."""
-        is_self = src == dst
-        pair = self._sent_counters.get((is_self, phase, layer))
-        if pair is None:
-            names = ("net.self_bytes", "net.self_messages") if is_self else (
-                "net.bytes", "net.messages"
-            )
-            pair = (
-                self.metrics.counter(names[0]).bind(phase=phase, layer=layer),
-                self.metrics.counter(names[1]).bind(phase=phase, layer=layer),
-            )
-            self._sent_counters[(is_self, phase, layer)] = pair
-        pair[0].inc(nbytes)
-        pair[1].inc()
+        """One real-transport send: maintains the (phase, layer) traffic
+        counters (self-messages separated, as in the paper's Fig 5).  The
+        simulator never calls it: its fabric's cells are the counters."""
+        prefix = "net.self_" if src == dst else "net."
+        self.metrics.counter(prefix + "bytes").inc(nbytes, phase=phase, layer=layer)
+        self.metrics.counter(prefix + "messages").inc(phase=phase, layer=layer)
 
     def message_delivered(
         self,
@@ -230,9 +219,9 @@ class Observer:
         phase: str = "",
         layer: int = -1,
     ) -> None:
-        """One completed transfer: recorded for timeline export, charged
-        to the per-phase latency histogram, fed to delivery subscribers
-        (:func:`~repro.cluster.trace.attach_tracer` lives here)."""
+        """One completed transfer: recorded in :attr:`messages` (the
+        timeline), charged to the per-phase latency histogram, fed to
+        delivery subscribers (the flight recorder)."""
         ev = MessageEvent(
             src,
             dst,

@@ -239,18 +239,13 @@ class TimeSeriesAggregator:
     def ingest(self, sample: TelemetrySample) -> None:
         self.samples += 1
         self.nodes.add(sample.node)
-        for name, moved in sample.counters.items():
-            self.kinds.setdefault(name, "counter")
-            for key, delta in moved.items():
-                self.points.setdefault((sample.node, name, key), []).append(
-                    (sample.t, float(delta))
-                )
-        for name, values in sample.gauges.items():
-            self.kinds.setdefault(name, "gauge")
-            for key, value in values.items():
-                self.points.setdefault((sample.node, name, key), []).append(
-                    (sample.t, float(value))
-                )
+        for kind, series in (("counter", sample.counters), ("gauge", sample.gauges)):
+            for name, values in series.items():
+                self.kinds.setdefault(name, kind)
+                for key, value in values.items():
+                    self.points.setdefault((sample.node, name, key), []).append(
+                        (sample.t, float(value))
+                    )
         for name, summaries in sample.histograms.items():
             self.kinds.setdefault(name, "histogram")
             for key, summ in summaries.items():
@@ -318,40 +313,28 @@ class TimeSeriesAggregator:
         environment detail leaks in — same-seed simulator runs produce
         byte-identical documents.
         """
-        series = []
-        for (node, metric, key) in sorted(
-            self.points, key=lambda k: (k[1], k[0], _labels_str(k[2]))
-        ):
-            series.append(
+
+        def rows(points, kind: bool):
+            return [
                 {
                     "node": node,
                     "metric": metric,
-                    "kind": self.kinds.get(metric, "counter"),
+                    **({"kind": self.kinds.get(metric, "counter")} if kind else {}),
                     "labels": {k: v for k, v in key},
-                    "points": [[t, v] for t, v in self.points[(node, metric, key)]],
+                    "points": [[t, v] for t, v in points[(node, metric, key)]],
                 }
-            )
-        hists = []
-        for (node, metric, key) in sorted(
-            self.hist_points, key=lambda k: (k[1], k[0], _labels_str(k[2]))
-        ):
-            hists.append(
-                {
-                    "node": node,
-                    "metric": metric,
-                    "labels": {k: v for k, v in key},
-                    "points": [
-                        [t, s] for t, s in self.hist_points[(node, metric, key)]
-                    ],
-                }
-            )
+                for node, metric, key in sorted(
+                    points, key=lambda k: (k[1], k[0], _labels_str(k[2]))
+                )
+            ]
+
         return {
             "schema": TELEMETRY_SCHEMA,
             "nodes": sorted(self.nodes),
             "samples": self.samples,
             "metrics": {name: self.kinds[name] for name in sorted(self.kinds)},
-            "series": series,
-            "histograms": hists,
+            "series": rows(self.points, True),
+            "histograms": rows(self.hist_points, False),
         }
 
     @classmethod
@@ -364,16 +347,14 @@ class TimeSeriesAggregator:
         agg.samples = int(doc.get("samples", 0))
         agg.nodes = set(doc.get("nodes", []))
         agg.kinds = dict(doc.get("metrics", {}))
-        for row in doc.get("series", []):
-            key = tuple(sorted(row["labels"].items()))
-            agg.points[(row["node"], row["metric"], key)] = [
-                (p[0], p[1]) for p in row["points"]
-            ]
-        for row in doc.get("histograms", []):
-            key = tuple(sorted(row["labels"].items()))
-            agg.hist_points[(row["node"], row["metric"], key)] = [
-                (p[0], dict(p[1])) for p in row["points"]
-            ]
+        for points, section, value in (
+            (agg.points, "series", lambda v: v), (agg.hist_points, "histograms", dict)
+        ):
+            for row in doc.get(section, []):
+                key = tuple(sorted(row["labels"].items()))
+                points[(row["node"], row["metric"], key)] = [
+                    (p[0], value(p[1])) for p in row["points"]
+                ]
         return agg
 
     # -- dashboard ---------------------------------------------------------

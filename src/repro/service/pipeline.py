@@ -46,7 +46,7 @@ def pipelined_reduces(
     """
     if net.spec is None or not net.plans:
         raise RuntimeError("configure() or adopt_plans() must run before pipelining")
-    if net._degrade_active():
+    if net.degrade:
         raise ValueError("pipelined reduces support non-degraded runs only")
     if depth < 1:
         raise ValueError("pipeline depth must be >= 1")

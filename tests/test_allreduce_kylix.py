@@ -239,6 +239,25 @@ class TestCollation:
             np.sort(spec.in_indices[self.DEAD]),
         )
 
+    @pytest.mark.parametrize("op", ["reduce", "combined"])
+    def test_degrade_alone_implies_the_default_retry_policy(self, op):
+        """``degrade=True`` under a plain FailurePlan, no ``retry=``: the
+        run degrades exactly as with ``retry=RetryPolicy()`` instead of
+        raising PeerFailedError with no report."""
+        plan = self._dies_late(op)
+        spec, net, out, _ = self._run(op, plan, degrade=True)
+        _, ref_net, ref_out, _ = self._run(op, plan, degrade=True, retry=RetryPolicy())
+        report, ref = net.last_report, ref_net.last_report
+        assert report is not None and not report.complete
+        assert report.dead_members == ref.dead_members
+        assert sorted(report.lost_indices) == sorted(ref.lost_indices) == [self.DEAD]
+        np.testing.assert_array_equal(
+            np.sort(report.lost_indices[self.DEAD]), np.sort(spec.in_indices[self.DEAD])
+        )
+        assert sorted(out) == sorted(ref_out) == [r for r in range(self.M) if r != self.DEAD]
+        for r in out:
+            np.testing.assert_array_equal(out[r], ref_out[r])
+
 
 class TestValidation:
     def test_reduce_before_configure_rejected(self):

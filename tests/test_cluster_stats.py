@@ -1,12 +1,7 @@
 """Direct coverage for :class:`TrafficStats` per-(phase, layer)
-accounting and :class:`TraceRecorder` summary statistics."""
-
-import numpy as np
-import pytest
+accounting."""
 
 from repro.cluster.stats import PhaseBreakdown, TrafficStats
-from repro.cluster.trace import TraceRecord, TraceRecorder
-from repro.obs import MessageEvent
 
 
 class TestTrafficStats:
@@ -56,70 +51,3 @@ class TestTrafficStats:
         s = self.make()
         s.reset()
         assert s.total_messages() == 0 and s.phases == []
-
-
-class TestTraceRecorderStats:
-    def make(self):
-        rec = TraceRecorder()
-        # 10 uniform 1 ms messages and one 10 ms straggler, all config L1
-        for i in range(10):
-            rec.record(
-                TraceRecord(
-                    src=i % 4, dst=(i + 1) % 4, nbytes=100,
-                    sent_at=0.0, delivered_at=0.001, phase="config", layer=1,
-                )
-            )
-        rec.record(
-            TraceRecord(
-                src=0, dst=1, nbytes=500,
-                sent_at=0.0, delivered_at=0.010, phase="reduce_down", layer=1,
-            )
-        )
-        return rec
-
-    def test_latencies_filter_by_phase(self):
-        rec = self.make()
-        assert len(rec) == 11
-        assert rec.latencies("config") == pytest.approx([0.001] * 10)
-        assert rec.latencies().max() == pytest.approx(0.010)
-
-    def test_straggler_ratio(self):
-        rec = self.make()
-        # overall: median 1 ms, p99 pulled toward the 10 ms tail
-        assert rec.straggler_ratio() > 5.0
-        assert rec.straggler_ratio("config") == pytest.approx(1.0)
-        assert np.isnan(TraceRecorder().straggler_ratio())
-
-    def test_bytes_by_node_directions(self):
-        rec = self.make()
-        out = rec.bytes_by_node(direction="out")
-        inn = rec.bytes_by_node(direction="in")
-        assert sum(out.values()) == sum(inn.values()) == 10 * 100 + 500
-        assert out[0] == 3 * 100 + 500  # node 0 sends msgs 0,4,8 + straggler
-        with pytest.raises(ValueError):
-            rec.bytes_by_node(direction="sideways")
-
-    def test_load_imbalance(self):
-        rec = self.make()
-        vols = list(rec.bytes_by_node().values())
-        assert rec.load_imbalance() == pytest.approx(max(vols) / np.mean(vols))
-        assert np.isnan(TraceRecorder().load_imbalance())
-
-    def test_phase_spans_and_timeline(self):
-        rec = self.make()
-        spans = rec.phase_spans()
-        assert spans["config"] == (0.0, 0.001)
-        assert spans["reduce_down"] == (0.0, 0.010)
-        text = rec.timeline(width=40)
-        assert "config" in text and "#" in text
-        assert TraceRecorder().timeline() == "(no messages traced)"
-
-    def test_consume_accepts_observer_events(self):
-        rec = TraceRecorder()
-        rec.consume(
-            MessageEvent(0, 1, 64, phase="config", layer=1, sent_at=1.0, delivered_at=1.5)
-        )
-        (row,) = rec.records
-        assert row.latency == pytest.approx(0.5)
-        rec.clear()
-        assert len(rec) == 0

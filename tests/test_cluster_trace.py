@@ -1,11 +1,11 @@
-"""Tests for the message tracer."""
+"""The simulator's message timeline: one delivered event per message,
+read from the cluster's observer (``obs.messages``)."""
 
 import numpy as np
 import pytest
 
 from repro.allreduce import KylixAllreduce, ReduceSpec
-from repro.cluster import Cluster, TraceRecord, TraceRecorder, attach_tracer
-from repro.netmodel import NetworkParams
+from repro.cluster import Cluster
 
 
 def run_allreduce(cluster, m=8, n=200, degrees=(4, 2)):
@@ -22,85 +22,28 @@ def run_allreduce(cluster, m=8, n=200, degrees=(4, 2)):
 class TestTraceRecorder:
     @pytest.fixture()
     def traced(self):
-        cluster = Cluster(8)
-        tracer = attach_tracer(cluster)
+        cluster = Cluster(8, observe=True)
         run_allreduce(cluster)
-        return cluster, tracer
+        return cluster, cluster.obs.messages
 
     def test_every_message_recorded(self, traced):
-        cluster, tracer = traced
-        assert len(tracer) == cluster.stats.total_messages()
+        cluster, messages = traced
+        assert len(messages) == cluster.stats.total_messages()
 
     def test_records_have_consistent_times(self, traced):
-        _, tracer = traced
-        for r in tracer.records:
-            assert r.delivered_at >= r.sent_at
-            assert r.latency >= 0
+        _, messages = traced
+        for ev in messages:
+            assert ev.delivered_at is not None
+            assert ev.delivered_at >= ev.sent_at >= 0
 
     def test_phases_present(self, traced):
-        _, tracer = traced
-        phases = {r.phase for r in tracer.records}
+        _, messages = traced
+        phases = {ev.phase for ev in messages}
         assert phases == {"config", "reduce_down", "gather_up"}
 
     def test_phase_spans_ordered(self, traced):
-        _, tracer = traced
-        spans = tracer.phase_spans()
-        assert spans["config"][0] < spans["reduce_down"][0] < spans["gather_up"][0]
-
-    def test_latencies_filterable_by_phase(self, traced):
-        _, tracer = traced
-        all_lat = tracer.latencies()
-        cfg_lat = tracer.latencies("config")
-        assert 0 < cfg_lat.size < all_lat.size
-
-    def test_bytes_by_node_balanced_on_uniform_data(self, traced):
-        _, tracer = traced
-        assert tracer.load_imbalance() < 1.5
-        sent = tracer.bytes_by_node(direction="out")
-        recv = tracer.bytes_by_node(direction="in")
-        assert sum(sent.values()) == sum(recv.values())
-
-    def test_direction_validated(self, traced):
-        _, tracer = traced
-        with pytest.raises(ValueError):
-            tracer.bytes_by_node(direction="sideways")
-
-    def test_timeline_renders(self, traced):
-        _, tracer = traced
-        art = tracer.timeline(width=40)
-        assert "config" in art and "#" in art
-
-    def test_empty_recorder(self):
-        t = TraceRecorder()
-        assert t.timeline() == "(no messages traced)"
-        assert np.isnan(t.straggler_ratio())
-        assert np.isnan(t.load_imbalance())
-        assert t.latencies().size == 0
-
-    def test_clear(self, traced):
-        _, tracer = traced
-        tracer.clear()
-        assert len(tracer) == 0
-
-    def test_straggler_ratio_grows_with_jitter(self):
-        ratios = {}
-        for sigma in (0.0, 1.5):
-            params = NetworkParams(
-                base_latency=1e-4, latency_sigma=sigma, service_sigma=sigma
-            )
-            cluster = Cluster(8, params=params, seed=5)
-            tracer = attach_tracer(cluster)
-            run_allreduce(cluster)
-            ratios[sigma] = tracer.straggler_ratio()
-        assert ratios[0.0] < ratios[1.5]
-
-    def test_manual_record(self):
-        t = TraceRecorder()
-
-        class FakeMsg:
-            src, dst, nbytes = 0, 1, 100
-            sent_at, delivered_at = 0.0, 0.5
-            phase, layer = "p", 1
-
-        t.record(FakeMsg())
-        assert len(t) == 1 and t.records[0].latency == 0.5
+        _, messages = traced
+        first_send = {}
+        for ev in messages:
+            first_send[ev.phase] = min(first_send.get(ev.phase, ev.sent_at), ev.sent_at)
+        assert first_send["config"] < first_send["reduce_down"] < first_send["gather_up"]

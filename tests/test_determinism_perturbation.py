@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import Cluster, KylixAllreduce, ReduceSpec, dense_reduce
-from repro.cluster import attach_tracer
 
 
 def small_workload(m=8, n=120, seed=11):
@@ -27,14 +26,13 @@ def small_workload(m=8, n=120, seed=11):
 def run_once(creation_order=None, *, m=8, degrees=(2, 2, 2)):
     spec, vals = small_workload(m)
     cluster = Cluster(
-        m, creation_order=creation_order, record_trace=True, seed=3
+        m, creation_order=creation_order, record_trace=True, seed=3, observe=True
     )
-    tracer = attach_tracer(cluster)
     net = KylixAllreduce(cluster, list(degrees))
     net.configure(spec)
     result = net.reduce(vals)
     traffic = sorted(
-        (r.src, r.dst, r.phase, r.layer, r.nbytes) for r in tracer.records
+        (r.src, r.dst, r.phase, r.layer, r.nbytes) for r in cluster.obs.messages
     )
     return result, list(cluster.engine.trace), traffic
 

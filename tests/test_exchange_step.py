@@ -120,7 +120,7 @@ def test_a_part_is_slotted_by_the_link_it_arrived_on():
     out = run_on_threads(m, lambda rank: [
         result for result, *_ in run_rounds(
             rank, HubNet(rank, hub), topo, hasher, spec, [vals[rank] for vals in rounds],
-            strict=True, retry=RetryPolicy(),
+            strict=True,
         )
     ])
     for r in range(m):
@@ -153,7 +153,7 @@ def test_fault_sessions_prune_round_state():
         try:
             rounds = run_rounds(
                 rank, net, topo, hasher, spec, [vals[rank]] * n_rounds,
-                strict=True, retry=retry,
+                strict=True,
             )
             for seq, (_, _, _, cached) in enumerate(rounds):
                 assert cached is None  # a fault session: combined every round

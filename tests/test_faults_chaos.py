@@ -27,7 +27,7 @@ from repro.allreduce import (
     ReduceSpec,
     dense_reduce,
 )
-from repro.cluster import Cluster, attach_tracer
+from repro.cluster import Cluster
 from repro.faults import FaultPlan, LinkFault, PeerFailedError, RetryPolicy
 from repro.net import LocalKylix
 from repro.verify import worst_case_loss
@@ -122,11 +122,10 @@ class TestSimulatedChaos:
         spec, vals = make_case(8, 500, 4)
 
         def run_once():
-            cluster = Cluster(8, failures=chaos_plan())
-            tracer = attach_tracer(cluster)
+            cluster = Cluster(8, failures=chaos_plan(), observe=True)
             net = KylixAllreduce(cluster, degrees=[4, 2])
             out = net.allreduce(spec, vals)
-            return out, tracer.records, dict(cluster.fabric.injected), cluster.now
+            return out, cluster.obs.messages, dict(cluster.fabric.injected), cluster.now
 
         out_a, trace_a, injected_a, now_a = run_once()
         out_b, trace_b, injected_b, now_b = run_once()
@@ -145,11 +144,10 @@ class TestSimulatedChaos:
         spec, vals = make_case(8, 500, 10)
 
         def run_with(retry):
-            cluster = Cluster(8, failures=chaos_plan())
-            tracer = attach_tracer(cluster)
+            cluster = Cluster(8, failures=chaos_plan(), observe=True)
             net = KylixAllreduce(cluster, degrees=[4, 2], retry=retry)
             out = net.allreduce(spec, vals)
-            return out, tracer.records, dict(cluster.fabric.injected), cluster.now
+            return out, cluster.obs.messages, dict(cluster.fabric.injected), cluster.now
 
         base_out, base_trace, base_injected, base_now = run_with(RetryPolicy())
         out, trace, injected, now = run_with(
@@ -351,6 +349,52 @@ class TestLocalChaos:
             }
             assert lost == actually_lost
             assert lost <= set(np.asarray(envelope.get(r, np.empty(0))).astype(int).tolist())
+        assert mp.active_children() == []
+
+    def test_local_midstack_death_with_late_audit_replies(self, monkeypatch):
+        """The mid-stack audit case with every retained-key fetch answered
+        after the asker's fetch deadline.  Audit frames are control plane,
+        which the fault plan never touches, so the holders' replies are
+        held back in the transport itself (forked workers inherit the
+        patch); 0.8 s is past the 0.5 s fetch deadline this retry policy
+        once implied.  A kept value must still equal the fault-free run at
+        every index the CoverageReport does not list as lost."""
+        from repro.net.transport import SocketTransport
+
+        send_frame = SocketTransport._send_frame
+
+        def late_audit_replies(self, member, frame):
+            if frame[0] == "audit-rep":
+                self.schedule_at(
+                    time.monotonic() + 0.8, lambda: send_frame(self, member, frame)
+                )
+            else:
+                send_frame(self, member, frame)
+
+        monkeypatch.setattr(SocketTransport, "_send_frame", late_audit_replies)
+        victim, degrees = 3, [2, 2, 2]
+        spec, vals = make_case(8, 500, 21)
+        base = LocalKylix(degrees).allreduce(spec, vals)
+        net = LocalKylix(
+            degrees,
+            faults=FaultPlan().kill_at_step(victim, "down", 2),
+            retry=RetryPolicy(base_timeout=0.25, max_retries=2),
+            degrade=True,
+            timeout=60.0,
+        )
+        out = net.allreduce(spec, vals)
+        report = net.last_report
+        assert not report.complete and victim in report.dead_members
+        for r in range(8):
+            if r == victim:
+                continue
+            lost = set(np.asarray(report.lost_indices.get(r, np.empty(0))).astype(int).tolist())
+            short = [
+                int(ix)
+                for i, ix in enumerate(spec.in_indices[r])
+                if int(ix) not in lost and out[r][i] != base[r][i]
+            ]
+            assert short == [], f"rank {r}: silent short sums at {short[:8]}"
         assert mp.active_children() == []
 
     def test_local_dead_from_start_zero_children(self):

@@ -12,6 +12,7 @@ from repro.obs import (
     MetricsRegistry,
     NullObserver,
     Observer,
+    analyze,
     chrome_trace,
     metrics_json,
     text_summary,
@@ -237,6 +238,96 @@ class TestSimulatorBackend:
         # simulated runs finish in simulated seconds; every span sits in
         # the first few virtual seconds, which wall clocks cannot do.
         assert all(0.0 <= sp.start < 60.0 for sp in obs.spans)
+
+
+class TestOneLedger:
+    """A simulated send is counted once, in the fabric's TrafficStats
+    cells; the observer's ``net.*`` series read them.  Pinned on the
+    ``faults`` experiment too, whose NACK resends take the fabric's
+    second send path, and through the telemetry sampler, which diffs the
+    registry's counter values."""
+
+    @pytest.fixture(scope="class", params=["quickstart", "faults"])
+    def traced(self, request):
+        def counted_twice(*args, **kwargs):
+            raise AssertionError("a simulated send reached Observer.message_sent")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Observer, "message_sent", counted_twice)
+            return run_traced(request.param, backend="sim", seed=0, telemetry_interval=0.002)
+
+    SERIES = {
+        "net.bytes": ("bytes", "messages"),
+        "net.messages": ("messages", "messages"),
+        "net.self_bytes": ("self_bytes", "self_messages"),
+        "net.self_messages": ("self_messages", "self_messages"),
+    }
+
+    def expected(self, stats, name):
+        value, count = self.SERIES[name]
+        return {
+            (phase, layer): getattr(stats.cell(phase, layer), value)
+            for phase in stats.phases
+            for layer in stats.layers(phase)
+            if getattr(stats.cell(phase, layer), count)
+        }
+
+    def test_counters_are_the_cells(self, traced):
+        obs, info = traced
+        assert info["exact"]
+        for name in self.SERIES:
+            got = {(lab["phase"], lab["layer"]): v for lab, v in obs.counter(name).items()}
+            assert got == self.expected(info["stats"], name)
+
+    def test_resends_are_counted_in_the_cells(self, traced):
+        obs, info = traced
+        stats = info["stats"]
+        resent = {
+            (phase, layer): stats.cell(phase, layer).resent_messages
+            for phase in stats.phases
+            for layer in stats.layers(phase)
+            if stats.cell(phase, layer).resent_messages
+        }
+        assert {
+            (lab["phase"], lab["layer"]): v for lab, v in obs.counter("faults.resent").items()
+        } == resent
+        if info["experiment"] == "faults":
+            assert resent, "the faults experiment must exercise the resend path"
+
+    def test_telemetry_deltas_sum_to_the_cells(self, traced):
+        obs, info = traced
+        assert obs.telemetry
+        for name in self.SERIES:
+            summed = {}
+            for sample in obs.telemetry:
+                for key, delta in sample.counters.get(name, {}).items():
+                    labels = dict(key)
+                    cell = (labels["phase"], labels["layer"])
+                    summed[cell] = summed.get(cell, 0) + delta
+            assert summed == self.expected(info["stats"], name)
+
+    def test_exports_read_the_cells(self, traced):
+        obs, info = traced
+        stats = info["stats"]
+        doc = json.loads(json.dumps(metrics_json(obs)))
+        rows = doc["metrics"]["counters"]["net.bytes"]
+        assert sum(r["value"] for r in rows) == stats.total_bytes(include_self=False)
+        goblet = analyze(doc).goblet_report()
+        assert goblet.total_bytes == stats.total_bytes()
+        assert goblet.total_messages == stats.total_messages()
+
+    def test_a_snapshot_carries_the_cells(self, traced):
+        obs, info = traced
+        parent = Observer(name="parent")
+        parent.absorb(obs.snapshot())
+        for name in self.SERIES:
+            got = {(lab["phase"], lab["layer"]): v for lab, v in parent.counter(name).items()}
+            assert got == self.expected(info["stats"], name)
+
+    def test_the_ledger_is_read_only(self, traced):
+        obs, _ = traced
+        with pytest.raises(TypeError):
+            obs.counter("net.bytes").inc(1, phase="config", layer=1)
 
 
 class TestLocalBackend:

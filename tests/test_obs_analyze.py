@@ -5,8 +5,12 @@ straggler report names the deliberately delayed node on both backends)."""
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.allreduce import KylixAllreduce, ReduceSpec
+from repro.cluster import Cluster
+from repro.netmodel import NetworkParams
 from repro.obs import Observer, analyze, chrome_trace, metrics_json
 from repro.obs.analyze import (
     REDUCTION_PHASES,
@@ -126,6 +130,29 @@ class TestStraggler:
         obs, _ = run_traced("quickstart", backend="sim", seed=0)
         rep = analyze(obs).straggler_report()
         assert rep.straggler is None and rep.reason == "balanced"
+
+    def test_link_latency_tail_grows_with_jitter(self):
+        """Commodity-cloud jitter shows as a delivery-latency tail: the
+        slowest delivery over the median source's median latency grows
+        with the network's lognormal sigma."""
+        m, n = 8, 200
+        rng = np.random.default_rng(1)
+        idx = {
+            r: np.unique(np.concatenate([rng.choice(n, 30), np.arange(r, n, m)]))
+            for r in range(m)
+        }
+        spec = ReduceSpec(idx, idx)
+        vals = {r: np.ones(idx[r].size) for r in range(m)}
+        tails = {}
+        for sigma in (0.0, 1.5):
+            params = NetworkParams(base_latency=1e-4, latency_sigma=sigma, service_sigma=sigma)
+            cluster = Cluster(m, params=params, seed=5, observe=True)
+            KylixAllreduce(cluster, [4, 2]).allreduce(spec, vals)
+            lat = analyze(cluster.obs).straggler_report().link_latency
+            tails[sigma] = max(d["max"] for d in lat.values()) / np.median(
+                [d["median"] for d in lat.values()]
+            )
+        assert tails[0.0] < tails[1.5]
 
 
 class TestQueueWaitReport:

@@ -132,7 +132,9 @@ class TestSimSampler:
         sampler = Sampler(
             cluster.engine, TelemetryAgent(obs, interval=0.5)
         ).start()
-        obs.counter("net.bytes").inc(10, phase="config", layer=1)
+        # 10 bytes through the fabric, the simulator's one byte ledger
+        # (its net.* series are read-only views of the fabric's cells).
+        cluster.fabric.send(0, 1, None, 10, phase="config", layer=1)
         cluster.engine.run(until=2.0)
         sampler.stop(flush=True)
         times = [s.t for s in obs.telemetry]
