@@ -23,7 +23,7 @@ from repro.allreduce import (
     dense_reduce,
     expected_failures_survived,
 )
-from repro.cluster import Cluster, FailurePlan
+from repro.cluster import Cluster
 from repro.faults import FaultPlan, LinkFault, PeerFailedError
 from repro.netmodel import EC2_LIKE
 
@@ -54,9 +54,7 @@ def run(failures=None, label=""):
     elapsed = cluster.now - t0
     for r in range(M_LOGICAL):
         np.testing.assert_allclose(result[r], reference[r], atol=1e-9)
-    dead = sorted(
-        set(failures.dead_nodes) | set(getattr(failures, "step_killed_nodes", []))
-    ) if failures else []
+    dead = failures.victims if failures else []
     print(f"{label:<38} reduce {elapsed * 1e3:7.2f} ms   dead={dead}   exact ✓")
     return elapsed
 
@@ -66,9 +64,9 @@ print(f"expected random failures survivable ≈ "
       f"{expected_failures_survived(M_LOGICAL, REPLICATION):.1f} (birthday bound)\n")
 
 base = run(None, "no failures")
-run(FailurePlan.dead_from_start([2]), "one machine dead from the start")
-run(FailurePlan.dead_from_start([1, 6, 12]), "three machines dead (distinct slots)")
-run(FailurePlan({5: 2e-4}), "machine 5 dies mid-run")
+run(FaultPlan().kill(2), "one machine dead from the start")
+run(FaultPlan({n: 0.0 for n in (1, 6, 12)}), "three machines dead (distinct slots)")
+run(FaultPlan({5: 2e-4}), "machine 5 dies mid-run")
 
 # For comparison: the unreplicated network at the same logical width.
 cluster = Cluster(M_LOGICAL, params=params, seed=3)
@@ -81,8 +79,8 @@ print(f"\nunreplicated {M_LOGICAL}-node reference      "
 print("replication overhead stays well under the worst-case 2x thanks to racing")
 
 # And the failure mode replication cannot save: a whole replica group.
-# A FaultPlan installs the deadline/retry layer, so instead of a
-# simulation deadlock strict mode raises a typed error naming the slot.
+# A non-empty FaultPlan switches the deadline/retry layer on, so instead
+# of a simulation deadlock strict mode raises a typed error naming the slot.
 try:
     run(FaultPlan().kill(3).kill(3 + M_LOGICAL), "both replicas of slot 3 dead")
 except PeerFailedError as exc:

@@ -7,6 +7,8 @@ Public API re-exports the pieces a downstream user touches most:
   index sets and run the nested heterogeneous butterfly allreduce; its
   degree stack gives the direct (``[m]``) and binary butterfly
   baselines, and ``replication=s`` the §V fault tolerance;
+* :class:`FaultPlan` — the one fault schedule (deaths, step kills,
+  message faults) a :class:`Cluster` or a real backend runs;
 * the other baselines (:class:`TreeAllreduce`, :class:`DenseAllreduce`);
 * the §IV design workflow (:func:`optimal_degrees`, :class:`PowerLawModel`).
 
@@ -26,8 +28,9 @@ from .allreduce import (
     TreeAllreduce,
     dense_reduce,
 )
-from .cluster import Cluster, FailurePlan
+from .cluster import Cluster
 from .design import EmpiricalDensityCurve, PowerLawModel, optimal_degrees
+from .faults import FaultPlan
 from .netmodel import EC2_LIKE, NetworkParams
 from .sparse import SparseVector
 from .verify.errors import ProtocolInvariantError
@@ -36,7 +39,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Cluster",
-    "FailurePlan",
+    "FaultPlan",
     "ReduceSpec",
     "KylixAllreduce",
     "TreeAllreduce",

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..cluster import Cluster, SimNode
 from ..cluster.node import payload_nbytes
-from ..faults import CoverageReport, FaultPlan, LossRecord, PeerFailedError, RetryPolicy
+from ..faults import CoverageReport, LossRecord, PeerFailedError, RetryPolicy
 from ..faults.ladder import DUPLICATE, ReceiveLadder, RetainedKeys, SlotMap, slot_status
 from ..obs import NULL_OBSERVER
 from ..simul import WaitTimeout, wait_with_timeout
@@ -228,12 +228,12 @@ class KylixAllreduce:
     retry:
         Optional :class:`~repro.faults.RetryPolicy` enabling bounded
         receive deadlines with NACK retransmission.  ``None`` (default)
-        keeps the legacy wait-forever behaviour — unless ``degrade`` is
-        set or the cluster's failure plan is a
-        :class:`~repro.faults.FaultPlan`, in which case the default
+        keeps the wait-forever receive — unless ``degrade`` is set or the
+        cluster's :class:`~repro.faults.FaultPlan` is non-empty (any
+        death, step kill or rule), in which case the default
         :class:`~repro.faults.RetryPolicy` switches on (a fault-injected
-        run without deadlines would just hang, and degraded completion
-        needs deadlines to notice a loss).
+        run without deadlines would hang on the first loss, and degraded
+        completion needs deadlines to notice one).
     degrade:
         Fault-loss handling when a peer is unrecoverable (all replicas of
         a slot dead, retries exhausted).  ``False`` (strict, the default)
@@ -308,15 +308,12 @@ class KylixAllreduce:
         """The retry policy actually in force for this protocol.
 
         Explicit wins; otherwise a default policy auto-enables under
-        ``degrade`` or when the cluster carries a
-        :class:`~repro.faults.FaultPlan` (a fault-injected run without
-        deadlines would hang on the first loss, and a degraded one would
-        never see it).  ``None`` preserves the legacy wait-forever
-        receive path exactly.
+        ``degrade`` or when the cluster's fault plan is non-empty.  ``None``
+        keeps the wait-forever receive path exactly.
         """
         if self.retry is not None:
             return self.retry
-        if self.degrade or isinstance(getattr(self.cluster, "failures", None), FaultPlan):
+        if self.degrade or self.cluster.failures:
             return RetryPolicy()
         return None
 

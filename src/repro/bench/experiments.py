@@ -17,9 +17,10 @@ import numpy as np
 from ..allreduce import KylixAllreduce, binary_degrees
 from ..apps.pagerank import DistributedPageRank
 from ..baselines import GAS_COMPUTE_SCALE, HadoopCostModel, PowerGraphPageRank
-from ..cluster import Cluster, FailurePlan
+from ..cluster import Cluster
 from ..data import Dataset, random_edge_partition
 from ..design import PowerLawModel, invert_density, optimal_degrees
+from ..faults import FaultPlan, LinkFault
 from ..netmodel import EC2_LIKE, NetworkParams, throughput_curve
 from . import calibration as cal
 from .reporting import format_bars, format_bytes, format_seconds, format_table
@@ -410,7 +411,7 @@ def run_table1(
     # dead nodes chosen in distinct replica groups.
     for dead in failures:
         def make_rep(seed, dead=dead):
-            plan = FailurePlan.dead_from_start(range(dead))
+            plan = FaultPlan({n: 0.0 for n in range(dead)})
             cluster = cal.make_cluster(
                 dataset32, m=64, latency_sigma=latency_sigma, failures=plan, seed=seed
             )
@@ -427,8 +428,6 @@ def run_table1(
     # crashes right before its first send of the value down-pass, so the
     # retry/NACK machinery plus packet racing must carry the round — and
     # two persistent straggler links (SparCML's favourite adversary).
-    from ..faults import FaultPlan, LinkFault
-
     def make_rep_midrun(seed):
         plan = FaultPlan().kill_at_step(1, "down", 1)
         cluster = cal.make_cluster(

@@ -1,4 +1,4 @@
-"""Simulated commodity cluster: nodes, fabric, failures, traffic stats.
+"""Simulated commodity cluster: nodes, fabric, traffic stats.
 
 This package substitutes for the paper's 64-node EC2 testbed.  Protocols
 exchange real NumPy payloads through :class:`Fabric` (so results are
@@ -9,7 +9,6 @@ topology comparisons — reproduce the paper's figures).
 
 from .cluster import Cluster
 from .fabric import Fabric, Message
-from .failures import FailurePlan
 from .node import SimNode, payload_nbytes
 from .stats import PhaseBreakdown, TrafficStats
 
@@ -17,7 +16,6 @@ __all__ = [
     "Cluster",
     "Fabric",
     "Message",
-    "FailurePlan",
     "SimNode",
     "payload_nbytes",
     "TrafficStats",

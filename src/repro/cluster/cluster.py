@@ -13,10 +13,10 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence
 
+from ..faults.plan import FaultPlan
 from ..netmodel import EC2_LIKE, NetworkParams
 from ..simul import Engine
 from .fabric import Fabric
-from .failures import FailurePlan
 from .node import SimNode
 
 __all__ = ["Cluster"]
@@ -42,7 +42,9 @@ class Cluster:
         models §II's "variable compute node performance and external
         loads" — a 0.5 node takes twice as long for the same kernel.
     failures:
-        Optional :class:`FailurePlan`; dead nodes drop all traffic.
+        Optional :class:`~repro.faults.FaultPlan`: dead nodes drop all
+        traffic, step kills crash a node at a protocol step, and rules
+        inject message faults.  An empty plan is the same as none.
     seed:
         Seeds latency jitter; identical seeds give identical runs.
     creation_order:
@@ -77,7 +79,7 @@ class Cluster:
         hw_threads: int = 16,
         compute_rate: float = 1.0e9,
         node_speeds: Optional[Sequence[float]] = None,
-        failures: Optional[FailurePlan] = None,
+        failures: Optional[FaultPlan] = None,
         seed: int = 0,
         creation_order: Optional[Sequence[int]] = None,
         record_trace: bool = False,
@@ -103,9 +105,7 @@ class Cluster:
         self.compute_rate = compute_rate
         self.creation_order = creation_order
         self.engine = Engine(record_trace=record_trace, scheduler=scheduler)
-        # `is not None` (not truthiness): a FaultPlan carrying only
-        # message-fault rules has len() == 0 but must still be installed.
-        self.failures = failures if failures is not None else FailurePlan.none()
+        self.failures = failures if failures is not None else FaultPlan()
         # Install-time validation: a plan naming nodes outside the cluster
         # is a test bug that used to silently inject nothing.
         self.failures.validate(num_nodes)
@@ -118,17 +118,16 @@ class Cluster:
             seed=seed,
         )
         self.stats = self.fabric.stats
-        if len(self.failures):
-            # A plan that can kill nobody (none, or message faults only) is
-            # never asked: the fabric skips its per-message liveness checks.
+        if self.failures:
+            # The fabric's message-fault and step-kill oracle; it also
+            # enables the sent-payload cache that serves NACK resends.  An
+            # empty plan is never asked: the no-fault send path is untouched.
+            self.fabric.set_fault_plan(self.failures)
+        if self.failures.deaths:
+            # Only timed deaths need the per-message liveness check.
             self.fabric.set_liveness(
                 lambda i: self.failures.is_alive(i, self.engine.now)
             )
-        if hasattr(self.failures, "decide"):
-            # A FaultPlan doubles as the fabric's message-fault/step-kill
-            # oracle, and enables the sent-payload cache that serves NACK
-            # retransmission requests.
-            self.fabric.set_fault_plan(self.failures)
         self.node_speeds = node_speeds or [1.0] * num_nodes
         self.compute_seconds = [0.0] * num_nodes
         self._nodes = [SimNode(self, i) for i in range(num_nodes)]
@@ -152,8 +151,8 @@ class Cluster:
             self.obs = observer if observer is not None else Observer(name="sim")
             self.obs.set_clock(lambda: self.engine.now)
             self.obs.name_pid(0, "sim")
-            for name in self.stats.SERIES:
-                self.obs.metrics.adopt(LedgerCounter(name, partial(self.stats.series, name)))
+            for name, fields in self.stats.SERIES.items():
+                self.obs.metrics.adopt(LedgerCounter(name, partial(self.stats.series, *fields)))
             self.fabric.set_observer(self.obs)
         return self.obs
 
@@ -220,7 +219,7 @@ class Cluster:
         # walks each stuck process's awaited event back to the mailbox it
         # is parked on when diagnosing a deadlocked schedule.
         self._last_procs = dict(procs)
-        if len(self.failures) == 0:
+        if not self.failures.victims:
             self.engine.run_until_complete(*procs.values())
             return {rank: proc.value for rank, proc in procs.items()}
 

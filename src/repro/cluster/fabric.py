@@ -23,6 +23,9 @@ still reported to :class:`TrafficStats`, since the paper's Fig 5 counts
 "packets to its own" in communication volume.  Those cells are the one
 byte ledger: every send (NACK resends included) is added to them once,
 and an observer's ``net.*`` series read them rather than count again.
+Injected faults are counted once too, in :attr:`Fabric.injected`; the
+observer's ``faults.injected`` / ``faults.resent`` series read that and
+the cells' resend counts.
 
 The simulator pays for this once per message and once per exchange, in
 wall time as well.  :meth:`Fabric.send_group` is the one send loop: it
@@ -34,8 +37,10 @@ event that delivers it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
+from ..faults.plan import canonical_phase
 from ..netmodel import LatencyModel, NetworkParams
 from ..simul import Engine, FilterStore, Timeout
 from ..simul.events import PROCESSED, TRIGGERED
@@ -193,28 +198,28 @@ class Fabric:
         self._seq_counters: dict = {}  # (src, dst, canonical phase, layer) -> next seq
         self._sent_cache: dict = {}  # (src, dst, tag) -> retransmission state
         self._crashed: set = set()  # step-killed nodes
+        # The fault ledger: injections by kind, and NACK resends.
         self.injected = {"dropped": 0, "duplicated": 0, "delayed": 0, "resent": 0}
+        self._served: set = set()  # faults.* series the observer reads
 
     def set_liveness(self, fn: Callable[[int], bool]) -> None:
-        """Install the failure oracle (see :mod:`repro.cluster.failures`)."""
+        """Install the failure oracle: ``fn(node)`` is False while the
+        node is dead (:meth:`~repro.faults.FaultPlan.is_alive`)."""
         self._alive = fn
 
     def set_observer(self, observer) -> None:
         """Install a :class:`~repro.obs.Observer` as the message-event
-        sink: every completed delivery is reported at delivery time, and
-        fault injections and resends as ``faults.*`` counts.  Sends are
-        not reported; their bytes are in :attr:`stats`, which the
-        observer's ``net.*`` series read (:meth:`Cluster.enable_observer`)."""
+        sink: every completed delivery is reported at delivery time.
+        Sends are not reported; their bytes are in :attr:`stats`, which
+        the observer's ``net.*`` series read (:meth:`Cluster.enable_observer`),
+        and fault injections and resends are in :attr:`injected` and
+        :attr:`stats`, which its ``faults.*`` series read (:meth:`_serve`)."""
         self._obs = observer
 
     def set_fault_plan(self, plan) -> None:
         """Install a :class:`~repro.faults.FaultPlan` as the message-fault
         and step-kill oracle.  ``None`` uninstalls."""
         self._fault_plan = plan
-        if plan is not None:
-            from ..faults.plan import canonical_phase
-
-            self._canon = canonical_phase
 
     def is_crashed(self, node: int) -> bool:
         """True once a step-kill crash point has fired for ``node``."""
@@ -265,7 +270,7 @@ class Fabric:
         cell = self.stats.cell_ref(phase, layer)
         now = self.engine.now
         plan = self._fault_plan
-        canon = self._canon(phase) if plan is not None else None
+        canon = canonical_phase(phase) if plan is not None else None
         crashed, alive = self._crashed, self._alive
         nics = self._nics
         nic_s = nics[src]
@@ -373,8 +378,25 @@ class Fabric:
 
     def _inject(self, kind: str) -> None:
         self.injected[kind] += 1
-        if self._obs is not None:
-            self._obs.counter("faults.injected").inc(kind=kind)
+        self._serve("faults.injected", self._injected_series)
+
+    def _serve(self, name: str, read: Callable[[], dict]) -> None:
+        """On an observed run, serve the ``faults.*`` series ``name`` from
+        this fabric's ledger through ``read``.  Adopted at the first
+        fault it counts, so the series appears exactly when a counted one
+        would: a run without faults carries none."""
+        if self._obs is not None and name not in self._served:
+            from ..obs.metrics import LedgerCounter
+
+            self._served.add(name)
+            self._obs.metrics.adopt(LedgerCounter(name, read))
+
+    def _injected_series(self) -> dict:
+        return {
+            (("kind", kind),): n
+            for kind, n in self.injected.items()
+            if n and kind != "resent"
+        }
 
     def request_resend(self, requester: int, src: int, tag: Any, attempt: int = 1) -> bool:
         """Model a NACK from ``requester``: redeliver the cached payload
@@ -401,8 +423,9 @@ class Fabric:
         cell = self.stats.cell_ref(phase, layer)
         cell.add(nbytes, self_message=src == requester)
         cell.add_resent(nbytes)
-        if self._obs is not None:
-            self._obs.counter("faults.resent").inc(phase=phase, layer=layer)
+        self._serve(
+            "faults.resent", partial(self.stats.series, "resent_messages", "resent_messages")
+        )
         delay = (
             2.0 * self.params.base_latency
             + self.params.message_overhead

@@ -12,8 +12,8 @@ the paper includes them in communication volume but they cost no network
 time.
 
 This is the simulator's one byte ledger: an observed cluster's ``net.*``
-metric series are read off these cells (:meth:`TrafficStats.series`),
-not counted a second time.
+and ``faults.resent`` metric series are read off these cells
+(:meth:`TrafficStats.series`), not counted a second time.
 """
 
 from __future__ import annotations
@@ -85,11 +85,10 @@ class TrafficStats:
         first touch, which a send adds to (valid until :meth:`reset`)."""
         return self._cells[(phase, layer)]
 
-    def series(self, name: str) -> dict:
-        """One :data:`SERIES` as a metrics counter's values: ``{label key:
-        value}`` (labels ``phase=, layer=``) over the cells that carried
-        such a message."""
-        value, count = self.SERIES[name]
+    def series(self, value: str, count: str) -> dict:
+        """One cell field as a metrics counter's values (a :data:`SERIES`
+        entry): ``{label key: value}`` (labels ``phase=, layer=``) over
+        the cells whose ``count`` field is non-zero."""
         return {
             (("layer", layer), ("phase", phase)): getattr(cell, value)
             for (phase, layer), cell in self._cells.items()

@@ -1,10 +1,10 @@
 """Composable, seeded fault plans spanning both Kylix backends.
 
-A :class:`FaultPlan` generalizes :class:`~repro.cluster.failures.FailurePlan`
-along three axes:
+A :class:`FaultPlan` is the one fault schedule every backend runs.  It
+holds three kinds of fault:
 
-* **Crash + recovery schedules** — a node can die at a time *and come
-  back*, instead of the seed repo's die-forever model.
+* **Crash + recovery schedules** — a node dies at a simulated time (time
+  0 is Table I's "dead when the job started") and may come back.
 * **Step-targeted crashes** — ``kill_at_step(node, phase, layer)`` crashes
   a node immediately before its first send at that protocol position, so
   "died between config and reduce" or "died during the up-pass" is
@@ -33,7 +33,6 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..cluster.failures import FailurePlan
 from .errors import FaultPlanError
 
 __all__ = ["LinkFault", "FaultDecision", "FaultPlan", "canonical_phase"]
@@ -58,6 +57,17 @@ _PHASE_ID = {"config": 1, "down": 2, "up": 3}
 def canonical_phase(phase: str) -> str:
     """Collapse backend-specific phase labels onto config/down/up."""
     return _PHASE_CANON.get(phase, phase)
+
+
+def _targetable(phase: str) -> str:
+    """``phase`` canonicalised, or :class:`FaultPlanError` if it names no
+    protocol step — a misspelt phase would silently never fire."""
+    canon = canonical_phase(phase)
+    if canon not in _PHASE_ID:
+        raise FaultPlanError(
+            f"unknown phase {phase!r}; choose from {sorted(_PHASE_CANON)}"
+        )
+    return canon
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,7 @@ class LinkFault:
         if self.delay < 0 or self.reorder < 0:
             raise FaultPlanError("LinkFault delay/reorder must be non-negative")
         if self.phase is not None:
-            object.__setattr__(self, "phase", canonical_phase(self.phase))
+            object.__setattr__(self, "phase", _targetable(self.phase))
 
     def matches(self, src: int, dst: int, phase: str, layer: int) -> bool:
         return (
@@ -115,13 +125,18 @@ class FaultDecision:
 _NO_FAULT = FaultDecision()
 
 
-class FaultPlan(FailurePlan):
+class FaultPlan:
     """Node crash/recovery schedules + seeded message-level faults.
+
+    An empty plan (no death, step kill or rule) is no plan: a cluster
+    given one runs exactly as with none.  A non-empty plan switches the
+    simulator's retry/NACK machinery on (:class:`~repro.allreduce.KylixAllreduce`).
 
     All builder methods (:meth:`kill`, :meth:`recover`,
     :meth:`kill_at_step`, :meth:`with_rule`, :meth:`with_seed`) return a
-    **new** plan — an installed plan never changes under the cluster's
-    feet (the in-place mutation bug this PR fixes in ``FailurePlan``).
+    **new** plan, so an installed plan never changes under the cluster's
+    feet.  Every field is checked here, when the plan is built; node ids
+    are checked against a cluster size by :meth:`validate`.
     """
 
     def __init__(
@@ -133,18 +148,23 @@ class FaultPlan(FailurePlan):
         rules: Iterable[LinkFault] = (),
         seed: int = 0,
     ):
-        super().__init__(deaths)
+        self._deaths: Dict[int, float] = {
+            int(n): float(t) for n, t in (deaths or {}).items()
+        }
         self._recoveries: Dict[int, float] = {
             int(n): float(t) for n, t in (recoveries or {}).items()
         }
         self._step_kills: Dict[int, Tuple[str, int]] = {
-            int(n): (canonical_phase(p), int(l))
+            int(n): (_targetable(p), int(l))
             for n, (p, l) in (step_kills or {}).items()
         }
         self.rules: Tuple[LinkFault, ...] = tuple(rules)
         self.seed = int(seed)
         if self.seed < 0:
             raise FaultPlanError("seed must be non-negative")
+        for node, t in self._deaths.items():
+            if t < 0:
+                raise FaultPlanError(f"death time for node {node} must be >= 0")
         for node, t in self._recoveries.items():
             death = self._deaths.get(node)
             if death is None:
@@ -168,23 +188,17 @@ class FaultPlan(FailurePlan):
         return FaultPlan(deaths, **state)
 
     def kill(self, node: int, at: float = 0.0) -> "FaultPlan":
-        if at < 0:
-            raise FaultPlanError("death time must be >= 0")
-        deaths = dict(self._deaths)
-        deaths[int(node)] = float(at)
-        return self._clone(deaths=deaths)
+        """Node ``node`` dies at simulated time ``at`` (0: dead from the
+        start).  Chains: ``FaultPlan().kill(3).kill(5, at=2.0)``."""
+        return self._clone(deaths={**self._deaths, int(node): at})
 
     def recover(self, node: int, at: float) -> "FaultPlan":
         """Bring a previously-killed node back at simulated time ``at``."""
-        recoveries = dict(self._recoveries)
-        recoveries[int(node)] = float(at)
-        return self._clone(recoveries=recoveries)
+        return self._clone(recoveries={**self._recoveries, int(node): at})
 
     def kill_at_step(self, node: int, phase: str, layer: int = 0) -> "FaultPlan":
         """Crash ``node`` right before its first send in (phase, layer)."""
-        step_kills = dict(self._step_kills)
-        step_kills[int(node)] = (canonical_phase(phase), int(layer))
-        return self._clone(step_kills=step_kills)
+        return self._clone(step_kills={**self._step_kills, int(node): (phase, layer)})
 
     def with_rule(self, rule: LinkFault) -> "FaultPlan":
         return self._clone(rules=self.rules + (rule,))
@@ -193,6 +207,15 @@ class FaultPlan(FailurePlan):
         return self._clone(seed=int(seed))
 
     # -- schedule queries -------------------------------------------------
+    def __bool__(self) -> bool:
+        """True unless the plan is empty: any death, step kill or rule."""
+        return bool(self._deaths or self._step_kills or self.rules)
+
+    @property
+    def victims(self) -> list[int]:
+        """Every node the plan can kill (a timed death or a step kill)."""
+        return sorted(set(self._deaths) | set(self._step_kills))
+
     def is_alive(self, node: int, now: float) -> bool:
         death = self._deaths.get(node)
         if death is None or now < death:
@@ -217,27 +240,23 @@ class FaultPlan(FailurePlan):
     def step_killed_nodes(self) -> list[int]:
         return sorted(self._step_kills)
 
-    @property
-    def has_message_faults(self) -> bool:
-        return bool(self.rules)
-
-    def __len__(self) -> int:
-        return len(self._deaths) + len(self._step_kills)
-
     # -- validation -------------------------------------------------------
     def validate(self, num_nodes: int) -> None:
-        super().validate(num_nodes)
-        for node in self._step_kills:
+        """Check every node the plan targets exists in a ``num_nodes``
+        cluster (:class:`FaultPlanError` otherwise)."""
+        targets = [("death", n) for n in self._deaths]
+        targets += [("step-kill", n) for n in self._step_kills]
+        targets += [
+            ("fault rule", end)
+            for rule in self.rules
+            for end in (rule.src, rule.dst)
+            if end is not None
+        ]
+        for what, node in targets:
             if not 0 <= node < num_nodes:
                 raise FaultPlanError(
-                    f"step-kill targets node {node}, cluster has {num_nodes}"
+                    f"{what} targets node {node}, cluster has {num_nodes}"
                 )
-        for rule in self.rules:
-            for end in (rule.src, rule.dst):
-                if end is not None and not 0 <= end < num_nodes:
-                    raise FaultPlanError(
-                        f"fault rule targets node {end}, cluster has {num_nodes}"
-                    )
 
     # -- the deterministic fault oracle -----------------------------------
     def decide(

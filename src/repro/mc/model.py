@@ -255,9 +255,9 @@ class KylixModel(Model):
     The workload is a seeded sparse in/out declaration in the style of
     the traced experiments, scaled down so exhaustive exploration of
     small clusters stays cheap.  ``faults`` installs a
-    :class:`~repro.faults.FaultPlan` (retry/NACK machinery switches on
-    automatically); the checker then also explores timeout-vs-delivery
-    races.
+    :class:`~repro.faults.FaultPlan`; a non-empty one switches the
+    retry/NACK machinery on, and the checker then also explores
+    timeout-vs-delivery races.
     """
 
     nodes: int = 4

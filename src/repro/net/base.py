@@ -52,7 +52,7 @@ class KylixDriver:
         is an ``os._exit`` right before the node's first send at that
         phase and layer); time-based deaths and recoveries need a
         simulated clock, and a config-phase kill a separate configuration
-        pass: both are rejected.
+        pass: both are rejected.  An empty plan is no plan.
     retry:
         :class:`~repro.faults.RetryPolicy` for receive deadlines/NACKs.
         Defaults to ``RetryPolicy()`` with a 0.25 s wall-clock base.
@@ -120,7 +120,7 @@ class KylixDriver:
                         f"{type(self).__name__} runs the combined protocol, which has "
                         f"no config phase: a kill of node {node} there never fires"
                     )
-        self.faults = faults
+        self.faults = faults or None
         self.retry = retry if retry is not None else RetryPolicy()
         self.observe = observe
         self.degrade = bool(degrade)

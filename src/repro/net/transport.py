@@ -174,8 +174,9 @@ class BaseTransport:
         parts it posted earlier are written."""
         if self._step_kill == (canonical_phase(kind), layer):
             # Every part handed to the link before the crash reaches the
-            # peer, as on the simulator fabric; delayed copies die here.
-            self._write_unsent(self.retry.local_budget())
+            # peer, as on the simulator fabric: a fault-delayed copy is on
+            # the wire already, so it is released at its due time too.
+            self.flush(self.retry.local_budget())
             os._exit(1)  # the SIGKILL-equivalent: no goodbye frames
         self.sent[(member, kind, layer, seq)] = part
         self._transmit(member, kind, layer, part, seq)

@@ -100,8 +100,9 @@ class LedgerCounter(Counter):
     diff of ``_values``, :meth:`MetricsRegistry.snapshot`) always see
     the ledger as it stands; ``inc`` raises.  The simulator serves its
     ``net.*`` series this way from the fabric's
-    :class:`~repro.cluster.stats.TrafficStats` cells, so a simulated
-    send is counted once.
+    :class:`~repro.cluster.stats.TrafficStats` cells, and its
+    ``faults.injected`` / ``faults.resent`` series from the fabric's
+    fault ledger, so a simulated send or fault is counted once.
     """
 
     def __init__(self, name: str, read: Callable[[], Dict[LabelKey, float]]):

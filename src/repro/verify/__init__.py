@@ -31,7 +31,6 @@ __all__ = [
     "ProtocolInvariantError",
     "Violation",
     "check_topology",
-    "check_fault_plan",
     "check_replication",
     "check_sequence_numbers",
     "format_report",
@@ -61,7 +60,6 @@ __all__ = [
 _LAZY = {
     "Violation": "invariants",
     "check_topology": "invariants",
-    "check_fault_plan": "invariants",
     "check_replication": "invariants",
     "check_sequence_numbers": "invariants",
     "format_report": "invariants",

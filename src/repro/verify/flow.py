@@ -628,7 +628,7 @@ def certify(
     if analysis.violations:
         raise CertificationError(analysis.violations)
     bound = None
-    if faults is not None and _has_crash_schedule(faults):
+    if faults is not None and faults.victims:
         raw = worst_case_loss(topology, spec, hasher, faults)
         bound = {str(r): [int(x) for x in v] for r, v in raw.items()}
     model = None
@@ -673,15 +673,6 @@ def certificate_for_experiment(experiment: str, *, seed: int = 0) -> Certificate
         spec,
         faults=w.get("faults"),
         meta={"experiment": experiment, "seed": seed, "n": w["n"]},
-    )
-
-
-def _has_crash_schedule(faults: Any) -> bool:
-    """True when the plan can kill nodes (crash schedules are what the
-    static loss bound covers; message faults recover via NACK/retry)."""
-    return bool(
-        getattr(faults, "step_killed_nodes", ())
-        or getattr(faults, "_deaths", {})
     )
 
 
@@ -765,12 +756,10 @@ def worst_case_loss(
     hasher = hasher if hasher is not None else MultiplicativeHasher()
     m = topology.num_nodes
     nlayers = topology.num_layers
-    lossy = any(
-        getattr(rule, "drop", 0.0) > 0.0 for rule in getattr(faults, "rules", ())
-    )
+    lossy = any(rule.drop > 0.0 for rule in faults.rules)
     # dead node -> (first broken down state-layer or None, last broken up layer)
     kills: Dict[int, Tuple[Optional[int], int]] = {}
-    for v in getattr(faults, "step_killed_nodes", ()):
+    for v in faults.step_killed_nodes:
         phase, layer = faults.step_kill_for(v)
         if lossy:
             # any pre-kill send may have dropped and is unrecoverable
@@ -782,12 +771,12 @@ def worst_case_loss(
             # value parts missing from state-layer `layer-1` on; dead for
             # the whole up pass
             kills[v] = (layer - 1, nlayers)
-        else:  # config (or unknown phase): conservatively dead throughout
+        else:  # config: dead throughout
             kills[v] = (0, nlayers)
-    for v in getattr(faults, "_deaths", {}):
+    for v in faults.deaths:
         # a timed death (even with a later recovery) may miss any step;
         # treat as dead from the start — the soundly conservative reading
-        kills[int(v)] = (0, nlayers)
+        kills[v] = (0, nlayers)
     if not kills:
         return {}
 

@@ -1,7 +1,7 @@
 """Static invariants of the Kylix topology and its fault layers (PAPER.md §III, §V).
 
 Every function here inspects *data* — a :class:`ButterflyTopology`, a
-:class:`~repro.faults.FaultPlan`, a fabric's sequence counters — and
+replica layout, a fabric's sequence counters — and
 never runs a reduction.  Violations are collected rather than raised so a
 broken configuration reports every problem at once.  A plan itself is
 checked by the certifier's replay (:func:`repro.verify.flow.analyze_flow`),
@@ -35,7 +35,6 @@ from ..sparse.partition import ranges_tile
 __all__ = [
     "Violation",
     "check_topology",
-    "check_fault_plan",
     "check_replication",
     "check_sequence_numbers",
     "format_report",
@@ -141,89 +140,6 @@ def check_topology(topo) -> List[Violation]:
 # ---------------------------------------------------------------------------
 # Fault-tolerance invariants
 # ---------------------------------------------------------------------------
-
-
-def check_fault_plan(plan, num_nodes: int) -> List[Violation]:
-    """Static sanity of a :class:`~repro.faults.FaultPlan` against a cluster.
-
-    ``fault-target``
-        Every death, recovery, step-kill, and rule endpoint names a node
-        inside ``[0, num_nodes)``.
-    ``fault-schedule``
-        Recoveries follow their deaths; step-kill phases are canonical
-        (config/down/up); probabilities sit in ``[0, 1]``.
-    """
-    out: List[Violation] = []
-    deaths = getattr(plan, "_deaths", {})
-    for node, at in deaths.items():
-        if not 0 <= node < num_nodes:
-            out.append(
-                Violation(
-                    "fault-target",
-                    f"death targets node {node}, cluster has {num_nodes}",
-                    node=node,
-                )
-            )
-        if at < 0:
-            out.append(
-                Violation("fault-schedule", f"death at negative time {at}", node=node)
-            )
-    for node, at in getattr(plan, "_recoveries", {}).items():
-        death = deaths.get(node)
-        if death is None:
-            out.append(
-                Violation(
-                    "fault-schedule", "recovery without a death", node=node
-                )
-            )
-        elif at <= death:
-            out.append(
-                Violation(
-                    "fault-schedule",
-                    f"recovery at {at} not after death at {death}",
-                    node=node,
-                )
-            )
-    for node, (phase, layer) in getattr(plan, "_step_kills", {}).items():
-        if not 0 <= node < num_nodes:
-            out.append(
-                Violation(
-                    "fault-target",
-                    f"step-kill targets node {node}, cluster has {num_nodes}",
-                    node=node,
-                )
-            )
-        if phase not in ("config", "down", "up"):
-            out.append(
-                Violation(
-                    "fault-schedule",
-                    f"step-kill phase {phase!r} is not canonical "
-                    "(config/down/up)",
-                    node=node,
-                    layer=layer,
-                )
-            )
-    for ridx, rule in enumerate(getattr(plan, "rules", ())):
-        for end in (rule.src, rule.dst):
-            if end is not None and not 0 <= end < num_nodes:
-                out.append(
-                    Violation(
-                        "fault-target",
-                        f"rule {ridx} targets node {end}, cluster has "
-                        f"{num_nodes}",
-                        node=end,
-                    )
-                )
-        for name in ("drop", "duplicate", "delay_prob"):
-            p = getattr(rule, name)
-            if not 0.0 <= p <= 1.0:
-                out.append(
-                    Violation(
-                        "fault-schedule",
-                        f"rule {ridx} {name}={p} outside [0, 1]",
-                    )
-                )
-    return out
 
 
 def check_replication(num_nodes: int, replication: int) -> List[Violation]:

@@ -17,7 +17,8 @@ from repro.allreduce import (
     ReduceSpec,
     dense_reduce,
 )
-from repro.cluster import Cluster, FailurePlan
+from repro.cluster import Cluster
+from repro.faults import FaultPlan
 
 
 def covered_case(m, n, rng, value_shape=(), op="sum"):
@@ -94,7 +95,7 @@ class TestCombinedCorrectness:
     def test_replicated_combined_with_failures(self):
         rng = np.random.default_rng(9)
         spec, vals = covered_case(4, 150, rng)
-        cluster = Cluster(8, failures=FailurePlan.dead_from_start([6]))
+        cluster = Cluster(8, failures=FaultPlan().kill(6))
         net = KylixAllreduce(cluster, [2, 2], replication=2)
         got = net.allreduce_combined(spec, vals)
         ref = dense_reduce(spec, vals)

@@ -16,8 +16,8 @@ from repro.allreduce import (
     binary_degrees,
     dense_reduce,
 )
-from repro.cluster import Cluster, FailurePlan
-from repro.faults import PeerFailedError, RetryPolicy
+from repro.cluster import Cluster
+from repro.faults import FaultPlan, PeerFailedError, RetryPolicy
 from repro.sparse import IdentityHasher
 
 
@@ -219,7 +219,7 @@ class TestCollation:
         """Node 3 dies at 90% of the fault-free run's window: after its
         last send, before its own result."""
         *_, (t0, t1) = self._run(op)
-        return FailurePlan({self.DEAD: t0 + 0.9 * (t1 - t0)})
+        return FaultPlan({self.DEAD: t0 + 0.9 * (t1 - t0)})
 
     @pytest.mark.parametrize("op", ["reduce", "combined"])
     def test_strict_run_raises_for_a_slot_without_a_live_replica(self, op):
@@ -241,7 +241,7 @@ class TestCollation:
 
     @pytest.mark.parametrize("op", ["reduce", "combined"])
     def test_degrade_alone_implies_the_default_retry_policy(self, op):
-        """``degrade=True`` under a plain FailurePlan, no ``retry=``: the
+        """``degrade=True`` with no ``retry=``: the
         run degrades exactly as with ``retry=RetryPolicy()`` instead of
         raising PeerFailedError with no report."""
         plan = self._dies_late(op)

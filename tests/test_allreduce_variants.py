@@ -12,9 +12,9 @@ from repro.allreduce import (
     dense_reduce,
     expected_failures_survived,
 )
-from repro.cluster import Cluster, FailurePlan
+from repro.cluster import Cluster
+from repro.faults import FaultPlan, PeerFailedError
 from repro.netmodel import NetworkParams
-from repro.simul import SimulationError
 
 
 def covered_spec(m, n, rng, value_shape=()):
@@ -151,7 +151,7 @@ class TestReplication:
     @pytest.mark.parametrize("dead", [[0], [5], [1, 6], [0, 3, 5]])
     def test_survives_failures_in_distinct_groups(self, dead):
         spec, vals = self.logical_case(4)
-        plan = FailurePlan.dead_from_start(dead)
+        plan = FaultPlan({n: 0.0 for n in dead})
         _, net = self.make(8, [2, 2], failures=plan)
         ref = dense_reduce(spec, vals)
         net.configure(spec)
@@ -162,7 +162,7 @@ class TestReplication:
     def test_mid_run_death_survived(self):
         """A replica dying *during* the reduction is absorbed by racing."""
         spec, vals = self.logical_case(4)
-        plan = FailurePlan({2: 1e-4})  # dies mid-protocol
+        plan = FaultPlan({2: 1e-4})  # dies mid-protocol
         _, net = self.make(8, [2, 2], failures=plan)
         ref = dense_reduce(spec, vals)
         net.configure(spec)
@@ -170,17 +170,20 @@ class TestReplication:
         for r in range(4):
             np.testing.assert_allclose(got[r], ref[r], atol=1e-9)
 
-    def test_whole_replica_group_dead_deadlocks(self):
-        """When both replicas of a slot die the protocol cannot complete."""
+    def test_whole_replica_group_dead_raises_peer_failed(self):
+        """When both replicas of a slot die the protocol cannot complete:
+        the plan switches deadlines on, so it ends in a typed error naming
+        the slot, not a simulation deadlock."""
         spec, vals = self.logical_case(4)
-        plan = FailurePlan.dead_from_start([1, 5])  # both replicas of slot 1
+        plan = FaultPlan().kill(1).kill(5)  # both replicas of slot 1
         _, net = self.make(8, [2, 2], failures=plan)
-        with pytest.raises(SimulationError):
+        with pytest.raises(PeerFailedError) as ei:
             net.configure(spec)
+        assert ei.value.slot == 1
 
     def test_triple_replication(self):
         spec, vals = self.logical_case(4)
-        plan = FailurePlan.dead_from_start([2, 6])  # two replicas of slot 2; third alive
+        plan = FaultPlan().kill(2).kill(6)  # two replicas of slot 2; third alive
         _, net = self.make(12, [2, 2], s=3, failures=plan)
         assert net.replication == 3
         ref = dense_reduce(spec, vals)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.allreduce import KylixAllreduce, ReduceSpec, dense_reduce
-from repro.cluster import Cluster, FailurePlan, Message, TrafficStats
+from repro.cluster import Cluster, Message, TrafficStats
+from repro.faults import FaultPlan, FaultPlanError
 from repro.netmodel import EC2_LIKE, LOW_LATENCY, NetworkParams
 
 
@@ -192,7 +193,7 @@ class TestMessageInFlight:
 
 class TestFailures:
     def test_send_to_dead_node_dropped(self):
-        c = make_cluster(2, failures=FailurePlan.dead_from_start([1]))
+        c = make_cluster(2, failures=FaultPlan().kill(1))
 
         def proto(node):
             node.send(1, None, nbytes=8, tag="x")
@@ -203,12 +204,12 @@ class TestFailures:
         assert c.fabric.dropped == 1
 
     def test_dead_node_excluded_from_live_nodes(self):
-        c = make_cluster(4, failures=FailurePlan.dead_from_start([2]))
+        c = make_cluster(4, failures=FaultPlan().kill(2))
         assert c.live_nodes == [0, 1, 3]
 
     def test_mid_run_death_drops_in_flight_delivery(self):
         params = NetworkParams(bandwidth=1e6, message_overhead=0.0, base_latency=0.0)
-        plan = FailurePlan({1: 0.5})  # dies while the message is in flight
+        plan = FaultPlan({1: 0.5})  # dies while the message is in flight
         c = make_cluster(2, params=params, failures=plan)
 
         def sender(node):
@@ -221,12 +222,14 @@ class TestFailures:
         assert c.fabric.dropped == 1
 
     def test_failure_plan_validation(self):
-        with pytest.raises(ValueError):
-            FailurePlan({0: -1.0})
+        with pytest.raises(FaultPlanError):
+            FaultPlan({0: -1.0})
+        with pytest.raises(FaultPlanError):
+            FaultPlan().kill(0, at=-1.0)
 
     def test_kill_chainable(self):
-        plan = FailurePlan.none().kill(3).kill(5, at=2.0)
-        assert plan.dead_nodes == [3, 5]
+        plan = FaultPlan().kill(3).kill(5, at=2.0)
+        assert sorted(plan.deaths) == [3, 5]
         assert plan.is_alive(5, 1.0) and not plan.is_alive(5, 2.5)
 
 

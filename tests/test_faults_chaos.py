@@ -29,7 +29,7 @@ from repro.allreduce import (
 )
 from repro.cluster import Cluster
 from repro.faults import FaultPlan, LinkFault, PeerFailedError, RetryPolicy
-from repro.net import LocalKylix
+from repro.net import LocalKylix, TcpKylix
 from repro.verify import worst_case_loss
 
 
@@ -351,14 +351,17 @@ class TestLocalChaos:
             assert lost <= set(np.asarray(envelope.get(r, np.empty(0))).astype(int).tolist())
         assert mp.active_children() == []
 
-    def test_local_midstack_death_with_late_audit_replies(self, monkeypatch):
+    @pytest.mark.parametrize("backend", [LocalKylix, TcpKylix], ids=["local", "tcp"])
+    def test_local_midstack_death_with_late_audit_replies(self, monkeypatch, backend):
         """The mid-stack audit case with every retained-key fetch answered
-        after the asker's fetch deadline.  Audit frames are control plane,
-        which the fault plan never touches, so the holders' replies are
-        held back in the transport itself (forked workers inherit the
-        patch); 0.8 s is past the 0.5 s fetch deadline this retry policy
-        once implied.  A kept value must still equal the fault-free run at
-        every index the CoverageReport does not list as lost."""
+        after the asker's fetch deadline, on pipes and on loopback TCP.
+        Audit frames are control plane, which the fault plan never
+        touches, so the holders' replies are held back in the transport
+        itself (forked workers inherit the patch; ``TcpTransport`` is a
+        ``SocketTransport``); 0.8 s is past the 0.5 s fetch deadline this
+        retry policy once implied.  A kept value must still equal the
+        fault-free run at every index the CoverageReport does not list as
+        lost."""
         from repro.net.transport import SocketTransport
 
         send_frame = SocketTransport._send_frame
@@ -374,8 +377,8 @@ class TestLocalChaos:
         monkeypatch.setattr(SocketTransport, "_send_frame", late_audit_replies)
         victim, degrees = 3, [2, 2, 2]
         spec, vals = make_case(8, 500, 21)
-        base = LocalKylix(degrees).allreduce(spec, vals)
-        net = LocalKylix(
+        base = backend(degrees).allreduce(spec, vals)
+        net = backend(
             degrees,
             faults=FaultPlan().kill_at_step(victim, "down", 2),
             retry=RetryPolicy(base_timeout=0.25, max_retries=2),

@@ -2,13 +2,13 @@
 
 Covers the value-like plan builders, the deterministic per-message fault
 oracle, retry-policy timeout derivation, coverage-report accounting, and
-the static fault/replication invariant checkers — no simulation here.
+the plan's own validation and the replication invariant checker — no
+simulation here.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import FailurePlan
 from repro.faults import (
     CoverageReport,
     FaultPlan,
@@ -20,25 +20,28 @@ from repro.faults import (
     derive_timeout,
 )
 from repro.netmodel import EC2_LIKE
-from repro.verify import check_fault_plan, check_replication
+from repro.verify import check_replication
 
 
 class TestBuilders:
     def test_builders_return_new_plans(self):
         base = FaultPlan()
-        killed = base.kill(3)
-        assert len(base) == 0 and len(killed) == 1
+        killed = base.kill(3).kill(5, at=1.5)
+        assert dict(base.deaths) == {} and dict(killed.deaths) == {3: 0.0, 5: 1.5}
         stepped = killed.kill_at_step(1, "gather_up", 2)
-        assert len(killed) == 1 and len(stepped) == 2
+        assert killed.step_killed_nodes == [] and stepped.step_killed_nodes == [1]
         ruled = stepped.with_rule(LinkFault(drop=0.5))
-        assert not stepped.has_message_faults and ruled.has_message_faults
+        assert stepped.rules == () and len(ruled.rules) == 1
         assert ruled.with_seed(7).seed == 7 and ruled.seed == 0
 
-    def test_failureplan_kill_is_value_like_too(self):
-        base = FailurePlan.none()
-        killed = base.kill(2).kill(5, at=1.5)
-        assert base.dead_nodes == []
-        assert set(killed.dead_nodes) == {2, 5}
+    def test_empty_plan_is_no_plan(self):
+        """Emptiness is the plan's content: any death, step kill or rule
+        makes it a plan; ``victims`` are the nodes it can kill."""
+        assert not FaultPlan() and not FaultPlan(seed=4)
+        assert FaultPlan().kill(2) and FaultPlan().kill_at_step(1, "down", 1)
+        ruled = FaultPlan().with_rule(LinkFault(delay=0.01))
+        assert ruled and ruled.victims == []
+        assert FaultPlan({4: 1.0}).kill_at_step(1, "up", 1).victims == [1, 4]
 
     def test_chained_kills_accumulate(self):
         plan = FaultPlan().kill(3).kill(5, at=2.0)
@@ -56,6 +59,21 @@ class TestBuilders:
             FaultPlan().kill(1, at=2.0).recover(1, at=1.0)
         with pytest.raises(FaultPlanError):
             FaultPlan().recover(1, at=1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FaultPlan().kill_at_step(1, "dwn", 1),
+            lambda: FaultPlan(step_kills={1: ("gahter_up", 1)}),
+            lambda: LinkFault(phase="gahter_up", drop=1.0),
+        ],
+        ids=["kill_at_step", "step_kills", "LinkFault"],
+    )
+    def test_misspelt_phase_rejected(self, build):
+        """A phase that names no protocol step would never fire: it is
+        rejected where the plan or rule is built."""
+        with pytest.raises(FaultPlanError, match="unknown phase"):
+            build()
 
     def test_step_kill_phase_canonicalised(self):
         plan = FaultPlan().kill_at_step(0, "gather_up", 1)
@@ -174,15 +192,21 @@ class TestStaticCheckers:
         plan = (
             FaultPlan(seed=1)
             .kill(0)
+            .kill(2, at=1.0)
+            .recover(2, at=2.0)
             .kill_at_step(1, "down", 1)
-            .with_rule(LinkFault(drop=0.1))
+            .with_rule(LinkFault(src=7, dst=0, phase="reduce_down", drop=0.1))
         )
-        assert check_fault_plan(plan, 8) == []
+        plan.validate(8)
 
     def test_out_of_range_targets_reported(self):
-        plan = FaultPlan({9: 0.0}, step_kills={8: ("down", 1)})
-        names = {v.invariant for v in check_fault_plan(plan, 4)}
-        assert names == {"fault-target"}
+        for plan, what in [
+            (FaultPlan({9: 0.0}), "death targets node 9"),
+            (FaultPlan(step_kills={8: ("down", 1)}), "step-kill targets node 8"),
+            (FaultPlan(rules=[LinkFault(dst=4)]), "fault rule targets node 4"),
+        ]:
+            with pytest.raises(FaultPlanError, match=what):
+                plan.validate(4)
 
     def test_replication_structure(self):
         assert check_replication(16, 2) == []

@@ -6,7 +6,7 @@ import pytest
 import repro
 from repro import (
     Cluster,
-    FailurePlan,
+    FaultPlan,
     KylixAllreduce,
     PowerLawModel,
     ReduceSpec,
@@ -87,7 +87,7 @@ class TestEndToEndPageRankOnReplicatedNetwork:
         """PageRank on a replicated network with a dead machine still
         matches the single-machine reference exactly."""
         ds = twitter_like(m=4, n_vertices=2_000)
-        plan = FailurePlan.dead_from_start([5])  # replica of logical slot 1
+        plan = FaultPlan().kill(5)  # replica of logical slot 1
         cluster = Cluster(8, failures=plan)
         pr = DistributedPageRank(
             cluster,

@@ -138,6 +138,8 @@ def test_fault_plan_validated_at_construction():
         retry=RetryPolicy(base_timeout=0.5, max_retries=1),
     )
     assert net.retry.max_retries == 1
+    # An empty plan is no plan: the session keeps its config cache.
+    assert LocalKylix([2], faults=FaultPlan(seed=5)).faults is None
 
 
 def test_agrees_with_simulator():

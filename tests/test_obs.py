@@ -329,6 +329,37 @@ class TestOneLedger:
         with pytest.raises(TypeError):
             obs.counter("net.bytes").inc(1, phase="config", layer=1)
 
+    def test_fault_series_are_the_fabric_ledger(self):
+        """``faults.injected`` / ``faults.resent`` read the fabric's fault
+        ledger, and appear only once a fault was counted: a fault-free
+        run has neither series."""
+        from repro.allreduce import KylixAllreduce, ReduceSpec
+        from repro.cluster import Cluster
+        from repro.faults import FaultPlan, LinkFault
+
+        spec = ReduceSpec(
+            in_indices={r: np.arange(r, 64, 2) for r in range(4)},
+            out_indices={r: np.arange(64) for r in range(4)},
+        )
+        vals = {r: np.ones(64) for r in range(4)}
+
+        def run(plan):
+            cluster = Cluster(4, failures=plan, observe=True)
+            KylixAllreduce(cluster, [2, 2]).allreduce(spec, vals)
+            return cluster
+
+        counters = run(None).obs.metrics.as_dict()["counters"]
+        assert "net.bytes" in counters
+        assert not any(name.startswith("faults.") for name in counters)
+        cluster = run(FaultPlan(seed=3).with_rule(LinkFault(drop=0.2, duplicate=0.2, delay=1e-4)))
+        injected = cluster.fabric.injected
+        assert {lab["kind"]: v for lab, v in cluster.obs.counter("faults.injected").items()} == {
+            kind: n for kind, n in injected.items() if n and kind != "resent"
+        }
+        assert cluster.obs.counter("faults.resent").total() == injected["resent"] > 0
+        with pytest.raises(TypeError):
+            cluster.obs.counter("faults.injected").inc(kind="dropped")
+
 
 class TestLocalBackend:
     @pytest.fixture(scope="class")

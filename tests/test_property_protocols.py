@@ -18,7 +18,8 @@ from repro.allreduce import (
     TreeAllreduce,
     dense_reduce,
 )
-from repro.cluster import Cluster, FailurePlan
+from repro.cluster import Cluster
+from repro.faults import FaultPlan
 from repro.simul import SimulationError
 
 STACKS = [(2, [2]), (4, [2, 2]), (6, [3, 2]), (8, [2, 2, 2])]
@@ -107,7 +108,7 @@ def test_prop_replicated_correct_or_loud(dead_set, seed):
     spec = ReduceSpec(in_idx, out_idx)
     ref = dense_reduce(spec, vals)
 
-    cluster = Cluster(8, failures=FailurePlan.dead_from_start(dead_set), seed=seed)
+    cluster = Cluster(8, failures=FaultPlan({n: 0.0 for n in dead_set}), seed=seed)
     net = KylixAllreduce(cluster, [2, 2], replication=s)
 
     slot_dead = {slot: {slot, slot + m_log} <= dead_set for slot in range(m_log)}
@@ -132,8 +133,8 @@ def test_prop_replicated_correct_or_loud(dead_set, seed):
 def test_prop_mid_run_deaths_correct_or_loud(deaths, seed):
     """Timed mid-run deaths: same correct-or-loud guarantee."""
     m_log, s = 4, 2
-    plan = FailurePlan({node: t for node, t in deaths})
-    dead_set = set(plan.dead_nodes)
+    plan = FaultPlan({node: t for node, t in deaths})
+    dead_set = set(plan.deaths)
 
     rng = np.random.default_rng(seed)
     n = 40
@@ -157,3 +158,29 @@ def test_prop_mid_run_deaths_correct_or_loud(deaths, seed):
         return
     for r in range(m_log):
         np.testing.assert_allclose(got[r], ref[r], atol=1e-9)
+
+
+@pytest.mark.parametrize("backend, examples", [("sim", 20), ("local", 5)])
+def test_prop_runner_exact_under_a_kill_and_a_late_link(backend, examples):
+    """The runner's judgement over drawn schedules: one step kill in the
+    down or up pass plus one straggler link, delayed by at most
+    ``STRAGGLER_DELAY`` (under the first receive deadline, so the message
+    is late, not lost).  Every run is exact outside its reported losses,
+    and every loss lies inside the static bound."""
+    from repro.faults import LinkFault
+    from repro.obs.runner import EXPERIMENTS, STRAGGLER_DELAY, run_traced
+
+    @settings(max_examples=examples, deadline=None)
+    @given(
+        kill=st.tuples(st.integers(0, 7), st.sampled_from(["down", "up"]), st.integers(1, 2)),
+        link=st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True),
+        delay=st.floats(1e-4, STRAGGLER_DELAY),
+    )
+    def check(kill, link, delay):
+        w = EXPERIMENTS["quickstart"](0)
+        w["faults"] = FaultPlan().with_rule(LinkFault(src=link[0], dst=link[1], delay=delay))
+        _, info = run_traced(w, backend=backend, failure=[kill])
+        assert info["exact"], (kill, link, delay)
+        assert info["bound_violations"] == [], (kill, link, delay)
+
+    check()

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.allreduce import KylixAllreduce, ReduceSpec
-from repro.cluster import Cluster, FailurePlan
+from repro.cluster import Cluster
 from repro.faults import FaultPlan, LinkFault, RetryPolicy
 from repro.netmodel import EC2_LIKE, NetworkParams
 from repro.service import ReduceService
@@ -98,7 +98,7 @@ def run_replicated():
     group one."""
     spec, vals = make_case(8, 1500, seed=5)
     cluster = Cluster(
-        16, JITTERY, seed=2, failures=FailurePlan.dead_from_start([3])
+        16, JITTERY, seed=2, failures=FaultPlan().kill(3)
     )
     net = KylixAllreduce(cluster, degrees=[4, 2], replication=2)
     snap = snapshot(cluster, configure_and_reduce_twice(net, spec, vals))
