@@ -23,9 +23,8 @@ def _run(combined: bool, steps: int = 12):
     streams = {r: stream.node_stream(r, steps) for r in range(m)}
     cluster = Cluster(m)
     sgd = DistributedSGD(
-        cluster,
+        KylixAllreduce(cluster, [4, 2]),
         n,
-        allreduce=lambda c: KylixAllreduce(c, [4, 2]),
         learning_rate=0.3,
         combined=combined,
     )

@@ -29,12 +29,7 @@ stream = MinibatchStream(
 streams = {rank: stream.node_stream(rank, STEPS) for rank in range(M)}
 
 cluster = Cluster(M)
-sgd = DistributedSGD(
-    cluster,
-    N_FEATURES,
-    allreduce=lambda c: KylixAllreduce(c, [4, 2]),
-    learning_rate=0.5,
-)
+sgd = DistributedSGD(KylixAllreduce(cluster, [4, 2]), N_FEATURES, learning_rate=0.5)
 result = sgd.run(streams)
 
 print(f"trained {STEPS} synchronous steps on {M} nodes "

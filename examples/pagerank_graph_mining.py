@@ -33,12 +33,10 @@ print(
 )
 
 # ---------------------------------------------------------------- PageRank
-for name, factory in [
-    ("Kylix 4x2x2", lambda c: KylixAllreduce(c, [4, 2, 2])),
-    ("direct all-to-all", lambda c: KylixAllreduce(c, [c.num_nodes])),
-]:
-    cluster = make_cluster(dataset)
-    pr = DistributedPageRank(cluster, dataset.partitions, allreduce=factory)
+for name, degrees in [("Kylix 4x2x2", [4, 2, 2]), ("direct all-to-all", [dataset.m])]:
+    pr = DistributedPageRank(
+        KylixAllreduce(make_cluster(dataset), degrees), dataset.partitions
+    )
     result = pr.run(iterations=5)
     print(
         f"PageRank [{name:>18}]: {format_seconds(result.mean_iteration)}/iter "
@@ -54,9 +52,8 @@ top = np.argsort(ref)[::-1][:5]
 print("top-5 vertices by rank:", top.tolist())
 
 # ------------------------------------------------------------- Components
-cluster = make_cluster(dataset)
 cc = DistributedComponents(
-    cluster, dataset.partitions, allreduce=lambda c: KylixAllreduce(c, [4, 2, 2])
+    KylixAllreduce(make_cluster(dataset), [4, 2, 2]), dataset.partitions
 )
 cres = cc.run()
 labels = cres.global_labels(graph.n_vertices, dataset.partitions)
@@ -66,12 +63,8 @@ print(
 )
 
 # ---------------------------------------------------------------- Diameter
-cluster = make_cluster(dataset)
 dia = DistributedDiameter(
-    cluster,
-    dataset.partitions,
-    registers=8,
-    allreduce=lambda c: KylixAllreduce(c, [4, 2, 2]),
+    KylixAllreduce(make_cluster(dataset), [4, 2, 2]), dataset.partitions, registers=8
 )
 dres = dia.run()
 print(

@@ -38,10 +38,8 @@ shards, u_true, v_true = synthetic_ratings(400, 600, rank=5, m=M, seed=11)
 print(f"{sum(s.n_ratings for s in shards):,} ratings over "
       f"{sum(s.user_ids.size for s in shards)} users x 600 items, {M} machines")
 
-cluster = Cluster(M)
 mf = DistributedMatrixFactorization(
-    cluster, shards, 600, rank=5,
-    allreduce=lambda c: KylixAllreduce(c, [4, 2]),
+    KylixAllreduce(Cluster(M), [4, 2]), shards, 600, rank=5,
     learning_rate=0.8, reg=1e-4, combined=True, seed=12,
 )
 result = mf.run(steps=50)
@@ -53,11 +51,7 @@ print(f"training RMSE: {result.rmse_history[0]:.3f} -> {result.rmse_history[-1]:
 print("\n=== distributed LDA (batched collapsed Gibbs) ===")
 V, K = 160, 4
 doc_shards, _ = synthetic_corpus(200, V, K, M, doc_length=30, seed=13)
-cluster = Cluster(M)
-lda = DistributedLDA(
-    cluster, doc_shards, V, K,
-    allreduce=lambda c: KylixAllreduce(c, [4, 2]), seed=14,
-)
+lda = DistributedLDA(KylixAllreduce(Cluster(M), [4, 2]), doc_shards, V, K, seed=14)
 res = lda.run(supersteps=8)
 print(f"token log-likelihood: {res.log_likelihood[0]:.3f} -> {res.log_likelihood[-1]:.3f}")
 dist = res.topic_word_distributions()
@@ -69,8 +63,7 @@ for k in range(K):
 print("\n=== trace analysis of one factorization step ===")
 cluster = Cluster(M, observe=True)
 mf2 = DistributedMatrixFactorization(
-    cluster, shards, 600, rank=5,
-    allreduce=lambda c: KylixAllreduce(c, [4, 2]), combined=True, seed=12,
+    KylixAllreduce(cluster, [4, 2]), shards, 600, rank=5, combined=True, seed=12,
 )
 mf2.step()
 trace = analyze(cluster.obs)

@@ -295,6 +295,11 @@ class KylixAllreduce:
         self._retained: Dict[int, RetainedKeys] = defaultdict(RetainedKeys)
 
     @property
+    def now(self) -> float:
+        """The session clock: the cluster's simulated seconds."""
+        return self.cluster.now
+
+    @property
     def _obs(self):
         """The cluster's observer, or the no-op one when observation is
         off — instrumentation sites call unconditionally."""

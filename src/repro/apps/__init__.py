@@ -3,8 +3,8 @@
 Graph mining (PageRank, connected components, BFS, HADI diameter, power
 iteration) and minibatch machine learning (logistic-regression SGD,
 matrix factorization, AD-LDA batched Gibbs sampling) — every algorithm
-runs its communication exclusively through the allreduce primitive under
-test, parameterised by topology.
+runs its communication exclusively through the allreduce session it is
+given (:mod:`repro.apps.session`), on any backend and topology.
 """
 
 from .bfs import BFSResult, DistributedBFS

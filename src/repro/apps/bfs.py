@@ -10,13 +10,13 @@ divided by the local relaxation depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
-from ..allreduce import KylixAllreduce, ReduceSpec
-from ..cluster import Cluster
+from ..allreduce import ReduceSpec
 from ..data import GraphPartition
+from .session import one_per_slot
 
 __all__ = ["DistributedBFS", "BFSResult"]
 
@@ -40,22 +40,9 @@ class BFSResult:
 class DistributedBFS:
     """Single-source BFS over directed edges, one partition per node."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        partitions: Sequence[GraphPartition],
-        *,
-        allreduce: Optional[Callable[[Cluster], KylixAllreduce]] = None,
-    ):
-        self.cluster = cluster
-        self.partitions = list(partitions)
-        factory = allreduce or (lambda c: KylixAllreduce(c, [c.num_nodes]))
-        self.net = factory(cluster)
-        if len(self.partitions) != self.net.size:
-            raise ValueError(
-                f"need one partition per logical allreduce slot "
-                f"({self.net.size}), got {len(self.partitions)}"
-            )
+    def __init__(self, net: Any, partitions: Sequence[GraphPartition]):
+        self.net = net
+        self.partitions = one_per_slot(net, partitions)
         self._touched = {
             p.rank: np.union1d(p.src, p.dst).astype(np.int64) for p in self.partitions
         }
@@ -66,7 +53,7 @@ class DistributedBFS:
             out_indices=dict(self._touched),
             op="min",
         )
-        t0 = self.cluster.now
+        t0 = self.net.now
         self.net.configure(spec)
         dist = {}
         for r, touched in self._touched.items():
@@ -96,4 +83,4 @@ class DistributedBFS:
             dist = reduced
             if not changed:
                 break
-        return BFSResult(distances=dist, rounds=rounds, comm_time=self.cluster.now - t0)
+        return BFSResult(distances=dist, rounds=rounds, comm_time=self.net.now - t0)

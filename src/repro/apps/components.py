@@ -16,13 +16,13 @@ driver when no node observed a change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
-from ..allreduce import KylixAllreduce, ReduceSpec
-from ..cluster import Cluster
+from ..allreduce import ReduceSpec
 from ..data import GraphPartition
+from .session import one_per_slot
 
 __all__ = ["DistributedComponents", "ComponentsResult"]
 
@@ -43,24 +43,11 @@ class ComponentsResult:
 
 
 class DistributedComponents:
-    """Weakly-connected components on a simulated cluster."""
+    """Weakly-connected components over an allreduce session ``net``."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        partitions: Sequence[GraphPartition],
-        *,
-        allreduce: Optional[Callable[[Cluster], KylixAllreduce]] = None,
-    ):
-        self.cluster = cluster
-        self.partitions = list(partitions)
-        factory = allreduce or (lambda c: KylixAllreduce(c, [c.num_nodes]))
-        self.net = factory(cluster)
-        if len(self.partitions) != self.net.size:
-            raise ValueError(
-                f"need one partition per logical allreduce slot "
-                f"({self.net.size}), got {len(self.partitions)}"
-            )
+    def __init__(self, net: Any, partitions: Sequence[GraphPartition]):
+        self.net = net
+        self.partitions = one_per_slot(net, partitions)
         self.net.strict_coverage = True  # in == out here, always covered
         self._touched = {
             p.rank: np.union1d(p.src, p.dst).astype(np.int64) for p in self.partitions
@@ -72,7 +59,7 @@ class DistributedComponents:
             out_indices=dict(self._touched),
             op="min",
         )
-        t0 = self.cluster.now
+        t0 = self.net.now
         self.net.configure(spec)
         labels = {
             r: touched.astype(np.float64) for r, touched in self._touched.items()
@@ -95,7 +82,6 @@ class DistributedComponents:
                     if np.array_equal(before, lab):
                         break
                 proposals[p.rank] = lab
-                self.cluster.compute_seconds[p.rank] += 0  # charged via fabric only
             reduced = self.net.reduce(proposals)
             changed = any(
                 not np.array_equal(reduced[r], labels[r]) for r in labels
@@ -104,5 +90,5 @@ class DistributedComponents:
             if not changed:
                 break
         return ComponentsResult(
-            labels=labels, rounds=rounds, comm_time=self.cluster.now - t0
+            labels=labels, rounds=rounds, comm_time=self.net.now - t0
         )

@@ -16,13 +16,13 @@ the ``or`` reduction operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 import numpy as np
 
-from ..allreduce import KylixAllreduce, ReduceSpec
-from ..cluster import Cluster
+from ..allreduce import ReduceSpec
 from ..data import GraphPartition
+from .session import one_per_slot
 
 __all__ = ["DistributedDiameter", "DiameterResult", "fm_sketch", "fm_estimate"]
 
@@ -45,7 +45,6 @@ def fm_estimate(sketches: np.ndarray) -> np.ndarray:
     """FM cardinality estimate per row from ``(rows, K)`` uint64 sketches."""
     rows, k = sketches.shape
     # lowest zero bit position, averaged across registers
-    b = np.zeros((rows, k))
     filled = np.ones((rows, k), dtype=bool)
     pos = np.zeros((rows, k))
     for bit in range(63):
@@ -70,27 +69,18 @@ class DistributedDiameter:
 
     def __init__(
         self,
-        cluster: Cluster,
+        net: Any,
         partitions: Sequence[GraphPartition],
         *,
         registers: int = 8,
-        allreduce: Optional[Callable[[Cluster], KylixAllreduce]] = None,
         seed: int = 0,
     ):
-
         if registers <= 0:
             raise ValueError("registers must be positive")
-        self.cluster = cluster
-        self.partitions = list(partitions)
+        self.net = net
+        self.partitions = one_per_slot(net, partitions)
         self.registers = registers
         self.seed = seed
-        factory = allreduce or (lambda c: KylixAllreduce(c, [c.num_nodes]))
-        self.net = factory(cluster)
-        if len(self.partitions) != self.net.size:
-            raise ValueError(
-                f"need one partition per logical allreduce slot "
-                f"({self.net.size}), got {len(self.partitions)}"
-            )
         self._touched = {
             p.rank: np.union1d(p.src, p.dst).astype(np.int64) for p in self.partitions
         }
@@ -109,7 +99,7 @@ class DistributedDiameter:
             dtype=np.uint64,
             op="or",
         )
-        t0 = self.cluster.now
+        t0 = self.net.now
         self.net.configure(spec)
         sketch = {r: base[t] for r, t in self._touched.items()}
         history: List[float] = [float(np.sum(fm_estimate(base)))]
@@ -143,5 +133,5 @@ class DistributedDiameter:
             neighbourhood=history,
             effective_diameter=eff,
             rounds=rounds,
-            comm_time=self.cluster.now - t0,
+            comm_time=self.net.now - t0,
         )

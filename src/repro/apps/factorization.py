@@ -23,13 +23,13 @@ gradients, push them; homes apply the summed update.  Values are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from ..allreduce import KylixAllreduce, ReduceSpec
-from ..cluster import Cluster
+from ..allreduce import ReduceSpec
+from .session import one_per_slot, reduce_pattern
 
 __all__ = ["RatingsShard", "DistributedMatrixFactorization", "MFResult", "synthetic_ratings"]
 
@@ -105,12 +105,11 @@ class DistributedMatrixFactorization:
 
     def __init__(
         self,
-        cluster: Cluster,
+        net: Any,
         shards: List[RatingsShard],
         n_items: int,
         rank: int,
         *,
-        allreduce: Optional[Callable[[Cluster], KylixAllreduce]] = None,
         learning_rate: float = 0.05,
         reg: float = 0.01,
         combined: bool = True,
@@ -120,21 +119,14 @@ class DistributedMatrixFactorization:
             raise ValueError("rank and n_items must be positive")
         if learning_rate <= 0 or reg < 0:
             raise ValueError("bad hyperparameters")
-        self.cluster = cluster
-        self.shards = list(shards)
+        self.net = net
+        self.shards = one_per_slot(net, shards, "shard")
         self.n_items = n_items
         self.rank = rank
         self.lr = learning_rate
         self.reg = reg
         self.combined = combined
-        factory = allreduce or (lambda c: KylixAllreduce(c, [c.num_nodes]))
-        self.net = factory(cluster)
         self.net.strict_coverage = False
-        if len(self.shards) != self.net.size:
-            raise ValueError(
-                f"need one shard per logical allreduce slot "
-                f"({self.net.size}), got {len(self.shards)}"
-            )
         m = self.net.size
         rng = np.random.default_rng(seed)
         # item-factor homes: item i lives on machine i % m
@@ -152,10 +144,7 @@ class DistributedMatrixFactorization:
 
     # ------------------------------------------------------------------
     def _sync(self, spec: ReduceSpec, values) -> Dict[int, np.ndarray]:
-        if self.combined:
-            return self.net.allreduce_combined(spec, values)
-        self.net.configure(spec)
-        return self.net.reduce(values)
+        return reduce_pattern(self.net, spec, values, combined=self.combined)
 
     def _setup_counts(self) -> None:
         """Global per-item rating counts at the homes (one-time allreduce).
@@ -223,12 +212,12 @@ class DistributedMatrixFactorization:
         return float(np.sqrt(sq_err / max(1, n_ratings)))
 
     def run(self, steps: int) -> MFResult:
-        t0 = self.cluster.now
+        t0 = self.net.now
         history = [self.step() for _ in range(steps)]
         return MFResult(
             item_factors=self.assemble_item_factors(),
             rmse_history=history,
-            comm_time=self.cluster.now - t0,
+            comm_time=self.net.now - t0,
             steps=steps,
         )
 

@@ -22,12 +22,12 @@ sparse allreduce model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
-from ..allreduce import KylixAllreduce, ReduceSpec
-from ..cluster import Cluster
+from ..allreduce import ReduceSpec
+from .session import one_per_slot, reduce_pattern
 
 __all__ = ["DocumentShard", "DistributedLDA", "LDAResult", "synthetic_corpus"]
 
@@ -96,12 +96,11 @@ class DistributedLDA:
 
     def __init__(
         self,
-        cluster: Cluster,
+        net: Any,
         shards: List[DocumentShard],
         vocab_size: int,
         n_topics: int,
         *,
-        allreduce: Optional[Callable[[Cluster], KylixAllreduce]] = None,
         alpha: float = 0.5,
         beta: float = 0.01,
         combined: bool = True,
@@ -111,21 +110,14 @@ class DistributedLDA:
             raise ValueError("need a positive vocabulary and >= 2 topics")
         if alpha <= 0 or beta <= 0:
             raise ValueError("Dirichlet hyperparameters must be positive")
-        self.cluster = cluster
-        self.shards = list(shards)
+        self.net = net
+        self.shards = one_per_slot(net, shards, "shard")
         self.V = vocab_size
         self.K = n_topics
         self.alpha = alpha
         self.beta = beta
         self.combined = combined
-        factory = allreduce or (lambda c: KylixAllreduce(c, [c.num_nodes]))
-        self.net = factory(cluster)
         self.net.strict_coverage = False
-        if len(self.shards) != self.net.size:
-            raise ValueError(
-                f"need one shard per logical allreduce slot "
-                f"({self.net.size}), got {len(self.shards)}"
-            )
         m = self.net.size
         self._rngs = {s.rank: np.random.default_rng([seed, s.rank]) for s in self.shards}
         # Home sharding of word-topic rows; index V is the topic-totals row.
@@ -151,10 +143,7 @@ class DistributedLDA:
 
     # ------------------------------------------------------------------
     def _sync(self, spec: ReduceSpec, values) -> Dict[int, np.ndarray]:
-        if self.combined:
-            return self.net.allreduce_combined(spec, values)
-        self.net.configure(spec)
-        return self.net.reduce(values)
+        return reduce_pattern(self.net, spec, values, combined=self.combined)
 
     def _touched(self, shard: DocumentShard) -> np.ndarray:
         """Local vocabulary plus the totals row."""
@@ -259,12 +248,12 @@ class DistributedLDA:
         return loglik_total / max(1, tokens_total)
 
     def run(self, supersteps: int) -> LDAResult:
-        t0 = self.cluster.now
+        t0 = self.net.now
         history = [self.superstep() for _ in range(supersteps)]
         return LDAResult(
             word_topic=self.assemble_word_topic(),
             log_likelihood=history,
-            comm_time=self.cluster.now - t0,
+            comm_time=self.net.now - t0,
             supersteps=supersteps,
         )
 

@@ -14,19 +14,22 @@ source counts), so the whole algorithm runs on the primitive under test.
 The update is ``v' = (1-c)/n + c · A v`` with the damping factor ``c``
 (the paper writes the equivalent ``v' = 1/n + ((n-1)/n) X v`` form).
 Per-iteration compute and communication times are tracked separately for
-the Fig 9 breakdown.
+the Fig 9 breakdown, in the session's seconds: simulated ones on the
+simulator, where the SpMV's modelled cost is charged to the cluster's
+clock, and wall-clock ones on a real backend, where the SpMV's own run
+time is the compute time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..allreduce import KylixAllreduce, ReduceSpec
-from ..cluster import Cluster
 from ..data import GraphPartition
+from .session import one_per_slot
 
 __all__ = ["DistributedPageRank", "PageRankResult", "reference_pagerank", "spmv_cost_bytes"]
 
@@ -73,52 +76,45 @@ class PageRankResult:
 
 
 class DistributedPageRank:
-    """PageRank on a simulated cluster, parameterised by allreduce topology.
+    """PageRank over an allreduce session, parameterised by its topology.
 
     Parameters
     ----------
-    cluster:
-        Simulated cluster; its size must equal the partition count.
+    net:
+        The allreduce session (:mod:`repro.apps.session`), e.g.
+        ``KylixAllreduce(cluster, [8, 4, 2])`` or ``TcpKylix([4, 2])``;
+        its slot count must equal the partition count.
     partitions:
         Random edge partitions (one per rank).
-    allreduce:
-        A configured-for-this-cluster allreduce factory, e.g.
-        ``lambda c: KylixAllreduce(c, [8, 4, 2])``; defaults to Kylix with
-        a single layer per cluster (direct) if not given.
     damping:
         The damping factor ``c`` (0.85 conventional).
     compute_scale:
-        Multiplier on local SpMV cost — baselines that lack accelerated
-        kernels (PowerGraph's GAS engine vs BIDMat+MKL) model their
-        slower per-edge processing here.
+        Multiplier on the simulated SpMV cost — baselines that lack
+        accelerated kernels (PowerGraph's GAS engine vs BIDMat+MKL) model
+        their slower per-edge processing here.  A real backend times the
+        SpMV itself and ignores it.
     """
 
     def __init__(
         self,
-        cluster: Cluster,
+        net: Any,
         partitions: Sequence[GraphPartition],
         *,
-        allreduce: Optional[Callable[[Cluster], KylixAllreduce]] = None,
         damping: float = 0.85,
         compute_scale: float = 1.0,
     ):
         if not 0 < damping < 1:
             raise ValueError("damping must lie in (0, 1)")
-        self.cluster = cluster
-        self.partitions = list(partitions)
+        self.net = net
+        self.partitions = one_per_slot(net, partitions)
         self.damping = damping
         self.compute_scale = compute_scale
-        factory = allreduce or (lambda c: KylixAllreduce(c, [c.num_nodes]))
-        self.net = factory(cluster)
-        if len(partitions) != self.net.size:
-            raise ValueError(
-                f"need one partition per logical allreduce slot "
-                f"({self.net.size}), got {len(partitions)}"
-            )
+        # Only the simulator's clock needs the SpMV charged to it.
+        self._cluster = net.cluster if isinstance(net, KylixAllreduce) else None
         # Vertices with no in-edges anywhere are legitimately absent from
         # every out-set; the teleport term supplies their mass.
         self.net.strict_coverage = False
-        self.n = partitions[0].n_vertices if partitions else 0
+        self.n = self.partitions[0].n_vertices if self.partitions else 0
         self._matrices = None
         self._spec: Optional[ReduceSpec] = None
 
@@ -126,9 +122,9 @@ class DistributedPageRank:
     def setup(self) -> float:
         """Degree allreduce + column-normalised local matrices + config.
 
-        Returns the simulated time spent (config cost, Fig 6's left bars).
+        Returns the session seconds spent (config cost, Fig 6's left bars).
         """
-        start = self.cluster.now
+        start = self.net.now
         # 1. global out-degrees of each partition's in (source) vertices.
         deg_spec = ReduceSpec(
             in_indices={p.rank: p.in_vertices for p in self.partitions},
@@ -156,7 +152,7 @@ class DistributedPageRank:
             out_indices={p.rank: p.out_vertices for p in self.partitions},
         )
         self.net.configure(self._spec)
-        return self.cluster.now - start
+        return self.net.now - start
 
     # -- iteration ------------------------------------------------------------
     def run(self, iterations: int = 10) -> PageRankResult:
@@ -171,20 +167,20 @@ class DistributedPageRank:
         timings: List[IterationTiming] = []
         for _ in range(iterations):
             # local SpMV on every node, concurrently
-            w = {}
-            costs = {}
-            for p, mat in zip(self.partitions, self._matrices):
-                w[p.rank] = mat @ v[p.rank]
-                costs[p.rank] = (
-                    self.compute_scale
+            t0 = self.net.now
+            w = {p.rank: mat @ v[p.rank] for p, mat in zip(self.partitions, self._matrices)}
+            t_compute = self.net.now - t0
+            if self._cluster is not None:
+                t_compute = self._cluster.parallel_compute({
+                    p.rank: self.compute_scale
                     * spmv_cost_bytes(p.n_edges, p.in_vertices.size, p.out_vertices.size)
-                    / self.cluster.compute_rate
-                )
-            t_compute = self.cluster.parallel_compute(costs)
+                    / self._cluster.compute_rate
+                    for p in self.partitions
+                })
             # sparse allreduce of the products
-            t0 = self.cluster.now
+            t0 = self.net.now
             reduced = self.net.reduce(w)
-            t_comm = self.cluster.now - t0
+            t_comm = self.net.now - t0
             # damped update on the in-slices
             for p in self.partitions:
                 v[p.rank] = (1.0 - self.damping) / n + self.damping * reduced[p.rank]

@@ -20,13 +20,13 @@ exactly the statistics the network-design analysis (§IV) assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from ..allreduce import KylixAllreduce, ReduceSpec
-from ..cluster import Cluster
+from ..allreduce import ReduceSpec
 from ..data import Minibatch
+from .session import reduce_pattern
 
 __all__ = ["DistributedSGD", "ServiceSGD", "SGDResult", "logistic_loss"]
 
@@ -53,101 +53,26 @@ class SGDResult:
     steps: int = 0
 
 
-class DistributedSGD:
-    """Synchronous minibatch SGD over two sparse allreduces per step."""
+class _HomeModel:
+    """A logistic-regression model sharded by home: feature ``f`` lives on
+    node ``f % m``, which always sends and receives it."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        n_features: int,
-        *,
-        allreduce: Optional[Callable[[Cluster], KylixAllreduce]] = None,
-        learning_rate: float = 0.1,
-        combined: bool = False,
-    ):
+    def __init__(self, n_features: int, m: int, learning_rate: float):
         if n_features <= 0:
             raise ValueError("n_features must be positive")
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        self.cluster = cluster
         self.n_features = n_features
         self.lr = learning_rate
-        self.combined = combined
-        factory = allreduce or (lambda c: KylixAllreduce(c, [c.num_nodes]))
-        self.net = factory(cluster)
-        m = cluster.num_nodes
-        # Home sharding: feature f lives on node f % m.
         self._home = {
             r: np.arange(r, n_features, m, dtype=np.int64) for r in range(m)
         }
         self._weights = {r: np.zeros(h.size) for r, h in self._home.items()}
 
-    # -- steps ------------------------------------------------------------
-    def step(self, batches: Dict[int, Minibatch]) -> float:
-        """One synchronous SGD step over per-node minibatches.
-
-        Returns the mean pre-update logistic loss across nodes.
-        """
-        m = self.cluster.num_nodes
-        feats = {r: batches[r].features for r in range(m)}
-
-        # 1. fetch current weights for the batch features.  With combined
-        # messages (§III) the index and value parts ride together — one
-        # network traversal instead of two per allreduce.
-        fetch_spec = ReduceSpec(
-            in_indices=feats,
-            out_indices=dict(self._home),
-            op="sum",
-        )
-        if self.combined:
-            fetched = self.net.allreduce_combined(fetch_spec, self._weights)
-        else:
-            self.net.configure(fetch_spec)
-            fetched = self.net.reduce(self._weights)
-
-        # 2. local gradients + loss
-        grads = {}
-        losses = []
-        for r in range(m):
-            b = batches[r]
-            w = fetched[r]
-            margins = b.labels * (b.matrix @ w)
-            losses.append(logistic_loss(margins))
-            coeff = -b.labels * _sigmoid(-margins) / b.batch_size
-            grads[r] = b.matrix.T @ coeff
-
-        # 3. push gradients back to the homes, which apply the update
-        push_spec = ReduceSpec(
-            in_indices=dict(self._home),
-            out_indices=feats,
-            op="sum",
-        )
-        self.net.strict_coverage = False  # untouched home features get 0
-        if self.combined:
-            summed = self.net.allreduce_combined(push_spec, grads)
-        else:
-            self.net.configure(push_spec)
-            summed = self.net.reduce(grads)
-        for r in range(m):
+    def _apply(self, summed: Dict[int, np.ndarray]) -> None:
+        """The homes apply a summed gradient."""
+        for r in self._weights:
             self._weights[r] -= self.lr * summed[r]
-        return float(np.mean(losses))
-
-    def run(self, streams: Dict[int, List[Minibatch]]) -> SGDResult:
-        """Train over per-node batch lists (all the same length)."""
-        lengths = {len(v) for v in streams.values()}
-        if len(lengths) != 1:
-            raise ValueError("every node needs the same number of batches")
-        n_steps = lengths.pop()
-        t0 = self.cluster.now
-        losses = []
-        for i in range(n_steps):
-            losses.append(self.step({r: streams[r][i] for r in streams}))
-        return SGDResult(
-            weights=self.assemble_weights(),
-            losses=losses,
-            comm_time=self.cluster.now - t0,
-            steps=n_steps,
-        )
 
     def assemble_weights(self) -> np.ndarray:
         out = np.zeros(self.n_features)
@@ -156,7 +81,76 @@ class DistributedSGD:
         return out
 
 
-class ServiceSGD:
+def _loss_and_gradient(b: Minibatch, w: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Batch ``b``'s logistic loss at weights ``w`` (aligned with
+    ``b.features``) and its gradient."""
+    margins = b.labels * (b.matrix @ w)
+    coeff = -b.labels * _sigmoid(-margins) / b.batch_size
+    return logistic_loss(margins), b.matrix.T @ coeff
+
+
+def _same_lengths(streams: Dict[int, List[Minibatch]]) -> int:
+    lengths = {len(v) for v in streams.values()}
+    if len(lengths) != 1:
+        raise ValueError("every node needs the same number of batches")
+    return lengths.pop()
+
+
+class DistributedSGD(_HomeModel):
+    """Synchronous minibatch SGD over two sparse allreduces per step."""
+
+    def __init__(
+        self,
+        net: Any,
+        n_features: int,
+        *,
+        learning_rate: float = 0.1,
+        combined: bool = False,
+    ):
+        super().__init__(n_features, net.size, learning_rate)
+        self.net = net
+        self.combined = combined
+
+    # -- steps ------------------------------------------------------------
+    def step(self, batches: Dict[int, Minibatch]) -> float:
+        """One synchronous SGD step over per-node minibatches.
+
+        Returns the mean pre-update logistic loss across nodes.
+        """
+        feats = {r: batches[r].features for r in self._home}
+
+        # 1. fetch current weights for the batch features.  With combined
+        # messages (§III) the index and value parts ride together — one
+        # network traversal instead of two per allreduce.
+        fetch_spec = ReduceSpec(in_indices=feats, out_indices=dict(self._home), op="sum")
+        fetched = reduce_pattern(self.net, fetch_spec, self._weights, combined=self.combined)
+
+        # 2. local gradients + loss
+        losses, grads = [], {}
+        for r in self._home:
+            loss, grads[r] = _loss_and_gradient(batches[r], fetched[r])
+            losses.append(loss)
+
+        # 3. push gradients back to the homes, which apply the update
+        push_spec = ReduceSpec(in_indices=dict(self._home), out_indices=feats, op="sum")
+        self.net.strict_coverage = False  # untouched home features get 0
+        self._apply(reduce_pattern(self.net, push_spec, grads, combined=self.combined))
+        return float(np.mean(losses))
+
+    def run(self, streams: Dict[int, List[Minibatch]]) -> SGDResult:
+        """Train over per-node batch lists (all the same length)."""
+        n_steps = _same_lengths(streams)
+        t0 = self.net.now
+        losses = [self.step({r: streams[r][i] for r in streams}) for i in range(n_steps)]
+        return SGDResult(
+            weights=self.assemble_weights(),
+            losses=losses,
+            comm_time=self.net.now - t0,
+            steps=n_steps,
+        )
+
+
+class ServiceSGD(_HomeModel):
     """Parameter-server SGD through :class:`~repro.service.ReduceService`.
 
     The serving-layer counterpart of :class:`DistributedSGD`: each node's
@@ -165,7 +159,8 @@ class ServiceSGD:
     is identical on every step — the service's config cache serves every
     push after the first miss, and an epoch's pushes run as one
     *pipelined* train of reduces (reduce ``k+1``'s scatter overlapping
-    reduce ``k``'s allgather).
+    reduce ``k``'s allgather).  Any backend of the service serves it;
+    ``comm_time`` is in its streams' clock.
 
     Weight fetches happen driver-side against the assembled model (the
     parameter-server view: the driver owns the homes' shards between
@@ -183,28 +178,28 @@ class ServiceSGD:
         stream_name: str = "sgd.push",
         depth: int = 2,
     ):
-        if n_features <= 0:
-            raise ValueError("n_features must be positive")
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        super().__init__(n_features, int(np.prod(service.degrees)), learning_rate)
         self.service = service
-        self.n_features = n_features
-        self.lr = learning_rate
         self.stream_name = stream_name
         self.depth = depth
-        m = service.cluster.num_nodes
-        self.m = m
-        self._home = {
-            r: np.arange(r, n_features, m, dtype=np.int64) for r in range(m)
-        }
-        self._weights = {r: np.zeros(h.size) for r, h in self._home.items()}
         self._stream = None
 
-    def _open(self, feats: Dict[int, np.ndarray]):
-        push_spec = ReduceSpec(
-            in_indices=dict(self._home), out_indices=feats, op="sum"
-        )
+    def _open(self, streams: Dict[int, List[Minibatch]]):
+        """The push stream of ``streams``' fixed feature pattern, opened
+        on first use."""
+        _same_lengths(streams)
+        feats = {r: streams[r][0].features for r in streams}
+        for r, batches in streams.items():
+            for b in batches:
+                if not np.array_equal(b.features, feats[r]):
+                    raise ValueError(
+                        "ServiceSGD needs fixed per-node feature patterns "
+                        "(use FixedPatternStream)"
+                    )
         if self._stream is None:
+            push_spec = ReduceSpec(
+                in_indices=dict(self._home), out_indices=feats, op="sum"
+            )
             self._stream = self.service.open_stream(self.stream_name, push_spec)
             # Untouched home features legitimately receive the identity.
             self._stream.net.strict_coverage = False
@@ -217,60 +212,33 @@ class ServiceSGD:
         length.  Returns the per-batch mean losses (at epoch-start
         weights).
         """
-        lengths = {len(v) for v in streams.values()}
-        if len(lengths) != 1:
-            raise ValueError("every node needs the same number of batches")
-        n_steps = lengths.pop()
-        feats = {r: streams[r][0].features for r in streams}
-        for r, batches in streams.items():
-            for b in batches:
-                if not np.array_equal(b.features, feats[r]):
-                    raise ValueError(
-                        "ServiceSGD needs fixed per-node feature patterns "
-                        "(use FixedPatternStream)"
-                    )
-        stream = self._open(feats)
-
+        stream = self._open(streams)
         w = self.assemble_weights()
-        losses = []
-        grad_rounds = []
-        for k in range(n_steps):
-            grads = {}
-            batch_losses = []
-            for r in range(self.m):
+        losses, grad_rounds = [], []
+        for k in range(len(streams[0])):
+            batch_losses, grads = [], {}
+            for r in self._home:
                 b = streams[r][k]
-                margins = b.labels * (b.matrix @ w[b.features])
-                batch_losses.append(logistic_loss(margins))
-                coeff = -b.labels * _sigmoid(-margins) / b.batch_size
-                grads[r] = b.matrix.T @ coeff
+                loss, grads[r] = _loss_and_gradient(b, w[b.features])
+                batch_losses.append(loss)
             losses.append(float(np.mean(batch_losses)))
             grad_rounds.append(grads)
-
-        summed = self.service.submit_pipelined(
-            stream, grad_rounds, depth=self.depth
-        )
-        for per_home in summed:
-            for r in range(self.m):
-                self._weights[r] -= self.lr * per_home[r]
+        for summed in self.service.submit_pipelined(stream, grad_rounds, depth=self.depth):
+            self._apply(summed)
         return losses
 
     def run(
         self, streams: Dict[int, List[Minibatch]], *, epochs: int = 1
     ) -> SGDResult:
         """Train ``epochs`` passes over the fixed-pattern batch lists."""
-        t0 = self.service.cluster.now
+        net = self._open(streams).net
+        t0 = net.now
         losses: List[float] = []
         for _ in range(epochs):
             losses.extend(self.run_epoch(streams))
         return SGDResult(
             weights=self.assemble_weights(),
             losses=losses,
-            comm_time=self.service.cluster.now - t0,
+            comm_time=net.now - t0,
             steps=len(losses),
         )
-
-    def assemble_weights(self) -> np.ndarray:
-        out = np.zeros(self.n_features)
-        for r, h in self._home.items():
-            out[h] = self._weights[r]
-        return out

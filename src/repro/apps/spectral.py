@@ -17,13 +17,13 @@ primitive —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
-from ..allreduce import KylixAllreduce, ReduceSpec
-from ..cluster import Cluster
+from ..allreduce import ReduceSpec
 from ..data import GraphPartition
+from .session import one_per_slot
 
 __all__ = ["DistributedPowerIteration", "PowerIterationResult"]
 
@@ -45,31 +45,17 @@ class PowerIterationResult:
 class DistributedPowerIteration:
     """Power iteration on the (symmetrised) adjacency of a partitioned graph."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        partitions: Sequence[GraphPartition],
-        *,
-        allreduce: Optional[Callable[[Cluster], KylixAllreduce]] = None,
-    ):
-
-        self.cluster = cluster
-        self.partitions = list(partitions)
-        factory = allreduce or (lambda c: KylixAllreduce(c, [c.num_nodes]))
-        self.net = factory(cluster)
-        if len(self.partitions) != self.net.size:
-            raise ValueError(
-                f"need one partition per logical allreduce slot "
-                f"({self.net.size}), got {len(self.partitions)}"
-            )
+    def __init__(self, net: Any, partitions: Sequence[GraphPartition]):
+        self.net = net
+        self.partitions = one_per_slot(net, partitions)
         self.net.strict_coverage = False
-        self.n = partitions[0].n_vertices
+        self.n = self.partitions[0].n_vertices
         self._matrices = [p.local_matrix().tocsr() for p in self.partitions]
 
     def run(self, iterations: int = 30, seed: int = 0) -> PowerIterationResult:
         n = self.n
         scalar_slot = np.int64(n)  # one index past the vertices
-        t0 = self.cluster.now
+        t0 = self.net.now
 
         # vertex multiplicities: how many partitions request each vertex
         mult_spec = ReduceSpec(
@@ -97,7 +83,6 @@ class DistributedPowerIteration:
         rng = np.random.default_rng(seed)
         start = rng.random(n) + 0.1
         v = {p.rank: start[p.in_vertices] for p in self.partitions}
-        eigenvalue = 0.0
         for _ in range(iterations):
             out_vals = {}
             for p, mat in zip(self.partitions, self._matrices):
@@ -123,5 +108,5 @@ class DistributedPowerIteration:
             eigenvalue=eigenvalue,
             in_values=v,
             iterations=iterations,
-            comm_time=self.cluster.now - t0,
+            comm_time=self.net.now - t0,
         )

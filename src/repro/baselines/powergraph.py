@@ -16,18 +16,17 @@ both of which this model reproduces on the same simulated fabric:
   the ratio.
 
 The PageRank driver below is therefore the same verified distributed
-PageRank, wired to a direct (degree ``[m]``) Kylix allreduce and the GAS
-compute scale — a best-case PowerGraph (random vertex cut, as the paper
+PageRank with the GAS compute scale, run on a direct (degree ``[m]``)
+Kylix session — ``PowerGraphPageRank(KylixAllreduce(cluster, [m]),
+partitions)`` — a best-case PowerGraph (random vertex cut, as the paper
 compares against).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
-from ..allreduce import KylixAllreduce
-from ..apps.pagerank import DistributedPageRank, PageRankResult
-from ..cluster import Cluster
+from ..apps.pagerank import DistributedPageRank
 from ..data import GraphPartition
 
 __all__ = ["PowerGraphPageRank", "GAS_COMPUTE_SCALE"]
@@ -41,20 +40,15 @@ GAS_COMPUTE_SCALE = 4.0
 
 
 class PowerGraphPageRank(DistributedPageRank):
-    """PageRank the PowerGraph way: direct messaging + GAS-engine compute."""
+    """PageRank the PowerGraph way: GAS-engine compute on the session
+    ``net``, which for PowerGraph's direct messaging has one layer."""
 
     def __init__(
         self,
-        cluster: Cluster,
+        net: Any,
         partitions: Sequence[GraphPartition],
         *,
         damping: float = 0.85,
         compute_scale: float = GAS_COMPUTE_SCALE,
     ):
-        super().__init__(
-            cluster,
-            partitions,
-            allreduce=lambda c: KylixAllreduce(c, [c.num_nodes]),
-            damping=damping,
-            compute_scale=compute_scale,
-        )
+        super().__init__(net, partitions, damping=damping, compute_scale=compute_scale)

@@ -512,15 +512,11 @@ def run_fig8(
 ) -> Fig8Result:
     """Kylix vs PowerGraph on the simulator; Hadoop via the cost model."""
     cluster = cal.make_cluster(dataset)
-    pr = DistributedPageRank(
-        cluster,
-        dataset.partitions,
-        allreduce=lambda c: KylixAllreduce(c, list(degrees)),
-    )
+    pr = DistributedPageRank(KylixAllreduce(cluster, list(degrees)), dataset.partitions)
     kylix = pr.run(iterations).mean_iteration
 
     cluster = cal.make_cluster(dataset)
-    pg = PowerGraphPageRank(cluster, dataset.partitions)
+    pg = PowerGraphPageRank(KylixAllreduce(cluster, [cluster.num_nodes]), dataset.partitions)
     powergraph = pg.run(iterations).mean_iteration
 
     # Extrapolate Kylix to paper scale: overheads were scaled with the
@@ -631,9 +627,7 @@ def run_fig9(
             compute_rate=cal.KYLIX_COMPUTE_RATE,
             seed=13,
         )
-        pr = DistributedPageRank(
-            cluster, parts, allreduce=lambda c, d=degrees: KylixAllreduce(c, d)
-        )
+        pr = DistributedPageRank(KylixAllreduce(cluster, degrees), parts)
         res = pr.run(iterations)
         rows.append(
             ScalingRow(m, tuple(degrees), res.mean_compute, res.mean_comm)

@@ -12,13 +12,15 @@ each and the terminate/join/kill ladder that guarantees zero zombie
 processes on every exit path (:class:`~repro.net.local.LocalKylix` plugs
 in a pipe mesh, :class:`~repro.net.tcp.TcpKylix` a loopback socket
 mesh); :class:`~repro.net.cluster.ClusterKylix` attaches to a launched
-cluster's.  The failure semantics the tests pin are identical on all.
+cluster's.  The failure semantics the tests pin are identical on all,
+and so is the session contract the applications use (:class:`KylixDriver`).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import socket
+import time
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain
@@ -37,6 +39,14 @@ __all__ = ["KylixDriver", "ForkedKylixBase"]
 
 class KylixDriver:
     """The driver of real-node sessions; subclasses say how nodes start.
+
+    The session contract: :meth:`configure` checks a spec's ranks and
+    records it (no node starts), :meth:`reduce` runs one combined-protocol
+    session over the recorded spec, :meth:`allreduce_combined` is the two
+    in sequence, and :attr:`now` is wall-clock seconds — so an application
+    written against :class:`~repro.allreduce.KylixAllreduce` runs here
+    unchanged, paying the nodes' start-up on every reduce.
+    :meth:`allreduce` and :meth:`allreduce_rounds` are the one-call forms.
 
     Subclasses implement ``_nodes(jobs)``: a context manager that starts
     or reaches one node per ``{rank: NodeJob}`` entry and yields
@@ -132,6 +142,38 @@ class KylixDriver:
         #: :class:`CoverageReport` of the last degraded run (None outside
         #: degraded completion) — same contract as the simulator backend.
         self.last_report: Optional[CoverageReport] = None
+        #: The spec :meth:`configure` recorded; :meth:`reduce` runs over it.
+        self.spec: Optional[ReduceSpec] = None
+
+    # -- the session contract ------------------------------------------------
+    @property
+    def now(self) -> float:
+        """Wall-clock seconds (``KylixAllreduce.now`` is simulated ones)."""
+        return time.monotonic()
+
+    def _check_spec(self, spec: ReduceSpec) -> None:
+        if set(spec.ranks) != set(range(self.size)):
+            raise ValueError(
+                f"spec must cover ranks 0..{self.size - 1} (got {spec.ranks})"
+            )
+
+    def configure(self, spec: ReduceSpec) -> None:
+        """Check ``spec``'s ranks and record it for :meth:`reduce`."""
+        self._check_spec(spec)
+        self.spec = spec
+
+    def reduce(self, out_values: Mapping[int, np.ndarray]) -> Dict[int, np.ndarray]:
+        """One reduction over the configured spec: a one-round session."""
+        if self.spec is None:
+            raise RuntimeError("configure() must run before reduce()")
+        return self.allreduce(self.spec, out_values)
+
+    def allreduce_combined(
+        self, spec: ReduceSpec, out_values: Mapping[int, np.ndarray]
+    ) -> Dict[int, np.ndarray]:
+        """:meth:`configure` then :meth:`reduce`."""
+        self.configure(spec)
+        return self.reduce(out_values)
 
     # -- the run -----------------------------------------------------------
     def allreduce(
@@ -183,10 +225,7 @@ class KylixDriver:
         recorded it; an exception it raises ends the session there (the
         nodes are released all the same).
         """
-        if set(spec.ranks) != set(range(self.size)):
-            raise ValueError(
-                f"spec must cover ranks 0..{self.size - 1} (got {spec.ranks})"
-            )
+        self._check_spec(spec)
         obs = self.observe if self.observe is not None else NULL_OBSERVER
         jobs = {
             rank: NodeJob.for_rank(

@@ -114,6 +114,28 @@ class LedgerCounter(Counter):
         return MappingProxyType(self._read())
 
 
+class _Unwritten(Counter):
+    """What :meth:`MetricsRegistry.counter` hands out for a name nobody
+    wrote yet: it reads as the registered counter (empty while there is
+    none) and its first ``inc`` registers one, so a read leaves the
+    metrics document as it was."""
+
+    def __init__(self, name: str, counters: Dict[str, Counter]):
+        self.name = name
+        self._counters = counters
+
+    @property
+    def _values(self) -> Mapping[LabelKey, float]:
+        c = self._counters.get(self.name)
+        return MappingProxyType(c._values if c is not None else {})
+
+    def inc(self, value: float = 1, **labels: Any) -> None:
+        c = self._counters.get(self.name)
+        if c is None:
+            c = self._counters[self.name] = Counter(self.name)
+        c.inc(value, **labels)
+
+
 class Gauge:
     """A last-write-wins sample per label set (sizes, configuration)."""
 
@@ -189,7 +211,8 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metrics, created on first touch (`registry.counter("x").inc()`)."""
+    """Named metrics, created on first touch (`registry.counter("x").inc()`);
+    a counter is created by its first write, not by a read."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -197,7 +220,8 @@ class MetricsRegistry:
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        return self._counters.setdefault(name, Counter(name))
+        c = self._counters.get(name)
+        return c if c is not None else _Unwritten(name, self._counters)
 
     def adopt(self, counter: Counter) -> None:
         """Serve ``counter.name`` from ``counter`` (a :class:`LedgerCounter`)."""
@@ -245,7 +269,7 @@ class MetricsRegistry:
         last-write-win — the merge a parent applies per finished worker.
         """
         for name, values in snap.get("counters", {}).items():
-            c = self.counter(name)
+            c = self._counters.setdefault(name, Counter(name))
             for k, v in values.items():
                 c._values[k] = c._values.get(k, 0) + v
         for name, values in snap.get("gauges", {}).items():

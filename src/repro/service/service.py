@@ -11,14 +11,15 @@ the load shape:
   reduce of a pattern pays :meth:`configure`, every later one (from any
   stream with the same pattern) adopts the memoised maps.  Pattern drift
   re-fingerprints the stream, records an invalidation, and can never be
-  served a stale entry.
+  served a stale entry.  On the forked backends the cache is bookkeeping
+  only (see :meth:`ReduceService._ensure_configured`).
 * **Concurrent streams** — on the simulator backend, queued submissions
   from many streams execute inside *one* cluster run as concurrent
   protocol generators (distinct instance tags keep them from
   cross-talking); on the forked backends (``local`` / ``tcp``) each job
-  is one backend reduce, run in submission order.  Results are
-  bit-identical to sequential execution because merges are position-map
-  driven, never arrival-order driven.
+  is one ``reduce`` of its stream's session, run in submission order.
+  Results are bit-identical to sequential execution because merges are
+  position-map driven, never arrival-order driven.
 * **Admission control** — the submission queue is bounded
   (``queue_depth``); when the queue is full, :meth:`submit` raises
   :class:`ServiceOverloaded` before it touches the stream or the cache.
@@ -115,7 +116,7 @@ class ReduceStream:
     name: str
     spec: ReduceSpec
     fingerprint: str
-    net: Any  # KylixAllreduce (sim) or a ForkedKylixBase (local/tcp)
+    net: Any  # the stream's session: KylixAllreduce (sim), LocalKylix / TcpKylix
     submitted: int = 0
     completed: int = 0
     drifts: int = 0
@@ -171,12 +172,9 @@ class ReduceService:
         self.slots = int(slots)
         self.queue_depth = int(queue_depth)
         self.retry = retry
-        if obs is not None:
-            self.obs = obs
-        elif backend == "sim":
-            self.obs = getattr(cluster, "obs", None) or NULL_OBSERVER
-        else:
-            self.obs = NULL_OBSERVER
+        if obs is None:
+            obs = getattr(cluster, "obs", None) or NULL_OBSERVER
+        self.obs = obs
         self.cache = ConfigCache(cache_size, obs=self.obs)
         self._multiplier = MultiplicativeHasher().multiplier
         self.streams: Dict[str, ReduceStream] = {}
@@ -207,6 +205,8 @@ class ReduceService:
         return stream
 
     def _make_net(self, name: str):
+        """The stream's session: a simulator one on the shared cluster, or
+        a forked driver.  How jobs run on it differs (:meth:`drain`)."""
         if self.backend == "sim":
             return KylixAllreduce(
                 self.cluster, self.degrees, retry=self.retry, name=f"svc:{name}"
@@ -241,26 +241,27 @@ class ReduceService:
         stream.spec = spec
         stream.fingerprint = fp
         stream.drifts += 1
-        if self.backend == "sim":
-            # The old binding's maps must not leak into the new pattern.
-            stream.net.spec = None
-            stream.net.plans = {}
 
     def _ensure_configured(self, stream: ReduceStream) -> None:
-        """One cache consult per reduce: hit adopts, miss configures."""
+        """One cache consult per reduce: hit adopts, miss configures.
+
+        On the forked backends the cache is bookkeeping: a driver keeps no
+        plans (each reduce is a fresh session running the combined
+        protocol, :class:`~repro.net.base.KylixDriver`), so an entry holds
+        ``{}``, a hit saves nothing, and the stream's driver only records
+        its spec.
+        """
+        entry = self.cache.lookup(stream.fingerprint)
         if self.backend != "sim":
-            # Forked backends run the combined protocol on the wire; the
-            # cache tracks driver-side reuse (hits mean the round-0 plan
-            # is replayable, see KylixDriver.allreduce_rounds).
-            entry = self.cache.lookup(stream.fingerprint)
+            stream.net.configure(stream.spec)
             if entry is None:
                 self.cache.store(stream.fingerprint, {}, stream.spec)
-            return
-        entry = self.cache.lookup(stream.fingerprint)
-        if entry is None:
+        elif entry is None:
             stream.net.configure(stream.spec)
             self.cache.store(stream.fingerprint, stream.net.plans, stream.spec)
-        elif stream.net.plans is not entry.plans:
+        elif stream.net.plans is not entry.plans or stream.net.spec is not stream.spec:
+            # Also after a drift whose configure failed half-way (the
+            # session then holds the new spec beside the old plans).
             stream.net.adopt_plans(stream.spec, entry.plans)
 
     # -- submission --------------------------------------------------------
@@ -372,12 +373,14 @@ class ReduceService:
     def drain(self) -> int:
         """Run every queued job on the caller's thread; returns the count.
 
-        On the simulator, jobs run in waves of up to ``slots``: one
-        simulated-cluster run per wave, every job in the wave a
-        concurrent protocol instance.  On the forked backends each job
-        is one backend reduce, in submission order.  A job whose values
-        failed :func:`~repro.allreduce.check_values` at submit resolves
-        only its own future and joins no wave.
+        How jobs run is the service's one scheduling difference between
+        backends (with :meth:`submit_pipelined`'s): on the simulator, in
+        waves of up to ``slots``, one simulated-cluster run per wave and
+        every job in it a concurrent protocol instance; on the forked
+        backends, one ``reduce`` of the stream's session per job, in
+        submission order.  A job whose values failed
+        :func:`~repro.allreduce.check_values` at submit resolves only its
+        own future and joins no wave.
         """
         done = 0
         width = self.slots if self.backend == "sim" else 1
@@ -427,7 +430,7 @@ class ReduceService:
 
     def _run_forked(self, st: ReduceStream, values, fut: ReduceFuture) -> None:
         try:
-            result = st.net.allreduce(st.spec, values)
+            result = st.net.reduce(values)
         except Exception as exc:
             fut._resolve(error=exc)
             return

@@ -749,14 +749,17 @@ def worst_case_loss(
     soundly conservative reading).  Message-fault rules on their own are
     not, since NACK/retry recovers them — but a lossy rule *combined*
     with a kill is: a message the victim sent before its kill point can
-    be dropped and the NACK then lands on a corpse, so under any
-    ``drop > 0`` rule every killed node is treated as dead from the
-    start.
+    be dropped, or delayed past the receivers' retry budget (every resend
+    is delayed again), and the NACK then lands on a corpse.  So under any
+    rule with ``drop > 0``, ``delay > 0`` or ``reorder > 0`` every killed
+    node is treated as dead from the start.
     """
     hasher = hasher if hasher is not None else MultiplicativeHasher()
     m = topology.num_nodes
     nlayers = topology.num_layers
-    lossy = any(rule.drop > 0.0 for rule in faults.rules)
+    lossy = any(
+        rule.drop > 0.0 or rule.delay > 0.0 or rule.reorder > 0.0 for rule in faults.rules
+    )
     # dead node -> (first broken down state-layer or None, last broken up layer)
     kills: Dict[int, Tuple[Optional[int], int]] = {}
     for v in faults.step_killed_nodes:

@@ -178,9 +178,8 @@ class TestSGDCombinedMode:
         res = {}
         for combined in (False, True):
             sgd = DistributedSGD(
-                Cluster(m),
+                KylixAllreduce(Cluster(m), [2, 2]),
                 n,
-                allreduce=lambda c: KylixAllreduce(c, [2, 2]),
                 learning_rate=0.3,
                 combined=combined,
             )

@@ -14,11 +14,10 @@ def make(m=4, n_users=150, n_items=200, rank=4, seed=1, **kw):
     )
     cluster = Cluster(m)
     mf = DistributedMatrixFactorization(
-        cluster,
+        KylixAllreduce(cluster, [2, 2]),
         shards,
         n_items,
         rank,
-        allreduce=lambda c: KylixAllreduce(c, [2, 2]),
         learning_rate=0.8,
         reg=1e-4,
         seed=seed + 1,
@@ -98,16 +97,16 @@ class TestValidation:
     def test_bad_rank_rejected(self):
         shards, *_ = synthetic_ratings(20, 20, 2, 2, seed=0)
         with pytest.raises(ValueError):
-            DistributedMatrixFactorization(Cluster(2), shards, 20, 0)
+            DistributedMatrixFactorization(KylixAllreduce(Cluster(2), [2]), shards, 20, 0)
 
     def test_bad_lr_rejected(self):
         shards, *_ = synthetic_ratings(20, 20, 2, 2, seed=0)
         with pytest.raises(ValueError):
             DistributedMatrixFactorization(
-                Cluster(2), shards, 20, 2, learning_rate=0
+                KylixAllreduce(Cluster(2), [2]), shards, 20, 2, learning_rate=0
             )
 
     def test_shard_count_must_match(self):
         shards, *_ = synthetic_ratings(20, 20, 2, 2, seed=0)
         with pytest.raises(ValueError):
-            DistributedMatrixFactorization(Cluster(4), shards, 20, 2)
+            DistributedMatrixFactorization(KylixAllreduce(Cluster(4), [4]), shards, 20, 2)

@@ -26,9 +26,7 @@ from repro.data import (
 
 def make(graph, m=4, degrees=(2, 2)):
     parts = random_edge_partition(graph, m, seed=21)
-    cluster = Cluster(m)
-    factory = lambda c: KylixAllreduce(c, list(degrees))
-    return cluster, parts, factory
+    return KylixAllreduce(Cluster(m), list(degrees)), parts
 
 
 class TestConnectedComponents:
@@ -41,8 +39,8 @@ class TestConnectedComponents:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_networkx(self, seed):
         g = powerlaw_graph(150, 200, alpha=0.7, seed=seed)
-        cluster, parts, factory = make(g)
-        res = DistributedComponents(cluster, parts, allreduce=factory).run()
+        net, parts = make(g)
+        res = DistributedComponents(net, parts).run()
         labels = res.global_labels(g.n_vertices, parts)
         got = {}
         for v, l in enumerate(labels):
@@ -51,8 +49,8 @@ class TestConnectedComponents:
 
     def test_single_component_ring(self):
         g = ring_graph(24)
-        cluster, parts, factory = make(g)
-        res = DistributedComponents(cluster, parts, allreduce=factory).run()
+        net, parts = make(g)
+        res = DistributedComponents(net, parts).run()
         labels = res.global_labels(24, parts)
         assert np.all(labels == 0)
 
@@ -61,15 +59,15 @@ class TestConnectedComponents:
         src = np.concatenate([np.arange(10), np.arange(10, 20)])
         dst = np.concatenate([(np.arange(10) + 1) % 10, 10 + (np.arange(10) + 1) % 10])
         g = EdgeGraph(20, src, dst)
-        cluster, parts, factory = make(g)
-        res = DistributedComponents(cluster, parts, allreduce=factory).run()
+        net, parts = make(g)
+        res = DistributedComponents(net, parts).run()
         labels = res.global_labels(20, parts)
         assert set(labels[:10]) == {0} and set(labels[10:]) == {10}
 
     def test_terminates_and_counts_rounds(self):
         g = powerlaw_graph(100, 300, seed=5)
-        cluster, parts, factory = make(g)
-        res = DistributedComponents(cluster, parts, allreduce=factory).run()
+        net, parts = make(g)
+        res = DistributedComponents(net, parts).run()
         assert 1 <= res.rounds < 100
         assert res.comm_time > 0
 
@@ -77,15 +75,15 @@ class TestConnectedComponents:
 class TestBFS:
     def test_ring_distances(self):
         g = ring_graph(20)
-        cluster, parts, factory = make(g)
-        res = DistributedBFS(cluster, parts, allreduce=factory).run(source=0)
+        net, parts = make(g)
+        res = DistributedBFS(net, parts).run(source=0)
         d = res.global_distances(20, parts)
         np.testing.assert_array_equal(d, np.arange(20.0))
 
     def test_matches_networkx_shortest_paths(self):
         g = powerlaw_graph(120, 600, alpha=0.8, seed=3)
-        cluster, parts, factory = make(g)
-        res = DistributedBFS(cluster, parts, allreduce=factory).run(source=int(g.src[0]))
+        net, parts = make(g)
+        res = DistributedBFS(net, parts).run(source=int(g.src[0]))
         d = res.global_distances(120, parts)
         G = nx.DiGraph()
         G.add_nodes_from(range(120))
@@ -100,8 +98,8 @@ class TestBFS:
     def test_unreachable_vertices_stay_infinite(self):
         # two disjoint edges
         g = EdgeGraph(4, np.array([0, 2]), np.array([1, 3]))
-        cluster, parts, factory = make(g, m=2, degrees=(2,))
-        res = DistributedBFS(cluster, parts, allreduce=factory).run(source=0)
+        net, parts = make(g, m=2, degrees=(2,))
+        res = DistributedBFS(net, parts).run(source=0)
         d = res.global_distances(4, parts)
         assert d[1] == 1.0 and np.isinf(d[2]) and np.isinf(d[3])
 
@@ -116,32 +114,32 @@ class TestDiameter:
 
     def test_ring_effective_diameter_near_n(self):
         g = ring_graph(24)
-        cluster, parts, factory = make(g)
-        dia = DistributedDiameter(cluster, parts, registers=16, allreduce=factory, seed=1)
+        net, parts = make(g)
+        dia = DistributedDiameter(net, parts, registers=16, seed=1)
         res = dia.run()
         assert 14 <= res.effective_diameter <= 23
         assert res.rounds <= 24
 
     def test_grid_diameter_small(self):
         g = grid_graph(5)  # diameter 8
-        cluster, parts, factory = make(g)
-        dia = DistributedDiameter(cluster, parts, registers=16, allreduce=factory, seed=2)
+        net, parts = make(g)
+        dia = DistributedDiameter(net, parts, registers=16, seed=2)
         res = dia.run()
         assert res.effective_diameter <= 8
 
     def test_neighbourhood_function_monotone(self):
         g = powerlaw_graph(200, 800, seed=4)
-        cluster, parts, factory = make(g)
-        dia = DistributedDiameter(cluster, parts, registers=8, allreduce=factory)
+        net, parts = make(g)
+        dia = DistributedDiameter(net, parts, registers=8)
         res = dia.run()
         nh = res.neighbourhood
         assert all(a <= b + 1e-9 for a, b in zip(nh, nh[1:]))
 
     def test_validation(self):
         g = ring_graph(8)
-        cluster, parts, _ = make(g)
+        net, parts = make(g)
         with pytest.raises(ValueError):
-            DistributedDiameter(cluster, parts, registers=0)
+            DistributedDiameter(net, parts, registers=0)
 
 
 class TestPowerIteration:
@@ -151,8 +149,8 @@ class TestPowerIteration:
         src = np.concatenate([g.src, g.dst])
         dst = np.concatenate([g.dst, g.src])
         gs = EdgeGraph(150, src, dst)
-        cluster, parts, factory = make(gs)
-        pi = DistributedPowerIteration(cluster, parts, allreduce=factory)
+        net, parts = make(gs)
+        pi = DistributedPowerIteration(net, parts)
         res = pi.run(iterations=120)
         vals, vecs = eigsh(gs.to_csr(), k=1, which="LA")
         assert res.eigenvalue == pytest.approx(vals[0], rel=1e-4)
@@ -162,14 +160,14 @@ class TestPowerIteration:
 
     def test_vector_is_unit_norm(self):
         g = grid_graph(4)
-        cluster, parts, factory = make(g)
-        pi = DistributedPowerIteration(cluster, parts, allreduce=factory)
+        net, parts = make(g)
+        pi = DistributedPowerIteration(net, parts)
         res = pi.run(iterations=80)
         v = res.global_vector(16, parts)
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-6)
 
     def test_comm_time_positive(self):
         g = grid_graph(3)
-        cluster, parts, factory = make(g)
-        res = DistributedPowerIteration(cluster, parts, allreduce=factory).run(iterations=5)
+        net, parts = make(g)
+        res = DistributedPowerIteration(net, parts).run(iterations=5)
         assert res.comm_time > 0

@@ -14,11 +14,10 @@ def make(m=4, n_docs=120, vocab=120, topics=4, seed=3, **kw):
     )
     cluster = Cluster(m)
     lda = DistributedLDA(
-        cluster,
+        KylixAllreduce(cluster, [2, 2]),
         shards,
         vocab,
         topics,
-        allreduce=lambda c: KylixAllreduce(c, [2, 2]),
         seed=seed + 1,
         **kw,
     )
@@ -92,13 +91,13 @@ class TestValidation:
     def test_bad_parameters_rejected(self):
         shards, _ = synthetic_corpus(10, 20, 2, 2, seed=0)
         with pytest.raises(ValueError):
-            DistributedLDA(Cluster(2), shards, 0, 2)
+            DistributedLDA(KylixAllreduce(Cluster(2), [2]), shards, 0, 2)
         with pytest.raises(ValueError):
-            DistributedLDA(Cluster(2), shards, 20, 1)
+            DistributedLDA(KylixAllreduce(Cluster(2), [2]), shards, 20, 1)
         with pytest.raises(ValueError):
-            DistributedLDA(Cluster(2), shards, 20, 2, alpha=0)
+            DistributedLDA(KylixAllreduce(Cluster(2), [2]), shards, 20, 2, alpha=0)
 
     def test_shard_count_must_match(self):
         shards, _ = synthetic_corpus(10, 20, 2, 2, seed=0)
         with pytest.raises(ValueError):
-            DistributedLDA(Cluster(4), shards, 20, 2)
+            DistributedLDA(KylixAllreduce(Cluster(4), [4]), shards, 20, 2)

@@ -17,9 +17,7 @@ def small_graph():
 def run_distributed(graph, m, degrees, iterations=6, **kw):
     parts = random_edge_partition(graph, m, seed=12)
     cluster = Cluster(m)
-    pr = DistributedPageRank(
-        cluster, parts, allreduce=lambda c: KylixAllreduce(c, degrees), **kw
-    )
+    pr = DistributedPageRank(KylixAllreduce(cluster, degrees), parts, **kw)
     result = pr.run(iterations)
     return pr, result
 
@@ -34,12 +32,8 @@ class TestCorrectness:
 
     def test_direct_and_kylix_agree(self, small_graph):
         parts = random_edge_partition(small_graph, 4, seed=12)
-        a = DistributedPageRank(
-            Cluster(4), parts, allreduce=lambda c: KylixAllreduce(c, [c.num_nodes])
-        )
-        b = DistributedPageRank(
-            Cluster(4), parts, allreduce=lambda c: KylixAllreduce(c, [2, 2])
-        )
+        a = DistributedPageRank(KylixAllreduce(Cluster(4), [4]), parts)
+        b = DistributedPageRank(KylixAllreduce(Cluster(4), [2, 2]), parts)
         va = a.global_vector(a.run(4))
         vb = b.global_vector(b.run(4))
         np.testing.assert_allclose(va, vb, atol=1e-12)
@@ -54,9 +48,7 @@ class TestCorrectness:
         """On a directed ring every vertex has identical PageRank."""
         g = ring_graph(16)
         parts = random_edge_partition(g, 4, seed=1)
-        pr = DistributedPageRank(
-            Cluster(4), parts, allreduce=lambda c: KylixAllreduce(c, [2, 2])
-        )
+        pr = DistributedPageRank(KylixAllreduce(Cluster(4), [2, 2]), parts)
         result = pr.run(15)
         v = pr.global_vector(result)
         np.testing.assert_allclose(v, 1.0 / 16, atol=1e-6)
@@ -85,13 +77,10 @@ class TestTimingAccounting:
 
     def test_compute_scale_slows_compute_only(self, small_graph):
         parts = random_edge_partition(small_graph, 4, seed=12)
-        fast = DistributedPageRank(
-            Cluster(4), parts, allreduce=lambda c: KylixAllreduce(c, [2, 2])
-        ).run(2)
+        fast = DistributedPageRank(KylixAllreduce(Cluster(4), [2, 2]), parts).run(2)
         slow = DistributedPageRank(
-            Cluster(4),
+            KylixAllreduce(Cluster(4), [2, 2]),
             parts,
-            allreduce=lambda c: KylixAllreduce(c, [2, 2]),
             compute_scale=5.0,
         ).run(2)
         assert slow.mean_compute == pytest.approx(5 * fast.mean_compute, rel=0.01)
@@ -105,9 +94,9 @@ class TestValidation:
     def test_partition_count_must_match(self, small_graph):
         parts = random_edge_partition(small_graph, 4, seed=0)
         with pytest.raises(ValueError):
-            DistributedPageRank(Cluster(8), parts)
+            DistributedPageRank(KylixAllreduce(Cluster(8), [8]), parts)
 
     def test_damping_validated(self, small_graph):
         parts = random_edge_partition(small_graph, 4, seed=0)
         with pytest.raises(ValueError):
-            DistributedPageRank(Cluster(4), parts, damping=1.5)
+            DistributedPageRank(KylixAllreduce(Cluster(4), [4]), parts, damping=1.5)

@@ -16,9 +16,8 @@ def train(m=4, n_features=64, steps=25, lr=0.5, degrees=(2, 2), seed=7):
     streams = {r: stream.node_stream(r, steps) for r in range(m)}
     cluster = Cluster(m)
     sgd = DistributedSGD(
-        cluster,
+        KylixAllreduce(cluster, list(degrees)),
         n_features,
-        allreduce=lambda c: KylixAllreduce(c, list(degrees)),
         learning_rate=lr,
     )
     return stream, sgd, sgd.run(streams)
@@ -51,9 +50,7 @@ class TestEquivalence:
         streams = {r: stream.node_stream(r, steps) for r in range(m)}
 
         cluster = Cluster(m)
-        sgd = DistributedSGD(
-            cluster, n, allreduce=lambda c: KylixAllreduce(c, [2, 2]), learning_rate=lr
-        )
+        sgd = DistributedSGD(KylixAllreduce(cluster, [2, 2]), n, learning_rate=lr)
         res = sgd.run(streams)
 
         # Reference: dense synchronous SGD with the same batches.
@@ -79,18 +76,18 @@ class TestAccounting:
 
     def test_mismatched_stream_lengths_rejected(self):
         stream = MinibatchStream(32, seed=1)
-        sgd = DistributedSGD(Cluster(2), 32)
+        sgd = DistributedSGD(KylixAllreduce(Cluster(2), [2]), 32)
         with pytest.raises(ValueError):
             sgd.run({0: stream.node_stream(0, 3), 1: stream.node_stream(1, 2)})
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            DistributedSGD(Cluster(2), 0)
+            DistributedSGD(KylixAllreduce(Cluster(2), [2]), 0)
         with pytest.raises(ValueError):
-            DistributedSGD(Cluster(2), 8, learning_rate=0.0)
+            DistributedSGD(KylixAllreduce(Cluster(2), [2]), 8, learning_rate=0.0)
 
     def test_home_sharding_covers_all_features(self):
-        sgd = DistributedSGD(Cluster(4), 10)
+        sgd = DistributedSGD(KylixAllreduce(Cluster(4), [4]), 10)
         homes = np.concatenate([sgd._home[r] for r in range(4)])
         np.testing.assert_array_equal(np.sort(homes), np.arange(10))
 

@@ -24,7 +24,7 @@ class TestPowerGraphBaseline:
 
     def test_produces_correct_pagerank(self, setup):
         g, parts = setup
-        pg = PowerGraphPageRank(Cluster(8), parts)
+        pg = PowerGraphPageRank(KylixAllreduce(Cluster(8), [8]), parts)
         res = pg.run(6)
         ref = reference_pagerank(g.to_csr(), iterations=6)
         np.testing.assert_allclose(pg.global_vector(res), ref, atol=1e-12)
@@ -37,18 +37,20 @@ class TestPowerGraphBaseline:
 
         ds = twitter_like(m=16, n_vertices=10_000)
         kylix = DistributedPageRank(
-            make_cluster(ds),
+            KylixAllreduce(make_cluster(ds), [4, 2, 2]),
             ds.partitions,
-            allreduce=lambda c: KylixAllreduce(c, [4, 2, 2]),
         ).run(3)
-        pg = PowerGraphPageRank(make_cluster(ds), ds.partitions).run(3)
+        pg = PowerGraphPageRank(
+            KylixAllreduce(make_cluster(ds), [16]),
+            ds.partitions,
+        ).run(3)
         assert pg.mean_iteration > kylix.mean_iteration
 
     def test_compute_scale_applied(self, setup):
         g, parts = setup
-        pg = PowerGraphPageRank(Cluster(8), parts)
+        pg = PowerGraphPageRank(KylixAllreduce(Cluster(8), [8]), parts)
         assert pg.compute_scale == GAS_COMPUTE_SCALE
-        plain = DistributedPageRank(Cluster(8), parts)
+        plain = DistributedPageRank(KylixAllreduce(Cluster(8), [8]), parts)
         r_pg = pg.run(2)
         r_plain = plain.run(2)
         assert r_pg.mean_compute == pytest.approx(

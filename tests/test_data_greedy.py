@@ -98,9 +98,7 @@ class TestGreedyEndToEnd:
         from repro.cluster import Cluster
 
         parts = greedy_edge_partition(graph, 4, seed=6)
-        pr = DistributedPageRank(
-            Cluster(4), parts, allreduce=lambda c: KylixAllreduce(c, [2, 2])
-        )
+        pr = DistributedPageRank(KylixAllreduce(Cluster(4), [2, 2]), parts)
         result = pr.run(5)
         ref = reference_pagerank(graph.to_csr(), iterations=5)
         np.testing.assert_allclose(pr.global_vector(result), ref, atol=1e-12)

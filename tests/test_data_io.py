@@ -78,9 +78,7 @@ class TestRoundTrip:
         save_edgelist(g, path)
         loaded = load_edgelist(path, n_vertices=120)
         parts = random_edge_partition(loaded, 4, seed=3)
-        pr = DistributedPageRank(
-            Cluster(4), parts, allreduce=lambda c: KylixAllreduce(c, [2, 2])
-        )
+        pr = DistributedPageRank(KylixAllreduce(Cluster(4), [2, 2]), parts)
         res = pr.run(4)
         ref = reference_pagerank(g.to_csr(), iterations=4)
         np.testing.assert_allclose(pr.global_vector(res), ref, atol=1e-12)

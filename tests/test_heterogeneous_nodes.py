@@ -43,9 +43,7 @@ class TestNodeSpeeds:
         g = powerlaw_graph(200, 1_500, seed=8)
         parts = random_edge_partition(g, 4, seed=9)
         slow = Cluster(4, node_speeds=[1.0, 1.0, 1.0, 0.25])
-        pr = DistributedPageRank(
-            slow, parts, allreduce=lambda c: KylixAllreduce(c, [2, 2])
-        )
+        pr = DistributedPageRank(KylixAllreduce(slow, [2, 2]), parts)
         res = pr.run(5)
         ref = reference_pagerank(g.to_csr(), iterations=5)
         np.testing.assert_allclose(pr.global_vector(res), ref, atol=1e-12)
@@ -56,9 +54,7 @@ class TestNodeSpeeds:
 
         def run(speeds):
             cluster = Cluster(4, node_speeds=speeds, compute_rate=1e8)
-            pr = DistributedPageRank(
-                cluster, parts, allreduce=lambda c: KylixAllreduce(c, [2, 2])
-            )
+            pr = DistributedPageRank(KylixAllreduce(cluster, [2, 2]), parts)
             return pr.run(3).mean_compute
 
         fast = run([1.0] * 4)

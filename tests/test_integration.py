@@ -90,9 +90,8 @@ class TestEndToEndPageRankOnReplicatedNetwork:
         plan = FaultPlan().kill(5)  # replica of logical slot 1
         cluster = Cluster(8, failures=plan)
         pr = DistributedPageRank(
-            cluster,
+            KylixAllreduce(cluster, [2, 2], replication=2),
             ds.partitions,
-            allreduce=lambda c: KylixAllreduce(c, [2, 2], replication=2),
         )
         result = pr.run(5)
         ref = reference_pagerank(ds.graph.to_csr(), iterations=5)

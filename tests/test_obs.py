@@ -95,6 +95,21 @@ class TestMetrics:
         assert c.value(phase="config", layer=3) == 0
         assert c.total() == 157 and len(c) == 2
 
+    def test_reading_a_counter_leaves_the_document_unchanged(self):
+        obs = Observer()
+        before = obs.metrics.as_dict()
+        assert obs.counter("x.y").total() == 0 and obs.counter("x.y").items() == []
+        assert obs.metrics.as_dict() == before
+        # A counter held from before its first write sees the write, and
+        # its own first ``inc`` creates the series.
+        held = obs.counter("x.y")
+        obs.counter("x.y").inc(2, k="a")
+        held.inc(3, k="a")
+        assert held.value(k="a") == 5 and obs.counter("x.y").total() == 5
+        assert obs.metrics.as_dict()["counters"] == {
+            "x.y": [{"labels": {"k": "a"}, "value": 5}]
+        }
+
     def test_gauge_last_write_wins(self):
         g = MetricsRegistry().gauge("size")
         g.set(10, node=0)
@@ -455,6 +470,18 @@ class TestRunner:
         _, info = run_traced("quickstart", backend=backend, seed=0, failure=failure)
         assert info["report"] is not None and 1 in info["report"].dead_members
         assert info["exact"] and info["checked_rounds"] == 7
+        assert info["bound_violations"] == []
+
+    def test_a_long_delay_beside_a_kill_stays_inside_the_bound(self):
+        """A delay longer than the retry budget on the victim's link loses
+        its pre-kill sends (each resend is delayed again, then NACKed to a
+        corpse): the static bound must count such a rule as lossy."""
+        from repro.faults import FaultPlan, LinkFault
+
+        w = EXPERIMENTS["quickstart"](0)
+        w["faults"] = FaultPlan().with_rule(LinkFault(src=3, dst=1, delay=2.0))
+        _, info = run_traced(w, backend="sim", failure=[(3, "up", 1)])
+        assert info["exact"]
         assert info["bound_violations"] == []
 
     def test_faults_experiment_counts_injections_sim(self):

@@ -67,9 +67,7 @@ def test_prime_cluster_pagerank():
 
     g = powerlaw_graph(200, 1_500, seed=3)
     parts = random_edge_partition(g, 7, seed=4)
-    pr = DistributedPageRank(
-        Cluster(7), parts, allreduce=lambda c: KylixAllreduce(c, [7])
-    )
+    pr = DistributedPageRank(KylixAllreduce(Cluster(7), [7]), parts)
     res = pr.run(5)
     ref = reference_pagerank(g.to_csr(), iterations=5)
     np.testing.assert_allclose(pr.global_vector(res), ref, atol=1e-12)

@@ -202,6 +202,28 @@ class TestDriftInvalidation:
         assert svc.cache.stats["misses"] == 2
         assert svc.cache.stats["hits"] == 1
 
+    def test_a_drift_whose_configure_failed_is_never_served_stale(self, monkeypatch):
+        m = 4
+        spec_a = random_spec(m, 200, 0.1, 5)
+        # B differs in its operator: run through A's plans it gives maxima.
+        spec_b = ReduceSpec(spec_a.in_indices, spec_a.out_indices, op="max")
+        svc = ReduceService(cluster=Cluster(m), degrees=[2, 2])
+        stream = svc.open_stream("s", spec_a)
+        vals_a = random_values(spec_a, 1)
+        svc.reduce(stream, vals_a)
+
+        def failing_run(*args, **kwargs):
+            raise RuntimeError("configuration pass failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stream.net, "_run", failing_run)
+            with pytest.raises(RuntimeError):
+                svc.submit(stream, random_values(spec_b, 2), spec=spec_b)
+        # Back to A: a cache hit on A's entry, and A's plans with A's spec.
+        out, ref = svc.reduce(stream, vals_a, spec=spec_a), dense_reduce(spec_a, vals_a)
+        for r in range(m):
+            np.testing.assert_allclose(out[r], ref[r], atol=1e-12)
+
     def test_drift_runs_the_jobs_queued_on_the_old_pattern_first(self):
         m = 4
         spec_a = random_spec(m, 200, 0.1, 0)
@@ -398,6 +420,21 @@ class TestServiceSGD:
         # one configuration for the whole run, every push a cache hit
         assert svc.cache.stats["misses"] == 1
         assert svc.cache.stats["hits"] == result.steps - 1
+
+    def test_sgd_over_a_forked_service_equals_the_simulator(self):
+        m, n_features = 4, 64
+        data = FixedPatternStream(
+            n_features, pattern_size=16, batch_size=8, nnz_per_example=4, seed=5
+        )
+        streams = {r: data.node_stream(r, 2) for r in range(m)}
+        sim_svc = ReduceService(cluster=Cluster(m), degrees=[2, 2])
+        sim = ServiceSGD(sim_svc, n_features, learning_rate=0.5).run(streams, epochs=2)
+        with ReduceService(backend="local", degrees=[2, 2]) as svc:
+            real = ServiceSGD(svc, n_features, learning_rate=0.5).run(streams, epochs=2)
+            assert svc.cache.stats == sim_svc.cache.stats
+        assert np.array_equal(real.weights, sim.weights)
+        assert real.losses == sim.losses
+        assert real.comm_time > 0.0  # wall-clock seconds
 
     def test_varying_pattern_stream_is_rejected(self):
         from repro.data import MinibatchStream

@@ -24,9 +24,7 @@ class TestSharedCluster:
         cluster = Cluster(m)
         marks = [cluster.now]
 
-        pr = DistributedPageRank(
-            cluster, parts, allreduce=lambda c: KylixAllreduce(c, [2, 2])
-        )
+        pr = DistributedPageRank(KylixAllreduce(cluster, [2, 2]), parts)
         res = pr.run(4)
         np.testing.assert_allclose(
             pr.global_vector(res),
@@ -35,16 +33,12 @@ class TestSharedCluster:
         )
         marks.append(cluster.now)
 
-        cc = DistributedComponents(
-            cluster, parts, allreduce=lambda c: KylixAllreduce(c, [2, 2])
-        )
+        cc = DistributedComponents(KylixAllreduce(cluster, [2, 2]), parts)
         cc.run()
         marks.append(cluster.now)
 
         stream = MinibatchStream(64, batch_size=16, nnz_per_example=6, seed=7)
-        sgd = DistributedSGD(
-            cluster, 64, allreduce=lambda c: KylixAllreduce(c, [2, 2])
-        )
+        sgd = DistributedSGD(KylixAllreduce(cluster, [2, 2]), 64)
         sgd.run({r: stream.node_stream(r, 4) for r in range(m)})
         marks.append(cluster.now)
 
