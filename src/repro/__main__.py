@@ -1,158 +1,235 @@
 """Command-line entry point: ``python -m repro <command>``.
 
-The :data:`COMMANDS` table below is the single source of truth for the
-CLI surface — ``--help`` output renders it, the unknown-command error
-lists it, and the CLI table in ``docs/observability.md`` / the README is
-checked against it by the test suite.  Keep the three in sync by editing
-the table, not prose.
+The :data:`COMMANDS` table is the single source of truth for
+the CLI surface — ``main`` dispatches through it, ``--help`` output
+renders it, the unknown-command error lists it, and the CLI table in
+``docs/observability.md`` / the README is checked against it by the test
+suite.  Keep the three in sync by editing the table, not prose.
+
+This layer only parses and prints: every command is handed the parser
+:func:`_parser` builds for it, runs the subsystem it names, and takes
+its exit status from the verdict that subsystem returns.
 """
 
 from __future__ import annotations
 
+import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = ["COMMANDS", "main"]
 
-#: command -> (usage suffix, one-line description).  Rendered by
-#: ``python -m repro --help`` and mirrored in the docs (see module doc).
-COMMANDS: dict[str, tuple[str, str]] = {
-    "experiments": (
-        "[names...]",
-        "regenerate the paper's tables/figures (repro.bench.run_all)",
-    ),
-    "demo": ("", "a 30-second tour: one sparse allreduce with a traffic report"),
-    "info": ("", "version, calibration constants, reproduced-results summary"),
-    "verify": (
-        "[--stacks 8,16,64] [--replication S]",
-        "statically check every protocol invariant; exit 1 on violation",
-    ),
-    "certify": (
-        "[--nodes N] [--degrees D,D] [--density RHO] [--faults kill:V:P:L] [--out FILE]",
-        "prove plan coverage/conservation and gate traffic against the certificate",
-    ),
-    "lint": ("[paths...]", "run the repo-specific AST lint; exit 1 on findings"),
-    "trace": (
-        "[experiment] [--backend sim|local|tcp] [--kill N:PHASE:L] [--out FILE]",
-        "run a named experiment observed; export a Chrome-trace JSON",
-    ),
-    "analyze": (
-        "TRACE.json",
-        "critical path, straggler/queue-wait and goblet reports for a trace",
-    ),
-    "monitor": (
-        "[experiment] [--backend sim|local|tcp] [--attach MANIFEST] [--once] [--out FILE]",
-        "live telemetry dashboard: run an experiment sampled, or attach to a cluster",
-    ),
-    "explore": (
-        "[--nodes N] [--degrees D,D] [--bound K] [--faults none|drop]",
-        "model-check the protocol across event schedules; exit 1 on violation",
-    ),
-    "node": (
-        "--rank R [--host H] [--port P]",
-        "run one TCP cluster node server (announces READY, serves sessions)",
-    ),
-    "run-cluster": (
-        "--size N [--attach host:port,...] [--stop] [--manifest FILE]",
-        "spawn a loopback node cluster (or attach/stop one); write the manifest",
-    ),
-    "drive-cluster": (
-        "[workload] [--failure-mode MODE] [--rounds K] [--manifest FILE]",
-        "drive a launched cluster through a workload under a failure mode",
-    ),
-    "serve": (
-        "[--backend sim|local|tcp] [--streams K] [--reduces N]",
-        "multiplex named reduce streams through the allreduce service",
-    ),
-    "drive-service": (
-        "[--backend sim|local|tcp] [--reduces N] [--json FILE]",
-        "service-throughput benchmark: cached+pipelined vs configure-per-reduce",
-    ),
-}
+
+class Command(NamedTuple):
+    usage: str  # the arguments, as ``--help`` shows them after the name
+    help: str  # one line
+    run: Callable[..., int]  # (parser, argv after the name) -> exit status
+    options: dict  # the shared arguments :func:`_parser` adds
+
+
+#: Every command, in ``--help`` order (the order they are defined below),
+#: mirrored in the docs (see module doc).
+COMMANDS: dict[str, Command] = {}
+
+
+def _command(name: str, usage: str, help: str, **options):
+    """Register the decorated function as command ``name``: it is called
+    with the parser :func:`_parser` builds from ``options`` (its
+    docstring is the parser's description) and the arguments to parse."""
+    def register(run: Callable[..., int]):
+        COMMANDS[name] = Command(usage, help, run, options)
+        return run
+    return register
 
 
 def _usage() -> str:
     lines = ["usage: python -m repro <command> [args]", "", "commands:"]
-    for cmd, (suffix, desc) in COMMANDS.items():
-        left = f"{cmd} {suffix}".strip()
-        lines.append(f"  {left:<52} {desc}")
+    for cmd, command in COMMANDS.items():
+        left = f"{cmd} {command.usage}".strip()
+        lines.append(f"  {left:<52} {command.help}")
     lines.append("")
     lines.append("see docs/observability.md for the trace/analyze/monitor workflow;")
     lines.append("wall-clock speed is measured by `python3 -m perfbench` (perfbench/README.md)")
     return "\n".join(lines)
 
 
-def _parse_degrees(parser, text: str | None, default: list[int]) -> list[int]:
-    """The ``--degrees D,D`` flag (``default`` when it was not given)."""
-    if not text:
-        return default
+def _int_list(text: str) -> list[int]:
+    """A comma-separated flag value (``--degrees D,D``, ``--stacks``)."""
+    import argparse
+
     try:
         return [int(d) for d in text.split(",") if d]
     except ValueError:
-        parser.error(f"--degrees must be comma-separated ints, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated ints, got {text!r}"
+        ) from None
 
 
-def _runner_parser(cmd: str, description: str, *, backend: bool = True):
-    """A parser with the experiment runner's arguments: the workload
-    (positional), ``--backend`` (unless ``backend`` is off) and ``--seed``."""
+def _parser(
+    cmd: str,
+    description: str,
+    *,
+    workload: bool = False,
+    backend: bool = False,
+    nodes: int | None = None,
+    degrees: str | None = None,
+    n: int | None = None,
+    manifest: bool = False,
+    seed: bool = True,
+):
+    """The parser of ``python -m repro CMD``, with the arguments commands
+    share: the runner's named ``workload`` (positional) and ``--backend``,
+    ``--nodes`` and ``--n`` (their defaults), ``--degrees`` (the help for
+    its default), a cluster's ``--manifest`` and ``--seed``."""
     import argparse
 
-    from .obs.runner import BACKENDS, EXPERIMENTS
-
     parser = argparse.ArgumentParser(prog=f"python -m repro {cmd}", description=description)
-    parser.add_argument(
-        "experiment", nargs="?", default="quickstart", choices=sorted(EXPERIMENTS),
-        help="named workload to run (default: quickstart)",
-    )
+    if workload:
+        from .obs.runner import EXPERIMENTS
+
+        parser.add_argument(
+            "experiment", nargs="?", default="quickstart", choices=sorted(EXPERIMENTS),
+            help="named workload to run (default: quickstart)",
+        )
     if backend:
+        from .obs.runner import BACKENDS
+
         parser.add_argument(
             "--backend", default="sim", choices=list(BACKENDS),
             help="simulated cluster, forked processes over pipes, or loopback TCP "
             "(default: sim)",
         )
-    parser.add_argument("--seed", type=int, default=0, help="workload (and fault) seed")
+    if nodes is not None:
+        parser.add_argument("--nodes", type=int, default=nodes, help="cluster size")
+    if degrees is not None:
+        parser.add_argument(
+            "--degrees", type=_int_list, default=None,
+            help=f"comma-separated degree stack (default: {degrees})",
+        )
+    if n is not None:
+        parser.add_argument("--n", type=int, default=n, help="feature count")
+    if manifest:
+        from .net.cluster import DEFAULT_MANIFEST
+
+        parser.add_argument(
+            "--manifest", default=DEFAULT_MANIFEST,
+            help=f"manifest path (default: {DEFAULT_MANIFEST})",
+        )
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="workload (and fault) seed")
     return parser
 
 
-def _demo() -> int:
-    from .allreduce import KylixAllreduce, ReduceSpec, dense_reduce
-    from .bench.reporting import format_bytes, format_seconds
-    from .cluster import Cluster
-    from .obs import analyze
-    from .obs.analyze import render_critical_path
+def _load_manifest(cmd: str, path: str):
+    """A cluster manifest, or None once the reason it cannot load is printed."""
+    from .net.cluster import load_manifest
 
-    m, n = 16, 5_000
-    rng = np.random.default_rng(0)
-    idx = {
-        r: np.unique(np.concatenate([rng.choice(n, 400), np.arange(r, n, m)]))
-        for r in range(m)
-    }
-    spec = ReduceSpec(in_indices=idx, out_indices=idx)
-    values = {r: rng.normal(size=idx[r].size) for r in range(m)}
+    try:
+        return load_manifest(path)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"{cmd}: cannot load {path}: {exc}")
+        return None
 
-    cluster = Cluster(m, observe=True)
-    net = KylixAllreduce(cluster, degrees=[4, 2, 2])
-    net.configure(spec)
-    result = net.reduce(values)
 
-    reference = dense_reduce(spec, values)
-    exact = all(np.allclose(result[r], reference[r]) for r in range(m))
-    print(f"sparse allreduce on {m} simulated nodes, {n} features")
-    print(f"  config: {format_seconds(net.config_timing.elapsed)}   "
-          f"reduce: {format_seconds(net.last_reduce_timing.elapsed)}   "
-          f"exact: {'yes' if exact else 'NO'}")
-    down = cluster.stats.bytes_by_layer("reduce_down")
-    print("  reduce-down volume by layer (the Kylix shape): "
-          + ", ".join(f"L{k}={format_bytes(v)}" for k, v in down.items()))
-    trace = analyze(cluster.obs)
-    print(render_critical_path(trace.critical_path()))
-    sr = trace.straggler_report()
-    print("straggler: " + ("none" if sr.straggler is None else f"node {sr.straggler} ({sr.reason})"))
+def _write_json(path: str, doc, **options) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, **options)
+
+
+def _write_trace(obs, meta: dict, path: str) -> int | None:
+    """Export ``obs`` as a Chrome trace to ``path`` if it validates;
+    returns its event count, or None once the violations are printed."""
+    from .obs import chrome_trace, validate_chrome_trace
+
+    doc = chrome_trace(obs, meta=meta)
+    errors = validate_chrome_trace(doc)
+    for e in errors:
+        print(f"  trace schema violation: {e}")
+    if errors:
+        return None
+    _write_json(path, doc)
+    return len(doc["traceEvents"])
+
+
+def _write_telemetry(agg, path: str) -> None:
+
+    _write_json(path, agg.to_json(), indent=2, sort_keys=True)
+    print(f"  telemetry: {path} ({agg.samples} sample(s))")
+
+
+def _print_coverage(report, bound_violations: list) -> None:
+    """A degraded run's coverage report and its static-bound gate."""
+    print("  " + report.summary().replace("\n", "\n  "))
+    for line in bound_violations:
+        print(f"  coverage-bound violation: {line}")
+    if not bound_violations:
+        print("  coverage within the static worst-case bound")
+
+
+@_command(
+    "experiments",
+    "[names...]",
+    "regenerate the paper's tables/figures (repro.bench.experiments)",
+    seed=False,
+)
+def _experiments(parser, args: list[str]) -> int:
+    """Regenerate the paper's tables and figures as text; every workload
+    is seeded, so the output is what EXPERIMENTS.md records."""
+    import time
+
+    from .bench.experiments import FIGURES, jsonable
+
+    parser.add_argument(
+        "names", nargs="*", metavar="NAME",
+        help=f"figures to regenerate (default: all of {' '.join(FIGURES)})",
+    )
+    parser.add_argument(
+        "--json", default=None, metavar="FILE", help="also write the raw data here"
+    )
+    opts = parser.parse_intermixed_args(args)
+    unknown = [name for name in opts.names if name not in FIGURES]
+    if unknown:
+        parser.error(f"unknown experiments {unknown}; choose from {list(FIGURES)}")
+    collected = {}
+    for name in opts.names or FIGURES:
+        t0 = time.time()
+        results = FIGURES[name]()
+        for result in results:
+            print(result.table())
+        collected[name] = [jsonable(r) for r in results]
+        print(f"\n[{name} regenerated in {time.time() - t0:.1f}s wall]\n")
+    if opts.json:
+        _write_json(opts.json, collected, indent=1)
+        print(f"raw experiment data written to {opts.json}")
     return 0
 
 
-def _info() -> int:
+@_command("demo", "", "a 30-second tour: one sparse allreduce with a traffic report")
+def _demo(parser, args: list[str]) -> int:
+    from .bench.reporting import format_bytes, format_seconds
+    from .obs import analyze
+    from .obs.analyze import render_critical_path
+    from .obs.runner import run_traced
+
+    obs, info = run_traced("demo", backend="sim")
+    print(f"sparse allreduce on {info['m']} simulated nodes, {info['n']} features")
+    print(f"  config: {format_seconds(info['config_seconds'])}   "
+          f"reduce: {format_seconds(info['reduce_seconds'])}   "
+          f"exact: {'yes' if info['exact'] else 'NO'}")
+    down = info["stats"].bytes_by_layer("reduce_down")
+    print("  reduce-down volume by layer (the Kylix shape): "
+          + ", ".join(f"L{k}={format_bytes(v)}" for k, v in down.items()))
+    trace = analyze(obs)
+    print(render_critical_path(trace.critical_path()))
+    sr = trace.straggler_report()
+    print("straggler: " + ("none" if sr.straggler is None else f"node {sr.straggler} ({sr.reason})"))
+    return 0 if info["exact"] else 1
+
+
+@_command("info", "", "version, calibration constants, reproduced-results summary")
+def _info(parser, args: list[str]) -> int:
     from . import __version__
     from .bench import INCAST_FACTOR, KYLIX_COMPUTE_RATE, PAPER, SERVICE_SIGMA
 
@@ -165,22 +242,20 @@ def _info() -> int:
     return 0
 
 
-def _verify(args: list[str]) -> int:
-    import argparse
-
+@_command(
+    "verify",
+    "[--stacks 8,16,64] [--replication S]",
+    "statically check every protocol invariant; exit 1 on violation",
+    n=512,
+)
+def _verify(parser, args: list[str]) -> int:
+    """Statically check Kylix protocol invariants."""
     from .verify import format_report, verify_sizes
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro verify",
-        description="statically check Kylix protocol invariants",
-    )
     parser.add_argument(
-        "--stacks",
-        default="8,16,64",
+        "--stacks", type=_int_list, default=[8, 16, 64],
         help="comma-separated cluster sizes to sweep (default: 8,16,64)",
     )
-    parser.add_argument("--n", type=int, default=512, help="synthetic feature count")
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(
         "--replication",
         type=int,
@@ -190,12 +265,9 @@ def _verify(args: list[str]) -> int:
         "structure and sweeps the logical m/S stacks)",
     )
     opts = parser.parse_args(args)
-    try:
-        sizes = [int(s) for s in opts.stacks.split(",") if s]
-    except ValueError:
-        parser.error(f"--stacks must be comma-separated integers, got {opts.stacks!r}")
+    sizes = opts.stacks
     if not sizes or any(s < 1 for s in sizes):
-        parser.error(f"--stacks needs at least one positive size, got {opts.stacks!r}")
+        parser.error(f"--stacks needs at least one positive size, got {sizes}")
     if opts.replication is not None and opts.replication < 1:
         parser.error(f"--replication must be >= 1, got {opts.replication}")
 
@@ -218,10 +290,17 @@ def _verify(args: list[str]) -> int:
     return 0
 
 
-def _certify(args: list[str]) -> int:
-    import argparse
-    import json
-
+@_command(
+    "certify",
+    "[--nodes N] [--degrees D,D] [--density RHO] [--faults kill:V:P:L] [--out FILE]",
+    "prove plan coverage/conservation and gate traffic against the certificate",
+    nodes=8, degrees="single layer [nodes]", n=2048,
+)
+def _certify(parser, args: list[str]) -> int:
+    """Statically prove a plan's coverage/conservation (abstract
+    interpretation over index-interval lattices), predict its exact
+    per-(phase, layer) traffic, then gate a simulated run against the
+    certificate."""
     from .obs.runner import EXPERIMENTS, failure_schedule, parse_kill, run_traced
     from .verify import Violation
     from .verify.flow import (
@@ -235,25 +314,11 @@ def _certify(args: list[str]) -> int:
         mutant_plans,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro certify",
-        description="statically prove a plan's coverage/conservation "
-        "(abstract interpretation over index-interval lattices), predict "
-        "its exact per-(phase, layer) traffic, then gate a simulated run "
-        "against the certificate",
-    )
-    parser.add_argument("--nodes", type=int, default=8, help="cluster size")
-    parser.add_argument(
-        "--degrees", default=None,
-        help="comma-separated degree stack (default: single layer [nodes])",
-    )
-    parser.add_argument("--n", type=int, default=2048, help="feature count")
     parser.add_argument(
         "--density", type=float, default=None, metavar="RHO",
         help="per-partition extra density in (0,1] for the synthetic "
         "workload (default: the verify sweep's zipf workload)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(
         "--experiment", default=None, choices=sorted(EXPERIMENTS),
         help="certify a named runner experiment instead of a synthetic "
@@ -298,16 +363,11 @@ def _certify(args: list[str]) -> int:
         print("  " + str(exc).replace("\n", "\n  "))
         print(f"\nundischarged obligation: {exc.invariant}")
         if opts.out:
-            with open(opts.out, "w") as fh:
-                json.dump(
-                    {
-                        "certified": False,
-                        "obligation": exc.invariant,
-                        "violations": [str(v) for v in exc.violations],
-                    },
-                    fh,
-                    indent=2,
-                )
+            _write_json(opts.out, {
+                "certified": False,
+                "obligation": exc.invariant,
+                "violations": [str(v) for v in exc.violations],
+            }, indent=2)
             print(f"written: {opts.out}")
         return 1
 
@@ -326,7 +386,7 @@ def _certify(args: list[str]) -> int:
         from .verify.plan import build_plans, synthetic_spec
 
         m = opts.nodes
-        degrees = _parse_degrees(parser, opts.degrees, [m])
+        degrees = opts.degrees or [m]
         if opts.density is not None:
             spec = density_spec(m, n=opts.n, density=opts.density, seed=opts.seed)
         else:
@@ -422,20 +482,22 @@ def _certify(args: list[str]) -> int:
             "violations": [str(v) for v in runtime_violations],
             "ok": not runtime_violations,
         }
-        with open(opts.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
+        _write_json(opts.out, doc, indent=2)
         print(f"  written: {opts.out}")
     return 1 if runtime_violations else 0
 
 
-def _lint(args: list[str]) -> int:
+@_command("lint", "[paths...]", "run the repo-specific AST lint; exit 1 on findings", seed=False)
+def _lint(parser, args: list[str]) -> int:
+    """Run the repo-specific AST lint."""
     from .verify import all_rules, lint_paths
 
-    if any(a.startswith("-") for a in args):
-        print("usage: python -m repro lint [path ...]   (default: the repro package)")
-        return 0 if any(a in ("-h", "--help") for a in args) else 2
+    parser.add_argument(
+        "paths", nargs="*", help="files or directories (default: the repro package)"
+    )
+    opts = parser.parse_args(args)
     try:
-        findings = lint_paths(args or None)
+        findings = lint_paths(opts.paths or None)
     except OSError as exc:
         print(f"lint: cannot read {exc.filename or exc}: {exc.strerror or 'error'}")
         return 2
@@ -449,17 +511,18 @@ def _lint(args: list[str]) -> int:
     return 0
 
 
-def _trace(args: list[str]) -> int:
-    import json
-
-    from .obs import chrome_trace, metrics_json, text_summary, validate_chrome_trace
+@_command(
+    "trace",
+    "[experiment] [--backend sim|local|tcp] [--kill N:PHASE:L] [--out FILE]",
+    "run a named experiment observed; export a Chrome-trace JSON",
+    workload=True, backend=True,
+)
+def _trace(parser, args: list[str]) -> int:
+    """Run one experiment fully observed; export a Chrome trace (load it
+    in Perfetto or chrome://tracing)."""
+    from .obs import metrics_json, text_summary
     from .obs.runner import parse_kill, run_traced
 
-    parser = _runner_parser(
-        "trace",
-        "run one experiment fully observed; export a Chrome trace "
-        "(load it in Perfetto or chrome://tracing)",
-    )
     parser.add_argument(
         "--kill", default=None, metavar="N:PHASE:L",
         help="crash node N before its first send at (PHASE, layer L) — "
@@ -483,42 +546,31 @@ def _trace(args: list[str]) -> int:
     except ValueError as exc:
         parser.error(f"--kill: {exc}")
     meta = {k: v for k, v in info.items() if k not in ("stats", "report")}
-    doc = chrome_trace(obs, meta=meta)
-    errors = validate_chrome_trace(doc)
-    if errors:
-        for e in errors:
-            print(f"trace schema violation: {e}")
+    events = _write_trace(obs, meta, opts.out)
+    if events is None:
         return 1
-    with open(opts.out, "w") as fh:
-        json.dump(doc, fh)
     if opts.metrics:
-        with open(opts.metrics, "w") as fh:
-            json.dump(metrics_json(obs), fh, indent=2)
+        _write_json(opts.metrics, metrics_json(obs), indent=2)
     print(text_summary(obs))
     print(f"  exact vs dense reference: {'yes' if info['exact'] else 'NO'}")
-    print(f"  trace: {opts.out} ({len(doc['traceEvents'])} events)"
+    print(f"  trace: {opts.out} ({events} events)"
           + (f"   metrics: {opts.metrics}" if opts.metrics else ""))
     if kills:
-        print("  " + info["report"].summary().replace("\n", "\n  "))
-        if info["bound_violations"]:
-            for line in info["bound_violations"]:
-                print(f"  coverage-bound violation: {line}")
-            return 1
-        print("  coverage within the static worst-case bound")
-    return 0 if info["exact"] else 1
+        _print_coverage(info["report"], info["bound_violations"])
+    return 0 if info["exact"] and not info.get("bound_violations") else 1
 
 
-def _analyze(args: list[str]) -> int:
-    import argparse
-    import json
-
+@_command(
+    "analyze",
+    "TRACE.json",
+    "critical path, straggler/queue-wait and goblet reports for a trace",
+    seed=False,
+)
+def _analyze(parser, args: list[str]) -> int:
+    """Trace analytics: critical path, queue-wait/straggler reports, and
+    the per-layer volume goblet."""
     from .obs.analyze import analyze, render_analysis
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro analyze",
-        description="trace analytics: critical path, queue-wait/straggler "
-        "reports, and the per-layer volume goblet",
-    )
     parser.add_argument(
         "trace",
         help="a Chrome-trace JSON from `python -m repro trace --out`, or a "
@@ -542,21 +594,23 @@ def _analyze(args: list[str]) -> int:
     return 0
 
 
-def _monitor(args: list[str]) -> int:
-    import json
+@_command(
+    "monitor",
+    "[experiment] [--backend sim|local|tcp] [--attach MANIFEST] [--once] [--out FILE]",
+    "live telemetry dashboard: run an experiment sampled, or attach to a cluster",
+    workload=True, backend=True,
+)
+def _monitor(parser, args: list[str]) -> int:
+    """The live telemetry dashboard: run a named experiment with
+    streaming metric sampling on any backend, or attach to a running TCP
+    cluster (its nodes buffer recent samples and answer telemetry-req
+    probes); --once renders a single dashboard and optionally writes the
+    kylix-telemetry-v1 JSON for CI."""
     import time as _time
 
     from .obs.runner import run_traced
     from .obs.telemetry import TimeSeriesAggregator
 
-    parser = _runner_parser(
-        "monitor",
-        "the live telemetry dashboard: run a named experiment "
-        "with streaming metric sampling on any backend, or attach to a "
-        "running TCP cluster (its nodes buffer recent samples and answer "
-        "telemetry-req probes); --once renders a single dashboard and "
-        "optionally writes the kylix-telemetry-v1 JSON for CI",
-    )
     parser.add_argument(
         "--attach", default=None, metavar="MANIFEST",
         help="attach to a running cluster via its manifest instead of "
@@ -594,12 +648,10 @@ def _monitor(args: list[str]) -> int:
 
     agg = TimeSeriesAggregator()
     if opts.attach:
-        from .net.cluster import load_manifest, probe
+        from .net.cluster import probe
 
-        try:
-            manifest = load_manifest(opts.attach)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"monitor: cannot load {opts.attach}: {exc}")
+        manifest = _load_manifest("monitor", opts.attach)
+        if manifest is None:
             return 2
         # Samples stay buffered on the nodes across polls (and across
         # sessions); dedupe so a re-served sample is ingested once.
@@ -657,30 +709,23 @@ def _monitor(args: list[str]) -> int:
         if not info["exact"]:
             return 1
     if opts.out:
-        with open(opts.out, "w") as fh:
-            json.dump(agg.to_json(), fh, indent=2, sort_keys=True)
-        print(f"  telemetry: {opts.out} ({agg.samples} sample(s))")
+        _write_telemetry(agg, opts.out)
     return 0
 
 
-def _explore(args: list[str]) -> int:
-    import argparse
-    import json
-
+@_command(
+    "explore",
+    "[--nodes N] [--degrees D,D] [--bound K] [--faults none|drop]",
+    "model-check the protocol across event schedules; exit 1 on violation",
+    nodes=4, degrees="single layer [nodes]",
+)
+def _explore(parser, args: list[str]) -> int:
+    """Systematically execute the protocol across event schedules (DFS +
+    partial-order reduction), checking invariants, result correctness,
+    and deadlock-freedom in every explored state; a violation emits a
+    minimized, replayable counterexample."""
     from .mc import KylixModel, UnreadNackModel, explore
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro explore",
-        description="systematically execute the protocol across event "
-        "schedules (DFS + partial-order reduction), checking invariants, "
-        "result correctness, and deadlock-freedom in every explored state; "
-        "a violation emits a minimized, replayable counterexample",
-    )
-    parser.add_argument("--nodes", type=int, default=4, help="cluster size")
-    parser.add_argument(
-        "--degrees", default=None,
-        help="comma-separated degree stack (default: single layer [nodes])",
-    )
     parser.add_argument(
         "--bound", type=int, default=1000,
         help="max schedules to execute (default: 1000)",
@@ -698,7 +743,6 @@ def _explore(args: list[str]) -> int:
         help="also explore under a seeded message-drop FaultPlan "
         "(NACK/retry and timeout-vs-delivery races become branch points)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="workload/fault seed")
     parser.add_argument(
         "--mutant", action="store_true",
         help="check the known-buggy unread-NACK model instead (must FAIL; "
@@ -719,14 +763,14 @@ def _explore(args: list[str]) -> int:
     if opts.mutant:
         model = UnreadNackModel(buggy=True, seed=opts.seed)
     else:
-        degrees = tuple(_parse_degrees(parser, opts.degrees, [opts.nodes]))
         faults = None
         if opts.faults == "drop":
             from .faults import FaultPlan, LinkFault
 
             faults = FaultPlan(seed=opts.seed).with_rule(LinkFault(drop=0.2))
         model = KylixModel(
-            nodes=opts.nodes, degrees=degrees, seed=opts.seed, faults=faults
+            nodes=opts.nodes, degrees=tuple(opts.degrees or [opts.nodes]),
+            seed=opts.seed, faults=faults,
         )
 
     report = explore(
@@ -761,23 +805,23 @@ def _explore(args: list[str]) -> int:
         ce.to_json(opts.out)
         print(f"  written: {opts.out}")
     if opts.trace_out:
-        with open(opts.trace_out, "w") as fh:
-            json.dump(ce.chrome_trace(), fh)
+        _write_json(opts.trace_out, ce.chrome_trace())
         print(f"  trace: {opts.trace_out}")
     return 1
 
 
-def _node(args: list[str]) -> int:
-    import argparse
-
+@_command(
+    "node",
+    "--rank R [--host H] [--port P]",
+    "run one TCP cluster node server (announces READY, serves sessions)",
+    seed=False,
+)
+def _node(parser, args: list[str]) -> int:
+    """One TCP cluster node server: binds a listener, announces a
+    KYLIX-NODE READY line on stdout, then serves driver sessions until a
+    shutdown frame (or SIGTERM) arrives."""
     from .net.cluster import serve_node
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro node",
-        description="one TCP cluster node server: binds a listener, announces "
-        "a KYLIX-NODE READY line on stdout, then serves driver sessions "
-        "until a shutdown frame (or SIGTERM) arrives",
-    )
     parser.add_argument("--rank", type=int, required=True, help="this node's rank")
     parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
@@ -795,22 +839,18 @@ def _node(args: list[str]) -> int:
     return serve_node(opts.rank, opts.host, opts.port, once=opts.once)
 
 
-def _run_cluster(args: list[str]) -> int:
-    import argparse
+@_command(
+    "run-cluster",
+    "--size N [--attach host:port,...] [--stop] [--manifest FILE]",
+    "spawn a loopback node cluster (or attach/stop one); write the manifest",
+    seed=False, manifest=True,
+)
+def _run_cluster(parser, args: list[str]) -> int:
+    """Spawn a loopback cluster of node processes (or attach to / stop
+    an existing one) and write the cluster_procs.json manifest the
+    experiment driver consumes."""
+    from .net.cluster import attach_cluster, launch_cluster, stop_cluster
 
-    from .net.cluster import (
-        DEFAULT_MANIFEST,
-        attach_cluster,
-        launch_cluster,
-        stop_cluster,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro run-cluster",
-        description="spawn a loopback cluster of node processes (or attach "
-        "to / stop an existing one) and write the cluster_procs.json "
-        "manifest the experiment driver consumes",
-    )
     parser.add_argument(
         "--size", type=int, default=None, help="number of nodes to spawn"
     )
@@ -820,10 +860,6 @@ def _run_cluster(args: list[str]) -> int:
     )
     parser.add_argument(
         "--stop", action="store_true", help="tear the manifested cluster down"
-    )
-    parser.add_argument(
-        "--manifest", default=DEFAULT_MANIFEST,
-        help=f"manifest path (default: {DEFAULT_MANIFEST})",
     )
     parser.add_argument(
         "--log-dir", default=".kylix-cluster",
@@ -863,20 +899,19 @@ def _run_cluster(args: list[str]) -> int:
     return 0
 
 
-def _drive_cluster(args: list[str]) -> int:
-    import json
+@_command(
+    "drive-cluster",
+    "[workload] [--failure-mode MODE] [--rounds K] [--manifest FILE]",
+    "drive a launched cluster through a workload under a failure mode",
+    workload=True, manifest=True,
+)
+def _drive_cluster(parser, args: list[str]) -> int:
+    """Drive a launched TCP cluster through a named workload (its node
+    count must match the manifest) under a failure mode; exactness is
+    checked against the dense reference and degraded coverage is gated
+    against the static worst-case-loss bound."""
+    from .net.cluster import FAILURE_MODES, drive_cluster
 
-    from .net.cluster import DEFAULT_MANIFEST, FAILURE_MODES, drive_cluster, load_manifest
-    from .obs import chrome_trace, validate_chrome_trace
-
-    parser = _runner_parser(
-        "drive-cluster",
-        "drive a launched TCP cluster through a named workload (its node "
-        "count must match the manifest) under a failure mode; exactness is "
-        "checked against the dense reference and degraded coverage is gated "
-        "against the static worst-case-loss bound",
-        backend=False,
-    )
     parser.add_argument(
         "--failure-mode", default="none", choices=list(FAILURE_MODES),
         help="deterministic fault schedule to run under (default: none)",
@@ -891,10 +926,6 @@ def _drive_cluster(args: list[str]) -> int:
     parser.add_argument(
         "--concurrency", type=int, default=1,
         help="rounds batched per session wave (default: 1)",
-    )
-    parser.add_argument(
-        "--manifest", default=DEFAULT_MANIFEST,
-        help=f"manifest path (default: {DEFAULT_MANIFEST})",
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="FILE",
@@ -916,10 +947,8 @@ def _drive_cluster(args: list[str]) -> int:
         parser.error("--telemetry-interval must be positive")
     if opts.telemetry_out and opts.telemetry_interval is None:
         opts.telemetry_interval = 0.05
-    try:
-        manifest = load_manifest(opts.manifest)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"drive-cluster: cannot load {opts.manifest}: {exc}")
+    manifest = _load_manifest("drive-cluster", opts.manifest)
+    if manifest is None:
         return 2
     try:
         outcome = drive_cluster(
@@ -947,39 +976,16 @@ def _drive_cluster(args: list[str]) -> int:
     )
     for err in outcome["errors"]:
         print(f"  note: {err}")
-    ok = outcome["checked_rounds"] == outcome["exact_rounds"]
     cc = outcome["config_cache"]
     if cc["hits"] + cc["misses"] > 0:
         print(
             f"  config cache: {cc['hits']} hit(s), {cc['misses']} miss(es) "
             f"(hit rate {cc['hit_rate']:.0%})"
         )
-        if (
-            opts.concurrency > 1
-            and outcome["rounds_run"] > 1
-            and opts.failure_mode == "none"
-            and cc["hits"] == 0
-        ):
-            print("  config-cache gate: batched rounds produced zero cached-"
-                  "config hits — the round-0 plan is not being reused")
-            ok = False
-    if "coverage" in outcome:
-        print("  " + outcome["coverage"].replace("\n", "\n  "))
-        if outcome["bound_ok"]:
-            print("  coverage within the static worst-case bound")
-        else:
-            for v in outcome["bound_violations"]:
-                print(f"  coverage-bound violation: {v}")
-            ok = False
-        if outcome["dead_ranks"]:
-            print(f"  dead ranks: {sorted(outcome['dead_ranks'])}")
-    else:
-        # Lossless modes: every rank-round must come back.
-        if outcome["errors"] or outcome["dead_ranks"]:
-            ok = False
-        if outcome["checked_rounds"] == 0:
-            print("  no results came back from any node")
-            ok = False
+    if outcome["report"] is not None:
+        _print_coverage(outcome["report"], outcome["bound_violations"])
+    if outcome["dead_ranks"]:
+        print(f"  dead ranks: {sorted(outcome['dead_ranks'])}")
     agg = outcome.get("aggregator")
     if agg is not None:
         print(
@@ -987,68 +993,39 @@ def _drive_cluster(args: list[str]) -> int:
             f"{len(agg.nodes)} node(s), "
             f"{len(agg.points) + len(agg.hist_points)} series"
         )
-        if opts.telemetry_interval and agg.samples == 0:
-            print("  telemetry gate: no samples arrived from any node")
-            ok = False
         if opts.telemetry_out:
-            with open(opts.telemetry_out, "w") as fh:
-                json.dump(agg.to_json(), fh, indent=2, sort_keys=True)
-            print(f"  telemetry: {opts.telemetry_out}")
+            _write_telemetry(agg, opts.telemetry_out)
     if outcome.get("postmortem"):
         print(f"  postmortem: {outcome['postmortem']}")
+    exported = True
     if opts.trace_out:
-        doc = chrome_trace(outcome["observer"], meta={"workload": opts.experiment,
-                                                      "failure_mode": opts.failure_mode,
-                                                      "seed": opts.seed})
-        errors = validate_chrome_trace(doc)
-        if errors:
-            for e in errors:
-                print(f"  trace schema violation: {e}")
-            ok = False
-        else:
-            with open(opts.trace_out, "w") as fh:
-                json.dump(doc, fh)
-            print(f"  trace: {opts.trace_out} ({len(doc['traceEvents'])} events)")
-    return 0 if ok else 1
+        meta = {"workload": opts.experiment, "failure_mode": opts.failure_mode,
+                "seed": opts.seed}
+        events = _write_trace(outcome["observer"], meta, opts.trace_out)
+        exported = events is not None
+        if exported:
+            print(f"  trace: {opts.trace_out} ({events} events)")
+    for failure in outcome["failures"]:
+        print(f"  {failure}")
+    return 0 if outcome["ok"] and exported else 1
 
 
-def _service_workload(m: int, n: int, seed: int):
-    """One fixed sparsity pattern for the service CLI commands."""
-    from .allreduce import ReduceSpec
-
-    rng = np.random.default_rng(seed)
-    idx = {
-        r: np.unique(
-            np.concatenate([rng.choice(n, 40), np.arange(r, n, m, dtype=np.int64)])
-        ).astype(np.int64)
-        for r in range(m)
-    }
-    return ReduceSpec(in_indices=idx, out_indices=idx), idx, rng
-
-
-def _serve(args: list[str]) -> int:
-    import argparse
-
+@_command(
+    "serve",
+    "[--backend sim|local|tcp] [--streams K] [--reduces N]",
+    "multiplex named reduce streams through the allreduce service",
+    backend=True, nodes=8, degrees="4,2 for 8 nodes", n=600,
+)
+def _serve(parser, args: list[str]) -> int:
+    """Stand up the allreduce service and multiplex named reduce streams
+    over one backend: each stream binds its own sparsity pattern,
+    submissions interleave round-robin, and every result is checked
+    against the dense reference."""
     from .allreduce import dense_reduce
     from .cluster import Cluster
     from .service import ReduceService, ServiceOverloaded
+    from .service.bench import stream_workload
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="stand up the allreduce service and multiplex named "
-        "reduce streams over one backend: each stream binds its own "
-        "sparsity pattern, submissions interleave round-robin, and every "
-        "result is checked against the dense reference",
-    )
-    parser.add_argument(
-        "--backend", default="sim", choices=["sim", "local", "tcp"],
-        help="execution backend (default: sim)",
-    )
-    parser.add_argument("--nodes", type=int, default=8, help="cluster size")
-    parser.add_argument(
-        "--degrees", default=None,
-        help="comma-separated degree stack (default: 4,2 for 8 nodes)",
-    )
     parser.add_argument(
         "--streams", type=int, default=3, help="named streams to open (default: 3)"
     )
@@ -1062,42 +1039,37 @@ def _serve(args: list[str]) -> int:
     parser.add_argument(
         "--queue-depth", type=int, default=16, help="admission-queue bound"
     )
-    parser.add_argument("--n", type=int, default=600, help="feature count")
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
     opts = parser.parse_args(args)
     if opts.nodes < 2 or opts.streams < 1 or opts.reduces < 1:
         parser.error("--nodes >= 2, --streams >= 1, --reduces >= 1 required")
-    degrees = _parse_degrees(
-        parser, opts.degrees, [4, 2] if opts.nodes == 8 else [opts.nodes]
-    )
+    m, k = opts.nodes, opts.streams
+    degrees = opts.degrees or ([4, 2] if m == 8 else [m])
 
-    m = opts.nodes
     kwargs: dict = dict(
         degrees=degrees, slots=opts.slots, queue_depth=opts.queue_depth
     )
     if opts.backend == "sim":
         kwargs["cluster"] = Cluster(m)
+    # Stream j % k's pattern, with a fresh round of values per submission.
+    streams = [
+        stream_workload(m, opts.n, -(-opts.reduces // k), opts.seed + j) for j in range(k)
+    ]
     with ReduceService(opts.backend, **kwargs) as svc:
-        specs, futures = {}, []
-        for k in range(opts.streams):
-            spec, idx, _ = _service_workload(m, opts.n, opts.seed + k)
-            svc.open_stream(f"stream-{k}", spec)
-            specs[f"stream-{k}"] = (spec, idx)
-        rng = np.random.default_rng(opts.seed + 1000)
+        for j, (spec, _) in enumerate(streams):
+            svc.open_stream(f"stream-{j}", spec)
+        futures = []
         for j in range(opts.reduces):
-            name = f"stream-{j % opts.streams}"
-            spec, idx = specs[name]
-            values = {r: rng.normal(size=idx[r].size) for r in range(m)}
+            name, (spec, rounds) = f"stream-{j % k}", streams[j % k]
+            values = rounds[j // k]
             try:
                 fut = svc.submit(name, values)
             except ServiceOverloaded:
                 svc.drain()  # backpressure: run the queue, then resubmit
                 fut = svc.submit(name, values)
-            futures.append((name, values, fut))
+            futures.append((name, spec, values, fut))
         bad = 0
-        for name, values, fut in futures:
-            out = fut.result()
-            ref = dense_reduce(specs[name][0], values)
+        for name, spec, values, fut in futures:
+            out, ref = fut.result(), dense_reduce(spec, values)
             if not all(np.allclose(out[r], ref[r]) for r in range(m)):
                 bad += 1
                 print(f"  {name}: result DIVERGED from dense reference")
@@ -1107,10 +1079,10 @@ def _serve(args: list[str]) -> int:
     print(
         f"service on {m} {opts.backend} node(s), degrees "
         f"{'x'.join(map(str, degrees))}: {stats['completed']} reduce(s) "
-        f"across {opts.streams} stream(s)"
+        f"across {k} stream(s)"
     )
     print("  per stream: "
-          + ", ".join(f"{k}={v}" for k, v in sorted(per_stream.items())))
+          + ", ".join(f"{name}={v}" for name, v in sorted(per_stream.items())))
     print(f"  config cache: {cache['hits']} hit(s), {cache['misses']} miss(es), "
           f"{cache['invalidations']} invalidation(s)")
     print(f"  admission: {stats['submitted']} submitted, "
@@ -1119,35 +1091,25 @@ def _serve(args: list[str]) -> int:
     return 0 if not bad else 1
 
 
-def _drive_service(args: list[str]) -> int:
-    import argparse
-    import json
-    import time as _time
+@_command(
+    "drive-service",
+    "[--reduces N] [--json FILE]",
+    "service-throughput benchmark: cached+pipelined vs configure-per-reduce",
+    nodes=64, degrees="4,4,4 for 64 nodes", n=2000,
+)
+def _drive_service(parser, args: list[str]) -> int:
+    """The service-throughput benchmark on the simulator: a same-pattern
+    reduce stream through the cached + pipelined service against the
+    configure-every-time loop, with the speedup and cache hit-count
+    gates enforced."""
+    from .service import run_service_benchmark
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro drive-service",
-        description="the service-throughput benchmark: a same-pattern "
-        "reduce stream through the cached + pipelined service against "
-        "the configure-every-time loop; on the sim backend the speedup "
-        "and cache hit-count gates are enforced",
-    )
-    parser.add_argument(
-        "--backend", default="sim", choices=["sim", "local", "tcp"],
-        help="sim runs the gated benchmark; local/tcp run a wall-clock smoke",
-    )
-    parser.add_argument("--nodes", type=int, default=64, help="cluster size")
-    parser.add_argument(
-        "--degrees", default=None,
-        help="comma-separated degree stack (default: 4,4,4 for 64 nodes)",
-    )
     parser.add_argument(
         "--reduces", type=int, default=100, help="same-pattern reduces (default: 100)"
     )
-    parser.add_argument("--n", type=int, default=2000, help="feature count")
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(
         "--min-speedup", type=float, default=2.0,
-        help="sim gate: required speedup vs sequential (default: 2.0)",
+        help="required speedup vs sequential (default: 2.0)",
     )
     parser.add_argument(
         "--json", default=None, metavar="FILE",
@@ -1156,74 +1118,35 @@ def _drive_service(args: list[str]) -> int:
     opts = parser.parse_args(args)
     if opts.nodes < 2 or opts.reduces < 2:
         parser.error("--nodes >= 2 and --reduces >= 2 required")
-    degrees = _parse_degrees(
-        parser, opts.degrees, [4, 4, 4] if opts.nodes == 64 else [opts.nodes]
+    degrees = opts.degrees or ([4, 4, 4] if opts.nodes == 64 else [opts.nodes])
+
+    rec = run_service_benchmark(
+        m=opts.nodes, degrees=degrees, reduces=opts.reduces,
+        n=opts.n, seed=opts.seed,
     )
-
-    if opts.backend == "sim":
-        from .service import run_service_benchmark
-
-        rec = run_service_benchmark(
-            m=opts.nodes, degrees=degrees, reduces=opts.reduces,
-            n=opts.n, seed=opts.seed,
-        )
-        print(
-            f"{rec['reduces']} same-pattern reduces on {rec['m']} sim nodes, "
-            f"degrees {'x'.join(map(str, rec['degrees']))}:"
-        )
-        print(f"  sequential (configure+reduce each time): "
-              f"{rec['sequential_sim_seconds']:.4f} sim-s")
-        print(f"  service (cached + pipelined):            "
-              f"{rec['service_sim_seconds']:.4f} sim-s "
-              f"({rec['reduces_per_sec']:.0f} reduces/sec)")
-        print(f"  speedup: {rec['speedup']:.2f}x   cache: {rec['cache_hits']} "
-              f"hit(s) / {rec['cache_misses']} miss(es)   "
-              f"exact: {'yes' if rec['exact'] else 'NO'}")
-        ok = (
-            rec["exact"]
-            and rec["cache_hits"] == rec["reduces"] - 1
-            and rec["cache_misses"] == 1
-            and rec["speedup"] >= opts.min_speedup
-        )
-        if not ok:
-            print(f"  GATE FAILED (need exact, hits == reduces-1, "
-                  f"speedup >= {opts.min_speedup})")
-    else:
-        from .allreduce import dense_reduce
-        from .service import ReduceService
-
-        spec, idx, rng = _service_workload(opts.nodes, opts.n, opts.seed)
-        rounds = [
-            {r: rng.normal(size=idx[r].size) for r in range(opts.nodes)}
-            for _ in range(opts.reduces)
-        ]
-        t0 = _time.monotonic()
-        with ReduceService(opts.backend, degrees=degrees) as svc:
-            stream = svc.open_stream("drive", spec)
-            results = svc.submit_pipelined(stream, rounds)
-            cache = dict(svc.cache.stats)
-        wall = _time.monotonic() - t0
-        refs = [dense_reduce(spec, v) for v in rounds]
-        ok = all(
-            all(np.allclose(results[k][r], refs[k][r]) for r in range(opts.nodes))
-            for k in range(opts.reduces)
-        )
-        rec = {
-            "m": opts.nodes, "degrees": degrees, "backend": opts.backend,
-            "reduces": opts.reduces, "seed": opts.seed, "exact": bool(ok),
-            "wall_seconds": wall,
-            "reduces_per_sec": opts.reduces / wall if wall > 0 else None,
-            "cache_hits": cache["hits"], "cache_misses": cache["misses"],
-        }
-        print(
-            f"{opts.reduces} same-pattern reduces on {opts.nodes} "
-            f"{opts.backend} node(s): {wall:.2f}s wall "
-            f"({rec['reduces_per_sec']:.1f} reduces/sec), "
-            f"exact: {'yes' if ok else 'NO'}"
-        )
+    print(
+        f"{rec['reduces']} same-pattern reduces on {rec['m']} sim nodes, "
+        f"degrees {'x'.join(map(str, rec['degrees']))}:"
+    )
+    print(f"  sequential (configure+reduce each time): "
+          f"{rec['sequential_sim_seconds']:.4f} sim-s")
+    print(f"  service (cached + pipelined):            "
+          f"{rec['service_sim_seconds']:.4f} sim-s "
+          f"({rec['reduces_per_sec']:.0f} reduces/sec)")
+    print(f"  speedup: {rec['speedup']:.2f}x   cache: {rec['cache_hits']} "
+          f"hit(s) / {rec['cache_misses']} miss(es)   "
+          f"exact: {'yes' if rec['exact'] else 'NO'}")
+    ok = (
+        rec["exact"]
+        and rec["cache_hits"] == rec["reduces"] - 1
+        and rec["cache_misses"] == 1
+        and rec["speedup"] >= opts.min_speedup
+    )
+    if not ok:
+        print(f"  GATE FAILED (need exact, hits == reduces-1, "
+              f"speedup >= {opts.min_speedup})")
     if opts.json:
-        with open(opts.json, "w") as fh:
-            json.dump(rec, fh, indent=2)
+        _write_json(opts.json, rec, indent=2)
         print(f"  written: {opts.json}")
     return 0 if ok else 1
 
@@ -1232,42 +1155,12 @@ def main(argv: list[str]) -> int:
     if not argv or argv[0] in ("-h", "--help", "help"):
         print(_usage())
         return 0
-    cmd, rest = argv[0], argv[1:]
-    if cmd == "experiments":
-        from .bench.run_all import main as run_all_main
-
-        return run_all_main(rest)
-    if cmd == "demo":
-        return _demo()
-    if cmd == "info":
-        return _info()
-    if cmd == "verify":
-        return _verify(rest)
-    if cmd == "certify":
-        return _certify(rest)
-    if cmd == "lint":
-        return _lint(rest)
-    if cmd == "trace":
-        return _trace(rest)
-    if cmd == "analyze":
-        return _analyze(rest)
-    if cmd == "monitor":
-        return _monitor(rest)
-    if cmd == "explore":
-        return _explore(rest)
-    if cmd == "node":
-        return _node(rest)
-    if cmd == "run-cluster":
-        return _run_cluster(rest)
-    if cmd == "drive-cluster":
-        return _drive_cluster(rest)
-    if cmd == "serve":
-        return _serve(rest)
-    if cmd == "drive-service":
-        return _drive_service(rest)
-    print(f"unknown command {cmd!r}\n")
-    print(_usage())
-    return 2
+    command = COMMANDS.get(argv[0])
+    if command is None:
+        print(f"unknown command {argv[0]!r}\n")
+        print(_usage())
+        return 2
+    return command.run(_parser(argv[0], command.run.__doc__, **command.options), argv[1:])
 
 
 if __name__ == "__main__":

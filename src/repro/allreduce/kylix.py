@@ -23,6 +23,7 @@ that race every part (§V).
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -343,13 +344,24 @@ class KylixAllreduce:
                 f"{self.size})"
             )
 
+    @contextmanager
+    def _building(self, spec: ReduceSpec):
+        """Put ``spec`` in force for a plan-building run.  A run that
+        raises restores the previous spec, so it stays beside its plans."""
+        self._check_spec(spec)
+        previous, self.spec = self.spec, spec
+        try:
+            yield
+        except BaseException:
+            self.spec = previous
+            raise
+
     def configure(self, spec: ReduceSpec) -> Dict[int, NodePlan]:
         """Run the configuration pass; memoises routing for reductions."""
-        self._check_spec(spec)
-        self.spec = spec
-        raw, self.config_timing = self._run(
-            "configure", self._down, phase=PHASE_CONFIG
-        )
+        with self._building(spec):
+            raw, self.config_timing = self._run(
+                "configure", self._down, phase=PHASE_CONFIG
+            )
         self.plans = {rank: plan for rank, (plan, _, _) in raw.items()}
         return self.plans
 
@@ -654,12 +666,11 @@ class KylixAllreduce:
         The routing plan built along the way is kept, so subsequent
         :meth:`reduce` calls (same index sets) work as usual.
         """
-        self._check_spec(spec)
-        self.spec = spec
-        self._retained.clear()
-        raw, self.last_combined_timing = self._run(
-            "allreduce_combined", self._combined_proto, out_values,
-            phase=PHASE_COMBINED_DOWN,
-        )
+        with self._building(spec):
+            self._retained.clear()
+            raw, self.last_combined_timing = self._run(
+                "allreduce_combined", self._combined_proto, out_values,
+                phase=PHASE_COMBINED_DOWN,
+            )
         self.plans = {rank: pr[0] for rank, pr in raw.items()}
         return self._finish_report({rank: pr[1] for rank, pr in raw.items()})

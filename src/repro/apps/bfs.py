@@ -14,9 +14,8 @@ from typing import Any, Dict, Sequence
 
 import numpy as np
 
-from ..allreduce import ReduceSpec
 from ..data import GraphPartition
-from .session import one_per_slot
+from .session import fixpoint_rounds, local_graph, one_per_slot
 
 __all__ = ["DistributedBFS", "BFSResult"]
 
@@ -43,18 +42,21 @@ class DistributedBFS:
     def __init__(self, net: Any, partitions: Sequence[GraphPartition]):
         self.net = net
         self.partitions = one_per_slot(net, partitions)
-        self._touched = {
-            p.rank: np.union1d(p.src, p.dst).astype(np.int64) for p in self.partitions
-        }
+        self._touched, self._edges = local_graph(self.partitions)
+
+    def _relax(self, rank: int, dist: np.ndarray) -> np.ndarray:
+        d = dist.copy()
+        src_c, dst_c = self._edges[rank]
+        # local Bellman-Ford sweeps to a fixpoint
+        for _ in range(len(d)):
+            before = d.copy()
+            np.minimum.at(d, dst_c, d[src_c] + 1.0)
+            if np.array_equal(before, d):
+                break
+        return d
 
     def run(self, source: int, max_rounds: int = 10_000) -> BFSResult:
-        spec = ReduceSpec(
-            in_indices=dict(self._touched),
-            out_indices=dict(self._touched),
-            op="min",
-        )
         t0 = self.net.now
-        self.net.configure(spec)
         dist = {}
         for r, touched in self._touched.items():
             d = np.full(touched.size, UNREACHED)
@@ -63,24 +65,8 @@ class DistributedBFS:
                 d[pos] = 0.0
             dist[r] = d
         rounds = 0
-        for _ in range(max_rounds):
+        for dist in fixpoint_rounds(
+            self.net, self._touched, dist, self._relax, max_rounds, op="min"
+        ):
             rounds += 1
-            proposals = {}
-            for p in self.partitions:
-                touched = self._touched[p.rank]
-                d = dist[p.rank].copy()
-                src_c = np.searchsorted(touched, p.src)
-                dst_c = np.searchsorted(touched, p.dst)
-                # local Bellman-Ford sweeps to a fixpoint
-                for _ in range(len(touched)):
-                    before = d.copy()
-                    np.minimum.at(d, dst_c, d[src_c] + 1.0)
-                    if np.array_equal(before, d):
-                        break
-                proposals[p.rank] = d
-            reduced = self.net.reduce(proposals)
-            changed = any(not np.array_equal(reduced[r], dist[r]) for r in dist)
-            dist = reduced
-            if not changed:
-                break
         return BFSResult(distances=dist, rounds=rounds, comm_time=self.net.now - t0)

@@ -20,9 +20,8 @@ from typing import Any, Dict, Sequence
 
 import numpy as np
 
-from ..allreduce import ReduceSpec
 from ..data import GraphPartition
-from .session import one_per_slot
+from .session import fixpoint_rounds, local_graph, one_per_slot
 
 __all__ = ["DistributedComponents", "ComponentsResult"]
 
@@ -49,46 +48,31 @@ class DistributedComponents:
         self.net = net
         self.partitions = one_per_slot(net, partitions)
         self.net.strict_coverage = True  # in == out here, always covered
-        self._touched = {
-            p.rank: np.union1d(p.src, p.dst).astype(np.int64) for p in self.partitions
-        }
+        self._touched, self._edges = local_graph(self.partitions)
+
+    def _relax(self, rank: int, labels: np.ndarray) -> np.ndarray:
+        lab = labels.copy()
+        src_c, dst_c = self._edges[rank]
+        # undirected relaxation until local fixpoint — cheap and cuts
+        # global round count (each round costs an allreduce)
+        for _ in range(len(lab)):
+            before = lab.copy()
+            np.minimum.at(lab, dst_c, lab[src_c])
+            np.minimum.at(lab, src_c, lab[dst_c])
+            if np.array_equal(before, lab):
+                break
+        return lab
 
     def run(self, max_rounds: int = 100) -> ComponentsResult:
-        spec = ReduceSpec(
-            in_indices=dict(self._touched),
-            out_indices=dict(self._touched),
-            op="min",
-        )
         t0 = self.net.now
-        self.net.configure(spec)
         labels = {
             r: touched.astype(np.float64) for r, touched in self._touched.items()
         }
         rounds = 0
-        for _ in range(max_rounds):
+        for labels in fixpoint_rounds(
+            self.net, self._touched, labels, self._relax, max_rounds, op="min"
+        ):
             rounds += 1
-            proposals = {}
-            for p in self.partitions:
-                touched = self._touched[p.rank]
-                lab = labels[p.rank].copy()
-                src_c = np.searchsorted(touched, p.src)
-                dst_c = np.searchsorted(touched, p.dst)
-                # undirected relaxation until local fixpoint — cheap and
-                # cuts global round count (each round costs an allreduce)
-                for _ in range(len(touched)):
-                    before = lab.copy()
-                    np.minimum.at(lab, dst_c, lab[src_c])
-                    np.minimum.at(lab, src_c, lab[dst_c])
-                    if np.array_equal(before, lab):
-                        break
-                proposals[p.rank] = lab
-            reduced = self.net.reduce(proposals)
-            changed = any(
-                not np.array_equal(reduced[r], labels[r]) for r in labels
-            )
-            labels = reduced
-            if not changed:
-                break
         return ComponentsResult(
             labels=labels, rounds=rounds, comm_time=self.net.now - t0
         )

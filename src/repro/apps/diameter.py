@@ -20,9 +20,8 @@ from typing import Any, List, Sequence
 
 import numpy as np
 
-from ..allreduce import ReduceSpec
 from ..data import GraphPartition
-from .session import one_per_slot
+from .session import fixpoint_rounds, local_graph, one_per_slot
 
 __all__ = ["DistributedDiameter", "DiameterResult", "fm_sketch", "fm_estimate"]
 
@@ -81,9 +80,13 @@ class DistributedDiameter:
         self.partitions = one_per_slot(net, partitions)
         self.registers = registers
         self.seed = seed
-        self._touched = {
-            p.rank: np.union1d(p.src, p.dst).astype(np.int64) for p in self.partitions
-        }
+        self._touched, self._edges = local_graph(self.partitions)
+
+    def _relax(self, rank: int, sketch: np.ndarray) -> np.ndarray:
+        src_c, dst_c = self._edges[rank]
+        s = sketch.copy()
+        np.bitwise_or.at(s, dst_c, sketch[src_c])
+        return s
 
     def run(self, max_hops: int = 64, threshold: float = 0.9) -> DiameterResult:
         n = self.partitions[0].n_vertices
@@ -92,40 +95,20 @@ class DistributedDiameter:
         root = np.random.default_rng(self.seed)
         base = fm_sketch(n, self.registers, root)
 
-        spec = ReduceSpec(
-            in_indices=dict(self._touched),
-            out_indices=dict(self._touched),
-            value_shape=(self.registers,),
-            dtype=np.uint64,
-            op="or",
-        )
         t0 = self.net.now
-        self.net.configure(spec)
         sketch = {r: base[t] for r, t in self._touched.items()}
         history: List[float] = [float(np.sum(fm_estimate(base)))]
         rounds = 0
-        for _ in range(max_hops):
+        for sketch in fixpoint_rounds(
+            self.net, self._touched, sketch, self._relax, max_hops,
+            value_shape=(self.registers,), dtype=np.uint64, op="or",
+        ):
             rounds += 1
-            proposals = {}
-            for p in self.partitions:
-                touched = self._touched[p.rank]
-                s = sketch[p.rank].copy()
-                src_c = np.searchsorted(touched, p.src)
-                dst_c = np.searchsorted(touched, p.dst)
-                np.bitwise_or.at(s, dst_c, sketch[p.rank][src_c])
-                proposals[p.rank] = s
-            reduced = self.net.reduce(proposals)
-            changed = any(
-                not np.array_equal(reduced[r], sketch[r]) for r in sketch
-            )
-            sketch = reduced
             # global neighbourhood estimate (driver-side, from a full view)
             full = base.copy()
             for p in self.partitions:
                 full[self._touched[p.rank]] = sketch[p.rank]
             history.append(float(np.sum(fm_estimate(full))))
-            if not changed:
-                break
         # effective diameter: first h where N(h) >= threshold * N(max)
         target = threshold * history[-1]
         eff = next(h for h, v in enumerate(history) if v >= target)

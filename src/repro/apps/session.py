@@ -12,13 +12,13 @@ table.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..allreduce import ReduceSpec
 
-__all__ = ["one_per_slot", "reduce_pattern"]
+__all__ = ["one_per_slot", "reduce_pattern", "local_graph", "fixpoint_rounds"]
 
 
 def one_per_slot(net: Any, items: Sequence, what: str = "partition") -> List:
@@ -41,3 +41,40 @@ def reduce_pattern(
         return net.allreduce_combined(spec, values)
     net.configure(spec)
     return net.reduce(values)
+
+
+def local_graph(partitions) -> Tuple[Dict[int, np.ndarray], Dict[int, Tuple]]:
+    """Each graph partition's touched vertices (edge sources and
+    destinations, sorted) and its edges as ``(src, dst)`` positions into
+    them, by rank."""
+    touched = {p.rank: np.union1d(p.src, p.dst).astype(np.int64) for p in partitions}
+    edges = {
+        p.rank: (np.searchsorted(touched[p.rank], p.src),
+                 np.searchsorted(touched[p.rank], p.dst))
+        for p in partitions
+    }
+    return touched, edges
+
+
+def fixpoint_rounds(
+    net: Any,
+    touched: Mapping[int, np.ndarray],
+    values: Dict[int, np.ndarray],
+    relax: Callable[[int, np.ndarray], np.ndarray],
+    max_rounds: int,
+    **spec_options: Any,
+) -> Iterator[Dict[int, np.ndarray]]:
+    """Reduce to a fixpoint: configure one spec over the ``touched`` sets
+    (``spec_options`` give its operator, dtype, value shape), then each
+    round reduces every rank's ``relax(rank, values[rank])`` and yields
+    the reduced values.  Stops after the round that changed nothing, or
+    after ``max_rounds``."""
+    net.configure(
+        ReduceSpec(in_indices=dict(touched), out_indices=dict(touched), **spec_options)
+    )
+    for _ in range(max_rounds):
+        reduced = net.reduce({r: relax(r, v) for r, v in values.items()})
+        yield reduced
+        if all(np.array_equal(reduced[r], values[r]) for r in values):
+            return
+        values = reduced

@@ -17,7 +17,11 @@ seconds on the same scale as the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
+import numpy as np
+
+from ..allreduce import KylixAllreduce
 from ..cluster import Cluster
 from ..data import Dataset, twitter_like, yahoo_like
 from ..netmodel import EC2_LIKE, NetworkParams
@@ -35,6 +39,7 @@ __all__ = [
     "bench_yahoo",
     "scaled_params",
     "make_cluster",
+    "timed_reduces",
     "dataset_per_node_bytes",
 ]
 
@@ -160,3 +165,27 @@ def make_cluster(
         failures=failures,
         seed=seed,
     )
+
+
+def timed_reduces(
+    dataset: Dataset,
+    degrees: Sequence[int],
+    iters: int,
+    *,
+    replication: int = 1,
+    **cluster_options,
+):
+    """Configure ``degrees`` over ``dataset`` on a fresh cluster
+    (:func:`make_cluster` with ``cluster_options``), then run ``iters``
+    reduces of all-ones values.  Returns ``(net, config_s, reduce_s)``:
+    simulated seconds, the reduce time a mean over the ``iters``."""
+    cluster = make_cluster(dataset, **cluster_options)
+    net = KylixAllreduce(
+        cluster, list(degrees), replication=replication, strict_coverage=False
+    )
+    net.configure(dataset.spec)
+    values = {p.rank: np.ones(p.out_vertices.size) for p in dataset.partitions}
+    t0 = cluster.now
+    for _ in range(iters):
+        net.reduce(values)
+    return net, net.config_timing.elapsed, (cluster.now - t0) / iters

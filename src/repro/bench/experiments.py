@@ -9,8 +9,9 @@ prints the regenerated table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import dataclasses
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +36,8 @@ __all__ = [
     "run_fig8",
     "run_fig9",
     "run_design_workflow",
+    "FIGURES",
+    "jsonable",
 ]
 
 
@@ -173,16 +176,9 @@ class Fig5Result:
 
 def run_fig5(dataset: Dataset, degrees: Sequence[int]) -> Fig5Result:
     """Measure down+up reduce volume per layer, plus the bottom volume."""
-    cluster = cal.make_cluster(dataset)
-    net = KylixAllreduce(cluster, degrees, strict_coverage=False)
-    spec = dataset.spec
-    net.configure(spec)
-    values = {
-        p.rank: np.ones(p.out_vertices.size) for p in dataset.partitions
-    }
-    net.reduce(values)
-    down = cluster.stats.bytes_by_layer("reduce_down")
-    up = cluster.stats.bytes_by_layer("gather_up")
+    net, _, _ = cal.timed_reduces(dataset, degrees, 1)
+    down = net.cluster.stats.bytes_by_layer("reduce_down")
+    up = net.cluster.stats.bytes_by_layer("gather_up")
     vols = {layer: down.get(layer, 0) + up.get(layer, 0) for layer in down}
     bottom = sum(p.layers[-1].out_union_size for p in net.plans.values()) * 8
     # Prop 4.1 prediction, in the same units (8-byte values, down+up ≈ 2x
@@ -241,7 +237,11 @@ class Fig6Result:
             [t.total_s for t in self.timings],
             fmt=format_seconds,
         )
-        return table + "\n\n" + bars
+        opt = self.by_name("optimal butterfly").total_s
+        return table + "\n\n" + bars + (
+            f"\n  -> direct/optimal = {self.by_name('direct').total_s / opt:.2f}x, "
+            f"binary/optimal = {self.by_name('binary butterfly').total_s / opt:.2f}x"
+        )
 
     def by_name(self, name: str) -> TopologyTiming:
         return next(t for t in self.timings if t.name == name)
@@ -257,18 +257,9 @@ def run_fig6(
         ("optimal butterfly", list(optimal)),
         ("binary butterfly", binary_degrees(m)),
     ]
-    spec = dataset.spec
-    values = {p.rank: np.ones(p.out_vertices.size) for p in dataset.partitions}
     out = []
     for name, degrees in stacks:
-        cluster = cal.make_cluster(dataset)
-        net = KylixAllreduce(cluster, degrees, strict_coverage=False)
-        net.configure(spec)
-        config_s = net.config_timing.elapsed
-        t0 = cluster.now
-        for _ in range(reduce_iters):
-            net.reduce(values)
-        reduce_s = (cluster.now - t0) / reduce_iters
+        _, config_s, reduce_s = cal.timed_reduces(dataset, degrees, reduce_iters)
         out.append(TopologyTiming(name, tuple(degrees), config_s, reduce_s))
     return Fig6Result(dataset.name, out)
 
@@ -300,18 +291,10 @@ def run_fig7(
     degrees: Sequence[int],
     threads: Sequence[int] = (1, 2, 4, 8, 16, 32),
 ) -> Fig7Result:
-    spec = dataset.spec
-    values = {p.rank: np.ones(p.out_vertices.size) for p in dataset.partitions}
     rows = []
     for t in threads:
-        cluster = cal.make_cluster(dataset, threads=t)
-        net = KylixAllreduce(cluster, degrees, strict_coverage=False)
-        net.configure(spec)
-        t0 = cluster.now
-        reps = 3
-        for _ in range(reps):
-            net.reduce(values)
-        rows.append((int(t), (cluster.now - t0) / reps))
+        _, _, reduce_s = cal.timed_reduces(dataset, degrees, 3, threads=t)
+        rows.append((int(t), reduce_s))
     return Fig7Result(dataset.name, tuple(degrees), rows)
 
 
@@ -366,93 +349,50 @@ def run_table1(
     averages over ``seeds`` jitter streams (a configuration pass runs only
     once per network, so single-seed config times are noisy).
     """
-    cols: List[Table1Column] = []
+    def healthy(seed):
+        return None
 
-    def measure_one(cluster, net, spec, values) -> Tuple[float, float]:
-        net.configure(spec)
-        cfg = net.config_timing.elapsed
-        t0 = cluster.now
-        for _ in range(reduce_iters):
-            net.reduce(values)
-        return cfg, (cluster.now - t0) / reduce_iters
+    def deaths(dead):
+        return lambda seed: FaultPlan({n: 0.0 for n in range(dead)})
 
-    def averaged(make_cluster_net, spec, values) -> Tuple[float, float]:
-        cfgs, reds = [], []
-        for seed in seeds:
-            cluster, net = make_cluster_net(seed)
-            cfg, red = measure_one(cluster, net, spec, values)
-            cfgs.append(cfg)
-            reds.append(red)
-        return float(np.mean(cfgs)), float(np.mean(reds))
-
-    # Column 1: unreplicated 8x4x2, 64 nodes.
-    spec64 = dataset64.spec
-    vals64 = {p.rank: np.ones(p.out_vertices.size) for p in dataset64.partitions}
-
-    def make64(seed):
-        cluster = cal.make_cluster(dataset64, latency_sigma=latency_sigma, seed=seed)
-        return cluster, KylixAllreduce(cluster, degrees64, strict_coverage=False)
-
-    cfg, red = averaged(make64, spec64, vals64)
-    cols.append(Table1Column("8x4x2 unreplicated (64 nodes)", 0, cfg, red))
-
-    # Column 2: unreplicated 8x4, 32 nodes.
-    spec32 = dataset32.spec
-    vals32 = {p.rank: np.ones(p.out_vertices.size) for p in dataset32.partitions}
-
-    def make32(seed):
-        cluster = cal.make_cluster(dataset32, latency_sigma=latency_sigma, seed=seed)
-        return cluster, KylixAllreduce(cluster, degrees32, strict_coverage=False)
-
-    cfg, red = averaged(make32, spec32, vals32)
-    cols.append(Table1Column("8x4 unreplicated (32 nodes)", 0, cfg, red))
-
-    # Columns 3..: replicated s=2 on 64 physical nodes (32 logical), with
-    # dead nodes chosen in distinct replica groups.
-    for dead in failures:
-        def make_rep(seed, dead=dead):
-            plan = FaultPlan({n: 0.0 for n in range(dead)})
-            cluster = cal.make_cluster(
-                dataset32, m=64, latency_sigma=latency_sigma, failures=plan, seed=seed
-            )
-            net = KylixAllreduce(
-                cluster, degrees32, replication=2, strict_coverage=False
-            )
-            return cluster, net
-
-        cfg, red = averaged(make_rep, spec32, vals32)
-        cols.append(Table1Column("8x4 replicated=2 (64 nodes)", dead, cfg, red))
-
-    # Extended columns (beyond the paper's grid): the fault classes the
-    # repro.faults layer adds.  A step-targeted *mid-run* death — the node
-    # crashes right before its first send of the value down-pass, so the
-    # retry/NACK machinery plus packet racing must carry the round — and
-    # two persistent straggler links (SparCML's favourite adversary).
-    def make_rep_midrun(seed):
-        plan = FaultPlan().kill_at_step(1, "down", 1)
-        cluster = cal.make_cluster(
-            dataset32, m=64, latency_sigma=latency_sigma, failures=plan, seed=seed
-        )
-        net = KylixAllreduce(cluster, degrees32, replication=2, strict_coverage=False)
-        return cluster, net
-
-    cfg, red = averaged(make_rep_midrun, spec32, vals32)
-    cols.append(Table1Column("8x4 replicated=2, mid-run death", 1, cfg, red))
-
-    def make_rep_straggler(seed):
-        plan = (
+    def stragglers(seed):
+        return (
             FaultPlan(seed=seed)
             .with_rule(LinkFault(src=3, delay=2.0e-3))
             .with_rule(LinkFault(src=9, delay=2.0e-3))
         )
-        cluster = cal.make_cluster(
-            dataset32, m=64, latency_sigma=latency_sigma, failures=plan, seed=seed
-        )
-        net = KylixAllreduce(cluster, degrees32, replication=2, strict_coverage=False)
-        return cluster, net
 
-    cfg, red = averaged(make_rep_straggler, spec32, vals32)
-    cols.append(Table1Column("8x4 replicated=2, 2 straggler links", 0, cfg, red))
+    # (label, dead nodes, dataset, degrees, physical nodes, replication,
+    # seed -> fault plan).  The replicated columns run s=2 on 64 physical
+    # nodes (32 logical), with dead nodes chosen in distinct replica
+    # groups.  The last two are extended columns (beyond the paper's
+    # grid): the fault classes the repro.faults layer adds.  A
+    # step-targeted *mid-run* death — the node crashes right before its
+    # first send of the value down-pass, so the retry/NACK machinery plus
+    # packet racing must carry the round — and two persistent straggler
+    # links (SparCML's favourite adversary).
+    columns = [
+        ("8x4x2 unreplicated (64 nodes)", 0, dataset64, degrees64, None, 1, healthy),
+        ("8x4 unreplicated (32 nodes)", 0, dataset32, degrees32, None, 1, healthy),
+        *(
+            ("8x4 replicated=2 (64 nodes)", dead, dataset32, degrees32, 64, 2, deaths(dead))
+            for dead in failures
+        ),
+        ("8x4 replicated=2, mid-run death", 1, dataset32, degrees32, 64, 2,
+         lambda seed: FaultPlan().kill_at_step(1, "down", 1)),
+        ("8x4 replicated=2, 2 straggler links", 0, dataset32, degrees32, 64, 2, stragglers),
+    ]
+    cols: List[Table1Column] = []
+    for label, dead, dataset, degrees, m, replication, plan in columns:
+        timings = [
+            cal.timed_reduces(
+                dataset, degrees, reduce_iters, replication=replication, m=m,
+                latency_sigma=latency_sigma, failures=plan(seed), seed=seed,
+            )[1:]
+            for seed in seeds
+        ]
+        cfg, red = (float(np.mean(t)) for t in zip(*timings))
+        cols.append(Table1Column(label, dead, cfg, red))
     return Table1Result(cols)
 
 
@@ -683,3 +623,46 @@ def run_design_workflow() -> DesignResult:
             DesignRow(name, tuple(p["optimal_degrees"]), tuple(degs), floor)
         )
     return DesignResult(rows)
+
+
+# ---------------------------------------------------------------------------
+# The evaluation: every figure ``python -m repro experiments`` regenerates
+# ---------------------------------------------------------------------------
+
+#: name -> the runs whose tables the figure prints, in order.  Datasets
+#: are built (and cached) only when a figure runs.
+FIGURES: Dict[str, Callable[[], List[Any]]] = {
+    "fig2": lambda: [run_fig2()],
+    "fig4": lambda: [run_fig4()],
+    "fig5": lambda: [
+        run_fig5(cal.bench_twitter(), [8, 4, 2]),
+        run_fig5(cal.bench_yahoo(), [16, 4]),
+    ],
+    "fig6": lambda: [
+        run_fig6(cal.bench_twitter(), [8, 4, 2]),
+        run_fig6(cal.bench_yahoo(), [16, 4]),
+    ],
+    "fig7": lambda: [run_fig7(cal.bench_twitter(), [8, 4, 2])],
+    "table1": lambda: [run_table1(cal.bench_twitter(), cal.bench_twitter(32))],
+    "fig8": lambda: [
+        run_fig8(cal.bench_twitter(), [8, 4, 2], paper_edges=cal.PAPER["twitter"]["n_edges"]),
+        run_fig8(cal.bench_yahoo(), [16, 4], paper_edges=cal.PAPER["yahoo"]["n_edges"]),
+    ],
+    "fig9": lambda: [run_fig9(cal.bench_twitter()), run_fig9(cal.bench_yahoo())],
+    "design": lambda: [run_design_workflow()],
+}
+
+
+def jsonable(obj):
+    """A result as plain JSON data (dataclasses and NumPy values included)."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
+    return obj

@@ -11,10 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from ..allreduce import KylixAllreduce
-from ..cluster import Cluster
 from ..data import Dataset
 from . import calibration as cal
 from .reporting import format_seconds, format_table
@@ -124,17 +120,11 @@ def sweep_degree_stacks(
     max_stacks: int = 200,
 ) -> SweepResult:
     """Time every degree stack of ``dataset.m`` on the calibrated fabric."""
-    spec = dataset.spec
-    values = {p.rank: np.ones(p.out_vertices.size) for p in dataset.partitions}
-    rows: List[SweepRow] = []
-    for degrees in all_degree_stacks(dataset.m, max_stacks=max_stacks):
-        cluster = cal.make_cluster(dataset, seed=seed)
-        net = KylixAllreduce(cluster, list(degrees), strict_coverage=False)
-        net.configure(spec)
-        cfg = net.config_timing.elapsed
-        t0 = cluster.now
-        for _ in range(reduce_iters):
-            net.reduce(values)
-        rows.append(SweepRow(tuple(degrees), cfg, (cluster.now - t0) / reduce_iters))
+    rows = [
+        SweepRow(
+            tuple(degrees), *cal.timed_reduces(dataset, degrees, reduce_iters, seed=seed)[1:]
+        )
+        for degrees in all_degree_stacks(dataset.m, max_stacks=max_stacks)
+    ]
     rows.sort(key=lambda r: r.total_s)
     return SweepResult(dataset.name, rows, tuple(workflow_pick))

@@ -559,9 +559,13 @@ def drive_cluster(
     with ``telemetry_interval``, an ``aggregator`` of the nodes'
     samples), the exact and checked rank-round counts, every error, the
     dead ranks, and for degraded modes the merged coverage ``report`` and
-    the bound gate.  A loss, an error or a dead rank leaves a
-    flight-recorder postmortem with that report under
-    :data:`DEFAULT_LOG_DIR` (``outcome["postmortem"]``).
+    the bound gate.  The verdict is ``ok``, with the gates that failed in
+    ``failures``: a rank-round off the dense reference, a loss outside
+    the static bound (degraded modes), an error, a dead rank or no result
+    at all (lossless modes), batched clean rounds with no config-cache
+    hit, or telemetry asked for and no sample home.  A loss, an error or
+    a dead rank leaves a flight-recorder postmortem with that report
+    under :data:`DEFAULT_LOG_DIR` (``outcome["postmortem"]``).
     """
     from ..obs.runner import EXPERIMENTS, merge_reports, run_traced
 
@@ -620,10 +624,25 @@ def drive_cluster(
     cache["hit_rate"] = cache["hits"] / max(cache["hits"] + cache["misses"], 1)
     report = outcome["report"] = merge_reports(reports) if reports else None
     if report is not None:
-        outcome.update(coverage=report.summary(), bound_ok=not violations,
-                       bound_violations=violations)
+        outcome.update(bound_ok=not violations, bound_violations=violations)
     if aggregator is not None:
         outcome["aggregator"] = aggregator
+    failures = outcome["failures"] = []
+    if outcome["checked_rounds"] != outcome["exact_rounds"]:
+        failures.append("a checked rank-round differs from the dense reference")
+    if report is not None:
+        failures += [f"coverage-bound violation: {v}" for v in violations]
+    elif outcome["errors"] or outcome["dead_ranks"]:
+        failures.append(f"mode {failure_mode} loses nothing, yet a rank failed or died")
+    elif outcome["checked_rounds"] == 0:
+        failures.append("no results came back from any node")
+    batched = concurrency > 1 and outcome["rounds_run"] > 1 and failure_mode == "none"
+    if batched and cache["misses"] and not cache["hits"]:
+        failures.append("config-cache gate: batched rounds produced zero cached-"
+                        "config hits — the round-0 plan is not being reused")
+    if aggregator is not None and aggregator.samples == 0:
+        failures.append("telemetry gate: no samples arrived from any node")
+    outcome["ok"] = not failures
     if (report is not None and (report.lost_indices or report.losses)) or (
         outcome["errors"] or outcome["dead_ranks"]
     ):

@@ -1,4 +1,5 @@
-"""The service-throughput benchmark behind ``python -m repro drive-service``.
+"""The service-throughput benchmark behind ``python -m repro drive-service``,
+and the stream workload ``serve`` draws its patterns from.
 
 The whole point of splitting configure from reduce (§II-D) — and of the
 service's keyed config cache on top — is that a stream of same-pattern
@@ -27,11 +28,12 @@ from ..allreduce import KylixAllreduce, ReduceSpec
 from ..cluster import Cluster
 from .service import ReduceService
 
-__all__ = ["run_service_benchmark"]
+__all__ = ["run_service_benchmark", "stream_workload"]
 
 
-def _workload(m: int, n: int, reduces: int, seed: int):
-    """One fixed sparsity pattern, fresh values per reduce."""
+def stream_workload(m: int, n: int, reduces: int, seed: int):
+    """One fixed sparsity pattern, fresh values per reduce: ``(spec,
+    rounds)``."""
     rng = np.random.default_rng(seed)
     idx = {
         r: np.unique(
@@ -68,7 +70,7 @@ def run_service_benchmark(
     """
     if reduces < 2:
         raise ValueError("reduces must be >= 2 (need at least one cache hit)")
-    spec, rounds = _workload(m, n, reduces, seed)
+    spec, rounds = stream_workload(m, n, reduces, seed)
 
     # Naive loop: a full config traversal ahead of every reduce.
     seq_cluster = Cluster(m)

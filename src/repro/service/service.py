@@ -259,9 +259,7 @@ class ReduceService:
         elif entry is None:
             stream.net.configure(stream.spec)
             self.cache.store(stream.fingerprint, stream.net.plans, stream.spec)
-        elif stream.net.plans is not entry.plans or stream.net.spec is not stream.spec:
-            # Also after a drift whose configure failed half-way (the
-            # session then holds the new spec beside the old plans).
+        elif stream.net.plans is not entry.plans:
             stream.net.adopt_plans(stream.spec, entry.plans)
 
     # -- submission --------------------------------------------------------

@@ -3,9 +3,9 @@
 Library modules report through return values, typed exceptions, and the
 :mod:`repro.obs` observer — a stray ``print`` in protocol or simulator
 code pollutes benchmark output, is invisible from worker processes, and
-cannot be turned off by callers.  The two command-line faces of the
-package (``repro/__main__.py`` and ``repro/bench/run_all.py``) exist to
-print and are exempt; everything else under ``src/repro/`` must not.
+cannot be turned off by callers.  The package's command-line face
+(``repro/__main__.py``) exists to print and is exempt; everything else
+under ``src/repro/`` must not.
 Deliberate exceptions carry ``# lint: ok`` with a reason.
 """
 
@@ -19,7 +19,7 @@ from ..lint import LintFinding, LintRule
 __all__ = ["NoPrintRule"]
 
 #: CLI-facing modules whose whole purpose is terminal output.
-_CLI_FACES = ("__main__.py", "bench/run_all.py")
+_CLI_FACE = "__main__.py"
 
 
 class NoPrintRule(LintRule):
@@ -30,7 +30,7 @@ class NoPrintRule(LintRule):
     )
 
     def applies_to(self, relpath: str) -> bool:
-        return relpath not in _CLI_FACES
+        return relpath != _CLI_FACE
 
     def check(self, tree: ast.Module, relpath: str) -> Iterable[LintFinding]:
         for node in ast.walk(tree):

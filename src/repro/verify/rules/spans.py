@@ -23,7 +23,7 @@ from ..lint import LintFinding, LintRule
 
 __all__ = ["SpanBalanceRule"]
 
-_EXEMPT = ("__main__.py", "bench/run_all.py")
+_CLI_FACE = "__main__.py"
 
 
 class SpanBalanceRule(LintRule):
@@ -34,7 +34,7 @@ class SpanBalanceRule(LintRule):
     )
 
     def applies_to(self, relpath: str) -> bool:
-        return relpath not in _EXEMPT
+        return relpath != _CLI_FACE
 
     def check(self, tree: ast.Module, relpath: str) -> Iterable[LintFinding]:
         for node in ast.walk(tree):

@@ -306,6 +306,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             KylixAllreduce(Cluster(8), [4, 4])
 
+    @pytest.mark.parametrize("entry", ["configure", "allreduce_combined"])
+    def test_a_failed_plan_build_keeps_the_previous_spec(self, monkeypatch, entry):
+        """A configuration run that raises leaves the previous spec beside
+        the previous plans: the next reduce sums A, not B's maxima through
+        A's maps."""
+        spec_a, vals = random_spec(4, 60, np.random.default_rng(3))
+        spec_b = ReduceSpec(spec_a.in_indices, spec_a.out_indices, op="max")
+        net = KylixAllreduce(Cluster(4), [2, 2])
+        plans = net.configure(spec_a)
+
+        def failing_run(*args, **kwargs):
+            raise RuntimeError("configuration pass failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(net, "_run", failing_run)
+            with pytest.raises(RuntimeError):
+                if entry == "configure":
+                    net.configure(spec_b)
+                else:
+                    net.allreduce_combined(spec_b, vals)
+        assert net.spec is spec_a and net.plans is plans
+        ref, got = dense_reduce(spec_a, vals), net.reduce(vals)
+        for r in spec_a.ranks:
+            np.testing.assert_allclose(got[r], ref[r], atol=1e-9)
+
 
 class TestBaselineVariants:
     def test_direct_equals_kylix_single_layer(self):

@@ -1,17 +1,16 @@
-"""Tests for the ``python -m repro`` CLI and the run_all regenerator."""
+"""Tests for the ``python -m repro`` CLI, the ``experiments`` regenerator included."""
 
 import pytest
 
 from repro.__main__ import COMMANDS, main as cli_main
-from repro.bench.run_all import main as run_all_main
 
 
 class TestCLI:
     def test_help_renders_the_commands_table(self, capsys):
         assert cli_main([]) == 0
         out = capsys.readouterr().out
-        for cmd, (_, desc) in COMMANDS.items():
-            assert cmd in out and desc in out
+        for cmd, command in COMMANDS.items():
+            assert cmd in out and command.help in out
         assert cli_main(["--help"]) == 0
 
     def test_info(self, capsys):
@@ -192,11 +191,15 @@ class TestDocsPins:
 
         docs = Path(__file__).resolve().parents[1] / "docs" / "observability.md"
         text = docs.read_text()
-        table_rows = re.findall(r"^\| `([a-z-]+)` \|", text, flags=re.MULTILINE)
-        assert table_rows, "the COMMANDS table went missing from the docs"
+        rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, flags=re.MULTILINE)
+        assert rows, "the COMMANDS table went missing from the docs"
+        table_rows = [cmd for cmd, _ in rows]
         assert set(table_rows) == set(COMMANDS)
         # the table preserves the CLI's own ordering
         assert table_rows == list(COMMANDS)
+        # each row says what --help says, then links onwards
+        for cmd, what in rows:
+            assert what.startswith(COMMANDS[cmd].help), cmd
 
     def test_readme_cross_links_certification(self):
         from pathlib import Path
@@ -208,11 +211,17 @@ class TestDocsPins:
 
 
 class TestRunAll:
+    """``python -m repro experiments``: the one regenerator of the paper's
+    figures."""
+
     def test_unknown_experiment_rejected(self, capsys):
-        assert run_all_main(["not-a-figure"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["experiments", "not-a-figure"])
+        assert exc.value.code == 2
+        assert "not-a-figure" in capsys.readouterr().err
 
     def test_fast_experiments(self, capsys):
-        assert run_all_main(["fig2", "fig4", "design"]) == 0
+        assert cli_main(["experiments", "fig2", "fig4", "design"]) == 0
         out = capsys.readouterr().out
         assert "Fig 2" in out and "Fig 4" in out and "design workflow" in out
 
@@ -220,7 +229,7 @@ class TestRunAll:
         import json
 
         path = tmp_path / "out.json"
-        assert run_all_main(["--json", str(path), "fig2", "design"]) == 0
+        assert cli_main(["experiments", "--json", str(path), "fig2", "design"]) == 0
         data = json.loads(path.read_text())
         assert set(data) == {"fig2", "design"}
         assert len(data["fig2"][0]["rows"]) > 5
@@ -228,4 +237,6 @@ class TestRunAll:
         assert picks["twitter"] == [8, 4, 2]
 
     def test_json_missing_path(self, capsys):
-        assert run_all_main(["--json"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["experiments", "--json"])
+        assert exc.value.code == 2

@@ -106,6 +106,7 @@ class TestNodeServer:
         assert outcome["checked_rounds"] == 16  # 8 ranks x 2 rounds
         assert outcome["exact_rounds"] == 16
         assert outcome["report"] is None
+        assert outcome["ok"] and outcome["failures"] == []
 
     def test_result_precedes_linger_on_long_lived_nodes(self):
         """A node sends its result first and lingers only until the
@@ -151,6 +152,7 @@ class TestNodeServer:
             assert VICTIM_RANK in outcome["report"].dead_members
             assert outcome["dead_ranks"] == []  # partitioned, not dead
             assert outcome["checked_rounds"] == outcome["exact_rounds"]
+            assert outcome["ok"], outcome["failures"]
         finally:
             stop_cluster("procs.json")
 
@@ -243,6 +245,39 @@ class TestDriverValidation:
 
     def test_failure_mode_catalogue_pinned(self):
         assert FAILURE_MODES == ("none", "crash", "slow-node", "partition")
+
+    @pytest.mark.parametrize(
+        "wave,options,gate",
+        [
+            ({}, {}, None),
+            ({"exact_rounds": 7}, {}, "differs from the dense reference"),
+            ({"errors": ["rank 3: boom"]}, {}, "a rank failed or died"),
+            ({"dead": [3]}, {}, "a rank failed or died"),
+            ({"checked_rounds": 0, "exact_rounds": 0}, {}, "no results came back"),
+            ({"cache": {"hits": 0, "misses": 1}}, {"rounds": 2, "concurrency": 2},
+             "config-cache gate"),
+            ({}, {"telemetry_interval": 0.05}, "telemetry gate"),
+        ],
+    )
+    def test_the_verdict_names_each_failed_gate(
+        self, tmp_path, monkeypatch, wave, options, gate
+    ):
+        """``drive_cluster`` is the one judge of a driven run: ``ok`` and
+        the gates that failed come from the waves, the CLI only prints."""
+        import repro.obs.runner as runner
+        from repro.obs import Observer
+
+        def one_wave(workload, **kwargs):
+            info = {"errors": [], "dead": [], "exact_rounds": 8, "checked_rounds": 8,
+                    "cache": {"hits": 1, "misses": 1}, "report": None}
+            return Observer(name="wave"), {**info, **wave}
+
+        monkeypatch.chdir(tmp_path)  # a failed wave leaves a postmortem
+        monkeypatch.setattr(runner, "run_traced", one_wave)
+        outcome = drive_cluster(self.fake_manifest(8), **options)
+        assert outcome["ok"] is (gate is None)
+        assert len(outcome["failures"]) == (gate is not None)
+        assert all(gate in f for f in outcome["failures"])
 
 
 class TestLauncher:

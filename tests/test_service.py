@@ -449,11 +449,12 @@ class TestServiceSGD:
 
 
 class TestLocalBackendService:
-    def test_local_streams_and_pipelined_rounds_exact(self):
+    @pytest.mark.parametrize("backend", ["local", "tcp"])
+    def test_local_streams_and_pipelined_rounds_exact(self, backend):
         m, degrees = 4, [2, 2]
         spec = random_spec(m, 300, 0.1, 41)
         rounds = [random_values(spec, 80 + j) for j in range(3)]
-        with ReduceService(backend="local", degrees=degrees) as svc:
+        with ReduceService(backend=backend, degrees=degrees) as svc:
             stream = svc.open_stream("s", spec)
             got = svc.submit_pipelined(stream, rounds)
             single = svc.reduce(stream, rounds[0])

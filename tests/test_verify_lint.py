@@ -175,9 +175,11 @@ class TestRuleFixtures:
             def main():
                 print("table output")
             """
-        for face in ("__main__.py", "bench/run_all.py"):
-            path = write_fixture(tmp_path, source)
-            assert lint_file(path, [NoPrintRule()], relpath=face) == []
+        path = write_fixture(tmp_path, source)
+        assert lint_file(path, [NoPrintRule()], relpath="__main__.py") == []
+        # The CLI is the one face: a bench module prints nothing.
+        findings = lint_file(path, [NoPrintRule()], relpath="bench/experiments.py")
+        assert rules_fired(findings) == {"no-print"}
 
     def test_suppression_comment_skips_finding(self, tmp_path):
         path = write_fixture(
