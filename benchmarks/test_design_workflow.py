@@ -19,13 +19,10 @@ from repro.bench import run_design_workflow
 def test_design_workflow_reproduces_paper_degrees(benchmark):
     result = benchmark.pedantic(run_design_workflow, rounds=1, iterations=1)
     emit(result.table())
-    by_name = {r.dataset: r for r in result.rows}
+    assert result.row(dataset="twitter")["workflow_degrees"] == (8, 4, 2)
+    assert result.row(dataset="yahoo")["workflow_degrees"] == (16, 4)
 
-    assert by_name["twitter"].workflow_degrees == (8, 4, 2)
-    assert by_name["yahoo"].workflow_degrees == (16, 4)
-
-    for row in result.rows:
-        degs = row.workflow_degrees
+    for degs in result.column("workflow_degrees"):
         # multiply out to the cluster size
         assert int(np.prod(degs)) == 64
         # non-increasing down the stack

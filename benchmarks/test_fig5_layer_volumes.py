@@ -15,13 +15,13 @@ from repro.bench import run_fig5
 
 
 def _check_common(result):
-    vols = result.volumes_list
+    vols = result.column("volume")
     # Strictly decreasing volume down the layers (the goblet shape).
     assert all(a > b for a, b in zip(vols, vols[1:])), vols
     # Total across layers is a small constant times the top layer.
     assert sum(vols[:-1]) < 3.0 * vols[0]
     # Prop 4.1 agreement within 10% per layer.
-    for measured, predicted in zip(vols, result.predicted_volumes):
+    for measured, predicted in zip(vols, result.column("predicted")):
         assert abs(measured - predicted) / predicted < 0.10
 
 
@@ -43,6 +43,6 @@ def test_fig5_twitter_shrinks_faster_than_yahoo(benchmark, twitter64, yahoo64):
     """Dense partitions collide more, so volume collapses faster (§VII-A)."""
     tw = benchmark.pedantic(run_fig5, args=(twitter64, [8, 4, 2]), rounds=1, iterations=1)
     ya = run_fig5(yahoo64, [16, 4])
-    tw_vols, ya_vols = tw.volumes_list, ya.volumes_list
+    tw_vols, ya_vols = tw.column("volume"), ya.column("volume")
     # Ratio of second layer to first: Twitter shrinks harder.
     assert tw_vols[1] / tw_vols[0] < ya_vols[1] / ya_vols[0]

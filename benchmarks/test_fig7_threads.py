@@ -22,8 +22,7 @@ def test_fig7_thread_sweep(benchmark, twitter64):
     )
     emit(result.table())
 
-    t1, t4 = result.time_at(1), result.time_at(4)
-    t16, t32 = result.time_at(16), result.time_at(32)
+    t1, t4, t16, t32 = (result.row(threads=t)["reduce_s"] for t in (1, 4, 16, 32))
 
     # Big win from 1 -> 4 threads.
     assert t4 < 0.75 * t1, f"1->4 threads only {t1 / t4:.2f}x"

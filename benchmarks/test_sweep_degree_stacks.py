@@ -16,21 +16,22 @@ def test_workflow_pick_is_near_optimal(benchmark, twitter64):
     result = benchmark.pedantic(
         sweep_degree_stacks, args=(twitter64, (8, 4, 2)), rounds=1, iterations=1
     )
-    emit(result.table(top=8))
+    emit(result.table())
+    pick = result.row(degrees=(8, 4, 2))
     emit(
-        f"workflow pick rank {result.rank_of((8, 4, 2))}/{len(result.rows)}, "
-        f"gap to empirical best {result.gap_of((8, 4, 2)):.2f}x"
+        f"workflow pick rank {pick['rank']}/{len(result.rows)}, "
+        f"gap to empirical best {pick['gap']:.2f}x"
     )
 
     # The analytic pick is in the top few of all 32 stacks and within 15%
     # of the empirical best.
-    assert result.rank_of((8, 4, 2)) <= 5
-    assert result.gap_of((8, 4, 2)) < 1.15
+    assert pick["rank"] <= 5
+    assert pick["gap"] < 1.15
 
     # The baselines are far behind the optimum.
-    assert result.gap_of((64,)) > 2.0  # direct
-    assert result.gap_of((2,) * 6) > 1.5  # binary butterfly
+    assert result.row(degrees=(64,))["gap"] > 2.0  # direct
+    assert result.row(degrees=(2,) * 6)["gap"] > 1.5  # binary butterfly
 
     # Shallow-and-wide beats deep-and-narrow across the board: the best
     # stack has at most 3 layers.
-    assert len(result.best.degrees) <= 3
+    assert len(result.row(rank=1)["degrees"]) <= 3

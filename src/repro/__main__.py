@@ -179,7 +179,7 @@ def _experiments(parser, args: list[str]) -> int:
     is seeded, so the output is what EXPERIMENTS.md records."""
     import time
 
-    from .bench.experiments import FIGURES, jsonable
+    from .bench.experiments import FIGURES
 
     parser.add_argument(
         "names", nargs="*", metavar="NAME",
@@ -198,7 +198,7 @@ def _experiments(parser, args: list[str]) -> int:
         results = FIGURES[name]()
         for result in results:
             print(result.table())
-        collected[name] = [jsonable(r) for r in results]
+        collected[name] = [{"title": r.title, "rows": r.rows} for r in results]
         print(f"\n[{name} regenerated in {time.time() - t0:.1f}s wall]\n")
     if opts.json:
         _write_json(opts.json, collected, indent=1)

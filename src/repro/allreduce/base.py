@@ -16,7 +16,7 @@ partitioning and un-hash on the way out, so callers never see hash space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -161,10 +161,6 @@ class ReduceSpec:
                     f"node {rank} requests {missing.size} indices nobody "
                     f"contributes (first: {missing[:5].tolist()})"
                 )
-
-    def dense_reference(self, length: Optional[int] = None) -> np.ndarray:
-        """Ground-truth reduction given values; see :func:`dense_reduce`."""
-        raise NotImplementedError("use dense_reduce(spec, values)")
 
 
 def check_values(

@@ -23,13 +23,15 @@ gradients, push them; homes apply the summed update.  Values are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from ..allreduce import ReduceSpec
 from .session import one_per_slot, reduce_pattern
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = ["RatingsShard", "DistributedMatrixFactorization", "MFResult", "synthetic_ratings"]
 
@@ -65,6 +67,8 @@ def synthetic_ratings(
     the data regime the paper's analysis assumes.  Returns
     ``(shards, U_true, V_true)``.
     """
+    from scipy.sparse import csr_matrix
+
     from ..data import zipf_sample
 
     rng = np.random.default_rng(seed)

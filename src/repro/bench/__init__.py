@@ -1,4 +1,8 @@
-"""Benchmark harness: calibration, per-figure experiment drivers, reporting."""
+"""Benchmark harness: calibration, per-figure experiment drivers, reporting.
+
+Every driver returns one :class:`Table` (rows of plain values, declared
+columns, ``table()`` / ``row()`` / ``column()``).
+"""
 
 from .calibration import (
     BYTES_PER_ELEMENT,
@@ -15,7 +19,7 @@ from .calibration import (
     make_cluster,
     scaled_params,
 )
-from .sweeps import SweepResult, all_degree_stacks, sweep_degree_stacks
+from .sweeps import all_degree_stacks, sweep_degree_stacks
 from .experiments import (
     run_design_workflow,
     run_fig2,
@@ -27,7 +31,7 @@ from .experiments import (
     run_fig9,
     run_table1,
 )
-from .reporting import banner, format_bars, format_bytes, format_seconds, format_table
+from .reporting import Table, banner, format_bars, format_bytes, format_seconds, format_table
 
 __all__ = [
     "PAPER",
@@ -54,7 +58,7 @@ __all__ = [
     "run_design_workflow",
     "all_degree_stacks",
     "sweep_degree_stacks",
-    "SweepResult",
+    "Table",
     "format_table",
     "format_bars",
     "format_bytes",

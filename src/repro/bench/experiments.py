@@ -1,30 +1,29 @@
 """Experiment drivers: one function per table/figure in the paper (§VII).
 
 Each function runs the full workload on the simulated cluster and returns
-a small result object carrying both the raw rows and a formatted table —
-the ``benchmarks/`` suite calls these, asserts the paper's qualitative
-claims (who wins, by roughly what factor, where volume shrinks), and
-prints the regenerated table.
+one :class:`~repro.bench.reporting.Table` whose rows hold the raw numbers
+and every derived ratio — the ``benchmarks/`` suite calls these, asserts
+the paper's qualitative claims (who wins, by roughly what factor, where
+volume shrinks) through ``row()`` / ``column()``, and prints ``table()``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..allreduce import KylixAllreduce, binary_degrees
 from ..apps.pagerank import DistributedPageRank
-from ..baselines import GAS_COMPUTE_SCALE, HadoopCostModel, PowerGraphPageRank
+from ..baselines import HadoopCostModel, PowerGraphPageRank
 from ..cluster import Cluster
 from ..data import Dataset, random_edge_partition
 from ..design import PowerLawModel, invert_density, optimal_degrees
 from ..faults import FaultPlan, LinkFault
 from ..netmodel import EC2_LIKE, NetworkParams, throughput_curve
 from . import calibration as cal
-from .reporting import format_bars, format_bytes, format_seconds, format_table
+from .reporting import Table, format_bytes, format_seconds, format_stack
 
 __all__ = [
     "run_fig2",
@@ -35,10 +34,19 @@ __all__ = [
     "run_table1",
     "run_fig8",
     "run_fig9",
+    "scaling_table",
     "run_design_workflow",
     "FIGURES",
-    "jsonable",
 ]
+
+
+def _gbps(v: float) -> str:
+    return f"{v / 1e9:.3f} GB/s"
+
+
+def _times(v: float) -> str:
+    # Ratios read off a log axis: whole numbers from 100x up.
+    return f"{v:.0f}x" if v >= 100 else f"{v:.1f}x"
 
 
 # ---------------------------------------------------------------------------
@@ -46,29 +54,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig2Result:
-    rows: List[Tuple[float, float, float, float]]  # size, model tput, measured, util
-
-    def table(self) -> str:
-        return format_table(
-            ["packet", "model throughput", "measured throughput", "utilization"],
-            [
-                (format_bytes(s), f"{mt / 1e9:.3f} GB/s", f"{bt / 1e9:.3f} GB/s", f"{u:.1%}")
-                for s, mt, bt, u in self.rows
-            ],
-            title="Fig 2: throughput vs packet size (10Gb/s EC2-like fabric)",
-        )
-
-    def utilization_at(self, size: float) -> float:
-        sizes = np.array([r[0] for r in self.rows])
-        utils = np.array([r[3] for r in self.rows])
-        return float(np.interp(size, sizes, utils))
-
-
 def run_fig2(
     params: NetworkParams = EC2_LIKE, sizes: Optional[Sequence[float]] = None
-) -> Fig2Result:
+) -> Table:
     """Analytic curve + fabric-measured throughput at each packet size."""
     if sizes is None:
         sizes = np.logspace(np.log10(8 << 10), np.log10(100 << 20), 17)
@@ -87,11 +75,21 @@ def run_fig2(
                     yield node.recv(tag=i)
 
         cluster.run(proto)
-        measured = k * size / cluster.now
+        measured = float(k * size / cluster.now)
         rows.append(
-            (float(size), model[size], measured, measured / params.bandwidth)
+            {"packet_bytes": float(size), "model_Bps": float(model[size]),
+             "measured_Bps": measured, "utilization": measured / params.bandwidth}
         )
-    return Fig2Result(rows)
+    return Table(
+        "Fig 2: throughput vs packet size (10Gb/s EC2-like fabric)",
+        [
+            ("packet_bytes", "packet", format_bytes),
+            ("model_Bps", "model throughput", _gbps),
+            ("measured_Bps", "measured throughput", _gbps),
+            ("utilization", "utilization", "{:.1%}".format),
+        ],
+        rows,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -99,34 +97,30 @@ def run_fig2(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig4Result:
-    alphas: List[float]
-    lambdas_normalized: np.ndarray
-    densities: Dict[float, np.ndarray]  # alpha -> density series
-
-    def table(self) -> str:
-        headers = ["lambda/lambda_0.9"] + [f"alpha={a}" for a in self.alphas]
-        rows = []
-        for i, lam in enumerate(self.lambdas_normalized):
-            rows.append([f"{lam:.4g}"] + [f"{self.densities[a][i]:.4f}" for a in self.alphas])
-        return format_table(headers, rows, title="Fig 4: vector density vs normalized scaling factor")
-
-
 def run_fig4(
     alphas: Sequence[float] = (0.5, 1.0, 1.5, 2.0),
     n: int = 100_000,
     points: int = 13,
-) -> Fig4Result:
-    """Density curves normalised by λ₀.₉ (where f(λ₀.₉) = 0.9), as in Fig 4."""
+) -> Table:
+    """Density curves normalised by λ₀.₉ (where f(λ₀.₉) = 0.9), as in Fig 4.
+
+    One row per point of the λ/λ₀.₉ axis (``lambda_norm``), one
+    ``alpha=<α>`` column per density curve.
+    """
     from ..design import density
 
     norm = np.unique(np.append(np.logspace(-4, 1, points), 1.0))  # λ/λ_0.9
-    out: Dict[float, np.ndarray] = {}
+    rows = [{"lambda_norm": float(x)} for x in norm]
     for a in alphas:
         lam09 = invert_density(0.9, a, n)
-        out[a] = np.array([density(x * lam09, a, n) for x in norm])
-    return Fig4Result(list(alphas), norm, out)
+        for row in rows:
+            row[f"alpha={a}"] = float(density(row["lambda_norm"] * lam09, a, n))
+    return Table(
+        "Fig 4: vector density vs normalized scaling factor",
+        [("lambda_norm", "lambda/lambda_0.9", "{:.4g}".format)]
+        + [(f"alpha={a}", f"alpha={a}", "{:.4f}".format) for a in alphas],
+        rows,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,64 +128,37 @@ def run_fig4(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig5Result:
-    dataset: str
-    degrees: Tuple[int, ...]
-    layer_volumes: Dict[int, int]  # communication layer -> bytes (down+up)
-    bottom_volume: int  # fully reduced data at the bottom node layer
-    predicted_volumes: List[float]  # Prop 4.1 prediction per layer (+bottom)
+def run_fig5(dataset: Dataset, degrees: Sequence[int]) -> Table:
+    """Measure down+up reduce volume per layer, plus the bottom volume.
 
-    def table(self) -> str:
-        rows = []
-        layers = sorted(self.layer_volumes)
-        for i, layer in enumerate(layers):
-            rows.append(
-                (
-                    f"layer {layer} (d={self.degrees[i]})",
-                    format_bytes(self.layer_volumes[layer]),
-                    format_bytes(self.predicted_volumes[i]),
-                )
-            )
-        rows.append(
-            ("bottom (reduced)", format_bytes(self.bottom_volume), format_bytes(self.predicted_volumes[-1]))
-        )
-        table = format_table(
-            ["layer", "measured volume", "Prop 4.1 predicted"],
-            rows,
-            title=f"Fig 5: per-layer communication volume — {self.dataset} {'x'.join(map(str, self.degrees))}",
-        )
-        labels = [f"layer {k}" for k in sorted(self.layer_volumes)] + ["bottom"]
-        bars = format_bars(
-            labels, [float(v) for v in self.volumes_list], fmt=format_bytes
-        )
-        return table + "\n\n" + bars
-
-    @property
-    def volumes_list(self) -> List[int]:
-        return [self.layer_volumes[k] for k in sorted(self.layer_volumes)] + [
-            self.bottom_volume
-        ]
-
-
-def run_fig5(dataset: Dataset, degrees: Sequence[int]) -> Fig5Result:
-    """Measure down+up reduce volume per layer, plus the bottom volume."""
+    Rows run from ``layer="layer 1"`` down and end with
+    ``layer="bottom"``, the fully reduced data at the bottom node layer.
+    """
     net, _, _ = cal.timed_reduces(dataset, degrees, 1)
     down = net.cluster.stats.bytes_by_layer("reduce_down")
     up = net.cluster.stats.bytes_by_layer("gather_up")
-    vols = {layer: down.get(layer, 0) + up.get(layer, 0) for layer in down}
     bottom = sum(p.layers[-1].out_union_size for p in net.plans.values()) * 8
     # Prop 4.1 prediction, in the same units (8-byte values, down+up ≈ 2x
     # down volume at upper layers; we predict the down volume 2x'd).
-    model = dataset.model()
-    elems = model.layer_node_elements(list(degrees))
-    predicted = [2 * e * dataset.m * 8 for e in elems[:-1]] + [elems[-1] * dataset.m * 8]
-    return Fig5Result(
-        dataset=dataset.name,
-        degrees=tuple(degrees),
-        layer_volumes=vols,
-        bottom_volume=int(bottom),
-        predicted_volumes=predicted,
+    elems = dataset.model().layer_node_elements(list(degrees))
+    rows = [
+        {"layer": f"layer {layer}", "label": f"layer {layer} (d={d})",
+         "volume": int(down[layer] + up.get(layer, 0)), "predicted": float(2 * e * dataset.m * 8)}
+        for layer, d, e in zip(sorted(down), degrees, elems)
+    ]
+    rows.append(
+        {"layer": "bottom", "label": "bottom (reduced)",
+         "volume": int(bottom), "predicted": float(elems[-1] * dataset.m * 8)}
+    )
+    return Table(
+        f"Fig 5: per-layer communication volume — {dataset.name} {format_stack(degrees)}",
+        [
+            ("label", "layer", str),
+            ("volume", "measured volume", format_bytes),
+            ("predicted", "Prop 4.1 predicted", format_bytes),
+        ],
+        rows,
+        bars=("layer", "volume", format_bytes),
     )
 
 
@@ -200,56 +167,9 @@ def run_fig5(dataset: Dataset, degrees: Sequence[int]) -> Fig5Result:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TopologyTiming:
-    name: str
-    degrees: Tuple[int, ...]
-    config_s: float
-    reduce_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.config_s + self.reduce_s
-
-
-@dataclass
-class Fig6Result:
-    dataset: str
-    timings: List[TopologyTiming]
-
-    def table(self) -> str:
-        table = format_table(
-            ["topology", "degrees", "config", "reduce", "total"],
-            [
-                (
-                    t.name,
-                    "x".join(map(str, t.degrees)),
-                    format_seconds(t.config_s),
-                    format_seconds(t.reduce_s),
-                    format_seconds(t.total_s),
-                )
-                for t in self.timings
-            ],
-            title=f"Fig 6: allreduce time by topology — {self.dataset}",
-        )
-        bars = format_bars(
-            [t.name for t in self.timings],
-            [t.total_s for t in self.timings],
-            fmt=format_seconds,
-        )
-        opt = self.by_name("optimal butterfly").total_s
-        return table + "\n\n" + bars + (
-            f"\n  -> direct/optimal = {self.by_name('direct').total_s / opt:.2f}x, "
-            f"binary/optimal = {self.by_name('binary butterfly').total_s / opt:.2f}x"
-        )
-
-    def by_name(self, name: str) -> TopologyTiming:
-        return next(t for t in self.timings if t.name == name)
-
-
 def run_fig6(
     dataset: Dataset, optimal: Sequence[int], *, reduce_iters: int = 3
-) -> Fig6Result:
+) -> Table:
     """Direct vs optimal butterfly vs binary butterfly on one dataset."""
     m = dataset.m
     stacks = [
@@ -257,11 +177,29 @@ def run_fig6(
         ("optimal butterfly", list(optimal)),
         ("binary butterfly", binary_degrees(m)),
     ]
-    out = []
+    rows = []
     for name, degrees in stacks:
         _, config_s, reduce_s = cal.timed_reduces(dataset, degrees, reduce_iters)
-        out.append(TopologyTiming(name, tuple(degrees), config_s, reduce_s))
-    return Fig6Result(dataset.name, out)
+        rows.append(
+            {"topology": name, "degrees": tuple(degrees), "config_s": config_s,
+             "reduce_s": reduce_s, "total_s": config_s + reduce_s}
+        )
+    total = {row["topology"]: row["total_s"] for row in rows}
+    opt = total["optimal butterfly"]
+    return Table(
+        f"Fig 6: allreduce time by topology — {dataset.name}",
+        [
+            ("topology", "topology", str),
+            ("degrees", "degrees", format_stack),
+            ("config_s", "config", format_seconds),
+            ("reduce_s", "reduce", format_seconds),
+            ("total_s", "total", format_seconds),
+        ],
+        rows,
+        bars=("topology", "total_s", format_seconds),
+        note=f"  -> direct/optimal = {total['direct'] / opt:.2f}x, "
+        f"binary/optimal = {total['binary butterfly'] / opt:.2f}x",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,66 +207,25 @@ def run_fig6(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig7Result:
-    dataset: str
-    degrees: Tuple[int, ...]
-    rows: List[Tuple[int, float]]  # (threads, allreduce seconds)
-
-    def table(self) -> str:
-        return format_table(
-            ["threads", "allreduce time"],
-            [(t, format_seconds(s)) for t, s in self.rows],
-            title=f"Fig 7: allreduce runtime vs thread count — {self.dataset} {'x'.join(map(str, self.degrees))}",
-        )
-
-    def time_at(self, threads: int) -> float:
-        return dict(self.rows)[threads]
-
-
 def run_fig7(
     dataset: Dataset,
     degrees: Sequence[int],
     threads: Sequence[int] = (1, 2, 4, 8, 16, 32),
-) -> Fig7Result:
-    rows = []
-    for t in threads:
-        _, _, reduce_s = cal.timed_reduces(dataset, degrees, 3, threads=t)
-        rows.append((int(t), reduce_s))
-    return Fig7Result(dataset.name, tuple(degrees), rows)
+) -> Table:
+    rows = [
+        {"threads": int(t), "reduce_s": cal.timed_reduces(dataset, degrees, 3, threads=t)[2]}
+        for t in threads
+    ]
+    return Table(
+        f"Fig 7: allreduce runtime vs thread count — {dataset.name} {format_stack(degrees)}",
+        [("threads", "threads", str), ("reduce_s", "allreduce time", format_seconds)],
+        rows,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Table I — cost of fault tolerance
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Table1Column:
-    label: str
-    dead_nodes: int
-    config_s: float
-    reduce_s: float
-
-
-@dataclass
-class Table1Result:
-    columns: List[Table1Column]
-
-    def table(self) -> str:
-        return format_table(
-            ["configuration", "dead", "config", "reduce"],
-            [
-                (c.label, c.dead_nodes, format_seconds(c.config_s), format_seconds(c.reduce_s))
-                for c in self.columns
-            ],
-            title="Table I: cost of fault tolerance (replication + packet racing)",
-        )
-
-    def by_label(self, label: str, dead: int) -> Table1Column:
-        return next(
-            c for c in self.columns if c.label == label and c.dead_nodes == dead
-        )
 
 
 def run_table1(
@@ -341,13 +238,14 @@ def run_table1(
     latency_sigma: float = 0.6,
     reduce_iters: int = 2,
     seeds: Sequence[int] = (0, 1, 2),
-) -> Table1Result:
+) -> Table:
     """Unreplicated 64/32-node vs replicated (s=2) with 0–3 dead nodes.
 
     Latency jitter is on (commodity-cloud conditions) so packet racing has
     variance to exploit, as in the paper's EC2 measurements; each column
     averages over ``seeds`` jitter streams (a configuration pass runs only
-    once per network, so single-seed config times are noisy).
+    once per network, so single-seed config times are noisy).  The
+    paper's columns are rows here, one per ``label`` and ``dead_nodes``.
     """
     def healthy(seed):
         return None
@@ -382,7 +280,7 @@ def run_table1(
          lambda seed: FaultPlan().kill_at_step(1, "down", 1)),
         ("8x4 replicated=2, 2 straggler links", 0, dataset32, degrees32, 64, 2, stragglers),
     ]
-    cols: List[Table1Column] = []
+    rows = []
     for label, dead, dataset, degrees, m, replication, plan in columns:
         timings = [
             cal.timed_reduces(
@@ -392,55 +290,22 @@ def run_table1(
             for seed in seeds
         ]
         cfg, red = (float(np.mean(t)) for t in zip(*timings))
-        cols.append(Table1Column(label, dead, cfg, red))
-    return Table1Result(cols)
+        rows.append({"label": label, "dead_nodes": dead, "config_s": cfg, "reduce_s": red})
+    return Table(
+        "Table I: cost of fault tolerance (replication + packet racing)",
+        [
+            ("label", "configuration", str),
+            ("dead_nodes", "dead", str),
+            ("config_s", "config", format_seconds),
+            ("reduce_s", "reduce", format_seconds),
+        ],
+        rows,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Fig 8 — PageRank: Kylix vs PowerGraph vs Hadoop
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Fig8Result:
-    dataset: str
-    kylix_s: float
-    powergraph_s: float
-    kylix_paper_scale_s: float
-    hadoop_paper_scale_s: float
-    scale_factor: float
-
-    @property
-    def vs_powergraph(self) -> float:
-        return self.powergraph_s / self.kylix_s
-
-    @property
-    def vs_hadoop(self) -> float:
-        return self.hadoop_paper_scale_s / self.kylix_paper_scale_s
-
-    def table(self) -> str:
-        return format_table(
-            ["system", "s/iteration", "vs Kylix"],
-            [
-                ("Kylix (measured, scaled data)", format_seconds(self.kylix_s), "1.0x"),
-                (
-                    "PowerGraph-like (measured, scaled data)",
-                    format_seconds(self.powergraph_s),
-                    f"{self.vs_powergraph:.1f}x",
-                ),
-                (
-                    "Kylix (extrapolated to paper scale)",
-                    format_seconds(self.kylix_paper_scale_s),
-                    "1.0x",
-                ),
-                (
-                    "Hadoop/Pegasus (cost model, paper scale)",
-                    format_seconds(self.hadoop_paper_scale_s),
-                    f"{self.vs_hadoop:.0f}x",
-                ),
-            ],
-            title=f"Fig 8: PageRank runtime per iteration — {self.dataset}",
-        )
 
 
 def run_fig8(
@@ -449,8 +314,13 @@ def run_fig8(
     *,
     iterations: int = 3,
     paper_edges: float = 1.5e9,
-) -> Fig8Result:
-    """Kylix vs PowerGraph on the simulator; Hadoop via the cost model."""
+) -> Table:
+    """Kylix vs PowerGraph on the simulator; Hadoop via the cost model.
+
+    One row per ``system``: ``vs_kylix`` is its time over Kylix's at the
+    same scale, ``scale_factor`` how many times the measured data its data
+    is (Kylix's paper-scale row is its measured time times that factor).
+    """
     cluster = cal.make_cluster(dataset)
     pr = DistributedPageRank(KylixAllreduce(cluster, list(degrees)), dataset.partitions)
     kylix = pr.run(iterations).mean_iteration
@@ -461,16 +331,26 @@ def run_fig8(
 
     # Extrapolate Kylix to paper scale: overheads were scaled with the
     # data, so measured time grows linearly with per-node bytes.
-    scale = cal.PAPER["per_node_data_bytes"] / cal.dataset_per_node_bytes(dataset)
+    scale = float(cal.PAPER["per_node_data_bytes"] / cal.dataset_per_node_bytes(dataset))
     kylix_paper = kylix * scale
     hadoop = HadoopCostModel().seconds_per_iteration(paper_edges, dataset.m)
-    return Fig8Result(
-        dataset=dataset.name,
-        kylix_s=kylix,
-        powergraph_s=powergraph,
-        kylix_paper_scale_s=kylix_paper,
-        hadoop_paper_scale_s=hadoop,
-        scale_factor=scale,
+    systems = [
+        ("Kylix (measured, scaled data)", kylix, 1.0, 1.0),
+        ("PowerGraph-like (measured, scaled data)", powergraph, powergraph / kylix, 1.0),
+        ("Kylix (extrapolated to paper scale)", kylix_paper, 1.0, scale),
+        ("Hadoop/Pegasus (cost model, paper scale)", hadoop, hadoop / kylix_paper, scale),
+    ]
+    return Table(
+        f"Fig 8: PageRank runtime per iteration — {dataset.name}",
+        [
+            ("system", "system", str),
+            ("s_per_iter", "s/iteration", format_seconds),
+            ("vs_kylix", "vs Kylix", _times),
+        ],
+        [
+            {"system": name, "s_per_iter": t, "vs_kylix": vs, "scale_factor": sf}
+            for name, t, vs, sf in systems
+        ],
     )
 
 
@@ -479,58 +359,12 @@ def run_fig8(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ScalingRow:
-    nodes: int
-    degrees: Tuple[int, ...]
-    compute_s: float
-    comm_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.compute_s + self.comm_s
-
-    @property
-    def comm_share(self) -> float:
-        return self.comm_s / self.total_s if self.total_s else 0.0
-
-
-@dataclass
-class Fig9Result:
-    dataset: str
-    rows: List[ScalingRow]
-
-    def speedup(self, nodes: int) -> float:
-        base = self.rows[0]
-        row = next(r for r in self.rows if r.nodes == nodes)
-        return base.total_s / row.total_s
-
-    def table(self) -> str:
-        base = self.rows[0]
-        return format_table(
-            ["nodes", "degrees", "compute", "comm", "total", "comm share", "speedup"],
-            [
-                (
-                    r.nodes,
-                    "x".join(map(str, r.degrees)),
-                    format_seconds(r.compute_s),
-                    format_seconds(r.comm_s),
-                    format_seconds(r.total_s),
-                    f"{r.comm_share:.0%}",
-                    f"{base.total_s / r.total_s:.1f}x",
-                )
-                for r in self.rows
-            ],
-            title=f"Fig 9: PageRank scaling — {self.dataset} (speedup vs {base.nodes} nodes)",
-        )
-
-
 def run_fig9(
     dataset: Dataset,
     sizes: Sequence[int] = (4, 8, 16, 32, 64),
     *,
     iterations: int = 3,
-) -> Fig9Result:
+) -> Table:
     """Per-size optimally-tuned Kylix PageRank with compute/comm breakdown.
 
     The *same* graph is re-partitioned for each cluster size (Fig 9 fixes
@@ -540,39 +374,55 @@ def run_fig9(
     """
     # One fixed fabric for every size, anchored at the reference dataset.
     params = cal.scaled_params(dataset)
-    rows: List[ScalingRow] = []
+    # The packet floor scales with the fabric overhead (same rule as
+    # scaled_params): floor = min_efficient_packet of this fabric.
+    floor = params.min_efficient_packet(0.85) * (cal.BYTES_PER_ELEMENT / 16.0)
+    runs = []
     for m in sizes:
         parts = random_edge_partition(dataset.graph, m, seed=7)
-        sub = Dataset(
-            name=dataset.name,
-            graph=dataset.graph,
-            partitions=parts,
-            alpha=dataset.alpha,
-            target_density=dataset.target_density,
-            paper_degrees=dataset.paper_degrees,
-        )
-        model = sub.model()
-        # The packet floor scales with the fabric overhead (same rule as
-        # scaled_params): floor = min_efficient_packet of this fabric.
-        floor = params.min_efficient_packet(0.85) * (
-            cal.BYTES_PER_ELEMENT / 16.0
-        )
         degrees = optimal_degrees(
-            model, m, min_packet_bytes=floor, bytes_per_element=cal.BYTES_PER_ELEMENT
+            replace(dataset, partitions=parts).model(), m,
+            min_packet_bytes=floor, bytes_per_element=cal.BYTES_PER_ELEMENT,
         )
         cluster = Cluster(
-            m,
-            params=params,
-            threads=16,
-            compute_rate=cal.KYLIX_COMPUTE_RATE,
-            seed=13,
+            m, params=params, threads=16, compute_rate=cal.KYLIX_COMPUTE_RATE, seed=13
         )
-        pr = DistributedPageRank(KylixAllreduce(cluster, degrees), parts)
-        res = pr.run(iterations)
+        res = DistributedPageRank(KylixAllreduce(cluster, degrees), parts).run(iterations)
+        runs.append((m, degrees, res.mean_compute, res.mean_comm))
+    return scaling_table(dataset.name, runs)
+
+
+def scaling_table(
+    dataset_name: str, runs: Sequence[Tuple[int, Sequence[int], float, float]]
+) -> Table:
+    """Fig 9's table from one ``(nodes, degrees, compute_s, comm_s)`` per size.
+
+    ``speedup`` is against the first size; a size whose total is zero
+    has ``comm_share`` and ``speedup`` 0.
+    """
+    rows = []
+    for m, degrees, compute_s, comm_s in runs:
+        total = compute_s + comm_s
         rows.append(
-            ScalingRow(m, tuple(degrees), res.mean_compute, res.mean_comm)
+            {"nodes": int(m), "degrees": tuple(degrees), "compute_s": compute_s,
+             "comm_s": comm_s, "total_s": total, "comm_share": comm_s / total if total else 0.0}
         )
-    return Fig9Result(dataset.name, rows)
+    base = rows[0]
+    for row in rows:
+        row["speedup"] = base["total_s"] / row["total_s"] if row["total_s"] else 0.0
+    return Table(
+        f"Fig 9: PageRank scaling — {dataset_name} (speedup vs {base['nodes']} nodes)",
+        [
+            ("nodes", "nodes", str),
+            ("degrees", "degrees", format_stack),
+            ("compute_s", "compute", format_seconds),
+            ("comm_s", "comm", format_seconds),
+            ("total_s", "total", format_seconds),
+            ("comm_share", "comm share", "{:.0%}".format),
+            ("speedup", "speedup", "{:.1f}x".format),
+        ],
+        rows,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -580,35 +430,7 @@ def run_fig9(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DesignRow:
-    dataset: str
-    paper_degrees: Tuple[int, ...]
-    workflow_degrees: Tuple[int, ...]
-    min_packet_bytes: float
-
-
-@dataclass
-class DesignResult:
-    rows: List[DesignRow]
-
-    def table(self) -> str:
-        return format_table(
-            ["dataset", "paper degrees", "workflow degrees", "packet floor"],
-            [
-                (
-                    r.dataset,
-                    "x".join(map(str, r.paper_degrees)),
-                    "x".join(map(str, r.workflow_degrees)),
-                    format_bytes(r.min_packet_bytes),
-                )
-                for r in self.rows
-            ],
-            title="§IV design workflow at paper scale",
-        )
-
-
-def run_design_workflow() -> DesignResult:
+def run_design_workflow() -> Table:
     """Reproduce the paper's optimal degrees from (n, α, D₀) alone."""
     rows = []
     for name, floor in (("twitter", 5e6), ("yahoo", 6.2e6)):
@@ -620,9 +442,19 @@ def run_design_workflow() -> DesignResult:
             model, 64, min_packet_bytes=floor, bytes_per_element=cal.BYTES_PER_ELEMENT
         )
         rows.append(
-            DesignRow(name, tuple(p["optimal_degrees"]), tuple(degs), floor)
+            {"dataset": name, "paper_degrees": tuple(p["optimal_degrees"]),
+             "workflow_degrees": tuple(degs), "min_packet_bytes": floor}
         )
-    return DesignResult(rows)
+    return Table(
+        "§IV design workflow at paper scale",
+        [
+            ("dataset", "dataset", str),
+            ("paper_degrees", "paper degrees", format_stack),
+            ("workflow_degrees", "workflow degrees", format_stack),
+            ("min_packet_bytes", "packet floor", format_bytes),
+        ],
+        rows,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +463,7 @@ def run_design_workflow() -> DesignResult:
 
 #: name -> the runs whose tables the figure prints, in order.  Datasets
 #: are built (and cached) only when a figure runs.
-FIGURES: Dict[str, Callable[[], List[Any]]] = {
+FIGURES: Dict[str, Callable[[], List[Table]]] = {
     "fig2": lambda: [run_fig2()],
     "fig4": lambda: [run_fig4()],
     "fig5": lambda: [
@@ -651,18 +483,3 @@ FIGURES: Dict[str, Callable[[], List[Any]]] = {
     "fig9": lambda: [run_fig9(cal.bench_twitter()), run_fig9(cal.bench_yahoo())],
     "design": lambda: [run_design_workflow()],
 }
-
-
-def jsonable(obj):
-    """A result as plain JSON data (dataclasses and NumPy values included)."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    return obj

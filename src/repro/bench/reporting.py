@@ -1,14 +1,23 @@
 """Plain-text tables and series for benchmark output.
 
 Benchmarks regenerate the paper's tables and figures as text; these
-helpers keep the formatting uniform and the harness code short.
+helpers keep the formatting uniform and the harness code short.  Every
+experiment returns one :class:`Table`: its rows are plain dicts of
+JSON-ready values, and its columns say how to print them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["format_table", "format_bytes", "format_seconds", "format_bars", "banner"]
+__all__ = [
+    "Table", "format_table", "format_bytes", "format_seconds", "format_bars", "format_stack",
+    "banner",
+]
+
+#: Turns one cell's value into its printed text.
+Formatter = Callable[[Any], str]
 
 
 def banner(title: str) -> str:
@@ -32,6 +41,11 @@ def format_seconds(s: float) -> str:
     if s >= 1e-3:
         return f"{s * 1e3:.2f} ms"
     return f"{s * 1e6:.1f} µs"
+
+
+def format_stack(degrees: Sequence[int]) -> str:
+    """A degree stack as the paper writes it: ``8x4x2``."""
+    return "x".join(map(str, degrees))
 
 
 def format_table(
@@ -90,3 +104,44 @@ def _cell(value) -> str:
             return f"{value:.3g}"
         return f"{value:,.4g}"
     return str(value)
+
+
+@dataclass
+class Table:
+    """One experiment's result: titled rows under declared columns.
+
+    ``columns`` are ``(key, header, formatter)``; a row may carry keys no
+    column prints (values a caller reads but the paper's table omits).
+    ``bars`` is an optional ``(label key, value key, formatter)`` chart
+    printed under the table, and ``note`` one line after that.
+    """
+
+    title: str
+    columns: Sequence[Tuple[str, str, Formatter]]
+    rows: List[Dict[str, Any]]
+    bars: Optional[Tuple[str, str, Formatter]] = None
+    note: str = ""
+
+    def table(self) -> str:
+        text = format_table(
+            [header for _, header, _ in self.columns],
+            [[fmt(row[key]) for key, _, fmt in self.columns] for row in self.rows],
+            title=self.title,
+        )
+        if self.bars:
+            label, value, fmt = self.bars
+            text += "\n\n" + format_bars(self.column(label), self.column(value), fmt=fmt)
+        if self.note:
+            text += "\n" + self.note
+        return text
+
+    def row(self, **match) -> Dict[str, Any]:
+        """The one row whose values equal ``match``; ``LookupError`` unless
+        exactly one row matches."""
+        found = [r for r in self.rows if all(r.get(k) == v for k, v in match.items())]
+        if len(found) != 1:
+            raise LookupError(f"{len(found)} rows of {self.title!r} match {match}")
+        return found[0]
+
+    def column(self, key: str) -> List[Any]:
+        return [row[key] for row in self.rows]

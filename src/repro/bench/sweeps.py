@@ -8,14 +8,13 @@ dataset and fabric, and see where the workflow's pick lands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..data import Dataset
 from . import calibration as cal
-from .reporting import format_seconds, format_table
+from .reporting import Table, format_seconds, format_stack
 
-__all__ = ["all_degree_stacks", "sweep_degree_stacks", "SweepResult"]
+__all__ = ["all_degree_stacks", "sweep_degree_stacks"]
 
 
 def all_degree_stacks(m: int, *, max_stacks: int = 500) -> List[Tuple[int, ...]]:
@@ -46,71 +45,6 @@ def all_degree_stacks(m: int, *, max_stacks: int = 500) -> List[Tuple[int, ...]]
     return sorted(set(out), key=lambda s: (len(s), tuple(-d for d in s)))
 
 
-@dataclass
-class SweepRow:
-    degrees: Tuple[int, ...]
-    config_s: float
-    reduce_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.config_s + self.reduce_s
-
-
-@dataclass
-class SweepResult:
-    dataset: str
-    rows: List[SweepRow]  # sorted fastest-first
-    workflow_pick: Tuple[int, ...]
-
-    @property
-    def best(self) -> SweepRow:
-        return self.rows[0]
-
-    def rank_of(self, degrees: Sequence[int]) -> int:
-        """1-based position of a stack in the fastest-first ordering."""
-        key = tuple(degrees)
-        for i, row in enumerate(self.rows, start=1):
-            if row.degrees == key:
-                return i
-        raise KeyError(f"stack {key} not in sweep")
-
-    def gap_of(self, degrees: Sequence[int]) -> float:
-        """Slowdown of a stack relative to the empirical best (1.0 = best)."""
-        key = tuple(degrees)
-        row = next(r for r in self.rows if r.degrees == key)
-        return row.total_s / self.best.total_s
-
-    def table(self, top: int = 10) -> str:
-        rows = [
-            (
-                "x".join(map(str, r.degrees)),
-                format_seconds(r.config_s),
-                format_seconds(r.reduce_s),
-                format_seconds(r.total_s),
-                "<- workflow pick" if r.degrees == self.workflow_pick else "",
-            )
-            for r in self.rows[:top]
-        ]
-        if all(r.degrees != self.workflow_pick for r in self.rows[:top]):
-            r = next(x for x in self.rows if x.degrees == self.workflow_pick)
-            rows.append(
-                (
-                    "x".join(map(str, r.degrees)),
-                    format_seconds(r.config_s),
-                    format_seconds(r.reduce_s),
-                    format_seconds(r.total_s),
-                    f"<- workflow pick (rank {self.rank_of(r.degrees)})",
-                )
-            )
-        return format_table(
-            ["degrees", "config", "reduce", "total", ""],
-            rows,
-            title=f"Exhaustive degree-stack sweep — {self.dataset} "
-            f"({len(self.rows)} stacks)",
-        )
-
-
 def sweep_degree_stacks(
     dataset: Dataset,
     workflow_pick: Sequence[int],
@@ -118,13 +52,33 @@ def sweep_degree_stacks(
     reduce_iters: int = 2,
     seed: int = 17,
     max_stacks: int = 200,
-) -> SweepResult:
-    """Time every degree stack of ``dataset.m`` on the calibrated fabric."""
-    rows = [
-        SweepRow(
-            tuple(degrees), *cal.timed_reduces(dataset, degrees, reduce_iters, seed=seed)[1:]
+) -> Table:
+    """Time every degree stack of ``dataset.m`` on the calibrated fabric.
+
+    One row per stack, fastest first, with its ``rank`` (1 = fastest) and
+    ``gap`` (its total over the fastest total; 1.0 = best); the workflow
+    pick's row is marked.
+    """
+    pick = tuple(workflow_pick)
+    rows = []
+    for degrees in all_degree_stacks(dataset.m, max_stacks=max_stacks):
+        _, config_s, reduce_s = cal.timed_reduces(dataset, degrees, reduce_iters, seed=seed)
+        rows.append(
+            {"degrees": degrees, "config_s": config_s, "reduce_s": reduce_s,
+             "total_s": config_s + reduce_s,
+             "pick": "<- workflow pick" if degrees == pick else ""}
         )
-        for degrees in all_degree_stacks(dataset.m, max_stacks=max_stacks)
-    ]
-    rows.sort(key=lambda r: r.total_s)
-    return SweepResult(dataset.name, rows, tuple(workflow_pick))
+    rows.sort(key=lambda r: r["total_s"])
+    for rank, row in enumerate(rows, start=1):
+        row["rank"], row["gap"] = rank, row["total_s"] / rows[0]["total_s"]
+    return Table(
+        f"Exhaustive degree-stack sweep — {dataset.name} ({len(rows)} stacks)",
+        [
+            ("degrees", "degrees", format_stack),
+            ("config_s", "config", format_seconds),
+            ("reduce_s", "reduce", format_seconds),
+            ("total_s", "total", format_seconds),
+            ("pick", "", str),
+        ],
+        rows,
+    )

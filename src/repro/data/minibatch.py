@@ -11,12 +11,14 @@ same power-law statistics the paper analyses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import TYPE_CHECKING, Iterator, List
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .powerlaw import zipf_sample
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "Minibatch",
@@ -83,6 +85,8 @@ class MinibatchStream:
         return [self._draw(rng) for _ in range(n_batches)]
 
     def _draw(self, rng: np.random.Generator) -> Minibatch:
+        from scipy.sparse import csr_matrix
+
         b, k = self.batch_size, self.nnz_per_example
         cols_global = zipf_sample(self.n_features, b * k, self.alpha, rng)
         vals = rng.normal(size=b * k)
@@ -151,6 +155,8 @@ class FixedPatternStream(MinibatchStream):
         return [self._draw_fixed(pat, rng) for _ in range(n_batches)]
 
     def _draw_fixed(self, pat: np.ndarray, rng: np.random.Generator) -> Minibatch:
+        from scipy.sparse import csr_matrix
+
         b, k = self.batch_size, self.nnz_per_example
         cols = rng.integers(0, pat.size, size=b * k)
         vals = rng.normal(size=b * k)

@@ -21,7 +21,6 @@ staying O(thousands) of evaluations.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "density",
@@ -69,6 +68,8 @@ def invert_density(target: float, alpha: float, n: int) -> float:
     The workflow measures the initial partition density ``D₀`` and reads
     the scaling factor off the curve; this is the numeric equivalent.
     """
+    from scipy.optimize import brentq
+
     if not 0.0 < target < 1.0:
         raise ValueError("target density must lie strictly in (0, 1)")
     lo, hi = -14.0, 16.0  # log10(lambda) bracket

@@ -32,7 +32,6 @@ __all__ = [
     "Violation",
     "check_topology",
     "check_replication",
-    "check_sequence_numbers",
     "format_report",
     "build_plans",
     "default_stacks",
@@ -61,7 +60,6 @@ _LAZY = {
     "Violation": "invariants",
     "check_topology": "invariants",
     "check_replication": "invariants",
-    "check_sequence_numbers": "invariants",
     "format_report": "invariants",
     "build_plans": "plan",
     "default_stacks": "plan",

@@ -1,11 +1,11 @@
 """Static invariants of the Kylix topology and its fault layers (PAPER.md §III, §V).
 
-Every function here inspects *data* — a :class:`ButterflyTopology`, a
-replica layout, a fabric's sequence counters — and
-never runs a reduction.  Violations are collected rather than raised so a
-broken configuration reports every problem at once.  A plan itself is
-checked by the certifier's replay (:func:`repro.verify.flow.analyze_flow`),
-not here; :class:`Violation` and :func:`format_report` are shared with it.
+Every function here inspects *data* — a :class:`ButterflyTopology` or a
+replica layout — and never runs a reduction.  Violations are collected
+rather than raised so a broken configuration reports every problem at
+once.  A plan itself is checked by the certifier's replay
+(:func:`repro.verify.flow.analyze_flow`), not here; :class:`Violation`
+and :func:`format_report` are shared with it.
 
 Checked invariants (names are stable identifiers, catalogued with their
 paper references in ``docs/verify.md``):
@@ -36,7 +36,6 @@ __all__ = [
     "Violation",
     "check_topology",
     "check_replication",
-    "check_sequence_numbers",
     "format_report",
 ]
 
@@ -166,55 +165,6 @@ def check_replication(num_nodes: int, replication: int) -> List[Violation]:
                     f"slot {slot} replicas {list(replicas)} do not all map back "
                     f"to slot {slot}",
                     node=slot,
-                )
-            )
-    return out
-
-
-def check_sequence_numbers(fabric) -> List[Violation]:
-    """Post-run audit of the fabric's per-link sequence counters.
-
-    ``seq-dedupe``
-        Counter keys use canonical phases and positive counts, and every
-        cached retransmission entry carries a sequence number below its
-        link counter — the property receiver dedupe relies on.
-    """
-    out: List[Violation] = []
-    counters = getattr(fabric, "_seq_counters", {})
-    for (src, dst, phase, layer), count in counters.items():
-        if phase not in ("config", "down", "up"):
-            out.append(
-                Violation(
-                    "seq-dedupe",
-                    f"link ({src}->{dst}) counter keyed on non-canonical "
-                    f"phase {phase!r}",
-                    node=src,
-                    layer=layer,
-                )
-            )
-        if count <= 0:
-            out.append(
-                Violation(
-                    "seq-dedupe",
-                    f"link ({src}->{dst}) counter is {count}, expected >= 1",
-                    node=src,
-                    layer=layer,
-                )
-            )
-    for (src, dst, _tag), entry in getattr(fabric, "_sent_cache", {}).items():
-        seq = entry[4]
-        matching = [
-            count
-            for (s, d, _p, _l), count in counters.items()
-            if s == src and d == dst
-        ]
-        if not matching or seq >= max(matching):
-            out.append(
-                Violation(
-                    "seq-dedupe",
-                    f"cached payload ({src}->{dst}) has seq {seq} outside "
-                    "any link counter",
-                    node=src,
                 )
             )
     return out

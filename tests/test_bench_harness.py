@@ -94,22 +94,23 @@ class TestSmallDrivers:
     def test_fig2_runs_on_custom_sizes(self):
         r = run_fig2(sizes=[1e5, 1e6, 1e7])
         assert len(r.rows) == 3
-        assert r.rows[0][3] < r.rows[-1][3]
+        utils = r.column("utilization")
+        assert utils[0] < utils[-1]
 
     def test_fig4_normalization_point(self):
         r = run_fig4(alphas=(1.0,), points=7)
-        series = r.densities[1.0]
-        at_one = float(np.interp(0.0, np.log10(r.lambdas_normalized), series))
+        series = r.column("alpha=1.0")
+        at_one = float(np.interp(0.0, np.log10(r.column("lambda_norm")), series))
         assert at_one == pytest.approx(0.9, abs=0.01)
 
     def test_fig5_small_dataset(self, tiny_dataset):
         r = run_fig5(tiny_dataset, [4, 2])
-        vols = r.volumes_list
+        vols = r.column("volume")
         assert len(vols) == 3  # two layers + bottom
         assert all(v > 0 for v in vols)
         assert vols[0] > vols[-1]
 
     def test_design_workflow_runs(self):
         r = run_design_workflow()
-        assert {row.dataset for row in r.rows} == {"twitter", "yahoo"}
+        assert set(r.column("dataset")) == {"twitter", "yahoo"}
         assert "x" in r.table()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.sweeps import SweepResult, SweepRow, all_degree_stacks, sweep_degree_stacks
+from repro.bench.sweeps import all_degree_stacks, sweep_degree_stacks
 from repro.data import twitter_like
 
 
@@ -42,28 +42,35 @@ class TestAllDegreeStacks:
             all_degree_stacks(0)
 
 
+@pytest.fixture(scope="module")
+def tiny():
+    return twitter_like(m=8, n_vertices=4_000)
+
+
 class TestSweep:
-    def test_sweep_small_dataset(self):
-        ds = twitter_like(m=8, n_vertices=4_000)
-        res = sweep_degree_stacks(ds, (4, 2), reduce_iters=1)
+    def test_sweep_small_dataset(self, tiny):
+        res = sweep_degree_stacks(tiny, (4, 2), reduce_iters=1)
         assert len(res.rows) == len(all_degree_stacks(8))
         # sorted fastest first
-        totals = [r.total_s for r in res.rows]
+        totals = res.column("total_s")
         assert totals == sorted(totals)
-        # bookkeeping helpers
-        assert res.rank_of(res.best.degrees) == 1
-        assert res.gap_of(res.best.degrees) == pytest.approx(1.0)
-        assert res.gap_of((8,)) >= 1.0
-        with pytest.raises(KeyError):
-            res.rank_of((3, 3))
+        # bookkeeping values
+        best = res.rows[0]["degrees"]
+        assert res.row(degrees=best)["rank"] == 1
+        assert res.row(degrees=best)["gap"] == pytest.approx(1.0)
+        assert res.row(degrees=(8,))["gap"] >= 1.0
+        assert res.column("rank") == list(range(1, len(res.rows) + 1))
+        with pytest.raises(LookupError):
+            res.row(degrees=(3, 3))
+        assert res.row(degrees=(4, 2))["pick"] == "<- workflow pick"
+        assert [r["pick"] for r in res.rows].count("") == len(res.rows) - 1
         assert "workflow pick" in res.table()
 
-    def test_table_appends_pick_outside_top(self):
-        rows = [
-            SweepRow((4, 2), 0.0, 1.0),
-            SweepRow((2, 4), 0.0, 2.0),
-            SweepRow((8,), 0.0, 3.0),
-        ]
-        res = SweepResult("d", rows, workflow_pick=(8,))
-        out = res.table(top=1)
-        assert "rank 3" in out
+    def test_table_appends_pick_outside_top(self, tiny):
+        """A pick that ranks last is still printed, marked, with its rank."""
+        res = sweep_degree_stacks(tiny, (2, 2, 2), reduce_iters=1)
+        last = res.rows[-1]
+        assert last["degrees"] == (2, 2, 2) and last["rank"] == len(res.rows)
+        assert last["pick"] == "<- workflow pick"
+        line = res.table().splitlines()[-1]
+        assert line.lstrip().startswith("2x2x2") and line.endswith("<- workflow pick")
