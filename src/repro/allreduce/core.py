@@ -50,7 +50,14 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sparse import IndexHasher, KeyRange, split_sorted, union_with_maps
+from ..sparse import (
+    IndexHasher,
+    KeyRange,
+    index_dtype,
+    split_sorted,
+    union_with_maps,
+    unique_with_inverse,
+)
 from ..verify.errors import ProtocolInvariantError
 from .base import (
     PHASE_COMBINED_DOWN,
@@ -233,6 +240,9 @@ def drive(gen, medium):
             ex = gen.send(got)
         except StopIteration as stop:
             ex, result = None, stop.value
+        # Sent and merged: neither may outlive the merge across the wait
+        # for the charge (the pass holds what it still needs).
+        got = parts = None
         if traced and building:
             obs.histogram("config.merge_length").observe(
                 plan.layers[layer - 1].out_union_size, phase=phase, layer=layer
@@ -345,15 +355,16 @@ def down_pass(
             v, v_mask = _scatter(
                 lp, spec, [p[2:] if degrade else p[2] for p in got], degrade
             )
+        got = None  # merged: the senders' parts are spent
         out_keys, in_keys = out_union, in_union
         rng = rng.subrange(pos, d)
 
     # Bottom projection: where each hosted in-key sits in the reduced
     # out union (coverage holes surface here).
-    where = np.searchsorted(out_keys, in_keys).astype(np.intp)
+    where = np.searchsorted(out_keys, in_keys).astype(index_dtype(out_keys.size))
     plan.bottom_pos = np.minimum(where, max(out_keys.size - 1, 0))
     plan.bottom_hit = (
-        (out_keys[plan.bottom_pos] == in_keys)
+        (out_keys.take(plan.bottom_pos) == in_keys)
         if out_keys.size and in_keys.size
         else np.zeros(in_keys.size, dtype=bool)
     )
@@ -378,6 +389,9 @@ def value_down_pass(
             PHASE_REDUCE_DOWN, layer, lp.group, lp.pos, parts, v.nbytes, plan
         )
         v, v_mask = _scatter(lp, spec, got, degrade)
+        # Scattered: the senders' partials must not live across the next
+        # wait, nor the slices of the partial this node sent.
+        got = parts = None
     return v, v_mask
 
 
@@ -401,7 +415,7 @@ def bottom_projection(
     degrade = v_mask is not None
     hit = plan.bottom_hit
     if not degrade and bool(hit.all()):
-        return v[plan.bottom_pos], None  # every hosted key is covered
+        return v.take(plan.bottom_pos, axis=0), None  # every hosted key is covered
     if strict and not degrade:
         raise CoverageError(
             f"rank {plan.rank}: {int((~hit).sum())} requested indices have "
@@ -409,11 +423,11 @@ def bottom_projection(
         )
     r = _identity_rows(spec, plan.bottom_pos.size)
     if degrade and v.size:
-        hit = hit & v_mask[plan.bottom_pos]
+        hit = hit & v_mask.take(plan.bottom_pos)
     if v.size:
         # Broadcast the row mask over trailing value dimensions.
         where = hit.reshape(hit.shape + (1,) * (r.ndim - 1))
-        np.copyto(r, v[plan.bottom_pos], where=where)
+        np.copyto(r, v.take(plan.bottom_pos, axis=0), where=where)
     return r, (hit.copy() if degrade else None)
 
 
@@ -436,37 +450,51 @@ def up_pass(
     for layer in range(len(plan.layers), 0, -1):
         lp = plan.layers[layer - 1]
         if degrade:
-            parts = [(r[m], r_mask[m]) for m in lp.in_recv_maps]
+            parts = [(r.take(m, axis=0), r_mask.take(m)) for m in lp.in_recv_maps]
         else:
-            parts = [r[m] for m in lp.in_recv_maps]
-        got = yield Exchange(
-            PHASE_GATHER_UP, layer, lp.group, lp.pos, parts, r.nbytes, plan
-        )
-        if degrade:
-            out = _identity_rows(spec, lp.in_prev_size)
-            out_mask = np.zeros(lp.in_prev_size, dtype=bool)
-        else:
-            # No fill: the in slices tile the array and every part is present.
-            out = np.empty((lp.in_prev_size, *spec.value_shape), dtype=spec.dtype)
-            out_mask = None
-        for q, (sl, part) in enumerate(zip(lp.in_slices, got)):
-            if part is None:
-                if not degrade:
-                    raise ProtocolInvariantError(
-                        f"rank {plan.rank}: no gather_up L{layer} part from "
-                        f"member {lp.group[q]} outside degraded completion",
-                        invariant="up-reassembly",
-                    )
-                continue  # unrecoverable member: slice stays invalid
-            if not degrade:
-                out[sl] = part
-            elif len(part[0]) == sl.stop - sl.start:
-                out[sl] = part[0]
-                out_mask[sl] = part[1]
-            # else: the member never integrated our config part, so it
-            # cannot return our keys — whole slice lost.
-        r, r_mask = out, out_mask
+            parts = [r.take(m, axis=0) for m in lp.in_recv_maps]
+        nbytes = r.nbytes
+        # Across the wait the pass holds only the parts it sends: the
+        # array they were gathered from is spent.
+        r = r_mask = None
+        got = yield Exchange(PHASE_GATHER_UP, layer, lp.group, lp.pos, parts, nbytes, plan)
+        parts = None
+        r, r_mask = _reassemble(plan, spec, layer, got, degrade)
+        got = None  # copied into r: the senders' parts are spent
     return r, r_mask
+
+
+def _reassemble(
+    plan: NodePlan, spec: ReduceSpec, layer: int, got: Sequence, degrade: bool
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """One up-pass layer's received parts -> the previous in key array's
+    values (and validity under ``degrade``), each part written into the
+    contiguous slice the split produced."""
+    lp = plan.layers[layer - 1]
+    if degrade:
+        out = _identity_rows(spec, lp.in_prev_size)
+        out_mask = np.zeros(lp.in_prev_size, dtype=bool)
+    else:
+        # No fill: the in slices tile the array and every part is present.
+        out = np.empty((lp.in_prev_size, *spec.value_shape), dtype=spec.dtype)
+        out_mask = None
+    for q, (sl, part) in enumerate(zip(lp.in_slices, got)):
+        if part is None:
+            if not degrade:
+                raise ProtocolInvariantError(
+                    f"rank {plan.rank}: no gather_up L{layer} part from "
+                    f"member {lp.group[q]} outside degraded completion",
+                    invariant="up-reassembly",
+                )
+            continue  # unrecoverable member: slice stays invalid
+        if not degrade:
+            out[sl] = part
+        elif len(part[0]) == sl.stop - sl.start:
+            out[sl] = part[0]
+            out_mask[sl] = part[1]
+        # else: the member never integrated our config part, so it
+        # cannot return our keys — whole slice lost.
+    return out, out_mask
 
 
 def reduce_pass(
@@ -479,18 +507,23 @@ def reduce_pass(
 ):
     """One whole reduction over a memoised plan as a single pass:
     :func:`value_down_pass`, :func:`bottom_projection`, :func:`up_pass`.
-    Returns :func:`in_order` of the gathered values."""
-    v, v_mask = yield from value_down_pass(plan, spec, values, degrade=degrade)
-    r, r_mask = bottom_projection(plan, spec, v, v_mask, strict=strict)
-    return in_order(plan, *(yield from up_pass(plan, spec, r, r_mask)))
+    Returns :func:`in_order` of the gathered values.
+
+    Nothing between the passes is bound here: the bottom partial dies in
+    the projection, and the projection is the up pass's to let go of."""
+    down = value_down_pass(plan, spec, values, degrade=degrade)
+    up = up_pass(plan, spec, *bottom_projection(
+        plan, spec, *(yield from down), strict=strict
+    ))
+    return in_order(plan, *(yield from up))
 
 
 def in_order(plan: NodePlan, r: np.ndarray, r_mask: Optional[np.ndarray] = None):
     """Unique-in-key order -> the caller's ``in_indices`` order; paired
     with the validity mask under degraded completion."""
     if r_mask is None:
-        return r[plan.in_inverse]
-    return r[plan.in_inverse], r_mask[plan.in_inverse]
+        return r.take(plan.in_inverse, axis=0)
+    return r.take(plan.in_inverse, axis=0), r_mask.take(plan.in_inverse)
 
 
 def dead_partial_keys(
@@ -590,12 +623,11 @@ def tombstone_part(
 
 
 def _unique_keys(hasher: IndexHasher, indices: np.ndarray):
-    """Sorted unique hashed keys of ``indices`` and the read-only ``intp``
-    inverse (each index -> its key's position)."""
-    keys, inverse = np.unique(hasher.hash(indices), return_inverse=True)
-    inverse = inverse.astype(np.intp, copy=False)
-    inverse.flags.writeable = False
-    return keys, inverse
+    """Sorted unique hashed keys of ``indices`` and the read-only inverse
+    (each index -> its key's position, in
+    :func:`~repro.sparse.index_dtype`): the dedupe kernel over an
+    unstable argsort, since hashed indices come in no order."""
+    return unique_with_inverse(hasher.hash(indices))
 
 
 def _identity_rows(spec: ReduceSpec, n: int) -> np.ndarray:

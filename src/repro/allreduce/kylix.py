@@ -413,10 +413,9 @@ class KylixAllreduce:
         Returns the values aligned with the node's ``spec.in_indices`` —
         paired with their validity mask under degraded completion."""
         plan = self.plans[node.rank]
-        r, r_mask = yield from core.drive(
-            core.up_pass(plan, self.spec, r, r_mask), _SimMedium(self, node, inst)
-        )
-        return core.in_order(plan, r, r_mask)
+        up = core.up_pass(plan, self.spec, r, r_mask)
+        r = r_mask = None  # the pass holds only the parts it sends
+        return core.in_order(plan, *(yield from core.drive(up, _SimMedium(self, node, inst))))
 
     def node_reduce(self, node: SimNode, out_values: Mapping[int, np.ndarray], inst: int):
         """Generator: one node's whole reduction ``inst`` — what
@@ -474,18 +473,18 @@ class KylixAllreduce:
         r, r_mask = core.bottom_projection(
             plan, spec, v, v_mask, strict=self.strict_coverage
         )
-        return (yield from self.node_up(node, r, inst, r_mask))
+        up = self.node_up(node, r, inst, r_mask)
+        r = r_mask = None
+        return (yield from up)
 
     def _combined_proto(self, node: SimNode, out_values, inst: int):
         plan, v, v_mask = yield from self._down(node, inst, out_values)
-        r, r_mask = core.bottom_projection(
-            plan, self.spec, v, v_mask, strict=self.strict_coverage
-        )
         # Not node_up: self.plans still holds the previous configuration.
-        r, r_mask = yield from core.drive(
-            core.up_pass(plan, self.spec, r, r_mask), _SimMedium(self, node, inst)
-        )
-        return plan, core.in_order(plan, r, r_mask)
+        up = core.up_pass(plan, self.spec, *core.bottom_projection(
+            plan, self.spec, v, v_mask, strict=self.strict_coverage
+        ))
+        v = v_mask = None  # projected: the bottom partial is spent
+        return plan, core.in_order(plan, *(yield from core.drive(up, _SimMedium(self, node, inst))))
 
     # ------------------------------------------------------------------
     # Reduction

@@ -184,10 +184,6 @@ class Cluster:
     def total_compute_seconds(self) -> float:
         return sum(self.compute_seconds)
 
-    @property
-    def max_compute_seconds(self) -> float:
-        return max(self.compute_seconds)
-
     # -- execution ------------------------------------------------------------
     def run(
         self,

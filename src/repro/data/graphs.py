@@ -64,9 +64,6 @@ class EdgeGraph:
             (data, (self.dst, self.src)), shape=(self.n_vertices, self.n_vertices)
         )
 
-    def subgraph_edges(self, edge_ids: np.ndarray) -> "EdgeGraph":
-        return EdgeGraph(self.n_vertices, self.src[edge_ids], self.dst[edge_ids])
-
 
 def powerlaw_graph(
     n_vertices: int,

@@ -40,10 +40,6 @@ class GraphPartition:
     def in_density(self) -> float:
         return self.in_vertices.size / self.n_vertices
 
-    @property
-    def out_density(self) -> float:
-        return self.out_vertices.size / self.n_vertices
-
     def local_matrix(self, column_values: str = "ones"):
         """Compact local CSR: rows = local out vertices, cols = local in.
 

@@ -84,7 +84,7 @@ class _Wire:
             got = net.collect(group, kind, ex.layer, self.round)
         slot = self.slots.slot_fn(pos_of)
         parts: List[Optional[tuple]] = [None] * len(group)
-        parts[slot(self.rank)] = self._own
+        parts[slot(self.rank)], self._own = self._own, None
         for member, part in got.items():
             parts[slot(member)] = part
         return parts, 0  # nothing charges the wire's merge: no byte count
@@ -154,11 +154,15 @@ def run_rounds(
         plan, v, v_mask = _complete(core.drive(
             core.down_pass(topo, hasher, spec, rank, values, degrade=degrade), wire
         ))
-        r, r_mask = core.bottom_projection(plan, spec, v, v_mask, strict=strict)
-        r, r_mask = _complete(core.drive(core.up_pass(plan, spec, r, r_mask), wire))
+        up = core.up_pass(
+            plan, spec, *core.bottom_projection(plan, spec, v, v_mask, strict=strict)
+        )
+        v = v_mask = None  # projected: the bottom partial is spent
+        result = core.in_order(plan, *_complete(core.drive(up, wire)))
         lost_raw = None
         if degrade:
-            lost_raw = np.unique(spec.in_indices[rank][~r_mask[plan.in_inverse]])
+            result, valid = result
+            lost_raw = np.unique(spec.in_indices[rank][~valid])
         if cacheable:
             cached = plan
-        yield r[plan.in_inverse], lost_raw, tuple(wire.losses), False if cacheable else None
+        yield result, lost_raw, tuple(wire.losses), False if cacheable else None

@@ -127,6 +127,10 @@ class BaseTransport:
         self.audit_sent, self.audit_recv = self.retained.sent, self.retained.recv
         self._audit_replies: Dict[int, Any] = {}
         self._audit_tokens = itertools.count(1)
+        #: Audit requests not answered yet: ``(member, token, direction,
+        #: layer, seq, hole)``, each waiting for its answer to be known
+        #: (:meth:`_answer_audits`).
+        self._audits_owed: List[Tuple[int, int, str, int, int, int]] = []
         #: Calls due at a time, ``(due, order, fn)``: a heap the pump
         #: runs (``order`` keeps equal due times FIFO).
         self._due: List[Tuple[float, int, Callable[[], None]]] = []
@@ -251,6 +255,8 @@ class BaseTransport:
             now = time.monotonic()
             self.inbox[key] = part
             self.arrived[key] = now
+            if self._audits_owed:
+                self._answer_audits()  # this part may be what one waits for
             if self.obs.enabled:
                 self.obs.message_delivered(
                     member,
@@ -290,11 +296,10 @@ class BaseTransport:
             _, kind, layer, seq = obj
             self.waiting[(member, kind, layer, seq)] = time.monotonic()
         elif obj[0] == "audit-req":
-            # Control plane, like NACKs: answered inline from the
-            # retained key stores, never fault-injected.
-            _, token, direction, layer, seq, hole = obj
-            keys = self.retained.get(direction, seq, layer, hole)
-            self._send_frame(member, ("audit-rep", token, keys))
+            # Control plane, like NACKs: answered from the retained key
+            # stores, never fault-injected — as soon as the answer is known.
+            self._audits_owed.append((member, *obj[1:]))
+            self._answer_audits()
         elif obj[0] == "audit-rep":
             _, token, keys = obj
             self._audit_replies[token] = keys
@@ -304,17 +309,49 @@ class BaseTransport:
                 invariant="message-order",
             )
 
+    def _answer_audits(self) -> None:
+        """Reply to every owed audit request whose answer is known now.
+
+        An out-key slice (``"sent"``) is retained before its part is
+        posted, so it is known when asked.  A hole's raw keys (``"recv"``)
+        are retained once the layer-1 receive that carried them returns,
+        and a peer may ask before that: the arrived part's piggyback (its
+        last element) answers then.  While that part has not arrived and
+        still can — the hole is neither closed nor given up — the reply
+        waits: "nothing retained" sent early would shrink the dead
+        partial's key set, and its keys would be lost unreported.
+        """
+        owed = []
+        for req in self._audits_owed:
+            member, token, direction, layer, seq, hole = req
+            keys = self.retained.get(direction, seq, layer, hole)
+            if keys is None and direction == "recv":
+                part = self.inbox.get((hole, "down", layer, seq))
+                if part is not None:
+                    keys = part[-1]
+                elif hole not in self.closed and hole not in self.abandoned:
+                    owed.append(req)
+                    continue
+            self._send_frame(member, ("audit-rep", token, keys))
+        self._audits_owed = owed
+
     def pump(self, timeout: float) -> None:
         """Block up to ``timeout`` seconds for something to arrive on any
         link, then drain everything readable; a peer seen dead lands in
         :attr:`closed`.  ``timeout <= 0`` drains without blocking.  Calls
         that fall due meanwhile run on the way, and one that hands a
         delayed copy to the medium ends the pump too: a frame owed is
-        gone."""
+        gone.  An owed audit reply goes out as soon as its answer is
+        known: before blocking (a receive retained keys, a member was
+        given up) and after each wait (a peer died)."""
         end = time.monotonic() + timeout
         due = self._due
         while True:
+            if self._audits_owed:
+                self._answer_audits()
             woke = self._pump_once((min(end, due[0][0]) if due else end) - time.monotonic())
+            if self._audits_owed:
+                self._answer_audits()
             delayed, now = self._delayed, time.monotonic()
             while due and due[0][0] <= now:
                 heapq.heappop(due)[2]()

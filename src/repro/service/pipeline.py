@@ -61,6 +61,7 @@ def pipelined_reduces(
         for values, inst in zip(batches, insts):
             r, _ = yield from net.node_down(node, values, inst)
             ups.append(engine.process(net.node_up(node, r, inst)))
+            del r  # the up pass holds only the parts it sends
             # Admission bound: at most `depth` allgathers in flight.
             pending = [p for p in ups if not p.triggered]
             while len(pending) >= depth:

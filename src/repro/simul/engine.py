@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Optional
 
-from .events import PENDING, AllOf, AnyOf, Event, SimulationError, Timeout
+from .events import PENDING, AnyOf, Event, SimulationError, Timeout
 from .process import Process
 from .scheduler import Scheduler
 
@@ -97,9 +97,6 @@ class Engine:
 
     def any_of(self, events) -> AnyOf:
         return AnyOf(self, events)
-
-    def all_of(self, events) -> AllOf:
-        return AllOf(self, events)
 
     # -- run loop --------------------------------------------------------
     def peek(self) -> float:

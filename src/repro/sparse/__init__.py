@@ -9,7 +9,7 @@ key space.
 """
 
 from .hashing import IdentityHasher, IndexHasher, MultiplicativeHasher
-from .merge import is_sorted_unique, union_with_maps
+from .merge import index_dtype, is_sorted_unique, union_with_maps, unique_with_inverse
 from .partition import KeyRange, ranges_tile, split_sorted
 from .vector import SparseVector
 
@@ -22,5 +22,7 @@ __all__ = [
     "split_sorted",
     "ranges_tile",
     "is_sorted_unique",
+    "index_dtype",
     "union_with_maps",
+    "unique_with_inverse",
 ]

@@ -24,7 +24,14 @@ import numpy as np
 from ..allreduce.base import ReduceSpec
 from ..allreduce.core import LayerPlan, NodePlan
 from ..allreduce.topology import ButterflyTopology
-from ..sparse import IndexHasher, KeyRange, MultiplicativeHasher, split_sorted, union_with_maps
+from ..sparse import (
+    IndexHasher,
+    KeyRange,
+    MultiplicativeHasher,
+    index_dtype,
+    split_sorted,
+    union_with_maps,
+)
 from .flow import analyze_flow
 from .invariants import Violation, check_replication, check_topology
 
@@ -66,8 +73,8 @@ def build_plans(
         in_keys, in_inv = np.unique(hasher.hash(spec.in_indices[rank]), return_inverse=True)
         plans[rank] = NodePlan(
             rank=rank,
-            out_inverse=out_inv.astype(np.intp),
-            in_inverse=in_inv.astype(np.intp),
+            out_inverse=out_inv.astype(index_dtype(out_inv.size)),
+            in_inverse=in_inv.astype(index_dtype(in_inv.size)),
             n_out=out_keys.size,
             n_in=in_keys.size,
         )
@@ -114,7 +121,7 @@ def build_plans(
 
     for rank in range(m):
         out_keys, in_keys, _ = state[rank]
-        pos = np.searchsorted(out_keys, in_keys).astype(np.intp)
+        pos = np.searchsorted(out_keys, in_keys).astype(index_dtype(out_keys.size))
         clipped = np.minimum(pos, max(out_keys.size - 1, 0))
         hit = (
             (out_keys[clipped] == in_keys)

@@ -11,6 +11,7 @@ not protocol.
 import ast
 import pickle
 from pathlib import Path
+import tracemalloc
 from types import SimpleNamespace
 import zlib
 
@@ -230,6 +231,29 @@ def test_plan_nbytes_counts_each_buffer_once(name):
             assert plans[rank].nbytes <= 0.75 * twin.nbytes
         else:
             assert plans[rank].nbytes == twin.nbytes
+
+
+def test_plans_and_cached_reduce_stay_small():
+    """What a configured plan and one cached reduce cost in memory, as
+    multiples of the input, on the in = out golden case (64 nodes,
+    [4,4,4]).  ``intp`` maps and a reduce that held its spent arrays
+    across every wait measured 4.77x and 4.76x; ``int32`` maps and
+    releases before each wait measure 2.70x and ~2.25x."""
+    m, degrees, make_spec = GOLDEN_CASES["m64_4x4x4_inout"]
+    spec = make_spec()
+    net = KylixAllreduce(Cluster(m), degrees=degrees)
+    plans = net.configure(spec)
+    index_bytes = sum(spec.out_indices[r].nbytes for r in range(m))
+    assert sum(plan.nbytes for plan in plans.values()) <= 3.7 * index_bytes
+    values = {r: np.ones(spec.out_indices[r].size) for r in range(m)}
+    net.reduce(values)  # warm: the first reduce pays one-off allocations
+    tracemalloc.start()
+    try:
+        result = net.reduce(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * sum(r.nbytes for r in result.values())
 
 
 def test_degraded_run_on_shared_plans_matches_unshared_plans():

@@ -341,6 +341,48 @@ class TestAudit:
         finish()
         assert a._audit_replies == {}
 
+    @staticmethod
+    def holder_asker_hole():
+        """Rank 0 (the holder) linked to rank 1 (the asker) and rank 2
+        (the hole), each over its own socket pair."""
+        s01, s10 = socket.socketpair()
+        s02, s20 = socket.socketpair()
+        retry = RetryPolicy()
+        return (
+            SocketTransport(0, {1: s01, 2: s02}, None, retry),
+            SocketTransport(1, {0: s10}, None, retry),
+            SocketTransport(2, {0: s20}, None, retry),
+        )
+
+    @staticmethod
+    def serve(net, seconds):
+        end = time.monotonic() + seconds
+        while (left := end - time.monotonic()) > 0:
+            net.pump(left)
+
+    def test_raw_keys_are_answered_once_the_holes_part_arrived(self):
+        """A hole's raw keys ride its layer-1 part and are retained only
+        when the holder's receive returns; asked earlier, the holder must
+        not read "nothing retained" — that under-reported a mid-stack
+        death's losses.  The arrived part's piggyback answers."""
+        holder, asker, hole = self.holder_asker_hole()
+        raw = np.array([4, 40], dtype=np.uint64)
+        finish = on_thread(lambda: asker.audit(0, "recv", 1, 0, 2))
+        self.serve(holder, 0.3)  # the question arrives before the part
+        hole.post(0, "down", 1, (raw, raw[:0], np.zeros(2), raw))
+        holder.pump(2.0)
+        assert finish().tolist() == [4, 40]
+        assert asker._audit_replies == {}
+
+    def test_raw_keys_of_a_hole_dead_before_its_part_are_none(self):
+        holder, asker, hole = self.holder_asker_hole()
+        finish = on_thread(lambda: asker.audit(0, "recv", 1, 0, 2))
+        self.serve(holder, 0.3)
+        hole.close()
+        holder.pump(2.0)
+        assert 2 in holder.closed
+        assert finish() is None
+
     def test_a_dead_peer_ends_the_fetch(self):
         a, b = link_pair()
 

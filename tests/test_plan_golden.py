@@ -98,7 +98,9 @@ def test_plan_fingerprint(name):
     for plan in plans.values():
         for lp in plan.layers:
             for m in lp.out_recv_maps + lp.in_recv_maps:
-                assert m.dtype == np.intp and m.flags.c_contiguous
+                # The one index dtype rule: int32 below 2**31 keys.
+                assert m.dtype == np.int32 and m.flags.c_contiguous
+                assert not m.flags.writeable
 
 
 if __name__ == "__main__":

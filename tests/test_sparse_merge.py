@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.sparse import union_with_maps
+from repro.allreduce.core import _unique_keys
+from repro.sparse import IdentityHasher, MultiplicativeHasher, index_dtype, union_with_maps
 
 
 def arr(xs):
@@ -14,6 +15,13 @@ def arr(xs):
 
 def union_of(*sets):
     return union_with_maps(list(sets))[0]
+
+
+def assert_index_array(m):
+    """The one dtype rule for a stored position index below 2**31 keys:
+    ``int32``, C-contiguous and read-only."""
+    assert m.dtype == np.int32
+    assert m.flags.c_contiguous and not m.flags.writeable
 
 
 class TestMergeTwo:
@@ -88,9 +96,23 @@ class TestPositionMaps:
         _, maps = union_with_maps([arr([1, 2]), arr([])])
         assert maps[1].size == 0
 
-    def test_map_dtype_is_intp(self):
-        _, maps = union_with_maps([arr([1, 2, 3])])
-        assert maps[0].dtype == np.intp
+    def test_map_dtype_follows_index_dtype(self):
+        _, maps = union_with_maps([arr([1, 2, 3]), arr([2, 9])])
+        for m in maps:
+            assert_index_array(m)
+
+
+class TestIndexDtype:
+    """The rule itself, as a pure function of the size (nothing the size
+    of 2**31 is allocated)."""
+
+    def test_int32_below_2_31(self):
+        assert index_dtype(0) == np.int32
+        assert index_dtype(2**31 - 1) == np.int32
+
+    def test_intp_from_2_31(self):
+        assert index_dtype(2**31) == np.intp
+        assert index_dtype(2**40) == np.intp
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +149,7 @@ def test_prop_union_with_maps_matches_reference(raw):
     assert union.tolist() == expect
     assert len(maps) == len(sets)
     for s, m in zip(sets, maps):
-        assert m.dtype == np.intp and m.flags.c_contiguous
+        assert_index_array(m)
         assert m.tolist() == [where[key] for key in s.tolist()]
         np.testing.assert_array_equal(union[m], s)
         assert np.all(m[1:] > m[:-1])
@@ -155,3 +177,24 @@ def test_prop_full_64bit_domain(keys):
     union, maps = union_with_maps([a, a])
     np.testing.assert_array_equal(union, a)
     np.testing.assert_array_equal(maps[0], maps[1])
+
+
+# Raw indices with heavy repeats (a small pool), plus the full range.
+raw_indices = st.lists(
+    st.one_of(st.integers(0, 20), st.integers(0, 2**62)), max_size=60
+).map(lambda xs: np.array(xs, dtype=np.int64))
+
+
+@given(raw_indices, st.sampled_from([MultiplicativeHasher(), IdentityHasher(2**62 + 1)]))
+@example(np.array([], dtype=np.int64), MultiplicativeHasher())
+@example(np.array([3, 3, 3], dtype=np.int64), IdentityHasher(2**62 + 1))
+@example(np.array([5, 1, 5, 0, 1], dtype=np.int64), MultiplicativeHasher())
+def test_prop_unique_keys_matches_np_unique(indices, hasher):
+    """The dedupe kernel over an unstable argsort returns the keys and
+    inverse ``np.unique(return_inverse=True)`` does, value for value."""
+    keys, inverse = _unique_keys(hasher, indices)
+    want_keys, want_inverse = np.unique(hasher.hash(indices), return_inverse=True)
+    assert keys.dtype == want_keys.dtype
+    assert keys.tolist() == want_keys.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+    assert_index_array(inverse)
